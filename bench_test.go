@@ -9,9 +9,7 @@ package repro
 // laptop-scale sizes.
 
 import (
-	"encoding/json"
 	"io"
-	"os"
 	"testing"
 
 	"repro/internal/bench"
@@ -23,7 +21,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -264,52 +261,6 @@ func BenchmarkRealEigenvectors64(b *testing.B) {
 		if _, _, err := lapack.RealEigenvectors(a, 16); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestBenchObsJSON regenerates BENCH_obs.json: a machine-readable
-// baseline-vs-FT comparison at paper-adjacent sizes (cost-only), with the
-// FT run's per-phase busy time read back from the observability registry.
-// The artifact lets external tooling track FT overhead across commits
-// without parsing benchmark text output.
-func TestBenchObsJSON(t *testing.T) {
-	type row struct {
-		N              int                `json:"n"`
-		Baseline       float64            `json:"baseline_seconds"`
-		FT             float64            `json:"ft_seconds"`
-		OverheadPct    float64            `json:"ft_overhead_pct"`
-		FTPhaseSeconds map[string]float64 `json:"ft_phase_seconds"`
-	}
-	var rows []row
-	for _, n := range []int{1022, 2046, 4030} {
-		a := matrix.New(n, n)
-		resB, err := hybrid.Reduce(a, hybrid.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		resF, err := ft.Reduce(a, ft.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly), Obs: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		phases := obs.SumBy(reg, "phase_seconds", "phase")
-		if len(phases) == 0 {
-			t.Fatal("FT run reported no phase timers")
-		}
-		rows = append(rows, row{
-			N:              n,
-			Baseline:       resB.SimSeconds,
-			FT:             resF.SimSeconds,
-			OverheadPct:    100 * (resF.SimSeconds - resB.SimSeconds) / resB.SimSeconds,
-			FTPhaseSeconds: phases,
-		})
-	}
-	buf, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,11 +6,17 @@
 //	experiments -exp all                 # everything (tables II/III at laptop scale)
 //	experiments -exp fig6 -paper         # Figure 6 at the paper's sizes (cost-only)
 //	experiments -exp tableII -sizes 126,254,510
+//	experiments -exp lookahead -out .    # regenerate BENCH_lookahead.json
 //
 // Figure 6 runs in cost-only mode (the analytic device model at the
 // paper's matrix sizes); Figure 2 and Tables II/III execute real
 // arithmetic. See EXPERIMENTS.md for the recorded paper-vs-measured
 // comparison.
+//
+// The artifact studies (bench.Studies) run at fixed grids and print a
+// report; with -out DIR they also write their BENCH_*.json into DIR, and
+// nothing is written without it. The command exits 1 when a measured
+// study's paired median misses its wall-clock bar.
 package main
 
 import (
@@ -25,18 +31,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|tableI|fig2|fig6|tableII|tableIII|ablation|breakdown|multierror|multigpu|lookahead|failstop|blasft|trace|timeline|serveobs|serve_throughput")
+	exp := flag.String("exp", "all", "experiment: all|tableI|fig2|fig6|tableII|tableIII|ablation|breakdown|multierror|trace|timeline|"+studyNames())
 	nb := flag.Int("nb", 32, "block size")
 	sizesFlag := flag.String("sizes", "", "comma-separated matrix sizes (overrides defaults)")
 	paper := flag.Bool("paper", false, "use the paper's full size grid for fig6 (cost-only, still fast)")
 	seed := flag.Uint64("seed", 158, "workload seed")
 	traceOut := flag.String("traceout", "", "write a Chrome trace JSON of the timeline experiment to this file")
-	serveObsOut := flag.String("serveobsout", "BENCH_serveobs.json", "artifact path for the serveobs experiment (empty to skip writing)")
-	throughputOut := flag.String("throughputout", "BENCH_throughput.json", "artifact path for the serve_throughput experiment (empty to skip writing)")
-	lookaheadOut := flag.String("lookaheadout", "BENCH_lookahead.json", "artifact path for the lookahead experiment (empty to skip writing)")
-	failstopOut := flag.String("failstopout", "BENCH_failstop.json", "artifact path for the failstop experiment (empty to skip writing)")
-	blasftOut := flag.String("blasftout", "BENCH_blasft.json", "artifact path for the blasft experiment (empty to skip writing)")
-	blasftReps := flag.Int("blasftreps", 5, "wall-clock repetitions per GEMM shape in the blasft experiment")
+	outDir := flag.String("out", "", "write each artifact study's BENCH_*.json into this directory")
 	flag.Parse()
 
 	params := sim.K40c()
@@ -83,70 +84,17 @@ func main() {
 			bench.Breakdown(out, fig6Sizes[len(fig6Sizes)-1], *nb, params)
 		case "multierror":
 			bench.MultiError(out, 158, *nb, 10, *seed)
-		case "multigpu":
-			art, err := bench.MultiGPU(2048, 16, []int{1, 2, 4}, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "multigpu: %v\n", err)
-				os.Exit(2)
-			}
-			bench.MultiGPUReport(out, art)
-		case "lookahead":
-			art, err := bench.Lookahead([]int{512, 1024, 2048}, []int{1, 2, 4}, *nb, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lookahead: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.LookaheadReport(out, art, *lookaheadOut); err != nil {
-				fmt.Fprintf(os.Stderr, "lookahead: %v\n", err)
-				os.Exit(2)
-			}
-		case "failstop":
-			art, err := bench.FailStop([]int{512, 1024, 2048}, []int{2, 3, 4}, *nb, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "failstop: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.FailStopReport(out, art, *failstopOut); err != nil {
-				fmt.Fprintf(os.Stderr, "failstop: %v\n", err)
-				os.Exit(2)
-			}
-		case "blasft":
-			art, err := bench.BlasFT(bench.BlasFTShapes, *blasftReps, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "blasft: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.BlasFTReport(out, art, *blasftOut); err != nil {
-				fmt.Fprintf(os.Stderr, "blasft: %v\n", err)
-				os.Exit(2)
-			}
 		case "trace":
 			bench.Trace(out, 158, *nb)
 		case "timeline":
 			bench.Timeline(out, 512, *nb, params, *traceOut)
-		case "serveobs":
-			art, err := bench.ServeObs(512, *nb, 8, 1, 7)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serveobs: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.ServeObsReport(out, art, *serveObsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "serveobs: %v\n", err)
-				os.Exit(2)
-			}
-		case "serve_throughput":
-			art, err := bench.Throughput([]int{64, 128, 256}, 32, 2, 4, 8, 2, 16, 5)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve_throughput: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.ThroughputReport(out, art, *throughputOut); err != nil {
-				fmt.Fprintf(os.Stderr, "serve_throughput: %v\n", err)
-				os.Exit(2)
-			}
 		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+			s, ok := bench.Lookup(name)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+				os.Exit(2)
+			}
+			runStudy(s, *outDir)
 		}
 		fmt.Fprintln(out)
 	}
@@ -158,4 +106,41 @@ func main() {
 		return
 	}
 	run(*exp)
+}
+
+// studyNames lists the -exp names of the artifact studies.
+func studyNames() string {
+	var names []string
+	for _, s := range bench.Studies {
+		names = append(names, s.Name)
+	}
+	return strings.Join(names, "|")
+}
+
+// runStudy runs one artifact study, prints its report, writes the
+// artifact into dir when dir is set, and exits 1 on a missed wall bar.
+func runStudy(s bench.Study, dir string) {
+	art, err := s.Run()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", s.Name, err)
+		os.Exit(2)
+	}
+	art.Report(os.Stdout)
+	if dir != "" {
+		path, err := s.Write(dir, art)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", s.Name, err)
+			os.Exit(2)
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+	// Measured artifacts carry wall-clock bars judged on paired medians.
+	// Only this command enforces them: a loaded test host can miss one
+	// without any regression in the code.
+	if t, ok := art.(interface{ WallCheck() error }); ok {
+		if err := t.WallCheck(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: bar missed: %v\n", s.Name, err)
+			os.Exit(1)
+		}
+	}
 }

@@ -8,7 +8,8 @@
 //	Table II  — backward-error residuals with and without faults,
 //	Table III — orthogonality of Q with and without faults,
 //
-// plus the ablation studies called out in DESIGN.md. The cmd/experiments
+// plus the ablation studies called out in DESIGN.md and the Studies table
+// behind every committed BENCH_*.json artifact. The cmd/experiments
 // binary and the root bench_test.go benchmarks are thin wrappers over
 // this package.
 package bench
@@ -18,6 +19,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/gpu"
 	"repro/internal/sim"
 )
 
@@ -45,4 +47,13 @@ func TableI(w io.Writer, p sim.Params) {
 	fmt.Fprintf(w, "%-28s %-20s\n", "PCIe", fmt.Sprintf("%.0f GB/s, %.0f µs latency", p.PCIeGBps, p.PCIeLatencySec*1e6))
 	fmt.Fprintf(w, "%-28s %-20s\n", "Kernel launch", fmt.Sprintf("%.0f µs", p.KernelLaunchSec*1e6))
 	fmt.Fprintf(w, "%-28s %-20s %-20s\n", "BLAS/LAPACK", "internal/blas+lapack", "internal/gpu kernels")
+}
+
+// pool builds k simulated devices in the given execution mode.
+func pool(params sim.Params, mode gpu.Mode, k int) []*gpu.Device {
+	devs := make([]*gpu.Device, k)
+	for i := range devs {
+		devs[i] = gpu.NewIndexed(params, mode, i)
+	}
+	return devs
 }

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/blas"
 	"repro/internal/ft"
@@ -19,9 +15,10 @@ import (
 // The fused-ABFT substrate study behind BENCH_blasft.json, in three parts:
 //
 //  1. Wall-clock overhead of DgemmFT over Dgemm on the host substrate, per
-//     GEMM shape, min-of-reps (the acceptance bar is ≤8% at 512³ — the
-//     checksum encode rides the packing and the verify reuses the
-//     micro-kernel, so the overhead is a few percent, not the 2× of DMR).
+//     GEMM shape, from paired alternating-order calls (the bar is ≤8% at
+//     512³ — the checksum encode rides the packing and the verify reuses
+//     the micro-kernel, so the overhead is a few percent, not the 2× of
+//     DMR).
 //  2. The substrate's power-on self-test: planted faults in the packed
 //     panels, the C tile, and the DMR'd Level-2 outputs must all be
 //     detected (blas.FTSelfTest).
@@ -30,23 +27,22 @@ import (
 //     checksum halo incrementally instead of re-encoding it, so the
 //     modeled checksum_maintenance phase shrinks.
 
-// BlasFTGemmCell is one GEMM shape of the overhead study. Seconds are the
-// minimum over Reps interleaved plain/fused timings — min, not mean,
-// because scheduler noise only ever adds time.
+// BlasFTGemmCell is one GEMM shape of the overhead study.
 type BlasFTGemmCell struct {
 	M int `json:"m"`
 	N int `json:"n"`
 	K int `json:"k"`
-	// PlainSec / FusedSec are min-of-reps wall times for Dgemm / DgemmFT.
-	PlainSec float64 `json:"plain_sec"`
-	FusedSec float64 `json:"fused_sec"`
-	// OverheadPct is 100·(FusedSec/PlainSec − 1); ModelOverheadPct is the
-	// extra-flop model the simulated device charges (FTGemmOverheadFrac).
-	OverheadPct      float64 `json:"overhead_pct"`
+	// PlainSec / FusedSec are the wall seconds of one Dgemm / DgemmFT call.
+	PlainSec Spread `json:"plain_sec"`
+	FusedSec Spread `json:"fused_sec"`
+	// OverheadPct is 100·(fused/plain − 1), pair by pair; ModelOverheadPct
+	// is the extra-flop model the simulated device charges
+	// (FTGemmOverheadFrac).
+	OverheadPct      Spread  `json:"overhead_pct"`
 	ModelOverheadPct float64 `json:"model_overhead_pct"`
 	// Checks is the row+column checksum comparisons one fused call runs.
 	Checks int `json:"checks"`
-	// GFLOPS of the fused call, for scale.
+	// FusedGFLOPS is the fused call's rate at its median time, for scale.
 	FusedGFLOPS float64 `json:"fused_gflops"`
 }
 
@@ -78,9 +74,9 @@ type BlasFTRealRun struct {
 
 // BlasFTArtifact is the committed BENCH_blasft.json.
 type BlasFTArtifact struct {
-	Procs int              `json:"procs"`
-	Reps  int              `json:"reps"`
-	Gemm  []BlasFTGemmCell `json:"gemm"`
+	Provenance Provenance       `json:"provenance"`
+	Pairs      int              `json:"pairs"`
+	Gemm       []BlasFTGemmCell `json:"gemm"`
 	// SelfTest is the planted-fault detection record; Passed must be true.
 	SelfTest    blas.FTSelfTestResult `json:"self_test"`
 	Maintenance BlasFTMaintenance     `json:"maintenance"`
@@ -96,40 +92,35 @@ var BlasFTShapes = [][3]int{
 	{2048, 32, 512},
 }
 
-// BlasFT runs the substrate study: wall overhead per shape (min over reps,
-// interleaved), the planted-fault self-test, and the modeled
-// checksum_maintenance comparison at (N=512, NB=16, K=2).
-func BlasFT(shapes [][3]int, reps int, params sim.Params) (*BlasFTArtifact, error) {
-	art := &BlasFTArtifact{Procs: runtime.GOMAXPROCS(0), Reps: reps}
+// BlasFT runs the substrate study: the paired wall overhead per shape,
+// the planted-fault self-test, and the modeled checksum_maintenance
+// comparison at (N=512, NB=16, K=2).
+func BlasFT(shapes [][3]int, pairs int, params sim.Params) (*BlasFTArtifact, error) {
+	art := &BlasFTArtifact{Provenance: stamp(), Pairs: pairs}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
 		a := matrix.Random(m, k, 1)
 		b := matrix.Random(k, n, 2)
 		c := matrix.New(m, n)
-		cell := BlasFTGemmCell{
-			M: m, N: n, K: k,
-			PlainSec:         1e300,
-			FusedSec:         1e300,
-			ModelOverheadPct: 100 * blas.FTGemmOverheadFrac(m, n, k),
-		}
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
+		cell := BlasFTGemmCell{M: m, N: n, K: k, ModelOverheadPct: 100 * blas.FTGemmOverheadFrac(m, n, k)}
+		plain := timed(func() error {
 			blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-			if d := time.Since(t0).Seconds(); d < cell.PlainSec {
-				cell.PlainSec = d
-			}
-			t0 = time.Now()
+			return nil
+		})
+		fused := timed(func() error {
 			rep, err := blas.DgemmFT(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-			if d := time.Since(t0).Seconds(); d < cell.FusedSec {
-				cell.FusedSec = d
-			}
 			if err != nil {
-				return nil, fmt.Errorf("DgemmFT %dx%dx%d: spurious detection: %w (max residual %.3g)", m, n, k, err, rep.MaxResidual)
+				return fmt.Errorf("DgemmFT %dx%dx%d: spurious detection: %w (max residual %.3g)", m, n, k, err, rep.MaxResidual)
 			}
 			cell.Checks = rep.Checks
+			return nil
+		})
+		p, err := paired(pairs, plain, fused)
+		if err != nil {
+			return nil, err
 		}
-		cell.OverheadPct = 100 * (cell.FusedSec/cell.PlainSec - 1)
-		cell.FusedGFLOPS = 2 * float64(m) * float64(n) * float64(k) / cell.FusedSec / 1e9
+		cell.PlainSec, cell.FusedSec, cell.OverheadPct = p.A, p.B, p.Ratio.pct()
+		cell.FusedGFLOPS = 2 * float64(m) * float64(n) * float64(k) / p.B.Median / 1e9
 		art.Gemm = append(art.Gemm, cell)
 	}
 
@@ -137,13 +128,9 @@ func BlasFT(shapes [][3]int, reps int, params sim.Params) (*BlasFTArtifact, erro
 
 	mnt := BlasFTMaintenance{N: 512, NB: 16, Devices: 2}
 	for _, sub := range []string{ft.SubstrateSwept, ft.SubstrateFused} {
-		a := matrix.New(mnt.N, mnt.N)
-		devs := make([]*gpu.Device, mnt.Devices)
-		for i := range devs {
-			devs[i] = gpu.NewIndexed(params, gpu.CostOnly, i)
-		}
 		reg := obs.NewRegistry()
-		if _, err := ft.Reduce(a, ft.Options{NB: mnt.NB, Devices: devs, Substrate: sub, Obs: reg}); err != nil {
+		opts := ft.Options{NB: mnt.NB, Devices: pool(params, gpu.CostOnly, mnt.Devices), Substrate: sub, Obs: reg}
+		if _, err := ft.Reduce(matrix.New(mnt.N, mnt.N), opts); err != nil {
 			return nil, fmt.Errorf("ft N=%d K=%d substrate=%s: %w", mnt.N, mnt.Devices, sub, err)
 		}
 		sec := obs.SumBy(reg, "phase_seconds", "phase")["checksum_maintenance"]
@@ -161,33 +148,27 @@ func BlasFT(shapes [][3]int, reps int, params sim.Params) (*BlasFTArtifact, erro
 	// Cost-only devices never execute kernels, so the check counters above
 	// stay zero; a small real-execution run records the live wiring.
 	rr := BlasFTRealRun{N: 192, NB: 16, Devices: 2}
-	{
-		a := matrix.Random(rr.N, rr.N, 3)
-		devs := make([]*gpu.Device, rr.Devices)
-		for i := range devs {
-			devs[i] = gpu.NewIndexed(params, gpu.Real, i)
-		}
-		res, err := ft.Reduce(a, ft.Options{NB: rr.NB, Devices: devs, Substrate: ft.SubstrateFused})
-		if err != nil {
-			return nil, fmt.Errorf("real fused run N=%d K=%d: %w", rr.N, rr.Devices, err)
-		}
-		rr.SubstrateChecks = res.SubstrateChecks
-		rr.SubstrateDetections = res.SubstrateDetections
+	opts := ft.Options{NB: rr.NB, Devices: pool(params, gpu.Real, rr.Devices), Substrate: ft.SubstrateFused}
+	res, err := ft.Reduce(matrix.Random(rr.N, rr.N, 3), opts)
+	if err != nil {
+		return nil, fmt.Errorf("real fused run N=%d K=%d: %w", rr.N, rr.Devices, err)
 	}
+	rr.SubstrateChecks, rr.SubstrateDetections = res.SubstrateChecks, res.SubstrateDetections
 	art.RealRun = rr
 	return art, nil
 }
 
-// BlasFTReport prints the study as a table and, when jsonPath is
-// non-empty, writes the artifact there (wired into cmd/experiments).
-func BlasFTReport(w io.Writer, art *BlasFTArtifact, jsonPath string) error {
-	fmt.Fprintf(w, "Fused-ABFT BLAS substrate study (procs=%d, min of %d reps)\n", art.Procs, art.Reps)
-	fmt.Fprintf(w, "%-16s %12s %12s %10s %10s %8s %9s\n",
+// Report prints the study as a table.
+func (art *BlasFTArtifact) Report(w io.Writer) {
+	fmt.Fprintf(w, "Fused-ABFT BLAS substrate study (GOMAXPROCS=%d, median [Q1, Q3] of %d alternating pairs)\n",
+		art.Provenance.GOMAXPROCS, art.Pairs)
+	fmt.Fprintf(w, "%-16s %10s %10s %26s %8s %8s %9s\n",
 		"gemm m×n×k", "plain", "fused", "overhead", "model", "checks", "GFLOP/s")
 	for _, c := range art.Gemm {
-		fmt.Fprintf(w, "%-16s %11.3fms %11.3fms %9.2f%% %9.2f%% %8d %9.1f\n",
+		fmt.Fprintf(w, "%-16s %8.3fms %8.3fms %7.2f%% [%+6.2f, %+6.2f]%% %7.2f%% %8d %9.1f\n",
 			fmt.Sprintf("%dx%dx%d", c.M, c.N, c.K),
-			1e3*c.PlainSec, 1e3*c.FusedSec, c.OverheadPct, c.ModelOverheadPct,
+			1e3*c.PlainSec.Median, 1e3*c.FusedSec.Median,
+			c.OverheadPct.Median, c.OverheadPct.Q1, c.OverheadPct.Q3, c.ModelOverheadPct,
 			c.Checks, c.FusedGFLOPS)
 	}
 	st := art.SelfTest
@@ -199,16 +180,15 @@ func BlasFTReport(w io.Writer, art *BlasFTArtifact, jsonPath string) error {
 	rr := art.RealRun
 	fmt.Fprintf(w, "real fused run, FT N=%d nb=%d K=%d: %d in-kernel checks, %d detections\n",
 		rr.N, rr.NB, rr.Devices, rr.SubstrateChecks, rr.SubstrateDetections)
-	if jsonPath == "" {
-		return nil
+}
+
+// WallCheck enforces the wall bar: the fused 512³ Dgemm's median
+// overhead over plain is ≤8%.
+func (art *BlasFTArtifact) WallCheck() error {
+	for _, c := range art.Gemm {
+		if c.M == 512 && c.N == 512 && c.K == 512 && c.OverheadPct.Median > 8 {
+			return fmt.Errorf("fused 512³ wall overhead %.2f%% above the 8%% bar", c.OverheadPct.Median)
+		}
 	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
 	return nil
 }

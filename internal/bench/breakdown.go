@@ -24,16 +24,8 @@ import (
 // runs populate, so the numbers here are exactly the ones a -metrics
 // export would report.
 func Breakdown(w io.Writer, n, nb int, params sim.Params) {
-	a := matrix.New(n, n)
-
-	regB := obs.NewRegistry()
-	devB := gpu.New(params, gpu.CostOnly)
-	if _, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Device: devB, Obs: regB}); err != nil {
-		panic(err)
-	}
-	regF := obs.NewRegistry()
-	devF := gpu.New(params, gpu.CostOnly)
-	if _, err := ft.Reduce(a, ft.Options{NB: nb, Device: devF, Obs: regF}); err != nil {
+	_, _, regB, regF, err := costPair(n, nb, params)
+	if err != nil {
 		panic(err)
 	}
 
@@ -71,6 +63,63 @@ func Breakdown(w io.Writer, n, nb int, params sim.Params) {
 	}
 
 	fmt.Fprintf(w, "\nHost BLAS substrate: %s\n", substrateThroughput())
+}
+
+// costPair runs MAGMA-Hess and FT-Hess cost-only at (n, nb) on one
+// simulated device each, with a registry attached to both, and returns
+// their modeled makespans and registries.
+func costPair(n, nb int, params sim.Params) (baseSec, ftSec float64, regB, regF *obs.Registry, err error) {
+	a := matrix.New(n, n)
+	regB, regF = obs.NewRegistry(), obs.NewRegistry()
+	b, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Device: gpu.New(params, gpu.CostOnly), Obs: regB})
+	if err != nil {
+		return 0, 0, nil, nil, fmt.Errorf("hybrid N=%d: %w", n, err)
+	}
+	f, err := ft.Reduce(a, ft.Options{NB: nb, Device: gpu.New(params, gpu.CostOnly), Obs: regF})
+	if err != nil {
+		return 0, 0, nil, nil, fmt.Errorf("ft N=%d: %w", n, err)
+	}
+	return b.SimSeconds, f.SimSeconds, regB, regF, nil
+}
+
+// ObsRow is one size of BENCH_obs.json: the baseline-vs-FT comparison
+// with the FT run's busy time per phase, read back from its registry.
+type ObsRow struct {
+	N              int                `json:"n"`
+	Baseline       float64            `json:"baseline_seconds"`
+	FT             float64            `json:"ft_seconds"`
+	OverheadPct    float64            `json:"ft_overhead_pct"`
+	FTPhaseSeconds map[string]float64 `json:"ft_phase_seconds"`
+}
+
+// ObsArtifact is the committed BENCH_obs.json, which lets external
+// tooling track FT overhead across commits without parsing text reports.
+// Cost-only, hence deterministic.
+type ObsArtifact []ObsRow
+
+// Obs runs the breakdown pair at each size in ns.
+func Obs(ns []int, nb int, params sim.Params) (ObsArtifact, error) {
+	var art ObsArtifact
+	for _, n := range ns {
+		base, fts, _, regF, err := costPair(n, nb, params)
+		if err != nil {
+			return nil, err
+		}
+		art = append(art, ObsRow{
+			N: n, Baseline: base, FT: fts,
+			OverheadPct:    100 * (fts - base) / base,
+			FTPhaseSeconds: obs.SumBy(regF, "phase_seconds", "phase"),
+		})
+	}
+	return art, nil
+}
+
+// Report prints the comparison as a table.
+func (art ObsArtifact) Report(w io.Writer) {
+	fmt.Fprintf(w, "FT overhead by size (modeled seconds)\n%6s %12s %12s %10s\n", "N", "MAGMA-Hess", "FT-Hess", "overhead")
+	for _, r := range art {
+		fmt.Fprintf(w, "%6d %12.4f %12.4f %9.2f%%\n", r.N, r.Baseline, r.FT, r.OverheadPct)
+	}
 }
 
 // substrateThroughput measures the host GEMM substrate the modeled numbers

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/fault"
 	"repro/internal/ft"
@@ -75,30 +73,23 @@ func sunkFraction(n, nb, kill, iters int) float64 {
 // FailStop runs the fail-stop study for every (N, K) in ns × ks.
 func FailStop(ns, ks []int, nb int, params sim.Params) (*FailStopArtifact, error) {
 	art := &FailStopArtifact{NB: nb, GPU: "Tesla K40c (modeled)"}
-	pool := func(k int) []*gpu.Device {
-		devs := make([]*gpu.Device, k)
-		for i := range devs {
-			devs[i] = gpu.NewIndexed(params, gpu.CostOnly, i)
-		}
-		return devs
-	}
 	for _, n := range ns {
 		a := matrix.New(n, n)
 		iters := fault.BlockedIterations(n, nb)
 		kill := iters / 2
 		for _, k := range ks {
-			clean, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(k)})
+			clean, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k)})
 			if err != nil {
 				return nil, fmt.Errorf("clean N=%d K=%d: %w", n, k, err)
 			}
-			parity, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(k), FailStop: true})
+			parity, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k), FailStop: true})
 			if err != nil {
 				return nil, fmt.Errorf("parity N=%d K=%d: %w", n, k, err)
 			}
 			hook := fault.NewSchedule(fault.Plan{
 				TargetIter: kill, KillPoint: fault.KillUpdate, KillDevice: (k - 1) % k,
 			})
-			killed, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(k), FailStop: true, Hook: hook})
+			killed, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k), FailStop: true, Hook: hook})
 			if err != nil {
 				return nil, fmt.Errorf("killed N=%d K=%d: %w", n, k, err)
 			}
@@ -121,9 +112,8 @@ func FailStop(ns, ks []int, nb int, params sim.Params) (*FailStopArtifact, error
 	return art, nil
 }
 
-// FailStopReport prints the study as a table and, when jsonPath is
-// non-empty, writes the artifact there (wired into cmd/experiments).
-func FailStopReport(w io.Writer, art *FailStopArtifact, jsonPath string) error {
+// Report prints the study as a table.
+func (art *FailStopArtifact) Report(w io.Writer) {
 	fmt.Fprintf(w, "Fail-stop recovery study, FT-Hess at nb=%d (modeled, %s)\n", art.NB, art.GPU)
 	fmt.Fprintf(w, "%-6s %-3s %5s %11s %11s %8s %11s %8s %11s %8s\n",
 		"N", "K", "kill", "clean", "parity", "parity%", "recovery", "recov%", "restart", "ratio")
@@ -137,16 +127,4 @@ func FailStopReport(w io.Writer, art *FailStopArtifact, jsonPath string) error {
 	last := art.Cells[len(art.Cells)-1]
 	fmt.Fprintf(w, "at the largest cell (N=%d, K=%d): surviving the loss beats a restart %.2fx\n",
 		last.N, last.Devices, last.RestartRatio)
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	return nil
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/ft"
 	"repro/internal/gpu"
@@ -74,12 +72,8 @@ func Lookahead(ns, ks []int, nb int, params sim.Params) (*LookaheadArtifact, err
 		for _, n := range ns {
 			a := matrix.New(n, n)
 			for _, k := range ks {
-				devs := make([]*gpu.Device, k)
-				for i := range devs {
-					devs[i] = gpu.NewIndexed(params, gpu.CostOnly, i)
-				}
 				reg := obs.NewRegistry()
-				res, err := ft.Reduce(a, ft.Options{NB: nb, Devices: devs, DisableLookahead: off, Obs: reg})
+				res, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k), DisableLookahead: off, Obs: reg})
 				if err != nil {
 					return nil, fmt.Errorf("ft N=%d K=%d lookahead=%v: %w", n, k, !off, err)
 				}
@@ -100,9 +94,8 @@ func Lookahead(ns, ks []int, nb int, params sim.Params) (*LookaheadArtifact, err
 	return art, nil
 }
 
-// LookaheadReport prints the study as a table and, when jsonPath is
-// non-empty, writes the artifact there (wired into cmd/experiments).
-func LookaheadReport(w io.Writer, art *LookaheadArtifact, jsonPath string) error {
+// Report prints the study as a table.
+func (art *LookaheadArtifact) Report(w io.Writer) {
 	fmt.Fprintf(w, "Depth-1 lookahead study, FT-Hess at nb=%d (modeled, %s)\n", art.NB, art.GPU)
 	fmt.Fprintf(w, "%-6s %-3s %-10s %12s %9s %12s %12s %8s\n",
 		"N", "K", "lookahead", "makespan", "GFLOPS", "panel", "panel_hidden", "hidden%")
@@ -115,19 +108,7 @@ func LookaheadReport(w io.Writer, art *LookaheadArtifact, jsonPath string) error
 			c.N, c.Devices, la, c.SimSeconds, c.GFLOPS,
 			c.Phases["panel"], c.Phases["panel_hidden"], 100*c.PanelHiddenFrac)
 	}
+	last := art.Cells[len(art.Cells)-1]
 	fmt.Fprintf(w, "speedup on/off at the largest cell (N=%d, K=%d): %.2fx\n",
-		art.Cells[len(art.Cells)-1].N, art.Cells[len(art.Cells)-1].Devices,
-		art.Speedup(art.Cells[len(art.Cells)-1].N, art.Cells[len(art.Cells)-1].Devices))
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	return nil
+		last.N, last.Devices, art.Speedup(last.N, last.Devices))
 }

@@ -51,18 +51,11 @@ func MultiGPU(n, nb int, ks []int, params sim.Params) (*MultiGPUArtifact, error)
 	art := &MultiGPUArtifact{N: n, NB: nb, GPU: "Tesla K40c (modeled)"}
 	var hyb1, ft1 float64
 	for _, k := range ks {
-		pool := func() []*gpu.Device {
-			devs := make([]*gpu.Device, k)
-			for i := range devs {
-				devs[i] = gpu.NewIndexed(params, gpu.CostOnly, i)
-			}
-			return devs
-		}
-		hres, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Devices: pool()})
+		hres, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k)})
 		if err != nil {
 			return nil, fmt.Errorf("hybrid K=%d: %w", k, err)
 		}
-		fres, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool()})
+		fres, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k)})
 		if err != nil {
 			return nil, fmt.Errorf("ft K=%d: %w", k, err)
 		}
@@ -83,9 +76,8 @@ func MultiGPU(n, nb int, ks []int, params sim.Params) (*MultiGPUArtifact, error)
 	return art, nil
 }
 
-// MultiGPUReport prints the scaling study as a table (the text companion
-// of BENCH_multigpu.json, wired into cmd/experiments).
-func MultiGPUReport(w io.Writer, art *MultiGPUArtifact) {
+// Report prints the scaling study as a table.
+func (art *MultiGPUArtifact) Report(w io.Writer) {
 	fmt.Fprintf(w, "Device scaling at N=%d, nb=%d (modeled seconds, %s)\n", art.N, art.NB, art.GPU)
 	fmt.Fprintf(w, "%-4s %14s %10s %14s %10s %12s\n",
 		"K", "MAGMA-Hess", "speedup", "FT-Hess", "speedup", "FT overhead")

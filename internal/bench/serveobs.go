@@ -1,37 +1,30 @@
 package bench
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"sort"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// The instrumentation-overhead benchmark behind BENCH_serveobs.json: the
-// same job mix served twice through the real HTTP stack, once at
+// The instrumentation-overhead benchmark behind BENCH_serveobs.json:
+// FT jobs served through the real HTTP stack by two servers, one at
 // observe=full (per-job tracer, stamped journal teed into the flight
-// recorder, job-labeled metric series) and once at observe=slo (the
-// anonymous SLO telemetry only). The artifact records the end-to-end
-// wall time, throughput, and job-latency quantiles of both arms plus the
-// relative overhead — the acceptance gate is that request-scoped
-// observability costs ≤ 3% on the serving path.
+// recorder, job-labeled metric series) and one at observe=slo (the
+// anonymous SLO telemetry only). Each pair serves the same seed on both,
+// alternating which goes first, and compares their execution windows
+// (started → finished, queue wait excluded). The acceptance gate is that
+// request-scoped observability costs ≤ 3% on the serving path.
 
 // ServeObsArm is one arm (one Observe level) of the comparison.
 type ServeObsArm struct {
-	Observe     string  `json:"observe"`
-	WallSeconds float64 `json:"wall_seconds"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-	// P50/P95/P99 are job-duration quantiles from the arm's own
-	// serve_job_duration_seconds histogram (all outcomes merged).
+	Observe string `json:"observe"`
+	// ExecSeconds is the execution time of one job.
+	ExecSeconds Spread `json:"exec_seconds"`
+	// P50/P95/P99 are job-duration quantiles from the arm's
+	// serve_job_duration_seconds histograms (all outcomes merged).
 	P50 float64 `json:"p50_seconds"`
 	P95 float64 `json:"p95_seconds"`
 	P99 float64 `json:"p99_seconds"`
@@ -39,194 +32,76 @@ type ServeObsArm struct {
 
 // ServeObsArtifact is the committed BENCH_serveobs.json.
 type ServeObsArtifact struct {
-	N           int         `json:"n"`
-	NB          int         `json:"nb"`
-	Jobs        int         `json:"jobs"`
-	Capacity    int         `json:"capacity"`
-	Repetitions int         `json:"repetitions"`
-	Full        ServeObsArm `json:"full"`
-	SLO         ServeObsArm `json:"slo"`
-	// OverheadPct is the overhead of observe=full on per-job execution
-	// latency (started→finished, so queue wait is excluded). Job i uses
-	// the same seed in both arms and every repetition, so each of its
-	// durations measures the identical computation; ambient noise (GC,
-	// CPU frequency, noisy neighbors) only ever adds time, so the
-	// minimum across repetitions is each arm's least-disturbed execution
-	// of that exact job. The reported figure is the median over jobs of
-	// min-full/min-slo, minus one, in percent. Arm order alternates
-	// between repetitions so warm-up drift cannot favor either arm. The
-	// per-arm walls above are the minima across repetitions
-	// (descriptive, not the overhead basis).
-	OverheadPct float64 `json:"overhead_pct"`
+	Provenance Provenance `json:"provenance"`
+	N          int        `json:"n"`
+	NB         int        `json:"nb"`
+	// Seeds is how many distinct jobs the pairs cycle through.
+	Seeds int         `json:"seeds"`
+	Pairs int         `json:"pairs"`
+	Full  ServeObsArm `json:"full"`
+	SLO   ServeObsArm `json:"slo"`
+	// OverheadPct is 100·(full/slo − 1), pair by pair.
+	OverheadPct Spread `json:"overhead_pct"`
 }
 
-// serveObsArm serves the whole job mix once at the given Observe level
-// and returns the wall time, the per-job execution latencies in
-// submission order (started→finished from the status endpoint — queue
-// wait excluded), and the arm's registry (for the quantiles).
-func serveObsArm(observe string, n, nb, jobs, capacity int) (float64, []float64, *obs.Registry, error) {
-	reg := obs.NewRegistry()
-	s := serve.New(serve.Config{
-		Capacity: capacity, QueueDepth: jobs,
-		Registry: reg, Observe: observe,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body := func(seed int) string {
-		return fmt.Sprintf(`{"algorithm":"ft","n":%d,"nb":%d,"seed":%d}`, n, nb, seed)
-	}
-	start := time.Now()
-	ids := make([]string, 0, jobs)
-	for i := 0; i < jobs; i++ {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-			bytes.NewReader([]byte(body(i+1))))
-		if err != nil {
-			return 0, nil, nil, err
+// ServeObs runs the paired comparison and builds the artifact.
+func ServeObs(n, nb, seeds, pairs int) (art *ServeObsArtifact, err error) {
+	art = &ServeObsArtifact{Provenance: stamp(), N: n, NB: nb, Seeds: seeds, Pairs: pairs}
+	slo := newHarness(serve.Config{Capacity: 1, Observe: serve.ObserveSLO})
+	full := newHarness(serve.Config{Capacity: 1, Observe: serve.ObserveFull})
+	defer func() {
+		if cerr := errors.Join(slo.close(), full.close()); err == nil {
+			err = cerr
 		}
-		var st struct {
-			ID string `json:"id"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return 0, nil, nil, fmt.Errorf("serveobs: submit returned %d", resp.StatusCode)
-		}
-		ids = append(ids, st.ID)
-	}
-	for _, id := range ids {
-		j, ok := s.Job(id)
-		if !ok {
-			return 0, nil, nil, fmt.Errorf("serveobs: job %s disappeared", id)
-		}
-		<-j.Done()
-	}
-	wall := time.Since(start).Seconds()
-
-	durations := make([]float64, 0, jobs)
-	for _, id := range ids {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		var st struct {
-			State    string `json:"state"`
-			Started  string `json:"started"`
-			Finished string `json:"finished"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if st.State != serve.StateDone {
-			return 0, nil, nil, fmt.Errorf("serveobs: job %s ended %s", id, st.State)
-		}
-		t0, err := time.Parse(time.RFC3339Nano, st.Started)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		t1, err := time.Parse(time.RFC3339Nano, st.Finished)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		durations = append(durations, t1.Sub(t0).Seconds())
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		return 0, nil, nil, err
-	}
-	return wall, durations, reg, nil
-}
-
-// ServeObs runs both arms back to back in each repetition (pairing them
-// so ambient noise — GC, CPU frequency, scheduler state — hits both
-// alike) and builds the artifact from the best repetition of each arm:
-// the minimum wall is the least-disturbed execution, and its registry
-// supplies the quantiles so latency and wall time describe the same run.
-func ServeObs(n, nb, jobs, capacity, reps int) (*ServeObsArtifact, error) {
-	art := &ServeObsArtifact{N: n, NB: nb, Jobs: jobs, Capacity: capacity, Repetitions: reps}
-	arms := []struct {
-		observe string
-		out     *ServeObsArm
-	}{
-		{serve.ObserveSLO, &art.SLO},
-		{serve.ObserveFull, &art.Full},
-	}
-	best := map[string]float64{}
-	bestReg := map[string]*obs.Registry{}
-	durs := map[string][][]float64{}
-	for r := 0; r < reps; r++ {
-		order := []int{0, 1}
-		if r%2 == 1 {
-			order = []int{1, 0}
-		}
-		for _, ai := range order {
-			arm := arms[ai]
-			wall, d, reg, err := serveObsArm(arm.observe, n, nb, jobs, capacity)
+	}()
+	// The k-th call of either arm serves seed 1 + k mod seeds, so both
+	// arms of a pair serve the same job.
+	serveOne := func(h *harness) arm {
+		calls := 0
+		return func() (float64, error) {
+			seed := 1 + calls%seeds
+			calls++
+			outs, err := h.run(fmt.Sprintf(`{"algorithm":"ft","n":%d,"nb":%d,"seed":%d}`, n, nb, seed))
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			durs[arm.observe] = append(durs[arm.observe], d)
-			if b, ok := best[arm.observe]; !ok || wall < b {
-				best[arm.observe] = wall
-				bestReg[arm.observe] = reg
-			}
+			return outs[0].duration, nil
 		}
 	}
-	for _, arm := range arms {
-		wall := best[arm.observe]
+	p, err := paired(pairs, serveOne(slo), serveOne(full))
+	if err != nil {
+		return nil, err
+	}
+	result := func(observe string, exec Spread, h *harness) ServeObsArm {
 		var snap obs.HistogramSnapshot
-		for _, s := range obs.MergeBy(bestReg[arm.observe], "serve_job_duration_seconds", "outcome") {
+		for _, s := range obs.MergeBy(h.reg, "serve_job_duration_seconds", "outcome") {
 			snap.Merge(s)
 		}
 		q := snap.Quantiles(obs.ExportQuantiles...)
-		*arm.out = ServeObsArm{
-			Observe:     arm.observe,
-			WallSeconds: wall,
-			JobsPerSec:  float64(jobs) / wall,
-			P50:         q[0], P95: q[1], P99: q[2],
-		}
+		return ServeObsArm{Observe: observe, ExecSeconds: exec, P50: q[0], P95: q[1], P99: q[2]}
 	}
-	// Job i runs the same seed everywhere, so min-across-reps is each
-	// arm's least-disturbed execution of the identical computation; the
-	// median over jobs of the min ratios is the overhead estimate.
-	minDur := func(arm string, i int) float64 {
-		m := durs[arm][0][i]
-		for _, d := range durs[arm][1:] {
-			if d[i] < m {
-				m = d[i]
-			}
-		}
-		return m
-	}
-	ratios := make([]float64, jobs)
-	for i := 0; i < jobs; i++ {
-		ratios[i] = minDur(serve.ObserveFull, i) / minDur(serve.ObserveSLO, i)
-	}
-	sort.Float64s(ratios)
-	art.OverheadPct = (ratios[jobs/2] - 1) * 100
+	art.SLO, art.Full = result(serve.ObserveSLO, p.A, slo), result(serve.ObserveFull, p.B, full)
+	art.OverheadPct = p.Ratio.pct()
 	return art, nil
 }
 
-// ServeObsReport prints the artifact and optionally writes the JSON file.
-func ServeObsReport(w io.Writer, art *ServeObsArtifact, outPath string) error {
-	fmt.Fprintf(w, "Serving-path instrumentation overhead (N=%d, nb=%d, %d FT jobs, capacity %d, best of %d)\n",
-		art.N, art.NB, art.Jobs, art.Capacity, art.Repetitions)
-	fmt.Fprintf(w, "%-8s %12s %10s %10s %10s %10s\n", "observe", "wall (s)", "jobs/s", "p50 (s)", "p95 (s)", "p99 (s)")
+// Report prints the comparison as a table.
+func (art *ServeObsArtifact) Report(w io.Writer) {
+	fmt.Fprintf(w, "Serving-path instrumentation overhead (N=%d, nb=%d FT jobs over %d seeds, median [Q1, Q3] of %d alternating pairs)\n",
+		art.N, art.NB, art.Seeds, art.Pairs)
+	fmt.Fprintf(w, "%-8s %10s %10s %10s %10s\n", "observe", "exec (s)", "p50 (s)", "p95 (s)", "p99 (s)")
 	for _, a := range []ServeObsArm{art.SLO, art.Full} {
-		fmt.Fprintf(w, "%-8s %12.4f %10.2f %10.4f %10.4f %10.4f\n",
-			a.Observe, a.WallSeconds, a.JobsPerSec, a.P50, a.P95, a.P99)
+		fmt.Fprintf(w, "%-8s %10.4f %10.4f %10.4f %10.4f\n", a.Observe, a.ExecSeconds.Median, a.P50, a.P95, a.P99)
 	}
-	fmt.Fprintf(w, "overhead: %+.2f%% (acceptance gate: <= 3%%)\n", art.OverheadPct)
-	if outPath == "" {
-		return nil
+	o := art.OverheadPct
+	fmt.Fprintf(w, "overhead: %+.2f%% [%+.2f, %+.2f] (acceptance gate: <= 3%%)\n", o.Median, o.Q1, o.Q3)
+}
+
+// WallCheck enforces the gate: observe=full costs ≤3% at the paired
+// median.
+func (art *ServeObsArtifact) WallCheck() error {
+	if o := art.OverheadPct.Median; o > 3 {
+		return fmt.Errorf("observe=full overhead %+.2f%% above the 3%% gate", o)
 	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(buf, '\n'), 0o644)
+	return nil
 }

@@ -1,15 +1,14 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -17,22 +16,15 @@ import (
 )
 
 // The batched-throughput study behind BENCH_throughput.json: the same
-// small-N job mix served twice through the real HTTP stack, once with
-// whole-device leases (DeviceLanes=1 — each batched group owns its
-// device outright) and once with fractional leases (DeviceLanes=4 —
-// four lane clocks share each device's compute and DMA engines, see
-// DESIGN.md §15). The headline figure is modeled throughput, jobs per
-// simulated second of farm makespan: on small reductions no single
-// engine of the K40c is saturated (at N=256 the FT reduction keeps the
-// SM fabric ~37% busy), so interleaving four lanes recovers the idle
-// engine time and the lane model pays out ~2.7× — the acceptance gate
-// is ≥2×. A second study measures the digest-keyed result cache: the
-// wall latency of a cache hit against recomputing the identical job
-// (gate: ≥10×).
-//
-// Wall-clock quantiles are recorded descriptively only — the host is a
-// single CPU core, so wall time cannot show lane concurrency; the
-// modeled numbers carry the claim, exactly as in the devpool study.
+// small-N job mix served through the real HTTP stack with whole-device
+// leases (DeviceLanes=1) and with fractional leases (DeviceLanes=4: four
+// lane clocks share each device's engines, DESIGN.md §15). Small
+// reductions leave the K40c's engines mostly idle, so the lanes recover
+// modeled throughput (jobs per simulated second of farm makespan; gate
+// ≥2×). Wall time on a small host cannot show lane concurrency, so the
+// modeled numbers carry that claim. A second study measures the
+// digest-keyed result cache: the paired wall latency of a hit against
+// recomputing a job (gate: ≥10×).
 
 // ThroughputArm is one lease-granularity arm of one problem size.
 type ThroughputArm struct {
@@ -45,11 +37,6 @@ type ThroughputArm struct {
 	ModeledMakespanSec float64 `json:"modeled_makespan_seconds"`
 	ModeledJobsPerSec  float64 `json:"modeled_jobs_per_sec"`
 	ModeledItemsPerSec float64 `json:"modeled_items_per_sec"`
-	// Wall-side job latency (started→finished), descriptive only.
-	WallSeconds float64 `json:"wall_seconds"`
-	P50         float64 `json:"p50_seconds"`
-	P95         float64 `json:"p95_seconds"`
-	P99         float64 `json:"p99_seconds"`
 }
 
 // ThroughputSize compares the two arms at one matrix order.
@@ -62,260 +49,210 @@ type ThroughputSize struct {
 	ModeledSpeedup float64 `json:"modeled_speedup"`
 }
 
-// CacheStudy measures the result cache: the wall latency of recomputing
-// a job against serving its bit-identical cached result.
+// CacheStudy measures the result cache: the wall latency (started →
+// finished) of recomputing a job against serving a bit-identical cached
+// result, over paired, alternating-order miss/hit runs.
 type CacheStudy struct {
-	N  int `json:"n"`
-	NB int `json:"nb"`
-	// Pairs is how many miss/hit pairs were served; the medians below
-	// absorb per-job scheduler noise.
-	Pairs           int     `json:"pairs"`
-	MissSeconds     float64 `json:"miss_seconds"`
-	HitSeconds      float64 `json:"hit_seconds"`
-	SpeedupX        float64 `json:"speedup_x"`
-	Hits            float64 `json:"hits"`
-	Misses          float64 `json:"misses"`
-	DigestsVerified bool    `json:"digests_verified"`
+	N           int     `json:"n"`
+	NB          int     `json:"nb"`
+	Pairs       int     `json:"pairs"`
+	MissSeconds Spread  `json:"miss_seconds"`
+	HitSeconds  Spread  `json:"hit_seconds"`
+	SpeedupX    Spread  `json:"speedup_x"`
+	Hits        float64 `json:"hits"`
+	Misses      float64 `json:"misses"`
 }
 
 // ThroughputArtifact is the committed BENCH_throughput.json.
 type ThroughputArtifact struct {
+	Provenance      Provenance       `json:"provenance"`
 	Devices         int              `json:"devices"`
 	FractionalLanes int              `json:"fractional_lanes"`
 	Capacity        int              `json:"capacity"`
 	ItemsPerJob     int              `json:"items_per_job"`
 	Sizes           []ThroughputSize `json:"sizes"`
 	Cache           CacheStudy       `json:"cache"`
-	Build           serve.BuildInfo  `json:"build"`
 }
 
-// submitJob posts one request body and returns the accepted job ID.
-func submitJob(ts *httptest.Server, body string) (string, error) {
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return "", err
-	}
-	var st struct {
-		ID string `json:"id"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("throughput: submit returned %d", resp.StatusCode)
-	}
-	return st.ID, nil
+// harness is an in-process job server driven through its HTTP API.
+type harness struct {
+	s   *serve.Server
+	ts  *httptest.Server
+	reg *obs.Registry
 }
 
-// jobOutcome polls one finished job's status for its execution window
-// and its result for the served payload.
+func newHarness(cfg serve.Config) *harness {
+	cfg.Registry = obs.NewRegistry()
+	s := serve.New(cfg)
+	return &harness{s: s, ts: httptest.NewServer(s.Handler()), reg: cfg.Registry}
+}
+
+func (h *harness) close() error {
+	defer h.ts.Close()
+	return h.s.Shutdown(context.Background())
+}
+
+// jobOutcome is a finished job's execution window (started → finished,
+// queue wait excluded) and its served payload.
 type jobOutcome struct {
 	duration float64
 	cached   bool
 	digests  []string
 }
 
-func fetchOutcome(ts *httptest.Server, id string) (jobOutcome, error) {
-	var out jobOutcome
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-	if err != nil {
-		return out, err
-	}
-	var st struct {
-		State    string `json:"state"`
-		Started  string `json:"started"`
-		Finished string `json:"finished"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		return out, err
-	}
-	if st.State != serve.StateDone {
-		return out, fmt.Errorf("throughput: job %s ended %s", id, st.State)
-	}
-	t0, err := time.Parse(time.RFC3339Nano, st.Started)
-	if err != nil {
-		return out, err
-	}
-	t1, err := time.Parse(time.RFC3339Nano, st.Finished)
-	if err != nil {
-		return out, err
-	}
-	out.duration = t1.Sub(t0).Seconds()
-
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		return out, err
-	}
-	var res struct {
-		Cached       bool   `json:"cached"`
-		ResultDigest string `json:"result_digest"`
-		Items        []struct {
-			ResultDigest string `json:"result_digest"`
-			Cached       bool   `json:"cached"`
-		} `json:"items"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&res)
-	resp.Body.Close()
-	if err != nil {
-		return out, err
-	}
-	if len(res.Items) > 0 {
-		out.cached = true
-		for _, it := range res.Items {
-			out.digests = append(out.digests, it.ResultDigest)
-			out.cached = out.cached && it.Cached
+// run submits every body, waits for all the jobs, then fetches their
+// outcomes in submission order.
+func (h *harness) run(bodies ...string) ([]jobOutcome, error) {
+	ids := make([]string, len(bodies))
+	for i, b := range bodies {
+		var st struct {
+			ID string `json:"id"`
 		}
-	} else {
-		out.cached = res.Cached
-		out.digests = []string{res.ResultDigest}
+		if err := h.call(http.MethodPost, "", b, http.StatusAccepted, &st); err != nil {
+			return nil, err
+		}
+		ids[i] = st.ID
 	}
-	return out, nil
+	for _, id := range ids {
+		j, ok := h.s.Job(id)
+		if !ok {
+			return nil, fmt.Errorf("job %s disappeared", id)
+		}
+		<-j.Done()
+	}
+	outs := make([]jobOutcome, len(ids))
+	for i, id := range ids {
+		var st struct {
+			State             string
+			Started, Finished time.Time
+		}
+		var res serve.JobResult
+		if err := h.call(http.MethodGet, "/"+id, "", http.StatusOK, &st); err != nil {
+			return nil, err
+		}
+		if st.State != serve.StateDone {
+			return nil, fmt.Errorf("job %s ended %s", id, st.State)
+		}
+		if err := h.call(http.MethodGet, "/"+id+"/result", "", http.StatusOK, &res); err != nil {
+			return nil, err
+		}
+		// Forget the served job so long studies do not accumulate results.
+		if err := h.call(http.MethodDelete, "/"+id, "", http.StatusAccepted, &st); err != nil {
+			return nil, err
+		}
+		o := jobOutcome{duration: st.Finished.Sub(st.Started).Seconds(), cached: res.Cached, digests: []string{res.ResultDigest}}
+		if len(res.Items) > 0 {
+			o.cached, o.digests = true, nil
+			for _, it := range res.Items {
+				o.digests = append(o.digests, it.ResultDigest)
+				o.cached = o.cached && it.Cached
+			}
+		}
+		outs[i] = o
+	}
+	return outs, nil
 }
 
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// call sends one request to /v1/jobs+path and decodes the JSON reply.
+func (h *harness) call(method, path, body string, want int, v any) error {
+	req, err := http.NewRequest(method, h.ts.URL+"/v1/jobs"+path, strings.NewReader(body))
+	if err != nil {
+		return err
 	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != want {
+		return fmt.Errorf("%s /v1/jobs%s returned %d", method, path, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // throughputArm serves one size's job mix at one lease granularity and
 // reads the modeled makespan off the farm's virtual clock.
 func throughputArm(n, nb, lanes, devices, jobs, itemsPer, capacity int) (ThroughputArm, []string, error) {
 	arm := ThroughputArm{Lanes: lanes, Jobs: jobs, Items: jobs * itemsPer}
-	reg := obs.NewRegistry()
-	s := serve.New(serve.Config{
+	h := newHarness(serve.Config{
 		Capacity: capacity, QueueDepth: jobs + 4,
-		Devices: devices, DeviceLanes: lanes,
-		Registry: reg, Observe: serve.ObserveSLO,
+		Devices: devices, DeviceLanes: lanes, Observe: serve.ObserveSLO,
 	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body := func(job int) string {
-		var b bytes.Buffer
-		fmt.Fprintf(&b, `{"priority":"batch","nb":%d,"batch":[`, nb)
-		for i := 0; i < itemsPer; i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
+	bodies := make([]string, jobs)
+	for j := range bodies {
+		items := make([]string, itemsPer)
+		for i := range items {
 			// Distinct seeds everywhere: nothing coalesces or caches, every
 			// item is a real reduction.
-			fmt.Fprintf(&b, `{"n":%d,"seed":%d}`, n, 1+job*itemsPer+i)
+			items[i] = fmt.Sprintf(`{"n":%d,"seed":%d}`, n, 1+j*itemsPer+i)
 		}
-		b.WriteString(`]}`)
-		return b.String()
+		bodies[j] = fmt.Sprintf(`{"priority":"batch","nb":%d,"batch":[%s]}`, nb, strings.Join(items, ","))
 	}
-
-	start := time.Now()
-	ids := make([]string, 0, jobs)
-	for i := 0; i < jobs; i++ {
-		id, err := submitJob(ts, body(i))
-		if err != nil {
-			return arm, nil, err
-		}
-		ids = append(ids, id)
+	outs, err := h.run(bodies...)
+	if cerr := h.close(); err == nil {
+		err = cerr
 	}
-	for _, id := range ids {
-		j, ok := s.Job(id)
-		if !ok {
-			return arm, nil, fmt.Errorf("throughput: job %s disappeared", id)
-		}
-		<-j.Done()
-	}
-	arm.WallSeconds = time.Since(start).Seconds()
-
-	var durations []float64
-	var digests []string
-	for _, id := range ids {
-		o, err := fetchOutcome(ts, id)
-		if err != nil {
-			return arm, nil, err
-		}
-		durations = append(durations, o.duration)
-		digests = append(digests, o.digests...)
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
+	if err != nil {
 		return arm, nil, err
 	}
-
-	arm.ModeledMakespanSec = reg.GaugeValue("batch_farm_makespan_seconds")
+	var digests []string
+	for _, o := range outs {
+		digests = append(digests, o.digests...)
+	}
+	arm.ModeledMakespanSec = h.reg.GaugeValue("batch_farm_makespan_seconds")
 	if arm.ModeledMakespanSec > 0 {
 		arm.ModeledJobsPerSec = float64(jobs) / arm.ModeledMakespanSec
 		arm.ModeledItemsPerSec = float64(arm.Items) / arm.ModeledMakespanSec
 	}
-	sort.Float64s(durations)
-	arm.P50 = quantile(durations, 0.50)
-	arm.P95 = quantile(durations, 0.95)
-	arm.P99 = quantile(durations, 0.99)
 	return arm, digests, nil
 }
 
-// throughputCache measures the result cache: pairs of identical jobs,
-// the first recomputing (miss), the second served from the cache (hit).
-// Medians over the pairs; the digest check asserts hit and miss served
-// the same bits.
-func throughputCache(n, nb, pairs int) (CacheStudy, error) {
-	cs := CacheStudy{N: n, NB: nb, Pairs: pairs}
-	reg := obs.NewRegistry()
-	s := serve.New(serve.Config{
-		Capacity: 2, QueueDepth: 2 * pairs,
-		CacheEntries: 2 * pairs,
-		Registry:     reg, Observe: serve.ObserveSLO,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	runOne := func(seed int) (jobOutcome, error) {
-		id, err := submitJob(ts, fmt.Sprintf(`{"n":%d,"nb":%d,"seed":%d}`, n, nb, seed))
+// throughputCache measures the result cache. One job is computed up
+// front; then each pair serves it again (a hit) and computes a job with a
+// fresh seed (a miss), alternating which goes first. Every hit must serve
+// the digest of the first computation.
+func throughputCache(n, nb, pairs int) (cs CacheStudy, err error) {
+	cs = CacheStudy{N: n, NB: nb, Pairs: pairs}
+	h := newHarness(serve.Config{Capacity: 2, QueueDepth: 2, CacheEntries: 2*pairs + 1, Observe: serve.ObserveSLO})
+	defer func() {
+		if cerr := h.close(); err == nil {
+			err = cerr
+		}
+	}()
+	job := func(seed int) (jobOutcome, error) {
+		outs, err := h.run(fmt.Sprintf(`{"n":%d,"nb":%d,"seed":%d}`, n, nb, seed))
 		if err != nil {
 			return jobOutcome{}, err
 		}
-		j, ok := s.Job(id)
-		if !ok {
-			return jobOutcome{}, fmt.Errorf("throughput: job %s disappeared", id)
-		}
-		<-j.Done()
-		return fetchOutcome(ts, id)
+		return outs[0], nil
 	}
-
-	var misses, hits []float64
-	cs.DigestsVerified = true
-	for p := 0; p < pairs; p++ {
-		miss, err := runOne(100 + p)
-		if err != nil {
-			return cs, err
-		}
-		hit, err := runOne(100 + p)
-		if err != nil {
-			return cs, err
-		}
-		if miss.cached || !hit.cached {
-			return cs, fmt.Errorf("throughput: pair %d cached flags miss=%v hit=%v", p, miss.cached, hit.cached)
-		}
-		if miss.digests[0] == "" || miss.digests[0] != hit.digests[0] {
-			cs.DigestsVerified = false
-		}
-		misses = append(misses, miss.duration)
-		hits = append(hits, hit.duration)
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
+	first, err := job(100)
+	if err != nil {
 		return cs, err
 	}
-	sort.Float64s(misses)
-	sort.Float64s(hits)
-	cs.MissSeconds = quantile(misses, 0.5)
-	cs.HitSeconds = quantile(hits, 0.5)
-	if cs.HitSeconds > 0 {
-		cs.SpeedupX = cs.MissSeconds / cs.HitSeconds
+	seed := 100
+	hit := func() (float64, error) {
+		o, err := job(100)
+		if err == nil && (!o.cached || o.digests[0] != first.digests[0]) {
+			err = fmt.Errorf("cache study: repeat of seed 100 served cached=%v digest %s, want the cached %s", o.cached, o.digests[0], first.digests[0])
+		}
+		return o.duration, err
 	}
-	cs.Hits = reg.CounterValue("serve_cache_hits_total")
-	cs.Misses = reg.CounterValue("serve_cache_misses_total")
+	miss := func() (float64, error) {
+		seed++
+		o, err := job(seed)
+		if err == nil && o.cached {
+			err = fmt.Errorf("cache study: fresh seed %d served from cache", seed)
+		}
+		return o.duration, err
+	}
+	p, err := paired(pairs, hit, miss)
+	if err != nil {
+		return cs, err
+	}
+	cs.HitSeconds, cs.MissSeconds, cs.SpeedupX = p.A, p.B, p.Ratio
+	cs.Hits = h.reg.CounterValue("serve_cache_hits_total")
+	cs.Misses = h.reg.CounterValue("serve_cache_misses_total")
 	return cs, nil
 }
 
@@ -329,7 +266,7 @@ func throughputCache(n, nb, pairs int) (CacheStudy, error) {
 func Throughput(sizes []int, nb, devices, lanes, jobs, itemsPer, capacity, cachePairs int) (*ThroughputArtifact, error) {
 	art := &ThroughputArtifact{
 		Devices: devices, FractionalLanes: lanes, Capacity: capacity,
-		ItemsPerJob: itemsPer, Build: serve.Build(),
+		ItemsPerJob: itemsPer, Provenance: stamp(),
 	}
 	for _, n := range sizes {
 		whole, wd, err := throughputArm(n, nb, 1, devices, jobs, itemsPer, capacity)
@@ -360,8 +297,8 @@ func Throughput(sizes []int, nb, devices, lanes, jobs, itemsPer, capacity, cache
 	return art, nil
 }
 
-// ThroughputReport prints the artifact and optionally writes the JSON.
-func ThroughputReport(w io.Writer, art *ThroughputArtifact, outPath string) error {
+// Report prints the study as a table.
+func (art *ThroughputArtifact) Report(w io.Writer) {
 	fmt.Fprintf(w, "Batched small-N throughput: whole-device vs %d fractional lanes (%d devices, capacity %d, %d items/job)\n",
 		art.FractionalLanes, art.Devices, art.Capacity, art.ItemsPerJob)
 	fmt.Fprintf(w, "%6s %6s %6s | %14s %14s | %9s\n",
@@ -373,14 +310,16 @@ func ThroughputReport(w io.Writer, art *ThroughputArtifact, outPath string) erro
 	}
 	fmt.Fprintf(w, "modeled jobs/s over farm makespan; acceptance gate at n=%d: >= 2x\n", art.Sizes[len(art.Sizes)-1].N)
 	c := art.Cache
-	fmt.Fprintf(w, "result cache (n=%d, %d pairs): miss %.6fs  hit %.6fs  %.0fx  digests_verified=%v\n",
-		c.N, c.Pairs, c.MissSeconds, c.HitSeconds, c.SpeedupX, c.DigestsVerified)
-	if outPath == "" {
-		return nil
+	fmt.Fprintf(w, "result cache (n=%d, median [Q1, Q3] of %d alternating pairs): miss %.6fs  hit %.6fs  %.0fx [%.0f, %.0f]\n",
+		c.N, c.Pairs, c.MissSeconds.Median, c.HitSeconds.Median, c.SpeedupX.Median, c.SpeedupX.Q1, c.SpeedupX.Q3)
+}
+
+// WallCheck enforces the wall bar: a cache hit serves ≥10× faster than
+// recomputing, at the paired median.
+func (art *ThroughputArtifact) WallCheck() error {
+	if c := art.Cache; c.SpeedupX.Median < 10 {
+		return fmt.Errorf("cache hit speedup %.1fx below the 10x bar (miss %.6fs, hit %.6fs)",
+			c.SpeedupX.Median, c.MissSeconds.Median, c.HitSeconds.Median)
 	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(buf, '\n'), 0o644)
+	return nil
 }

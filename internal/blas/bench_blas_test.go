@@ -1,37 +1,15 @@
 package blas
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/matrix"
 )
 
-// Substrate benchmarks for the blocked BLAS, one per shape class the
-// Hessenberg reduction actually produces (see DESIGN.md §Host BLAS):
-//
-//   - square:       the worst-case dense product, pure throughput
-//   - tall-skinny:  the per-panel update op(A)·V with m >> n (the shape the
-//     pre-blocking Dgemm could barely parallelize)
-//   - rank-nb:      the trailing-matrix update C -= Y·Wᵀ with k = nb
-//
-// Each benchmark reports achieved GFLOP/s; TestBenchBlasJSON regenerates
-// the BENCH_blas.json artifact comparing the blocked kernel against the
-// kept-private pre-blocking kernel (naiveGemm) shape by shape.
-
-type gemmShape struct {
-	name    string
-	m, n, k int
-}
-
-var benchShapes = []gemmShape{
-	{"square_512", 512, 512, 512},
-	{"tall_skinny_panel_4096x8x128", 4096, 8, 128},
-	{"rank_nb_trailing_1024x1024x32", 1024, 1024, 32},
-}
+// Substrate benchmarks for the blocked BLAS, one per GemmShapes class the
+// Hessenberg reduction actually produces. Each reports achieved GFLOP/s;
+// BenchmarkDgemmBlockedVsNaive holds the substrate's acceptance bar.
 
 func benchGemm(b *testing.B, m, n, k int, f func(m, n, k int, a, bb, c *matrix.Matrix)) {
 	a := matrix.Random(m, k, 1)
@@ -46,32 +24,33 @@ func benchGemm(b *testing.B, m, n, k int, f func(m, n, k int, a, bb, c *matrix.M
 }
 
 func BenchmarkDgemmSquare512(b *testing.B) {
-	s := benchShapes[0]
-	benchGemm(b, s.m, s.n, s.k, func(m, n, k int, a, bb, c *matrix.Matrix) {
+	s := GemmShapes[0]
+	benchGemm(b, s.M, s.N, s.K, func(m, n, k int, a, bb, c *matrix.Matrix) {
 		Dgemm(NoTrans, NoTrans, m, n, k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
 	})
 }
 
 func BenchmarkDgemmTallSkinnyPanel(b *testing.B) {
-	s := benchShapes[1]
-	benchGemm(b, s.m, s.n, s.k, func(m, n, k int, a, bb, c *matrix.Matrix) {
+	s := GemmShapes[1]
+	benchGemm(b, s.M, s.N, s.K, func(m, n, k int, a, bb, c *matrix.Matrix) {
 		Dgemm(NoTrans, NoTrans, m, n, k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
 	})
 }
 
 func BenchmarkDgemmRankNBTrailing(b *testing.B) {
-	s := benchShapes[2]
-	benchGemm(b, s.m, s.n, s.k, func(m, n, k int, a, bb, c *matrix.Matrix) {
+	s := GemmShapes[2]
+	benchGemm(b, s.M, s.N, s.K, func(m, n, k int, a, bb, c *matrix.Matrix) {
 		Dgemm(NoTrans, NoTrans, m, n, k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
 	})
 }
 
 // BenchmarkDgemmFTSquare512 is the fused-ABFT variant of the square
 // shape; the gap to BenchmarkDgemmSquare512 is the substrate's wall
-// overhead (bounded at ≤8% by TestBenchBlasFTJSON).
+// overhead (its ≤8% bar at 512³ is judged by the paired median of
+// `go run ./cmd/experiments -exp blasft`).
 func BenchmarkDgemmFTSquare512(b *testing.B) {
-	s := benchShapes[0]
-	benchGemm(b, s.m, s.n, s.k, func(m, n, k int, a, bb, c *matrix.Matrix) {
+	s := GemmShapes[0]
+	benchGemm(b, s.M, s.N, s.K, func(m, n, k int, a, bb, c *matrix.Matrix) {
 		if _, err := DgemmFT(NoTrans, NoTrans, m, n, k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride); err != nil {
 			b.Fatal(err)
 		}
@@ -79,10 +58,10 @@ func BenchmarkDgemmFTSquare512(b *testing.B) {
 }
 
 // BenchmarkDgemmNaive512 is the pre-blocking kernel on the square shape —
-// the baseline the BENCH_blas.json speedups are measured against.
+// the baseline BenchmarkDgemmBlockedVsNaive measures against.
 func BenchmarkDgemmNaive512(b *testing.B) {
-	s := benchShapes[0]
-	benchGemm(b, s.m, s.n, s.k, func(m, n, k int, a, bb, c *matrix.Matrix) {
+	s := GemmShapes[0]
+	benchGemm(b, s.M, s.N, s.K, func(m, n, k int, a, bb, c *matrix.Matrix) {
 		naiveGemm(NoTrans, NoTrans, m, n, k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
 	})
 }
@@ -111,128 +90,28 @@ func BenchmarkDsyr2k(b *testing.B) {
 	b.ReportMetric(2*float64(n)*float64(n)*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// timeGemm returns the best-of-three GFLOP/s of f on an m×n×k product
-// (one untimed warm-up run first).
-func timeGemm(m, n, k int, f func()) float64 {
-	f()
-	best := time.Duration(1<<62 - 1)
-	for r := 0; r < 3; r++ {
+// BenchmarkDgemmBlockedVsNaive is the substrate's acceptance bar: on the
+// square shape the blocked Dgemm must beat the pre-blocking kernel by
+// ≥2×. The two kernels alternate call by call, so drift on a shared host
+// hits both alike; the benchmark fails when the ratio of their summed
+// times misses the bar. It runs only under -bench, never in `go test`.
+func BenchmarkDgemmBlockedVsNaive(b *testing.B) {
+	s := GemmShapes[0]
+	a := matrix.Random(s.M, s.K, 1)
+	bb := matrix.Random(s.K, s.N, 2)
+	c := matrix.New(s.M, s.N)
+	var naive, blocked time.Duration
+	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		f()
-		if d := time.Since(t0); d < best {
-			best = d
-		}
+		naiveGemm(NoTrans, NoTrans, s.M, s.N, s.K, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
+		t1 := time.Now()
+		Dgemm(NoTrans, NoTrans, s.M, s.N, s.K, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
+		naive += t1.Sub(t0)
+		blocked += time.Since(t1)
 	}
-	return 2 * float64(m) * float64(n) * float64(k) / best.Seconds() / 1e9
-}
-
-// TestBenchBlasJSON regenerates the host-GEMM substrate artifacts. The
-// machine-independent part — the shape catalogue and the parallel task
-// counts that explain why the tall-skinny panel shape can now engage
-// every core (the pre-blocking path offered only min(p, n) column
-// chunks) — goes to the committed BENCH_blas.json; it only changes when
-// the kernel's blocking actually changes, so reruns no longer churn the
-// repository. The wall-clock measurements (naive vs blocked vs parallel
-// GFLOP/s, GOMAXPROCS, AVX availability) go to BENCH_blas.local.json,
-// which is gitignored: those numbers are facts about the machine that
-// ran the test, not about the code.
-func TestBenchBlasJSON(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock artifact: skipped under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("wall-clock artifact: skipped in -short mode")
-	}
-
-	// Machine-independent: the shape catalogue and the blocking geometry.
-	type shapeRow struct {
-		Shape         string `json:"shape"`
-		M             int    `json:"m"`
-		N             int    `json:"n"`
-		K             int    `json:"k"`
-		ParallelTasks int    `json:"parallel_tasks"`
-	}
-	type stableArtifact struct {
-		BlockMC int        `json:"block_mc"`
-		BlockNC int        `json:"block_nc"`
-		BlockKC int        `json:"block_kc"`
-		Rows    []shapeRow `json:"shapes"`
-	}
-	// Machine-dependent: the wall-clock measurements (gitignored).
-	type row struct {
-		Shape            string  `json:"shape"`
-		M                int     `json:"m"`
-		N                int     `json:"n"`
-		K                int     `json:"k"`
-		NaiveGFLOPS      float64 `json:"naive_gflops"`
-		BlockedGFLOPS    float64 `json:"blocked_gflops"`
-		ParallelGFLOPS   float64 `json:"parallel_gflops"`
-		SpeedupVsNaive   float64 `json:"speedup_vs_naive"`
-		ParallelTasks    int     `json:"parallel_tasks"`
-		PrevColumnChunks int     `json:"prev_parallel_chunks"`
-	}
-	type artifact struct {
-		GOMAXPROCS int   `json:"gomaxprocs"`
-		NumCPU     int   `json:"numcpu"`
-		AVXKernel  bool  `json:"avx_kernel"`
-		Rows       []row `json:"shapes"`
-	}
-
-	p := runtime.GOMAXPROCS(0)
-	stable := stableArtifact{BlockMC: gemmMC, BlockNC: gemmNC, BlockKC: gemmKC}
-	out := artifact{GOMAXPROCS: p, NumCPU: runtime.NumCPU(), AVXKernel: useAVXKernel}
-	for _, s := range benchShapes {
-		a := matrix.Random(s.m, s.k, 1)
-		bb := matrix.Random(s.k, s.n, 2)
-		c := matrix.New(s.m, s.n)
-
-		naive := timeGemm(s.m, s.n, s.k, func() {
-			naiveGemm(NoTrans, NoTrans, s.m, s.n, s.k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
-		})
-		orig := SetMaxProcs(1)
-		serial := timeGemm(s.m, s.n, s.k, func() {
-			Dgemm(NoTrans, NoTrans, s.m, s.n, s.k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
-		})
-		SetMaxProcs(p)
-		parallel := timeGemm(s.m, s.n, s.k, func() {
-			Dgemm(NoTrans, NoTrans, s.m, s.n, s.k, 1, a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)
-		})
-		SetMaxProcs(orig)
-
-		mBlocks := (s.m + gemmMC - 1) / gemmMC
-		nBlocks := (s.n + gemmNC - 1) / gemmNC
-		stable.Rows = append(stable.Rows, shapeRow{
-			Shape: s.name, M: s.m, N: s.n, K: s.k,
-			ParallelTasks: mBlocks * nBlocks,
-		})
-		out.Rows = append(out.Rows, row{
-			Shape: s.name, M: s.m, N: s.n, K: s.k,
-			NaiveGFLOPS:      naive,
-			BlockedGFLOPS:    serial,
-			ParallelGFLOPS:   parallel,
-			SpeedupVsNaive:   parallel / naive,
-			ParallelTasks:    mBlocks * nBlocks,
-			PrevColumnChunks: min(p, s.n),
-		})
-	}
-
-	writeArtifact := func(path string, v any) {
-		t.Helper()
-		buf, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeArtifact("../../BENCH_blas.json", stable)
-	writeArtifact("../../BENCH_blas.local.json", out)
-
-	// The acceptance bar for this substrate: the blocked kernel must beat
-	// the pre-blocking kernel by ≥2× on the square shape.
-	if sq := out.Rows[0]; sq.SpeedupVsNaive < 2 {
-		t.Errorf("square-shape speedup %.2fx below the 2x bar (naive %.2f, parallel %.2f GFLOP/s)",
-			sq.SpeedupVsNaive, sq.NaiveGFLOPS, sq.ParallelGFLOPS)
+	speedup := naive.Seconds() / blocked.Seconds()
+	b.ReportMetric(speedup, "x_vs_naive")
+	if speedup < 2 {
+		b.Fatalf("blocked Dgemm %.2fx faster than naive on %s, below the 2x bar", speedup, s.Name)
 	}
 }

@@ -72,9 +72,10 @@ done
 echo "docs_lint: $(echo "$arts" | wc -l) referenced BENCH artifacts exist"
 
 # --- acceptance-gated artifacts must be committed ---------------------
-# These artifacts carry acceptance bars enforced by gating tests; a tree
+# These measured artifacts are written only by cmd/experiments (which
+# exits 1 when one misses its bar), so no test regenerates them; a tree
 # without them has lost its measured evidence.
-for a in BENCH_throughput.json; do
+for a in BENCH_blasft.json BENCH_throughput.json BENCH_serveobs.json; do
     if [ ! -f "$a" ]; then
         echo "docs_lint: required artifact $a is not committed" >&2
         fail=1
