@@ -264,6 +264,35 @@ func BenchmarkRealEigenvectors64(b *testing.B) {
 	}
 }
 
+// TestBenchObsJSON byte-compares BENCH_obs.json, the cost-only
+// baseline-vs-FT comparison with the FT run's per-phase busy time, against
+// a fresh run of the obs study. Every FT run reports its phases and costs
+// more than the baseline, and the overhead falls as N grows (the paper's
+// headline trend).
+func TestBenchObsJSON(t *testing.T) {
+	s, ok := bench.Lookup("obs")
+	if !ok {
+		t.Fatal("no obs study")
+	}
+	art, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := art.(bench.ObsArtifact)
+	for i, r := range rows {
+		if len(r.FTPhaseSeconds) == 0 || r.OverheadPct <= 0 {
+			t.Errorf("N=%d: %d phases, overhead %.2f%%", r.N, len(r.FTPhaseSeconds), r.OverheadPct)
+		}
+		if i > 0 && r.OverheadPct >= rows[i-1].OverheadPct {
+			t.Errorf("overhead not falling with N: %.2f%% at N=%d, %.2f%% at N=%d",
+				rows[i-1].OverheadPct, rows[i-1].N, r.OverheadPct, r.N)
+		}
+	}
+	if err := s.Diff(".", art); err != nil {
+		t.Error(err)
+	}
+}
+
 func BenchmarkPostProcessComparator(b *testing.B) {
 	a := matrix.New(2046, 2046)
 	for i := 0; i < b.N; i++ {

@@ -7,42 +7,64 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/blas"
 )
 
-// TestStudies runs every artifact study at its fixed grid and enforces
-// its deterministic bars. Modeled artifacts must match the committed
-// files byte for byte. Measured studies run a single pair and are
-// checked in memory only: their wall bars belong to cmd/experiments, and
-// no test writes an artifact.
-func TestStudies(t *testing.T) {
+// Each artifact study has one golden test, named after its artifact, and
+// every such test runs through testStudy. The obs and blas studies are
+// tested beside their artifacts' other readers: TestBenchObsJSON in the
+// root package and TestBenchBlasJSON in internal/blas.
+func TestBenchLookaheadJSON(t *testing.T)  { testStudy(t, "lookahead") }
+func TestBenchMultiGPUJSON(t *testing.T)   { testStudy(t, "multigpu") }
+func TestBenchFailStopJSON(t *testing.T)   { testStudy(t, "failstop") }
+func TestBenchBlasFTJSON(t *testing.T)     { testStudy(t, "blasft") }
+func TestBenchThroughputJSON(t *testing.T) { testStudy(t, "serve_throughput") }
+func TestBenchServeObsJSON(t *testing.T)   { testStudy(t, "serveobs") }
+
+// testedElsewhere names the golden tests of studies outside this package.
+var testedElsewhere = map[string]string{
+	"obs":  "repro:TestBenchObsJSON",
+	"blas": "repro/internal/blas:TestBenchBlasJSON",
+}
+
+// TestEveryStudyTested keeps the study table and the golden tests in step.
+func TestEveryStudyTested(t *testing.T) {
 	for _, s := range Studies {
-		t.Run(s.Name, func(t *testing.T) {
-			check, ok := studyChecks[s.Name]
-			if !ok {
-				t.Fatalf("no deterministic checks for study %q", s.Name)
-			}
-			if s.Pairs > 0 {
-				if testing.Short() {
-					t.Skip("measured study: skipped in -short mode")
-				}
-				s.Pairs = 1
-			}
-			art, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			art.Report(&sb)
-			t.Log("\n" + sb.String())
-			check(t, art)
-			if s.Pairs == 0 {
-				if err := s.Diff("../..", art); err != nil {
-					t.Error(err)
-				}
-			}
-		})
+		_, here := studyChecks[s.Name]
+		_, there := testedElsewhere[s.Name]
+		if here == there {
+			t.Errorf("study %q: want exactly one golden test (checks here %v, elsewhere %v)", s.Name, here, there)
+		}
+	}
+}
+
+// testStudy runs one artifact study at its fixed grid and enforces its
+// deterministic bars. A modeled artifact must match the committed file
+// byte for byte. A measured study runs a single pair and is checked in
+// memory only: its wall bars belong to cmd/experiments, and no test
+// writes an artifact.
+func testStudy(t *testing.T, name string) {
+	s, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no study %q", name)
+	}
+	if s.Pairs > 0 {
+		if testing.Short() {
+			t.Skip("measured study: skipped in -short mode")
+		}
+		s.Pairs = 1
+	}
+	art, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	art.Report(&sb)
+	t.Log("\n" + sb.String())
+	studyChecks[name](t, art)
+	if s.Pairs == 0 {
+		if err := s.Diff("../..", art); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -101,30 +123,6 @@ var studyChecks = map[string]func(t *testing.T, art Artifact){
 			if !(c.CleanSeconds < c.ParitySeconds && c.ParitySeconds <= c.RecoverySeconds && c.CleanSeconds < c.RestartSeconds) {
 				t.Errorf("N=%d K=%d: want clean < parity <= recovery and clean < restart, got %.4f, %.4f, %.4f, %.4f",
 					c.N, c.Devices, c.CleanSeconds, c.ParitySeconds, c.RecoverySeconds, c.RestartSeconds)
-			}
-		}
-	},
-	// Phase breakdown: every FT run reports its phases and costs more than
-	// the baseline, and the overhead falls as N grows (the paper's
-	// headline trend).
-	"obs": func(t *testing.T, art Artifact) {
-		a := art.(ObsArtifact)
-		for i, r := range a {
-			if len(r.FTPhaseSeconds) == 0 || r.OverheadPct <= 0 {
-				t.Errorf("N=%d: %d phases, overhead %.2f%%", r.N, len(r.FTPhaseSeconds), r.OverheadPct)
-			}
-			if i > 0 && r.OverheadPct >= a[i-1].OverheadPct {
-				t.Errorf("overhead not falling with N: %.2f%% at N=%d, %.2f%% at N=%d",
-					a[i-1].OverheadPct, a[i-1].N, r.OverheadPct, r.N)
-			}
-		}
-	},
-	// Shape catalogue: every shape splits into at least two output
-	// blocks, so the parallel Dgemm can engage more than one core.
-	"blas": func(t *testing.T, art Artifact) {
-		for _, s := range art.(*blas.Catalogue).Shapes {
-			if s.ParallelTasks < 2 {
-				t.Errorf("shape %s: %d parallel task(s), want >= 2", s.Name, s.ParallelTasks)
 			}
 		}
 	},

@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/blas"
 )
 
 // TestBenchBlasJSON byte-compares the shape catalogue with the committed
-// BENCH_blas.json.
+// BENCH_blas.json. Every shape splits into at least two output blocks, so
+// the parallel Dgemm can engage more than one core.
 func TestBenchBlasJSON(t *testing.T) {
 	s, ok := bench.Lookup("blas")
 	if !ok {
@@ -16,6 +18,11 @@ func TestBenchBlasJSON(t *testing.T) {
 	art, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, sh := range art.(*blas.Catalogue).Shapes {
+		if sh.ParallelTasks < 2 {
+			t.Errorf("shape %s: %d parallel task(s), want >= 2", sh.Name, sh.ParallelTasks)
+		}
 	}
 	if err := s.Diff("../..", art); err != nil {
 		t.Error(err)
