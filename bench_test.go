@@ -60,7 +60,7 @@ func BenchmarkTableII_III_Stability(b *testing.B) {
 // --- Ablations (DESIGN.md §5) ---
 
 func BenchmarkAblation_Overlap(b *testing.B) {
-	a := matrix.New(4030, 4030)
+	a := matrix.Shape(4030, 4030)
 	for i := 0; i < b.N; i++ {
 		if _, err := hybrid.Reduce(a, hybrid.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly)}); err != nil {
 			b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkAblation_Overlap(b *testing.B) {
 }
 
 func BenchmarkAblation_NoOverlap(b *testing.B) {
-	a := matrix.New(4030, 4030)
+	a := matrix.Shape(4030, 4030)
 	for i := 0; i < b.N; i++ {
 		if _, err := hybrid.Reduce(a, hybrid.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly), DisableOverlap: true}); err != nil {
 			b.Fatal(err)
@@ -78,7 +78,7 @@ func BenchmarkAblation_NoOverlap(b *testing.B) {
 }
 
 func BenchmarkAblation_QChecksumOn(b *testing.B) {
-	a := matrix.New(4030, 4030)
+	a := matrix.Shape(4030, 4030)
 	for i := 0; i < b.N; i++ {
 		if _, err := ft.Reduce(a, ft.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly)}); err != nil {
 			b.Fatal(err)
@@ -87,7 +87,7 @@ func BenchmarkAblation_QChecksumOn(b *testing.B) {
 }
 
 func BenchmarkAblation_QChecksumOff(b *testing.B) {
-	a := matrix.New(4030, 4030)
+	a := matrix.Shape(4030, 4030)
 	for i := 0; i < b.N; i++ {
 		if _, err := ft.Reduce(a, ft.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly), DisableQProtection: true}); err != nil {
 			b.Fatal(err)
@@ -96,7 +96,7 @@ func BenchmarkAblation_QChecksumOff(b *testing.B) {
 }
 
 func BenchmarkAblation_DetectionCadence(b *testing.B) {
-	a := matrix.New(2046, 2046)
+	a := matrix.Shape(2046, 2046)
 	iters := fault.BlockedIterations(2046, 32)
 	for i := 0; i < b.N; i++ {
 		in := fault.New(fault.Plan{Area: fault.Area2, TargetIter: iters / 2, Seed: 1})
@@ -107,7 +107,7 @@ func BenchmarkAblation_DetectionCadence(b *testing.B) {
 }
 
 func BenchmarkAblation_BlockSize(b *testing.B) {
-	a := matrix.New(2046, 2046)
+	a := matrix.Shape(2046, 2046)
 	for _, nb := range []int{16, 32, 64} {
 		b.Run(bName("nb", nb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -294,7 +294,7 @@ func TestBenchObsJSON(t *testing.T) {
 }
 
 func BenchmarkPostProcessComparator(b *testing.B) {
-	a := matrix.New(2046, 2046)
+	a := matrix.Shape(2046, 2046)
 	for i := 0; i < b.N; i++ {
 		if _, err := ft.Reduce(a, ft.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly), PostProcess: true}); err != nil {
 			b.Fatal(err)

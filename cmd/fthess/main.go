@@ -177,6 +177,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -substrate %q (want swept or fused)\n", *substrate)
 		os.Exit(2)
 	}
+	// A cost-only reduction holds no values: there is no result to digest
+	// and no Hessenberg factor to iterate on.
+	if *costOnly && *checksum {
+		fmt.Fprintln(os.Stderr, "-checksum requires real execution")
+		os.Exit(2)
+	}
+	if *costOnly && *eig {
+		fmt.Fprintln(os.Stderr, "-eig requires real execution")
+		os.Exit(2)
+	}
 	opt := core.Options{
 		NB: *nb, CostOnly: *costOnly, DeviceCount: *devices,
 		DisableLookahead: !*lookahead, DisableOverlap: *noOverlap,
@@ -275,6 +285,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("loaded %dx%d matrix from %s\n", a.Rows, a.Cols, *mmPath)
+	} else if *costOnly {
+		// Cost-only mode never reads the input: pass its shape only.
+		a = matrix.Shape(*n, *n)
 	} else {
 		a = matrix.Random(*n, *n, *seed)
 	}
@@ -342,10 +355,6 @@ func main() {
 	blas.SetObs(nil)
 
 	if *eig {
-		if *costOnly {
-			fmt.Fprintln(os.Stderr, "-eig requires real execution")
-			os.Exit(2)
-		}
 		eigs, _, err := core.Eigenvalues(a, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "eigenvalues failed: %v\n", err)

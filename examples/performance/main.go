@@ -17,7 +17,7 @@ func main() {
 	sizes := []int{1022, 2046, 3070, 4030, 5182, 6014, 7038, 8062, 9086, 10110}
 	fmt.Printf("%8s %14s %14s %12s\n", "N", "MAGMA GFLOPS", "FT GFLOPS", "overhead")
 	for _, n := range sizes {
-		a := matrix.New(n, n) // cost-only: data never touched
+		a := matrix.Shape(n, n) // cost-only: data never touched
 		base, err := core.Reduce(a, core.Options{Algorithm: core.Baseline, CostOnly: true, NB: 32})
 		if err != nil {
 			log.Fatal(err)

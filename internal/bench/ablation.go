@@ -22,7 +22,7 @@ import (
 //     always pay the full-factorization redo),
 //  4. the block size nb.
 func Ablations(w io.Writer, n int, params sim.Params) {
-	a := matrix.New(n, n)
+	a := matrix.Shape(n, n)
 	run := func(o hybrid.Options) float64 {
 		o.Device = gpu.New(params, gpu.CostOnly)
 		r, err := hybrid.Reduce(a, o)

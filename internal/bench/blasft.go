@@ -130,7 +130,7 @@ func BlasFT(shapes [][3]int, pairs int, params sim.Params) (*BlasFTArtifact, err
 	for _, sub := range []string{ft.SubstrateSwept, ft.SubstrateFused} {
 		reg := obs.NewRegistry()
 		opts := ft.Options{NB: mnt.NB, Devices: pool(params, gpu.CostOnly, mnt.Devices), Substrate: sub, Obs: reg}
-		if _, err := ft.Reduce(matrix.New(mnt.N, mnt.N), opts); err != nil {
+		if _, err := ft.Reduce(matrix.Shape(mnt.N, mnt.N), opts); err != nil {
 			return nil, fmt.Errorf("ft N=%d K=%d substrate=%s: %w", mnt.N, mnt.Devices, sub, err)
 		}
 		sec := obs.SumBy(reg, "phase_seconds", "phase")["checksum_maintenance"]

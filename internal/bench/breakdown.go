@@ -69,7 +69,7 @@ func Breakdown(w io.Writer, n, nb int, params sim.Params) {
 // simulated device each, with a registry attached to both, and returns
 // their modeled makespans and registries.
 func costPair(n, nb int, params sim.Params) (baseSec, ftSec float64, regB, regF *obs.Registry, err error) {
-	a := matrix.New(n, n)
+	a := matrix.Shape(n, n)
 	regB, regF = obs.NewRegistry(), obs.NewRegistry()
 	b, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Device: gpu.New(params, gpu.CostOnly), Obs: regB})
 	if err != nil {

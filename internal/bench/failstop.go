@@ -74,7 +74,7 @@ func sunkFraction(n, nb, kill, iters int) float64 {
 func FailStop(ns, ks []int, nb int, params sim.Params) (*FailStopArtifact, error) {
 	art := &FailStopArtifact{NB: nb, GPU: "Tesla K40c (modeled)"}
 	for _, n := range ns {
-		a := matrix.New(n, n)
+		a := matrix.Shape(n, n)
 		iters := fault.BlockedIterations(n, nb)
 		kill := iters / 2
 		for _, k := range ks {

@@ -45,7 +45,7 @@ func Fig6(w io.Writer, sizes []int, nb int, params sim.Params) []Fig6Panel {
 	}
 	bases := make(map[int]base)
 	for _, n := range sizes {
-		a := matrix.New(n, n) // cost-only: values never read
+		a := matrix.Shape(n, n) // cost-only: values never read
 		b, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Device: gpu.New(params, gpu.CostOnly)})
 		if err != nil {
 			panic(err)
@@ -76,7 +76,7 @@ func Fig6(w io.Writer, sizes []int, nb int, params sim.Params) []Fig6Panel {
 					TargetIter: fault.IterForMoment(n, nb, m, area),
 					Seed:       uint64(n) + uint64(m),
 				})
-				a := matrix.New(n, n)
+				a := matrix.Shape(n, n)
 				f, err := ft.Reduce(a, ft.Options{NB: nb, Device: gpu.New(params, gpu.CostOnly), Hook: in})
 				if err != nil {
 					panic(err)

@@ -70,7 +70,7 @@ func Lookahead(ns, ks []int, nb int, params sim.Params) (*LookaheadArtifact, err
 	art := &LookaheadArtifact{NB: nb, GPU: "Tesla K40c (modeled)"}
 	for _, off := range []bool{true, false} {
 		for _, n := range ns {
-			a := matrix.New(n, n)
+			a := matrix.Shape(n, n)
 			for _, k := range ks {
 				reg := obs.NewRegistry()
 				res, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k), DisableLookahead: off, Obs: reg})

@@ -47,7 +47,7 @@ type MultiGPUArtifact struct {
 // the speedup is exactly what the partitioner's load balance and the
 // panel-boundary broadcasts allow.
 func MultiGPU(n, nb int, ks []int, params sim.Params) (*MultiGPUArtifact, error) {
-	a := matrix.New(n, n)
+	a := matrix.Shape(n, n)
 	art := &MultiGPUArtifact{N: n, NB: nb, GPU: "Tesla K40c (modeled)"}
 	var hyb1, ft1 float64
 	for _, k := range ks {

@@ -18,7 +18,7 @@ import (
 func Timeline(w io.Writer, n, nb int, params sim.Params, tracePath string) {
 	dev := gpu.New(params, gpu.CostOnly)
 	dev.EnableTrace()
-	if _, err := ft.Reduce(matrix.New(n, n), ft.Options{NB: nb, Device: dev}); err != nil {
+	if _, err := ft.Reduce(matrix.Shape(n, n), ft.Options{NB: nb, Device: dev}); err != nil {
 		panic(err)
 	}
 	fmt.Fprintf(w, "Execution timeline of FT-Hess at N=%d, nb=%d (simulated lanes):\n", n, nb)

@@ -70,7 +70,10 @@ type Options struct {
 	// Params calibrates the simulated platform (sim.K40c() if zero).
 	Params sim.Params
 	// CostOnly skips kernel arithmetic and only models time; use for
-	// large-N performance sweeps.
+	// large-N performance sweeps. A cost-only run never reads the input's
+	// values (a storage-less matrix.Shape is a valid input) and holds none
+	// itself: the Result's Packed is shape-only (nil Data) and its Tau is
+	// all zeros, so there is nothing to digest, verify, or reduce further.
 	CostOnly bool
 	// ThresholdFactor, FinalHCheck, DisableQProtection, DisableOverlap
 	// and Hook pass through to the fault-tolerant algorithm.
@@ -127,7 +130,7 @@ type Result struct {
 	Algorithm Algorithm
 	N, NB     int
 	// Packed is the factorization in LAPACK layout; Tau the reflector
-	// scalars.
+	// scalars. After a CostOnly run Packed has a shape but no values.
 	Packed *matrix.Matrix
 	Tau    []float64
 	// SimSeconds / ModelGFLOPS report simulated performance (zero for

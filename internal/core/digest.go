@@ -30,6 +30,8 @@ func MatrixDigest(m *matrix.Matrix) string {
 // by the Tau scalars. This is the digest `fthess -checksum` prints and CI
 // compares across device counts, schedules, and substrates — the PR 5/7/9
 // guarantees make it invariant to all three, so it keys the result cache.
+// It needs a Real-mode result: a CostOnly run's Packed has no values, and
+// Digest panics on it.
 func (r *Result) Digest() string {
 	h := sha256.New()
 	var buf [8]byte

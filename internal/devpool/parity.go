@@ -41,6 +41,15 @@ type Parity struct {
 	// the transfers ride K distinct copy engines concurrently, making
 	// the modeled refresh cost the slowest single pull, not their sum.
 	stage []*matrix.Matrix
+	// pulls is refreshRound's reusable list of in-flight slab reads.
+	pulls []pull
+}
+
+// pull is one slab read of a parity refresh: cnt columns landing in buf.
+type pull struct {
+	cnt int
+	buf *matrix.Matrix
+	ev  sim.Event
 }
 
 // NewParity allocates the per-round parity matrices on dev and returns
@@ -57,11 +66,12 @@ func NewParity(sh *Shard, dev *gpu.Device) *Parity {
 	for r := range py.rounds {
 		py.rounds[r] = dev.Alloc(rows, cols)
 	}
-	py.acc = matrix.New(rows, cols)
-	py.tmp = matrix.New(rows, cols)
+	mode := sh.Pool.Mode
+	py.acc = mode.HostMatrix(rows, cols)
+	py.tmp = mode.HostMatrix(rows, cols)
 	py.stage = make([]*matrix.Matrix, k)
 	for i := range py.stage {
-		py.stage[i] = matrix.New(rows, cols)
+		py.stage[i] = mode.HostMatrix(rows, cols)
 	}
 	return py
 }
@@ -69,18 +79,10 @@ func NewParity(sh *Shard, dev *gpu.Device) *Parity {
 // RoundOf returns the parity round covering slab s.
 func (py *Parity) RoundOf(s int) int { return s / py.K }
 
-// roundSlabs returns the slab indices of round r.
-func (py *Parity) roundSlabs(r int) []int {
-	lo := r * py.K
-	hi := lo + py.K
-	if hi > len(py.sh.Part.Slabs) {
-		hi = len(py.sh.Part.Slabs)
-	}
-	out := make([]int, 0, hi-lo)
-	for s := lo; s < hi; s++ {
-		out = append(out, s)
-	}
-	return out
+// roundSlabs returns the slab index range [lo, hi) of round r.
+func (py *Parity) roundSlabs(r int) (lo, hi int) {
+	lo = r * py.K
+	return lo, min(lo+py.K, len(py.sh.Part.Slabs))
 }
 
 // xorInto folds src into dst elementwise over the raw float64 bits.
@@ -107,7 +109,8 @@ func (py *Parity) RefreshAll() {
 func (py *Parity) Refresh(p int) {
 	for r := range py.rounds {
 		lo := -1
-		for _, s := range py.roundSlabs(r) {
+		first, end := py.roundSlabs(r)
+		for s := first; s < end; s++ {
 			sl := py.sh.Part.Slabs[s]
 			if sl.End() <= p {
 				continue // finished slab: content frozen
@@ -158,13 +161,10 @@ func (py *Parity) refreshRound(r, lo int) {
 			}
 		}
 	})
-	type pull struct {
-		cnt int
-		buf *matrix.Matrix
-		ev  sim.Event
-	}
-	var pulls []pull
-	for i, s := range py.roundSlabs(r) {
+	pulls := py.pulls[:0]
+	first, end := py.roundSlabs(r)
+	for s := first; s < end; s++ {
+		i := s - first
 		wloc := sh.Part.Slabs[s].Cols + sh.Pad
 		if lo >= wloc {
 			continue
@@ -185,6 +185,7 @@ func (py *Parity) refreshRound(r, lo int) {
 			}
 		})
 	}
+	py.pulls = pulls
 	pool.Issue(py.Dev)
 	e := py.Dev.H2DAsync(py.rounds[r], 0, lo, acc.View(0, 0, rows, wmax-lo), py.last[r])
 	py.last[r] = e
@@ -212,7 +213,8 @@ func (py *Parity) Reconstruct(d int) error {
 		e := py.Dev.D2HAsync(py.acc.View(0, 0, rows, wdead), py.rounds[r], 0, 0, py.last[r])
 		pool.Wait(e)
 		// Peel off each survivor's contribution.
-		for _, peer := range py.roundSlabs(r) {
+		first, end := py.roundSlabs(r)
+		for peer := first; peer < end; peer++ {
 			if peer == s {
 				continue
 			}

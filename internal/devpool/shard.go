@@ -58,7 +58,15 @@ type Shard struct {
 	// Broadcast completion events, per device, refreshed each iteration.
 	evVexp, evT, evY []sim.Event
 	lastGemv         []sim.Event
-	pendingGemv      []panelBatch
+	pendingGemv      []devBatch
+
+	// Dispatch scratch, reused so issuing a round of kernels allocates
+	// nothing: evs collects one device's kernel events, active[d] lists
+	// device d's slabs in the current panel-GEMV or Y-top round (their
+	// partial columns, in order), and ytop the Y-top round's transfers.
+	evs    []sim.Event
+	active [][]int
+	ytop   []devBatch
 
 	// Lookahead split state. PriorityUpdate applies the full right+left
 	// update chain to just the next panel's columns ahead of everything
@@ -109,6 +117,7 @@ func NewShard(pool *Pool, n, nb, pad int) *Shard {
 	sh.vsumHave = make([]bool, k)
 	sh.stageCol = make([]*matrix.Matrix, k)
 	sh.stageWide = make([]*matrix.Matrix, k)
+	sh.active = make([][]int, k)
 	for d, dev := range pool.Devices {
 		if len(sh.DevSlabs[d]) == 0 {
 			continue
@@ -120,8 +129,8 @@ func NewShard(pool *Pool, n, nb, pad int) *Shard {
 		sh.dYpart[d] = dev.Alloc(n, maxSlabs)
 		sh.dWide[d] = dev.Alloc(n+pad, maxSlabs*nb)
 		sh.dSbuf[d] = dev.Alloc(nb, pt.Width+pad)
-		sh.stageCol[d] = matrix.New(n, maxSlabs)
-		sh.stageWide[d] = matrix.New(n+pad, maxSlabs*nb)
+		sh.stageCol[d] = pool.Mode.HostMatrix(n, maxSlabs)
+		sh.stageWide[d] = pool.Mode.HostMatrix(n+pad, maxSlabs*nb)
 		if pad > 0 {
 			sh.dOnes[d] = dev.Alloc(n, 1)
 			sh.dVsumCol[d] = dev.Alloc(nb, 1)
@@ -134,8 +143,8 @@ func NewShard(pool *Pool, n, nb, pad int) *Shard {
 			})
 		}
 	}
-	sh.vexpHost = matrix.New(n, nb)
-	sh.ysum = matrix.New(n+pad, nb)
+	sh.vexpHost = pool.Mode.HostMatrix(n, nb)
+	sh.ysum = pool.Mode.HostMatrix(n+pad, nb)
 	return sh
 }
 
@@ -269,8 +278,9 @@ func (sh *Shard) updRange(s, lo int) (local, cnt, global int, ok bool) {
 	return g - sl.Start, sl.End() - g, g, true
 }
 
-// panelBatch tracks one device's in-flight panel-GEMV partial transfer.
-type panelBatch struct {
+// devBatch tracks one device's in-flight transfer of per-slab partials:
+// its completion and the slabs whose partials it carries, in column order.
+type devBatch struct {
 	ev     sim.Event
 	active []int
 }
@@ -299,8 +309,8 @@ func (sh *Shard) PanelGemvIssue(hostA *matrix.Matrix, yCol, p, k, ib int, la boo
 
 	sh.pendingGemv = sh.pendingGemv[:0]
 	for d, dev := range pool.Devices {
-		var kgs []sim.Event
-		var active []int
+		kgs := sh.evs[:0]
+		active := sh.active[d][:0]
 		first := true
 		var up sim.Event
 		for _, s := range sh.DevSlabs[d] {
@@ -336,6 +346,7 @@ func (sh *Shard) PanelGemvIssue(hostA *matrix.Matrix, yCol, p, k, ib int, la boo
 			kgs = append(kgs, kg)
 			active = append(active, s)
 		}
+		sh.evs, sh.active[d] = kgs, active
 		if len(active) == 0 {
 			continue
 		}
@@ -343,11 +354,11 @@ func (sh *Shard) PanelGemvIssue(hostA *matrix.Matrix, yCol, p, k, ib int, la boo
 			// Apply the summed corrections to the device's partials:
 			// y_d −= Y·Σw₁ₛ + V·Σw₂ₛ — one fused kernel streaming both
 			// (n−k)×ib operands, once per device and column.
-			kgs = []sim.Event{dev.CustomLA(pp.GemvDevice(n-k, 2*ib), func() {}, kgs...)}
+			kgs = append(kgs[:0], dev.CustomLA(pp.GemvDevice(n-k, 2*ib), nil, kgs...))
 		}
 		ev := dev.D2HAsync(sh.stageCol[d].View(0, 0, n-k, len(active)), sh.dYpart[d], 0, 0, kgs...)
 		sh.lastGemv[d] = ev
-		sh.pendingGemv = append(sh.pendingGemv, panelBatch{ev: ev, active: active})
+		sh.pendingGemv = append(sh.pendingGemv, devBatch{ev: ev, active: active})
 	}
 }
 
@@ -454,15 +465,10 @@ func (sh *Shard) YTop(yHost, tHost *matrix.Matrix, p, k, ib int) {
 	pp := pool.Params
 	pad := sh.Pad
 
-	type devBatch struct {
-		ev     sim.Event
-		nA     int
-		active []int
-	}
-	var batches []devBatch
+	batches := sh.ytop[:0]
 	for d, dev := range pool.Devices {
-		var kgs []sim.Event
-		var active []int
+		kgs := sh.evs[:0]
+		active := sh.active[d][:0]
 		for _, s := range sh.DevSlabs[d] {
 			lo, cnt, g, ok := sh.updRange(s, k)
 			if !ok {
@@ -489,12 +495,14 @@ func (sh *Shard) YTop(yHost, tHost *matrix.Matrix, p, k, ib int) {
 			kgs = append(kgs, kg)
 			active = append(active, s)
 		}
+		sh.evs, sh.active[d] = kgs, active
 		if len(active) == 0 {
 			continue
 		}
 		ev := dev.D2HAsync(sh.stageWide[d].View(0, 0, k+pad, len(active)*sh.NB), sh.dWide[d], 0, 0, kgs...)
-		batches = append(batches, devBatch{ev: ev, nA: len(active), active: active})
+		batches = append(batches, devBatch{ev: ev, active: active})
 	}
+	sh.ytop = batches
 	for _, b := range batches {
 		pool.Wait(b.ev)
 	}
@@ -742,7 +750,7 @@ func (sh *Shard) LeftUpdate(p, k, ib int) {
 // authoritative for the entire matrix, the gather also heals any
 // host-side corruption of already-finished columns.
 func (sh *Shard) Gather(hostA *matrix.Matrix) {
-	var evs []sim.Event
+	evs := sh.evs[:0]
 	for _, s := range sh.Part.Slabs {
 		dev := sh.Owner(s.Index)
 		sh.Pool.Issue(dev)
@@ -753,4 +761,5 @@ func (sh *Shard) Gather(hostA *matrix.Matrix) {
 	for _, e := range evs {
 		sh.Pool.Wait(e)
 	}
+	sh.evs = evs
 }

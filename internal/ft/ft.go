@@ -510,7 +510,7 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		fused: fused,
 		n:     n,
 		nb:    nb,
-		hostA: a.Clone(),
+		hostA: dev.Mode.HostCopy(a),
 		tau:   make([]float64, max(n-1, 1)),
 		res:   &Result{N: n, NB: nb},
 	}
@@ -551,11 +551,11 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 			dev.Free(m)
 		}
 	}()
-	r.yHost = matrix.New(n, nb)
-	r.tHost = matrix.New(nb, nb)
-	r.ckPanel = matrix.New(n, nb)
-	r.ckChkRow = matrix.New(1, nb)
-	r.qprot = newQChecksums(n)
+	r.yHost = dev.Mode.HostMatrix(n, nb)
+	r.tHost = dev.Mode.HostMatrix(nb, nb)
+	r.ckPanel = dev.Mode.HostMatrix(n, nb)
+	r.ckChkRow = dev.Mode.HostMatrix(1, nb)
+	r.qprot = newQChecksums(dev.Mode, n)
 
 	if snap == nil {
 		// Algorithm 3, lines 1-2: transfer and encode.
@@ -686,16 +686,15 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		rem := r.hostA.View(0, p, n, n-p)
 		dev.Sync(dev.D2HAsync(rem, r.dA, 0, p, prevLeft))
 	}
-	work := make([]float64, n)
 	dev.HostOp(cleanupCost(pp, n, p), func() {
-		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, work)
+		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
 	})
 
 	// Section IV-E/F: verify and repair the Householder vectors once, at
 	// the end of the factorization.
 	if !opt.DisableQProtection {
 		dev.SetPhase("q_protect")
-		fixes, err := r.qprot.verifyAndCorrect(dev, pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
+		fixes, err := r.qprot.verifyAndCorrect(hybrid.DeviceLane(dev), pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
 		if err != nil {
 			return r.res, err
 		}
@@ -809,7 +808,7 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 	// Figure 5) — overlapped with the device work below.
 	if !r.opt.DisableQProtection {
 		dev.SetPhase("q_protect")
-		r.qprot.absorbPanel(dev, pp, r.hostA, p, ib)
+		r.qprot.absorbPanel(hybrid.DeviceLane(dev), pp, r.hostA, p, ib)
 	}
 
 	// Upload the factored panel, Y's lower rows, and T. The panel columns
@@ -867,7 +866,7 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 	// checksum COLUMN's Gemv stays whole inside the remainder so its
 	// summation order, and hence the Sre/Sce comparison, is untouched.
 	dev.SetPhase("right_update")
-	ei := r.hostA.At(p+ib, p+ib-1)
+	ei := dev.Mode.HostElem(r.hostA, p+ib, p+ib-1)
 	e1 := dev.Set(r.dA, p+ib, p+ib-1, 1, ytopDone, ychkDone)
 	var left sim.Event
 	if ib2 := min(ib, n-1-(p+ib)); r.la && n-1-(p+ib) > max(r.nb, 2) {

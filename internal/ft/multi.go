@@ -89,6 +89,20 @@ type multiReducer struct {
 	// FailStop, so a loss with recovery disabled still fails loudly.
 	fs      *failStop
 	fsKills map[string]int
+
+	// Detection-sweep scratch, reused at every boundary so a sweep
+	// allocates nothing: the per-device verdict transfers, one device's
+	// totals kernels, and the flagged slabs (detectSweep's result, valid
+	// until the next sweep).
+	sweep    []sweepBatch
+	sweepEvs []sim.Event
+	bad      []int
+}
+
+// sweepBatch is one device's detection-totals transfer.
+type sweepBatch struct {
+	ev sim.Event
+	d  int
 }
 
 // journal appends one FT event stamped with the pool's simulated time.
@@ -162,7 +176,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 		pool:    pool,
 		n:       n,
 		nb:      nb,
-		hostA:   a.Clone(),
+		hostA:   pool.Mode.HostCopy(a),
 		tau:     make([]float64, max(n-1, 1)),
 		res:     &Result{N: n, NB: nb},
 		la:      !opt.DisableLookahead,
@@ -212,7 +226,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 			continue
 		}
 		r.dChk[d] = dev.Alloc(3, maxSlabs)
-		r.chkHost[d] = matrix.New(3, maxSlabs)
+		r.chkHost[d] = pool.Mode.HostMatrix(3, maxSlabs)
 	}
 	defer func() {
 		for d, dev := range pool.Devices {
@@ -228,9 +242,9 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 		r.encodeSlab(s)
 	}
 	defer r.fsSetup()()
-	r.yHost = matrix.New(n+1, nb)
-	r.tHost = matrix.New(nb, nb)
-	r.qprot = newQChecksums(n)
+	r.yHost = pool.Mode.HostMatrix(n+1, nb)
+	r.tHost = pool.Mode.HostMatrix(nb, nb)
+	r.qprot = newQChecksums(pool.Mode, n)
 
 	nx := nb
 	if nx < 2 {
@@ -293,7 +307,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 		// Maintain the Q checksums on the otherwise idle CPU.
 		if !opt.DisableQProtection {
 			pool.SetPhase("q_protect")
-			r.qprot.absorbPanel(pool, pp, r.hostA, p, ib)
+			r.qprot.absorbPanel(hybrid.PoolLane(pool), pp, r.hostA, p, ib)
 		}
 
 		// The broadcast V/T/Y drive both the data updates and the halo
@@ -382,7 +396,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	// slabs, so this pass is what reports host-only (Area 3) hits.
 	if !opt.DisableQProtection {
 		pool.SetPhase("q_protect")
-		fixes, err := r.qprot.verifyAndCorrect(pool, pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
+		fixes, err := r.qprot.verifyAndCorrect(hybrid.PoolLane(pool), pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
 		if err != nil {
 			return r.res, err
 		}
@@ -394,9 +408,8 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	// authoritative for the whole matrix) and finish on the host.
 	pool.SetPhase("cleanup")
 	sh.Gather(r.hostA)
-	work := make([]float64, n)
 	pool.HostOp(cleanupCost(pp, n, p), func() {
-		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, work)
+		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
 	})
 	pool.WaitAll()
 	pool.SetPhase("")
@@ -570,25 +583,21 @@ func (r *multiReducer) slabMismatch(st *matrix.Matrix, pos int) bool {
 func (r *multiReducer) detectSweep(iter, p int) []int {
 	pool := r.pool
 	sh := r.sh
-	type devBatch struct {
-		ev     sim.Event
-		d      int
-		active []int
-	}
-	var batches []devBatch
+	// Every device sweeps all its owned slabs (sh.DevSlabs[d], whose
+	// totals land in that order in its staging block), so a batch is just
+	// the device and its transfer's completion.
+	batches := r.sweep[:0]
 	for d, dev := range pool.Devices {
-		var kgs []sim.Event
-		var active []int
-		for _, s := range sh.DevSlabs[d] {
-			if len(active) == 0 {
-				pool.Issue(dev)
-			}
-			kgs = append(kgs, r.slabTotals(s, len(active), r.dChk[d]))
-			active = append(active, s)
-		}
-		if len(active) == 0 {
+		owned := sh.DevSlabs[d]
+		if len(owned) == 0 {
 			continue
 		}
+		pool.Issue(dev)
+		kgs := r.sweepEvs[:0]
+		for pos, s := range owned {
+			kgs = append(kgs, r.slabTotals(s, pos, r.dChk[d]))
+		}
+		r.sweepEvs = kgs
 		var ev sim.Event
 		if r.la {
 			// Lookahead: the verdict rides the compute stream's tail
@@ -596,12 +605,13 @@ func (r *multiReducer) detectSweep(iter, p int) []int {
 			// that produce the totals, without occupying the copy engine —
 			// an async copy depending on the whole remainder would make
 			// the next panel offload queue behind it.
-			ev = dev.D2HTail(r.chkHost[d].View(0, 0, 3, len(active)), r.dChk[d], 0, 0, kgs...)
+			ev = dev.D2HTail(r.chkHost[d].View(0, 0, 3, len(owned)), r.dChk[d], 0, 0, kgs...)
 		} else {
-			ev = dev.D2HAsync(r.chkHost[d].View(0, 0, 3, len(active)), r.dChk[d], 0, 0, kgs...)
+			ev = dev.D2HAsync(r.chkHost[d].View(0, 0, 3, len(owned)), r.dChk[d], 0, 0, kgs...)
 		}
-		batches = append(batches, devBatch{ev: ev, d: d, active: active})
+		batches = append(batches, sweepBatch{ev: ev, d: d})
 	}
+	r.sweep = batches
 	if !r.la {
 		for _, b := range batches {
 			pool.Wait(b.ev)
@@ -610,7 +620,7 @@ func (r *multiReducer) detectSweep(iter, p int) []int {
 	r.count("ft_checksum_checks_total")
 
 	r.lastGap = 0
-	var bad []int
+	bad := r.bad[:0]
 	if pool.Mode == gpu.CostOnly {
 		if r.opt.Hook != nil && r.opt.Hook.ConsumePendingH() > 0 {
 			bad = append(bad, sh.Part.SlabOf(p))
@@ -620,13 +630,14 @@ func (r *multiReducer) detectSweep(iter, p int) []int {
 			r.opt.Hook.ConsumePendingH() // keep hook state consistent
 		}
 		for _, b := range batches {
-			for pos, s := range b.active {
+			for pos, s := range sh.DevSlabs[b.d] {
 				if r.slabMismatch(r.chkHost[b.d], pos) {
 					bad = append(bad, s)
 				}
 			}
 		}
 	}
+	r.bad = bad
 	if r.la && len(bad) > 0 {
 		// Optimistic clock: the staged totals were produced eagerly in
 		// program order, so a clean sweep never blocks the host on the
@@ -757,9 +768,9 @@ func (r *multiReducer) locateAndCorrectSlab(iter, s int) error {
 		}
 	}, eR)
 
-	freshHost := matrix.New(n, 2)
-	chkColHost := matrix.New(n, 1)
-	chkRowHost := matrix.New(1, cols)
+	freshHost := pool.Mode.HostMatrix(n, 2)
+	chkColHost := pool.Mode.HostMatrix(n, 1)
+	chkRowHost := pool.Mode.HostMatrix(1, cols)
 	e := dev.D2HAsync(freshHost, dFresh, 0, 0, eR, eC)
 	e = dev.D2HAsync(chkColHost, m, 0, cols, e)
 	e = dev.D2HAsync(chkRowHost, m, n, 0, e)

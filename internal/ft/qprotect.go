@@ -4,17 +4,12 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/gpu"
+	"repro/internal/hybrid"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
-
-// hostLane abstracts the serial-CPU lane the Q checksums run on: the
-// single device's host timeline on the legacy path, the pool's
-// main-host lane on the multi-device path.
-type hostLane interface {
-	HostOp(cost float64, f func())
-}
 
 // qChecksums protects the Householder vectors accumulating on the host
 // (the Q matrix, Section IV-E of the paper). A column of row checksums
@@ -37,20 +32,23 @@ type qChecksums struct {
 	absorbedCols   int // first column not yet covered
 }
 
-func newQChecksums(n int) *qChecksums {
-	return &qChecksums{
-		n:              n,
-		rowChk:         make([]float64, n),
-		colChk:         make([]float64, n),
-		lastPanel:      -1,
-		lastRowContrib: make([]float64, n),
+// newQChecksums returns the Q protection state for an order-n run. A
+// cost-only run holds no Householder values to protect, so its checksum
+// vectors stay nil (only their modeled cost is charged).
+func newQChecksums(mode gpu.Mode, n int) *qChecksums {
+	q := &qChecksums{n: n, lastPanel: -1}
+	if mode == gpu.Real {
+		q.rowChk = make([]float64, n)
+		q.colChk = make([]float64, n)
+		q.lastRowContrib = make([]float64, n)
 	}
+	return q
 }
 
 // absorbPanel folds the Householder vectors of panel columns p..p+ib-1
 // into the checksums. Calling it again for the same panel (after a
 // recovery re-execution) first retracts the previous contribution.
-func (q *qChecksums) absorbPanel(h hostLane, pp sim.Params, hostA *matrix.Matrix, p, ib int) {
+func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, hostA *matrix.Matrix, p, ib int) {
 	n := q.n
 	cost := pp.GemvHost(n-p, ib)
 	h.HostOp(cost, func() {
@@ -88,7 +86,7 @@ func (q *qChecksums) absorbPanel(h hostLane, pp sim.Params, hostA *matrix.Matrix
 // the paper prescribes — an error in Q never propagates, so per-iteration
 // checks are unnecessary. journal (optional) receives the records for
 // the check and each repaired element, tagged with iteration iter.
-func (q *qChecksums) verifyAndCorrect(h hostLane, pp sim.Params, hostA *matrix.Matrix, limit int, tol float64, journal func(obs.Event), iter int) (int, error) {
+func (q *qChecksums) verifyAndCorrect(h hybrid.HostLane, pp sim.Params, hostA *matrix.Matrix, limit int, tol float64, journal func(obs.Event), iter int) (int, error) {
 	if limit > q.absorbedCols {
 		limit = q.absorbedCols
 	}

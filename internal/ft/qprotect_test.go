@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/hybrid"
 	"repro/internal/matrix"
 	"repro/internal/sim"
 )
@@ -14,16 +15,16 @@ import (
 func qFixture(n, nb, panels int) (*gpu.Device, *matrix.Matrix, *qChecksums) {
 	dev := gpu.New(sim.K40c(), gpu.Real)
 	host := matrix.Random(n, n, 77)
-	q := newQChecksums(n)
+	q := newQChecksums(gpu.Real, n)
 	for p := 0; p < panels*nb; p += nb {
-		q.absorbPanel(dev, dev.Params, host, p, nb)
+		q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, host, p, nb)
 	}
 	return dev, host, q
 }
 
 func TestQChecksumsCleanVerify(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 4)
-	fixes, err := q.verifyAndCorrect(dev, dev.Params, host, 32, 1e-9, nil, 0)
+	fixes, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 32, 1e-9, nil, 0)
 	if err != nil || fixes != 0 {
 		t.Fatalf("clean verify: fixes=%d err=%v", fixes, err)
 	}
@@ -33,7 +34,7 @@ func TestQChecksumsSingleCorrection(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 4)
 	orig := host.At(40, 10)
 	host.Add(40, 10, 2.5) // inside the protected region (row ≥ col+2, col < 32)
-	fixes, err := q.verifyAndCorrect(dev, dev.Params, host, 32, 1e-9, nil, 0)
+	fixes, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 32, 1e-9, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestQChecksumsMultipleDistinctCorrections(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 4)
 	host.Add(40, 10, 1.0)
 	host.Add(50, 20, 2.0)
-	fixes, err := q.verifyAndCorrect(dev, dev.Params, host, 32, 1e-9, nil, 0)
+	fixes, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 32, 1e-9, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestQChecksumsSharedColumn(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 4)
 	host.Add(40, 10, 1.0)
 	host.Add(50, 10, 2.0) // same column, distinct rows
-	fixes, err := q.verifyAndCorrect(dev, dev.Params, host, 32, 1e-9, nil, 0)
+	fixes, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 32, 1e-9, nil, 0)
 	if err != nil || fixes != 2 {
 		t.Fatalf("fixes=%d err=%v", fixes, err)
 	}
@@ -72,7 +73,7 @@ func TestQChecksumsAmbiguous(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 4)
 	host.Add(40, 10, 2.0)
 	host.Add(50, 20, 2.0) // equal deltas, distinct rows and columns
-	_, err := q.verifyAndCorrect(dev, dev.Params, host, 32, 1e-9, nil, 0)
+	_, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 32, 1e-9, nil, 0)
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("expected ErrUncorrectable, got %v", err)
 	}
@@ -81,7 +82,7 @@ func TestQChecksumsAmbiguous(t *testing.T) {
 func TestQChecksumsChecksumElementError(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 4)
 	q.rowChk[40] += 3.0 // corrupt the checksum itself
-	fixes, err := q.verifyAndCorrect(dev, dev.Params, host, 32, 1e-9, nil, 0)
+	fixes, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 32, 1e-9, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestQChecksumsChecksumElementError(t *testing.T) {
 		t.Fatalf("checksum-only error should refresh, not fix data: %d", fixes)
 	}
 	// A second verify must now be clean.
-	if fixes, err = q.verifyAndCorrect(dev, dev.Params, host, 32, 1e-9, nil, 0); err != nil || fixes != 0 {
+	if fixes, err = q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 32, 1e-9, nil, 0); err != nil || fixes != 0 {
 		t.Fatalf("post-refresh verify: fixes=%d err=%v", fixes, err)
 	}
 }
@@ -98,8 +99,8 @@ func TestQChecksumsReabsorption(t *testing.T) {
 	// Re-absorbing the same panel (the recovery re-execution path) must
 	// retract the previous contribution, not double it.
 	dev, host, q := qFixture(64, 8, 3)
-	q.absorbPanel(dev, dev.Params, host, 16, 8) // re-absorb the most recent panel
-	fixes, err := q.verifyAndCorrect(dev, dev.Params, host, 24, 1e-9, nil, 0)
+	q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, host, 16, 8) // re-absorb the most recent panel
+	fixes, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 24, 1e-9, nil, 0)
 	if err != nil || fixes != 0 {
 		t.Fatalf("after re-absorption: fixes=%d err=%v", fixes, err)
 	}
@@ -109,8 +110,8 @@ func TestQChecksumsReabsorbChangedPanel(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 3)
 	// The panel data changed between absorptions (a corrected error).
 	host.Add(30, 18, 4.0)
-	q.absorbPanel(dev, dev.Params, host, 16, 8)
-	fixes, err := q.verifyAndCorrect(dev, dev.Params, host, 24, 1e-9, nil, 0)
+	q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, host, 16, 8)
+	fixes, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 24, 1e-9, nil, 0)
 	if err != nil || fixes != 0 {
 		t.Fatalf("checksums must track the re-absorbed data: fixes=%d err=%v", fixes, err)
 	}
@@ -119,7 +120,7 @@ func TestQChecksumsReabsorbChangedPanel(t *testing.T) {
 func TestQChecksumsLimitClamp(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 2) // absorbed columns 0..15
 	// Verifying "through column 40" must clamp to the absorbed range.
-	if _, err := q.verifyAndCorrect(dev, dev.Params, host, 40, 1e-9, nil, 0); err != nil {
+	if _, err := q.verifyAndCorrect(hybrid.DeviceLane(dev), dev.Params, host, 40, 1e-9, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 }

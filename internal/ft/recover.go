@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/gpu"
-	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -104,7 +103,7 @@ func (r *reducer) recover(iter, p, ib int) error {
 	e = r.kernChkRowLeft(p, ib, +1, e)
 
 	// Reverse the right update with the retained Y (sign-flipped GEMMs).
-	ei := r.hostA.At(p+ib, p+ib-1)
+	ei := dev.Mode.HostElem(r.hostA, p+ib, p+ib-1)
 	e = dev.Set(r.dA, p+ib, p+ib-1, 1, e)
 	e = dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, +1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e)
 	e = dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib, ib, +1, r.dY, k, 0, r.dA, p+ib, p, 1, r.dA, k, p+ib, e)
@@ -170,9 +169,9 @@ func (r *reducer) locateAndCorrect(iter, split, panel int, patchPanel bool) erro
 	})
 
 	// Bring the fresh and maintained checksums to the host.
-	freshHost := matrix.New(n, 2)
-	chkColHost := matrix.New(n, 1)
-	chkRowHost := matrix.New(1, n)
+	freshHost := dev.Mode.HostMatrix(n, 2)
+	chkColHost := dev.Mode.HostMatrix(n, 1)
+	chkRowHost := dev.Mode.HostMatrix(1, n)
 	e := dev.D2HAsync(freshHost, dFresh, 0, 0, eR, eC)
 	e = dev.D2HAsync(chkColHost, dA, 0, n, e)
 	dev.Sync(dev.D2HAsync(chkRowHost, dA, n, 0, e))

@@ -11,7 +11,10 @@
 //   - CostOnly: kernels and transfers advance the simulated clock but touch
 //     no data, so the paper's large matrix sizes (N ≈ 10⁴, Figure 6) can be
 //     swept in milliseconds. The reduction's control flow is data-oblivious,
-//     so the operation sequence is identical in both modes.
+//     so the operation sequence is identical in both modes. A cost-only run
+//     holds no values at all — device matrices have nil Data, and host
+//     inputs and workspaces are storage-less (Mode.HostMatrix, HostCopy) —
+//     and dispatching a simulated operation allocates nothing.
 //
 // Operations execute eagerly in program order (which is always a legal
 // schedule of the stream program), while the timelines model the
@@ -48,6 +51,56 @@ func (m Mode) String() string {
 	return "cost-only"
 }
 
+// HostMatrix returns an r×c host workspace for a run in mode m: zeroed
+// storage in Real mode, a storage-less matrix.Shape in CostOnly mode,
+// where no kernel and no HostOp body ever runs.
+func (m Mode) HostMatrix(r, c int) *matrix.Matrix {
+	if m == CostOnly {
+		return matrix.Shape(r, c)
+	}
+	return matrix.New(r, c)
+}
+
+// HostCopy returns a run's host working copy of the input a: a deep copy
+// in Real mode, a storage-less shape of a in CostOnly mode, which never
+// reads a's values.
+func (m Mode) HostCopy(a *matrix.Matrix) *matrix.Matrix {
+	if m == CostOnly {
+		return matrix.Shape(a.Rows, a.Cols)
+	}
+	return a.Clone()
+}
+
+// HostElem reads element (i, j) of a run's host matrix a in Real mode. A
+// cost-only run holds no host values, and such a read only feeds device
+// kernels that do not execute there, so it reads as zero.
+func (m Mode) HostElem(a *matrix.Matrix, i, j int) float64 {
+	if m != Real {
+		return 0
+	}
+	return a.At(i, j)
+}
+
+// opKind is an operation family of the busy-time accounting.
+type opKind uint8
+
+const (
+	kindGemm opKind = iota
+	kindGemv
+	kindTrmm
+	kindVec
+	kindCopy
+	kindCustom
+	kindH2D
+	kindD2H
+	kindHost
+	numKinds
+)
+
+// kindNames are the families' names in TimeBreakdown, metric labels and
+// trace spans.
+var kindNames = [numKinds]string{"gemm", "gemv", "trmm", "vec", "copy", "custom", "h2d", "d2h", "host"}
+
 // Device is a simulated accelerator.
 type Device struct {
 	Params sim.Params
@@ -68,10 +121,11 @@ type Device struct {
 	kernels    int64
 	transfers  int64
 	bytesMoved int64
-	// busyByKind accumulates modeled busy seconds per operation family
-	// ("gemm", "gemv", "trmm", "vec", "copy", "h2d", "d2h", "host"),
-	// feeding the overhead-breakdown experiment.
-	busyByKind map[string]float64
+	// busy accumulates modeled busy seconds per operation family, feeding
+	// the overhead-breakdown experiment; charged marks the families
+	// charged at least once (the keys TimeBreakdown reports).
+	busy    [numKinds]float64
+	charged [numKinds]bool
 	// tracing/trace record per-operation spans for the Chrome-trace
 	// export (see trace.go).
 	tracing bool
@@ -93,13 +147,17 @@ type Device struct {
 	// two caches avoid rebuilding series keys on the hot path.
 	obs        *obs.Registry
 	phase      string
-	opCounters map[string]*obs.Counter
+	opCounters [numKinds]*obs.Counter
 	phaseHists map[string]*obs.Histogram
 	// phasePub mirrors phase for concurrent readers: the serving layer
 	// polls it from HTTP handlers while the owning goroutine runs the
 	// reduction. account() keeps using the plain field — the device is
 	// otherwise single-goroutine and the hot path must stay lock-free.
-	phasePub atomic.Value
+	// It points into phaseNames, the device's interned copy of every
+	// phase name published so far, so republishing a phase allocates
+	// nothing.
+	phasePub   atomic.Pointer[string]
+	phaseNames map[string]*string
 	// ctx, when set, is the cancellation signal the iteration loops of
 	// hybrid/ft poll at their boundaries (and PanelFactor per panel
 	// column). The simulated device executes eagerly — no goroutines,
@@ -133,13 +191,12 @@ type Device struct {
 // New creates a device with the given cost parameters and mode.
 func New(p sim.Params, mode Mode) *Device {
 	return &Device{
-		Params:     p,
-		Mode:       mode,
-		Host:       sim.NewTimeline("host"),
-		Compute:    sim.NewTimeline("gpu-compute"),
-		Copy:       sim.NewTimeline("gpu-copy"),
-		Lookahead:  sim.NewTimeline("gpu-lookahead"),
-		busyByKind: make(map[string]float64),
+		Params:    p,
+		Mode:      mode,
+		Host:      sim.NewTimeline("host"),
+		Compute:   sim.NewTimeline("gpu-compute"),
+		Copy:      sim.NewTimeline("gpu-copy"),
+		Lookahead: sim.NewTimeline("gpu-lookahead"),
 	}
 }
 
@@ -161,14 +218,13 @@ func NewIndexed(p sim.Params, mode Mode, k int) *Device {
 // just the physical device.
 func NewNamed(p sim.Params, mode Mode, name string) *Device {
 	return &Device{
-		Params:     p,
-		Mode:       mode,
-		name:       name,
-		Host:       sim.NewTimeline(name + "-host"),
-		Compute:    sim.NewTimeline(name + "-compute"),
-		Copy:       sim.NewTimeline(name + "-copy"),
-		Lookahead:  sim.NewTimeline(name + "-lookahead"),
-		busyByKind: make(map[string]float64),
+		Params:    p,
+		Mode:      mode,
+		name:      name,
+		Host:      sim.NewTimeline(name + "-host"),
+		Compute:   sim.NewTimeline(name + "-compute"),
+		Copy:      sim.NewTimeline(name + "-copy"),
+		Lookahead: sim.NewTimeline(name + "-lookahead"),
 	}
 }
 
@@ -260,11 +316,19 @@ func (d *Device) TransferStats() (count, bytes int64) { return d.transfers, d.by
 // TimeBreakdown returns the accumulated modeled busy seconds per
 // operation family. The sum can exceed the makespan: lanes overlap.
 func (d *Device) TimeBreakdown() map[string]float64 {
-	out := make(map[string]float64, len(d.busyByKind))
-	for k, v := range d.busyByKind {
-		out[k] = v
+	out := make(map[string]float64, numKinds)
+	for k, v := range d.busy {
+		if d.charged[k] {
+			out[kindNames[k]] = v
+		}
 	}
 	return out
+}
+
+// charge adds cost to the busy seconds of an operation family.
+func (d *Device) charge(kind opKind, cost float64) {
+	d.busy[kind] += cost
+	d.charged[kind] = true
 }
 
 // SetObs attaches a metrics registry: from now on every charged operation
@@ -272,7 +336,7 @@ func (d *Device) TimeBreakdown() map[string]float64 {
 // phase_seconds{phase=...}. A nil registry detaches.
 func (d *Device) SetObs(r *obs.Registry) {
 	d.obs = r
-	d.opCounters = make(map[string]*obs.Counter)
+	d.opCounters = [numKinds]*obs.Counter{}
 	d.phaseHists = make(map[string]*obs.Histogram)
 }
 
@@ -287,7 +351,7 @@ func (d *Device) SetJob(job string) {
 		return
 	}
 	d.job = job
-	d.opCounters = make(map[string]*obs.Counter)
+	d.opCounters = [numKinds]*obs.Counter{}
 	d.phaseHists = make(map[string]*obs.Histogram)
 }
 
@@ -299,16 +363,31 @@ func (d *Device) Job() string { return d.job }
 func (d *Device) SetPhase(name string) string {
 	prev := d.phase
 	d.phase = name
-	d.phasePub.Store(name)
+	p := d.phaseNames[name]
+	if p == nil {
+		p = d.internPhase(name)
+	}
+	d.phasePub.Store(p)
 	return prev
+}
+
+// internPhase records the device's published copy of a phase name.
+func (d *Device) internPhase(name string) *string {
+	if d.phaseNames == nil {
+		d.phaseNames = make(map[string]*string)
+	}
+	p := new(string)
+	*p = name
+	d.phaseNames[name] = p
+	return p
 }
 
 // Phase reports the phase most recently set via SetPhase. Unlike every
 // other Device method it is safe to call concurrently with a running
 // reduction, which is how the serving layer exposes job progress.
 func (d *Device) Phase() string {
-	if v := d.phasePub.Load(); v != nil {
-		return v.(string)
+	if p := d.phasePub.Load(); p != nil {
+		return *p
 	}
 	return ""
 }
@@ -336,13 +415,13 @@ func (d *Device) CtxErr() error {
 
 // account feeds one charged cost into the attached registry under the
 // operation family and the current phase.
-func (d *Device) account(kind string, cost float64) {
+func (d *Device) account(kind opKind, cost float64) {
 	if d.obs == nil {
 		return
 	}
 	c := d.opCounters[kind]
 	if c == nil {
-		c = d.obs.Counter("op_seconds_total", d.label(obs.L("kind", kind))...)
+		c = d.obs.Counter("op_seconds_total", d.label(obs.L("kind", kindNames[kind]))...)
 		d.opCounters[kind] = c
 	}
 	c.Add(cost)
@@ -414,10 +493,11 @@ func (m *Matrix) At(i, j int) float64 {
 }
 
 // enqueue charges the host the kernel-launch overhead for issuing a
-// command and returns the earliest instant the command may start.
-func (d *Device) enqueue() sim.Event {
+// command and returns the earliest instant the command may start: after
+// its launch and every dependency.
+func (d *Device) enqueue(deps []sim.Event) sim.Event {
 	d.Host.Schedule(d.Params.KernelLaunchSec)
-	return sim.Event{At: d.Host.Tail()}
+	return sim.Latest(d.Host.Tail(), deps)
 }
 
 // H2D synchronously copies the host matrix src into the device matrix dst
@@ -438,11 +518,10 @@ func (d *Device) H2DAsync(dst *Matrix, di, dj int, src *matrix.Matrix, deps ...s
 			copy(dst.ptr(di, dj+j)[:src.Rows], src.Col(j))
 		}
 	}
-	deps = append(deps, d.enqueue())
 	cost := d.Params.Transfer(bytes)
-	d.busyByKind["h2d"] += cost
-	e := d.Copy.Schedule(cost, deps...)
-	d.record(d.Copy.Name(), "h2d", e.At, cost)
+	d.charge(kindH2D, cost)
+	e := d.Copy.Schedule(cost, d.enqueue(deps))
+	d.record(d.Copy.Name(), kindH2D, e.At, cost)
 	return e
 }
 
@@ -470,11 +549,10 @@ func (d *Device) D2HAsync(dst *matrix.Matrix, src *Matrix, si, sj int, deps ...s
 			}
 		}
 	}
-	deps = append(deps, d.enqueue())
 	cost := d.Params.Transfer(bytes)
-	d.busyByKind["d2h"] += cost
-	e := d.Copy.Schedule(cost, deps...)
-	d.record(d.Copy.Name(), "d2h", e.At, cost)
+	d.charge(kindD2H, cost)
+	e := d.Copy.Schedule(cost, d.enqueue(deps))
+	d.record(d.Copy.Name(), kindD2H, e.At, cost)
 	d.tagFlowOut(e.At)
 	return e
 }
@@ -512,11 +590,10 @@ func (d *Device) D2HTail(dst *matrix.Matrix, src *Matrix, si, sj int, deps ...si
 			}
 		}
 	}
-	deps = append(deps, d.enqueue())
 	cost := d.Params.Transfer(bytes)
-	d.busyByKind["d2h"] += cost
-	e := d.Compute.Schedule(cost, deps...)
-	d.record(d.Compute.Name(), "d2h", e.At, cost)
+	d.charge(kindD2H, cost)
+	e := d.Compute.Schedule(cost, d.enqueue(deps))
+	d.record(d.Compute.Name(), kindD2H, e.At, cost)
 	return e
 }
 
@@ -541,9 +618,9 @@ func (d *Device) DeviceSynchronize() {
 // The hybrid algorithms route every host-side BLAS call through this so
 // that one code path serves both execution modes.
 func (d *Device) HostOp(cost float64, f func()) {
-	d.busyByKind["host"] += cost
+	d.charge(kindHost, cost)
 	e := d.Host.Schedule(cost)
-	d.record(d.Host.Name(), "host", e.At, cost)
+	d.record(d.Host.Name(), kindHost, e.At, cost)
 	d.claimFlowIn()
 	if d.Mode == Real && f != nil {
 		f()

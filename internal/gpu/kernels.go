@@ -20,17 +20,16 @@ import (
 
 // launch enqueues a kernel of the given duration on the compute stream,
 // accounting its cost under the given operation family.
-func (d *Device) launch(kind string, cost float64, deps []sim.Event, f func()) sim.Event {
+func (d *Device) launch(kind opKind, cost float64, deps []sim.Event, f func()) sim.Event {
 	return d.launchOn(d.Compute, kind, cost, deps, f)
 }
 
 // launchOn enqueues a kernel on an explicit stream (Compute for the main
 // FIFO, Lookahead for the priority stream of the lookahead schedule).
-func (d *Device) launchOn(t *sim.Timeline, kind string, cost float64, deps []sim.Event, f func()) sim.Event {
+func (d *Device) launchOn(t *sim.Timeline, kind opKind, cost float64, deps []sim.Event, f func()) sim.Event {
 	d.kernels++
-	d.busyByKind[kind] += cost
-	deps = append(deps, d.enqueue())
-	e := t.Schedule(cost, deps...)
+	d.charge(kind, cost)
+	e := t.Schedule(cost, d.enqueue(deps))
 	d.record(t.Name(), kind, e.At, cost)
 	if d.Mode == Real && f != nil {
 		f()
@@ -56,7 +55,7 @@ func (d *Device) Gemm(tA, tB blas.Transpose, m, n, k int, alpha float64, a *Matr
 	if d.fusedFT {
 		cost *= 1 + blas.FTGemmOverheadFrac(m, n, k)
 	}
-	return d.launch("gemm", cost, deps, func() {
+	return d.launch(kindGemm, cost, deps, func() {
 		if m == 0 || n == 0 {
 			return
 		}
@@ -78,7 +77,7 @@ func (d *Device) Gemv(trans blas.Transpose, m, n int, alpha float64, a *Matrix, 
 	if d.fusedFT {
 		cost *= ftGemvCostFactor
 	}
-	return d.launch("gemv", cost, deps, func() {
+	return d.launch(kindGemv, cost, deps, func() {
 		if m == 0 || n == 0 {
 			return
 		}
@@ -106,7 +105,7 @@ func (d *Device) GemvLA(trans blas.Transpose, m, n int, extraCost float64, alpha
 	if d.fusedFT {
 		cost *= ftGemvCostFactor
 	}
-	return d.launchOn(d.Lookahead, "gemv", cost+extraCost, deps, func() {
+	return d.launchOn(d.Lookahead, kindGemv, cost+extraCost, deps, func() {
 		if m == 0 || n == 0 {
 			return
 		}
@@ -126,7 +125,7 @@ func (d *Device) Trmm(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag
 	if side == blas.Right {
 		t = n
 	}
-	return d.launch("trmm", d.Params.TrmmDevice(m, n, t), deps, func() {
+	return d.launch(kindTrmm, d.Params.TrmmDevice(m, n, t), deps, func() {
 		if m == 0 || n == 0 {
 			return
 		}
@@ -137,7 +136,7 @@ func (d *Device) Trmm(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag
 // CopyBlock enqueues a device-to-device copy of an r×c block.
 func (d *Device) CopyBlock(dst *Matrix, di, dj int, src *Matrix, si, sj, r, c int, deps ...sim.Event) sim.Event {
 	cost := d.Params.KernelLaunchSec + 16*float64(r)*float64(c)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch("copy", cost, deps, func() {
+	return d.launch(kindCopy, cost, deps, func() {
 		for j := 0; j < c; j++ {
 			copy(dst.ptr(di, dj+j)[:r], src.ptr(si, sj+j)[:r])
 		}
@@ -146,7 +145,7 @@ func (d *Device) CopyBlock(dst *Matrix, di, dj int, src *Matrix, si, sj, r, c in
 
 // Axpy enqueues y := alpha·x + y over length-n column segments.
 func (d *Device) Axpy(n int, alpha float64, xm *Matrix, xi, xj int, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
-	return d.launch("vec", d.Params.VecDevice(n), deps, func() {
+	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
 		if n == 0 {
 			return
 		}
@@ -156,7 +155,7 @@ func (d *Device) Axpy(n int, alpha float64, xm *Matrix, xi, xj int, ym *Matrix, 
 
 // Scal enqueues x := alpha·x over a length-n column segment.
 func (d *Device) Scal(n int, alpha float64, xm *Matrix, xi, xj int, deps ...sim.Event) sim.Event {
-	return d.launch("vec", d.Params.VecDevice(n), deps, func() {
+	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
 		if n == 0 {
 			return
 		}
@@ -169,7 +168,7 @@ func (d *Device) Scal(n int, alpha float64, xm *Matrix, xi, xj int, deps ...sim.
 // only half the matrix.
 func (d *Device) Symv(uplo blas.Uplo, n int, alpha float64, a *Matrix, ai, aj int, xm *Matrix, xi, xj int, beta float64, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
 	cost := d.Params.KernelLaunchSec + 8*float64(n)*float64(n)/2/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch("gemv", cost, deps, func() {
+	return d.launch(kindGemv, cost, deps, func() {
 		if n == 0 {
 			return
 		}
@@ -182,7 +181,7 @@ func (d *Device) Symv(uplo blas.Uplo, n int, alpha float64, a *Matrix, ai, aj in
 // n×k at (ai, aj) and (bi, bj). This is the trailing update of the blocked
 // tridiagonal reduction.
 func (d *Device) Syr2k(uplo blas.Uplo, n, k int, alpha float64, a *Matrix, ai, aj int, b *Matrix, bi, bj int, beta float64, c *Matrix, ci, cj int, deps ...sim.Event) sim.Event {
-	return d.launch("gemm", d.Params.GemmDevice(n, n, k), deps, func() {
+	return d.launch(kindGemm, d.Params.GemmDevice(n, n, k), deps, func() {
 		if n == 0 {
 			return
 		}
@@ -195,7 +194,7 @@ func (d *Device) Syr2k(uplo blas.Uplo, n, k int, alpha float64, a *Matrix, ai, a
 // kernels (trapezoidal Hessenberg-aware sums) that have no BLAS
 // counterpart; on real hardware these would be small custom CUDA kernels.
 func (d *Device) Custom(cost float64, f func(), deps ...sim.Event) sim.Event {
-	return d.launch("custom", cost, deps, f)
+	return d.launch(kindCustom, cost, deps, f)
 }
 
 // CustomLA enqueues a custom kernel on the lookahead stream instead of
@@ -203,12 +202,12 @@ func (d *Device) Custom(cost float64, f func(), deps ...sim.Event) sim.Event {
 // here under the lookahead schedule so a verification read never queues
 // behind the trailing-update kernels it is checking.
 func (d *Device) CustomLA(cost float64, f func(), deps ...sim.Event) sim.Event {
-	return d.launchOn(d.Lookahead, "custom", cost, deps, f)
+	return d.launchOn(d.Lookahead, kindCustom, cost, deps, f)
 }
 
 // Add enqueues adding v to a single device element.
 func (d *Device) Add(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Event {
-	return d.launch("vec", d.Params.KernelLaunchSec, deps, func() {
+	return d.launch(kindVec, d.Params.KernelLaunchSec, deps, func() {
 		m.ptr(i, j)[0] += v
 	})
 }
@@ -217,7 +216,7 @@ func (d *Device) Add(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Even
 // trick of DGEHRD's right update, where the stored subdiagonal element is
 // temporarily replaced by the implicit unit diagonal of V).
 func (d *Device) Set(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Event {
-	return d.launch("vec", d.Params.KernelLaunchSec, deps, func() {
+	return d.launch(kindVec, d.Params.KernelLaunchSec, deps, func() {
 		m.ptr(i, j)[0] = v
 	})
 }
@@ -225,7 +224,7 @@ func (d *Device) Set(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Even
 // SubBlock enqueues C := C − B over r×c blocks (element-wise subtract).
 func (d *Device) SubBlock(c *Matrix, ci, cj int, b *Matrix, bi, bj, r, cols int, deps ...sim.Event) sim.Event {
 	cost := d.Params.KernelLaunchSec + 24*float64(r)*float64(cols)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch("vec", cost, deps, func() {
+	return d.launch(kindVec, cost, deps, func() {
 		for j := 0; j < cols; j++ {
 			dst := c.ptr(ci, cj+j)[:r]
 			src := b.ptr(bi, bj+j)[:r]
@@ -239,7 +238,7 @@ func (d *Device) SubBlock(c *Matrix, ci, cj int, b *Matrix, bi, bj, r, cols int,
 // SetZero enqueues zeroing of an r×c block.
 func (d *Device) SetZero(m *Matrix, i, j, r, c int, deps ...sim.Event) sim.Event {
 	cost := d.Params.KernelLaunchSec + 8*float64(r)*float64(c)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch("vec", cost, deps, func() {
+	return d.launch(kindVec, cost, deps, func() {
 		for jj := 0; jj < c; jj++ {
 			col := m.ptr(i, j+jj)[:r]
 			for ii := range col {
@@ -252,7 +251,7 @@ func (d *Device) SetZero(m *Matrix, i, j, r, c int, deps ...sim.Event) sim.Event
 // RowSums enqueues y := A·e over the r×c block at (i, j): the paper's
 // row-checksum generation (one GEMV against the all-ones vector).
 func (d *Device) RowSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
-	return d.launch("gemv", d.Params.GemvDevice(r, c), deps, func() {
+	return d.launch(kindGemv, d.Params.GemvDevice(r, c), deps, func() {
 		y := ym.ptr(yi, yj)[:r]
 		for ii := range y {
 			y[ii] = 0
@@ -270,7 +269,7 @@ func (d *Device) RowSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int, deps
 // results into a row segment of ym starting at (yi, yj) with stride
 // ym.Stride (i.e. along a row).
 func (d *Device) ColSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
-	return d.launch("gemv", d.Params.GemvDevice(r, c), deps, func() {
+	return d.launch(kindGemv, d.Params.GemvDevice(r, c), deps, func() {
 		for jj := 0; jj < c; jj++ {
 			col := a.ptr(i, j+jj)[:r]
 			s := 0.0
@@ -288,7 +287,7 @@ func (d *Device) ColSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int, deps
 // memory; callers needing it host-side must account for a small D2H,
 // which ReadScalar models.
 func (d *Device) Sum(m *Matrix, i, j, n int, out *float64, deps ...sim.Event) sim.Event {
-	return d.launch("vec", d.Params.VecDevice(n), deps, func() {
+	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
 		s := 0.0
 		if n > 0 {
 			col := m.ptr(i, j)[:n]
@@ -303,7 +302,7 @@ func (d *Device) Sum(m *Matrix, i, j, n int, out *float64, deps ...sim.Event) si
 // SumRow enqueues a reduction over a length-n row segment (stride =
 // m.Stride) starting at (i, j).
 func (d *Device) SumRow(m *Matrix, i, j, n int, out *float64, deps ...sim.Event) sim.Event {
-	return d.launch("vec", d.Params.VecDevice(n), deps, func() {
+	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
 		s := 0.0
 		for jj := 0; jj < n; jj++ {
 			s += m.ptr(i, j+jj)[0]
@@ -325,11 +324,10 @@ func (d *Device) ReadScalar(deps ...sim.Event) {
 func (d *Device) ReadScalarAsync(deps ...sim.Event) sim.Event {
 	d.transfers++
 	d.bytesMoved += 8
-	deps = append(deps, sim.Event{At: d.Host.Tail()})
 	cost := d.Params.Transfer(8)
-	d.busyByKind["d2h"] += cost
-	e := d.Copy.Schedule(cost, deps...)
-	d.record(d.Copy.Name(), "d2h", e.At, cost)
+	d.charge(kindD2H, cost)
+	e := d.Copy.Schedule(cost, sim.Latest(d.Host.Tail(), deps))
+	d.record(d.Copy.Name(), kindD2H, e.At, cost)
 	return e
 }
 
@@ -342,11 +340,10 @@ func (d *Device) ReadScalarAsync(deps ...sim.Event) sim.Event {
 func (d *Device) ReadScalarTail(deps ...sim.Event) sim.Event {
 	d.transfers++
 	d.bytesMoved += 8
-	deps = append(deps, sim.Event{At: d.Host.Tail()})
 	cost := d.Params.Transfer(8)
-	d.busyByKind["d2h"] += cost
-	e := d.Compute.Schedule(cost, deps...)
-	d.record(d.Compute.Name(), "d2h", e.At, cost)
+	d.charge(kindD2H, cost)
+	e := d.Compute.Schedule(cost, sim.Latest(d.Host.Tail(), deps))
+	d.record(d.Compute.Name(), kindD2H, e.At, cost)
 	return e
 }
 
@@ -367,7 +364,7 @@ func (d *Device) Larfb(trans blas.Transpose, m, n, k int, vm *Matrix, vi, vj int
 	}
 	// W := C1ᵀ (n×k)
 	cost := d.Params.KernelLaunchSec + 16*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
-	e := d.launch("copy", cost, deps, func() {
+	e := d.launch(kindCopy, cost, deps, func() {
 		for j := 0; j < k; j++ {
 			blas.Dcopy(n, cm.ptr(ci+j, cj), cm.Stride, w.ptr(0, j), 1)
 		}
@@ -388,7 +385,7 @@ func (d *Device) Larfb(trans blas.Transpose, m, n, k int, vm *Matrix, vi, vj int
 	e = d.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, n, k, 1, vm, vi, vj, w, 0, 0, e)
 	// C1 −= Wᵀ
 	cost = d.Params.KernelLaunchSec + 24*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch("vec", cost, []sim.Event{e}, func() {
+	return d.launch(kindVec, cost, []sim.Event{e}, func() {
 		for j := 0; j < k; j++ {
 			for i := 0; i < n; i++ {
 				cm.ptr(ci+j, cj+i)[0] -= w.ptr(i, j)[0]

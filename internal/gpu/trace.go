@@ -42,12 +42,12 @@ func (d *Device) Trace() []Span {
 
 // record accounts one charged operation to the metrics registry (always)
 // and appends its span to the trace (when tracing).
-func (d *Device) record(lane, kind string, end, cost float64) {
+func (d *Device) record(lane string, kind opKind, end, cost float64) {
 	d.account(kind, cost)
 	if !d.tracing {
 		return
 	}
-	d.trace = append(d.trace, Span{Lane: lane, Kind: kind, Start: end - cost, End: end})
+	d.trace = append(d.trace, Span{Lane: lane, Kind: kindNames[kind], Start: end - cost, End: end})
 }
 
 // tagFlowOut marks the most recently recorded span as the source of a new

@@ -31,6 +31,7 @@ import (
 	"errors"
 
 	"repro/internal/blas"
+	"repro/internal/devpool"
 	"repro/internal/gpu"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
@@ -163,7 +164,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	dev.SetContext(ctx)
 
-	hostA := a.Clone()
+	hostA := dev.Mode.HostCopy(a)
 	tau := make([]float64, max(n-1, 1))
 	res := &Result{N: n, NB: nb, Packed: hostA, Tau: tau}
 	if n <= 1 {
@@ -189,8 +190,8 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		dev.Free(dYcol)
 	}()
 
-	tHost := matrix.New(nb, nb)
-	yHost := matrix.New(n, nb)
+	tHost := dev.Mode.HostMatrix(nb, nb)
+	yHost := dev.Mode.HostMatrix(n, nb)
 
 	nx := nb
 	if nx < 2 {
@@ -281,7 +282,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 
 		// EI corner trick: V's stored diagonal corner must read as 1
 		// for the V-bottom right updates.
-		ei := hostA.At(p+ib, p+ib-1)
+		ei := dev.Mode.HostElem(hostA, p+ib, p+ib-1)
 		e1 := dev.Set(dA, p+ib, p+ib-1, 1, ytopDone)
 		if ib2 := min(nb, n-1-(p+nb)); lookahead && n-1-(p+nb) > nx {
 			// Lookahead split: finish the next panel's ib2 columns first
@@ -338,9 +339,8 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		rem := hostA.View(0, p, n, n-p)
 		dev.Sync(dev.D2HAsync(rem, dA, 0, p, prevLeft))
 	}
-	work := make([]float64, n)
 	dev.HostOp(cleanupCost(pp, n, p), func() {
-		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, work)
+		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, make([]float64, n))
 	})
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
@@ -389,8 +389,7 @@ func cleanupCost(pp sim.Params, n, p int) float64 {
 func PanelFactor(dev *gpu.Device, hostA, y, t *matrix.Matrix, tau []float64, dA *gpu.Matrix, dVcol, dYcol *gpu.Matrix, n, p, k, ib int, la bool) error {
 	pp := dev.Params
 	ldy := y.Stride
-	ytmp := make([]float64, n-k)
-	ytmpM := matrix.FromColMajor(n-k, 1, max(n-k, 1), ytmp)
+	ytmpM := dev.Mode.HostMatrix(n-k, 1)
 	// Correction-term charge per lookahead GEMV: two skinny GEMVs against
 	// V and Y (plus the left-update share), ≈ 3 device GEMVs of shape
 	// (n-k)×ib, fused into the main GEMV's pass (extra operand streaming,
@@ -411,18 +410,50 @@ func PanelFactor(dev *gpu.Device, hostA, y, t *matrix.Matrix, tau []float64, dA 
 	collect := func(i, c int) {
 		dev.Sync(pending)
 		dev.HostOp(pp.VecHost(n-k), func() {
-			blas.Daxpy(n-k, 1, ytmp, 1, y.Data[i*ldy+k:], 1)
+			blas.Daxpy(n-k, 1, ytmpM.Data, 1, y.Data[i*ldy+k:], 1)
 		})
 	}
-	return panelFactorWith(dev, pp, hostA, y, t, tau, n, p, k, ib, issue, collect)
+	return panelFactorWith(DeviceLane(dev), pp, hostA, y, t, tau, n, p, k, ib, issue, collect)
 }
 
-// hostRunner abstracts where the panel factorization's serial CPU work
-// is charged: the single device's host lane (legacy path) or the pool's
-// main-host timeline (multi-device path).
-type hostRunner interface {
-	HostOp(cost float64, f func())
-	CtxErr() error
+// HostLane is where a reduction's serial CPU work is charged: the single
+// device's host lane (legacy path) or a pool's main-host timeline
+// (multi-device path). It is a concrete type rather than an interface so
+// the per-operation HostOp closures passed through it stay on the stack.
+type HostLane struct {
+	dev  *gpu.Device
+	pool *devpool.Pool
+}
+
+// DeviceLane charges host work to dev's host lane.
+func DeviceLane(dev *gpu.Device) HostLane { return HostLane{dev: dev} }
+
+// PoolLane charges host work to the pool's main-host timeline.
+func PoolLane(pool *devpool.Pool) HostLane { return HostLane{pool: pool} }
+
+// HostOp charges cost seconds of CPU work and, in Real mode, runs f.
+func (h HostLane) HostOp(cost float64, f func()) {
+	if h.pool != nil {
+		h.pool.HostOp(cost, f)
+		return
+	}
+	h.dev.HostOp(cost, f)
+}
+
+// CtxErr reports the attached cancellation context's error, if any.
+func (h HostLane) CtxErr() error {
+	if h.pool != nil {
+		return h.pool.CtxErr()
+	}
+	return h.dev.CtxErr()
+}
+
+// Mode reports the execution mode of the lane's device(s).
+func (h HostLane) Mode() gpu.Mode {
+	if h.pool != nil {
+		return h.pool.Mode
+	}
+	return h.dev.Mode
 }
 
 // panelFactorWith is the DLAHR2 host math shared by the single- and
@@ -432,13 +463,16 @@ type hostRunner interface {
 // collectGemv waits and folds the partial(s) into y column i — the host
 // column math that does not touch y_i (T's new column, the panel-part
 // product) executes in between, hidden under the device round trip.
-func panelFactorWith(dev hostRunner, pp sim.Params, hostA, y, t *matrix.Matrix, tau []float64, n, p, k, ib int, issueGemv, collectGemv func(i, c int)) error {
+func panelFactorWith(dev HostLane, pp sim.Params, hostA, y, t *matrix.Matrix, tau []float64, n, p, k, ib int, issueGemv, collectGemv func(i, c int)) error {
 	a := hostA.Data
 	lda := hostA.Stride
 	ldy := y.Stride
 	ldt := t.Stride
 	var ei float64
-	w := make([]float64, ib)
+	var w []float64
+	if dev.Mode() == gpu.Real {
+		w = make([]float64, ib)
+	}
 
 	for i := 0; i < ib; i++ {
 		if err := dev.CtxErr(); err != nil {

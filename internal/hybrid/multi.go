@@ -29,7 +29,7 @@ import (
 // remainder update (see Shard.PanelGemvIssue).
 func PanelFactorMulti(sh *devpool.Shard, hostA, y, t *matrix.Matrix, tau []float64, n, p, k, ib int, la bool) error {
 	pool := sh.Pool
-	return panelFactorWith(pool, pool.Params, hostA, y, t, tau, n, p, k, ib,
+	return panelFactorWith(PoolLane(pool), pool.Params, hostA, y, t, tau, n, p, k, ib,
 		func(i, c int) { sh.PanelGemvIssue(hostA, i, p, k, ib, la) },
 		func(i, c int) { sh.PanelGemvCollect(y, i, k) })
 }
@@ -59,7 +59,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	pool.SetContext(ctx)
 
-	hostA := a.Clone()
+	hostA := pool.Mode.HostCopy(a)
 	tau := make([]float64, max(n-1, 1))
 	res := &Result{N: n, NB: nb, Packed: hostA, Tau: tau}
 	if n <= 1 {
@@ -71,8 +71,8 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	defer sh.Free()
 	sh.Upload(hostA)
 
-	tHost := matrix.New(nb, nb)
-	yHost := matrix.New(n, nb)
+	tHost := pool.Mode.HostMatrix(nb, nb)
+	yHost := pool.Mode.HostMatrix(n, nb)
 
 	lookahead := !opt.DisableLookahead
 	nx := nb
@@ -136,9 +136,8 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	// finished block columns in a single sweep.
 	pool.SetPhase("cleanup")
 	sh.Gather(hostA)
-	work := make([]float64, n)
 	pool.HostOp(cleanupCost(pp, n, p), func() {
-		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, work)
+		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, make([]float64, n))
 	})
 	pool.WaitAll()
 	pool.SetPhase("")

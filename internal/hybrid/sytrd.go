@@ -45,7 +45,7 @@ func ReduceSym(a *matrix.Matrix, opt Options) (*SymResult, error) {
 	}
 	dev.SetContext(ctx)
 
-	hostA := a.Clone()
+	hostA := dev.Mode.HostCopy(a)
 	res := &SymResult{
 		N: n, NB: nb,
 		D:      make([]float64, max(n, 1)),
@@ -55,7 +55,7 @@ func ReduceSym(a *matrix.Matrix, opt Options) (*SymResult, error) {
 	}
 	if n <= 1 {
 		if n == 1 {
-			res.D[0] = hostA.At(0, 0)
+			res.D[0] = dev.Mode.HostElem(hostA, 0, 0)
 		}
 		return res, nil
 	}
@@ -73,7 +73,7 @@ func ReduceSym(a *matrix.Matrix, opt Options) (*SymResult, error) {
 		dev.Free(dW)
 	}()
 
-	wHost := matrix.New(n, nb)
+	wHost := dev.Mode.HostMatrix(n, nb)
 	nx := max(nb, 2)
 	var prevUpd sim.Event
 	p := 0
@@ -99,9 +99,11 @@ func ReduceSym(a *matrix.Matrix, opt Options) (*SymResult, error) {
 
 		// Restore the subdiagonal entries and record the diagonal, as
 		// DSYTRD does after the SYR2K; mirror the fix to the device.
-		for j := p; j < p+nb; j++ {
-			hostA.Set(j+1, j, res.E[j])
-			res.D[j] = hostA.At(j, j)
+		if dev.Mode == gpu.Real {
+			for j := p; j < p+nb; j++ {
+				hostA.Set(j+1, j, res.E[j])
+				res.D[j] = hostA.At(j, j)
+			}
 		}
 		prevUpd = dev.Set(dA, p+nb, p+nb-1, res.E[p+nb-1], prevUpd)
 	}
@@ -183,8 +185,7 @@ func symPanel(dev *gpu.Device, hostA, w *matrix.Matrix, e, tau []float64, dA *gp
 	lda := hostA.Stride
 	ldw := w.Stride
 	np := n - p
-	ytmp := make([]float64, np)
-	ytmpM := matrix.FromColMajor(np, 1, max(np, 1), ytmp)
+	ytmpM := dev.Mode.HostMatrix(np, 1)
 
 	for i := 0; i < nb; i++ {
 		gi := p + i // global column
@@ -208,7 +209,7 @@ func symPanel(dev *gpu.Device, hostA, w *matrix.Matrix, e, tau []float64, dA *gp
 		kg := dev.Symv(blas.Lower, m, 1, dA, gi+1, gi+1, dVcol, 0, 0, 0, dYcol, 0, 0, up)
 		dev.Sync(dev.D2HAsync(ytmpM.View(0, 0, m, 1), dYcol, 0, 0, kg))
 		dev.HostOp(pp.VecHost(m), func() {
-			blas.Dcopy(m, ytmp, 1, w.Data[i*ldw+i+1:], 1)
+			blas.Dcopy(m, ytmpM.Data, 1, w.Data[i*ldw+i+1:], 1)
 		})
 		// Host: the four cross-term corrections, the tau scaling, and the
 		// v-orthogonalization (reference DLATRD order).

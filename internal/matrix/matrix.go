@@ -34,6 +34,17 @@ func New(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Stride: max(r, 1), Data: make([]float64, r*c)}
 }
 
+// Shape returns an r×c matrix with a tight stride and no storage (nil
+// Data): the stand-in for a matrix whose values are never read, such as
+// the input and host workspaces of a cost-only reduction. Its views are
+// storage-less too, and any element access panics.
+func Shape(r, c int) *Matrix {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("matrix: negative dimension %dx%d", r, c))
+	}
+	return &Matrix{Rows: r, Cols: c, Stride: max(r, 1)}
+}
+
 // FromColMajor wraps an existing column-major slice without copying.
 // len(data) must be at least stride*(c-1)+r for non-empty matrices.
 func FromColMajor(r, c, stride int, data []float64) *Matrix {
@@ -112,16 +123,29 @@ func (m *Matrix) Col(j int) []float64 {
 }
 
 // View returns the r×c sub-matrix whose top-left corner is (i, j).
-// The view aliases m's storage.
+// The view aliases m's storage; a view of a storage-less matrix (Shape)
+// is storage-less. View is small enough to inline, so a view that does
+// not outlive its caller costs no allocation.
 func (m *Matrix) View(i, j, r, c int) *Matrix {
-	if r < 0 || c < 0 || i < 0 || j < 0 || i+r > m.Rows || j+c > m.Cols {
-		panic(fmt.Sprintf("matrix: view (%d,%d)+%dx%d out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
+	if i|j|r|c < 0 || i+r > m.Rows || j+c > m.Cols {
+		panic(viewError{m, i, j, r, c})
 	}
-	if r == 0 || c == 0 {
-		return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: nil}
+	v := &Matrix{Rows: r, Cols: c, Stride: m.Stride}
+	if r*c != 0 && m.Data != nil {
+		v.Data = m.Data[j*m.Stride+i:]
 	}
-	off := j*m.Stride + i
-	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off:]}
+	return v
+}
+
+// viewError is the panic value of an out-of-range View: a plain value
+// rather than a formatted string, which keeps View inlinable.
+type viewError struct {
+	m          *Matrix
+	i, j, r, c int
+}
+
+func (e viewError) Error() string {
+	return fmt.Sprintf("matrix: view (%d,%d)+%dx%d out of range %dx%d", e.i, e.j, e.r, e.c, e.m.Rows, e.m.Cols)
 }
 
 // Clone returns a deep copy of m with a tight stride.

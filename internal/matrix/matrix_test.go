@@ -136,6 +136,23 @@ func TestViewBoundsPanic(t *testing.T) {
 	m.View(1, 1, 3, 3)
 }
 
+func TestShapeIsStorageless(t *testing.T) {
+	m := Shape(5, 3)
+	if m.Rows != 5 || m.Cols != 3 || m.Stride != 5 || m.Data != nil {
+		t.Fatalf("Shape(5, 3) = %dx%d stride %d with %d values", m.Rows, m.Cols, m.Stride, len(m.Data))
+	}
+	v := m.View(1, 1, 3, 2)
+	if v.Rows != 3 || v.Cols != 2 || v.Stride != 5 || v.Data != nil {
+		t.Fatalf("view of a shape: %dx%d stride %d with %d values", v.Rows, v.Cols, v.Stride, len(v.Data))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("element access on a storage-less matrix must panic")
+		}
+	}()
+	v.At(0, 0)
+}
+
 func TestEmptyView(t *testing.T) {
 	m := New(3, 3)
 	v := m.View(1, 1, 0, 2)

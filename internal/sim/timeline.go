@@ -63,6 +63,18 @@ func (t *Timeline) Schedule(duration float64, deps ...Event) Event {
 	return Event{At: end}
 }
 
+// Latest returns the later of instant at and every dependency's
+// completion: the earliest start of an operation that waits on all of
+// them.
+func Latest(at float64, deps []Event) Event {
+	for _, d := range deps {
+		if d.At > at {
+			at = d.At
+		}
+	}
+	return Event{At: at}
+}
+
 // AdvanceTo moves the timeline's tail forward to at least instant;
 // used when the host blocks on an event (synchronize).
 func (t *Timeline) AdvanceTo(instant float64) {
