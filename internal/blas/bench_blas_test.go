@@ -78,6 +78,59 @@ func BenchmarkDgemv(b *testing.B) {
 	b.ReportMetric(2*float64(m)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
+// Level-2 benchmarks at the shapes the reduction spends its wall time in.
+// benchL2 reports GFLOP/s for an op of 2mn flops.
+func benchL2(b *testing.B, m, n int, f func()) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+	b.ReportMetric(2*float64(m)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkDgemvNoTransSlab is the panel's Y = A·V product on one
+// in-cache 512×256 slab: one column axpy per column of A.
+func BenchmarkDgemvNoTransSlab(b *testing.B) {
+	const m, n = 512, 256
+	a := matrix.Random(m, n, 3)
+	x := matrix.Random(n, 1, 4)
+	y := make([]float64, m)
+	benchL2(b, m, n, func() { Dgemv(NoTrans, m, n, 1, a.Data, a.Stride, x.Data, 1, 0, y, 1) })
+}
+
+// BenchmarkDgemvTrans is the tall transposed product Dlarf and the
+// device's Gemv(Trans) run: 32 dot chains of length 1024.
+func BenchmarkDgemvTrans(b *testing.B) {
+	const m, n = 1024, 32
+	a := matrix.Random(m, n, 3)
+	x := matrix.Random(m, 1, 4)
+	y := make([]float64, n)
+	benchL2(b, m, n, func() { Dgemv(Trans, m, n, 1, a.Data, a.Stride, x.Data, 1, 0, y, 1) })
+}
+
+// BenchmarkDger is the rank-1 update Dorghr applies once per reflector.
+func BenchmarkDger(b *testing.B) {
+	const m, n = 1024, 1024
+	a := matrix.Random(m, n, 3)
+	x := matrix.Random(m, 1, 4)
+	y := matrix.Random(n, 1, 5)
+	benchL2(b, m, n, func() { Dger(m, n, 1e-9, x.Data, 1, y.Data, 1, a.Data, a.Stride) })
+}
+
+// BenchmarkDgemvFT is the DMR-verified twin of BenchmarkDgemvNoTransSlab:
+// two Dgemv runs and one bit compare.
+func BenchmarkDgemvFT(b *testing.B) {
+	const m, n = 512, 256
+	a := matrix.Random(m, n, 3)
+	x := matrix.Random(n, 1, 4)
+	y := make([]float64, m)
+	benchL2(b, m, n, func() {
+		if _, err := DgemvFT(NoTrans, m, n, 1, a.Data, a.Stride, x.Data, 1, 0, y, 1); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkDsyr2k(b *testing.B) {
 	const n, k = 1024, 32
 	a := matrix.Random(n, k, 5)

@@ -12,8 +12,10 @@
 //
 // Performance architecture: Dgemm is a BLIS-style blocked kernel — MC/KC/NC
 // cache blocking over packed panels (pack.go), a register-blocked MR×NR
-// micro-kernel unique across all four transpose cases (microkernel.go) —
-// and the compute-heavy routines (Dgemm, Dgemv, Dger, Dsyr2k, Dtrmm) shard
+// micro-kernel unique across all four transpose cases (microkernel.go).
+// The Level-1/2 updates share one column-axpy kernel pair, vectorised on
+// amd64 without FMA so it is bitwise the scalar loop (axpy.go). The
+// compute-heavy routines (Dgemm, Dgemv, Dger, Dsyr2k, Dtrmm) shard
 // large problems onto one shared bounded worker pool (pool.go). Parallel
 // shards write disjoint outputs with unchanged per-element operation order,
 // so results are bitwise identical at every SetMaxProcs setting. SetObs

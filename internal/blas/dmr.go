@@ -18,9 +18,12 @@ import (
 // contiguous execution (the package-wide determinism contract), so the
 // two runs agree in every bit unless a transient fault struck one of
 // them. That catches even single-ulp mantissa flips that sit far below
-// any norm-based threshold. Identical NaN payloads compare equal, so
-// non-finite *inputs* are not misreported as faults; a bit gap involving
-// a non-finite value sets FTResult.NonFinite.
+// any norm-based threshold. Any two NaNs compare equal, so non-finite
+// *inputs* are not misreported as faults. A NaN's payload is outside the
+// contract: x86 propagates the first operand's payload and the compiler
+// picks the operand order per loop, so a strided primary and the
+// contiguous shadow may carry different payloads for the same NaN. A bit
+// gap involving a non-finite value sets FTResult.NonFinite.
 
 // ftTestCorruptDMR, when non-nil, is called between the primary and
 // shadow runs with the primary output (test hook: plants the fault the
@@ -49,7 +52,7 @@ func dmrCompare(rep *FTResult, out []float64, inc int, shadow []float64) {
 	for i, iy := 0, 0; i < len(shadow); i, iy = i+1, iy+inc {
 		rep.Checks++
 		p, s := out[iy], shadow[i]
-		if math.Float64bits(p) == math.Float64bits(s) {
+		if math.Float64bits(p) == math.Float64bits(s) || (math.IsNaN(p) && math.IsNaN(s)) {
 			continue
 		}
 		rep.Detections++
@@ -68,10 +71,9 @@ func dmrCompare(rep *FTResult, out []float64, inc int, shadow []float64) {
 // verifies the result by dual modular redundancy. y holds the primary
 // result either way; on any bit mismatch it returns ErrFTDetected.
 func DgemvFT(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) (FTResult, error) {
-	lenY := m
-	if trans == Trans {
-		lenY = n
-	}
+	// Validate before the shadow copy reads y, so a malformed call panics
+	// exactly as Dgemv would.
+	lenY := checkGemv(trans, m, n, a, lda, x, incX, y, incY)
 	var rep FTResult
 	if m == 0 || n == 0 {
 		Dgemv(trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
@@ -101,6 +103,7 @@ func DgemvFT(trans Transpose, m, n int, alpha float64, a []float64, lda int, x [
 // DgerFT computes A := alpha*x*yᵀ + A exactly like Dger and verifies the
 // m×n result block by dual modular redundancy.
 func DgerFT(m, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda int) (FTResult, error) {
+	checkGer(m, n, x, incX, y, incY, a, lda)
 	var rep FTResult
 	if m == 0 || n == 0 || alpha == 0 {
 		Dger(m, n, alpha, x, incX, y, incY, a, lda)

@@ -316,6 +316,44 @@ func TestDgemvFTDMR(t *testing.T) {
 	}
 }
 
+// panicText runs f and returns the value it panics with ("" if none).
+func panicText(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestDMRValidatesLikePlain: the DMR twins validate their arguments before
+// the shadow copy touches y or A, so a malformed call panics with the same
+// text as the plain routine instead of an index error.
+func TestDMRValidatesLikePlain(t *testing.T) {
+	const m, n = 6, 4
+	a := make([]float64, m*n)
+	x := make([]float64, m)
+	shortY := make([]float64, n-1)
+	for _, trans := range []Transpose{NoTrans, Trans} {
+		lenX := n
+		if trans == Trans {
+			lenX = m
+		}
+		want := panicText(func() { Dgemv(trans, m, n, 1, a, m, x[:lenX], 1, 0, shortY, 1) })
+		got := panicText(func() { DgemvFT(trans, m, n, 1, a, m, x[:lenX], 1, 0, shortY, 1) })
+		if want == "" || got != want {
+			t.Fatalf("%v short y: DgemvFT panicked %q, Dgemv %q", trans, got, want)
+		}
+	}
+	shortA := make([]float64, m*n-1)
+	want := panicText(func() { Dger(m, n, 1, x, 1, x[:n], 1, shortA, m) })
+	got := panicText(func() { DgerFT(m, n, 1, x, 1, x[:n], 1, shortA, m) })
+	if want == "" || got != want {
+		t.Fatalf("short A: DgerFT panicked %q, Dger %q", got, want)
+	}
+}
+
 // TestDgerFTDMR: same contract for the rank-1 update, including the
 // non-finite flag when the flip lands in an exponent bit.
 func TestDgerFTDMR(t *testing.T) {

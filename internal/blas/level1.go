@@ -44,9 +44,7 @@ func Daxpy(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
 		return
 	}
 	if incX == 1 && incY == 1 {
-		for i := 0; i < n; i++ {
-			y[i] += alpha * x[i]
-		}
+		axpyUnitary(alpha, x[:n], y[:n])
 		return
 	}
 	for i, ix, iy := 0, 0, 0; i < n; i, ix, iy = i+1, ix+incX, iy+incY {

@@ -14,13 +14,7 @@ var parallelL2Threshold = 1 << 20
 
 // Dgemv computes y := alpha*op(A)*x + beta*y where A is m×n.
 func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
-	checkMatrix("Dgemv", m, n, lda, a)
-	lenX, lenY := n, m
-	if trans == Trans {
-		lenX, lenY = m, n
-	}
-	checkVector("Dgemv", lenX, x, incX)
-	checkVector("Dgemv", lenY, y, incY)
+	lenY := checkGemv(trans, m, n, a, lda, x, incX, y, incY)
 	if m == 0 || n == 0 {
 		return
 	}
@@ -63,6 +57,19 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []f
 	gemvTransCols(m, n, alpha, a, lda, x, incX, y, incY, 0, n)
 }
 
+// checkGemv validates Dgemv's arguments, panicking as Dgemv does, and
+// returns the length of y.
+func checkGemv(trans Transpose, m, n int, a []float64, lda int, x []float64, incX int, y []float64, incY int) int {
+	checkMatrix("Dgemv", m, n, lda, a)
+	lenX, lenY := n, m
+	if trans == Trans {
+		lenX, lenY = m, n
+	}
+	checkVector("Dgemv", lenX, x, incX)
+	checkVector("Dgemv", lenY, y, incY)
+	return lenY
+}
+
 // gemvNoTransRows accumulates rows [i0, i1) of y += alpha*A*x, one axpy
 // segment per column of A.
 func gemvNoTransRows(m, n int, alpha float64, a []float64, lda int, x []float64, incX int, y []float64, incY, i0, i1 int) {
@@ -73,11 +80,7 @@ func gemvNoTransRows(m, n int, alpha float64, a []float64, lda int, x []float64,
 		}
 		col := a[j*lda : j*lda+m]
 		if incY == 1 {
-			yv := y[i0:i1]
-			cv := col[i0:i1]
-			for i := range yv {
-				yv[i] += t * cv[i]
-			}
+			axpyUnitary(t, col[i0:i1], y[i0:i1])
 		} else {
 			for i, iy := i0, i0*incY; i < i1; i, iy = i+1, iy+incY {
 				y[iy] += t * col[i]
@@ -87,9 +90,34 @@ func gemvNoTransRows(m, n int, alpha float64, a []float64, lda int, x []float64,
 }
 
 // gemvTransCols accumulates elements [j0, j1) of y += alpha*Aᵀ*x, one dot
-// per column of A.
+// per column of A. With unit-stride x it runs four columns' dot chains
+// side by side, so four independent add chains are in flight instead of
+// one latency-bound chain, and each x element is loaded once per four
+// columns; every chain still sums its column in the original order, so
+// the result is bitwise that of one column at a time.
 func gemvTransCols(m, n int, alpha float64, a []float64, lda int, x []float64, incX int, y []float64, incY, j0, j1 int) {
-	for j, jy := j0, j0*incY; j < j1; j, jy = j+1, jy+incY {
+	j, jy := j0, j0*incY
+	if incX == 1 {
+		xv := x[:m]
+		for ; j+4 <= j1; j, jy = j+4, jy+4*incY {
+			c0 := a[j*lda : j*lda+m]
+			c1 := a[(j+1)*lda : (j+1)*lda+m]
+			c2 := a[(j+2)*lda : (j+2)*lda+m]
+			c3 := a[(j+3)*lda : (j+3)*lda+m]
+			var s0, s1, s2, s3 float64
+			for i, xi := range xv {
+				s0 += c0[i] * xi
+				s1 += c1[i] * xi
+				s2 += c2[i] * xi
+				s3 += c3[i] * xi
+			}
+			y[jy] += alpha * s0
+			y[jy+incY] += alpha * s1
+			y[jy+2*incY] += alpha * s2
+			y[jy+3*incY] += alpha * s3
+		}
+	}
+	for ; j < j1; j, jy = j+1, jy+incY {
 		col := a[j*lda : j*lda+m]
 		sum := 0.0
 		if incX == 1 {
@@ -107,9 +135,7 @@ func gemvTransCols(m, n int, alpha float64, a []float64, lda int, x []float64, i
 
 // Dger computes the rank-1 update A := alpha*x*yᵀ + A where A is m×n.
 func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda int) {
-	checkMatrix("Dger", m, n, lda, a)
-	checkVector("Dger", m, x, incX)
-	checkVector("Dger", n, y, incY)
+	checkGer(m, n, x, incX, y, incY, a, lda)
 	if m == 0 || n == 0 || alpha == 0 {
 		return
 	}
@@ -127,6 +153,13 @@ func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int,
 	gerCols(m, n, alpha, x, incX, y, incY, a, lda, 0, n)
 }
 
+// checkGer validates Dger's arguments, panicking as Dger does.
+func checkGer(m, n int, x []float64, incX int, y []float64, incY int, a []float64, lda int) {
+	checkMatrix("Dger", m, n, lda, a)
+	checkVector("Dger", m, x, incX)
+	checkVector("Dger", n, y, incY)
+}
+
 // gerCols applies the rank-1 update to columns [j0, j1) of A.
 func gerCols(m, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda, j0, j1 int) {
 	for j, jy := j0, j0*incY; j < j1; j, jy = j+1, jy+incY {
@@ -135,6 +168,10 @@ func gerCols(m, n int, alpha float64, x []float64, incX int, y []float64, incY i
 			continue
 		}
 		col := a[j*lda : j*lda+m]
+		if incX == 1 {
+			axpyUnitary(t, x[:m], col)
+			continue
+		}
 		for i, ix := 0, 0; i < m; i, ix = i+1, ix+incX {
 			col[i] += t * x[ix]
 		}
@@ -156,8 +193,12 @@ func Dtrmv(uplo Uplo, trans Transpose, diag Diag, n int, a []float64, lda int, x
 			t := x[jx]
 			if t != 0 {
 				col := a[j*lda:]
-				for i, ix := 0, 0; i < j; i, ix = i+1, ix+incX {
-					x[ix] += t * col[i]
+				if incX == 1 {
+					axpyUnitary(t, col[:j], x)
+				} else {
+					for i, ix := 0, 0; i < j; i, ix = i+1, ix+incX {
+						x[ix] += t * col[i]
+					}
 				}
 				if nonUnit {
 					x[jx] = t * col[j]
@@ -172,8 +213,12 @@ func Dtrmv(uplo Uplo, trans Transpose, diag Diag, n int, a []float64, lda int, x
 			t := x[jx]
 			col := a[j*lda:]
 			if t != 0 {
-				for i, ix := n-1, (n-1)*incX; i > j; i, ix = i-1, ix-incX {
-					x[ix] += t * col[i]
+				if incX == 1 {
+					axpyUnitary(t, col[j+1:n], x[j+1:])
+				} else {
+					for i, ix := n-1, (n-1)*incX; i > j; i, ix = i-1, ix-incX {
+						x[ix] += t * col[i]
+					}
 				}
 				if nonUnit {
 					x[jx] = t * col[j]
@@ -232,6 +277,10 @@ func Dtrsv(uplo Uplo, trans Transpose, diag Diag, n int, a []float64, lda int, x
 				x[jx] /= col[j]
 			}
 			t := x[jx]
+			if incX == 1 {
+				axpySubUnitary(t, col[:j], x)
+				continue
+			}
 			for i, ix := 0, 0; i < j; i, ix = i+1, ix+incX {
 				x[ix] -= t * col[i]
 			}
@@ -243,6 +292,10 @@ func Dtrsv(uplo Uplo, trans Transpose, diag Diag, n int, a []float64, lda int, x
 				x[jx] /= col[j]
 			}
 			t := x[jx]
+			if incX == 1 {
+				axpySubUnitary(t, col[j+1:n], x[j+1:])
+				continue
+			}
 			for i, ix := j+1, (j+1)*incX; i < n; i, ix = i+1, ix+incX {
 				x[ix] -= t * col[i]
 			}

@@ -257,9 +257,7 @@ func trmmRange(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha
 				}
 				t := alpha * bc[k]
 				ac := a[k*lda:]
-				for i := 0; i < k; i++ {
-					bc[i] += t * ac[i]
-				}
+				axpyUnitary(t, ac[:k], bc)
 				if nonUnit {
 					t *= ac[k]
 				}
@@ -279,9 +277,7 @@ func trmmRange(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha
 				if nonUnit {
 					bc[k] *= ac[k]
 				}
-				for i := k + 1; i < m; i++ {
-					bc[i] += t * ac[i]
-				}
+				axpyUnitary(t, ac[k+1:m], bc[k+1:])
 			}
 		}
 	case side == Left && trans == Trans && uplo == Upper:
@@ -331,10 +327,7 @@ func trmmRange(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha
 					continue
 				}
 				t = alpha * a[j*lda+k]
-				bk := b[k*ldb+lo : k*ldb+hi]
-				for i := range bj {
-					bj[i] += t * bk[i]
-				}
+				axpyUnitary(t, b[k*ldb+lo:k*ldb+hi], bj)
 			}
 		}
 	case side == Right && trans == NoTrans && uplo == Lower:
@@ -354,10 +347,7 @@ func trmmRange(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha
 					continue
 				}
 				t = alpha * a[j*lda+k]
-				bk := b[k*ldb+lo : k*ldb+hi]
-				for i := range bj {
-					bj[i] += t * bk[i]
-				}
+				axpyUnitary(t, b[k*ldb+lo:k*ldb+hi], bj)
 			}
 		}
 	case side == Right && trans == Trans && uplo == Upper:
@@ -369,10 +359,7 @@ func trmmRange(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha
 					continue
 				}
 				t := alpha * ak[j]
-				bj := b[j*ldb+lo : j*ldb+hi]
-				for i := range bj {
-					bj[i] += t * bk[i]
-				}
+				axpyUnitary(t, bk, b[j*ldb+lo:j*ldb+hi])
 			}
 			t := alpha
 			if nonUnit {
@@ -393,10 +380,7 @@ func trmmRange(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha
 					continue
 				}
 				t := alpha * ak[j]
-				bj := b[j*ldb+lo : j*ldb+hi]
-				for i := range bj {
-					bj[i] += t * bk[i]
-				}
+				axpyUnitary(t, bk, b[j*ldb+lo:j*ldb+hi])
 			}
 			t := alpha
 			if nonUnit {
@@ -446,10 +430,7 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 				if nonUnit {
 					bc[k] /= ac[k]
 				}
-				t := bc[k]
-				for i := 0; i < k; i++ {
-					bc[i] -= t * ac[i]
-				}
+				axpySubUnitary(bc[k], ac[:k], bc)
 			}
 		}
 	case side == Left && trans == NoTrans && uplo == Lower:
@@ -468,10 +449,7 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 				if nonUnit {
 					bc[k] /= ac[k]
 				}
-				t := bc[k]
-				for i := k + 1; i < m; i++ {
-					bc[i] -= t * ac[i]
-				}
+				axpySubUnitary(bc[k], ac[k+1:m], bc[k+1:])
 			}
 		}
 	case side == Left && trans == Trans && uplo == Upper:
@@ -516,11 +494,7 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 				if a[j*lda+k] == 0 {
 					continue
 				}
-				t := a[j*lda+k]
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= t * bk[i]
-				}
+				axpySubUnitary(a[j*lda+k], b[k*ldb:k*ldb+m], bj)
 			}
 			if nonUnit {
 				t := 1 / a[j*lda+j]
@@ -541,11 +515,7 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 				if a[j*lda+k] == 0 {
 					continue
 				}
-				t := a[j*lda+k]
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= t * bk[i]
-				}
+				axpySubUnitary(a[j*lda+k], b[k*ldb:k*ldb+m], bj)
 			}
 			if nonUnit {
 				t := 1 / a[j*lda+j]
@@ -568,11 +538,7 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 				if ak[j] == 0 {
 					continue
 				}
-				t := ak[j]
-				bj := b[j*ldb : j*ldb+m]
-				for i := range bj {
-					bj[i] -= t * bk[i]
-				}
+				axpySubUnitary(ak[j], bk, b[j*ldb:j*ldb+m])
 			}
 			if alpha != 1 {
 				for i := range bk {
@@ -594,11 +560,7 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 				if ak[j] == 0 {
 					continue
 				}
-				t := ak[j]
-				bj := b[j*ldb : j*ldb+m]
-				for i := range bj {
-					bj[i] -= t * bk[i]
-				}
+				axpySubUnitary(ak[j], bk, b[j*ldb:j*ldb+m])
 			}
 			if alpha != 1 {
 				for i := range bk {

@@ -7,6 +7,9 @@ package blas
 // microkernel_amd64.s computes the whole 4×4 tile with four FMA chains per
 // k step (eight with the ×2 unroll) instead of sixteen scalar multiply-adds.
 //
+// The same switch selects the column axpy kernels of axpy_amd64.s, which
+// vectorise the Level-1/2 updates without FMA (axpy.go).
+//
 // useAVXKernel is a variable, not a constant, so tests can force the
 // portable Go path and cross-check the two implementations.
 var useAVXKernel = cpuSupportsAVX2FMA()
@@ -45,6 +48,16 @@ func cpuSupportsAVX2FMA() bool {
 //
 //go:noescape
 func microKernelAVX(kc int, alpha float64, pa, pb, c []float64, ldc int)
+
+// axpyAVX computes y[i] += t*x[i] for i < len(x), bitwise like axpyGo;
+// axpySubAVX computes y[i] -= t*x[i] like axpySubGo. Both require
+// len(y) >= len(x). Implemented in axpy_amd64.s.
+//
+//go:noescape
+func axpyAVX(t float64, x, y []float64)
+
+//go:noescape
+func axpySubAVX(t float64, x, y []float64)
 
 //go:noescape
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
