@@ -250,7 +250,7 @@ func BenchmarkDsterf512(b *testing.B) {
 	}
 }
 
-func BenchmarkRealEigenvectors64(b *testing.B) {
+func BenchmarkEigen64(b *testing.B) {
 	a := matrix.Random(64, 64, 3)
 	for j := 0; j < 64; j++ {
 		for i := 0; i < j; i++ {
@@ -258,7 +258,7 @@ func BenchmarkRealEigenvectors64(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := lapack.RealEigenvectors(a, 16); err != nil {
+		if _, err := lapack.Eigen(a, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

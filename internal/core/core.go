@@ -310,17 +310,9 @@ func Eigenvalues(a *matrix.Matrix, opt Options) ([]lapack.Eig, *Result, error) {
 	if err != nil {
 		return nil, res, err
 	}
-	h := res.H()
-	n := h.Rows
-	wr := make([]float64, n)
-	wi := make([]float64, n)
-	if err := lapack.Dhseqr(n, h.Data, h.Stride, wr, wi); err != nil {
+	eigs, err := lapack.HessEigenvalues(res.H())
+	if err != nil {
 		return nil, res, err
 	}
-	eigs := make([]lapack.Eig, n)
-	for i := range eigs {
-		eigs[i] = lapack.Eig{Re: wr[i], Im: wi[i]}
-	}
-	lapack.SortEigs(eigs)
 	return eigs, res, nil
 }

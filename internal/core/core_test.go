@@ -209,12 +209,19 @@ func TestRealEigenvectorsFacade(t *testing.T) {
 			a.Set(i, j, a.At(j, i))
 		}
 	}
-	pairs, complexCount, err := RealEigenvectors(a, 0)
+	// A symmetric matrix's eigenvectors are all real: Eigen's VR columns.
+	e, err := Eigen(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if complexCount != 0 || len(pairs) != n {
-		t.Fatalf("pairs=%d complex=%d", len(pairs), complexCount)
+	an := a.Norm1()
+	for j, v := range e.Values {
+		if v.Im != 0 {
+			t.Fatalf("eig %d complex: %v", j, v)
+		}
+		if r := e.EigResidual(a, j); r > 1e-10*an {
+			t.Fatalf("eig %d residual %v", j, r)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"runtime"
 	"testing"
 
@@ -51,5 +55,25 @@ func TestPinnedResultDigests(t *testing.T) {
 		if got := MatrixDigest(res.Q()); got != c.qDigest {
 			t.Errorf("%s: Q digest %s, pinned %s", c.name, got, c.qDigest)
 		}
+	}
+
+	// The pipeline the reduction feeds: Eigenvalues' sorted spectrum, as
+	// IEEE-754 bit patterns (Re then Im, little-endian). Pinned before the
+	// eigenvalue-only and Schur-vector Francis QR codes were merged.
+	eigs, _, err := Eigenvalues(a, Options{Algorithm: FaultTolerant, NB: nb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range eigs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Re))
+		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Im))
+		h.Write(buf[:])
+	}
+	const eigDigest = "e358e71e9ef3e27ebe7c6158f76fe4b675f97cd7cb53435634211d5a3a0b4251"
+	if got := hex.EncodeToString(h.Sum(nil)); got != eigDigest {
+		t.Errorf("Eigenvalues digest %s, pinned %s", got, eigDigest)
 	}
 }

@@ -120,20 +120,10 @@ func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
 	}, nil
 }
 
-// RealEigenvectors is the full decomposition entry point: eigenvalues and
-// unit right eigenvectors for the real part of the spectrum (every
-// eigenpair for symmetric inputs), computed through the reduction the
-// paper protects.
-func RealEigenvectors(a *matrix.Matrix, nb int) ([]lapack.EigenPair, int, error) {
-	if nb <= 0 {
-		nb = hybrid.DefaultNB
-	}
-	return lapack.RealEigenvectors(a, nb)
-}
-
 // Eigen computes the complete eigendecomposition (all eigenvalues with
 // right eigenvectors, complex pairs included) through the Hessenberg +
-// HQR2 path.
+// Francis QR path. The real eigenvectors are the VR columns whose
+// eigenvalue has Im == 0.
 func Eigen(a *matrix.Matrix, nb int) (*lapack.SchurEigen, error) {
 	if nb <= 0 {
 		nb = hybrid.DefaultNB

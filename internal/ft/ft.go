@@ -686,7 +686,7 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		rem := r.hostA.View(0, p, n, n-p)
 		dev.Sync(dev.D2HAsync(rem, r.dA, 0, p, prevLeft))
 	}
-	dev.HostOp(cleanupCost(pp, n, p), func() {
+	dev.HostOp(hybrid.CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
 	})
 
@@ -715,18 +715,6 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		r.res.ModelGFLOPS = sim.HessenbergFlops(n) / r.res.SimSeconds / 1e9
 	}
 	return r.res, nil
-}
-
-// cleanupCost mirrors hybrid's unblocked-remainder cost model.
-func cleanupCost(pp sim.Params, n, p int) float64 {
-	cost := 0.0
-	for c := p; c < n-1; c++ {
-		m1 := n - 1 - c
-		cost += 2 * pp.VecHost(m1)
-		cost += 2 * pp.GemvHost(n, m1)
-		cost += 2 * pp.GemvHost(m1, n-c-1)
-	}
-	return cost
 }
 
 // encode computes the initial checksum column and row on the device

@@ -408,7 +408,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	// authoritative for the whole matrix) and finish on the host.
 	pool.SetPhase("cleanup")
 	sh.Gather(r.hostA)
-	pool.HostOp(cleanupCost(pp, n, p), func() {
+	pool.HostOp(hybrid.CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
 	})
 	pool.WaitAll()

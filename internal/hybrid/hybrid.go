@@ -339,7 +339,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		rem := hostA.View(0, p, n, n-p)
 		dev.Sync(dev.D2HAsync(rem, dA, 0, p, prevLeft))
 	}
-	dev.HostOp(cleanupCost(pp, n, p), func() {
+	dev.HostOp(CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, make([]float64, n))
 	})
 	dev.DeviceSynchronize()
@@ -353,9 +353,9 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// cleanupCost is the modeled CPU time of the trailing unblocked reduction
+// CleanupCost is the modeled CPU time of the trailing unblocked reduction
 // starting at column p.
-func cleanupCost(pp sim.Params, n, p int) float64 {
+func CleanupCost(pp sim.Params, n, p int) float64 {
 	cost := 0.0
 	for c := p; c < n-1; c++ {
 		m1 := n - 1 - c

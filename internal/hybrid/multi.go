@@ -136,7 +136,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	// finished block columns in a single sweep.
 	pool.SetPhase("cleanup")
 	sh.Gather(hostA)
-	pool.HostOp(cleanupCost(pp, n, p), func() {
+	pool.HostOp(CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, make([]float64, n))
 	})
 	pool.WaitAll()

@@ -15,85 +15,112 @@ var ErrNoConvergence = errors.New("lapack: eigenvalue iteration did not converge
 const macheps = 2.220446049250313e-16
 
 // Dhseqr computes all eigenvalues of the n×n upper Hessenberg matrix h
-// (column-major, leading dimension ldh) with the implicit Francis
-// double-shift QR algorithm (EISPACK HQR). The contents of h are destroyed.
-// Real parts are returned in wr, imaginary parts in wi; complex eigenvalues
-// occur in conjugate pairs occupying consecutive positions.
-func Dhseqr(n int, h []float64, ldh int, wr, wi []float64) error {
+// with the implicit Francis double-shift QR iteration (EISPACK HQR/HQR2).
+// Real parts are returned in wr, imaginary parts in wi; a complex
+// conjugate pair occupies consecutive positions, positive imaginary part
+// first.
+//
+// With z == nil only the eigenvalues are computed: every transformation
+// stays inside the active unreduced block, and h is destroyed. With
+// z != nil the transformations are applied to all of h and accumulated
+// into z, which must enter holding the orthogonal factor of the
+// reduction (Dorghr's Q, or I). On exit A = Z·T·Zᵀ: h holds the
+// quasi-triangular real Schur factor T (1×1 and 2×2 diagonal blocks with
+// the eigenvalues written back, zeros below them) and z the Schur vectors.
+func Dhseqr(n int, h, z *matrix.Matrix, wr, wi []float64) error {
 	if n == 0 {
 		return nil
 	}
-	at := func(i, j int) float64 { return h[j*ldh+i] }
-	set := func(i, j int, v float64) { h[j*ldh+i] = v }
-
-	// anorm: norm over the Hessenberg band, used for the deflation test.
-	anorm := 0.0
-	for i := 0; i < n; i++ {
-		for j := max(i-1, 0); j < n; j++ {
-			anorm += math.Abs(at(i, j))
-		}
+	hd, ldh := h.Data, h.Stride
+	at := func(i, j int) float64 { return hd[j*ldh+i] }
+	set := func(i, j int, v float64) { hd[j*ldh+i] = v }
+	col := func(j, lo, hi int) []float64 { return hd[j*ldh+lo : j*ldh+hi+1] }
+	schur := z != nil
+	var zcol func(j int) []float64
+	if schur {
+		zcol = func(j int) []float64 { return z.Data[j*z.Stride : j*z.Stride+n] }
 	}
-	if anorm == 0 {
-		for i := range wr[:n] {
-			wr[i], wi[i] = 0, 0
-		}
+
+	norm := hessNorm(n, h)
+	if norm == 0 {
+		clear(wr[:n])
+		clear(wi[:n])
 		return nil
 	}
 
-	nn := n - 1
+	en := n - 1
 	t := 0.0
-	var p, q, r, x, y, z, w, s float64
-	for nn >= 0 {
+	var p, q, r, x, y, zz, w, s float64
+	for en >= 0 {
 		its := 0
+		na := en - 1
 		for {
 			// Look for a single small subdiagonal element.
 			var l int
-			for l = nn; l >= 1; l-- {
+			for l = en; l >= 1; l-- {
 				s = math.Abs(at(l-1, l-1)) + math.Abs(at(l, l))
 				if s == 0 {
-					s = anorm
+					s = norm
 				}
 				if math.Abs(at(l, l-1)) <= macheps*s {
 					set(l, l-1, 0)
 					break
 				}
 			}
-			if l < 0 {
-				l = 0
-			}
-			x = at(nn, nn)
-			if l == nn {
-				// One root found.
-				wr[nn] = x + t
-				wi[nn] = 0
-				nn--
+			x = at(en, en)
+			if l == en {
+				// One root found; write it back for the Schur form.
+				set(en, en, x+t)
+				wr[en] = x + t
+				wi[en] = 0
+				en--
 				break
 			}
-			y = at(nn-1, nn-1)
-			w = at(nn, nn-1) * at(nn-1, nn)
-			if l == nn-1 {
+			y = at(na, na)
+			w = at(en, na) * at(na, en)
+			if l == na {
 				// Two roots found from the trailing 2×2 block.
-				p = 0.5 * (y - x)
+				p = (y - x) / 2
 				q = p*p + w
-				z = math.Sqrt(math.Abs(q))
+				zz = math.Sqrt(math.Abs(q))
 				x += t
-				if q >= 0 {
-					// Real pair.
-					z = p + sign(z, p)
-					wr[nn-1] = x + z
-					wr[nn] = wr[nn-1]
-					if z != 0 {
-						wr[nn] = x - w/z
-					}
-					wi[nn-1], wi[nn] = 0, 0
-				} else {
+				set(en, en, x)
+				set(na, na, y+t)
+				if q < 0 {
 					// Complex conjugate pair.
-					wr[nn-1] = x + p
-					wr[nn] = x + p
-					wi[nn] = z
-					wi[nn-1] = -z
+					wr[na] = x + p
+					wr[en] = x + p
+					wi[na] = zz
+					wi[en] = -zz
+					en -= 2
+					break
 				}
-				nn -= 2
+				// Real pair.
+				zz = p + sign(zz, p)
+				wr[na] = x + zz
+				wr[en] = wr[na]
+				if zz != 0 {
+					wr[en] = x - w/zz
+				}
+				wi[na], wi[en] = 0, 0
+				if schur {
+					// Rotate to triangularize the 2×2 block.
+					x = at(en, na)
+					s = math.Abs(x) + math.Abs(zz)
+					p = x / s
+					q = zz / s
+					r = math.Sqrt(p*p + q*q)
+					p /= r
+					q /= r
+					for j := na; j < n; j++ {
+						zz = at(na, j)
+						set(na, j, q*zz+p*at(en, j))
+						set(en, j, q*at(en, j)-p*zz)
+					}
+					rotateCols(col(na, 0, en), col(en, 0, en), p, q)
+					rotateCols(zcol(na), zcol(en), p, q)
+				}
+				en -= 2
 				break
 			}
 			// No roots yet: perform a double-shift QR sweep.
@@ -103,10 +130,10 @@ func Dhseqr(n int, h []float64, ldh int, wr, wi []float64) error {
 			if its == 10 || its == 20 || its == 30 {
 				// Exceptional shift to break cycling.
 				t += x
-				for i := 0; i <= nn; i++ {
+				for i := 0; i <= en; i++ {
 					set(i, i, at(i, i)-x)
 				}
-				s = math.Abs(at(nn, nn-1)) + math.Abs(at(nn-1, nn-2))
+				s = math.Abs(at(en, na)) + math.Abs(at(na, en-2))
 				y = 0.75 * s
 				x = y
 				w = -0.4375 * s * s
@@ -115,12 +142,12 @@ func Dhseqr(n int, h []float64, ldh int, wr, wi []float64) error {
 			// Look for two consecutive small subdiagonal elements to
 			// start the sweep at row m.
 			var m int
-			for m = nn - 2; m >= l; m-- {
-				z = at(m, m)
-				r = x - z
-				s = y - z
+			for m = en - 2; m >= l; m-- {
+				zz = at(m, m)
+				r = x - zz
+				s = y - zz
 				p = (r*s-w)/at(m+1, m) + at(m, m+1)
-				q = at(m+1, m+1) - z - r - s
+				q = at(m+1, m+1) - zz - r - s
 				r = at(m+2, m+1)
 				s = math.Abs(p) + math.Abs(q) + math.Abs(r)
 				p /= s
@@ -130,81 +157,146 @@ func Dhseqr(n int, h []float64, ldh int, wr, wi []float64) error {
 					break
 				}
 				u := math.Abs(at(m, m-1)) * (math.Abs(q) + math.Abs(r))
-				v := math.Abs(p) * (math.Abs(at(m-1, m-1)) + math.Abs(z) + math.Abs(at(m+1, m+1)))
+				v := math.Abs(p) * (math.Abs(at(m-1, m-1)) + math.Abs(zz) + math.Abs(at(m+1, m+1)))
 				if u <= macheps*v {
 					break
 				}
 			}
-			if m < l {
-				m = l
-			}
-			for i := m + 2; i <= nn; i++ {
+			for i := m + 2; i <= en; i++ {
 				set(i, i-2, 0)
 				if i != m+2 {
 					set(i, i-3, 0)
 				}
 			}
-			// Double QR step: chase the bulge from row m to row nn-1.
-			for k := m; k <= nn-1; k++ {
+			// The sweep's row updates reach column last and its column
+			// updates start at row first: the active block [l, en] alone
+			// for eigenvalues, all of h for the Schur form.
+			first, last := l, en
+			if schur {
+				first, last = 0, n-1
+			}
+			// Double QR step: chase the bulge from row m to row na.
+			for k := m; k <= na; k++ {
+				notlast := k != na
 				if k != m {
 					p = at(k, k-1)
 					q = at(k+1, k-1)
 					r = 0
-					if k != nn-1 {
+					if notlast {
 						r = at(k+2, k-1)
 					}
 					x = math.Abs(p) + math.Abs(q) + math.Abs(r)
-					if x != 0 {
-						p /= x
-						q /= x
-						r /= x
+					if x == 0 {
+						continue
 					}
+					p /= x
+					q /= x
+					r /= x
 				}
 				s = sign(math.Sqrt(p*p+q*q+r*r), p)
 				if s == 0 {
 					continue
 				}
-				if k == m {
-					if l != m {
-						set(k, k-1, -at(k, k-1))
-					}
-				} else {
+				if k != m {
 					set(k, k-1, -s*x)
+				} else if l != m {
+					set(k, k-1, -at(k, k-1))
 				}
 				p += s
 				x = p / s
 				y = q / s
-				z = r / s
+				zz = r / s
 				q /= p
 				r /= p
-				// Row modification.
-				for j := k; j <= nn; j++ {
-					pp := at(k, j) + q*at(k+1, j)
-					if k != nn-1 {
-						pp += r * at(k+2, j)
-						set(k+2, j, at(k+2, j)-pp*z)
+				top := min(en, k+3)
+				if notlast {
+					for j := k; j <= last; j++ {
+						c := col(j, k, k+2)
+						pp := c[0] + q*c[1] + r*c[2]
+						c[0] -= pp * x
+						c[1] -= pp * y
+						c[2] -= pp * zz
 					}
-					set(k+1, j, at(k+1, j)-pp*y)
-					set(k, j, at(k, j)-pp*x)
-				}
-				mmin := nn
-				if k+3 < nn {
-					mmin = k + 3
-				}
-				// Column modification.
-				for i := l; i <= mmin; i++ {
-					pp := x*at(i, k) + y*at(i, k+1)
-					if k != nn-1 {
-						pp += z * at(i, k+2)
-						set(i, k+2, at(i, k+2)-pp*r)
+					reflect3(col(k, first, top), col(k+1, first, top), col(k+2, first, top), x, y, zz, q, r)
+					if schur {
+						reflect3(zcol(k), zcol(k+1), zcol(k+2), x, y, zz, q, r)
 					}
-					set(i, k+1, at(i, k+1)-pp*q)
-					set(i, k, at(i, k)-pp)
+				} else {
+					for j := k; j <= last; j++ {
+						c := col(j, k, k+1)
+						pp := c[0] + q*c[1]
+						c[0] -= pp * x
+						c[1] -= pp * y
+					}
+					reflect2(col(k, first, top), col(k+1, first, top), x, y, q)
+					if schur {
+						reflect2(zcol(k), zcol(k+1), x, y, q)
+					}
 				}
 			}
 		}
 	}
+
+	if schur {
+		// Clear the bulge remnants below the quasi-triangular band (the
+		// iteration never reads them again; their exact values are zero)
+		// and the roundoff-level subdiagonals of deflated real blocks.
+		// Complex pairs (wi > 0 marks the first member) keep their 2×2
+		// coupling.
+		for j := 0; j+2 < n; j++ {
+			clear(col(j, j+2, n-1))
+		}
+		for i := 1; i < n; i++ {
+			if wi[i-1] <= 0 {
+				set(i, i-1, 0)
+			}
+		}
+	}
 	return nil
+}
+
+// hessNorm is the sum of |h(i,j)| over the Hessenberg band, the scale of
+// the deflation and back-substitution tests.
+func hessNorm(n int, h *matrix.Matrix) float64 {
+	norm := 0.0
+	for i := 0; i < n; i++ {
+		for j := max(i-1, 0); j < n; j++ {
+			norm += math.Abs(h.Data[j*h.Stride+i])
+		}
+	}
+	return norm
+}
+
+// reflect3 applies a bulge-chasing reflector from the right to the
+// column triple (c0, c1, c2).
+func reflect3(c0, c1, c2 []float64, x, y, zz, q, r float64) {
+	c1, c2 = c1[:len(c0)], c2[:len(c0)]
+	for i := range c0 {
+		pp := x*c0[i] + y*c1[i] + zz*c2[i]
+		c0[i] -= pp
+		c1[i] -= pp * q
+		c2[i] -= pp * r
+	}
+}
+
+// reflect2 is reflect3 for the sweep's last, two-row reflector.
+func reflect2(c0, c1 []float64, x, y, q float64) {
+	c1 = c1[:len(c0)]
+	for i := range c0 {
+		pp := x*c0[i] + y*c1[i]
+		c0[i] -= pp
+		c1[i] -= pp * q
+	}
+}
+
+// rotateCols applies the plane rotation (p, q) to the column pair (a, b).
+func rotateCols(a, b []float64, p, q float64) {
+	b = b[:len(a)]
+	for i := range a {
+		v := a[i]
+		a[i] = q*v + p*b[i]
+		b[i] = q*b[i] - p*v
+	}
 }
 
 // Eig is one eigenvalue; Im != 0 marks one member of a conjugate pair.
@@ -223,10 +315,16 @@ func Eigenvalues(a *matrix.Matrix, nb int) ([]Eig, error) {
 	work := a.Clone()
 	tau := make([]float64, max(n-1, 1))
 	Dgehrd(n, nb, work.Data, work.Stride, tau)
-	h := HessFromPacked(n, work.Data, work.Stride)
+	return HessEigenvalues(HessFromPacked(n, work.Data, work.Stride))
+}
+
+// HessEigenvalues returns the eigenvalues of the upper Hessenberg matrix
+// h in SortEigs order. h is destroyed.
+func HessEigenvalues(h *matrix.Matrix) ([]Eig, error) {
+	n := h.Rows
 	wr := make([]float64, n)
 	wi := make([]float64, n)
-	if err := Dhseqr(n, h.Data, h.Stride, wr, wi); err != nil {
+	if err := Dhseqr(n, h, nil, wr, wi); err != nil {
 		return nil, err
 	}
 	out := make([]Eig, n)

@@ -1,7 +1,11 @@
 package lapack
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -17,7 +21,7 @@ func TestDhseqrDiagonal(t *testing.T) {
 	}
 	wr := make([]float64, n)
 	wi := make([]float64, n)
-	if err := Dhseqr(n, h.Data, h.Stride, wr, wi); err != nil {
+	if err := Dhseqr(n, h, nil, wr, wi); err != nil {
 		t.Fatal(err)
 	}
 	sort.Float64s(wr)
@@ -33,7 +37,7 @@ func TestDhseqrKnown2x2Complex(t *testing.T) {
 	h := matrix.FromRows([][]float64{{0, -1}, {1, 0}})
 	wr := make([]float64, 2)
 	wi := make([]float64, 2)
-	if err := Dhseqr(2, h.Data, h.Stride, wr, wi); err != nil {
+	if err := Dhseqr(2, h, nil, wr, wi); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(wr[0]) > 1e-14 || math.Abs(wr[1]) > 1e-14 {
@@ -59,7 +63,7 @@ func TestDhseqrCompanionMatrix(t *testing.T) {
 	}
 	wr := make([]float64, n)
 	wi := make([]float64, n)
-	if err := Dhseqr(n, h.Data, h.Stride, wr, wi); err != nil {
+	if err := Dhseqr(n, h, nil, wr, wi); err != nil {
 		t.Fatal(err)
 	}
 	sort.Float64s(wr)
@@ -84,7 +88,7 @@ func TestDhseqrTridiagonalKnownSpectrum(t *testing.T) {
 	}
 	wr := make([]float64, n)
 	wi := make([]float64, n)
-	if err := Dhseqr(n, h.Data, h.Stride, wr, wi); err != nil {
+	if err := Dhseqr(n, h, nil, wr, wi); err != nil {
 		t.Fatal(err)
 	}
 	sort.Float64s(wr)
@@ -102,13 +106,13 @@ func TestDhseqrTridiagonalKnownSpectrum(t *testing.T) {
 }
 
 func TestDhseqrEmptyAndOne(t *testing.T) {
-	if err := Dhseqr(0, nil, 1, nil, nil); err != nil {
+	if err := Dhseqr(0, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	h := matrix.FromRows([][]float64{{42}})
 	wr := make([]float64, 1)
 	wi := make([]float64, 1)
-	if err := Dhseqr(1, h.Data, h.Stride, wr, wi); err != nil {
+	if err := Dhseqr(1, h, nil, wr, wi); err != nil {
 		t.Fatal(err)
 	}
 	if wr[0] != 42 || wi[0] != 0 {
@@ -121,7 +125,7 @@ func TestDhseqrZeroMatrix(t *testing.T) {
 	h := matrix.New(n, n)
 	wr := make([]float64, n)
 	wi := make([]float64, n)
-	if err := Dhseqr(n, h.Data, h.Stride, wr, wi); err != nil {
+	if err := Dhseqr(n, h, nil, wr, wi); err != nil {
 		t.Fatal(err)
 	}
 	for i := range wr {
@@ -233,4 +237,116 @@ func mulT(dst, a, b *matrix.Matrix) {
 			dst.Set(i, j, s)
 		}
 	}
+}
+
+// eigDigest is the SHA-256 of the eigenvalues' IEEE-754 bit patterns,
+// Re then Im for each, 8 little-endian bytes apiece.
+func eigDigest(e []Eig) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range e {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Re))
+		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Im))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// matDigest is the SHA-256 of a matrix's bit patterns in column-major
+// order (the format of core.MatrixDigest).
+func matDigest(m *matrix.Matrix) string {
+	h := sha256.New()
+	var buf [8]byte
+	for j := 0; j < m.Cols; j++ {
+		for _, v := range m.Col(j) {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Property: the eigenvalues-only mode and the Schur mode of Dhseqr run
+// the same arithmetic on the active block, so their sorted eigenvalues
+// agree to the bit.
+func TestDhseqrSchurModeBitIdentical(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 5, 8, 17, 30, 64, 200} {
+		for _, kind := range []string{"uniform", "normal", "symmetric"} {
+			seed := uint64(n + 1)
+			var a *matrix.Matrix
+			switch kind {
+			case "uniform":
+				a = matrix.Random(n, n, seed)
+			case "normal":
+				a = matrix.RandomNormal(n, n, seed)
+			default:
+				a = matrix.Random(n, n, seed)
+				for j := 0; j < n; j++ {
+					for i := 0; i < j; i++ {
+						a.Set(i, j, a.At(j, i))
+					}
+				}
+			}
+			tau := make([]float64, max(n-1, 1))
+			Dgehrd(n, 8, a.Data, a.Stride, tau)
+			h := HessFromPacked(n, a.Data, a.Stride)
+			plain, err := HessEigenvalues(h.Clone())
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, kind, err)
+			}
+			wr := make([]float64, n)
+			wi := make([]float64, n)
+			if err := Dhseqr(n, h, matrix.Identity(n), wr, wi); err != nil {
+				t.Fatalf("n=%d %s schur: %v", n, kind, err)
+			}
+			schur := make([]Eig, n)
+			for i := range schur {
+				schur[i] = Eig{Re: wr[i], Im: wi[i]}
+			}
+			SortEigs(schur)
+			for i := range plain {
+				if math.Float64bits(plain[i].Re) != math.Float64bits(schur[i].Re) ||
+					math.Float64bits(plain[i].Im) != math.Float64bits(schur[i].Im) {
+					t.Fatalf("n=%d %s eig %d: values-only %v, Schur %v", n, kind, i, plain[i], schur[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPinnedEigenDigests pins the exact bits of the eigensolver's output.
+// The digests were recorded before the eigenvalue-only and Schur-vector
+// iterations were merged into one Dhseqr, so they prove the merge moved
+// no rounding. They are amd64 values (see core's TestPinnedResultDigests).
+func TestPinnedEigenDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned digests are amd64 values")
+	}
+	check := func(name, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: digest %s, pinned %s", name, got, want)
+		}
+	}
+	e, err := Eigenvalues(matrix.RandomNormal(128, 128, 1), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Eigenvalues(128)", eigDigest(e), "2e6fe805e1a4a5800c26e92b569f3551a4d41492a7fd2bbe8f419dbf145b91f6")
+
+	a, _ := badlyScaled()
+	bal, err := BalancedEigenvalues(a.Data, a.Rows, a.Stride, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("BalancedEigenvalues", eigDigest(bal), "37edb8303e874aecd275988d13891729dab708587d8aad1da5894cc6dce7555a")
+
+	full, err := Eigen(matrix.RandomNormal(30, 30, 17), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Eigen values", eigDigest(full.Values), "d3e17e9425d421eab6ccb697b0950561870f495011169f019b97c1d2252d4585")
+	check("Eigen VR", matDigest(full.VR), "90fb0b79e0c556aee0fc9e726362653af742412c4a20977c3fd5c883a7c54523")
+	check("Eigen VI", matDigest(full.VI), "50677f21520a3d531aaada790893d07eae08f12b700fac5b61f476ddcdbd0b60")
 }

@@ -83,16 +83,5 @@ func BalancedEigenvalues(aData []float64, n, lda, nb int) ([]Eig, error) {
 	Dgebal(n, work, n)
 	tau := make([]float64, max(n-1, 1))
 	Dgehrd(n, nb, work, n, tau)
-	h := HessFromPacked(n, work, n)
-	wr := make([]float64, n)
-	wi := make([]float64, n)
-	if err := Dhseqr(n, h.Data, h.Stride, wr, wi); err != nil {
-		return nil, err
-	}
-	out := make([]Eig, n)
-	for i := range out {
-		out[i] = Eig{Re: wr[i], Im: wi[i]}
-	}
-	SortEigs(out)
-	return out, nil
+	return HessEigenvalues(HessFromPacked(n, work, n))
 }

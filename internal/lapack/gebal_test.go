@@ -100,9 +100,10 @@ func TestDgebalTrivial(t *testing.T) {
 	Dgebal(3, z.Data, z.Stride)
 }
 
-func TestBalancedEigenvaluesMoreAccurate(t *testing.T) {
-	// Badly scaled similarity of a known diagonal: balancing recovers the
-	// spectrum more accurately than the raw path.
+// badlyScaled returns a diagonal matrix with eigenvalues 1..12 under an
+// ill-conditioned diagonal similarity, plus a dense perturbation that the
+// similarity amplifies, and the planted eigenvalues.
+func badlyScaled() (*matrix.Matrix, []float64) {
 	n := 12
 	d := matrix.New(n, n)
 	want := make([]float64, n)
@@ -110,7 +111,6 @@ func TestBalancedEigenvaluesMoreAccurate(t *testing.T) {
 		want[i] = float64(i + 1)
 		d.Set(i, i, want[i])
 	}
-	// Similarity by an ill-conditioned diagonal.
 	a := d.Clone()
 	for i := 0; i < n; i++ {
 		s := math.Pow(2, float64(3*i))
@@ -119,13 +119,20 @@ func TestBalancedEigenvaluesMoreAccurate(t *testing.T) {
 			a.Set(j, i, a.At(j, i)/s)
 		}
 	}
-	// Add a dense perturbation that the similarity amplifies.
 	p := matrix.Random(n, n, 5)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			a.Add(i, j, 1e-13*p.At(i, j)*math.Pow(2, float64(3*i))/math.Pow(2, float64(3*j)))
 		}
 	}
+	return a, want
+}
+
+func TestBalancedEigenvaluesMoreAccurate(t *testing.T) {
+	// Badly scaled similarity of a known diagonal: balancing recovers the
+	// spectrum more accurately than the raw path.
+	a, want := badlyScaled()
+	n := a.Rows
 	bal, err := BalancedEigenvalues(a.Data, n, a.Stride, 4)
 	if err != nil {
 		t.Fatal(err)

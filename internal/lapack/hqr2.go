@@ -8,273 +8,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// Dhseqr2 is the EISPACK HQR2 lineage: the Francis double-shift QR
-// iteration on an upper Hessenberg matrix with accumulation of the
-// transformations and back-substitution for the eigenvectors. On entry h
-// is upper Hessenberg and z holds the orthogonal matrix that produced it
-// (Dorghr's Q, or I). On exit h holds the quasi-triangular real Schur
-// factor (1×1 and 2×2 diagonal blocks, eigenvalues written back into the
-// blocks), z the eigenvectors of the *original* matrix: a real eigenvalue
-// owns one column; a complex pair λ = p ± q·i (q > 0 stored first) owns
-// two consecutive columns holding the real and imaginary parts.
-func Dhseqr2(n int, h *matrix.Matrix, z *matrix.Matrix, wr, wi []float64) error {
-	return dhseqr2(n, h, z, wr, wi, true)
-}
-
-// DhseqrSchur computes the real Schur decomposition A = Z·T·Zᵀ: on exit h
-// holds the quasi-triangular T and z the orthogonal Schur vectors (z must
-// enter holding the reduction's Q, or I). No eigenvector
-// back-substitution is performed.
-func DhseqrSchur(n int, h *matrix.Matrix, z *matrix.Matrix, wr, wi []float64) error {
-	return dhseqr2(n, h, z, wr, wi, false)
-}
-
-func dhseqr2(n int, h *matrix.Matrix, z *matrix.Matrix, wr, wi []float64, vectors bool) error {
-	if n == 0 {
-		return nil
-	}
-	at := h.At
-	set := h.Set
-
-	norm := 0.0
-	for i := 0; i < n; i++ {
-		for j := max(i-1, 0); j < n; j++ {
-			norm += math.Abs(at(i, j))
-		}
-	}
-	if norm == 0 {
-		for i := 0; i < n; i++ {
-			wr[i], wi[i] = 0, 0
-		}
-		return nil
-	}
-
-	en := n - 1
-	t := 0.0
-	var p, q, r, x, y, zz, w, s float64
-	for en >= 0 {
-		its := 0
-		na := en - 1
-		for {
-			// Look for a single small subdiagonal element.
-			var l int
-			for l = en; l >= 1; l-- {
-				s = math.Abs(at(l-1, l-1)) + math.Abs(at(l, l))
-				if s == 0 {
-					s = norm
-				}
-				if math.Abs(at(l, l-1)) <= macheps*s {
-					set(l, l-1, 0)
-					break
-				}
-			}
-			if l < 0 {
-				l = 0
-			}
-			x = at(en, en)
-			if l == en {
-				// One root found; write it back for the Schur form.
-				set(en, en, x+t)
-				wr[en] = x + t
-				wi[en] = 0
-				en--
-				break
-			}
-			y = at(na, na)
-			w = at(en, na) * at(na, en)
-			if l == na {
-				// Two roots found.
-				p = (y - x) / 2
-				q = p*p + w
-				zz = math.Sqrt(math.Abs(q))
-				x += t
-				set(en, en, x)
-				set(na, na, y+t)
-				if q >= 0 {
-					// Real pair: rotate to triangularize the 2×2 block.
-					zz = p + sign(zz, p)
-					wr[na] = x + zz
-					wr[en] = wr[na]
-					if zz != 0 {
-						wr[en] = x - w/zz
-					}
-					wi[na], wi[en] = 0, 0
-					x = at(en, na)
-					s = math.Abs(x) + math.Abs(zz)
-					p = x / s
-					q = zz / s
-					r = math.Sqrt(p*p + q*q)
-					p /= r
-					q /= r
-					for j := na; j < n; j++ {
-						zz = at(na, j)
-						set(na, j, q*zz+p*at(en, j))
-						set(en, j, q*at(en, j)-p*zz)
-					}
-					for i := 0; i <= en; i++ {
-						zz = at(i, na)
-						set(i, na, q*zz+p*at(i, en))
-						set(i, en, q*at(i, en)-p*zz)
-					}
-					for i := 0; i < n; i++ {
-						zz = z.At(i, na)
-						z.Set(i, na, q*zz+p*z.At(i, en))
-						z.Set(i, en, q*z.At(i, en)-p*zz)
-					}
-				} else {
-					// Complex pair.
-					wr[na] = x + p
-					wr[en] = x + p
-					wi[na] = zz
-					wi[en] = -zz
-				}
-				en -= 2
-				break
-			}
-			if its == 40 {
-				return ErrNoConvergence
-			}
-			if its == 10 || its == 20 || its == 30 {
-				// Exceptional shift.
-				t += x
-				for i := 0; i <= en; i++ {
-					set(i, i, at(i, i)-x)
-				}
-				s = math.Abs(at(en, na)) + math.Abs(at(na, en-2))
-				y = 0.75 * s
-				x = y
-				w = -0.4375 * s * s
-			}
-			its++
-			// Two consecutive small subdiagonals.
-			var m int
-			for m = en - 2; m >= l; m-- {
-				zz = at(m, m)
-				r = x - zz
-				s = y - zz
-				p = (r*s-w)/at(m+1, m) + at(m, m+1)
-				q = at(m+1, m+1) - zz - r - s
-				r = at(m+2, m+1)
-				s = math.Abs(p) + math.Abs(q) + math.Abs(r)
-				p /= s
-				q /= s
-				r /= s
-				if m == l {
-					break
-				}
-				u := math.Abs(at(m, m-1)) * (math.Abs(q) + math.Abs(r))
-				v := math.Abs(p) * (math.Abs(at(m-1, m-1)) + math.Abs(zz) + math.Abs(at(m+1, m+1)))
-				if u <= macheps*v {
-					break
-				}
-			}
-			if m < l {
-				m = l
-			}
-			for i := m + 2; i <= en; i++ {
-				set(i, i-2, 0)
-				if i != m+2 {
-					set(i, i-3, 0)
-				}
-			}
-			// Double QR sweep, transformations applied full-width and
-			// accumulated into z.
-			for k := m; k <= na; k++ {
-				notlast := k != na
-				if k != m {
-					p = at(k, k-1)
-					q = at(k+1, k-1)
-					r = 0
-					if notlast {
-						r = at(k+2, k-1)
-					}
-					x = math.Abs(p) + math.Abs(q) + math.Abs(r)
-					if x == 0 {
-						continue
-					}
-					p /= x
-					q /= x
-					r /= x
-				}
-				s = sign(math.Sqrt(p*p+q*q+r*r), p)
-				if s == 0 {
-					continue
-				}
-				if k != m {
-					set(k, k-1, -s*x)
-				} else if l != m {
-					set(k, k-1, -at(k, k-1))
-				}
-				p += s
-				x = p / s
-				y = q / s
-				zz = r / s
-				q /= p
-				r /= p
-				if notlast {
-					for j := k; j < n; j++ {
-						pp := at(k, j) + q*at(k+1, j) + r*at(k+2, j)
-						set(k, j, at(k, j)-pp*x)
-						set(k+1, j, at(k+1, j)-pp*y)
-						set(k+2, j, at(k+2, j)-pp*zz)
-					}
-					top := min(en, k+3)
-					for i := 0; i <= top; i++ {
-						pp := x*at(i, k) + y*at(i, k+1) + zz*at(i, k+2)
-						set(i, k, at(i, k)-pp)
-						set(i, k+1, at(i, k+1)-pp*q)
-						set(i, k+2, at(i, k+2)-pp*r)
-					}
-					for i := 0; i < n; i++ {
-						pp := x*z.At(i, k) + y*z.At(i, k+1) + zz*z.At(i, k+2)
-						z.Set(i, k, z.At(i, k)-pp)
-						z.Set(i, k+1, z.At(i, k+1)-pp*q)
-						z.Set(i, k+2, z.At(i, k+2)-pp*r)
-					}
-				} else {
-					for j := k; j < n; j++ {
-						pp := at(k, j) + q*at(k+1, j)
-						set(k, j, at(k, j)-pp*x)
-						set(k+1, j, at(k+1, j)-pp*y)
-					}
-					top := min(en, k+3)
-					for i := 0; i <= top; i++ {
-						pp := x*at(i, k) + y*at(i, k+1)
-						set(i, k, at(i, k)-pp)
-						set(i, k+1, at(i, k+1)-pp*q)
-					}
-					for i := 0; i < n; i++ {
-						pp := x*z.At(i, k) + y*z.At(i, k+1)
-						z.Set(i, k, z.At(i, k)-pp)
-						z.Set(i, k+1, z.At(i, k+1)-pp*q)
-					}
-				}
-			}
-		}
-	}
-
-	// Clear stale bulge remnants below the quasi-triangular band (EISPACK
-	// leaves them unwritten because only the upper part is read later; the
-	// mathematical values there are zero) and the roundoff-level
-	// subdiagonals of deflated real blocks. Complex pairs (wi > 0 marks
-	// the first member) keep their 2×2 coupling.
-	for j := 0; j < n; j++ {
-		for i := j + 2; i < n; i++ {
-			set(i, j, 0)
-		}
-	}
-	for i := 1; i < n; i++ {
-		if wi[i-1] <= 0 {
-			set(i, i-1, 0)
-		}
-	}
-
-	if vectors {
-		backSubstitute(n, h, z, wr, wi, norm)
-	}
-	return nil
-}
-
 // cdiv computes (ar + ai·i) / (br + bi·i) with scaling.
 func cdiv(ar, ai, br, bi float64) (cr, ci float64) {
 	s := math.Abs(br) + math.Abs(bi)
@@ -287,10 +20,17 @@ func cdiv(ar, ai, br, bi float64) (cr, ci float64) {
 }
 
 // backSubstitute solves the quasi-triangular system for the eigenvectors
-// (EISPACK HQR2's second half) and multiplies by the accumulated z.
-func backSubstitute(n int, h *matrix.Matrix, z *matrix.Matrix, wr, wi []float64, norm float64) {
-	at := h.At
-	set := h.Set
+// (EISPACK HQR2's second half) and multiplies by the accumulated z. h and
+// z are Dhseqr's Schur form and vectors; norm is hessNorm of the
+// Hessenberg matrix Dhseqr started from. A zero matrix (norm == 0) is
+// left as it is: every column of z is already an eigenvector.
+func backSubstitute(n int, h, z *matrix.Matrix, wr, wi []float64, norm float64) {
+	if norm == 0 {
+		return
+	}
+	hd, ldh := h.Data, h.Stride
+	at := func(i, j int) float64 { return hd[j*ldh+i] }
+	set := func(i, j int, v float64) { hd[j*ldh+i] = v }
 	var p, q, r, s, t, w, x, y, zz, ra, sa float64
 	for en := n - 1; en >= 0; en-- {
 		p = wr[en]
@@ -406,14 +146,17 @@ func backSubstitute(n int, h *matrix.Matrix, z *matrix.Matrix, wr, wi []float64,
 		}
 	}
 	// Multiply by the accumulated transformation: z := z · (vectors in h).
+	// Column j of the product needs z's columns 0..j only, so filling the
+	// columns right to left reads each before it is overwritten.
+	sum := make([]float64, n)
 	for j := n - 1; j >= 0; j-- {
-		for i := 0; i < n; i++ {
-			zz = 0
-			for k := 0; k <= j; k++ {
-				zz += z.At(i, k) * at(k, j)
+		clear(sum)
+		for k, hkj := range hd[j*ldh : j*ldh+j+1] {
+			for i, zik := range z.Col(k) {
+				sum[i] += zik * hkj
 			}
-			z.Set(i, j, zz)
 		}
+		copy(z.Col(j), sum)
 	}
 }
 
@@ -429,8 +172,10 @@ type SchurEigen struct {
 }
 
 // Eigen computes the complete eigendecomposition of a general square
-// matrix through Hessenberg reduction + HQR2: all eigenvalues with right
-// eigenvectors, including complex pairs. a is not modified.
+// matrix: Hessenberg reduction, Dhseqr's Schur form and back-substitution
+// give all eigenvalues with right eigenvectors, including complex pairs.
+// The real eigenvectors are the VR columns whose eigenvalue has Im == 0.
+// a is not modified.
 func Eigen(a *matrix.Matrix, nb int) (*SchurEigen, error) {
 	n := a.Rows
 	if n != a.Cols {
@@ -441,11 +186,13 @@ func Eigen(a *matrix.Matrix, nb int) (*SchurEigen, error) {
 	Dgehrd(n, nb, packed.Data, packed.Stride, tau)
 	h := HessFromPacked(n, packed.Data, packed.Stride)
 	z := Dorghr(n, packed.Data, packed.Stride, tau)
+	norm := hessNorm(n, h)
 	wr := make([]float64, n)
 	wi := make([]float64, n)
-	if err := Dhseqr2(n, h, z, wr, wi); err != nil {
+	if err := Dhseqr(n, h, z, wr, wi); err != nil {
 		return nil, err
 	}
+	backSubstitute(n, h, z, wr, wi, norm)
 	out := &SchurEigen{
 		Values: make([]Eig, n),
 		VR:     matrix.New(n, n),
@@ -453,22 +200,19 @@ func Eigen(a *matrix.Matrix, nb int) (*SchurEigen, error) {
 	}
 	for j := 0; j < n; j++ {
 		out.Values[j] = Eig{Re: wr[j], Im: wi[j]}
+		vr, vi := out.VR.Col(j), out.VI.Col(j)
 		switch {
 		case wi[j] == 0:
-			for i := 0; i < n; i++ {
-				out.VR.Set(i, j, z.At(i, j))
-			}
+			copy(vr, z.Col(j))
 		case wi[j] > 0:
 			// First of a pair: x = z(:,j) + i·z(:,j+1).
-			for i := 0; i < n; i++ {
-				out.VR.Set(i, j, z.At(i, j))
-				out.VI.Set(i, j, z.At(i, j+1))
-			}
+			copy(vr, z.Col(j))
+			copy(vi, z.Col(j+1))
 		default:
 			// Conjugate: x̄ = z(:,j-1) − i·z(:,j).
-			for i := 0; i < n; i++ {
-				out.VR.Set(i, j, z.At(i, j-1))
-				out.VI.Set(i, j, -z.At(i, j))
+			copy(vr, z.Col(j-1))
+			for i, v := range z.Col(j) {
+				vi[i] = -v
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 )
 
@@ -151,7 +152,7 @@ func TestSchurDecomposition(t *testing.T) {
 	z := Dorghr(n, packed.Data, packed.Stride, tau)
 	wr := make([]float64, n)
 	wi := make([]float64, n)
-	if err := DhseqrSchur(n, h, z, wr, wi); err != nil {
+	if err := Dhseqr(n, h, z, wr, wi); err != nil {
 		t.Fatal(err)
 	}
 	// Quasi-triangular: nothing below the first subdiagonal, and any
@@ -205,5 +206,140 @@ func TestPropEigenResiduals(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// realEigenvectors returns Eigen's real eigenpairs of a with the vectors
+// scaled to unit length, and the number of complex eigenvalues.
+func realEigenvectors(t *testing.T, a *matrix.Matrix, nb int) (vals []float64, vecs [][]float64, complexCount int) {
+	t.Helper()
+	e, err := Eigen(a, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.Rows
+	for j, v := range e.Values {
+		if v.Im != 0 {
+			complexCount++
+			continue
+		}
+		x := append([]float64(nil), e.VR.Col(j)...)
+		blas.Dscal(n, 1/blas.Dnrm2(n, x, 1), x, 1)
+		vals = append(vals, v.Re)
+		vecs = append(vecs, x)
+	}
+	return vals, vecs, complexCount
+}
+
+// eigResidual returns ‖A·x − λ·x‖₂ for unit x.
+func eigResidual(a *matrix.Matrix, lambda float64, x []float64) float64 {
+	n := a.Rows
+	y := make([]float64, n)
+	blas.Dgemv(blas.NoTrans, n, n, 1, a.Data, a.Stride, x, 1, 0, y, 1)
+	blas.Daxpy(n, -lambda, x, 1, y, 1)
+	return blas.Dnrm2(n, y, 1)
+}
+
+func TestEigenvectorKnownTriangular(t *testing.T) {
+	// Upper triangular: eigenvalues on the diagonal, first eigenvector e1.
+	h := matrix.FromRows([][]float64{
+		{3, 1, 2},
+		{0, 1, 4},
+		{0, 0, -2},
+	})
+	vals, vecs, _ := realEigenvectors(t, h, 4)
+	for k, v := range vals {
+		if r := eigResidual(h, v, vecs[k]); r > 1e-12 {
+			t.Fatalf("λ=%v: residual %v", v, r)
+		}
+		if v == 3 && math.Abs(math.Abs(vecs[k][0])-1) > 1e-10 {
+			t.Fatalf("eigenvector for λ=3 should be ±e1, got %v", vecs[k])
+		}
+	}
+}
+
+func TestRealEigenvectorsSymmetric(t *testing.T) {
+	// Symmetric matrices have a full set of real eigenpairs.
+	n := 30
+	a := matrix.Random(n, n, 8)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			a.Set(i, j, a.At(j, i))
+		}
+	}
+	vals, vecs, complexCount := realEigenvectors(t, a, 8)
+	if complexCount != 0 {
+		t.Fatalf("symmetric matrix produced %d complex eigenvalues", complexCount)
+	}
+	if len(vals) != n {
+		t.Fatalf("%d eigenpairs, want %d", len(vals), n)
+	}
+	an := a.Norm1()
+	for k, v := range vals {
+		if r := eigResidual(a, v, vecs[k]); r > 1e-10*an {
+			t.Fatalf("λ=%v: ‖Ax−λx‖ = %v", v, r)
+		}
+	}
+}
+
+func TestRealEigenvectorsGeneral(t *testing.T) {
+	// Random general matrix: real eigenvalues get real vectors.
+	n := 24
+	a := matrix.RandomNormal(n, n, 5)
+	vals, vecs, complexCount := realEigenvectors(t, a, 8)
+	if len(vals)+complexCount != n {
+		t.Fatalf("pairs %d + complex %d != %d", len(vals), complexCount, n)
+	}
+	an := a.Norm1()
+	for k, v := range vals {
+		if r := eigResidual(a, v, vecs[k]); r > 1e-9*an {
+			t.Fatalf("λ=%v: residual %v", v, r)
+		}
+	}
+}
+
+func TestRealEigenvectorsPlantedBasis(t *testing.T) {
+	// Diagonal matrix conjugated by orthogonal Q: eigenvectors must match
+	// Q's columns up to sign.
+	n := 16
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = float64(2*i + 1) // well separated
+	}
+	d := matrix.New(n, n)
+	for i, v := range want {
+		d.Set(i, i, v)
+	}
+	_, _, q := reduceBlocked(matrix.Random(n, n, 44), 4)
+	tmp := matrix.New(n, n)
+	a := matrix.New(n, n)
+	mul(tmp, q, d)
+	mulT(a, tmp, q)
+
+	vals, vecs, _ := realEigenvectors(t, a, 4)
+	if len(vals) != n {
+		t.Fatalf("%d real eigenpairs, want %d", len(vals), n)
+	}
+	for k, v := range vals {
+		// Find the planted eigenvalue and compare the vector to Q's column.
+		p := -1
+		for i, w := range want {
+			if math.Abs(w-v) < 1e-8 {
+				p = i
+			}
+		}
+		if p < 0 {
+			t.Fatalf("unexpected eigenvalue %v", v)
+		}
+		dot := blas.Ddot(n, vecs[k], 1, q.Col(p), 1)
+		if math.Abs(math.Abs(dot)-1) > 1e-9 {
+			t.Fatalf("λ=%v: |<x, q_k>| = %v, want 1", v, math.Abs(dot))
+		}
+	}
+}
+
+func TestRealEigenvectorsNonSquare(t *testing.T) {
+	if _, err := Eigen(matrix.New(2, 3), 4); err == nil {
+		t.Fatal("non-square accepted")
 	}
 }

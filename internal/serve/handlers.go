@@ -154,7 +154,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j, err := s.Submit(req, a)
+	st, err := s.Submit(req, a)
 	switch {
 	case errors.Is(err, ErrDeviceRequest):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad_device_request"})
@@ -173,9 +173,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.mu.Lock()
-	st := j.statusLocked()
-	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, st)
 }
 

@@ -256,8 +256,10 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Submit enqueues a validated request with its materialized input. It
 // never blocks: the job is accepted into the FIFO queue or rejected with
-// ErrQueueFull / ErrDraining.
-func (s *Server) Submit(req *JobRequest, a *matrix.Matrix) (*Job, error) {
+// ErrQueueFull / ErrDraining. The returned status is snapshotted under
+// the same lock that enqueues the job, so it always reads queued: a worker
+// cannot lease the job before the caller sees it.
+func (s *Server) Submit(req *JobRequest, a *matrix.Matrix) (JobStatus, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
 		req: req, a: a,
@@ -269,23 +271,23 @@ func (s *Server) Submit(req *JobRequest, a *matrix.Matrix) (*Job, error) {
 	if req.Devices > 0 {
 		if s.cfg.Devices == 0 {
 			cancel()
-			return nil, fmt.Errorf("%w: this server has no device farm (devices=%d)", ErrDeviceRequest, req.Devices)
+			return JobStatus{}, fmt.Errorf("%w: this server has no device farm (devices=%d)", ErrDeviceRequest, req.Devices)
 		}
 		if req.Devices > s.cfg.Devices {
 			cancel()
-			return nil, fmt.Errorf("%w: devices=%d exceeds the farm size %d", ErrDeviceRequest, req.Devices, s.cfg.Devices)
+			return JobStatus{}, fmt.Errorf("%w: devices=%d exceeds the farm size %d", ErrDeviceRequest, req.Devices, s.cfg.Devices)
 		}
 	}
 	if len(req.Batch) > 0 && s.engine == nil {
 		cancel()
-		return nil, fmt.Errorf("%w: this server has no throughput engine (device_lanes=0)", ErrBatchRequest)
+		return JobStatus{}, fmt.Errorf("%w: this server has no throughput engine (device_lanes=0)", ErrBatchRequest)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		cancel()
 		s.jobCounter("rejected_draining").Inc()
-		return nil, ErrDraining
+		return JobStatus{}, ErrDraining
 	}
 	// Fairness is over work, not job count: a batched job's cost is its
 	// item count.
@@ -293,11 +295,11 @@ func (s *Server) Submit(req *JobRequest, a *matrix.Matrix) (*Job, error) {
 	case errors.Is(err, batch.ErrQueueClosed):
 		cancel()
 		s.jobCounter("rejected_draining").Inc()
-		return nil, ErrDraining
+		return JobStatus{}, ErrDraining
 	case err != nil:
 		cancel()
 		s.jobCounter("rejected_full").Inc()
-		return nil, ErrQueueFull
+		return JobStatus{}, ErrQueueFull
 	}
 	s.nextID++
 	j.ID = fmt.Sprintf("j%d", s.nextID)
@@ -317,7 +319,7 @@ func (s *Server) Submit(req *JobRequest, a *matrix.Matrix) (*Job, error) {
 	s.recorder.Record(obs.FlightEvent{Kind: "job:queued", Job: j.ID})
 	s.gQueue.Add(1)
 	s.jobCounter("accepted").Inc()
-	return j, nil
+	return j.statusLocked(), nil
 }
 
 // Job looks up a job by ID.
