@@ -17,8 +17,9 @@ import (
 //  1. Wall-clock overhead of DgemmFT over Dgemm on the host substrate, per
 //     GEMM shape, from paired alternating-order calls (the bar is ≤8% at
 //     512³ — the checksum encode rides the packing and the verify reuses
-//     the micro-kernel, so the overhead is a few percent, not the 2× of
-//     DMR).
+//     the micro-kernel, so the overhead is a few percent), and of the DMR
+//     DgemvFT over Dgemv at the panel's Level-2 shapes (the bar is ≤1.6×
+//     at 512×64, the pool's slab shape: the one-pass kernel reads A once).
 //  2. The substrate's power-on self-test: planted faults in the packed
 //     panels, the C tile, and the DMR'd Level-2 outputs must all be
 //     detected (blas.FTSelfTest).
@@ -44,6 +45,19 @@ type BlasFTGemmCell struct {
 	Checks int `json:"checks"`
 	// FusedGFLOPS is the fused call's rate at its median time, for scale.
 	FusedGFLOPS float64 `json:"fused_gflops"`
+}
+
+// BlasFTGemvCell is one NoTrans Level-2 shape of the overhead study.
+type BlasFTGemvCell struct {
+	M int `json:"m"`
+	N int `json:"n"`
+	// PlainSec / FusedSec are the wall seconds of one Dgemv / DgemvFT call.
+	PlainSec Spread `json:"plain_sec"`
+	FusedSec Spread `json:"fused_sec"`
+	// Ratio is fused/plain, pair by pair.
+	Ratio Spread `json:"ratio"`
+	// Checks is the element compares one DMR call runs.
+	Checks int `json:"checks"`
 }
 
 // BlasFTMaintenance compares the modeled checksum_maintenance phase of the
@@ -77,6 +91,7 @@ type BlasFTArtifact struct {
 	Provenance Provenance       `json:"provenance"`
 	Pairs      int              `json:"pairs"`
 	Gemm       []BlasFTGemmCell `json:"gemm"`
+	Gemv       []BlasFTGemvCell `json:"gemv"`
 	// SelfTest is the planted-fault detection record; Passed must be true.
 	SelfTest    blas.FTSelfTestResult `json:"self_test"`
 	Maintenance BlasFTMaintenance     `json:"maintenance"`
@@ -92,10 +107,18 @@ var BlasFTShapes = [][3]int{
 	{2048, 32, 512},
 }
 
-// BlasFT runs the substrate study: the paired wall overhead per shape,
-// the planted-fault self-test, and the modeled checksum_maintenance
-// comparison at (N=512, NB=16, K=2).
-func BlasFT(shapes [][3]int, pairs int, params sim.Params) (*BlasFTArtifact, error) {
+// BlasFTGemvShapes is the Level-2 m×n grid: the pool's panel slab in the
+// ft-faults-pool benchmark (N=512, nb=32, two devices) and the hot shape
+// of BenchmarkDgemvFT.
+var BlasFTGemvShapes = [][2]int{
+	{512, 64},
+	{512, 256},
+}
+
+// BlasFT runs the substrate study: the paired wall overhead per GEMM and
+// GEMV shape, the planted-fault self-test, and the modeled
+// checksum_maintenance comparison at (N=512, NB=16, K=2).
+func BlasFT(shapes [][3]int, gemvShapes [][2]int, pairs int, params sim.Params) (*BlasFTArtifact, error) {
 	art := &BlasFTArtifact{Provenance: stamp(), Pairs: pairs}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
@@ -122,6 +145,32 @@ func BlasFT(shapes [][3]int, pairs int, params sim.Params) (*BlasFTArtifact, err
 		cell.PlainSec, cell.FusedSec, cell.OverheadPct = p.A, p.B, p.Ratio.pct()
 		cell.FusedGFLOPS = 2 * float64(m) * float64(n) * float64(k) / p.B.Median / 1e9
 		art.Gemm = append(art.Gemm, cell)
+	}
+
+	for _, s := range gemvShapes {
+		m, n := s[0], s[1]
+		a := matrix.Random(m, n, 1)
+		x := matrix.Random(n, 1, 2)
+		y := make([]float64, m)
+		cell := BlasFTGemvCell{M: m, N: n}
+		plain := timed(func() error {
+			blas.Dgemv(blas.NoTrans, m, n, 1, a.Data, a.Stride, x.Data, 1, 0, y, 1)
+			return nil
+		})
+		fused := timed(func() error {
+			rep, err := blas.DgemvFT(blas.NoTrans, m, n, 1, a.Data, a.Stride, x.Data, 1, 0, y, 1)
+			if err != nil {
+				return fmt.Errorf("DgemvFT %dx%d: spurious detection: %w", m, n, err)
+			}
+			cell.Checks = rep.Checks
+			return nil
+		})
+		p, err := paired(pairs, plain, fused)
+		if err != nil {
+			return nil, err
+		}
+		cell.PlainSec, cell.FusedSec, cell.Ratio = p.A, p.B, p.Ratio
+		art.Gemv = append(art.Gemv, cell)
 	}
 
 	art.SelfTest = blas.FTSelfTest()
@@ -171,6 +220,12 @@ func (art *BlasFTArtifact) Report(w io.Writer) {
 			c.OverheadPct.Median, c.OverheadPct.Q1, c.OverheadPct.Q3, c.ModelOverheadPct,
 			c.Checks, c.FusedGFLOPS)
 	}
+	fmt.Fprintf(w, "%-16s %10s %10s %26s %8s\n", "gemv m×n", "plain", "DMR", "ratio", "checks")
+	for _, c := range art.Gemv {
+		fmt.Fprintf(w, "%-16s %8.2fus %8.2fus %7.3fx [%6.3f, %6.3f]   %8d\n",
+			fmt.Sprintf("%dx%d", c.M, c.N), 1e6*c.PlainSec.Median, 1e6*c.FusedSec.Median,
+			c.Ratio.Median, c.Ratio.Q1, c.Ratio.Q3, c.Checks)
+	}
 	st := art.SelfTest
 	fmt.Fprintf(w, "self-test: packed=%v tile=%v gemv=%v ger=%v (%d gemm checks, %d DMR checks) — passed=%v\n",
 		st.GemmPacked, st.GemmTile, st.Gemv, st.Ger, st.GemmChecks, st.DMRChecks, st.Passed())
@@ -182,12 +237,18 @@ func (art *BlasFTArtifact) Report(w io.Writer) {
 		rr.N, rr.NB, rr.Devices, rr.SubstrateChecks, rr.SubstrateDetections)
 }
 
-// WallCheck enforces the wall bar: the fused 512³ Dgemm's median
-// overhead over plain is ≤8%.
+// WallCheck enforces the wall bars on the paired medians: the fused 512³
+// Dgemm's overhead over plain is ≤8%, and DgemvFT at 512×64 costs ≤1.6×
+// Dgemv.
 func (art *BlasFTArtifact) WallCheck() error {
 	for _, c := range art.Gemm {
 		if c.M == 512 && c.N == 512 && c.K == 512 && c.OverheadPct.Median > 8 {
 			return fmt.Errorf("fused 512³ wall overhead %.2f%% above the 8%% bar", c.OverheadPct.Median)
+		}
+	}
+	for _, c := range art.Gemv {
+		if c.M == 512 && c.N == 64 && c.Ratio.Median > 1.6 {
+			return fmt.Errorf("DgemvFT 512×64 at %.3f× Dgemv, above the 1.6× bar", c.Ratio.Median)
 		}
 	}
 	return nil

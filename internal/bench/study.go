@@ -52,7 +52,7 @@ var Studies = []Study{
 		return blas.ShapeCatalogue(), nil
 	}},
 	{Name: "blasft", File: "BENCH_blasft.json", Pairs: 301, run: func(pairs int) (Artifact, error) {
-		return BlasFT(BlasFTShapes, pairs, sim.K40c())
+		return BlasFT(BlasFTShapes, BlasFTGemvShapes, pairs, sim.K40c())
 	}},
 	{Name: "serve_throughput", File: "BENCH_throughput.json", Pairs: 15, run: func(pairs int) (Artifact, error) {
 		return Throughput([]int{64, 128, 256}, 32, 2, 4, 8, 2, 16, pairs)

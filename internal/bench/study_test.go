@@ -127,8 +127,9 @@ var studyChecks = map[string]func(t *testing.T, art Artifact){
 		}
 	},
 	// Fused-ABFT substrate: the self-test detects every planted fault;
-	// every fused call runs checks; the extra-flop model stays ≤8% at 512³
-	// (the short-k shapes amortize worse through the 3/k epilogue term);
+	// every fused call runs checks, one per output element for DMR; the
+	// extra-flop model stays ≤8% at 512³ (the short-k shapes amortize
+	// worse through the 3/k epilogue term);
 	// the fused substrate cuts modeled checksum_maintenance by ≥20%; and
 	// the real fused run verifies in-kernel with zero detections.
 	"blasft": func(t *testing.T, art Artifact) {
@@ -142,6 +143,14 @@ var studyChecks = map[string]func(t *testing.T, art Artifact){
 			}
 			if c.M == 512 && c.N == 512 && c.K == 512 && c.ModelOverheadPct > 8 {
 				t.Errorf("gemm 512³: model overhead %.2f%% above the 8%% bar", c.ModelOverheadPct)
+			}
+		}
+		if len(a.Gemv) == 0 {
+			t.Error("no Level-2 DMR rows")
+		}
+		for _, c := range a.Gemv {
+			if c.Checks != c.M {
+				t.Errorf("gemv %dx%d: DMR call reports %d checks, want %d", c.M, c.N, c.Checks, c.M)
 			}
 		}
 		if m := a.Maintenance; m.FusedSec > 0.8*m.SweptSec {

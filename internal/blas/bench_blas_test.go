@@ -118,7 +118,7 @@ func BenchmarkDger(b *testing.B) {
 }
 
 // BenchmarkDgemvFT is the DMR-verified twin of BenchmarkDgemvNoTransSlab:
-// two Dgemv runs and one bit compare.
+// one pass over A into the output and its shadow, then one bit compare.
 func BenchmarkDgemvFT(b *testing.B) {
 	const m, n = 512, 256
 	a := matrix.Random(m, n, 3)

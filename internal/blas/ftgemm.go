@@ -109,8 +109,11 @@ type ftTileBufs struct {
 	// absolute-value sums anchoring the comparison thresholds.
 	preAbsRow [gemmMC]float64
 	preAbsCol [gemmNC]float64
-	rowSum    [gemmMC]float64
-	rowAbs    [gemmMC]float64
+	// observed sums of the finished tile.
+	rowSum [gemmMC]float64
+	rowAbs [gemmMC]float64
+	colSum [gemmNC]float64
+	colAbs [gemmNC]float64
 }
 
 var ftBufPool = sync.Pool{New: func() any { return new(ftTileBufs) }}
@@ -180,60 +183,24 @@ func gemmTileFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda i
 	defer ftBufPool.Put(fb)
 
 	// Pre-update pass: expected sums start from beta·C, thresholds from
-	// |beta·C|. beta == 0 clears the tile, so both start at zero.
-	for i := 0; i < mc; i++ {
-		fb.expRow[i] = 0
-		fb.preAbsRow[i] = 0
-	}
-	for j := 0; j < nc; j++ {
-		fb.expCol[j] = 0
-		fb.preAbsCol[j] = 0
-	}
+	// |beta·C|, scaled once per row and column after the raw pass. beta ==
+	// 0 clears the tile, so both start at zero.
 	if beta != 0 {
+		checksumPass(ct, ldc, fb.expRow[:mc], fb.preAbsRow[:mc], fb.expCol[:nc], fb.preAbsCol[:nc])
 		babs := math.Abs(beta)
-		jp := 0
-		for ; jp+4 <= nc; jp += 4 {
-			c0 := ct[jp*ldc : jp*ldc+mc]
-			c1 := ct[(jp+1)*ldc : (jp+1)*ldc+mc]
-			c2 := ct[(jp+2)*ldc : (jp+2)*ldc+mc]
-			c3 := ct[(jp+3)*ldc : (jp+3)*ldc+mc]
-			var s0, s1, s2, s3, a0, a1, a2, a3 float64
-			for i := 0; i < mc; i++ {
-				v0, v1, v2, v3 := c0[i], c1[i], c2[i], c3[i]
-				w0, w1, w2, w3 := math.Abs(v0), math.Abs(v1), math.Abs(v2), math.Abs(v3)
-				s0 += v0
-				s1 += v1
-				s2 += v2
-				s3 += v3
-				a0 += w0
-				a1 += w1
-				a2 += w2
-				a3 += w3
-				fb.expRow[i] += beta * (v0 + v1 + v2 + v3)
-				fb.preAbsRow[i] += babs * (w0 + w1 + w2 + w3)
-			}
-			fb.expCol[jp] = beta * s0
-			fb.expCol[jp+1] = beta * s1
-			fb.expCol[jp+2] = beta * s2
-			fb.expCol[jp+3] = beta * s3
-			fb.preAbsCol[jp] = babs * a0
-			fb.preAbsCol[jp+1] = babs * a1
-			fb.preAbsCol[jp+2] = babs * a2
-			fb.preAbsCol[jp+3] = babs * a3
+		for i := 0; i < mc; i++ {
+			fb.expRow[i] *= beta
+			fb.preAbsRow[i] *= babs
 		}
-		for ; jp < nc; jp++ {
-			cc := ct[jp*ldc : jp*ldc+mc]
-			colSum, colAbs := 0.0, 0.0
-			for i, v := range cc {
-				colSum += v
-				av := math.Abs(v)
-				colAbs += av
-				fb.expRow[i] += beta * v
-				fb.preAbsRow[i] += babs * av
-			}
-			fb.expCol[jp] = beta * colSum
-			fb.preAbsCol[jp] = babs * colAbs
+		for j := 0; j < nc; j++ {
+			fb.expCol[j] *= beta
+			fb.preAbsCol[j] *= babs
 		}
+	} else {
+		clear(fb.expRow[:mc])
+		clear(fb.preAbsRow[:mc])
+		clear(fb.expCol[:nc])
+		clear(fb.preAbsCol[:nc])
 	}
 
 	// Data path — identical to gemmTile — plus one synthetic micro-panel
@@ -282,58 +249,89 @@ func gemmTileFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda i
 
 	// Epilogue verify: one fresh pass over the finished tile computes
 	// observed row/column sums and their absolute anchors, compared
-	// against the expectations while the tile is still cache-hot. Columns
-	// go four at a time so the rowSum/rowAbs updates amortize to one
-	// read-modify-write per four elements — this pass is the whole of the
-	// 3/k overhead term, so its constant matters for the short-k trailing
-	// updates. (The grouping only regroups the checksum additions, within
-	// the comparison tolerance; the data path is untouched.)
-	for i := 0; i < mc; i++ {
-		fb.rowSum[i] = 0
-		fb.rowAbs[i] = 0
-	}
+	// against the expectations while the tile is still cache-hot.
+	checksumPass(ct, ldc, fb.rowSum[:mc], fb.rowAbs[:mc], fb.colSum[:nc], fb.colAbs[:nc])
 	scale := FTThresholdFactor * ftMacheps * float64(k+2)
-	j := 0
-	for ; j+4 <= nc; j += 4 {
-		c0 := ct[j*ldc : j*ldc+mc]
-		c1 := ct[(j+1)*ldc : (j+1)*ldc+mc]
-		c2 := ct[(j+2)*ldc : (j+2)*ldc+mc]
-		c3 := ct[(j+3)*ldc : (j+3)*ldc+mc]
-		var s0, s1, s2, s3, a0, a1, a2, a3 float64
-		for i := 0; i < mc; i++ {
-			v0, v1, v2, v3 := c0[i], c1[i], c2[i], c3[i]
-			w0, w1, w2, w3 := math.Abs(v0), math.Abs(v1), math.Abs(v2), math.Abs(v3)
-			s0 += v0
-			s1 += v1
-			s2 += v2
-			s3 += v3
-			a0 += w0
-			a1 += w1
-			a2 += w2
-			a3 += w3
-			fb.rowSum[i] += v0 + v1 + v2 + v3
-			fb.rowAbs[i] += w0 + w1 + w2 + w3
-		}
-		ftCheck(rep, s0, fb.expCol[j], scale*(fb.preAbsCol[j]+a0+1))
-		ftCheck(rep, s1, fb.expCol[j+1], scale*(fb.preAbsCol[j+1]+a1+1))
-		ftCheck(rep, s2, fb.expCol[j+2], scale*(fb.preAbsCol[j+2]+a2+1))
-		ftCheck(rep, s3, fb.expCol[j+3], scale*(fb.preAbsCol[j+3]+a3+1))
-	}
-	for ; j < nc; j++ {
-		cc := ct[j*ldc : j*ldc+mc]
-		colSum, colAbs := 0.0, 0.0
-		for i, v := range cc {
-			colSum += v
-			av := math.Abs(v)
-			colAbs += av
-			fb.rowSum[i] += v
-			fb.rowAbs[i] += av
-		}
-		ftCheck(rep, colSum, fb.expCol[j], scale*(fb.preAbsCol[j]+colAbs+1))
+	for j := 0; j < nc; j++ {
+		ftCheck(rep, fb.colSum[j], fb.expCol[j], scale*(fb.preAbsCol[j]+fb.colAbs[j]+1))
 	}
 	for i := 0; i < mc; i++ {
 		ftCheck(rep, fb.rowSum[i], fb.expRow[i], scale*(fb.preAbsRow[i]+fb.rowAbs[i]+1))
 	}
+}
+
+// checksumPass reads the len(row)×len(col) tile ct once and writes its row
+// sums and |·| row sums into row and rowAbs, and its column sums and |·|
+// column sums into col and colAbs. Columns go four at a time (ftSums4) so
+// the row read-modify-writes amortize to one per four elements: the
+// epilogue pass is the whole of the 3/k overhead term, so its constant
+// matters for the short-k trailing updates.
+func checksumPass(ct []float64, ldc int, row, rowAbs, col, colAbs []float64) {
+	mc, nc := len(row), len(col)
+	clear(row)
+	clear(rowAbs)
+	var sums [8]float64
+	j := 0
+	for ; j+4 <= nc; j += 4 {
+		ftSums4(ct[j*ldc:(j+3)*ldc+mc], ldc, row, rowAbs, &sums)
+		copy(col[j:j+4], sums[:4])
+		copy(colAbs[j:j+4], sums[4:])
+	}
+	for ; j < nc; j++ {
+		cc := ct[j*ldc : j*ldc+mc]
+		colSum, colAbs1 := 0.0, 0.0
+		for i, v := range cc {
+			colSum += v
+			av := math.Abs(v)
+			colAbs1 += av
+			row[i] += v
+			rowAbs[i] += av
+		}
+		col[j], colAbs[j] = colSum, colAbs1
+	}
+}
+
+// ftSums4 is the checksum pass over the four columns c[0:], c[ldc:],
+// c[2ldc:], c[3ldc:] and rows [0, len(row)): it adds v0+v1+v2+v3 into
+// row[i] and |v0|+|v1|+|v2|+|v3| into rowAbs[i], and stores the column
+// sums in sums[0:4] and the |·| column sums in sums[4:8]. The AVX2 kernel
+// covers the rows in multiples of four with one column partial per lane;
+// the rows it leaves continue in Go.
+func ftSums4(c []float64, ldc int, row, rowAbs []float64, sums *[8]float64) {
+	i := 0
+	if useAVXKernel {
+		i = len(row) &^ 3
+		ftSums4AVX(c, ldc, row[:i], rowAbs[:i], sums)
+	} else {
+		*sums = [8]float64{}
+	}
+	ftSums4Go(c, ldc, row, rowAbs, sums, i)
+}
+
+// ftSums4Go continues ftSums4's sums over rows [i0, len(row)).
+func ftSums4Go(c []float64, ldc int, row, rowAbs []float64, sums *[8]float64, i0 int) {
+	mc := len(row)
+	c0 := c[:mc]
+	c1 := c[ldc : ldc+mc]
+	c2 := c[2*ldc : 2*ldc+mc]
+	c3 := c[3*ldc : 3*ldc+mc]
+	s0, s1, s2, s3 := sums[0], sums[1], sums[2], sums[3]
+	a0, a1, a2, a3 := sums[4], sums[5], sums[6], sums[7]
+	for i := i0; i < mc; i++ {
+		v0, v1, v2, v3 := c0[i], c1[i], c2[i], c3[i]
+		w0, w1, w2, w3 := math.Abs(v0), math.Abs(v1), math.Abs(v2), math.Abs(v3)
+		s0 += v0
+		s1 += v1
+		s2 += v2
+		s3 += v3
+		a0 += w0
+		a1 += w1
+		a2 += w2
+		a3 += w3
+		row[i] += v0 + v1 + v2 + v3
+		rowAbs[i] += w0 + w1 + w2 + w3
+	}
+	*sums = [8]float64{s0, s1, s2, s3, a0, a1, a2, a3}
 }
 
 // ftCheck compares one observed sum against its prediction. Non-finite

@@ -413,3 +413,56 @@ func TestFTGemmOverheadFracModel(t *testing.T) {
 		t.Fatal("small tiles must carry a larger relative premium")
 	}
 }
+
+// TestChecksumPassKernelMatchesGo: the AVX2 checksum pass agrees with the
+// portable loop. Row sums keep the per-lane order, so they match bit for
+// bit; column sums combine per-lane partials, so they match within the
+// tightest ftCheck tolerance DgemmFT uses (k = 0) — and exactly on an
+// integer-valued tile, where every grouping is exact, which pins each
+// column's partials to its own output slot.
+func TestChecksumPassKernelMatchesGo(t *testing.T) {
+	if !useAVXKernel {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	defer func(orig bool) { useAVXKernel = orig }(useAVXKernel)
+	for _, integer := range []bool{false, true} {
+		for _, mc := range []int{1, 3, 4, 5, 8, 11, 37, gemmMC} {
+			for _, nc := range []int{1, 4, 6, 9, 17} {
+				ldc := mc + 3
+				ct := matrix.Random(ldc, nc, uint64(mc*100+nc)).Data
+				if integer {
+					for i := range ct {
+						ct[i] = math.Round(64 * ct[i])
+					}
+				}
+				var got, want [4][]float64
+				for k, avx := range []bool{true, false} {
+					out := &got
+					if k == 1 {
+						out = &want
+					}
+					useAVXKernel = avx
+					*out = [4][]float64{make([]float64, mc), make([]float64, mc), make([]float64, nc), make([]float64, nc)}
+					checksumPass(ct, ldc, out[0], out[1], out[2], out[3])
+				}
+				name := fmt.Sprintf("integer=%v mc=%d nc=%d", integer, mc, nc)
+				for s := 0; s < 2; s++ {
+					for i := range got[s] {
+						if math.Float64bits(got[s][i]) != math.Float64bits(want[s][i]) {
+							t.Fatalf("%s: row output %d[%d] = %v, Go loop %v", name, s, i, got[s][i], want[s][i])
+						}
+					}
+				}
+				tolScale := FTThresholdFactor * ftMacheps * 2
+				for j := 0; j < nc; j++ {
+					for s := 2; s < 4; s++ {
+						gap := math.Abs(got[s][j] - want[s][j])
+						if integer && gap != 0 || gap > tolScale*(want[3][j]+1) {
+							t.Fatalf("%s: column output %d[%d] = %v, Go loop %v", name, s, j, got[s][j], want[s][j])
+						}
+					}
+				}
+			}
+		}
+	}
+}

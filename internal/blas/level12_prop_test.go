@@ -168,9 +168,9 @@ func l12DaxpyCases() []l12Case {
 }
 
 // l12GemvCases covers both transposes. Each case also runs DgemvFT on a
-// copy of y: its two runs (strided primary, contiguous shadow) must agree
-// bit for bit, so it must report no detection, and its output must be
-// Dgemv's.
+// copy of y: its two copies (strided primary, contiguous shadow) must
+// agree bit for bit, so it must report no detection, and its output must
+// be Dgemv's.
 func l12GemvCases() []l12Case {
 	ab := [][2]float64{{0, 0.5}, {1, 0}, {-1, 1}, {0.7315926535897932, 0.5}, {5e-324, 1}, {-2.5e-310, 0}}
 	var cs []l12Case

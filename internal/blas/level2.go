@@ -18,22 +18,34 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []f
 	if m == 0 || n == 0 {
 		return
 	}
-	// y := beta*y
-	if beta != 1 {
-		if beta == 0 {
-			for i, iy := 0, 0; i < lenY; i, iy = i+1, iy+incY {
-				y[iy] = 0
-			}
-		} else {
-			Dscal(lenY, beta, y, incY)
-		}
-	}
+	gemvScale(lenY, beta, y, incY)
 	if alpha == 0 {
 		return
 	}
 	if done := opTimer("gemv", 2*float64(m)*float64(n)); done != nil {
 		defer done()
 	}
+	gemvUpdate(trans, m, n, alpha, a, lda, x, incX, y, incY)
+}
+
+// gemvScale applies Dgemv's first step, y := beta*y.
+func gemvScale(lenY int, beta float64, y []float64, incY int) {
+	if beta == 1 {
+		return
+	}
+	if beta == 0 {
+		for i, iy := 0, 0; i < lenY; i, iy = i+1, iy+incY {
+			y[iy] = 0
+		}
+		return
+	}
+	Dscal(lenY, beta, y, incY)
+}
+
+// gemvUpdate accumulates y += alpha*op(A)*x, sharding above
+// parallelL2Threshold. It is untimed, so the DMR twin (dmr.go) can run it
+// twice and charge the call once.
+func gemvUpdate(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, incX int, y []float64, incY int) {
 	p := procs()
 	parallel := p > 1 && 2*m*n >= parallelL2Threshold
 	if trans == NoTrans {
@@ -142,6 +154,12 @@ func Dger(m, n int, alpha float64, x []float64, incX int, y []float64, incY int,
 	if done := opTimer("ger", 2*float64(m)*float64(n)); done != nil {
 		defer done()
 	}
+	gerUpdate(m, n, alpha, x, incX, y, incY, a, lda)
+}
+
+// gerUpdate applies the rank-1 update, sharding columns above
+// parallelL2Threshold. Untimed, like gemvUpdate.
+func gerUpdate(m, n int, alpha float64, x []float64, incX int, y []float64, incY int, a []float64, lda int) {
 	p := procs()
 	if p > 1 && 2*m*n >= parallelL2Threshold && n > 1 {
 		chunks := min(p, n)

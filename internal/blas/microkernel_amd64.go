@@ -59,6 +59,18 @@ func axpyAVX(t float64, x, y []float64)
 //go:noescape
 func axpySubAVX(t float64, x, y []float64)
 
+// gemvDMR4AVX applies four columns of a NoTrans Dgemv, scaled by t, to y
+// and to the shadow s in one pass over A, each output bitwise as four
+// axpyUnitary calls leave it; ftSums4AVX is the checksum pass of four
+// C-tile columns over len(row) rows, a multiple of 4. Implemented in
+// ftkernel_amd64.s (see dmr.go, ftgemm.go).
+//
+//go:noescape
+func gemvDMR4AVX(t *[4]float64, a []float64, lda int, y, s []float64)
+
+//go:noescape
+func ftSums4AVX(c []float64, ldc int, row, rowAbs []float64, sums *[8]float64)
+
 //go:noescape
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -13,8 +13,9 @@ type FTSelfTestResult struct {
 	// GemmTile: an exponent bit flipped in the finished C tile before the
 	// epilogue verify was detected.
 	GemmTile bool `json:"gemm_tile"`
-	// Gemv / Ger: a one-ulp corruption of the primary Level-2 output
-	// between the DMR runs was detected by the bit compare.
+	// Gemv / Ger: a one-ulp corruption of the primary Level-2 output,
+	// planted after both DMR copies are computed, was detected by the
+	// bit compare.
 	Gemv bool `json:"gemv"`
 	Ger  bool `json:"ger"`
 	// GemmChecks is the row+column comparisons one faulted DgemmFT ran;

@@ -38,14 +38,15 @@ func (d *Device) launchOn(t *sim.Timeline, kind opKind, cost float64, deps []sim
 }
 
 // ftGemvCostFactor is the modeled device premium of the DMR Level-2
-// kernels. It models an FT-BLAS-style kernel that duplicates the FMA
-// stream in registers: on a bandwidth-bound op that adds ALU work but no
-// memory traffic, so the slowdown sits near the ALU share of the kernel
-// (~10%). The host implementation is not that kernel: DgemvFT runs Dgemv
-// twice and bit-compares, which re-reads A and measures 2.0× Dgemv at the
-// 512×256 hot shape (BenchmarkDgemvFT against BenchmarkDgemvNoTransSlab,
-// DESIGN.md §14). The factor keeps its modeled value, which every
-// modeled artifact and benchmark figure is computed with.
+// kernels. It models an FT-BLAS-style kernel that duplicates the
+// arithmetic in registers: on a bandwidth-bound op that adds ALU work but
+// no memory traffic, so the slowdown sits near the ALU share of the
+// kernel (~10%). The host's NoTrans DgemvFT is now that kind of kernel —
+// it reads A once and feeds two multiply-add chains — but it still pays
+// for the shadow copy, the second output stream and the compare, so it
+// measures above 1.10× Dgemv (BENCH_blasft.json's gemv rows, DESIGN.md
+// §14). The factor keeps its modeled value, which every modeled artifact
+// and benchmark figure is computed with.
 const ftGemvCostFactor = 1.10
 
 // Gemm enqueues C(ci:ci+m, cj:cj+n) := alpha·op(A)·op(B) + beta·C on the
