@@ -163,9 +163,9 @@ func TestQueuePopWakesOnClose(t *testing.T) {
 
 func TestCacheHitMissLRU(t *testing.T) {
 	c := NewCache(2)
-	k1 := Key{Digest: "a", NB: 32, Alg: "ft"}
-	k2 := Key{Digest: "b", NB: 32, Alg: "ft"}
-	k3 := Key{Digest: "c", NB: 32, Alg: "ft"}
+	k1 := Key("a")
+	k2 := Key("b")
+	k3 := Key("c")
 
 	_, fl, st := c.Acquire(k1)
 	if st != Lead {
@@ -206,7 +206,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 // leader; followers get the committed value without recomputing.
 func TestCacheSingleFlightCoalesces(t *testing.T) {
 	c := NewCache(4)
-	k := Key{Digest: "d", NB: 32, Alg: "ft"}
+	k := Key("d")
 	_, lead, st := c.Acquire(k)
 	if st != Lead {
 		t.Fatalf("leader acquire: %v", st)
@@ -250,7 +250,7 @@ func TestCacheSingleFlightCoalesces(t *testing.T) {
 // a follower's context cancellation unblocks its Wait.
 func TestCacheLeaderAbortReleasesFollowers(t *testing.T) {
 	c := NewCache(4)
-	k := Key{Digest: "e", NB: 32, Alg: "ft"}
+	k := Key("e")
 	_, lead, _ := c.Acquire(k)
 	_, fl, st := c.Acquire(k)
 	if st != Follow {
@@ -275,8 +275,8 @@ func TestCacheLeaderAbortReleasesFollowers(t *testing.T) {
 	}
 
 	// Follower-side cancellation.
-	_, lead3, _ := c.Acquire(Key{Digest: "f"})
-	_, fl3, _ := c.Acquire(Key{Digest: "f"})
+	_, lead3, _ := c.Acquire(Key("f"))
+	_, fl3, _ := c.Acquire(Key("f"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := fl3.Wait(ctx); !errors.Is(err, context.Canceled) {

@@ -6,20 +6,11 @@ import (
 	"sync"
 )
 
-// Key identifies one reduction outcome. Digest is the canonical SHA-256
-// input fingerprint (core.MatrixDigest); the other fields are exactly the
-// options that change the result's bits. Device count, schedule
-// (lookahead on/off), and BLAS substrate are deliberately absent: the
-// PR 5/7/9 determinism contracts make the bits invariant to all three,
-// so requests differing only there share an entry. Pool distinguishes
-// the multi-device schedule family from the legacy single-device one —
-// those two produce different (both correct) bits.
-type Key struct {
-	Digest string
-	NB     int
-	Alg    string
-	Pool   bool
-}
+// Key identifies one reduction outcome. The serving layer derives it with
+// core.ResultKey (input digest plus every option that is not per-call
+// plumbing), so equal keys mean equal results and a hit returns exactly
+// what a miss would.
+type Key string
 
 // Status of a Cache.Acquire call.
 type Status int
@@ -123,8 +114,7 @@ func (c *Cache) Commit(fl *Flight, val any) {
 	}
 	if el, ok := c.entries[fl.key]; ok {
 		// A racing leader (possible after an abort) already stored the
-		// key; keep the existing entry — both values are bit-identical by
-		// the determinism contract.
+		// key; keep the existing entry — equal keys mean equal values.
 		c.lru.MoveToFront(el)
 	} else {
 		c.entries[fl.key] = c.lru.PushFront(&entry{key: fl.key, val: val})

@@ -23,15 +23,11 @@
 package campaign
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/fault"
 	"repro/internal/matrix"
-	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Outcome classifies one trial.
@@ -83,35 +79,6 @@ func ParseOutcome(s string) (Outcome, error) {
 	return CleanPass, fmt.Errorf("campaign: unknown outcome %q", s)
 }
 
-// Config parameterizes a single-cell campaign (the Run entry point).
-// Sweeps over grids of these parameters use the Sweep type instead.
-type Config struct {
-	// N, NB: problem size and block size.
-	N, NB int
-	// Trials is the number of independent runs.
-	Trials int
-	// Lambda is the expected number of soft errors per run (Poisson).
-	Lambda float64
-	// Seed makes the campaign reproducible.
-	Seed uint64
-	// MinBit..MaxBit bound the flipped bit (default 20..62: from deep
-	// mantissa to the exponent, excluding the sign for variety).
-	MinBit, MaxBit uint
-	// Region restricts where errors strike (default fault.RegionAll:
-	// footprint-weighted over all areas).
-	Region fault.Region
-	// Workers bounds the trial-level parallelism (default 1; results are
-	// bitwise identical at any value).
-	Workers int
-	// ResidualTol classifies a result as correct (default 1e-12).
-	ResidualTol float64
-	// Params calibrates the simulated device (sim.K40c() if zero).
-	Params sim.Params
-	// Obs, if set, receives campaign_trials_total{outcome}, campaign
-	// timing and injection counters.
-	Obs *obs.Registry
-}
-
 // Trial records one run's outcome.
 type Trial struct {
 	Outcome    Outcome
@@ -121,71 +88,6 @@ type Trial struct {
 	Recoveries int
 	Residual   float64
 	Err        error
-}
-
-// Report aggregates a single-cell campaign.
-type Report struct {
-	Config     Config
-	Trials     []Trial
-	ByOutcome  map[Outcome]int
-	Injections int
-}
-
-// Run executes a single-cell campaign (real arithmetic) on the shared
-// sweep engine: one cell, Config.Workers-wide, deterministic in the seed.
-func Run(cfg Config) (*Report, error) {
-	if cfg.N <= 0 || cfg.Trials <= 0 {
-		return nil, errors.New("campaign: N and Trials must be positive")
-	}
-	applyConfigDefaults(&cfg)
-
-	s := &Sweep{
-		Ns:            []int{cfg.N},
-		NBs:           []int{cfg.NB},
-		Lambdas:       []float64{cfg.Lambda},
-		Regions:       []fault.Region{cfg.Region},
-		BitRanges:     [][2]uint{{cfg.MinBit, cfg.MaxBit}},
-		TrialsPerCell: cfg.Trials,
-		Seed:          cfg.Seed,
-		Workers:       cfg.Workers,
-		ResidualTol:   cfg.ResidualTol,
-		Params:        cfg.Params,
-		Obs:           cfg.Obs,
-	}
-	sr, err := s.Run()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Config: cfg, ByOutcome: map[Outcome]int{}}
-	for _, res := range sr.results[0] {
-		t := res.trial
-		rep.ByOutcome[t.Outcome]++
-		rep.Injections += len(t.Injections)
-		rep.Trials = append(rep.Trials, t)
-	}
-	return rep, nil
-}
-
-// applyConfigDefaults fills the zero values of a validated Config.
-func applyConfigDefaults(cfg *Config) {
-	if cfg.NB <= 0 {
-		cfg.NB = 32
-	}
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 1
-	}
-	if cfg.MaxBit == 0 {
-		cfg.MinBit, cfg.MaxBit = 20, 62
-	}
-	if cfg.ResidualTol <= 0 {
-		cfg.ResidualTol = 1e-12
-	}
-	if cfg.Params == (sim.Params{}) {
-		cfg.Params = sim.K40c()
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 }
 
 // samplePlans draws a Poisson number of single-error plans, each at a
@@ -268,22 +170,4 @@ func poisson(rng *matrix.RNG, lambda float64) int {
 			return k
 		}
 	}
-}
-
-// Print writes the aggregate report of a single-cell campaign.
-func (r *Report) Print(w io.Writer) {
-	fmt.Fprintf(w, "Monte-Carlo soft-error campaign: N=%d nb=%d, %d trials, λ=%.2f errors/run (region %s, bit flips, bits %d..%d)\n",
-		r.Config.N, r.Config.NB, len(r.Trials), r.Config.Lambda, r.Config.Region, r.Config.MinBit, r.Config.MaxBit)
-	fmt.Fprintf(w, "total injections: %d\n", r.Injections)
-	for _, o := range []Outcome{CleanPass, Recovered, SilentBenign, SilentCorrupt, Uncorrectable} {
-		fmt.Fprintf(w, "  %-14s %4d trials (%.1f%%)\n", o, r.ByOutcome[o],
-			100*float64(r.ByOutcome[o])/float64(len(r.Trials)))
-	}
-	worst := 0.0
-	for _, t := range r.Trials {
-		if t.Residual > worst {
-			worst = t.Residual
-		}
-	}
-	fmt.Fprintf(w, "worst residual across completed trials: %.3e\n", worst)
 }

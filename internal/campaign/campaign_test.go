@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -101,33 +102,32 @@ func TestDeriveTrialSeedIndependent(t *testing.T) {
 }
 
 func TestRunCampaignSmall(t *testing.T) {
-	rep, err := Run(Config{N: 126, NB: 16, Trials: 12, Lambda: 1.0, Seed: 7})
+	rep, err := (&Sweep{Ns: []int{126}, NBs: []int{16}, TrialsPerCell: 12, Seed: 7}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Trials) != 12 {
-		t.Fatalf("%d trials", len(rep.Trials))
+	cell := &rep.Cells[0]
+	if len(rep.Cells) != 1 || cell.Trials != 12 {
+		t.Fatalf("%d cells, %d trials", len(rep.Cells), cell.Trials)
 	}
 	// The scheme's purpose: no silent corruption.
-	if rep.ByOutcome[SilentCorrupt] != 0 {
-		for _, tr := range rep.Trials {
-			if tr.Outcome == SilentCorrupt {
-				t.Fatalf("silent corruption: injections %+v residual %v", tr.Injections, tr.Residual)
-			}
+	for _, res := range rep.results[0] {
+		if tr := res.trial; tr.Outcome == SilentCorrupt {
+			t.Fatalf("silent corruption: injections %+v residual %v", tr.Injections, tr.Residual)
 		}
 	}
 	// With λ=1 over 12 trials, some errors must have been injected and
 	// handled.
-	if rep.Injections == 0 {
+	if cell.Injections == 0 {
 		t.Fatal("campaign injected nothing")
 	}
-	if rep.ByOutcome[Recovered]+rep.ByOutcome[SilentBenign]+rep.ByOutcome[Uncorrectable] == 0 {
-		t.Fatalf("no faulted trial completed: %+v", rep.ByOutcome)
+	if cell.Outcome(Recovered)+cell.Outcome(SilentBenign)+cell.Outcome(Uncorrectable) == 0 {
+		t.Fatalf("no faulted trial completed: %+v", cell.ByName)
 	}
 	var b bytes.Buffer
 	rep.Print(&b)
-	if !strings.Contains(b.String(), "recovered") {
-		t.Fatalf("report output:\n%s", b.String())
+	if want := fmt.Sprintf("totals: %d injections across 12 trials", cell.Injections); !strings.Contains(b.String(), want) {
+		t.Fatalf("report output lacks %q:\n%s", want, b.String())
 	}
 }
 
@@ -149,9 +149,12 @@ func TestJSONFloatRoundTrip(t *testing.T) {
 	}
 }
 
+// A one-cell sweep still needs a positive N and trial count.
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("empty config accepted")
+	for _, s := range []*Sweep{{Ns: []int{0}, TrialsPerCell: 1}, {Ns: []int{126}}} {
+		if _, err := s.Run(); err == nil {
+			t.Fatalf("invalid one-cell sweep %+v accepted", s)
+		}
 	}
 }
 

@@ -7,18 +7,17 @@ import (
 	"repro/internal/fault"
 )
 
-// ExampleRun executes a small single-cell campaign: Poisson error
-// arrivals, footprint-weighted areas, random bit flips. The seed fixes
-// every trial, so the output is reproducible at any worker count.
-func ExampleRun() {
-	rep, err := campaign.Run(campaign.Config{
-		N: 96, NB: 16, Trials: 6, Lambda: 1, Seed: 5, Workers: 2,
-	})
+// ExampleSweep_Run_oneCell executes a small single-cell campaign: Poisson
+// error arrivals, footprint-weighted areas, random bit flips. The seed
+// fixes every trial, so the output is reproducible at any worker count.
+func ExampleSweep_Run_oneCell() {
+	s := &campaign.Sweep{Ns: []int{96}, NBs: []int{16}, TrialsPerCell: 6, Seed: 5, Workers: 2}
+	rep, err := s.Run()
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("trials=%d injections=%d silent-corrupt=%d\n",
-		len(rep.Trials), rep.Injections, rep.ByOutcome[campaign.SilentCorrupt])
+		rep.TotalTrials, rep.Injections, rep.Outcome(campaign.SilentCorrupt))
 	// Output: trials=6 injections=5 silent-corrupt=0
 }
 

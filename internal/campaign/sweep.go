@@ -136,7 +136,7 @@ type Sweep struct {
 	Progress func(done, total int)
 	// Triage re-runs every failed trial (SilentCorrupt / Uncorrectable)
 	// with an FT event journal attached and embeds the minimal repro in
-	// the cell report (default on via RunSweep; set by Run()).
+	// the cell report (set by RunSweep).
 	Triage bool
 
 	// mats caches the shared read-only input matrix per order N.

@@ -53,7 +53,13 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Options configures a reduction.
+// Options configures a reduction. Each field is a result-invariant knob
+// (it may change modeled time and the FT counters, never the
+// factorization), a key field that may change the result, or per-call
+// plumbing; the invariance table in invariance_test.go lists the knobs
+// and proves each one alone and crossed with the others, and
+// TestOptionsClassified keeps every field classified. ResultKey keys
+// the result cache on the input digest and every non-plumbing field.
 type Options struct {
 	// Ctx, when non-nil, makes the reduction cancellable: the hybrid
 	// algorithms (FaultTolerant, Baseline) poll it at every blocked
@@ -83,22 +89,21 @@ type Options struct {
 	DisableOverlap     bool
 	// DisableLookahead turns off the depth-1 lookahead schedule (panel
 	// k+1 factored under trailing update k) in both hybrid algorithms.
-	// Results are bit-identical either way; only modeled time changes.
 	DisableLookahead bool
 	// FailStop enables fail-stop device-loss recovery on the multi-device
 	// path (DESIGN.md §13): a parity slab on a checksum device lets a run
-	// survive one permanently dead device bit-identically. SpareDevice,
-	// when set, supplies replacement (and parity) devices; otherwise they
-	// are fabricated from Params/CostOnly. Both pass through to ft.
+	// survive one permanently dead device. SpareDevice, when set, supplies
+	// replacement (and parity) devices; otherwise they are fabricated from
+	// Params/CostOnly. Both pass through to ft.
 	FailStop    bool
 	SpareDevice func() *gpu.Device
 	// Substrate selects the BLAS fault-tolerance substrate for the
 	// fault-tolerant algorithm: "" or "swept" (default) keeps the
 	// iteration-boundary sweeps only; "fused" additionally verifies every
 	// device BLAS call in-kernel (fused-ABFT Dgemm, DMR Dgemv/Dger) and
-	// refreshes the multi-device panel-slab halo incrementally. Results
-	// are bit-identical either way; only modeled time and the
-	// substrate counters change. Passes through to ft.Options.Substrate.
+	// refreshes the multi-device panel-slab halo incrementally, counting
+	// the checks in the substrate counters. Passes through to
+	// ft.Options.Substrate.
 	Substrate string
 	Hook      ft.Hook
 	// Obs, when set, receives run metrics (per-phase timers, kernel-kind
@@ -116,11 +121,11 @@ type Options struct {
 	Device *gpu.Device
 	// DeviceCount > 0 runs the multi-device pool path on that many
 	// simulated devices built from Params/CostOnly (0 selects the legacy
-	// single-device algorithms; a pool of 1 uses the multi schedule, which
-	// is bit-identical at every pool size but not to the legacy schedule).
-	// Devices, when non-empty, supplies the pool explicitly instead
-	// (e.g. pre-traced devices) and takes precedence. CPUOnly rejects a
-	// pool.
+	// single-device algorithms). The two schedule families compute
+	// different, equally valid bits; within the pool family the result
+	// does not depend on the count. Devices, when non-empty, supplies the
+	// pool explicitly instead (e.g. pre-traced devices) and takes
+	// precedence. CPUOnly rejects a pool.
 	DeviceCount int
 	Devices     []*gpu.Device
 }

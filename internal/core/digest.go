@@ -4,9 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 
+	"repro/internal/ft"
+	"repro/internal/hybrid"
 	"repro/internal/matrix"
+	"repro/internal/sim"
 )
 
 // MatrixDigest is the canonical SHA-256 fingerprint of a matrix: the
@@ -28,8 +34,7 @@ func MatrixDigest(m *matrix.Matrix) string {
 
 // Digest fingerprints the factorization: MatrixDigest of Packed followed
 // by the Tau scalars. This is the digest `fthess -checksum` prints and CI
-// compares across device counts, schedules, and substrates — the PR 5/7/9
-// guarantees make it invariant to all three, so it keys the result cache.
+// compares across the result-invariant options (invariance_test.go).
 // It needs a Real-mode result: a CostOnly run's Packed has no values, and
 // Digest panics on it.
 func (r *Result) Digest() string {
@@ -46,4 +51,47 @@ func (r *Result) Digest() string {
 		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// plumbing names the Options fields that wire one call into its
+// surroundings: cancellation, the fault hook, observability sinks, and the
+// device objects to run on (built from Params; an explicit Devices pool
+// counts as DeviceCount). They never decide what is computed or modeled,
+// so ResultKey leaves them out.
+var plumbing = map[string]bool{
+	"Ctx": true, "Hook": true, "Obs": true, "Journal": true, "Trace": true,
+	"Device": true, "Devices": true, "SpareDevice": true,
+}
+
+// ResultKey derives the result-cache key of Reduce(a, opt): the input's
+// MatrixDigest plus every Options field that is not plumbing, with the
+// defaults resolved (NB, Params, Substrate). Equal keys mean equal
+// Results, modeled time included, so a cache hit returns exactly what a
+// miss would. ok is false for runs with no cacheable outcome: a cost-only
+// run holds no numerics, and a Hook may inject faults.
+func ResultKey(a *matrix.Matrix, opt Options) (key string, ok bool) {
+	if opt.CostOnly || opt.Hook != nil {
+		return "", false
+	}
+	if opt.NB <= 0 {
+		opt.NB = hybrid.DefaultNB
+	}
+	if opt.Params == (sim.Params{}) {
+		opt.Params = sim.K40c()
+	}
+	if opt.Substrate == "" {
+		opt.Substrate = ft.SubstrateSwept
+	}
+	if len(opt.Devices) > 0 {
+		opt.DeviceCount = len(opt.Devices)
+	}
+	var b strings.Builder
+	b.WriteString(MatrixDigest(a))
+	v := reflect.ValueOf(opt)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; !plumbing[name] {
+			fmt.Fprintf(&b, " %s=%v", name, v.Field(i).Interface())
+		}
+	}
+	return b.String(), true
 }

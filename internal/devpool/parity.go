@@ -187,7 +187,7 @@ func (py *Parity) refreshRound(r, lo int) {
 	}
 	py.pulls = pulls
 	pool.Issue(py.Dev)
-	e := py.Dev.H2DAsync(py.rounds[r], 0, lo, acc.View(0, 0, rows, wmax-lo), py.last[r])
+	e := py.Dev.H2DAsync(py.rounds[r], 0, lo, acc.View(0, lo, rows, wmax-lo), py.last[r])
 	py.last[r] = e
 }
 

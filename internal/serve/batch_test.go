@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -456,4 +458,47 @@ func TestVersionEndpoint(t *testing.T) {
 	if st.Build == nil || st.Build.GoVersion != bi.GoVersion {
 		t.Fatalf("job status build %+v != /v1/version %+v", st.Build, bi)
 	}
+}
+
+// TestCacheHitEqualsMiss pins the cache policy: a hit returns exactly the
+// JobResult a miss would, apart from id and cached. Each variant differs
+// from its base request in one option, so it must miss the base's entry
+// (whose modeled time differs) and then hit its own. A single job over a
+// batched item's input and options shares the item's entry.
+func TestCacheHitEqualsMiss(t *testing.T) {
+	leakcheck.Check(t)
+	const base = `{"n":48,"nb":8,"seed":3`
+	cfg := Config{Capacity: 1, Devices: 2, DeviceLanes: 1, CacheEntries: 8}
+	run := func(ts *httptest.Server, body string) *JobResult {
+		t.Helper()
+		id := submit(t, ts, body+"}")
+		waitState(t, ts, id, StateDone)
+		return getResult(t, ts, id)
+	}
+	same := func(label string, hit, miss *JobResult) {
+		t.Helper()
+		h, m := *hit, *miss
+		h.ID, h.Cached, m.ID, m.Cached = "", false, "", false
+		if !hit.Cached || miss.Cached || !reflect.DeepEqual(h, m) {
+			t.Fatalf("%s: hit (cached=%v) %+v, miss (cached=%v) %+v", label, hit.Cached, h, miss.Cached, m)
+		}
+	}
+	var baseMiss *JobResult
+	for _, c := range [][2]string{
+		{base, base + `,"lookahead":false`},
+		{base + `,"devices":1`, base + `,"devices":2`},
+		{base, base + `,"substrate":"fused"`},
+		{base, base + `,"disable_q_protection":true`},
+		{base, base + `,"threshold_factor":4`},
+	} {
+		_, ts := newTestServer(t, cfg)
+		if r := run(ts, c[0]); baseMiss == nil {
+			baseMiss = r
+		}
+		miss := run(ts, c[1])
+		same(c[1]+"} after "+c[0]+"}", run(ts, c[1]), miss)
+	}
+	_, ts := newTestServer(t, cfg)
+	run(ts, `{"nb":8,"batch":[{"n":48,"seed":3}]`)
+	same("single job after a batched item", run(ts, base), baseMiss)
 }

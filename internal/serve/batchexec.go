@@ -36,78 +36,32 @@ func (s *Server) executeBatch(j *Job) (*JobResult, error) {
 
 	runner := func(ctx context.Context, it batch.Item, lane batch.Lane) (any, *gpu.Device, error) {
 		a := matrix.Random(it.N, it.N, it.Seed)
+		opt := runOptions(req, it.NB)
+		opt.Ctx, opt.Obs, opt.Journal, opt.Trace = ctx, s.reg, j.journal, trace
 
-		// Per-item cache: the key digests the generated input, so two
-		// batched jobs (or a batched and a single job) sharing an item
-		// share its entry. The leader computes while holding its lane, so
-		// coalesced followers waiting on other lanes always make progress.
-		var flight *batch.Flight
-		if key, ok := s.cacheKey(req, a, it.NB); ok {
-			val, fl, st := s.cache.Acquire(key)
-			switch st {
-			case batch.Hit:
-				s.cCacheHit.Inc()
-				return val.(*cachedRun), nil, nil
-			case batch.Follow:
-				s.cCacheCoalesce.Inc()
-				v, ok, err := fl.Wait(ctx)
-				if err != nil {
-					return nil, nil, err
-				}
-				if ok {
-					s.cCacheHit.Inc()
-					return v.(*cachedRun), nil, nil
-				}
-				// Leader aborted: compute locally, no new flight.
-			case batch.Lead:
-				s.cCacheMiss.Inc()
-				flight = fl
-				defer func() {
-					if flight != nil {
-						s.cache.Abort(flight)
-					}
-				}()
+		// The cache key digests the generated input, so two batched jobs
+		// (or a batched and a single job) sharing an item share its entry.
+		// The leader computes while holding its lane, so coalesced
+		// followers waiting on other lanes always make progress. A hit
+		// returns no device and charges the lane nothing.
+		var dev *gpu.Device
+		run, _, err := s.reduceCached(ctx, req, a, opt, func() (*core.Result, error) {
+			// A fresh device per item: the simulated clocks are absolute,
+			// so reuse would leak earlier items' time into later ones. The
+			// lane name ("d0.l1") flows into metric labels and trace rows.
+			dev = gpu.NewNamed(sim.K40c(), mode, lane.Name())
+			if j.tracer != nil {
+				dev.EnableTrace()
 			}
-		}
-
-		// A fresh device per item: the simulated clocks are absolute, so
-		// reuse would leak earlier items' time into later ones. The lane
-		// name ("d0.l1") flows into metric labels and trace rows.
-		dev := gpu.NewNamed(sim.K40c(), mode, lane.Name())
-		if j.tracer != nil {
-			dev.EnableTrace()
-		}
-		j.setDevice(dev)
-		opt := core.Options{
-			Ctx: ctx, NB: it.NB,
-			CostOnly:           req.CostOnly,
-			ThresholdFactor:    req.ThresholdFactor,
-			FinalHCheck:        req.FinalHCheck,
-			DisableQProtection: req.DisableQProtection,
-			DisableOverlap:     req.DisableOverlap,
-			DisableLookahead:   req.Lookahead != nil && !*req.Lookahead,
-			Substrate:          req.Substrate,
-			Obs:                s.reg,
-			Journal:            j.journal,
-			Trace:              trace,
-			Device:             dev,
-		}
-		if req.algorithm() == AlgBaseline {
-			opt.Algorithm = core.Baseline
-		} else {
-			opt.Algorithm = core.FaultTolerant
-		}
-		if s.testMutateOptions != nil {
-			s.testMutateOptions(j, &opt)
-		}
-		res, err := core.Reduce(a, opt)
+			j.setDevice(dev)
+			opt.Device = dev
+			if s.testMutateOptions != nil {
+				s.testMutateOptions(j, &opt)
+			}
+			return core.Reduce(a, opt)
+		})
 		if err != nil {
 			return nil, dev, err
-		}
-		run := newCachedRun(buildResult(req, a, res))
-		if flight != nil && cacheable(res) {
-			s.cache.Commit(flight, run)
-			flight = nil
 		}
 		return run, dev, nil
 	}

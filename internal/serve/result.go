@@ -81,53 +81,19 @@ type BatchItemResult struct {
 	Cached       bool   `json:"cached,omitempty"`
 }
 
-// cachedRun is the immutable payload stored in the result cache: a
-// fully built result template (residuals included — they are a pure
-// function of the cached input/output pair, so a hit pays no O(N³)
-// verification either). The template is shared by every future hit and
-// must never be mutated; jobResult hands out copies.
+// cachedRun is the wire result of one reduction as an immutable
+// template: no job ID, not cached, no items. It is what the result cache
+// stores (residuals included — they are a pure function of the cached
+// input/output pair, so a hit pays no O(N³) verification either), shared
+// by every future hit, so it is never mutated; jobResult and itemResult
+// hand out copies.
 type cachedRun struct {
 	tpl JobResult
 }
 
-func newCachedRun(out *JobResult) *cachedRun {
-	tpl := *out
-	tpl.ID = ""
-	tpl.Cached = false
-	tpl.Items = nil // single-run payloads only; items cache individually
-	return &cachedRun{tpl: tpl}
-}
-
-// jobResult instantiates the cached template for one served job.
-func (c *cachedRun) jobResult(j *Job) *JobResult {
-	out := c.tpl
-	out.ID = j.ID
-	out.Cached = true
-	return &out
-}
-
-// itemResult instantiates the cached template as one batched item.
-func (c *cachedRun) itemResult(idx int, seed uint64, cached bool) BatchItemResult {
-	return BatchItemResult{
-		Index: idx, N: c.tpl.N, NB: c.tpl.NB, Seed: seed,
-		SimSeconds: c.tpl.SimSeconds, ModelGFLOPS: c.tpl.ModelGFLOPS,
-		Residual: c.tpl.Residual, Orthogonality: c.tpl.Orthogonality,
-		ResultDigest: c.tpl.ResultDigest, Cached: cached,
-	}
-}
-
-// generalResult builds the response for the Hessenberg paths.
-func generalResult(j *Job, res *core.Result) *JobResult {
-	out := buildResult(j.req, j.a, res)
-	out.ID = j.ID
-	return out
-}
-
-// buildResult assembles the wire result of one reduction (job ID left
-// for the caller — batched items build results without a job of their
-// own).
-func buildResult(req *JobRequest, a *matrix.Matrix, res *core.Result) *JobResult {
-	out := &JobResult{
+// newCachedRun assembles the result template of one reduction.
+func newCachedRun(req *JobRequest, a *matrix.Matrix, res *core.Result) *cachedRun {
+	c := &cachedRun{tpl: JobResult{
 		Algorithm: req.algorithm(),
 		N:         res.N,
 		NB:        res.NB,
@@ -145,13 +111,31 @@ func buildResult(req *JobRequest, a *matrix.Matrix, res *core.Result) *JobResult
 
 		Residual:      obs.Float(math.NaN()),
 		Orthogonality: obs.Float(math.NaN()),
-	}
+	}}
 	if !req.CostOnly {
-		out.Residual = obs.Float(res.Residual(a))
-		out.Orthogonality = obs.Float(res.Orthogonality())
-		out.ResultDigest = res.Digest()
+		c.tpl.Residual = obs.Float(res.Residual(a))
+		c.tpl.Orthogonality = obs.Float(res.Orthogonality())
+		c.tpl.ResultDigest = res.Digest()
 	}
-	return out
+	return c
+}
+
+// jobResult instantiates the template for one served job.
+func (c *cachedRun) jobResult(j *Job, cached bool) *JobResult {
+	out := c.tpl
+	out.ID = j.ID
+	out.Cached = cached
+	return &out
+}
+
+// itemResult instantiates the template as one batched item.
+func (c *cachedRun) itemResult(idx int, seed uint64, cached bool) BatchItemResult {
+	return BatchItemResult{
+		Index: idx, N: c.tpl.N, NB: c.tpl.NB, Seed: seed,
+		SimSeconds: c.tpl.SimSeconds, ModelGFLOPS: c.tpl.ModelGFLOPS,
+		Residual: c.tpl.Residual, Orthogonality: c.tpl.Orthogonality,
+		ResultDigest: c.tpl.ResultDigest, Cached: cached,
+	}
 }
 
 // symResult builds the response for the tridiagonalization path.

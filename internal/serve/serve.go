@@ -105,8 +105,9 @@ type Config struct {
 	// physical devices. 0 disables batched jobs (400 at submit).
 	DeviceLanes int
 	// CacheEntries, when > 0, bounds the digest-keyed result cache:
-	// deterministic fault-free runs are cached under their canonical
-	// input digest + result-affecting options, with single-flight
+	// fault-free runs are cached under core.ResultKey (the canonical
+	// input digest plus every reduction option), so a hit returns exactly
+	// what a miss would apart from id and cached, with single-flight
 	// coalescing of concurrent identical submissions. 0 disables caching.
 	CacheEntries int
 	// AgingAfter is the fair-queue starvation bound: a queued job whose
@@ -556,39 +557,105 @@ func (j *Job) traceContext() *obs.TraceContext {
 	return &obs.TraceContext{Job: j.ID, Tracer: j.tracer, Parent: j.spanRun}
 }
 
-// cacheKey builds the result-cache key for a request, reporting whether
-// the run is cacheable at all. Only deterministic, fault-free runs
-// qualify: cost-only runs have no numerics to cache, and injection /
-// fail-stop jobs are excluded outright so a faulted or killed run can
-// never be served from the cache. The key carries exactly the options
-// that change the result's bits (input digest, nb, algorithm, schedule
-// family) — device count, lookahead, and substrate are invariant by the
-// determinism contracts and deliberately absent.
-func (s *Server) cacheKey(req *JobRequest, a *matrix.Matrix, nb int) (batch.Key, bool) {
-	if s.cache == nil || req.Symmetric || req.CostOnly || req.FailStop || len(req.Faults) > 0 {
-		return batch.Key{}, false
+// runOptions builds the reduction options a request asks for at block
+// size nb: every option that decides what is computed or modeled. The
+// callers add the per-call plumbing (context, observability, devices).
+// Building them in one place is what lets core.ResultKey key the cache.
+func runOptions(req *JobRequest, nb int) core.Options {
+	opt := core.Options{
+		NB:                 nb,
+		CostOnly:           req.CostOnly,
+		ThresholdFactor:    req.ThresholdFactor,
+		FinalHCheck:        req.FinalHCheck,
+		DisableQProtection: req.DisableQProtection,
+		DisableOverlap:     req.DisableOverlap,
+		DisableLookahead:   req.Lookahead != nil && !*req.Lookahead,
+		Substrate:          req.Substrate,
+		DeviceCount:        req.Devices,
+		FailStop:           req.FailStop,
 	}
-	if nb == 0 {
-		nb = 32 // core's default block size
+	switch req.algorithm() {
+	case AlgBaseline:
+		opt.Algorithm = core.Baseline
+	case AlgCPU:
+		opt.Algorithm = core.CPUOnly
+	default:
+		opt.Algorithm = core.FaultTolerant
 	}
-	return batch.Key{
-		Digest: core.MatrixDigest(a),
-		NB:     nb,
-		Alg:    req.algorithm(),
-		// The multi-device pool schedule is bit-identical at every K but
-		// not to the legacy single-device schedule, so the two families
-		// cache separately.
-		Pool: req.Devices > 0,
-	}, true
+	if len(req.Faults) > 0 {
+		plans := make([]fault.Plan, len(req.Faults))
+		for i, f := range req.Faults {
+			plans[i] = f.plan()
+		}
+		opt.Hook = fault.NewSchedule(plans...)
+	}
+	return opt
 }
 
 // cacheable reports whether a finished run may enter the cache: nothing
-// was detected, corrected, or lost. Requests that inject faults never
-// get here (cacheKey excludes them); this guards the residue — a run
-// that saw any FT event is never cached, however it finished.
+// was detected, corrected, or lost. Runs with a fault hook have no cache
+// key at all (core.ResultKey); this guards the residue — a run that saw
+// any FT event is never cached, however it finished.
 func cacheable(res *core.Result) bool {
 	return res.Detections == 0 && res.Recoveries == 0 && len(res.CorrectedH) == 0 &&
 		res.QCorrections == 0 && res.DeviceLosses == 0 && res.SubstrateDetections == 0
+}
+
+// reduceCached runs reduce, the reduction Reduce(a, opt), inside the
+// result cache's single flight for that run. A hit, or a follower whose
+// leader committed, returns the stored result with hit = true; a leader
+// commits its own result when the run is cacheable. A follower whose
+// leader aborted (failed, cancelled, uncacheable run) computes locally
+// without taking a new flight, so a chain of cancellations can never
+// convoy. Without a cache, or for a run with no key, it just reduces.
+func (s *Server) reduceCached(ctx context.Context, req *JobRequest, a *matrix.Matrix, opt core.Options,
+	reduce func() (*core.Result, error)) (run *cachedRun, hit bool, err error) {
+	compute := func() (*cachedRun, *core.Result, error) {
+		res, err := reduce()
+		if err != nil {
+			return nil, nil, err
+		}
+		return newCachedRun(req, a, res), res, nil
+	}
+	key, ok := "", s.cache != nil
+	if ok {
+		key, ok = core.ResultKey(a, opt)
+	}
+	if !ok {
+		run, _, err := compute()
+		return run, false, err
+	}
+	val, fl, st := s.cache.Acquire(batch.Key(key))
+	switch st {
+	case batch.Hit:
+		s.cCacheHit.Inc()
+		return val.(*cachedRun), true, nil
+	case batch.Follow:
+		s.cCacheCoalesce.Inc()
+		v, ok, err := fl.Wait(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			s.cCacheHit.Inc()
+			return v.(*cachedRun), true, nil
+		}
+		run, _, err := compute()
+		return run, false, err
+	}
+	s.cCacheMiss.Inc()
+	committed := false
+	defer func() {
+		if !committed {
+			s.cache.Abort(fl)
+		}
+	}()
+	run, res, err := compute()
+	if err == nil && cacheable(res) {
+		s.cache.Commit(fl, run)
+		committed = true
+	}
+	return run, false, err
 }
 
 // execute runs the reduction for one job on the worker goroutine.
@@ -630,67 +697,22 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 		return symResult(j, res), nil
 	}
 
-	// Result cache with single-flight coalescing: a hit skips the whole
-	// reduction; a concurrent identical submission waits on the leader
-	// instead of recomputing. A follower whose leader aborted (failed,
-	// cancelled, uncacheable run) computes locally without taking a new
-	// flight, so a chain of cancellations can never convoy.
-	var flight *batch.Flight
-	if key, ok := s.cacheKey(req, j.a, req.NB); ok {
-		val, fl, st := s.cache.Acquire(key)
-		switch st {
-		case batch.Hit:
-			s.cCacheHit.Inc()
-			return val.(*cachedRun).jobResult(j), nil
-		case batch.Follow:
-			s.cCacheCoalesce.Inc()
-			v, ok, err := fl.Wait(j.ctx)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				s.cCacheHit.Inc()
-				return v.(*cachedRun).jobResult(j), nil
-			}
-		case batch.Lead:
-			s.cCacheMiss.Inc()
-			flight = fl
-			defer func() {
-				if flight != nil {
-					s.cache.Abort(flight)
-				}
-			}()
-		}
+	opt := runOptions(req, req.NB)
+	opt.Ctx, opt.Obs, opt.Journal, opt.Trace = j.ctx, s.reg, j.journal, trace
+	run, hit, err := s.reduceCached(j.ctx, req, j.a, opt, func() (*core.Result, error) {
+		return s.reduceOnDevices(j, opt, mode)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return run.jobResult(j, hit), nil
+}
 
-	opt := core.Options{
-		Ctx: j.ctx, NB: req.NB,
-		CostOnly:           req.CostOnly,
-		ThresholdFactor:    req.ThresholdFactor,
-		FinalHCheck:        req.FinalHCheck,
-		DisableQProtection: req.DisableQProtection,
-		DisableOverlap:     req.DisableOverlap,
-		DisableLookahead:   req.Lookahead != nil && !*req.Lookahead,
-		Substrate:          req.Substrate,
-		Obs:                s.reg,
-		Journal:            j.journal,
-		Trace:              trace,
-	}
-	switch req.algorithm() {
-	case AlgBaseline:
-		opt.Algorithm = core.Baseline
-	case AlgCPU:
-		opt.Algorithm = core.CPUOnly
-	default:
-		opt.Algorithm = core.FaultTolerant
-	}
-	if len(req.Faults) > 0 {
-		plans := make([]fault.Plan, len(req.Faults))
-		for i, f := range req.Faults {
-			plans[i] = f.plan()
-		}
-		opt.Hook = fault.NewSchedule(plans...)
-	}
+// reduceOnDevices runs a single job's reduction on its own device, or on
+// whole devices leased from the farm when the job asked for a pool.
+func (s *Server) reduceOnDevices(j *Job, opt core.Options, mode gpu.Mode) (*core.Result, error) {
+	req := j.req
+	trace := opt.Trace
 	if opt.Algorithm != core.CPUOnly {
 		if req.Devices > 0 {
 			// Lease whole devices from the farm; the job blocks here (not
@@ -726,7 +748,6 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 			j.setDevice(devs[0])
 			defer j.captureSimSpans(devs)
 			if req.FailStop {
-				opt.FailStop = true
 				// The parity device and any post-loss replacement re-lease
 				// from the farm when a device is free right now, and fall
 				// back to a fabricated off-farm device otherwise — recovery
@@ -777,14 +798,5 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 	if s.testMutateOptions != nil {
 		s.testMutateOptions(j, &opt)
 	}
-	res, err := core.Reduce(j.a, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := generalResult(j, res)
-	if flight != nil && cacheable(res) {
-		s.cache.Commit(flight, newCachedRun(out))
-		flight = nil // the deferred Abort must not fire after a Commit
-	}
-	return out, nil
+	return core.Reduce(j.a, opt)
 }
