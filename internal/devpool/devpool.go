@@ -41,10 +41,8 @@ package devpool
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/gpu"
 	"repro/internal/obs"
@@ -158,8 +156,6 @@ type Pool struct {
 	job        string
 	opHost     *obs.Counter
 	phaseHists map[string]*obs.Histogram
-	tracing    bool
-	spans      []gpu.Span
 	ctx        context.Context
 }
 
@@ -195,13 +191,14 @@ func (pl *Pool) K() int { return len(pl.Devices) }
 // ReplaceDevice substitutes dev into pool slot i (fail-stop recovery:
 // the dead device is dropped, the spare inherits its pool position so
 // slab ownership, snake order, and every index-keyed structure remain
-// valid). The replacement inherits the pool's registry, job, phase, and
-// cancellation context; its clocks are advanced to the main host's now,
-// modeling a spare attached at the recovery instant.
+// valid). The replacement inherits the pool's registry, job, phase,
+// cancellation context and tracing; its clocks are advanced to the main
+// host's now, modeling a spare attached at the recovery instant.
 func (pl *Pool) ReplaceDevice(i int, dev *gpu.Device) {
 	if i < 0 || i >= len(pl.Devices) {
 		panic(fmt.Sprintf("devpool: ReplaceDevice(%d) of %d", i, len(pl.Devices)))
 	}
+	tracing := pl.Devices[i].Tracing()
 	pl.Devices[i] = dev
 	if pl.reg != nil {
 		dev.SetObs(pl.reg)
@@ -209,7 +206,7 @@ func (pl *Pool) ReplaceDevice(i int, dev *gpu.Device) {
 	dev.SetJob(pl.job)
 	dev.SetPhase(pl.phase)
 	dev.SetContext(pl.ctx)
-	if pl.tracing {
+	if tracing {
 		dev.EnableTrace()
 	}
 	dev.Host.AdvanceTo(pl.Host.Tail())
@@ -278,7 +275,9 @@ func (pl *Pool) SetPhase(name string) string {
 }
 
 // HostOp charges cost seconds of serial CPU work on the main-host lane
-// and, in Real mode, runs f.
+// and, in Real mode, runs f. When the pool's devices trace, the span is
+// recorded in the first device's trace, so every consumer of the device
+// traces sees the main-host lane.
 func (pl *Pool) HostOp(cost float64, f func()) {
 	e := pl.Host.Schedule(cost)
 	if pl.reg != nil {
@@ -299,9 +298,7 @@ func (pl *Pool) HostOp(cost float64, f func()) {
 		}
 		h.Observe(cost)
 	}
-	if pl.tracing {
-		pl.spans = append(pl.spans, gpu.Span{Lane: pl.Host.Name(), Kind: "host", Start: e.At - cost, End: e.At})
-	}
+	pl.Devices[0].RecordSpan(gpu.Span{Lane: pl.Host.Name(), Kind: "host", Start: e.At - cost, End: e.At})
 	if pl.Mode == gpu.Real && f != nil {
 		f()
 	}
@@ -366,20 +363,29 @@ func (pl *Pool) FinishRun() {
 	pl.reg.Gauge("lane_utilization", l...).Set(pl.Host.Utilization(pl.Elapsed()))
 }
 
-// EnableTrace starts span recording on the main host and every device.
+// EnableTrace starts span recording on every device; the main-host
+// lane rides in the first device's trace (see HostOp).
 func (pl *Pool) EnableTrace() {
-	pl.tracing = true
-	pl.spans = make([]gpu.Span, 0, 1024)
 	for _, d := range pl.Devices {
 		d.EnableTrace()
 	}
 }
 
-// Trace returns the merged spans of the main host and every device.
+// Trace returns the merged spans of every device, main host included.
 func (pl *Pool) Trace() []gpu.Span {
-	out := append([]gpu.Span(nil), pl.spans...)
+	var out []gpu.Span
 	for _, d := range pl.Devices {
 		out = append(out, d.Trace()...)
+	}
+	return out
+}
+
+// lanes is the pool's trace lane order: the main host, then each
+// device's host, compute and copy lanes in pool order.
+func (pl *Pool) lanes() []string {
+	out := []string{pl.Host.Name()}
+	for _, d := range pl.Devices {
+		out = append(out, d.Host.Name(), d.Compute.Name(), d.Copy.Name())
 	}
 	return out
 }
@@ -388,80 +394,12 @@ func (pl *Pool) Trace() []gpu.Span {
 // lane for the main host and three per device ("d0-host", "d0-compute",
 // "d0-copy", …), ordered main first then by device.
 func (pl *Pool) WriteChromeTrace(w io.Writer) error {
-	type evt struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur,omitempty"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	tids := map[string]int{pl.Host.Name(): 0}
-	order := []string{pl.Host.Name()}
-	for _, d := range pl.Devices {
-		for _, t := range []*sim.Timeline{d.Host, d.Compute, d.Copy} {
-			tids[t.Name()] = len(order)
-			order = append(order, t.Name())
-		}
-	}
-	spans := pl.Trace()
-	for _, s := range spans {
-		if _, ok := tids[s.Lane]; !ok {
-			tids[s.Lane] = len(order)
-			order = append(order, s.Lane)
-		}
-	}
-	events := make([]evt, 0, len(spans)+len(order)+1)
-	events = append(events, evt{Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]any{"name": "fthess-sim-pool"}})
-	for _, lane := range order {
-		events = append(events, evt{Name: "thread_name", Ph: "M", Pid: 1, Tid: tids[lane],
-			Args: map[string]any{"name": lane}})
-	}
-	for _, s := range spans {
-		events = append(events, evt{Name: s.Kind, Ph: "X",
-			Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6, Pid: 1, Tid: tids[s.Lane]})
-	}
-	return json.NewEncoder(w).Encode(events)
+	return gpu.WriteChromeTrace(w, "fthess-sim-pool", pl.Trace(), pl.lanes())
 }
 
 // TraceSummary prints one line per lane (main host first, then device
 // lanes in pool order, then any others sorted) with span counts and
 // busy time.
 func (pl *Pool) TraceSummary(w io.Writer) {
-	type agg struct {
-		count int
-		busy  float64
-	}
-	lanes := map[string]*agg{}
-	for _, s := range pl.Trace() {
-		a := lanes[s.Lane]
-		if a == nil {
-			a = &agg{}
-			lanes[s.Lane] = a
-		}
-		a.count++
-		a.busy += s.End - s.Start
-	}
-	known := []string{pl.Host.Name()}
-	for _, d := range pl.Devices {
-		known = append(known, d.Host.Name(), d.Compute.Name(), d.Copy.Name())
-	}
-	isKnown := map[string]bool{}
-	for _, k := range known {
-		isKnown[k] = true
-	}
-	var rest []string
-	for lane := range lanes {
-		if !isKnown[lane] {
-			rest = append(rest, lane)
-		}
-	}
-	sort.Strings(rest)
-	for _, lane := range append(known, rest...) {
-		if a := lanes[lane]; a != nil {
-			fmt.Fprintf(w, "  %-12s %6d spans, %.4fs busy\n", lane, a.count, a.busy)
-		}
-	}
+	gpu.TraceSummary(w, pl.Trace(), pl.lanes())
 }

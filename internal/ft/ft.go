@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/blas"
 	"repro/internal/gpu"
@@ -347,14 +346,13 @@ func (r *Result) Q() *matrix.Matrix {
 	return lapack.Dorghr(r.N, r.Packed.Data, r.Packed.Stride, r.Tau)
 }
 
-// reducer carries the state of one fault-tolerant reduction.
+// reducer is the single-device fault-tolerant reduction: the run shell
+// plus the extended device matrix, the retained intermediates of the
+// reverse computation, and the diskless panel checkpoint.
 type reducer struct {
-	opt   Options
-	dev   *gpu.Device
-	n, nb int
-	// host state
-	hostA *matrix.Matrix
-	tau   []float64
+	run
+	dev *gpu.Device
+	// host panel products: yHost is n×nb (Yce lives only on the device).
 	yHost *matrix.Matrix
 	tHost *matrix.Matrix
 	// device state: dA is (n+1)×(n+1) — data plus checksum column (col n)
@@ -368,26 +366,17 @@ type reducer struct {
 	// checksum-row segment.
 	ckPanel  *matrix.Matrix
 	ckChkRow *matrix.Matrix
-	// fused mirrors Options.Substrate == SubstrateFused.
-	fused bool
-	// lookahead schedule: la mirrors !Options.DisableLookahead, and
-	// panelReady is the completion event of the priority part of the most
-	// recent trailing update — the earliest instant the next panel's
-	// columns (checksum-row segment included) are final on the device.
-	la         bool
+	// panelReady is the completion event of the priority part of the
+	// most recent trailing update under lookahead — the earliest instant
+	// the next panel's columns (checksum-row segment included) are final
+	// on the device.
 	panelReady sim.Event
-	// thresholds
-	normA1 float64
-	tauDet float64
 	// lastDetectGap is |Sre−Sce| from the most recent detect() (Real mode).
 	lastDetectGap float64
 	// deviceLost marks a fail-stop kill request (IterCtx.KillDevice):
 	// with a single device there are no peers to reconstruct from, so
 	// the reduction fails immediately rather than computing on poison.
 	deviceLost bool
-	// Q protection
-	qprot *qChecksums
-	res   *Result
 }
 
 // journal appends one FT event stamped with the current simulated time
@@ -401,55 +390,6 @@ func (r *reducer) journal(e obs.Event) {
 	r.opt.Journal.Append(e)
 }
 
-// count increments an FT counter (no-op without a registry).
-func (r *reducer) count(name string) {
-	r.opt.Obs.Counter(name, ftLabels(r.opt)...).Inc()
-}
-
-// collectSubstrateStats folds one device's fused-substrate statistics
-// into the result and the FT counter set. Runs from a defer on both
-// reduction paths so the counts survive early error returns.
-func collectSubstrateStats(dev *gpu.Device, res *Result, opt Options, journal func(obs.Event)) {
-	checks, det, _ := dev.FTStats()
-	res.SubstrateChecks += int(checks)
-	res.SubstrateDetections += int(det)
-	opt.Obs.Counter("ft_substrate_checks_total", ftLabels(opt)...).Add(float64(checks))
-	opt.Obs.Counter("ft_substrate_detections_total", ftLabels(opt)...).Add(float64(det))
-	if det > 0 {
-		ev := obs.Ev(obs.KindDetection, res.BlockedIters)
-		ev.Target = obs.TargetH
-		ev.Outcome = "substrate"
-		ev.Value = obs.Float(float64(det))
-		ev.Device = dev.Name()
-		journal(ev)
-	}
-}
-
-// ftLabels returns the job label set for the run's FT counters (empty
-// for offline runs without a trace context).
-func ftLabels(opt Options) []obs.Label {
-	if job := opt.Trace.JobID(); job != "" {
-		return []obs.Label{obs.L("job", job)}
-	}
-	return nil
-}
-
-// ftCounterNames lists every counter the reduction can emit; they are
-// pre-touched at run start so a clean run still exposes them at zero.
-var ftCounterNames = []string{
-	"ft_checksum_checks_total",
-	"ft_detections_total",
-	"ft_corrections_total",
-	"ft_recoveries_total",
-	"ft_reexecutions_total",
-	"ft_checkpoints_total",
-	"ft_q_corrections_total",
-	"ft_device_losses_total",
-	"ft_failstop_reconstructions_total",
-	"ft_substrate_checks_total",
-	"ft_substrate_detections_total",
-}
-
 // Reduce runs the fault-tolerant hybrid Hessenberg reduction of a
 // (not modified).
 func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
@@ -460,8 +400,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 // it starts from scratch (transfer + encode); with a snapshot it reloads
 // the saved state and continues from the recorded iteration.
 func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) {
-	n := a.Rows
-	if n != a.Cols {
+	if a.Rows != a.Cols {
 		return nil, errors.New("ft: matrix must be square")
 	}
 	fused, err := substrateFused(opt)
@@ -472,69 +411,28 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		if snap != nil {
 			return nil, errors.New("ft: snapshot resume is not supported on the multi-device path")
 		}
-		return reduceMulti(a, opt)
+		return reduceMulti(a, opt, fused)
 	}
 	if opt.Device == nil {
 		return nil, errors.New("ft: Options.Device is required")
 	}
-	nb := opt.NB
-	if nb <= 0 {
-		nb = hybrid.DefaultNB
-	}
-	if opt.ThresholdFactor <= 0 {
-		opt.ThresholdFactor = 200
-	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
-	}
 	dev := opt.Device
 	if opt.Obs != nil {
 		dev.SetObs(opt.Obs)
-		for _, name := range ftCounterNames {
-			opt.Obs.Counter(name, ftLabels(opt)...)
-		}
 	}
 	dev.SetJob(opt.Trace.JobID())
 	sp := opt.Trace.Span("ft.reduce", opt.Trace.ParentSpan())
 	defer opt.Trace.EndSpan(sp)
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dev.SetContext(ctx)
+	dev.SetContext(opt.Ctx)
 
-	r := &reducer{
-		opt:   opt,
-		dev:   dev,
-		la:    !opt.DisableLookahead,
-		fused: fused,
-		n:     n,
-		nb:    nb,
-		hostA: dev.Mode.HostCopy(a),
-		tau:   make([]float64, max(n-1, 1)),
-		res:   &Result{N: n, NB: nb},
-	}
-	if fused {
-		prevFused := dev.SetSubstrateFused(true)
-		dev.ResetFTStats()
-		defer func() {
-			collectSubstrateStats(dev, r.res, r.opt, r.journal)
-			dev.SetSubstrateFused(prevFused)
-		}()
-	}
-	r.res.Packed = r.hostA
-	r.res.Tau = r.tau
+	r := &reducer{run: newRun(a, opt, hybrid.DeviceLane(dev), dev.Params, fused), dev: dev}
+	r.emit = r.journal
+	n, nb := r.n, r.nb
 	if n <= 1 {
 		return r.res, nil
 	}
-
-	pp := dev.Params
-	dev.SetPhase("setup")
-	// ‖A‖₁ anchors the detection threshold (one host pass over the data).
-	dev.HostOp(pp.GemvHost(n, n), func() {
-		r.normA1 = a.Norm1()
-	})
-	r.tauDet = opt.ThresholdFactor * macheps * float64(n) * math.Max(r.normA1, 1)
+	defer r.fuse(func() []*gpu.Device { return []*gpu.Device{dev} })()
+	r.threshold(a)
 
 	// Allocate the extended device matrix and workspaces.
 	r.dA = dev.Alloc(n+1, n+1)
@@ -555,7 +453,6 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 	r.tHost = dev.Mode.HostMatrix(nb, nb)
 	r.ckPanel = dev.Mode.HostMatrix(n, nb)
 	r.ckChkRow = dev.Mode.HostMatrix(1, nb)
-	r.qprot = newQChecksums(dev.Mode, n)
 
 	if snap == nil {
 		// Algorithm 3, lines 1-2: transfer and encode.
@@ -578,10 +475,7 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		r.journal(ev)
 	}
 
-	nx := nb
-	if nx < 2 {
-		nx = 2
-	}
+	nx := max(nb, 2)
 	var prevLeft sim.Event
 	p := 0
 	iter := 0
@@ -590,13 +484,13 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		iter = snap.Iter
 	}
 	for ; n-1-p > nx; p += nb {
-		if err := ctx.Err(); err != nil {
+		if err := dev.CtxErr(); err != nil {
 			return r.res, err
 		}
 		ib := min(nb, n-1-p)
 
-		if opt.Hook != nil {
-			opt.Hook.BeforeIteration(&IterCtx{
+		if r.opt.Hook != nil {
+			r.opt.Hook.BeforeIteration(&IterCtx{
 				Dev: dev, DA: r.dA, Host: r.hostA,
 				Iter: iter, Panel: p, NB: ib, N: n,
 				reducer: r,
@@ -618,7 +512,7 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 			if err != nil {
 				return r.res, err
 			}
-			if opt.PostProcess {
+			if r.opt.PostProcess {
 				// Comparator mode: no per-iteration check; errors keep
 				// propagating until the single end-of-run detection.
 				break
@@ -626,13 +520,8 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 			if !r.detectAt(iter, prevLeft) {
 				break
 			}
-			r.res.Detections++
-			r.count("ft_detections_total")
-			det := obs.Ev(obs.KindDetection, iter)
-			det.Target = obs.TargetH
-			det.Value = obs.Float(r.lastDetectGap)
-			r.journal(det)
-			if attempt >= opt.MaxRecoveries {
+			r.detected(iter, r.lastDetectGap, "", "")
+			if attempt >= r.opt.MaxRecoveries {
 				return r.res, fmt.Errorf("%w (iteration %d)", ErrDetectionStorm, iter)
 			}
 			if err := r.recover(iter, p, ib); err != nil {
@@ -646,34 +535,14 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 	}
 	r.res.BlockedIters = iter
 
-	// Post-processing comparator: one detection at the end; a propagated
-	// error cannot be located and corrected anymore, so recovery means
-	// re-executing the entire factorization with per-iteration checks.
-	if opt.PostProcess && iter > 0 && r.detectAt(iter, prevLeft) {
-		r.res.Detections++
-		r.count("ft_detections_total")
-		det := obs.Ev(obs.KindDetection, iter)
-		det.Target = obs.TargetH
-		det.Value = obs.Float(r.lastDetectGap)
-		det.Outcome = "post-process"
-		r.journal(det)
-		retryOpt := opt
-		retryOpt.PostProcess = false
-		retryOpt.Hook = nil // transient errors do not re-occur on redo
-		retry, err := Reduce(a, retryOpt)
-		if err != nil {
-			return r.res, err
-		}
-		retry.Detections += r.res.Detections
-		retry.Recoveries = r.res.Recoveries + 1
-		return retry, nil
+	if r.opt.PostProcess && iter > 0 && r.detectAt(iter, prevLeft) {
+		return r.rerun(a, r.lastDetectGap)
 	}
-
-	if err := ctx.Err(); err != nil {
+	if err := dev.CtxErr(); err != nil {
 		return r.res, err
 	}
 	// Optional whole-matrix verification of the device-resident H data.
-	if opt.FinalHCheck {
+	if r.opt.FinalHCheck {
 		dev.SetPhase("final_check")
 		if err := r.finalHCheck(p); err != nil {
 			return r.res, err
@@ -686,34 +555,19 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		rem := r.hostA.View(0, p, n, n-p)
 		dev.Sync(dev.D2HAsync(rem, r.dA, 0, p, prevLeft))
 	}
-	dev.HostOp(hybrid.CleanupCost(pp, n, p), func() {
+	dev.HostOp(hybrid.CleanupCost(r.pp, n, p), func() {
 		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
 	})
-
-	// Section IV-E/F: verify and repair the Householder vectors once, at
-	// the end of the factorization.
-	if !opt.DisableQProtection {
-		dev.SetPhase("q_protect")
-		fixes, err := r.qprot.verifyAndCorrect(hybrid.DeviceLane(dev), pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
-		if err != nil {
-			return r.res, err
-		}
-		r.res.QCorrections += fixes
-		r.opt.Obs.Counter("ft_q_corrections_total", ftLabels(r.opt)...).Add(float64(fixes))
+	if err := r.verifyQ(p); err != nil {
+		return r.res, err
 	}
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
 	dev.FinishRun()
-	if r.fused {
-		if _, _, nonFinite := dev.FTStats(); nonFinite {
-			return r.res, fmt.Errorf("%w: fused substrate observed a non-finite checksum total", ErrUncorrectable)
-		}
+	if err := r.checkFused([]*gpu.Device{dev}); err != nil {
+		return r.res, err
 	}
-
-	r.res.SimSeconds = dev.Elapsed()
-	if r.res.SimSeconds > 0 {
-		r.res.ModelGFLOPS = sim.HessenbergFlops(n) / r.res.SimSeconds / 1e9
-	}
+	r.res.setTiming(dev.Elapsed())
 	return r.res, nil
 }
 
@@ -788,16 +642,13 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 	// Line 5: hybrid panel factorization (CPU + device GEMV), identical to
 	// the non-fault-tolerant algorithm.
 	dev.SetPhase(panelPhase)
-	if err := hybrid.PanelFactor(dev, r.hostA, r.yHost, r.tHost, r.tau, r.dataView(), r.dVcol, r.dYcol, n, p, k, ib, hidden); err != nil {
+	if err := hybrid.PanelFactor(dev, r.hostA, r.yHost, r.tHost, r.tau, r.dA, r.dVcol, r.dYcol, n, p, k, ib, hidden); err != nil {
 		return prevLeft, err
 	}
 
 	// Maintain the Q checksums on the otherwise idle CPU (Section IV-E,
 	// Figure 5) — overlapped with the device work below.
-	if !r.opt.DisableQProtection {
-		dev.SetPhase("q_protect")
-		r.qprot.absorbPanel(hybrid.DeviceLane(dev), pp, r.hostA, p, ib)
-	}
+	r.absorbQ(p, ib)
 
 	// Upload the factored panel, Y's lower rows, and T. The panel columns
 	// belong to the previous priority part, so that copy is free to land;
@@ -862,7 +713,7 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 		eMp := dev.Gemm(blas.NoTrans, blas.Trans, k, ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e1)
 		eGp := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, ib2, ib, -1, r.dY, k, 0, r.dA, p+ib, p, 1, r.dA, k, p+ib, eMp, chkSegDone)
 		dev.SetPhase("left_update")
-		r.panelReady = r.leftUpdateCols(p, ib, 0, ib2, eGp)
+		r.panelReady = r.leftUpdate(p, ib, 0, ib2, eGp)
 		// Remainder: every other trailing column plus the checksum column.
 		dev.SetPhase("right_update")
 		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib-ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib+ib2, p, 1, r.dA, 0, p+ib+ib2, e1)
@@ -872,7 +723,7 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 		dev.SetPhase("right_update")
 		eC := dev.Set(r.dA, p+ib, p+ib-1, ei, eCk)
 		dev.SetPhase("left_update")
-		left = r.leftUpdateCols(p, ib, ib2, n-p-ib+1, eC)
+		left = r.leftUpdate(p, ib, ib2, n-p-ib+1, eC)
 	} else {
 		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e1)
 		// G rows k..n-1 plus the checksum row n in one GEMM (dY row n = Yce).
@@ -887,7 +738,7 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 		// the checksum column (col n), with the checksum row updated
 		// through the retained intermediate S.
 		dev.SetPhase("left_update")
-		left = r.leftUpdate(p, ib, eC)
+		left = r.leftUpdate(p, ib, 0, n-p-ib+1, eC)
 		r.panelReady = left
 	}
 	if r.opt.DisableOverlap {
@@ -895,13 +746,6 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 		dev.Sync(dev.D2HAsync(finished, r.dA, 0, p, aDone, left))
 	}
 	return left, nil
-}
-
-// dataView returns the n×n data region of the extended device matrix.
-func (r *reducer) dataView() *gpu.Matrix {
-	// The panel-factorization device GEMV only needs the data region;
-	// dA's extra row/column are outside every (k, p+ib) block it reads.
-	return r.dA
 }
 
 // kernVsum computes vsum = Vᵀe (unit-diagonal-aware column sums of the
@@ -969,21 +813,17 @@ func (r *reducer) kernPanelColSums(p, ib int, deps ...sim.Event) sim.Event {
 	}, deps...)
 }
 
-// leftUpdate applies trail(A)fe := trail(A)fe − Vce·Tᵀ·Vᵀ·trail(A)fe:
-// the data columns and checksum column get the orthogonal left update,
-// the checksum row gets the Vce extension. The intermediate S = (CᵀV)·T
-// is retained in dS for reverse computation.
-func (r *reducer) leftUpdate(p, ib int, dep sim.Event) sim.Event {
-	return r.leftUpdateCols(p, ib, 0, r.n-p-ib+1, dep)
-}
-
-// leftUpdateCols is the left update restricted to trailing columns
-// [lo, hi) — column c here means global column p+ib+c, with c =
-// n-p-ib addressing the checksum column. Each part builds its own rows
-// of S, so S's row c always holds column c's intermediate regardless of
-// how the update was split, and the recovery reversal (a full-range
-// call) reads the exact values the forward pass retained.
-func (r *reducer) leftUpdateCols(p, ib, lo, hi int, dep sim.Event) sim.Event {
+// leftUpdate applies trail(A)fe := trail(A)fe − Vce·Tᵀ·Vᵀ·trail(A)fe
+// over trailing columns [lo, hi): the data columns and checksum column
+// get the orthogonal left update, the checksum row gets the Vce
+// extension. Column c here means global column p+ib+c, with c = n-p-ib
+// addressing the checksum column (hi = n-p-ib+1 covers them all). The
+// intermediate S = (CᵀV)·T is retained in dS for reverse computation;
+// each part builds its own rows of S, so S's row c always holds column
+// c's intermediate regardless of how the update was split, and the
+// recovery reversal (a full-range call) reads the exact values the
+// forward pass retained.
+func (r *reducer) leftUpdate(p, ib, lo, hi int, dep sim.Event) sim.Event {
 	dev := r.dev
 	n, k := r.n, p+1
 	cnt := hi - lo
@@ -1002,24 +842,20 @@ func (r *reducer) leftUpdateCols(p, ib, lo, hi int, dep sim.Event) sim.Event {
 	e = dev.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, cnt, ib, 1, r.dT, 0, 0, r.dS, lo, 0, e)
 	// C := C sign·V·Sᵀ, split as in DLARFB because V's stored upper
 	// triangle holds H data, not zeros.
-	e = r.applyVSCols(p, ib, lo, hi, -1, e)
+	e = r.applyVS(p, ib, lo, hi, -1, e)
 	// Checksum row: chkrow(j) −= S[j,:]·vsum for the data columns.
 	prevPhase := dev.SetPhase("checksum_maintenance")
-	e = r.kernChkRowLeftCols(p, ib, lo, hi, -1, e)
+	e = r.kernChkRowLeft(p, ib, lo, hi, -1, e)
 	dev.SetPhase(prevPhase)
 	return e
 }
 
-// applyVS computes C := C + sign·V·Sᵀ over C = dA(k:n-1, p+ib..n) using
-// the retained S, honoring V's implicit unit lower-triangular leading
-// block. sign=-1 is the forward left update; sign=+1 reverses it.
-func (r *reducer) applyVS(p, ib int, sign float64, dep sim.Event) sim.Event {
-	return r.applyVSCols(p, ib, 0, r.n-p-ib+1, sign, dep)
-}
-
-// applyVSCols is applyVS restricted to trailing columns [lo, hi), using
-// S rows [lo, hi) and the matching rows of the W workspace.
-func (r *reducer) applyVSCols(p, ib, lo, hi int, sign float64, dep sim.Event) sim.Event {
+// applyVS computes C := C + sign·V·Sᵀ over the trailing columns [lo, hi)
+// of C = dA(k:n-1, p+ib..n) using S rows [lo, hi) and the matching rows
+// of the W workspace, honoring V's implicit unit lower-triangular
+// leading block. sign=-1 is the forward left update; sign=+1 reverses
+// it.
+func (r *reducer) applyVS(p, ib, lo, hi int, sign float64, dep sim.Event) sim.Event {
 	dev := r.dev
 	n, k := r.n, p+1
 	cnt := hi - lo
@@ -1042,15 +878,10 @@ func (r *reducer) applyVSCols(p, ib, lo, hi int, sign float64, dep sim.Event) si
 	}, e)
 }
 
-// kernChkRowLeft applies sign·(eᵀV)·Tᵀ·Vᵀ·C to the checksum-row entries of
-// the trailing data columns, using the retained intermediate S.
-func (r *reducer) kernChkRowLeft(p, ib int, sign float64, deps ...sim.Event) sim.Event {
-	return r.kernChkRowLeftCols(p, ib, 0, r.n-p-ib, sign, deps...)
-}
-
-// kernChkRowLeftCols is kernChkRowLeft over trailing columns [lo, hi),
-// clamped to the data columns (the checksum column has no row entry).
-func (r *reducer) kernChkRowLeftCols(p, ib, lo, hi int, sign float64, deps ...sim.Event) sim.Event {
+// kernChkRowLeft applies sign·(eᵀV)·Tᵀ·Vᵀ·C to the checksum-row entries
+// of the trailing columns [lo, hi), clamped to the data columns (the
+// checksum column has no row entry), using the retained intermediate S.
+func (r *reducer) kernChkRowLeft(p, ib, lo, hi int, sign float64, deps ...sim.Event) sim.Event {
 	dev := r.dev
 	n := r.n
 	if ndata := n - p - ib; hi > ndata {

@@ -314,6 +314,29 @@ func TestFinalHCheckCatchesLateError(t *testing.T) {
 	}
 }
 
+// An exponent flip in finished H leaves a delta so large that
+// subtracting it cancels the element's true value: the final H check
+// must re-check its correction, locate the cancellation, and restore
+// the element instead of handing back silently corrupted data.
+func TestFinalHCheckRechecksExponentFlip(t *testing.T) {
+	a := matrix.Random(96, 96, 5)
+	hook := funcHook{before: func(ctx *IterCtx) {
+		if ctx.Iter == 2 {
+			ctx.FlipBitH(1, 0, 61)
+		}
+	}}
+	res, err := Reduce(a, Options{NB: 16, Device: newDev(), Hook: hook, FinalHCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := lapack.FactorizationResidual(a, res.Q(), res.H()); r > 1e-13 {
+		t.Fatalf("residual %v after %d correction(s) %+v: silent corruption", r, len(res.CorrectedH), res.CorrectedH)
+	}
+	if res.Detections == 0 {
+		t.Fatal("the re-check's mismatch was not counted as a detection")
+	}
+}
+
 func TestOverheadIsSmall(t *testing.T) {
 	// The headline claim: FT overhead under a few percent of the baseline
 	// in simulated time, shrinking as N grows (O(N⁻¹) extra work).

@@ -1,8 +1,10 @@
-// Multi-device fault-tolerant reduction: the trailing matrix is sharded
-// block-column wise across a devpool.Pool (as in hybrid's multi-device
-// path) and every slab carries its own ABFT halo — a checksum column of
-// row sums and a checksum row of column sums, maintained *through* the
-// right and left updates on the owning device (devpool.Shard, Pad = 1).
+// Multi-device fault-tolerant reduction: a guard on hybrid's pool
+// schedule (hybrid.PoolRun with this file's multiReducer as its
+// hybrid.PoolGuard), not a second copy of it. The trailing matrix is
+// sharded block-column wise across a devpool.Pool and every slab carries
+// its own ABFT halo — a checksum column of row sums and a checksum row
+// of column sums, maintained *through* the right and left updates on
+// the owning device (devpool.Shard, Pad = 1).
 //
 // The detection schedule differs from the single-device Algorithm 3 in
 // one deliberate way. The failure model injects faults at blocked-
@@ -17,37 +19,33 @@
 // slab once (O(n²/K) per device), the price of trading the legacy
 // reverse/re-execute machinery for in-place correction.
 //
-// Determinism: the data-path kernels are exactly the hybrid multi
-// schedule's (the halo rides as padding rows/columns that never feed a
+// Determinism: the data-path kernels are the hybrid pool schedule's
+// own (the halo rides as padding rows/columns that never feed a
 // data element), so a clean run produces H, Q, and tau bit-identical to
 // the plain multi-device hybrid reduction — and hence bit-identical at
 // every device count.
 package ft
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/devpool"
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
-	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// multiReducer carries the state of one multi-device fault-tolerant
-// reduction.
+// multiReducer is the multi-device fault-tolerant reduction: the run
+// shell plus the hybrid.PoolGuard that protects the pool schedule.
 type multiReducer struct {
-	opt   Options
-	pool  *devpool.Pool
-	sh    *devpool.Shard
-	n, nb int
+	run
+	pool *devpool.Pool
+	sh   *devpool.Shard
 
-	hostA *matrix.Matrix
-	tau   []float64
 	// yHost is (n+1)×nb: rows 0..n-1 hold Y, row n the Yce checksum row.
 	yHost *matrix.Matrix
 	tHost *matrix.Matrix
@@ -59,26 +57,16 @@ type multiReducer struct {
 	dChk    []*gpu.Matrix
 	chkHost []*matrix.Matrix
 
-	normA1  float64
-	tauDet  float64
 	lastGap float64
-	// la enables depth-1 lookahead: panel k+1's columns are priority-
-	// updated and its factorization overlaps the remainder update, with
-	// boundary detection running optimistically (see detectSweep).
-	la bool
 
-	qprot *qChecksums
-	res   *Result
-
-	// fused mirrors Options.Substrate == SubstrateFused. Under the fused
-	// substrate the panel slab's halo is refreshed incrementally: finCol
-	// (n×1, on the slab's owner) accumulates the row sums of the slab's
-	// frozen-column prefix — columns left of the current panel, which no
-	// later iteration touches — so maintenance only re-reads the columns
-	// the iteration actually changed. finSlab/finDev identify the slab
-	// and device the accumulator belongs to (finSlab = -1: invalid,
-	// rebuilt on next touch, e.g. after a fail-stop device loss).
-	fused   bool
+	// Under the fused substrate the panel slab's halo is refreshed
+	// incrementally: finCol (n×1, on the slab's owner) accumulates the
+	// row sums of the slab's frozen-column prefix — columns left of the
+	// current panel, which no later iteration touches — so maintenance
+	// only re-reads the columns the iteration actually changed.
+	// finSlab/finDev identify the slab and device the accumulator
+	// belongs to (finSlab = -1: invalid, rebuilt on next touch, e.g.
+	// after a fail-stop device loss).
 	finCol  *gpu.Matrix
 	finDev  *gpu.Device
 	finSlab int
@@ -111,11 +99,6 @@ func (r *multiReducer) journal(e obs.Event) {
 	r.opt.Journal.Append(e)
 }
 
-// count increments an FT counter (no-op without a registry).
-func (r *multiReducer) count(name string) {
-	r.opt.Obs.Counter(name, ftLabels(r.opt)...).Inc()
-}
-
 // pokeH adds delta to the trailing-matrix element at global (row, col),
 // routed to the owning slab (IterCtx.PokeH on the multi path).
 func (r *multiReducer) pokeH(row, col int, delta float64) {
@@ -137,83 +120,35 @@ func (r *multiReducer) flipBitH(row, col int, bit uint) float64 {
 }
 
 // reduceMulti is the multi-device body of Reduce, selected when
-// Options.Devices is non-empty.
-func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
-	n := a.Rows
-	nb := opt.NB
-	if nb <= 0 {
-		nb = hybrid.DefaultNB
-	}
-	if opt.ThresholdFactor <= 0 {
-		opt.ThresholdFactor = 200
-	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
-	}
+// Options.Devices is non-empty: hybrid's pool schedule with this
+// reducer as its guard.
+func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 	pool := devpool.Wrap(opt.Devices)
-	pp := pool.Params
 	if opt.Obs != nil {
 		pool.SetObs(opt.Obs)
-		for _, name := range ftCounterNames {
-			opt.Obs.Counter(name, ftLabels(opt)...)
-		}
 	}
 	pool.SetJob(opt.Trace.JobID())
 	sp := opt.Trace.Span("ft.reduce_multi", opt.Trace.ParentSpan())
 	defer opt.Trace.EndSpan(sp)
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pool.SetContext(ctx)
+	pool.SetContext(opt.Ctx)
 
-	fused, err := substrateFused(opt)
-	if err != nil {
-		return nil, err
-	}
 	r := &multiReducer{
-		opt:     opt,
+		run:     newRun(a, opt, hybrid.PoolLane(pool), pool.Params, fused),
 		pool:    pool,
-		n:       n,
-		nb:      nb,
-		hostA:   pool.Mode.HostCopy(a),
-		tau:     make([]float64, max(n-1, 1)),
-		res:     &Result{N: n, NB: nb},
-		la:      !opt.DisableLookahead,
-		fused:   fused,
 		finSlab: -1,
 	}
-	r.res.Packed = r.hostA
-	r.res.Tau = r.tau
+	r.emit = r.journal
+	n, nb := r.n, r.nb
 	if n <= 1 {
 		return r.res, nil
 	}
-	if fused {
-		for _, dev := range pool.Devices {
-			dev.SetSubstrateFused(true)
-			dev.ResetFTStats()
+	defer r.fuse(func() []*gpu.Device { return pool.Devices })()
+	defer func() {
+		if r.finCol != nil {
+			r.finDev.Free(r.finCol)
 		}
-		defer func() {
-			// pool.Devices reflects fail-stop replacements, so this sweeps
-			// every device that computed for the run at its final state.
-			for _, dev := range pool.Devices {
-				collectSubstrateStats(dev, r.res, r.opt, r.journal)
-				dev.SetSubstrateFused(false)
-			}
-		}()
-		defer func() {
-			if r.finCol != nil {
-				r.finDev.Free(r.finCol)
-			}
-		}()
-	}
-
-	pool.SetPhase("setup")
-	// ‖A‖₁ anchors the detection threshold (one host pass over the data).
-	pool.HostOp(pp.GemvHost(n, n), func() {
-		r.normA1 = a.Norm1()
-	})
-	r.tauDet = opt.ThresholdFactor * macheps * float64(n) * math.Max(r.normA1, 1)
+	}()
+	r.threshold(a)
 
 	sh := devpool.NewShard(pool, n, nb, 1)
 	defer sh.Free()
@@ -244,189 +179,105 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	defer r.fsSetup()()
 	r.yHost = pool.Mode.HostMatrix(n+1, nb)
 	r.tHost = pool.Mode.HostMatrix(nb, nb)
-	r.qprot = newQChecksums(pool.Mode, n)
 
-	nx := nb
-	if nx < 2 {
-		nx = 2
+	_, err := hybrid.PoolRun{
+		Shard: sh, HostA: r.hostA, Y: r.yHost, T: r.tHost, Tau: r.tau,
+		NB: nb, Lookahead: r.la, Guard: r,
+	}.Run()
+	if errors.Is(err, errPostProcessDetected) {
+		return r.rerun(a, r.lastGap)
 	}
-	p := 0
-	iter := 0
-	for ; n-1-p > nx; p += nb {
-		if err := ctx.Err(); err != nil {
-			return r.res, err
-		}
-		ib := min(nb, n-1-p)
-		k := p + 1
-
-		if opt.Hook != nil {
-			opt.Hook.BeforeIteration(&IterCtx{
-				Host: r.hostA,
-				Iter: iter, Panel: p, NB: ib, N: n,
-				multi: r,
-			})
-		}
-
-		// A boundary-point device loss strikes here: the dead device holds
-		// only completed iterations, all captured by the last parity
-		// refresh, so reconstruction restores the boundary state exactly.
-		if err := r.fsKillAt(killBoundary, iter, p, k, ib); err != nil {
-			return r.res, err
-		}
-
-		// Boundary check: a fault injected between iterations is caught
-		// here, before this iteration's updates consume the data.
-		if !opt.PostProcess {
-			if err := r.checkAll(iter, p); err != nil {
-				return r.res, err
-			}
-		}
-
-		// A panel-point loss strikes as the panel offload begins — after
-		// the boundary sweep, before PanelD2H reads the panel slab. No
-		// kernel has written any slab since the boundary refresh, so the
-		// reconstruction is again exact; PanelD2H then reads the spare.
-		if err := r.fsKillAt(killPanel, iter, p, k, ib); err != nil {
-			return r.res, err
-		}
-
-		// After the first iteration of a lookahead run the panel's columns
-		// were priority-updated ahead of the remainder, so the offload and
-		// the host factorization hide under the in-flight trailing update.
-		hidden := r.la && iter > 0
-		if hidden {
-			pool.SetPhase("panel_hidden")
-		} else {
-			pool.SetPhase("panel")
-		}
-		sh.PanelD2H(r.hostA, p, k, ib)
-		if err := hybrid.PanelFactorMulti(sh, r.hostA, r.yHost, r.tHost, r.tau, n, p, k, ib, hidden); err != nil {
-			return r.res, err
-		}
-
-		// Maintain the Q checksums on the otherwise idle CPU.
-		if !opt.DisableQProtection {
-			pool.SetPhase("q_protect")
-			r.qprot.absorbPanel(hybrid.PoolLane(pool), pp, r.hostA, p, ib)
-		}
-
-		// The broadcast V/T/Y drive both the data updates and the halo
-		// maintenance; the panel slab's own checksum row still holds the
-		// pre-factorization column sums YTop's Yce partial needs.
-		pool.SetPhase("right_update")
-		sh.Broadcast(r.hostA, r.tHost, p, k, ib)
-		sh.YTop(r.yHost, r.tHost, p, k, ib)
-		sh.BroadcastY(r.yHost, ib)
-		if r.la && n-1-(p+nb) > nx {
-			sh.PriorityUpdate(p, k, ib, nb)
-		}
-		sh.RightUpdate(p, k, ib)
-
-		// Mid-iteration parity sync point: capture the post-right-update
-		// state (priority columns ahead of the remainder included, exactly
-		// as the lookahead split left them) so an update-point loss
-		// reconstructs to precisely this state and the left update resumes
-		// on the spare with the rebroadcast V/T/Y.
-		r.fsRefresh(p)
-		if err := r.fsKillAt(killUpdate, iter, p, k, ib); err != nil {
-			return r.res, err
-		}
-
-		pool.SetPhase("left_update")
-		sh.LeftUpdate(p, k, ib)
-
-		// The panel slab was updated data-only (its columns were being
-		// rewritten by the host factorization); refresh its halo from
-		// the final data so the next boundary check sees it consistent.
-		// The fused substrate verifies every update kernel's output per
-		// call, so the maintenance pass skips the slab's frozen-column
-		// prefix and re-reads only what this iteration changed.
-		pool.SetPhase("checksum_maintenance")
-		if r.fused {
-			r.refreshPanelSlab(p, ib)
-		} else {
-			r.encodeSlab(sh.Part.SlabOf(p))
-		}
-
-		// Boundary parity sync point: the iteration's writes are complete.
-		r.fsRefresh(p)
-		iter++
-	}
-	r.res.BlockedIters = iter
-
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return r.res, err
 	}
-
-	if opt.PostProcess {
-		// Post-processing comparator: the single end-of-run detection of
-		// the prior work the paper compares against. A propagated error
-		// cannot be located anymore; recovery re-executes the entire
-		// factorization with per-iteration checks.
-		if iter > 0 {
-			if bad := r.detectSweep(iter, p); len(bad) > 0 {
-				r.res.Detections++
-				r.count("ft_detections_total")
-				det := obs.Ev(obs.KindDetection, iter)
-				det.Target = obs.TargetH
-				det.Value = obs.Float(r.lastGap)
-				det.Outcome = "post-process"
-				r.journal(det)
-				retryOpt := opt
-				retryOpt.PostProcess = false
-				retryOpt.Hook = nil // transient errors do not re-occur on redo
-				retry, err := Reduce(a, retryOpt)
-				if err != nil {
-					return r.res, err
-				}
-				retry.Detections += r.res.Detections
-				retry.Recoveries = r.res.Recoveries + 1
-				return retry, nil
-			}
-		}
-	} else {
-		// Final boundary check covers the last iteration's updates.
-		if err := r.checkAll(iter, p); err != nil {
-			return r.res, err
-		}
+	if err := r.checkFused(pool.Devices); err != nil {
+		return r.res, err
 	}
-
-	// Verify and repair the host-side Householder storage before the
-	// gather: the gather overwrites it with the (halo-protected) device
-	// slabs, so this pass is what reports host-only (Area 3) hits.
-	if !opt.DisableQProtection {
-		pool.SetPhase("q_protect")
-		fixes, err := r.qprot.verifyAndCorrect(hybrid.PoolLane(pool), pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
-		if err != nil {
-			return r.res, err
-		}
-		r.res.QCorrections += fixes
-		r.opt.Obs.Counter("ft_q_corrections_total", ftLabels(r.opt)...).Add(float64(fixes))
-	}
-
-	// Bring every slab home in one sweep (the device copies are
-	// authoritative for the whole matrix) and finish on the host.
-	pool.SetPhase("cleanup")
-	sh.Gather(r.hostA)
-	pool.HostOp(hybrid.CleanupCost(pp, n, p), func() {
-		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
-	})
-	pool.WaitAll()
-	pool.SetPhase("")
-	pool.FinishRun()
-	if r.fused {
-		for _, dev := range pool.Devices {
-			if _, _, nonFinite := dev.FTStats(); nonFinite {
-				return r.res, fmt.Errorf("%w: fused substrate observed a non-finite checksum total on %s", ErrUncorrectable, dev.Name())
-			}
-		}
-	}
-
-	r.res.SimSeconds = pool.Elapsed()
-	if r.res.SimSeconds > 0 {
-		r.res.ModelGFLOPS = sim.HessenbergFlops(n) / r.res.SimSeconds / 1e9
-	}
+	r.res.setTiming(pool.Elapsed())
 	return r.res, nil
+}
+
+// errPostProcessDetected aborts the pool schedule before its gather when
+// the post-processing comparator's end-of-run check fires.
+var errPostProcessDetected = errors.New("ft: post-processing detection")
+
+// Boundary is the guard's iteration-boundary point: the injection hook,
+// the boundary- and panel-point device losses, and the boundary check.
+func (r *multiReducer) Boundary(iter, p, k, ib int) error {
+	if r.opt.Hook != nil {
+		r.opt.Hook.BeforeIteration(&IterCtx{
+			Host: r.hostA,
+			Iter: iter, Panel: p, NB: ib, N: r.n,
+			multi: r,
+		})
+	}
+	// A boundary-point device loss strikes here: the dead device holds
+	// only completed iterations, all captured by the last parity
+	// refresh, so reconstruction restores the boundary state exactly.
+	if err := r.fsKillAt(killBoundary, iter, p, k, ib); err != nil {
+		return err
+	}
+	// Boundary check: a fault injected between iterations is caught
+	// here, before this iteration's updates consume the data.
+	if !r.opt.PostProcess {
+		if err := r.checkAll(iter, p); err != nil {
+			return err
+		}
+	}
+	// A panel-point loss strikes as the panel offload begins — after
+	// the boundary sweep, before PanelD2H reads the panel slab. No
+	// kernel has written any slab since the boundary refresh, so the
+	// reconstruction is again exact; PanelD2H then reads the spare.
+	return r.fsKillAt(killPanel, iter, p, k, ib)
+}
+
+// AfterPanel maintains the Q checksums on the otherwise idle CPU.
+func (r *multiReducer) AfterPanel(p, ib int) { r.absorbQ(p, ib) }
+
+// AfterRight is the mid-iteration parity sync point: it captures the
+// post-right-update state (priority columns ahead of the remainder
+// included, exactly as the lookahead split left them) so an update-point
+// loss reconstructs to precisely this state and the left update resumes
+// on the spare with the rebroadcast V/T/Y.
+func (r *multiReducer) AfterRight(iter, p, k, ib int) error {
+	r.fsRefresh(p)
+	return r.fsKillAt(killUpdate, iter, p, k, ib)
+}
+
+// AfterLeft maintains the panel slab's halo and refreshes the parity.
+// The panel slab was updated data-only (its columns were being
+// rewritten by the host factorization); its halo is refreshed from the
+// final data so the next boundary check sees it consistent. The fused
+// substrate verifies every update kernel's output per call, so its
+// maintenance pass skips the slab's frozen-column prefix and re-reads
+// only what this iteration changed.
+func (r *multiReducer) AfterLeft(p, ib int) {
+	r.pool.SetPhase("checksum_maintenance")
+	if r.fused {
+		r.refreshPanelSlab(p, ib)
+	} else {
+		r.encodeSlab(r.sh.Part.SlabOf(p))
+	}
+	// Boundary parity sync point: the iteration's writes are complete.
+	r.fsRefresh(p)
+}
+
+// Finish runs the final boundary check, which covers the last
+// iteration's updates (or, for the post-processing comparator, its one
+// end-of-run detection), then verifies and repairs the host-side
+// Householder storage before the gather: the gather overwrites it with
+// the halo-protected device slabs, so this pass is what reports
+// host-only (Area 3) hits.
+func (r *multiReducer) Finish(iters, p int) error {
+	r.res.BlockedIters = iters
+	if r.opt.PostProcess {
+		if iters > 0 && len(r.detectSweep(iters, p)) > 0 {
+			return errPostProcessDetected
+		}
+	} else if err := r.checkAll(iters, p); err != nil {
+		return err
+	}
+	return r.verifyQ(p)
 }
 
 // encodeSlab (re)computes slab s's checksum halo from its data on the
@@ -617,7 +468,6 @@ func (r *multiReducer) detectSweep(iter, p int) []int {
 			pool.Wait(b.ev)
 		}
 	}
-	r.count("ft_checksum_checks_total")
 
 	r.lastGap = 0
 	bad := r.bad[:0]
@@ -648,14 +498,7 @@ func (r *multiReducer) detectSweep(iter, p int) []int {
 			pool.Wait(b.ev)
 		}
 	}
-	ev := obs.Ev(obs.KindChecksumCheck, iter)
-	ev.Target = obs.TargetH
-	ev.Value = obs.Float(r.lastGap)
-	ev.Outcome = "clean"
-	if len(bad) > 0 {
-		ev.Outcome = "mismatch"
-	}
-	r.journal(ev)
+	r.checked(iter, r.lastGap, len(bad) > 0)
 	return bad
 }
 
@@ -673,18 +516,9 @@ func (r *multiReducer) recheckSlab(iter, s int) bool {
 	pool.Issue(dev)
 	kg := r.slabTotals(s, 0, r.dChk[d])
 	pool.Wait(dev.D2HAsync(r.chkHost[d].View(0, 0, 3, 1), r.dChk[d], 0, 0, kg))
-	r.count("ft_checksum_checks_total")
 	r.lastGap = 0
 	mismatch := r.slabMismatch(r.chkHost[d], 0)
-	ev := obs.Ev(obs.KindChecksumCheck, iter)
-	ev.Target = obs.TargetH
-	ev.Value = obs.Float(r.lastGap)
-	ev.Outcome = "clean"
-	if mismatch {
-		ev.Outcome = "mismatch"
-	}
-	r.journal(ev)
-	return mismatch
+	return r.checked(iter, r.lastGap, mismatch)
 }
 
 // checkAll runs one boundary check and drives slab-local recovery for
@@ -694,14 +528,8 @@ func (r *multiReducer) checkAll(iter, p int) error {
 	prev := pool.SetPhase("detect")
 	defer pool.SetPhase(prev)
 	for _, s := range r.detectSweep(iter, p) {
-		r.res.Detections++
-		r.count("ft_detections_total")
-		det := obs.Ev(obs.KindDetection, iter)
-		det.Target = obs.TargetH
-		det.Value = obs.Float(r.lastGap)
-		det.Outcome = fmt.Sprintf("slab %d on %s", s, r.sh.Owner(s).Name())
-		det.Device = r.sh.Owner(s).Name()
-		r.journal(det)
+		dev := r.sh.Owner(s).Name()
+		r.detected(iter, r.lastGap, fmt.Sprintf("slab %d on %s", s, dev), dev)
 		for attempt := 0; ; attempt++ {
 			if err := r.locateAndCorrectSlab(iter, s); err != nil {
 				return err
@@ -728,8 +556,8 @@ func (r *multiReducer) checkAll(iter, p int) error {
 // locateAndCorrectSlab recomputes slab s's fresh row and column sums on
 // its owner, compares them with the maintained halo on the host, and
 // corrects the flagged elements in place — all without touching any
-// other device. Mirrors the single-device locateAndCorrect, except the
-// comparison is plain (no Hessenberg-aware split: finished columns keep
+// other device. The location step is the single-device one (locate),
+// but the comparison is plain (no Hessenberg-aware split: finished columns keep
 // whole-column sums, their reflector rows included, because they stay
 // device-resident until the final gather).
 func (r *multiReducer) locateAndCorrectSlab(iter, s int) error {
@@ -781,42 +609,20 @@ func (r *multiReducer) locateAndCorrectSlab(iter, s int) error {
 		// Charge a representative correction kernel; the hook already
 		// consumed the injection, so the re-check runs clean.
 		sh.Last[s] = dev.Add(m, 0, 0, 0, sh.Last[s])
-		loc := obs.Ev(obs.KindLocation, iter)
-		loc.Target = obs.TargetH
-		loc.Outcome = "cost-only"
-		loc.Device = dev.Name()
-		r.journal(loc)
-		corr := obs.Ev(obs.KindCorrection, iter)
-		corr.Target = obs.TargetH
-		corr.Outcome = "cost-only"
-		corr.Device = dev.Name()
-		r.journal(corr)
-		r.count("ft_corrections_total")
+		r.correctedCostOnly(iter, dev.Name())
 		return nil
 	}
 
-	tol := r.tauDet
-	var rows, colsF []int
 	rRes := make([]float64, n)
 	cRes := make([]float64, cols)
 	nonFinite := false
-	for i := 0; i < n; i++ {
+	for i := range rRes {
 		rRes[i] = freshHost.At(i, 0) - chkColHost.At(i, 0)
-		if math.IsNaN(rRes[i]) || math.IsInf(rRes[i], 0) {
-			nonFinite = true
-		}
-		if math.Abs(rRes[i]) > tol {
-			rows = append(rows, i)
-		}
+		nonFinite = nonFinite || math.IsNaN(rRes[i]) || math.IsInf(rRes[i], 0)
 	}
-	for j := 0; j < cols; j++ {
+	for j := range cRes {
 		cRes[j] = freshHost.At(j, 1) - chkRowHost.At(0, j)
-		if math.IsNaN(cRes[j]) || math.IsInf(cRes[j], 0) {
-			nonFinite = true
-		}
-		if math.Abs(cRes[j]) > tol {
-			colsF = append(colsF, j)
-		}
+		nonFinite = nonFinite || math.IsNaN(cRes[j]) || math.IsInf(cRes[j], 0)
 	}
 	if nonFinite {
 		// An exponent hit drove a value to ±Inf/NaN; the residual
@@ -824,80 +630,25 @@ func (r *multiReducer) locateAndCorrectSlab(iter, s int) error {
 		return fmt.Errorf("%w: non-finite residual in slab %d", ErrUncorrectable, s)
 	}
 
+	found, err := locate(rRes, cRes, r.tauDet)
 	loc := obs.Ev(obs.KindLocation, iter)
 	loc.Target = obs.TargetH
-	loc.Outcome = fmt.Sprintf("slab %d: %d rows, %d cols flagged", s, len(rows), len(colsF))
+	loc.Outcome = fmt.Sprintf("slab %d: %d rows, %d cols flagged", s, len(found.rows), len(found.cols))
 	loc.Device = dev.Name()
 	r.journal(loc)
-
-	apply := func(i, j int, delta float64) {
-		sh.Last[s] = dev.Add(m, i, j, -delta, sh.Last[s])
-		r.res.CorrectedH = append(r.res.CorrectedH,
-			Injection{Row: i, Col: sl.Start + j, Delta: delta, Target: TargetH, Iter: iter})
-		r.count("ft_corrections_total")
-		corr := obs.Ev(obs.KindCorrection, iter)
-		corr.Target = obs.TargetH
-		corr.Row, corr.Col, corr.Value = i, sl.Start+j, obs.Float(delta)
-		corr.Device = dev.Name()
-		r.journal(corr)
+	if err != nil {
+		return fmt.Errorf("slab %d: %w", s, err)
 	}
-
-	switch {
-	case len(rows) == 0 && len(colsF) == 0:
-		// Threshold-level noise triggered detection but nothing locates:
-		// treat as a transient false positive.
-		return nil
-	case len(rows) == 0:
-		// The maintained checksum row itself was corrupted: the fresh
-		// column sums are the truth.
-		for _, j := range colsF {
-			sh.Last[s] = dev.Set(m, n, j, freshHost.At(j, 1), sh.Last[s])
+	for _, f := range found.repairs {
+		switch f.kind {
+		case repairChkRow:
+			sh.Last[s] = dev.Set(m, n, f.col, freshHost.At(f.col, 1), sh.Last[s])
+		case repairChkCol:
+			sh.Last[s] = dev.Set(m, f.row, cols, freshHost.At(f.row, 0), sh.Last[s])
+		default:
+			sh.Last[s] = dev.Add(m, f.row, f.col, -f.delta, sh.Last[s])
+			r.corrected(iter, f.row, sl.Start+f.col, f.delta, dev.Name())
 		}
-		return nil
-	case len(colsF) == 0:
-		// The maintained checksum column was corrupted.
-		for _, i := range rows {
-			sh.Last[s] = dev.Set(m, i, cols, freshHost.At(i, 0), sh.Last[s])
-		}
-		return nil
-	case len(rows) == 1:
-		for _, j := range colsF {
-			apply(rows[0], j, cRes[j])
-		}
-		return nil
-	case len(colsF) == 1:
-		for _, i := range rows {
-			apply(i, colsF[0], rRes[i])
-		}
-		return nil
-	default:
-		// General case: match row residuals to column residuals by
-		// value. A unique matching exists exactly when the error
-		// positions do not form the rectangle pattern the paper
-		// excludes.
-		if len(rows) != len(colsF) {
-			return fmt.Errorf("%w: slab %d flagged %d rows vs %d columns", ErrUncorrectable, s, len(rows), len(colsF))
-		}
-		usedCol := make([]bool, len(colsF))
-		for _, i := range rows {
-			match := -1
-			for cj, j := range colsF {
-				if usedCol[cj] {
-					continue
-				}
-				if math.Abs(rRes[i]-cRes[j]) <= tol {
-					if match >= 0 {
-						return fmt.Errorf("%w: ambiguous residual match in slab %d", ErrUncorrectable, s)
-					}
-					match = cj
-				}
-			}
-			if match < 0 {
-				return fmt.Errorf("%w: unmatched row residual in slab %d", ErrUncorrectable, s)
-			}
-			usedCol[match] = true
-			apply(i, colsF[match], rRes[i])
-		}
-		return nil
 	}
+	return nil
 }

@@ -2,7 +2,6 @@ package ft
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
@@ -103,86 +102,44 @@ func (q *qChecksums) verifyAndCorrect(h hybrid.HostLane, pp sim.Params, hostA *m
 				freshCol[c] += v
 			}
 		}
-		var rows, cols []int
 		rRes := make([]float64, n)
-		cRes := make([]float64, n)
-		for i := 0; i < n; i++ {
+		cRes := make([]float64, limit)
+		for i := range rRes {
 			rRes[i] = freshRow[i] - q.rowChk[i]
-			if math.Abs(rRes[i]) > tol {
-				rows = append(rows, i)
-			}
 		}
-		for c := 0; c < limit; c++ {
+		for c := range cRes {
 			cRes[c] = freshCol[c] - q.colChk[c]
-			if math.Abs(cRes[c]) > tol {
-				cols = append(cols, c)
-			}
 		}
-		correct := func(i, c int, delta float64) {
-			hostA.Add(i, c, -delta)
-			fixes++
-			if journal != nil {
-				ev := obs.Ev(obs.KindCorrection, iter)
-				ev.Target = obs.TargetQ
-				ev.Row, ev.Col, ev.Value = i, c, obs.Float(delta)
-				journal(ev)
-			}
-		}
+		found, err := locate(rRes, cRes, tol)
 		if journal != nil {
 			ev := obs.Ev(obs.KindChecksumCheck, iter)
 			ev.Target = obs.TargetQ
 			ev.Outcome = "clean"
-			if len(rows) > 0 || len(cols) > 0 {
+			if len(found.rows) > 0 || len(found.cols) > 0 {
 				ev.Outcome = "mismatch"
 			}
 			journal(ev)
 		}
-		switch {
-		case len(rows) == 0 && len(cols) == 0:
+		if err != nil {
+			vErr = fmt.Errorf("Q check: %w", err)
 			return
-		case len(rows) == 0 || len(cols) == 0:
-			// The checksum vectors themselves took the hit; refresh them.
-			for _, i := range rows {
-				q.rowChk[i] = freshRow[i]
-			}
-			for _, c := range cols {
-				q.colChk[c] = freshCol[c]
-			}
-			return
-		case len(rows) == 1:
-			for _, c := range cols {
-				correct(rows[0], c, cRes[c])
-			}
-		case len(cols) == 1:
-			for _, i := range rows {
-				correct(i, cols[0], rRes[i])
-			}
-		default:
-			if len(rows) != len(cols) {
-				vErr = fmt.Errorf("%w: Q check flagged %d rows vs %d columns", ErrUncorrectable, len(rows), len(cols))
-				return
-			}
-			usedCol := make([]bool, len(cols))
-			for _, i := range rows {
-				match := -1
-				for cj, c := range cols {
-					if usedCol[cj] {
-						continue
-					}
-					if math.Abs(rRes[i]-cRes[c]) <= tol {
-						if match >= 0 {
-							vErr = fmt.Errorf("%w: ambiguous Q residual match", ErrUncorrectable)
-							return
-						}
-						match = cj
-					}
+		}
+		for _, f := range found.repairs {
+			switch f.kind {
+			case repairChkRow:
+				// The checksum vectors themselves took the hit; refresh them.
+				q.colChk[f.col] = freshCol[f.col]
+			case repairChkCol:
+				q.rowChk[f.row] = freshRow[f.row]
+			default:
+				hostA.Add(f.row, f.col, -f.delta)
+				fixes++
+				if journal != nil {
+					ev := obs.Ev(obs.KindCorrection, iter)
+					ev.Target = obs.TargetQ
+					ev.Row, ev.Col, ev.Value = f.row, f.col, obs.Float(f.delta)
+					journal(ev)
 				}
-				if match < 0 {
-					vErr = fmt.Errorf("%w: unmatched Q row residual", ErrUncorrectable)
-					return
-				}
-				usedCol[match] = true
-				correct(i, cols[match], rRes[i])
 			}
 		}
 	})

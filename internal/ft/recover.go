@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/gpu"
+	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -74,16 +75,7 @@ func (r *reducer) detectAt(iter int, dataReady sim.Event) bool {
 		// detection read lands, so charge that wait before recovering.
 		dev.Sync(verdict)
 	}
-	r.count("ft_checksum_checks_total")
-	ev := obs.Ev(obs.KindChecksumCheck, iter)
-	ev.Target = obs.TargetH
-	ev.Value = obs.Float(r.lastDetectGap)
-	ev.Outcome = "clean"
-	if mismatch {
-		ev.Outcome = "mismatch"
-	}
-	r.journal(ev)
-	return mismatch
+	return r.checked(iter, r.lastDetectGap, mismatch)
 }
 
 // recover implements lines 14-15: reverse the left and right updates with
@@ -99,8 +91,8 @@ func (r *reducer) recover(iter, p, ib int) error {
 	// Reverse the left update: C += V·Sᵀ and the checksum row gets the
 	// opposite Vce correction; the checksum column rides along as an
 	// extra column of C exactly as in the forward direction.
-	e := r.applyVS(p, ib, +1, sim.Event{})
-	e = r.kernChkRowLeft(p, ib, +1, e)
+	e := r.applyVS(p, ib, 0, n-p-ib+1, +1, sim.Event{})
+	e = r.kernChkRowLeft(p, ib, 0, n-p-ib+1, +1, e)
 
 	// Reverse the right update with the retained Y (sign-flipped GEMMs).
 	ei := dev.Mode.HostElem(r.hostA, p+ib, p+ib-1)
@@ -126,19 +118,17 @@ func (r *reducer) recover(iter, p, ib int) error {
 	return r.locateAndCorrect(iter, p, p, true)
 }
 
-// locateAndCorrect recomputes fresh mathematical checksums (Hessenberg-
-// aware for the finished columns left of split), compares them with the
-// maintained ones, and corrects the flagged elements on the device.
-// If patchPanel is set, corrections falling inside the current panel are
-// also applied to the host-side checkpoint so the re-execution is clean.
-func (r *reducer) locateAndCorrect(iter, split, panel int, patchPanel bool) error {
+// freshResiduals recomputes the mathematical row and column sums on the
+// device (finished columns left of split contribute only their
+// Hessenberg entries, rows i ≤ j+1; active columns contribute fully),
+// brings them and the maintained checksums to the host, and returns the
+// fresh sums (n×2: row sums, column sums) with the row and column
+// residuals, fresh minus maintained. The residuals are nil in cost-only
+// mode, where no data exists to compare.
+func (r *reducer) freshResiduals(split int) (fresh *matrix.Matrix, rRes, cRes []float64) {
 	dev := r.dev
 	n := r.n
 	pp := dev.Params
-
-	// Fresh row sums of the mathematical matrix: finished columns
-	// contribute only their Hessenberg entries (rows i ≤ j+1); active
-	// columns contribute fully.
 	dA, dFresh := r.dA, r.dFresh
 	eR := dev.Custom(pp.GemvDevice(n, n), func() {
 		for i := 0; i < n; i++ {
@@ -168,144 +158,120 @@ func (r *reducer) locateAndCorrect(iter, split, panel int, patchPanel bool) erro
 		}
 	})
 
-	// Bring the fresh and maintained checksums to the host.
-	freshHost := dev.Mode.HostMatrix(n, 2)
+	fresh = dev.Mode.HostMatrix(n, 2)
 	chkColHost := dev.Mode.HostMatrix(n, 1)
 	chkRowHost := dev.Mode.HostMatrix(1, n)
-	e := dev.D2HAsync(freshHost, dFresh, 0, 0, eR, eC)
+	e := dev.D2HAsync(fresh, dFresh, 0, 0, eR, eC)
 	e = dev.D2HAsync(chkColHost, dA, 0, n, e)
 	dev.Sync(dev.D2HAsync(chkRowHost, dA, n, 0, e))
+	if dev.Mode == gpu.CostOnly {
+		return fresh, nil, nil
+	}
+	rRes = make([]float64, n)
+	cRes = make([]float64, n)
+	for i := range rRes {
+		rRes[i] = fresh.At(i, 0) - chkColHost.At(i, 0)
+	}
+	for j := range cRes {
+		cRes[j] = fresh.At(j, 1) - chkRowHost.At(0, j)
+	}
+	return fresh, rRes, cRes
+}
+
+// locateAndCorrect compares fresh checksums (Hessenberg-aware left of
+// split) with the maintained ones and corrects the located elements on
+// the device. If patchPanel is set, corrections falling inside the
+// current panel are also applied to the host-side checkpoint so the
+// re-execution is clean.
+func (r *reducer) locateAndCorrect(iter, split, panel int, patchPanel bool) error {
+	dev := r.dev
+	n := r.n
+	fresh, rRes, cRes := r.freshResiduals(split)
 
 	if dev.Mode == gpu.CostOnly {
 		// Charge a representative correction kernel; the hook already
 		// consumed the injection, so the re-execution will run clean.
-		dev.Add(dA, 0, 0, 0)
-		loc := obs.Ev(obs.KindLocation, iter)
-		loc.Target = obs.TargetH
-		loc.Outcome = "cost-only"
-		r.journal(loc)
-		corr := obs.Ev(obs.KindCorrection, iter)
-		corr.Target = obs.TargetH
-		corr.Outcome = "cost-only"
-		r.journal(corr)
-		r.count("ft_corrections_total")
+		dev.Add(r.dA, 0, 0, 0)
+		r.correctedCostOnly(iter, "")
 		return nil
 	}
 
-	tol := r.tauDet
-	var rows, cols []int
-	rRes := make([]float64, n)
-	cRes := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rRes[i] = freshHost.At(i, 0) - chkColHost.At(i, 0)
-		if math.Abs(rRes[i]) > tol {
-			rows = append(rows, i)
-		}
-	}
-	for j := 0; j < n; j++ {
-		cRes[j] = freshHost.At(j, 1) - chkRowHost.At(0, j)
-		if math.Abs(cRes[j]) > tol {
-			cols = append(cols, j)
-		}
-	}
-
+	found, err := locate(rRes, cRes, r.tauDet)
 	loc := obs.Ev(obs.KindLocation, iter)
 	loc.Target = obs.TargetH
-	loc.Outcome = fmt.Sprintf("%d rows, %d cols flagged", len(rows), len(cols))
+	loc.Outcome = fmt.Sprintf("%d rows, %d cols flagged", len(found.rows), len(found.cols))
 	r.journal(loc)
-
-	apply := func(i, j int, delta float64) {
-		dev.Add(r.dA, i, j, -delta)
-		r.res.CorrectedH = append(r.res.CorrectedH, Injection{Row: i, Col: j, Delta: delta, Target: TargetH, Iter: iter})
-		if patchPanel && j >= panel && j < panel+r.nb {
-			r.ckPanel.Add(i, j-panel, -delta)
-		}
-		r.count("ft_corrections_total")
-		corr := obs.Ev(obs.KindCorrection, iter)
-		corr.Target = obs.TargetH
-		corr.Row, corr.Col, corr.Value = i, j, obs.Float(delta)
-		r.journal(corr)
+	if err != nil {
+		return err
 	}
-
-	switch {
-	case len(rows) == 0 && len(cols) == 0:
-		// Threshold-level noise triggered detection but nothing locates:
-		// treat as a transient false positive and re-execute.
-		return nil
-	case len(rows) == 0:
-		// The maintained checksum row itself was corrupted: the fresh
-		// column sums are the truth.
-		for _, j := range cols {
-			dev.Set(r.dA, n, j, freshHost.At(j, 1))
-		}
-		return nil
-	case len(cols) == 0:
-		// The maintained checksum column was corrupted.
-		for _, i := range rows {
-			dev.Set(r.dA, i, n, freshHost.At(i, 0))
-		}
-		return nil
-	case len(rows) == 1:
-		// All errors share one row: column residuals give each delta.
-		for _, j := range cols {
-			apply(rows[0], j, cRes[j])
-		}
-		return nil
-	case len(cols) == 1:
-		for _, i := range rows {
-			apply(i, cols[0], rRes[i])
-		}
-		return nil
-	default:
-		// General case: match row residuals to column residuals by value.
-		// A unique matching exists exactly when the error positions do
-		// not form the rectangle pattern the paper excludes.
-		if len(rows) != len(cols) {
-			return fmt.Errorf("%w: %d rows vs %d columns flagged", ErrUncorrectable, len(rows), len(cols))
-		}
-		usedCol := make([]bool, len(cols))
-		for _, i := range rows {
-			match := -1
-			for cj, j := range cols {
-				if usedCol[cj] {
-					continue
-				}
-				if math.Abs(rRes[i]-cRes[j]) <= tol {
-					if match >= 0 {
-						return fmt.Errorf("%w: ambiguous residual match", ErrUncorrectable)
-					}
-					match = cj
-				}
+	for _, f := range found.repairs {
+		switch f.kind {
+		case repairChkRow:
+			dev.Set(r.dA, n, f.col, fresh.At(f.col, 1))
+		case repairChkCol:
+			dev.Set(r.dA, f.row, n, fresh.At(f.row, 0))
+		default:
+			i, j := f.row, f.col
+			dev.Add(r.dA, i, j, -f.delta)
+			if patchPanel && j >= panel && j < panel+r.nb {
+				r.ckPanel.Add(i, j-panel, -f.delta)
 			}
-			if match < 0 {
-				return fmt.Errorf("%w: unmatched row residual", ErrUncorrectable)
-			}
-			usedCol[match] = true
-			apply(i, cols[match], rRes[i])
+			r.corrected(iter, i, j, f.delta, "")
 		}
-		return nil
 	}
+	return nil
 }
 
 // finalHCheck verifies the whole device-resident matrix (finished columns
 // Hessenberg-aware) once after the last blocked iteration — an extension
-// beyond the paper catching late errors in already-finished H data. The
-// corrected elements are also patched in the host copy.
+// beyond the paper catching late errors in already-finished H data.
+//
+// A correction is re-checked before it is trusted, as the pool's slab
+// recovery does: an exponent flip leaves a delta so large that
+// subtracting it cancels the element's true value, and only a second
+// location pass — against the same maintained checksums — restores it.
+// A re-check that still mismatches counts as a detection; after
+// MaxRecoveries of them the run fails with ErrDetectionStorm. Only
+// verified values reach the host copy of the finished columns.
 func (r *reducer) finalHCheck(split int) error {
+	iter := r.res.BlockedIters
 	before := len(r.res.CorrectedH)
-	if err := r.locateAndCorrect(r.res.BlockedIters, split, 0, false); err != nil {
-		return err
+	for attempt := 0; ; attempt++ {
+		corrected := len(r.res.CorrectedH)
+		if err := r.locateAndCorrect(iter, split, 0, false); err != nil {
+			return err
+		}
+		if len(r.res.CorrectedH) == corrected || !r.recheck(iter, split) {
+			break
+		}
+		r.detected(iter, r.lastDetectGap, "final re-check", "")
+		if attempt+1 >= r.opt.MaxRecoveries {
+			return fmt.Errorf("%w (final H check)", ErrDetectionStorm)
+		}
 	}
-	if r.dev.Mode != gpu.CostOnly {
-		for _, c := range r.res.CorrectedH[before:] {
-			if c.Col < split {
-				// Finished columns were already transferred to the host;
-				// mirror the corrected device value (the host copy may
-				// predate or postdate the corruption, the device value
-				// after correction is authoritative either way).
-				r.hostA.Set(c.Row, c.Col, r.dA.At(c.Row, c.Col))
-			}
+	for _, c := range r.res.CorrectedH[before:] {
+		if c.Col < split {
+			// Finished columns were already transferred to the host;
+			// mirror the verified device value (the host copy may predate
+			// or postdate the corruption, the device value is
+			// authoritative either way).
+			r.hostA.Set(c.Row, c.Col, r.dA.At(c.Row, c.Col))
 		}
 	}
 	return nil
+}
+
+// recheck re-runs the fresh-versus-maintained comparison after a
+// correction and reports whether any residual still exceeds τ (or is
+// non-finite). The largest residual lands in lastDetectGap.
+func (r *reducer) recheck(iter, split int) bool {
+	_, rRes, cRes := r.freshResiduals(split)
+	gap := 0.0
+	for _, v := range append(rRes, cRes...) {
+		if a := math.Abs(v); a > gap || math.IsNaN(a) {
+			gap = a
+		}
+	}
+	r.lastDetectGap = gap
+	return r.checked(iter, gap, gap > r.tauDet || math.IsNaN(gap) || math.IsInf(gap, 0))
 }

@@ -87,119 +87,136 @@ func (d *Device) claimFlowIn() {
 	d.pendingFlowIn = d.pendingFlowIn[1:]
 }
 
-// laneTids assigns stable Chrome-trace thread ids: the three standard
-// lanes first, then any custom lanes in first-appearance order.
-func (d *Device) laneTids() (map[string]int, []string) {
-	tids := map[string]int{"host": 0, "gpu-compute": 1, "gpu-copy": 2}
-	order := []string{"host", "gpu-compute", "gpu-copy"}
-	for _, s := range d.trace {
-		if _, ok := tids[s.Lane]; !ok {
-			tids[s.Lane] = len(tids)
-			order = append(order, s.Lane)
-		}
+// RecordSpan appends a span timed outside the device — a device pool's
+// main-host work — to the trace; a no-op unless tracing is enabled.
+func (d *Device) RecordSpan(s Span) {
+	if d.tracing {
+		d.trace = append(d.trace, s)
 	}
-	return tids, order
 }
 
-// WriteChromeTrace exports the spans as a Chrome trace-event JSON array
-// (timestamps in microseconds): ph:"M" metadata events naming the process
-// and one thread per simulated lane, ph:"X" slices for the spans, and
-// ph:"s"/"f" flow events for each async D2H copy → consuming host op pair.
-func (d *Device) WriteChromeTrace(w io.Writer) error {
-	type evt struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Cat  string         `json:"cat,omitempty"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur,omitempty"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		ID   int            `json:"id,omitempty"`
-		Bp   string         `json:"bp,omitempty"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	tids, order := d.laneTids()
+// Tracing reports whether span recording is enabled.
+func (d *Device) Tracing() bool { return d.tracing }
 
+// lanes returns the device's timeline names in trace order.
+func (d *Device) lanes() []string {
+	return []string{d.Host.Name(), d.Compute.Name(), d.Copy.Name(), d.Lookahead.Name()}
+}
+
+// WriteChromeTrace exports the recorded spans (see WriteChromeTrace).
+func (d *Device) WriteChromeTrace(w io.Writer) error {
+	return WriteChromeTrace(w, "fthess-sim", d.trace, d.lanes())
+}
+
+// TraceSummary prints the recorded spans' per-lane summary (see
+// TraceSummary).
+func (d *Device) TraceSummary(w io.Writer) {
+	TraceSummary(w, d.trace, d.lanes())
+}
+
+// ChromeEvent is one record of the Chrome trace-event format.
+type ChromeEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Cat  string         `json:"cat,omitempty"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	ID   int            `json:"id,omitempty"`
+	Bp   string         `json:"bp,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// ChromeEvents lays spans out as Chrome process pid named process
+// (timestamps in microseconds): ph:"M" metadata naming the process and
+// one thread per lane — lanes first, in that order, then any other lane
+// in first-appearance order — ph:"X" slices for the spans, and
+// ph:"s"/"f" flow events for each async D2H copy → consuming host op
+// pair. Flow ids are per device, so spans merged from several devices
+// must not both carry flows (pool host work runs on the main-host lane,
+// which consumes none).
+func ChromeEvents(pid int, process string, spans []Span, lanes []string) []ChromeEvent {
+	tids := make(map[string]int, len(lanes))
+	order := make([]string, 0, len(lanes))
+	for _, lane := range lanes {
+		tids[lane] = len(order)
+		order = append(order, lane)
+	}
 	// Only emit flow starts whose consuming span exists: a copy whose data
 	// no host op ever claimed (e.g. the final cleanup transfer) would
 	// otherwise leave a dangling arrow start.
 	claimed := make(map[int]bool)
-	for _, s := range d.trace {
+	for _, s := range spans {
+		if _, ok := tids[s.Lane]; !ok {
+			tids[s.Lane] = len(order)
+			order = append(order, s.Lane)
+		}
 		if s.FlowIn != 0 {
 			claimed[s.FlowIn] = true
 		}
 	}
 
-	events := make([]evt, 0, len(d.trace)+len(order)+1)
-	events = append(events, evt{
-		Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]any{"name": "fthess-sim"},
-	})
+	events := make([]ChromeEvent, 0, len(spans)+len(order)+1)
+	events = append(events, ChromeEvent{Name: "process_name", Ph: "M", Pid: pid,
+		Args: map[string]any{"name": process}})
 	for _, lane := range order {
-		events = append(events, evt{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: tids[lane],
-			Args: map[string]any{"name": lane},
-		})
+		events = append(events, ChromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tids[lane],
+			Args: map[string]any{"name": lane}})
 	}
-	for _, s := range d.trace {
+	for _, s := range spans {
 		tid := tids[s.Lane]
-		events = append(events, evt{
-			Name: s.Kind, Ph: "X",
-			Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6,
-			Pid: 1, Tid: tid,
-		})
+		events = append(events, ChromeEvent{Name: s.Kind, Ph: "X",
+			Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6, Pid: pid, Tid: tid})
 		mid := (s.Start + s.End) / 2 * 1e6
 		if s.FlowOut != 0 && claimed[s.FlowOut] {
-			events = append(events, evt{
-				Name: "d2h", Ph: "s", Cat: "dataflow",
-				Ts: mid, Pid: 1, Tid: tid, ID: s.FlowOut,
-			})
+			events = append(events, ChromeEvent{Name: "d2h", Ph: "s", Cat: "dataflow",
+				Ts: mid, Pid: pid, Tid: tid, ID: s.FlowOut})
 		}
 		if s.FlowIn != 0 {
-			events = append(events, evt{
-				Name: "d2h", Ph: "f", Cat: "dataflow", Bp: "e",
-				Ts: mid, Pid: 1, Tid: tid, ID: s.FlowIn,
-			})
+			events = append(events, ChromeEvent{Name: "d2h", Ph: "f", Cat: "dataflow", Bp: "e",
+				Ts: mid, Pid: pid, Tid: tid, ID: s.FlowIn})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	return events
+}
+
+// WriteChromeTrace encodes spans as one Chrome trace-event JSON array
+// (chrome://tracing, Perfetto) of process 1 (see ChromeEvents).
+func WriteChromeTrace(w io.Writer, process string, spans []Span, lanes []string) error {
+	return json.NewEncoder(w).Encode(ChromeEvents(1, process, spans, lanes))
 }
 
 // TraceSummary prints one line per lane with span counts and busy time:
-// the standard lanes first, then any other recorded lanes in sorted order.
-func (d *Device) TraceSummary(w io.Writer) {
+// lanes first, in that order, then any other recorded lane sorted.
+func TraceSummary(w io.Writer, spans []Span, lanes []string) {
 	type agg struct {
 		count int
 		busy  float64
 	}
-	lanes := map[string]*agg{}
-	for _, s := range d.trace {
-		a := lanes[s.Lane]
+	byLane := map[string]*agg{}
+	for _, s := range spans {
+		a := byLane[s.Lane]
 		if a == nil {
 			a = &agg{}
-			lanes[s.Lane] = a
+			byLane[s.Lane] = a
 		}
 		a.count++
 		a.busy += s.End - s.Start
 	}
-	known := []string{"host", "gpu-compute", "gpu-copy", "gpu-lookahead"}
-	rest := make([]string, 0, len(lanes))
-	for lane := range lanes {
-		isKnown := false
-		for _, k := range known {
-			if lane == k {
-				isKnown = true
-				break
-			}
-		}
-		if !isKnown {
+	known := make(map[string]bool, len(lanes))
+	for _, lane := range lanes {
+		known[lane] = true
+	}
+	var rest []string
+	for lane := range byLane {
+		if !known[lane] {
 			rest = append(rest, lane)
 		}
 	}
 	sort.Strings(rest)
-	for _, lane := range append(known, rest...) {
-		if a := lanes[lane]; a != nil {
+	for _, lane := range append(lanes[:len(lanes):len(lanes)], rest...) {
+		if a := byLane[lane]; a != nil {
 			fmt.Fprintf(w, "  %-12s %6d spans, %.4fs busy\n", lane, a.count, a.busy)
 		}
 	}

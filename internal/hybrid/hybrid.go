@@ -158,11 +158,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	dev.SetJob(opt.Trace.JobID())
 	sp := opt.Trace.Span("hybrid.reduce", opt.Trace.ParentSpan())
 	defer opt.Trace.EndSpan(sp)
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dev.SetContext(ctx)
+	dev.SetContext(opt.Ctx)
 
 	hostA := dev.Mode.HostCopy(a)
 	tau := make([]float64, max(n-1, 1))
@@ -206,7 +202,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	p := 0
 	iter := 0
 	for ; n-1-p > nx; p += nb {
-		if err := ctx.Err(); err != nil {
+		if err := dev.CtxErr(); err != nil {
 			return nil, err
 		}
 		ib := min(nb, n-1-p)
@@ -329,7 +325,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	res.BlockedIters = iter
 
-	if err := ctx.Err(); err != nil {
+	if err := dev.CtxErr(); err != nil {
 		return nil, err
 	}
 	// Bring the remaining trailing columns home and finish with the
@@ -345,12 +341,16 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
 	dev.FinishRun()
-
-	res.SimSeconds = dev.Elapsed()
-	if res.SimSeconds > 0 {
-		res.ModelGFLOPS = sim.HessenbergFlops(n) / res.SimSeconds / 1e9
-	}
+	res.setTiming(dev.Elapsed())
 	return res, nil
+}
+
+// setTiming records the simulated makespan and the modeled rate.
+func (r *Result) setTiming(elapsed float64) {
+	r.SimSeconds = elapsed
+	if elapsed > 0 {
+		r.ModelGFLOPS = sim.HessenbergFlops(r.N) / elapsed / 1e9
+	}
 }
 
 // CleanupCost is the modeled CPU time of the trailing unblocked reduction
@@ -446,6 +446,15 @@ func (h HostLane) CtxErr() error {
 		return h.pool.CtxErr()
 	}
 	return h.dev.CtxErr()
+}
+
+// SetPhase names the phase subsequent costs are attributed to (on every
+// device of a pool), returning the previous phase.
+func (h HostLane) SetPhase(name string) string {
+	if h.pool != nil {
+		return h.pool.SetPhase(name)
+	}
+	return h.dev.SetPhase(name)
 }
 
 // Mode reports the execution mode of the lane's device(s).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/devpool"
 	"repro/internal/gpu"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
@@ -159,5 +160,27 @@ func TestMultiDeviceInputNotModifiedAndSmallSizes(t *testing.T) {
 		if r := lapack.FactorizationResidual(b, res.Q(), res.H()); r > 1e-13 {
 			t.Fatalf("n=%d: residual %v", n, r)
 		}
+	}
+}
+
+// A pool run traced through its devices — how fthess -trace and served
+// jobs enable tracing — records the main-host lane, where the whole
+// panel factorization runs.
+func TestPoolTraceRecordsMainHost(t *testing.T) {
+	devs := newDevs(2, gpu.CostOnly)
+	for _, d := range devs {
+		d.EnableTrace()
+	}
+	if _, err := Reduce(matrix.New(256, 256), Options{NB: 32, Devices: devs}); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, s := range devpool.Wrap(devs).Trace() {
+		if s.Lane == "main-host" {
+			spans++
+		}
+	}
+	if spans == 0 {
+		t.Fatal("traced pool run recorded no main-host spans")
 	}
 }

@@ -23,26 +23,16 @@ import (
 // of pretending otherwise; chrome://tracing and Perfetto render them as
 // two process groups.
 
-type traceEvt struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // writeChromeTrace renders the terminal job's trace. The caller has
 // checked j.tracer != nil and that the job is terminal (simSpans is
 // written before the state turns terminal, so reading it here is safe).
 func writeChromeTrace(w io.Writer, j *Job) error {
 	spans := j.tracer.Spans()
-	events := make([]traceEvt, 0, len(spans)+len(j.simSpans)+8)
+	events := make([]gpu.ChromeEvent, 0, len(spans)+len(j.simSpans)+8)
 	events = append(events,
-		traceEvt{Name: "process_name", Ph: "M", Pid: 1,
+		gpu.ChromeEvent{Name: "process_name", Ph: "M", Pid: 1,
 			Args: map[string]any{"name": "job lifecycle (wall clock)"}},
-		traceEvt{Name: "thread_name", Ph: "M", Pid: 1, Tid: 0,
+		gpu.ChromeEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: 0,
 			Args: map[string]any{"name": "lifecycle"}},
 	)
 
@@ -64,7 +54,7 @@ func writeChromeTrace(w io.Writer, j *Job) error {
 		if end.IsZero() {
 			end = tMax
 		}
-		events = append(events, traceEvt{
+		events = append(events, gpu.ChromeEvent{
 			Name: sp.Name, Ph: "X",
 			Ts:  float64(sp.Start.Sub(t0)) / float64(time.Microsecond),
 			Dur: float64(end.Sub(sp.Start)) / float64(time.Microsecond),
@@ -75,36 +65,12 @@ func writeChromeTrace(w io.Writer, j *Job) error {
 	}
 
 	if len(j.simSpans) > 0 {
-		events = append(events, traceEvt{Name: "process_name", Ph: "M", Pid: 2,
-			Args: map[string]any{"name": "simulated device timeline"}})
-		events = append(events, simEvents(j.simSpans)...)
+		// One Chrome thread per lane in first-appearance order (lane names
+		// are device-prefixed on pooled devices, so multi-device jobs get
+		// distinct rows per device, and a pool's main-host row).
+		events = append(events, gpu.ChromeEvents(2, "simulated device timeline", j.simSpans, nil)...)
 	}
 	return json.NewEncoder(w).Encode(events)
-}
-
-// simEvents lays the simulated spans out on pid 2, one Chrome thread per
-// lane in first-appearance order (lane names are device-prefixed on
-// pooled devices, so multi-device jobs get distinct rows per device).
-func simEvents(spans []gpu.Span) []traceEvt {
-	tids := map[string]int{}
-	events := make([]traceEvt, 0, len(spans))
-	for _, sp := range spans {
-		tid, ok := tids[sp.Lane]
-		if !ok {
-			tid = len(tids)
-			tids[sp.Lane] = tid
-			events = append(events, traceEvt{
-				Name: "thread_name", Ph: "M", Pid: 2, Tid: tid,
-				Args: map[string]any{"name": sp.Lane},
-			})
-		}
-		events = append(events, traceEvt{
-			Name: sp.Kind, Ph: "X",
-			Ts: sp.Start * 1e6, Dur: (sp.End - sp.Start) * 1e6,
-			Pid: 2, Tid: tid,
-		})
-	}
-	return events
 }
 
 // TraceID exposes the job's trace identifier ("" in ObserveSLO mode).

@@ -10,6 +10,8 @@
 #                          companion p50/p95/p99 _quantile gauges
 #   * /v1/jobs/{id}/trace  serves a non-empty Chrome trace
 #   * /debug/events        holds the job's flight-recorder events
+#   * pool jobs            a devices:2 FT job's trace carries the pool's
+#                          main-host lane (the panel factorization)
 #   * /v1/version          reports the build
 #   * batched jobs         a 3-matrix batch runs on fractional lanes and
 #                          an identical resubmission is served entirely
@@ -27,7 +29,7 @@ LOG="$(mktemp)"
 
 go build -o "$BIN" ./cmd/fthessd
 
-"$BIN" -addr "127.0.0.1:${PORT}" -capacity 2 -lanes 2 -cache 16 &
+"$BIN" -addr "127.0.0.1:${PORT}" -capacity 2 -devices 2 -lanes 2 -cache 16 &
 DPID=$!
 trap 'kill "$DPID" 2>/dev/null || true; wait "$DPID" 2>/dev/null || true' EXIT
 
@@ -84,6 +86,31 @@ echo "$TRACE" | grep -q '"ph":"X"' || { echo "trace has no slices" >&2; exit 1; 
 echo "$TRACE" | grep -q 'job lifecycle' || { echo "trace missing the lifecycle process" >&2; exit 1; }
 echo "$TRACE" | grep -q 'simulated device timeline' || { echo "trace missing the device process" >&2; exit 1; }
 echo "trace: $(echo "$TRACE" | grep -o '"ph":"X"' | wc -l) slices"
+
+echo "== pool job (devices: 2) traces the main-host lane"
+PSUB=$(curl -fsS -X POST "$BASE/v1/jobs" \
+  -d '{"n":64,"nb":8,"seed":3,"algorithm":"ft","devices":2,"faults":[{"area":2,"iter":1,"seed":9}]}')
+PID_=$(echo "$PSUB" | grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"id": *"\([^"]*\)".*/\1/')
+[ -n "$PID_" ] || { echo "no job id in pool submit response" >&2; exit 1; }
+for i in $(seq 1 150); do
+  ST=$(curl -fsS "$BASE/v1/jobs/$PID_")
+  case "$ST" in
+    *'"state": "done"'*) break ;;
+    *'"state": "failed"'*|*'"state": "cancelled"'*)
+      echo "pool job ended badly: $ST" >&2; exit 1 ;;
+  esac
+  [ "$i" = 150 ] && { echo "timeout waiting for pool job: $ST" >&2; exit 1; }
+  sleep 0.2
+done
+PTRACE=$(curl -fsS "$BASE/v1/jobs/$PID_/trace")
+# The simulated timeline is pid 2: find the main-host thread, then count
+# the X slices on it.
+HTID=$(echo "$PTRACE" | grep -o '"pid":2,"tid":[0-9]*,"args":{"name":"main-host"}' \
+  | head -1 | sed 's/.*"tid":\([0-9]*\).*/\1/') || true
+[ -n "$HTID" ] || { echo "pool trace declares no main-host thread" >&2; exit 1; }
+HOSTX=$(echo "$PTRACE" | grep -o "\"ph\":\"X\",[^}]*\"pid\":2,\"tid\":$HTID}" | wc -l)
+[ "$HOSTX" -ge 1 ] || { echo "pool trace has no main-host slices" >&2; exit 1; }
+echo "pool trace: $HOSTX main-host slices"
 
 echo "== /debug/events"
 EVENTS=$(curl -fsS "$BASE/debug/events")
