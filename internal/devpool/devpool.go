@@ -90,11 +90,14 @@ func NewPartition(n, nb, k int) Partition {
 	// Slab width trades per-iteration balance against per-slab overhead:
 	// each blocked iteration's critical path carries max-over-devices
 	// update work, imbalanced by up to one slab, so narrow slabs scale
-	// better with K — but every slab adds a kernel launch and a partial
-	// column to each panel GEMV round trip. 128 columns is the measured
-	// sweet spot for 2–4 devices at the paper's N≈2048 (≥2.5× at K=4);
+	// better with K — but every slab adds a partial column to each panel
+	// GEMV round trip and a block of Y-top partials, each moved to the
+	// host and combined there (a round is one launch per device however
+	// many slabs it owns, see Shard). The width is capped at 128 columns;
 	// small problems aim near n/8 so tests exercise real distribution.
-	// Rounded up to a multiple of nb, independent of k.
+	// Rounded up to a multiple of nb, independent of k. The width fixes
+	// the ascending-slab evaluation tree, so changing it changes the
+	// pool's result bits (not their K-invariance).
 	target := n / 8
 	if target > 128 {
 		target = 128

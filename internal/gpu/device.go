@@ -285,6 +285,17 @@ type Matrix struct {
 	Data   []float64
 }
 
+// View returns the r×c block of m at (i, j) as a device matrix sharing
+// m's storage. A view is not an allocation: free m, never a view.
+func (m *Matrix) View(i, j, r, c int) *Matrix {
+	m.dev.checkRange("View", m, i, j, r, c)
+	v := &Matrix{dev: m.dev, Rows: r, Cols: c, Stride: m.Stride}
+	if m.Data != nil && r > 0 && c > 0 {
+		v.Data = m.Data[j*m.Stride+i : (j+c-1)*m.Stride+i+r]
+	}
+	return v
+}
+
 // Alloc reserves an r×c device matrix (zero-initialized in Real mode).
 func (d *Device) Alloc(r, c int) *Matrix {
 	if r < 0 || c < 0 {

@@ -28,8 +28,8 @@ import (
 // per-column trailing-matrix GEMV sharded across the pool: each owner
 // computes its slabs' partials and the host combines them in ascending
 // slab order (see PanelFactor for the single-device variant and the
-// meaning of the arguments). With la the per-slab GEMVs run on each
-// device's lookahead stream, overlapping the previous iteration's
+// meaning of the arguments). With la each device's segmented GEMV runs
+// on its lookahead stream, overlapping the previous iteration's
 // remainder update (see Shard.PanelGemvIssue).
 func panelFactorMulti(sh *devpool.Shard, hostA, y, t *matrix.Matrix, tau []float64, n, p, k, ib int, la bool) error {
 	pool := sh.Pool
