@@ -235,3 +235,39 @@ func TestMultiObsCountersAndJournal(t *testing.T) {
 		t.Fatalf("pool did not publish makespan gauge: %v", gauges)
 	}
 }
+
+// The boundary check is one totals kernel per device, however many slabs
+// the device owns: on an 8-slab shard at K=1 (8 slabs on the device) and
+// K=2 (4 each), with and without the lookahead schedule.
+func TestDetectSweepOneLaunchPerDevice(t *testing.T) {
+	const n, nb = 512, 32
+	for _, la := range []bool{false, true} {
+		for _, k := range []int{1, 2} {
+			pool := devpool.New(k, sim.K40c(), gpu.CostOnly)
+			r := &multiReducer{
+				run:     newRun(matrix.Shape(n, n), Options{NB: nb, DisableLookahead: !la}, hybrid.PoolLane(pool), pool.Params, false),
+				pool:    pool,
+				finSlab: -1,
+			}
+			r.emit = r.journal
+			r.sh = devpool.NewShard(pool, n, nb, 1)
+			if len(r.sh.Part.Slabs) != 8 {
+				t.Fatalf("N=%d nb=%d: %d slabs, want 8", n, nb, len(r.sh.Part.Slabs))
+			}
+			free := r.sweepSetup()
+			before := make([]int64, k)
+			for d, dev := range pool.Devices {
+				before[d] = dev.KernelCount()
+			}
+			r.detectSweep(1, nb)
+			for d, dev := range pool.Devices {
+				if got := dev.KernelCount() - before[d]; got != 1 {
+					t.Errorf("la=%v K=%d device %d owns %d slabs: detection sweep launched %d kernels, want 1",
+						la, k, d, len(r.sh.DevSlabs[d]), got)
+				}
+			}
+			free()
+			r.sh.Free()
+		}
+	}
+}
