@@ -76,4 +76,53 @@ func TestPinnedResultDigests(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != eigDigest {
 		t.Errorf("Eigenvalues digest %s, pinned %s", got, eigDigest)
 	}
+
+	// The symmetric path: both algorithms must produce the same bits, the
+	// fault-tolerant one only adding checksums beside the data path.
+	const symN, symNB = 200, 16
+	sa := randomSymmetric(symN, seed)
+	const symDigestPin = "8c0c4cd0e21dc96b27181b4f2d6edd86f2676ed534e44af92c42d30baf0aa387"
+	for _, ftOn := range []bool{false, true} {
+		res, err := ReduceSym(sa, SymOptions{NB: symNB, FaultTolerant: ftOn})
+		if err != nil {
+			t.Fatalf("sym ft=%v: %v", ftOn, err)
+		}
+		if got := symDigest(res); got != symDigestPin {
+			t.Errorf("sym ft=%v: digest %s, pinned %s", ftOn, got, symDigestPin)
+		}
+	}
+}
+
+// randomSymmetric returns a seeded random symmetric matrix.
+func randomSymmetric(n int, seed uint64) *matrix.Matrix {
+	a := matrix.Random(n, n, seed)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			a.Set(i, j, a.At(j, i))
+		}
+	}
+	return a
+}
+
+// symDigest fingerprints a tridiagonalization: D, E and Tau, then the
+// packed lower triangle (reflectors and the tridiagonal band) column by
+// column, each value as its IEEE-754 bits.
+func symDigest(r *SymResult) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, s := range [][]float64{r.D, r.E, r.Tau} {
+		for _, v := range s {
+			put(v)
+		}
+	}
+	for j := 0; j < r.N; j++ {
+		for i := j; i < r.N; i++ {
+			put(r.Packed.At(i, j))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
