@@ -213,7 +213,7 @@ func BenchmarkHybridSytrd128(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := hybrid.ReduceSym(a, hybrid.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.Real)}); err != nil {
+		if _, err := hybrid.ReduceSym(a, hybrid.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.Real)}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

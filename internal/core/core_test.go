@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -193,11 +195,39 @@ func TestReduceSymBothPaths(t *testing.T) {
 
 func TestReduceSymCostOnlyRules(t *testing.T) {
 	a := matrix.New(64, 64)
-	if _, err := ReduceSym(a, SymOptions{CostOnly: true}); err != nil {
+	base, err := ReduceSym(a, SymOptions{NB: 8, CostOnly: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReduceSym(a, SymOptions{CostOnly: true, FaultTolerant: true}); err == nil {
-		t.Fatal("FT+CostOnly must be rejected")
+	j := &obs.Journal{}
+	ftr, err := ReduceSym(a, SymOptions{NB: 8, CostOnly: true, FaultTolerant: true, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ftr.SimSeconds <= base.SimSeconds {
+		t.Fatalf("FT cost-only models %vs, not above the baseline's %vs", ftr.SimSeconds, base.SimSeconds)
+	}
+	if j.Len() == 0 {
+		t.Fatal("FT cost-only run journaled no events")
+	}
+	for _, e := range j.Events() {
+		if e.SimTime <= 0 {
+			t.Fatalf("%s event at iteration %d carries SimTime %v", e.Kind, e.Iter, e.SimTime)
+		}
+	}
+	// Injection needs data: a hook on a cost-only run is rejected.
+	if _, err := ReduceSym(a, SymOptions{NB: 8, CostOnly: true, FaultTolerant: true, Hook: &symCancelHook{}}); err == nil {
+		t.Fatal("FT+CostOnly+Hook must be rejected")
+	}
+}
+
+func TestSymMultiDeviceUnsupported(t *testing.T) {
+	a := matrix.Random(32, 32, 1)
+	for _, ftOn := range []bool{false, true} {
+		_, err := ReduceSym(a, SymOptions{NB: 8, FaultTolerant: ftOn, Devices: []*gpu.Device{gpu.New(sim.K40c(), gpu.Real)}})
+		if !errors.Is(err, ErrMultiDeviceUnsupported) {
+			t.Fatalf("ft=%v: expected ErrMultiDeviceUnsupported, got %v", ftOn, err)
+		}
 	}
 }
 

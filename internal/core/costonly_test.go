@@ -72,17 +72,19 @@ func TestCostOnlyIsDataFree(t *testing.T) {
 		})
 	}
 	t.Run("sym baseline", func(t *testing.T) {
-		run := func(a *matrix.Matrix) *SymResult {
-			res, err := ReduceSym(a, SymOptions{NB: 32, CostOnly: true})
-			if err != nil {
-				t.Fatal(err)
+		for _, ftOn := range []bool{false, true} {
+			run := func(a *matrix.Matrix) *SymResult {
+				res, err := ReduceSym(a, SymOptions{NB: 32, CostOnly: true, FaultTolerant: ftOn})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			return res
-		}
-		shape, zero := run(matrix.Shape(n, n)), run(matrix.New(n, n))
-		if shape.SimSeconds != zero.SimSeconds || shape.ModelGFLOPS != zero.ModelGFLOPS {
-			t.Fatalf("storage-less input models %vs / %v GFLOPS, zero-filled %vs / %v GFLOPS",
-				shape.SimSeconds, shape.ModelGFLOPS, zero.SimSeconds, zero.ModelGFLOPS)
+			shape, zero := run(matrix.Shape(n, n)), run(matrix.New(n, n))
+			if shape.SimSeconds != zero.SimSeconds || shape.ModelGFLOPS != zero.ModelGFLOPS {
+				t.Fatalf("ft=%v: storage-less input models %vs / %v GFLOPS, zero-filled %vs / %v GFLOPS",
+					ftOn, shape.SimSeconds, shape.ModelGFLOPS, zero.SimSeconds, zero.ModelGFLOPS)
+			}
 		}
 	})
 }

@@ -12,6 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
+// ErrMultiDeviceUnsupported reports a symmetric reduction asked to run on
+// a device pool (see SymOptions.Devices).
+var ErrMultiDeviceUnsupported = errors.New("core: multi-device pools are not supported for the symmetric reduction")
+
 // SymOptions configures the symmetric (tridiagonalization) path — the
 // paper's future-work factorization family.
 type SymOptions struct {
@@ -21,47 +25,39 @@ type SymOptions struct {
 	Ctx context.Context
 	// NB is the block size (32 if zero).
 	NB int
-	// FaultTolerant selects the resilient host algorithm (internal/ftsym);
-	// otherwise the hybrid device baseline runs (internal/hybrid).
+	// FaultTolerant guards the hybrid device schedule with the
+	// symmetric checksums (internal/ftsym); otherwise the bare schedule
+	// runs (internal/hybrid). Both produce the same bits.
 	FaultTolerant bool
-	// CostOnly models time only (baseline path only).
+	// CostOnly models time only.
 	CostOnly bool
-	// Hook passes through to the fault-tolerant algorithm.
+	// Hook passes through to the fault-tolerant algorithm; it needs
+	// data, so CostOnly rejects it.
 	Hook ftsym.Hook
-	// Obs, when set, receives the run's metric series (ftsym_* counters
-	// on the fault-tolerant path; device phase/op timers on the hybrid
-	// baseline). Journal receives typed FT event records (fault-tolerant
-	// path only).
+	// Obs, when set, receives the run's metric series: device phase/op
+	// timers, plus ftsym_* counters on the fault-tolerant path. Journal
+	// receives typed FT event records (fault-tolerant path only).
 	Obs     *obs.Registry
 	Journal *obs.Journal
 	// Trace scopes the run to a served request (see Options.Trace).
 	Trace *obs.TraceContext
-	// Devices requests a multi-device pool. The symmetric reduction has
-	// no multi-device path on either algorithm (see
-	// ftsym.Options.Devices for why the triangular storage resists the
-	// 1-D slab partition); setting this returns
-	// ftsym.ErrMultiDeviceUnsupported so the serving layer can map the
-	// request shape to a structured client error.
+	// Devices requests a multi-device pool, which the symmetric
+	// reduction does not have: the lower-triangle storage makes 1-D
+	// block-column slabs ragged (slab s owns n−s·W.. rows), which breaks
+	// the equal-work partitioning and the per-slab checksum shapes the
+	// Hessenberg pool relies on; a triangular/2-D partitioning is tracked
+	// in ROADMAP.md. Setting this returns ErrMultiDeviceUnsupported so
+	// the serving layer can map the request shape to a structured client
+	// error.
 	Devices []*gpu.Device
 }
 
-// SymResult carries the tridiagonal factorization T = QᵀAQ.
+// SymResult carries the tridiagonal factorization T = QᵀAQ and its
+// simulated performance.
 type SymResult struct {
-	N, NB int
-	// D, E: diagonal and subdiagonal of T.
-	D, E []float64
-	// Packed/Tau hold the reflectors.
-	Packed *matrix.Matrix
-	Tau    []float64
+	hybrid.SymResult
 	// Resilience statistics (fault-tolerant path).
 	Detections, Recoveries, Corrections int
-	// Simulated performance (hybrid baseline path).
-	SimSeconds, ModelGFLOPS float64
-}
-
-// Q forms the orthogonal factor explicitly.
-func (r *SymResult) Q() *matrix.Matrix {
-	return lapack.Dorghr(r.N, r.Packed.Data, r.Packed.Stride, r.Tau)
 }
 
 // Eigenvalues runs the QL iteration on the tridiagonal factor.
@@ -75,48 +71,32 @@ func (r *SymResult) Eigenvalues() ([]float64, error) {
 }
 
 // ReduceSym tridiagonalizes a symmetric matrix (lower triangle referenced,
-// not modified).
+// not modified) on one device.
 func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
-	nb := opt.NB
-	if nb <= 0 {
-		nb = hybrid.DefaultNB
+	if len(opt.Devices) > 0 {
+		return nil, ErrMultiDeviceUnsupported
 	}
-	if opt.FaultTolerant {
-		if opt.CostOnly {
-			return nil, errors.New("core: the fault-tolerant symmetric path is host-side (no cost-only mode)")
-		}
-		res, err := ftsym.Reduce(a, ftsym.Options{
-			Ctx: opt.Ctx, NB: nb, Hook: opt.Hook,
-			Obs: opt.Obs, Journal: opt.Journal, Trace: opt.Trace,
-			Devices: opt.Devices,
-		})
+	dev := (&Options{CostOnly: opt.CostOnly}).device()
+	if !opt.FaultTolerant {
+		res, err := hybrid.ReduceSym(a, hybrid.Options{
+			Ctx: opt.Ctx, NB: opt.NB, Device: dev, Obs: opt.Obs, Trace: opt.Trace,
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
-		return &SymResult{
-			N: res.N, NB: res.NB, D: res.D, E: res.E,
-			Packed: res.Packed, Tau: res.Tau,
-			Detections: res.Detections, Recoveries: res.Recoveries,
-			Corrections: len(res.Corrected),
-		}, nil
+		return &SymResult{SymResult: *res}, nil
 	}
-	if len(opt.Devices) > 0 {
-		// The hybrid baseline has no symmetric multi-device schedule
-		// either; surface the same typed error as the resilient path.
-		return nil, ftsym.ErrMultiDeviceUnsupported
-	}
-	base := Options{NB: nb, CostOnly: opt.CostOnly}
-	res, err := hybrid.ReduceSym(a, hybrid.Options{
-		Ctx: opt.Ctx, NB: nb, Device: base.device(),
-		Obs: opt.Obs, Trace: opt.Trace,
+	res, err := ftsym.Reduce(a, ftsym.Options{
+		Ctx: opt.Ctx, NB: opt.NB, Device: dev, Hook: opt.Hook,
+		Obs: opt.Obs, Journal: opt.Journal, Trace: opt.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &SymResult{
-		N: res.N, NB: res.NB, D: res.D, E: res.E,
-		Packed: res.Packed, Tau: res.Tau,
-		SimSeconds: res.SimSeconds, ModelGFLOPS: res.ModelGFLOPS,
+		SymResult:  res.SymResult,
+		Detections: res.Detections, Recoveries: res.Recoveries,
+		Corrections: len(res.Corrected),
 	}, nil
 }
 

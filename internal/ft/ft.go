@@ -87,8 +87,8 @@ type IterCtx struct {
 	Host *matrix.Matrix
 	// Iter, Panel, NB, N describe the upcoming iteration.
 	Iter, Panel, NB, N int
-	// reducer backs the process-level snapshot capture (snapshot.go).
-	reducer *reducer
+	// lost is the single-device reducer's device-loss flag (KillDevice).
+	lost *bool
 	// multi backs the accessor methods on the multi-device path.
 	multi *multiReducer
 }
@@ -147,8 +147,8 @@ func (c *IterCtx) KillDevice(d int, point string) {
 		c.multi.fsArm(d, point)
 		return
 	}
-	if c.reducer != nil {
-		c.reducer.deviceLost = true
+	if c.lost != nil {
+		*c.lost = true
 	}
 }
 
@@ -191,9 +191,8 @@ type Options struct {
 	// slab is corrected in place — the path takes no panel checkpoints
 	// and never re-executes (Checkpoints and Reexecutions stay zero),
 	// and every check sweeps whole slabs, finished columns included, so
-	// FinalHCheck is implied. Device and DisableOverlap are ignored,
-	// snapshot resume is unsupported. For a fixed input, results are
-	// bit-identical at every device count.
+	// FinalHCheck is implied. Device and DisableOverlap are ignored. For
+	// a fixed input, results are bit-identical at every device count.
 	Devices []*gpu.Device
 	// ThresholdFactor scales the detection threshold
 	// τ = ThresholdFactor·ε·N·‖A‖₁ (paper: "2 to 3 orders of magnitude
@@ -393,13 +392,6 @@ func (r *reducer) journal(e obs.Event) {
 // Reduce runs the fault-tolerant hybrid Hessenberg reduction of a
 // (not modified).
 func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
-	return reduceFrom(a, nil, opt)
-}
-
-// reduceFrom is the shared body of Reduce and Resume: with a nil snapshot
-// it starts from scratch (transfer + encode); with a snapshot it reloads
-// the saved state and continues from the recorded iteration.
-func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("ft: matrix must be square")
 	}
@@ -408,9 +400,6 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		return nil, err
 	}
 	if len(opt.Devices) > 0 {
-		if snap != nil {
-			return nil, errors.New("ft: snapshot resume is not supported on the multi-device path")
-		}
 		return reduceMulti(a, opt, fused)
 	}
 	if opt.Device == nil {
@@ -454,35 +443,15 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 	r.ckPanel = dev.Mode.HostMatrix(n, nb)
 	r.ckChkRow = dev.Mode.HostMatrix(1, nb)
 
-	if snap == nil {
-		// Algorithm 3, lines 1-2: transfer and encode.
-		dev.H2D(r.dA, 0, 0, r.hostA)
-		dev.SetPhase("encode")
-		r.encode()
-	} else {
-		// Diskless restart: reload the extended device matrix (data +
-		// valid checksums), the reflector factors, and the Q checksums.
-		hostDA := matrix.FromColMajor(n+1, n+1, n+1, snap.DA)
-		dev.H2D(r.dA, 0, 0, hostDA)
-		copy(r.tau, snap.Tau)
-		if snap.QRowChk != nil {
-			copy(r.qprot.rowChk, snap.QRowChk)
-			copy(r.qprot.colChk, snap.QColChk)
-			r.qprot.absorbedCols = snap.QCols
-		}
-		ev := obs.Ev(obs.KindSnapshotRestore, snap.Iter)
-		ev.Target = obs.TargetH
-		r.journal(ev)
-	}
+	// Algorithm 3, lines 1-2: transfer and encode.
+	dev.H2D(r.dA, 0, 0, r.hostA)
+	dev.SetPhase("encode")
+	r.encode()
 
 	nx := max(nb, 2)
 	var prevLeft sim.Event
 	p := 0
 	iter := 0
-	if snap != nil {
-		p = snap.Panel
-		iter = snap.Iter
-	}
 	for ; n-1-p > nx; p += nb {
 		if err := dev.CtxErr(); err != nil {
 			return r.res, err
@@ -493,7 +462,7 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 			r.opt.Hook.BeforeIteration(&IterCtx{
 				Dev: dev, DA: r.dA, Host: r.hostA,
 				Iter: iter, Panel: p, NB: ib, N: n,
-				reducer: r,
+				lost: &r.deviceLost,
 			})
 		}
 		if r.deviceLost {

@@ -181,16 +181,6 @@ func TestMultiCostOnlyChargesRecovery(t *testing.T) {
 	}
 }
 
-// Snapshot resume is a single-device feature; combining it with a pool
-// must fail fast rather than silently ignore the pool.
-func TestMultiRejectsSnapshotResume(t *testing.T) {
-	a := matrix.Random(64, 64, 5)
-	snap := &Snapshot{}
-	if _, err := reduceFrom(a, snap, Options{NB: 16, Devices: newDevs(2, gpu.Real)}); err == nil {
-		t.Fatal("expected an error resuming a snapshot on the multi-device path")
-	}
-}
-
 // Counters and journal: the multi path reports through the same obs
 // vocabulary as the single-device path.
 func TestMultiObsCountersAndJournal(t *testing.T) {

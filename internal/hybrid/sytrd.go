@@ -11,15 +11,48 @@ import (
 	"repro/internal/sim"
 )
 
+// SymGuard is a protection layer over the symmetric schedule: the
+// fault-tolerant tridiagonalization (internal/ftsym) is ReduceSym with a
+// guard whose checksums ride the unchanged data path.
+type SymGuard interface {
+	// Start runs once the matrix is on the device, before the first
+	// blocked iteration.
+	Start(s SymState)
+	// Boundary runs at the start of blocked iteration iter (panel p),
+	// before the panel offload reads the device matrix.
+	Boundary(iter, p int)
+	// AfterOffload runs once the panel is on the host, before the host
+	// factorizes it over its pristine values.
+	AfterOffload(iter, p int)
+	// AfterUpdate runs once the rank-2k trailing update is issued, while
+	// the device panel still holds V with its unit subdiagonal. redo asks
+	// for the iteration to run again from the panel offload.
+	AfterUpdate(iter, p int) (redo bool, err error)
+}
+
+// SymState is the live state of a symmetric reduction, as a SymGuard
+// sees it.
+type SymState struct {
+	Dev *gpu.Device
+	// A is the n×n device matrix (lower triangle referenced); W holds
+	// DLATRD's W factor of the current panel in its rows ≥ NB.
+	A, W *gpu.Matrix
+	// HostA is the host matrix under assembly: the current panel's
+	// columns arrive there with the offload.
+	HostA *matrix.Matrix
+	N, NB int
+}
+
 // ReduceSym runs the hybrid symmetric tridiagonal reduction (the DSYTRD
 // sibling of Reduce, MAGMA's magma_dsytrd work split): the symmetric
 // matrix lives on the device (lower triangle referenced), each panel is
 // factorized on the CPU with the large symmetric matrix-vector product
 // per column executed on the device, and the rank-2k trailing update runs
-// on the device. This is the substrate for the paper's future-work
-// direction ("the rest of the hybrid two-sided factorizations"); the
-// fault-tolerant layer over it lives in internal/ftsym.
-func ReduceSym(a *matrix.Matrix, opt Options) (*SymResult, error) {
+// on the device. This is the one blocked DSYTRD schedule of the paper's
+// future-work direction ("the rest of the hybrid two-sided
+// factorizations"): with a nil guard it is the baseline, and
+// internal/ftsym runs it with the checksum guard g.
+func ReduceSym(a *matrix.Matrix, opt Options, g SymGuard) (*SymResult, error) {
 	n := a.Rows
 	if n != a.Cols {
 		return nil, errors.New("hybrid: matrix must be square")
@@ -74,28 +107,46 @@ func ReduceSym(a *matrix.Matrix, opt Options) (*SymResult, error) {
 	}()
 
 	wHost := dev.Mode.HostMatrix(n, nb)
+	if g != nil {
+		g.Start(SymState{Dev: dev, A: dA, W: dW, HostA: hostA, N: n, NB: nb})
+	}
 	nx := max(nb, 2)
 	var prevUpd sim.Event
 	p := 0
 	for ; n-p > nx+nb; p += nb {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		iter, np := p/nb, n-p
+		if g != nil {
+			g.Boundary(iter, p)
 		}
-		np := n - p
-		// Panel (lower part of columns p..p+nb-1) to the host.
-		dev.SetPhase("panel")
-		panel := hostA.View(p, p, np, nb)
-		dev.Sync(dev.D2HAsync(panel, dA, p, p, prevUpd))
+		for redo := true; redo; {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			// Panel (lower part of columns p..p+nb-1) to the host.
+			dev.SetPhase("panel")
+			panel := hostA.View(p, p, np, nb)
+			dev.Sync(dev.D2HAsync(panel, dA, p, p, prevUpd))
+			if g != nil {
+				g.AfterOffload(iter, p)
+			}
 
-		// Hybrid DLATRD: CPU panel ops, device SYMV per column.
-		symPanel(dev, hostA, wHost, res.E, res.Tau, dA, dVcol, dYcol, n, p, nb)
+			// Hybrid DLATRD: CPU panel ops, device SYMV per column.
+			symPanel(dev, hostA, wHost, res.E, res.Tau, dA, dVcol, dYcol, n, p, nb)
 
-		// Upload the factored panel and W's trailing rows, then apply the
-		// rank-2k trailing update on the device.
-		dev.SetPhase("trailing_update")
-		dev.H2D(dA, p, p, hostA.View(p, p, np, nb))
-		dev.H2D(dW, nb, 0, wHost.View(nb, 0, np-nb, nb))
-		prevUpd = dev.Syr2k(blas.Lower, np-nb, nb, -1, dA, p+nb, p, dW, nb, 0, 1, dA, p+nb, p+nb)
+			// Upload the factored panel and W's trailing rows, then apply
+			// the rank-2k trailing update on the device.
+			dev.SetPhase("trailing_update")
+			dev.H2D(dA, p, p, hostA.View(p, p, np, nb))
+			dev.H2D(dW, nb, 0, wHost.View(nb, 0, np-nb, nb))
+			prevUpd = dev.Syr2k(blas.Lower, np-nb, nb, -1, dA, p+nb, p, dW, nb, 0, 1, dA, p+nb, p+nb)
+			redo = false
+			if g != nil {
+				var err error
+				if redo, err = g.AfterUpdate(iter, p); err != nil {
+					return nil, err
+				}
+			}
+		}
 
 		// Restore the subdiagonal entries and record the diagonal, as
 		// DSYTRD does after the SYR2K; mirror the fix to the device.

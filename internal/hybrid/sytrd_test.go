@@ -23,7 +23,7 @@ func randomSymmetric(n int, seed uint64) *matrix.Matrix {
 func TestReduceSymMatchesCPU(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{{64, 8}, {100, 16}, {150, 32}, {97, 16}} {
 		a := randomSymmetric(tc.n, uint64(tc.n))
-		res, err := ReduceSym(a, Options{NB: tc.nb, Device: newDev()})
+		res, err := ReduceSym(a, Options{NB: tc.nb, Device: newDev()}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestReduceSymMatchesCPU(t *testing.T) {
 func TestReduceSymResidual(t *testing.T) {
 	n := 120
 	a := randomSymmetric(n, 3)
-	res, err := ReduceSym(a, Options{NB: 16, Device: newDev()})
+	res, err := ReduceSym(a, Options{NB: 16, Device: newDev()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,21 +66,21 @@ func TestReduceSymResidual(t *testing.T) {
 func TestReduceSymInputUnchangedAndTiny(t *testing.T) {
 	a := randomSymmetric(50, 4)
 	orig := a.Clone()
-	if _, err := ReduceSym(a, Options{NB: 8, Device: newDev()}); err != nil {
+	if _, err := ReduceSym(a, Options{NB: 8, Device: newDev()}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !a.Equal(orig) {
 		t.Fatal("input modified")
 	}
 	for n := 0; n <= 3; n++ {
-		if _, err := ReduceSym(randomSymmetric(n, 1), Options{NB: 4, Device: newDev()}); err != nil {
+		if _, err := ReduceSym(randomSymmetric(n, 1), Options{NB: 4, Device: newDev()}, nil); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
-	if _, err := ReduceSym(matrix.New(2, 3), Options{Device: newDev()}); err == nil {
+	if _, err := ReduceSym(matrix.New(2, 3), Options{Device: newDev()}, nil); err == nil {
 		t.Fatal("non-square accepted")
 	}
-	if _, err := ReduceSym(matrix.New(2, 2), Options{}); err == nil {
+	if _, err := ReduceSym(matrix.New(2, 2), Options{}, nil); err == nil {
 		t.Fatal("nil device accepted")
 	}
 }
@@ -107,7 +107,7 @@ func TestReduceSymEigenvalues(t *testing.T) {
 	mulNN(tmp, q, lap)
 	mulNT(dense, tmp, q)
 
-	res, err := ReduceSym(dense, Options{NB: 16, Device: newDev()})
+	res, err := ReduceSym(dense, Options{NB: 16, Device: newDev()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestReduceSymEigenvalues(t *testing.T) {
 func TestReduceSymCostOnlyParity(t *testing.T) {
 	n := 120
 	a := randomSymmetric(n, 5)
-	r1, err := ReduceSym(a, Options{NB: 16, Device: gpu.New(sim.K40c(), gpu.Real)})
+	r1, err := ReduceSym(a, Options{NB: 16, Device: gpu.New(sim.K40c(), gpu.Real)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ReduceSym(a, Options{NB: 16, Device: gpu.New(sim.K40c(), gpu.CostOnly)})
+	r2, err := ReduceSym(a, Options{NB: 16, Device: gpu.New(sim.K40c(), gpu.CostOnly)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

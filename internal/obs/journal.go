@@ -48,10 +48,6 @@ const (
 	KindReexecution Kind = "reexecution"
 	// KindInjection is a fault planted by the campaign driver.
 	KindInjection Kind = "injection"
-	// KindSnapshotSave is a process-level snapshot capture (ft.Snapshot).
-	KindSnapshotSave Kind = "snapshot_save"
-	// KindSnapshotRestore is a resume from a process-level snapshot.
-	KindSnapshotRestore Kind = "snapshot_restore"
 	// KindDeviceLoss is a fail-stop device death (permanent, unlike the
 	// transient corruptions above); Outcome names the kill point.
 	KindDeviceLoss Kind = "device_loss"
@@ -62,8 +58,7 @@ const (
 
 // Event is one journal record. Row and Col are -1 unless the record is
 // element-specific (corrections, injections). SimTime is the simulated
-// clock at append time (zero for host-only algorithms without a simulated
-// device, e.g. internal/ftsym).
+// clock at append time.
 type Event struct {
 	Seq     int     `json:"seq"`
 	SimTime float64 `json:"sim_time"`

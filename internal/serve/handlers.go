@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/ft"
 	"repro/internal/ftsym"
 )
@@ -47,7 +48,7 @@ func classify(err error) errClass {
 	switch {
 	case err == nil:
 		return errClass{http.StatusOK, ""}
-	case errors.Is(err, ftsym.ErrMultiDeviceUnsupported):
+	case errors.Is(err, core.ErrMultiDeviceUnsupported):
 		return errClass{http.StatusBadRequest, "unsupported"}
 	case errors.Is(err, ft.ErrUncorrectable) || errors.Is(err, ftsym.ErrUncorrectable):
 		return errClass{http.StatusInternalServerError, "uncorrectable"}

@@ -159,21 +159,8 @@ func symResult(j *Job, res *core.SymResult) *JobResult {
 	}
 	if !j.req.CostOnly {
 		q := res.Q()
-		out.Residual = obs.Float(lapack.FactorizationResidual(j.a, q, tridiag(res.N, res.D, res.E)))
+		out.Residual = obs.Float(lapack.FactorizationResidual(j.a, q, res.T()))
 		out.Orthogonality = obs.Float(lapack.OrthogonalityResidual(q))
 	}
 	return out
-}
-
-// tridiag assembles the dense tridiagonal factor from its diagonals.
-func tridiag(n int, d, e []float64) *matrix.Matrix {
-	t := matrix.New(n, n)
-	for i := 0; i < n; i++ {
-		t.Set(i, i, d[i])
-		if i+1 < n {
-			t.Set(i+1, i, e[i])
-			t.Set(i, i+1, e[i])
-		}
-	}
-	return t
 }
