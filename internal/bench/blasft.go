@@ -16,8 +16,8 @@ import (
 //
 //  1. Wall-clock overhead of DgemmFT over Dgemm on the host substrate, per
 //     GEMM shape, from paired alternating-order calls (the bar is ≤8% at
-//     512³ — the checksum encode rides the packing and the verify reuses
-//     the micro-kernel, so the overhead is a few percent), and of the DMR
+//     512³ — every checksum pass rides a pass the data path makes anyway,
+//     so the overhead is a few percent), and of the DMR
 //     DgemvFT over Dgemv at the panel's Level-2 shapes (the bar is ≤1.6×
 //     at 512×64, the pool's slab shape: the one-pass kernel reads A once).
 //  2. The substrate's power-on self-test: planted faults in the packed
@@ -30,9 +30,10 @@ import (
 
 // BlasFTGemmCell is one GEMM shape of the overhead study.
 type BlasFTGemmCell struct {
-	M int `json:"m"`
-	N int `json:"n"`
-	K int `json:"k"`
+	M    int     `json:"m"`
+	N    int     `json:"n"`
+	K    int     `json:"k"`
+	Beta float64 `json:"beta"`
 	// PlainSec / FusedSec are the wall seconds of one Dgemm / DgemmFT call.
 	PlainSec Spread `json:"plain_sec"`
 	FusedSec Spread `json:"fused_sec"`
@@ -98,13 +99,24 @@ type BlasFTArtifact struct {
 	RealRun     BlasFTRealRun         `json:"real_run"`
 }
 
-// BlasFTShapes is the GEMM shape grid: the acceptance point (512³) plus
-// the two shapes the reduction actually leans on (rank-nb trailing
-// update, tall-skinny panel product).
-var BlasFTShapes = [][3]int{
-	{512, 512, 512},
-	{1024, 1024, 32},
-	{2048, 32, 512},
+// BlasFTGemmShape is one GEMM of the overhead study: C := A·B + Beta·C
+// with A M×K and B K×N.
+type BlasFTGemmShape struct {
+	M, N, K int
+	Beta    float64
+}
+
+// BlasFTShapes is the GEMM shape grid: the acceptance point (512³), the
+// two shapes the reduction actually leans on (rank-nb trailing update,
+// tall-skinny panel product), and the pool's hot right update in the
+// ft-faults-pool benchmark: N+1 rows (the checksum row) by the K=2 slab
+// storage width with halos at N=512, nb=32, accumulating into C (beta 1)
+// as the update does.
+var BlasFTShapes = []BlasFTGemmShape{
+	{512, 512, 512, 0},
+	{1024, 1024, 32, 0},
+	{2048, 32, 512, 0},
+	{513, 260, 32, 1},
 }
 
 // BlasFTGemvShapes is the Level-2 m×n grid: the pool's panel slab in the
@@ -118,20 +130,20 @@ var BlasFTGemvShapes = [][2]int{
 // BlasFT runs the substrate study: the paired wall overhead per GEMM and
 // GEMV shape, the planted-fault self-test, and the modeled
 // checksum_maintenance comparison at (N=512, NB=16, K=2).
-func BlasFT(shapes [][3]int, gemvShapes [][2]int, pairs int, params sim.Params) (*BlasFTArtifact, error) {
+func BlasFT(shapes []BlasFTGemmShape, gemvShapes [][2]int, pairs int, params sim.Params) (*BlasFTArtifact, error) {
 	art := &BlasFTArtifact{Provenance: stamp(), Pairs: pairs}
 	for _, s := range shapes {
-		m, n, k := s[0], s[1], s[2]
+		m, n, k, beta := s.M, s.N, s.K, s.Beta
 		a := matrix.Random(m, k, 1)
 		b := matrix.Random(k, n, 2)
 		c := matrix.New(m, n)
-		cell := BlasFTGemmCell{M: m, N: n, K: k, ModelOverheadPct: 100 * blas.FTGemmOverheadFrac(m, n, k)}
+		cell := BlasFTGemmCell{M: m, N: n, K: k, Beta: beta, ModelOverheadPct: 100 * blas.FTGemmOverheadFrac(m, n, k)}
 		plain := timed(func() error {
-			blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+			blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
 			return nil
 		})
 		fused := timed(func() error {
-			rep, err := blas.DgemmFT(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+			rep, err := blas.DgemmFT(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
 			if err != nil {
 				return fmt.Errorf("DgemmFT %dx%dx%d: spurious detection: %w (max residual %.3g)", m, n, k, err, rep.MaxResidual)
 			}
@@ -211,18 +223,18 @@ func BlasFT(shapes [][3]int, gemvShapes [][2]int, pairs int, params sim.Params) 
 func (art *BlasFTArtifact) Report(w io.Writer) {
 	fmt.Fprintf(w, "Fused-ABFT BLAS substrate study (GOMAXPROCS=%d, median [Q1, Q3] of %d alternating pairs)\n",
 		art.Provenance.GOMAXPROCS, art.Pairs)
-	fmt.Fprintf(w, "%-16s %10s %10s %26s %8s %8s %9s\n",
-		"gemm m×n×k", "plain", "fused", "overhead", "model", "checks", "GFLOP/s")
+	fmt.Fprintf(w, "%-20s %10s %10s %26s %8s %8s %9s\n",
+		"gemm m×n×k, beta", "plain", "fused", "overhead", "model", "checks", "GFLOP/s")
 	for _, c := range art.Gemm {
-		fmt.Fprintf(w, "%-16s %8.3fms %8.3fms %7.2f%% [%+6.2f, %+6.2f]%% %7.2f%% %8d %9.1f\n",
-			fmt.Sprintf("%dx%dx%d", c.M, c.N, c.K),
+		fmt.Fprintf(w, "%-20s %8.3fms %8.3fms %7.2f%% [%+6.2f, %+6.2f]%% %7.2f%% %8d %9.1f\n",
+			fmt.Sprintf("%dx%dx%d, %g", c.M, c.N, c.K, c.Beta),
 			1e3*c.PlainSec.Median, 1e3*c.FusedSec.Median,
 			c.OverheadPct.Median, c.OverheadPct.Q1, c.OverheadPct.Q3, c.ModelOverheadPct,
 			c.Checks, c.FusedGFLOPS)
 	}
-	fmt.Fprintf(w, "%-16s %10s %10s %26s %8s\n", "gemv m×n", "plain", "DMR", "ratio", "checks")
+	fmt.Fprintf(w, "%-20s %10s %10s %26s %8s\n", "gemv m×n", "plain", "DMR", "ratio", "checks")
 	for _, c := range art.Gemv {
-		fmt.Fprintf(w, "%-16s %8.2fus %8.2fus %7.3fx [%6.3f, %6.3f]   %8d\n",
+		fmt.Fprintf(w, "%-20s %8.2fus %8.2fus %7.3fx [%6.3f, %6.3f]   %8d\n",
 			fmt.Sprintf("%dx%d", c.M, c.N), 1e6*c.PlainSec.Median, 1e6*c.FusedSec.Median,
 			c.Ratio.Median, c.Ratio.Q1, c.Ratio.Q3, c.Checks)
 	}

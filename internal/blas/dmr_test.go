@@ -124,3 +124,49 @@ func TestDMRChargesFTOpOnce(t *testing.T) {
 		t.Errorf("DgerFT charged %vs to op=ger", s)
 	}
 }
+
+// TestDgemvFTDetectsAnyRowFlip: the DMR compare's all-bits-equal pass
+// catches a one-ulp flip of the primary output in every row under every kernel and pool configuration (the procs=2 configs
+// force the sharded path), with exactly one check per row; and two NaNs
+// with different payloads still compare equal, while a NaN against a
+// number is a non-finite detection.
+func TestDgemvFTDetectsAnyRowFlip(t *testing.T) {
+	const m, n = 37, 9
+	g := newL12Gen(11, false)
+	a := g.buf(m * n)
+	x := g.buf(n)
+	y0 := g.buf(m)
+	defer func() { ftTestCorruptDMR = nil }()
+	for _, cfg := range l12Configs() {
+		t.Run(cfg.String(), func(t *testing.T) {
+			defer cfg.apply()()
+			run := func(x []float64, corrupt func(out []float64)) FTResult {
+				ftTestCorruptDMR = func(out []float64, inc int) { corrupt(out) }
+				y := append([]float64(nil), y0...)
+				rep, err := DgemvFT(NoTrans, m, n, 1.5, a, m, x, 1, 0.5, y, 1)
+				if (err != nil) != (rep.Detections > 0) || rep.Checks != m {
+					t.Fatalf("err=%v report %+v, want an error exactly on a detection and %d checks", err, rep, m)
+				}
+				return rep
+			}
+			for r := 0; r < m; r++ {
+				rep := run(x, func(out []float64) { out[r] = math.Float64frombits(math.Float64bits(out[r]) ^ 1) })
+				if rep.Detections != 1 {
+					t.Fatalf("row %d: one-ulp flip gave %d detections, want 1", r, rep.Detections)
+				}
+			}
+			nanX := append([]float64(nil), x...)
+			nanX[4] = math.NaN() // every output is NaN
+			for r := 0; r < m; r++ {
+				rep := run(nanX, func(out []float64) { out[r] = math.Float64frombits(0x7ff8dead00000000) })
+				if rep.Detections != 0 {
+					t.Fatalf("row %d: a NaN with another payload was flagged: %+v", r, rep)
+				}
+				rep = run(nanX, func(out []float64) { out[r] = 1 })
+				if rep.Detections != 1 || !rep.NonFinite {
+					t.Fatalf("row %d: a number against a NaN gave %+v, want one non-finite detection", r, rep)
+				}
+			}
+		})
+	}
+}

@@ -7,10 +7,10 @@ import (
 )
 
 // Fused-ABFT Dgemm (FT-BLAS / "Anatomy of High-Performance GEMM with
-// Online Fault Tolerance" style): the checksum encode rides inside the
-// packing step, the checksum product rides through the same MR×NR
-// micro-kernel as the data (AVX asm path included), and the verify runs
-// in the macro-kernel epilogue while the C tile is still hot in cache.
+// Online Fault Tolerance" style): every checksum pass rides a pass the
+// data path makes anyway. The encode rides the packing, the sums of the
+// C tile ride the macro-kernel's strip sweep, and the predictions are a
+// 4-lane multiply-add over the packed panels.
 //
 // Algebra, per MC×NC tile and KC-deep panel pair:
 //
@@ -18,16 +18,16 @@ import (
 //	row check:     Σ_j ΔC[i,j] = alpha · Σ_p A[i,p] · (Σ_j B[p,j])
 //
 // packAFT/packBFT accumulate the inner parenthesised sums for free while
-// packing; the outer products are one extra micro-kernel sweep per packed
-// panel (a single synthetic micro-panel against every real one), so the
-// predicted row/column sums of the update are computed by the very kernel
-// being checked. The epilogue compares them against one fresh pass over
-// the finished tile. Extra flops ≈ 4/MC + 4/NC ≈ 4.7% at blocking size,
-// amortising further with k (see FTGemmOverheadFrac).
+// packing; ftPredict multiplies them against every packed micro-panel,
+// one FMA per k step and micro-panel with all four lanes useful. The sums
+// of beta·C come from the micro-kernels' own C loads, and those of the
+// finished tile from one NR-column strip at a time, right after the
+// strip's micro-kernels while it is L1-resident (macroKernelFT). The
+// checks compare them once per tile.
 //
-// The data path — scaleBlock, pack stores, macroKernel — is instruction-
-// for-instruction the plain Dgemm path, so DgemmFT results are bitwise
-// identical to Dgemm at any SetMaxProcs value (property-tested).
+// The data path — per-strip beta scaling, pack stores, micro-kernels — is
+// instruction-for-instruction the plain Dgemm path, so DgemmFT results are
+// bitwise identical to Dgemm at any SetMaxProcs value (property-tested).
 
 // ErrFTDetected reports that a fused-ABFT or DMR check observed a
 // mismatch between computed and predicted results. The output buffer
@@ -76,7 +76,10 @@ func (r *FTResult) merge(t FTResult) {
 // Dgemm for an m×n×k product: one synthetic micro-panel sweep per packed
 // panel in each direction (4/MC + 4/NC of the tile flops), the packing
 // adds, and the pre/epilogue passes over C (≈3/k). The simulated device
-// charges fused GEMMs this premium (internal/gpu).
+// charges fused GEMMs this premium (internal/gpu). It describes the
+// earlier unfused design (predictions through the full micro-kernel,
+// separate passes over C) and is kept so no modeled number moves; it
+// over-charges the fused kernel (DESIGN.md §14).
 func FTGemmOverheadFrac(m, n, k int) float64 {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return 0
@@ -86,27 +89,31 @@ func FTGemmOverheadFrac(m, n, k int) float64 {
 	return 4/mc + 4/nc + 3/float64(k) + (mc+nc)/(2*mc*nc)
 }
 
-// Test hooks (nil in production): called from inside gemmTileFT to plant
-// faults at the two places a transient flip can land — the packed panels
-// feeding the micro-kernel, and the accumulated C tile before the
-// epilogue verify. Serial-path tests only; not synchronised.
+// Test hooks (nil in production), called from inside gemmTileFT to plant
+// faults at the two places a transient flip can land: the packed panels
+// feeding the micro-kernel, once per KC chunk (pc is the chunk's first k
+// index), and the finished C tile before its verify. The tile hook runs
+// once per NR-column strip, after the strip's columns [j0, j1) of the
+// tile ct are final and before their sums are taken. The hooks are not
+// synchronised: on the parallel path a hook must guard its own state.
 var (
-	ftTestCorruptPacked func(bufA, bufB []float64)
-	ftTestCorruptTile   func(ct []float64, ldc, mc, nc int)
+	ftTestCorruptPacked func(bufA, bufB []float64, pc int)
+	ftTestCorruptTile   func(ct []float64, ldc, mc, j0, j1 int)
 )
 
-// ftTileBufs carries the per-tile checksum state: the synthetic sum
-// micro-panels and the expected/observed row/column aggregates. Recycled
-// through a pool so steady-state DgemmFT does no allocation beyond the
-// report slots.
+// ftTileBufs carries the per-tile checksum state: the packed checksum
+// vectors and the expected/observed row/column aggregates. The aggregate
+// arrays are padded to whole micro-panels because the prediction kernel
+// writes MR or NR lanes at a time. Recycled through a pool so
+// steady-state DgemmFT does no allocation beyond the report slots.
 type ftTileBufs struct {
-	sumA [gemmKC * gemmMR]float64 // packed-A column sums, MR-lane layout
-	sumB [gemmKC * gemmNR]float64 // packed-B row sums, NR-lane layout
-	// expected final sums: beta·(pre-update sums) + alpha·(predicted
+	sumA [gemmKC]float64 // column sums of the packed A block, per k step
+	sumB [gemmKC]float64 // row sums of the packed B block, per k step
+	// expected final sums: the sums of beta·C plus alpha·(predicted
 	// update sums), accumulated over KC chunks.
 	expRow [gemmMC]float64
 	expCol [gemmNC]float64
-	// absolute-value sums anchoring the comparison thresholds.
+	// absolute-value sums of beta·C anchoring the comparison thresholds.
 	preAbsRow [gemmMC]float64
 	preAbsCol [gemmNC]float64
 	// observed sums of the finished tile.
@@ -114,6 +121,16 @@ type ftTileBufs struct {
 	rowAbs [gemmMC]float64
 	colSum [gemmNC]float64
 	colAbs [gemmNC]float64
+}
+
+// reset zeroes the aggregates a tile of mc×nc reads or accumulates into.
+func (fb *ftTileBufs) reset(mc, nc int) {
+	mc = (mc + gemmMR - 1) / gemmMR * gemmMR
+	nc = (nc + gemmNR - 1) / gemmNR * gemmNR
+	for _, r := range [][]float64{fb.expRow[:mc], fb.preAbsRow[:mc], fb.rowSum[:mc], fb.rowAbs[:mc],
+		fb.expCol[:nc], fb.preAbsCol[:nc], fb.colSum[:nc], fb.colAbs[:nc]} {
+		clear(r)
+	}
 }
 
 var ftBufPool = sync.Pool{New: func() any { return new(ftTileBufs) }}
@@ -156,7 +173,7 @@ func DgemmFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int,
 		gemmTileFT(tA, tB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ic, jc, &reports[t])
 	}
 	if procs() > 1 && tasks > 1 && 2*m*n*k >= parallelGemmThreshold {
-		parallelFor(tasks, tile)
+		ParallelFor(tasks, tile)
 	} else {
 		for t := 0; t < tasks; t++ {
 			tile(t)
@@ -181,76 +198,29 @@ func gemmTileFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda i
 	ct := c[jc*ldc+ic:]
 	fb := ftBufPool.Get().(*ftTileBufs)
 	defer ftBufPool.Put(fb)
+	fb.reset(mc, nc)
 
-	// Pre-update pass: expected sums start from beta·C, thresholds from
-	// |beta·C|, scaled once per row and column after the raw pass. beta ==
-	// 0 clears the tile, so both start at zero.
-	if beta != 0 {
-		checksumPass(ct, ldc, fb.expRow[:mc], fb.preAbsRow[:mc], fb.expCol[:nc], fb.preAbsCol[:nc])
-		babs := math.Abs(beta)
-		for i := 0; i < mc; i++ {
-			fb.expRow[i] *= beta
-			fb.preAbsRow[i] *= babs
-		}
-		for j := 0; j < nc; j++ {
-			fb.expCol[j] *= beta
-			fb.preAbsCol[j] *= babs
-		}
-	} else {
-		clear(fb.expRow[:mc])
-		clear(fb.preAbsRow[:mc])
-		clear(fb.expCol[:nc])
-		clear(fb.preAbsCol[:nc])
-	}
-
-	// Data path — identical to gemmTile — plus one synthetic micro-panel
-	// sweep per direction per KC chunk to accumulate the predicted
-	// update sums through the same micro-kernel.
-	scaleBlock(mc, nc, beta, ct, ldc)
 	bufA := packAPool.Get().(*[]float64)
 	bufB := packBPool.Get().(*[]float64)
+	mPanels := (mc + gemmMR - 1) / gemmMR
+	nPanels := (nc + gemmNR - 1) / gemmNR
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
-		packBFT(tB, b, ldb, pc, jc, kc, nc, *bufB, fb.sumB[:])
-		packAFT(tA, a, lda, ic, pc, mc, kc, *bufA, fb.sumA[:])
+		packBFT(tB, b, ldb, pc, jc, kc, nc, *bufB, fb.sumB[:kc])
+		packAFT(tA, a, lda, ic, pc, mc, kc, *bufA, fb.sumA[:kc])
 		if ftTestCorruptPacked != nil {
-			ftTestCorruptPacked(*bufA, *bufB)
+			ftTestCorruptPacked(*bufA, *bufB, pc)
 		}
-		macroKernel(mc, nc, kc, alpha, *bufA, *bufB, ct, ldc)
-		// Column predictions: sumA (1×kc, lane 0) against every packed
-		// B micro-panel; row 0 of each scratch tile is alpha·uᵀB.
-		for jr := 0; jr < nc; jr += gemmNR {
-			pb := (*bufB)[(jr/gemmNR)*kc*gemmNR:]
-			var t [gemmMR * gemmNR]float64
-			microKernel(kc, alpha, fb.sumA[:], pb, t[:], gemmMR)
-			nr := min(gemmNR, nc-jr)
-			for cj := 0; cj < nr; cj++ {
-				fb.expCol[jr+cj] += t[cj*gemmMR]
-			}
-		}
-		// Row predictions: every packed A micro-panel against sumB
-		// (kc×1, lane 0); column 0 of each scratch tile is alpha·Av.
-		for ir := 0; ir < mc; ir += gemmMR {
-			pa := (*bufA)[(ir/gemmMR)*kc*gemmMR:]
-			var t [gemmMR * gemmNR]float64
-			microKernel(kc, alpha, pa, fb.sumB[:], t[:], gemmMR)
-			mr := min(gemmMR, mc-ir)
-			for r := 0; r < mr; r++ {
-				fb.expRow[ir+r] += t[r]
-			}
-		}
+		macroKernelFT(mc, nc, kc, alpha, beta, *bufA, *bufB, ct, ldc, fb, pc == 0, pc+kc >= k)
+		// Column predictions: alpha·(Σ_i A[i,p])·B[p,j] against every
+		// packed B micro-panel; row predictions: alpha·A[i,p]·(Σ_j B[p,j])
+		// against every packed A micro-panel.
+		ftPredict(kc, alpha, (*bufB)[:nPanels*kc*gemmNR], fb.sumA[:kc], fb.expCol[:nPanels*gemmNR])
+		ftPredict(kc, alpha, (*bufA)[:mPanels*kc*gemmMR], fb.sumB[:kc], fb.expRow[:mPanels*gemmMR])
 	}
 	packAPool.Put(bufA)
 	packBPool.Put(bufB)
 
-	if ftTestCorruptTile != nil {
-		ftTestCorruptTile(ct, ldc, mc, nc)
-	}
-
-	// Epilogue verify: one fresh pass over the finished tile computes
-	// observed row/column sums and their absolute anchors, compared
-	// against the expectations while the tile is still cache-hot.
-	checksumPass(ct, ldc, fb.rowSum[:mc], fb.rowAbs[:mc], fb.colSum[:nc], fb.colAbs[:nc])
 	scale := FTThresholdFactor * ftMacheps * float64(k+2)
 	for j := 0; j < nc; j++ {
 		ftCheck(rep, fb.colSum[j], fb.expCol[j], scale*(fb.preAbsCol[j]+fb.colAbs[j]+1))
@@ -260,25 +230,66 @@ func gemmTileFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda i
 	}
 }
 
-// checksumPass reads the len(row)×len(col) tile ct once and writes its row
-// sums and |·| row sums into row and rowAbs, and its column sums and |·|
-// column sums into col and colAbs. Columns go four at a time (ftSums4) so
-// the row read-modify-writes amortize to one per four elements: the
-// epilogue pass is the whole of the 3/k overhead term, so its constant
-// matters for the short-k trailing updates.
-func checksumPass(ct []float64, ldc int, row, rowAbs, col, colAbs []float64) {
-	mc, nc := len(row), len(col)
-	clear(row)
-	clear(rowAbs)
-	var sums [8]float64
-	j := 0
-	for ; j+4 <= nc; j += 4 {
-		ftSums4(ct[j*ldc:(j+3)*ldc+mc], ldc, row, rowAbs, &sums)
-		copy(col[j:j+4], sums[:4])
-		copy(colAbs[j:j+4], sums[4:])
+// macroKernelFT is gemmTile's macro-kernel, one NR-column strip at a
+// time, with the tile's checksum sums folded in. On the first KC chunk it
+// applies beta to each strip (per element exactly as gemmTile's
+// scaleBlock) and, unless beta is 0, adds the sums of beta·C into the
+// expectations: inside the AVX2 micro-kernels' C loads for a full strip's
+// whole 4×4 tiles (macroStripPreAVX), so C is first read where plain
+// Dgemm reads it, and with a strip pass right before the micro-kernels
+// elsewhere. On the last chunk it takes the observed sums of
+// each strip right after its micro-kernels, while the strip is
+// L1-resident. The checksums cost no pass over the tile of their own, and
+// C is updated in the same per-element order as Dgemm.
+func macroKernelFT(mc, nc, kc int, alpha, beta float64, bufA, bufB, c []float64, ldc int, fb *ftTileBufs, first, last bool) {
+	for jr := 0; jr < nc; jr += gemmNR {
+		nr := min(gemmNR, nc-jr)
+		cs := c[jr*ldc:]
+		pb := bufB[(jr/gemmNR)*kc*gemmNR:]
+		if first {
+			scaleBlock(mc, nr, beta, cs, ldc)
+		}
+		switch {
+		case first && beta != 0 && useAVXKernel && nr == gemmNR:
+			mc4 := mc &^ (gemmMR - 1)
+			macroStripPreAVX(kc, alpha, bufA, pb, cs, ldc, fb.expRow[:mc4], fb.preAbsRow[:mc4], fb.expCol[jr:jr+nr], fb.preAbsCol[jr:jr+nr])
+			if mc4 < mc {
+				stripSums(cs[mc4:], ldc, nr, fb.expRow[mc4:mc], fb.preAbsRow[mc4:mc], fb.expCol[jr:jr+nr], fb.preAbsCol[jr:jr+nr])
+				microKernelEdge(kc, alpha, bufA[(mc4/gemmMR)*kc*gemmMR:], pb, cs[mc4:], ldc, mc-mc4, nr)
+			}
+		case first && beta != 0:
+			stripSums(cs, ldc, nr, fb.expRow[:mc], fb.preAbsRow[:mc], fb.expCol[jr:jr+nr], fb.preAbsCol[jr:jr+nr])
+			fallthrough
+		default:
+			macroStrip(mc, kc, nr, alpha, bufA, pb, cs, ldc)
+		}
+		if last {
+			if ftTestCorruptTile != nil {
+				ftTestCorruptTile(c, ldc, mc, jr, jr+nr)
+			}
+			stripSums(cs, ldc, nr, fb.rowSum[:mc], fb.rowAbs[:mc], fb.colSum[jr:jr+nr], fb.colAbs[jr:jr+nr])
+		}
 	}
-	for ; j < nc; j++ {
-		cc := ct[j*ldc : j*ldc+mc]
+}
+
+// stripSums reads the len(row)×nr strip c (column stride ldc, nr ≤ NR)
+// once: it adds the strip's row sums and |·| row sums into row and
+// rowAbs, and its column sums and |·| column sums into col and colAbs. A
+// full strip goes through ftSums4, so the row read-modify-writes amortize
+// to one per four elements.
+func stripSums(c []float64, ldc, nr int, row, rowAbs, col, colAbs []float64) {
+	mc := len(row)
+	if nr == 4 {
+		var sums [8]float64
+		ftSums4(c[:3*ldc+mc], ldc, row, rowAbs, &sums)
+		for j := range 4 {
+			col[j] += sums[j]
+			colAbs[j] += sums[4+j]
+		}
+		return
+	}
+	for j := 0; j < nr; j++ {
+		cc := c[j*ldc : j*ldc+mc]
 		colSum, colAbs1 := 0.0, 0.0
 		for i, v := range cc {
 			colSum += v
@@ -287,7 +298,8 @@ func checksumPass(ct []float64, ldc int, row, rowAbs, col, colAbs []float64) {
 			row[i] += v
 			rowAbs[i] += av
 		}
-		col[j], colAbs[j] = colSum, colAbs1
+		col[j] += colSum
+		colAbs[j] += colAbs1
 	}
 }
 
@@ -332,6 +344,37 @@ func ftSums4Go(c []float64, ldc int, row, rowAbs []float64, sums *[8]float64, i0
 		rowAbs[i] += w0 + w1 + w2 + w3
 	}
 	*sums = [8]float64{s0, s1, s2, s3, a0, a1, a2, a3}
+}
+
+// ftPredict adds alpha·Σ_p panel[p·4+l]·s[p] into out[4i+l] for every
+// packed 4-lane micro-panel i of panels (kc k steps each, len(out)/4 of
+// them) and lane l: one column of predicted checksums per micro-panel, all
+// four lanes useful. Lanes past a fringe are the packers' zero padding, so
+// they predict exact zeros.
+func ftPredict(kc int, alpha float64, panels, s, out []float64) {
+	if useAVXKernel {
+		ftPredictAVX(kc, alpha, panels, s, out)
+		return
+	}
+	ftPredictGo(kc, alpha, panels, s, out)
+}
+
+func ftPredictGo(kc int, alpha float64, panels, s, out []float64) {
+	for i := 0; i < len(out); i += 4 {
+		pp := panels[i*kc : i*kc+4*kc]
+		var a0, a1, a2, a3 float64
+		for p, sp := range s[:kc] {
+			v := pp[4*p : 4*p+4]
+			a0 += v[0] * sp
+			a1 += v[1] * sp
+			a2 += v[2] * sp
+			a3 += v[3] * sp
+		}
+		out[i] += alpha * a0
+		out[i+1] += alpha * a1
+		out[i+2] += alpha * a2
+		out[i+3] += alpha * a3
+	}
 }
 
 // ftCheck compares one observed sum against its prediction. Non-finite

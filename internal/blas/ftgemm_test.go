@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/matrix"
@@ -22,11 +23,20 @@ import (
 // and sign bits; non-finite totals must surface as NonFinite detections,
 // never silence (the PR 3 exponent-bit lesson).
 
-// checkFusedMatchesPlain runs one (shape, transpose) case through both
-// kernels and requires bitwise-equal C and a clean report.
-func checkFusedMatchesPlain(t *testing.T, tA, tB Transpose, m, n, k int) {
+// wantFTChecks is DgemmFT's check count for an m×n product: every MC×NC
+// tile compares its mc row sums and its nc column sums.
+func wantFTChecks(m, n int) int {
+	mBlocks := (m + gemmMC - 1) / gemmMC
+	nBlocks := (n + gemmNC - 1) / gemmNC
+	return nBlocks*m + mBlocks*n
+}
+
+// checkFusedMatchesPlain runs one (shape, transpose, beta) case through
+// both kernels and requires bitwise-equal C and a clean report with the
+// tile grid's check count.
+func checkFusedMatchesPlain(t *testing.T, tA, tB Transpose, m, n, k int, beta float64) {
 	t.Helper()
-	const alpha, beta = 1.3, -0.7
+	const alpha = 1.3
 	ar, ac := m, k
 	if tA == Trans {
 		ar, ac = k, m
@@ -45,29 +55,49 @@ func checkFusedMatchesPlain(t *testing.T, tA, tB Transpose, m, n, k int) {
 	got := c0.Clone()
 	res, err := DgemmFT(tA, tB, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, got.Data, got.Stride)
 	if err != nil {
-		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d: false positive: %v (res %+v)", tA, tB, m, n, k, err, res)
+		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d beta=%v: false positive: %v (res %+v)", tA, tB, m, n, k, beta, err, res)
 	}
-	if res.Checks == 0 {
-		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d: ran zero checks", tA, tB, m, n, k)
+	if res.Checks != wantFTChecks(m, n) {
+		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d beta=%v: %d checks, want %d", tA, tB, m, n, k, beta, res.Checks, wantFTChecks(m, n))
 	}
 	if !want.Equal(got) {
-		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d differs bitwise from Dgemm", tA, tB, m, n, k)
+		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d beta=%v differs bitwise from Dgemm", tA, tB, m, n, k, beta)
 	}
 }
 
-func runFusedProperty(t *testing.T, shapes [][3]int) {
+// fusedBetas are the beta cases of the folded kernel: 0 (no sums of beta·C
+// at all), 1 (the trailing updates; no scaling) and a general scale.
+var fusedBetas = []float64{0, 1, -0.5}
+
+// fusedGridShapes are the folded kernel's k cases — one k step, the
+// rank-nb update depth, and more than one KC chunk — at m and n that are
+// not multiples of 4, one of them spanning two MC and two NC blocks.
+func fusedGridShapes() [][3]int {
+	var shapes [][3]int
+	for _, k := range []int{1, 32, gemmKC + 1} {
+		for _, mn := range [][2]int{{7, 5}, {37, 22}, {gemmMC + 9, gemmNC + 3}} {
+			shapes = append(shapes, [3]int{mn[0], mn[1], k})
+		}
+	}
+	return shapes
+}
+
+func runFusedProperty(t *testing.T, shapes [][3]int, betas []float64) {
 	for _, tA := range []Transpose{NoTrans, Trans} {
 		for _, tB := range []Transpose{NoTrans, Trans} {
 			for _, s := range shapes {
-				checkFusedMatchesPlain(t, tA, tB, s[0], s[1], s[2])
+				for _, beta := range betas {
+					checkFusedMatchesPlain(t, tA, tB, s[0], s[1], s[2], beta)
+				}
 			}
 		}
 	}
 }
 
 // TestDgemmPropertyFusedBitwise: the fused-ABFT kernel is bitwise-equal
-// to plain Dgemm over the odd/prime size grid and the cache-block
-// boundary shapes, on the serial and forced-pool paths, under both
+// to plain Dgemm, with the tile grid's check count, over the odd/prime
+// size grid, the cache-block boundary shapes and the folded kernel's
+// beta × k grid, on the serial and forced-pool paths, under both
 // micro-kernel implementations.
 func TestDgemmPropertyFusedBitwise(t *testing.T) {
 	var shapes [][3]int
@@ -79,155 +109,240 @@ func TestDgemmPropertyFusedBitwise(t *testing.T) {
 		}
 	}
 	shapes = append(shapes, propEdgeShapes...)
-	gemmPropConfigs(t, func(t *testing.T) { runFusedProperty(t, shapes) })
+	gemmPropConfigs(t, func(t *testing.T) {
+		runFusedProperty(t, shapes, []float64{-0.7})
+		runFusedProperty(t, fusedGridShapes(), fusedBetas)
+	})
 }
 
 // TestDgemmPropertyFusedReportDeterministic: the FTResult itself — not
 // just C — must be identical at every SetMaxProcs value, since the ft
-// layer journals its counts.
+// layer journals its counts. Covers both micro-kernels and the folded
+// kernel's beta × k grid.
 func TestDgemmPropertyFusedReportDeterministic(t *testing.T) {
-	const m, n, k = gemmMC + 37, gemmNC + 11, 2*gemmKC + 5
-	a := matrix.Random(m, k, 61)
-	b := matrix.Random(k, n, 62)
-	c0 := matrix.Random(m, n, 63)
-
 	origProcs := SetMaxProcs(1)
 	origThresh := parallelGemmThreshold
+	origKernel := useAVXKernel
 	defer func() {
 		SetMaxProcs(origProcs)
 		parallelGemmThreshold = origThresh
+		useAVXKernel = origKernel
 	}()
 	parallelGemmThreshold = 1
 
-	var base FTResult
-	var baseC *matrix.Matrix
-	for _, p := range []int{1, 2, 3, 7, 16} {
-		SetMaxProcs(p)
-		got := c0.Clone()
-		res, err := DgemmFT(NoTrans, NoTrans, m, n, k, 1.1, a.Data, a.Stride, b.Data, b.Stride, 0.4, got.Data, got.Stride)
-		if err != nil {
-			t.Fatalf("procs=%d: false positive: %v", p, err)
-		}
-		if p == 1 {
-			base, baseC = res, got
-			continue
-		}
-		if res.Checks != base.Checks || res.Detections != base.Detections ||
-			math.Float64bits(res.MaxResidual) != math.Float64bits(base.MaxResidual) ||
-			res.NonFinite != base.NonFinite {
-			t.Fatalf("procs=%d: FTResult %+v differs from serial %+v", p, res, base)
-		}
-		if !baseC.Equal(got) {
-			t.Fatalf("procs=%d: fused C differs bitwise from serial", p)
+	shapes := append(fusedGridShapes(), [3]int{gemmMC + 37, gemmNC + 11, 2*gemmKC + 5})
+	for _, avx := range []bool{false, origKernel} {
+		useAVXKernel = avx
+		for _, s := range shapes {
+			m, n, k := s[0], s[1], s[2]
+			a := matrix.Random(m, k, 61)
+			b := matrix.Random(k, n, 62)
+			c0 := matrix.Random(m, n, 63)
+			for _, beta := range append([]float64{0.4}, fusedBetas...) {
+				var base FTResult
+				var baseC *matrix.Matrix
+				for _, p := range []int{1, 2, 3, 7, 16} {
+					SetMaxProcs(p)
+					got := c0.Clone()
+					res, err := DgemmFT(NoTrans, NoTrans, m, n, k, 1.1, a.Data, a.Stride, b.Data, b.Stride, beta, got.Data, got.Stride)
+					name := fmt.Sprintf("avx=%v m=%d n=%d k=%d beta=%v procs=%d", avx, m, n, k, beta, p)
+					if err != nil {
+						t.Fatalf("%s: false positive: %v", name, err)
+					}
+					if p == 1 {
+						base, baseC = res, got
+						continue
+					}
+					if res.Checks != base.Checks || res.Detections != base.Detections ||
+						math.Float64bits(res.MaxResidual) != math.Float64bits(base.MaxResidual) ||
+						res.NonFinite != base.NonFinite {
+						t.Fatalf("%s: FTResult %+v differs from serial %+v", name, res, base)
+					}
+					if !baseC.Equal(got) {
+						t.Fatalf("%s: fused C differs bitwise from serial", name)
+					}
+				}
+			}
 		}
 	}
 }
 
-// injectOnce arms a hook that fires exactly once.
+// injectOnce arms a hook that fires exactly once, also when the parallel
+// path calls it from several workers.
 func injectOnce(fire func()) func() bool {
-	armed := true
+	var fired atomic.Bool
 	return func() bool {
-		if !armed {
+		if !fired.CompareAndSwap(false, true) {
 			return false
 		}
-		armed = false
 		fire()
 		return true
 	}
 }
 
-// runFusedInjection runs DgemmFT with a one-shot corruption planted via
-// the given hook setter and returns the report.
-func runFusedInjection(t *testing.T, m, n, k int, plant func()) FTResult {
+// injectionCase is one configuration of the injection sweeps' grid.
+type injectionCase struct {
+	avx, parallel bool
+	m, n, k       int
+	beta          float64
+}
+
+func (c injectionCase) String() string {
+	return fmt.Sprintf("avx=%v parallel=%v m=%d n=%d k=%d beta=%v", c.avx, c.parallel, c.m, c.n, c.k, c.beta)
+}
+
+// apply installs the case's kernel and pool settings and returns a func
+// restoring the previous ones.
+func (c injectionCase) apply() func() {
+	origKernel := useAVXKernel
+	origProcs := SetMaxProcs(1)
+	origThresh := parallelGemmThreshold
+	useAVXKernel = c.avx
+	if c.parallel {
+		SetMaxProcs(4)
+		parallelGemmThreshold = 1
+	}
+	return func() {
+		useAVXKernel = origKernel
+		SetMaxProcs(origProcs)
+		parallelGemmThreshold = origThresh
+	}
+}
+
+// lastChunk is the first k index of the case's last KC chunk.
+func (c injectionCase) lastChunk() int { return (c.k - 1) / gemmKC * gemmKC }
+
+// injectionGrid is the configurations every injection sweep runs: both
+// micro-kernels, serial and forced-parallel, beta ∈ fusedBetas, k ∈
+// {1, 32, KC+1} and m, n not multiples of 4 — the second shape spans two
+// MC blocks, so the parallel path shards it. -short keeps the corners.
+func injectionGrid() []injectionCase {
+	kernels := []bool{useAVXKernel}
+	if useAVXKernel {
+		kernels = append(kernels, false)
+	}
+	betas, ks := fusedBetas, []int{1, 32, gemmKC + 1}
+	shapes := [][2]int{{37, 22}, {gemmMC + 9, 22}}
+	if testing.Short() {
+		kernels, betas, ks, shapes = kernels[:1], []float64{0, 1}, []int{1, gemmKC + 1}, shapes[:1]
+	}
+	var grid []injectionCase
+	for _, avx := range kernels {
+		for _, par := range []bool{false, true} {
+			for _, beta := range betas {
+				for _, k := range ks {
+					for _, mn := range shapes {
+						grid = append(grid, injectionCase{avx, par, mn[0], mn[1], k, beta})
+					}
+				}
+			}
+		}
+	}
+	return grid
+}
+
+// runFusedInjection runs DgemmFT for case c with a one-shot corruption
+// planted via the given hook setter and returns the report.
+func runFusedInjection(t *testing.T, c injectionCase, plant func()) FTResult {
 	t.Helper()
-	a := matrix.Random(m, k, 71)
-	b := matrix.Random(k, n, 72)
-	c := matrix.Random(m, n, 73)
+	defer c.apply()()
+	a := matrix.Random(c.m, c.k, 71)
+	b := matrix.Random(c.k, c.n, 72)
+	cm := matrix.Random(c.m, c.n, 73)
 	plant()
 	defer func() {
 		ftTestCorruptPacked = nil
 		ftTestCorruptTile = nil
 	}()
-	res, err := DgemmFT(NoTrans, NoTrans, m, n, k, 1.0, a.Data, a.Stride, b.Data, b.Stride, 1.0, c.Data, c.Stride)
+	res, err := DgemmFT(NoTrans, NoTrans, c.m, c.n, c.k, 1.0, a.Data, a.Stride, b.Data, b.Stride, c.beta, cm.Data, cm.Stride)
 	if res.Detections > 0 && err == nil {
-		t.Fatal("detections reported but error is nil: silent detection")
+		t.Fatalf("%v: detections reported but error is nil: silent detection", c)
 	}
 	if res.Detections == 0 && err != nil {
-		t.Fatalf("no detections but error %v", err)
+		t.Fatalf("%v: no detections but error %v", c, err)
 	}
 	if err != nil && !errors.Is(err, ErrFTDetected) {
-		t.Fatalf("unexpected error type: %v", err)
+		t.Fatalf("%v: unexpected error type: %v", c, err)
+	}
+	if res.Checks != wantFTChecks(c.m, c.n) {
+		t.Fatalf("%v: %d checks, want %d", c, res.Checks, wantFTChecks(c.m, c.n))
+	}
+	if res.NonFinite && res.MaxResidual != math.Inf(1) {
+		t.Fatalf("%v: NonFinite detection must pin MaxResidual to +Inf, got %v", c, res.MaxResidual)
 	}
 	return res
 }
 
 // TestDgemmFTInjectionPackedBitSweep flips each bit position of one
 // packed-A and one packed-B element in turn — mantissa bits down to the
-// detectability floor, every exponent bit, and the sign — and requires
-// the epilogue verify to catch every one. Exponent-bit flips that push
-// totals to ±Inf/NaN must be flagged NonFinite, never silently passed.
+// detectability floor, every exponent bit, and the sign — in the first KC
+// chunk and in the last one, across the injection grid, and requires the
+// verify to catch every one. Exponent-bit flips that push totals to
+// ±Inf/NaN must be flagged NonFinite, never silently passed.
 func TestDgemmFTInjectionPackedBitSweep(t *testing.T) {
-	origProcs := SetMaxProcs(1)
-	defer SetMaxProcs(origProcs)
-	const m, n, k = 48, 36, 24
-
 	var bits []uint
 	for b := uint(30); b < 64; b++ { // high mantissa, exponent 52–62, sign 63
 		bits = append(bits, b)
 	}
+	grid := injectionGrid()
 	for _, target := range []string{"packedA", "packedB"} {
 		for _, bit := range bits {
 			t.Run(fmt.Sprintf("%s/bit%d", target, bit), func(t *testing.T) {
-				res := runFusedInjection(t, m, n, k, func() {
-					fire := injectOnce(func() {})
-					ftTestCorruptPacked = func(bufA, bufB []float64) {
-						if !fire() {
-							return
-						}
-						buf := bufA
-						if target == "packedB" {
-							buf = bufB
-						}
-						// element (2, k-step 1) of the first micro-panel
-						buf[1*4+2] = math.Float64frombits(math.Float64bits(buf[1*4+2]) ^ (1 << bit))
+				for _, c := range grid {
+					if bit < 32 && c.k > 32 {
+						// The tolerance grows with k, which lifts the floor:
+						// bit 30 of a packed element sits below it at k = KC+1.
+						continue
 					}
-				})
-				if res.Detections == 0 {
-					t.Fatalf("bit %d flip in %s not detected (maxResidual %.3g)", bit, target, res.MaxResidual)
-				}
-				if res.NonFinite && res.MaxResidual != math.Inf(1) {
-					t.Fatalf("NonFinite detection must pin MaxResidual to +Inf, got %v", res.MaxResidual)
+					for _, chunk := range []int{0, c.lastChunk()} {
+						res := runFusedInjection(t, c, func() {
+							fire := injectOnce(func() {})
+							ftTestCorruptPacked = func(bufA, bufB []float64, pc int) {
+								if pc != chunk || !fire() {
+									return
+								}
+								buf := bufA
+								if target == "packedB" {
+									buf = bufB
+								}
+								// element (2, k step 1 — or 0 in a one-step
+								// chunk) of the first micro-panel
+								e := min(1, c.k-pc-1)*4 + 2
+								buf[e] = math.Float64frombits(math.Float64bits(buf[e]) ^ (1 << bit))
+							}
+						})
+						if res.Detections == 0 {
+							t.Fatalf("%v: bit %d flip in %s of the chunk at k=%d not detected (maxResidual %.3g)",
+								c, bit, target, chunk, res.MaxResidual)
+						}
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestDgemmFTInjectionTileBitSweep plants the flip in the accumulated C
-// tile after the micro-kernel sweeps but before the epilogue verify —
-// the "fault in the output while hot in cache" case.
+// TestDgemmFTInjectionTileBitSweep plants the flip in a finished strip of
+// the C tile after its last micro-kernel store but before its sums are
+// taken — the "fault in the output while hot in cache" case — across the
+// injection grid.
 func TestDgemmFTInjectionTileBitSweep(t *testing.T) {
-	origProcs := SetMaxProcs(1)
-	defer SetMaxProcs(origProcs)
-	const m, n, k = 48, 36, 24
+	grid := injectionGrid()
 	for bit := uint(30); bit < 64; bit++ {
 		t.Run(fmt.Sprintf("bit%d", bit), func(t *testing.T) {
-			res := runFusedInjection(t, m, n, k, func() {
-				fire := injectOnce(func() {})
-				ftTestCorruptTile = func(ct []float64, ldc, mc, nc int) {
-					if !fire() {
-						return
+			for _, c := range grid {
+				res := runFusedInjection(t, c, func() {
+					fire := injectOnce(func() {})
+					ftTestCorruptTile = func(ct []float64, ldc, mc, j0, j1 int) {
+						if j0 > 3 || 3 >= j1 || !fire() {
+							return
+						}
+						ct[3*ldc+5] = math.Float64frombits(math.Float64bits(ct[3*ldc+5]) ^ (1 << bit))
 					}
-					ct[3*ldc+5] = math.Float64frombits(math.Float64bits(ct[3*ldc+5]) ^ (1 << bit))
+				})
+				if res.Detections == 0 {
+					t.Fatalf("%v: bit %d tile flip not detected (maxResidual %.3g)", c, bit, res.MaxResidual)
 				}
-			})
-			if res.Detections == 0 {
-				t.Fatalf("bit %d tile flip not detected (maxResidual %.3g)", bit, res.MaxResidual)
-			}
-			// A tile flip perturbs one row sum and one column sum; both
-			// directions should fire for significant bits.
-			if res.Detections < 1 || res.Checks != m+n {
-				t.Fatalf("checks=%d detections=%d, want %d checks", res.Checks, res.Detections, m+n)
 			}
 		})
 	}
@@ -244,7 +359,7 @@ func TestDgemmFTNonFiniteNeverSilent(t *testing.T) {
 	b := matrix.Random(k, n, 82)
 	c := matrix.Random(m, n, 83)
 	fire := injectOnce(func() {})
-	ftTestCorruptTile = func(ct []float64, ldc, mc, nc int) {
+	ftTestCorruptTile = func(ct []float64, ldc, mc, j0, j1 int) {
 		if !fire() {
 			return
 		}
@@ -414,8 +529,8 @@ func TestFTGemmOverheadFracModel(t *testing.T) {
 	}
 }
 
-// TestChecksumPassKernelMatchesGo: the AVX2 checksum pass agrees with the
-// portable loop. Row sums keep the per-lane order, so they match bit for
+// TestChecksumPassKernelMatchesGo: the AVX2 checksum pass (stripSums over
+// a tile's NR-column strips) agrees with the portable loop. Row sums keep the per-lane order, so they match bit for
 // bit; column sums combine per-lane partials, so they match within the
 // tightest ftCheck tolerance DgemmFT uses (k = 0) — and exactly on an
 // integer-valued tile, where every grouping is exact, which pins each
@@ -443,7 +558,10 @@ func TestChecksumPassKernelMatchesGo(t *testing.T) {
 					}
 					useAVXKernel = avx
 					*out = [4][]float64{make([]float64, mc), make([]float64, mc), make([]float64, nc), make([]float64, nc)}
-					checksumPass(ct, ldc, out[0], out[1], out[2], out[3])
+					for j := 0; j < nc; j += gemmNR {
+						nr := min(gemmNR, nc-j)
+						stripSums(ct[j*ldc:], ldc, nr, out[0], out[1], out[2][j:j+nr], out[3][j:j+nr])
+					}
 				}
 				name := fmt.Sprintf("integer=%v mc=%d nc=%d", integer, mc, nc)
 				for s := 0; s < 2; s++ {

@@ -51,7 +51,7 @@ func gemvUpdate(trans Transpose, m, n int, alpha float64, a []float64, lda int, 
 	if trans == NoTrans {
 		if parallel && m > 1 {
 			chunks := min(p, m)
-			parallelFor(chunks, func(w int) {
+			ParallelFor(chunks, func(w int) {
 				gemvNoTransRows(m, n, alpha, a, lda, x, incX, y, incY, w*m/chunks, (w+1)*m/chunks)
 			})
 			return
@@ -61,7 +61,7 @@ func gemvUpdate(trans Transpose, m, n int, alpha float64, a []float64, lda int, 
 	}
 	if parallel && n > 1 {
 		chunks := min(p, n)
-		parallelFor(chunks, func(w int) {
+		ParallelFor(chunks, func(w int) {
 			gemvTransCols(m, n, alpha, a, lda, x, incX, y, incY, w*n/chunks, (w+1)*n/chunks)
 		})
 		return
@@ -163,7 +163,7 @@ func gerUpdate(m, n int, alpha float64, x []float64, incX int, y []float64, incY
 	p := procs()
 	if p > 1 && 2*m*n >= parallelL2Threshold && n > 1 {
 		chunks := min(p, n)
-		parallelFor(chunks, func(w int) {
+		ParallelFor(chunks, func(w int) {
 			gerCols(m, n, alpha, x, incX, y, incY, a, lda, w*n/chunks, (w+1)*n/chunks)
 		})
 		return

@@ -56,7 +56,7 @@ func Dgemm(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b
 	}
 	tasks := mBlocks * nBlocks
 	if procs() > 1 && tasks > 1 && 2*m*n*k >= parallelGemmThreshold {
-		parallelFor(tasks, tile)
+		ParallelFor(tasks, tile)
 		return
 	}
 	for t := 0; t < tasks; t++ {
@@ -233,7 +233,7 @@ func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 	p := procs()
 	if p > 1 && m*n*na >= parallelTrmmThreshold && span > 1 {
 		chunks := min(p, span)
-		parallelFor(chunks, func(w int) {
+		ParallelFor(chunks, func(w int) {
 			lo := w * span / chunks
 			hi := (w + 1) * span / chunks
 			trmmRange(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb, lo, hi)

@@ -102,27 +102,25 @@ func microKernelEdge(kc int, alpha float64, pa, pb, c []float64, ldc, mr, nr int
 }
 
 // macroKernel sweeps the packed mc×kc A block against the packed kc×nc B
-// block, tile by tile. Interior tiles update C in place; fringe tiles take
-// the masked path.
+// block, one NR-column strip at a time.
 func macroKernel(mc, nc, kc int, alpha float64, bufA, bufB []float64, c []float64, ldc int) {
 	for jr := 0; jr < nc; jr += gemmNR {
-		nr := nc - jr
-		if nr > gemmNR {
-			nr = gemmNR
-		}
-		pb := bufB[(jr/gemmNR)*kc*gemmNR:]
-		for ir := 0; ir < mc; ir += gemmMR {
-			mr := mc - ir
-			if mr > gemmMR {
-				mr = gemmMR
-			}
-			pa := bufA[(ir/gemmMR)*kc*gemmMR:]
-			ct := c[jr*ldc+ir:]
-			if mr == gemmMR && nr == gemmNR {
-				microKernel(kc, alpha, pa, pb, ct, ldc)
-			} else {
-				microKernelEdge(kc, alpha, pa, pb, ct, ldc, mr, nr)
-			}
+		macroStrip(mc, kc, min(gemmNR, nc-jr), alpha, bufA, bufB[(jr/gemmNR)*kc*gemmNR:], c[jr*ldc:], ldc)
+	}
+}
+
+// macroStrip runs the micro-kernels of one strip: every packed A
+// micro-panel against the packed B micro-panel pb, into the mc×nr strip c
+// (nr ≤ NR). Interior tiles update C in place; fringe tiles take the
+// masked path.
+func macroStrip(mc, kc, nr int, alpha float64, bufA, pb, c []float64, ldc int) {
+	for ir := 0; ir < mc; ir += gemmMR {
+		mr := min(gemmMR, mc-ir)
+		pa := bufA[(ir/gemmMR)*kc*gemmMR:]
+		if mr == gemmMR && nr == gemmNR {
+			microKernel(kc, alpha, pa, pb, c[ir:], ldc)
+		} else {
+			microKernelEdge(kc, alpha, pa, pb, c[ir:], ldc, mr, nr)
 		}
 	}
 }

@@ -62,14 +62,27 @@ func axpySubAVX(t float64, x, y []float64)
 // gemvDMR4AVX applies four columns of a NoTrans Dgemv, scaled by t, to y
 // and to the shadow s in one pass over A, each output bitwise as four
 // axpyUnitary calls leave it; ftSums4AVX is the checksum pass of four
-// C-tile columns over len(row) rows, a multiple of 4. Implemented in
-// ftkernel_amd64.s (see dmr.go, ftgemm.go).
+// C-tile columns over len(row) rows, a multiple of 4; macroStripPreAVX
+// the micro-kernels of a strip's whole 4×4 tiles, adding the sums of the
+// C values each tile loads into the checksum expectations; ftPredictAVX
+// the checksum predictions against packed micro-panels; sumAVX the column
+// sum of ColSums, bitwise as sumGo. Implemented in ftkernel_amd64.s (see
+// dmr.go, ftgemm.go, colsums.go).
 //
 //go:noescape
 func gemvDMR4AVX(t *[4]float64, a []float64, lda int, y, s []float64)
 
 //go:noescape
 func ftSums4AVX(c []float64, ldc int, row, rowAbs []float64, sums *[8]float64)
+
+//go:noescape
+func ftPredictAVX(kc int, alpha float64, panels, s, out []float64)
+
+//go:noescape
+func macroStripPreAVX(kc int, alpha float64, pa, pb, c []float64, ldc int, row, rowAbs, col, colAbs []float64)
+
+//go:noescape
+func sumAVX(x []float64) float64
 
 //go:noescape
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -67,15 +67,11 @@ func packA(tA Transpose, a []float64, lda, i0, p0, mc, kc int, buf []float64) {
 // packAFT packs exactly like packA — identical stores in identical order,
 // so the data path of the fused-ABFT Dgemm stays bitwise equal to the
 // plain kernel — while additionally accumulating the column sums of the
-// packed block into sum: after the call, sum[p*gemmMR] holds
-// Σ_i op(A)[i0+i, p0+p] for each k step p (lanes 1..3 stay zero). The sum
-// buffer is laid out as one synthetic MR-wide micro-panel so it can be
-// fed straight back through microKernel to predict column checksums
-// (ftgemm.go). Zero-padded fringe lanes contribute exact zeros.
+// packed block into sum: after the call, sum[p] holds Σ_i op(A)[i0+i, p0+p]
+// for each k step p < kc, the checksum vector ftPredict runs against the
+// packed B micro-panels (ftgemm.go).
 func packAFT(tA Transpose, a []float64, lda, i0, p0, mc, kc int, buf, sum []float64) {
-	for p := 0; p < kc*gemmMR; p++ {
-		sum[p] = 0
-	}
+	clear(sum[:kc])
 	for ir, pi := 0, 0; ir < mc; ir, pi = ir+gemmMR, pi+1 {
 		rows := mc - ir
 		if rows > gemmMR {
@@ -94,7 +90,7 @@ func packAFT(tA Transpose, a []float64, lda, i0, p0, mc, kc int, buf, sum []floa
 				for r := rows; r < gemmMR; r++ {
 					dst[r] = 0
 				}
-				sum[p*gemmMR] += s
+				sum[p] += s
 			}
 		} else {
 			for p := 0; p < kc; p++ {
@@ -108,7 +104,7 @@ func packAFT(tA Transpose, a []float64, lda, i0, p0, mc, kc int, buf, sum []floa
 				for r := rows; r < gemmMR; r++ {
 					dst[r] = 0
 				}
-				sum[p*gemmMR] += s
+				sum[p] += s
 			}
 		}
 	}
@@ -153,14 +149,11 @@ func packB(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf []float64) {
 
 // packBFT packs exactly like packB (identical stores, identical order)
 // while accumulating the row sums of the packed block into sum: after the
-// call, sum[p*gemmNR] holds Σ_j op(B)[p0+p, j0+j] for each k step p
-// (lanes 1..3 stay zero). The layout is one synthetic NR-wide micro-panel,
-// ready to feed through microKernel as the B operand of the row-checksum
-// prediction (ftgemm.go).
+// call, sum[p] holds Σ_j op(B)[p0+p, j0+j] for each k step p < kc, the
+// checksum vector ftPredict runs against the packed A micro-panels
+// (ftgemm.go).
 func packBFT(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf, sum []float64) {
-	for p := 0; p < kc*gemmNR; p++ {
-		sum[p] = 0
-	}
+	clear(sum[:kc])
 	for jr, pj := 0, 0; jr < nc; jr, pj = jr+gemmNR, pj+1 {
 		cols := nc - jr
 		if cols > gemmNR {
@@ -187,7 +180,7 @@ func packBFT(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf, sum []floa
 					buf[o+1] = v1
 					buf[o+2] = v2
 					buf[o+3] = v3
-					sum[o-base] += v0 + v1 + v2 + v3
+					sum[p] += v0 + v1 + v2 + v3
 				}
 				continue
 			}
@@ -207,7 +200,7 @@ func packBFT(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf, sum []floa
 				for _, v := range buf[base+p*gemmNR : base+p*gemmNR+gemmNR] {
 					s += v
 				}
-				sum[p*gemmNR] += s
+				sum[p] += s
 			}
 		} else {
 			for p := 0; p < kc; p++ {
@@ -221,7 +214,7 @@ func packBFT(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf, sum []floa
 				for c := cols; c < gemmNR; c++ {
 					dst[c] = 0
 				}
-				sum[p*gemmNR] += s
+				sum[p] += s
 			}
 		}
 	}

@@ -76,13 +76,16 @@ func poolEnsure(w int) chan func() {
 	return poolCh
 }
 
-// parallelFor invokes fn(i) exactly once for every i in [0, n), using up to
-// procs() concurrent shard runners that pull indices from a shared atomic
-// counter. The calling goroutine always participates; if the pool's
-// submission buffer is full the extra runners execute inline on the caller,
-// so the call can never deadlock, even when BLAS routines are invoked
-// concurrently from many goroutines.
-func parallelFor(n int, fn func(int)) {
+// ParallelFor invokes fn(i) exactly once for every i in [0, n), using up to
+// procs() (the SetMaxProcs ceiling) concurrent shard runners on the shared
+// worker pool that pull indices from a shared atomic counter. Callers
+// outside the package use it to shard their own kernels; they keep the
+// determinism contract by writing disjoint outputs from each index. The
+// calling goroutine always participates; if the pool's submission buffer
+// is full the extra runners execute inline on the caller, so the call can
+// never deadlock, even when BLAS routines are invoked concurrently from
+// many goroutines.
+func ParallelFor(n int, fn func(int)) {
 	p := procs()
 	if p > n {
 		p = n

@@ -26,7 +26,7 @@ func TestParallelForCoversEveryIndexOnce(t *testing.T) {
 	defer SetMaxProcs(orig)
 	const n = 1000
 	var counts [n]atomic.Int32
-	parallelFor(n, func(i int) {
+	ParallelFor(n, func(i int) {
 		counts[i].Add(1)
 	})
 	for i := range counts {
@@ -40,16 +40,16 @@ func TestParallelForSerialWhenPinned(t *testing.T) {
 	orig := SetMaxProcs(1)
 	defer SetMaxProcs(orig)
 	var order []int
-	parallelFor(5, func(i int) {
+	ParallelFor(5, func(i int) {
 		order = append(order, i) // no lock: must be the caller's goroutine
 	})
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("pinned parallelFor visited %v, want ascending order", order)
+			t.Fatalf("pinned ParallelFor visited %v, want ascending order", order)
 		}
 	}
 	if len(order) != 5 {
-		t.Fatalf("pinned parallelFor ran %d indices, want 5", len(order))
+		t.Fatalf("pinned ParallelFor ran %d indices, want 5", len(order))
 	}
 }
 
@@ -65,7 +65,7 @@ func TestParallelForConcurrentShards(t *testing.T) {
 	barrier.Add(p)
 	done := make(chan struct{})
 	go func() {
-		parallelFor(p, func(i int) {
+		ParallelFor(p, func(i int) {
 			barrier.Done()
 			barrier.Wait()
 		})
@@ -74,12 +74,12 @@ func TestParallelForConcurrentShards(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("parallelFor deadlocked: fewer than p concurrent shard runners")
+		t.Fatal("ParallelFor deadlocked: fewer than p concurrent shard runners")
 	}
 }
 
 // TestParallelForNestedDoesNotDeadlock exercises the caller-runs fallback:
-// nested parallelFor calls from inside shards must complete even when every
+// nested ParallelFor calls from inside shards must complete even when every
 // pool worker is already busy.
 func TestParallelForNestedDoesNotDeadlock(t *testing.T) {
 	orig := SetMaxProcs(4)
@@ -87,8 +87,8 @@ func TestParallelForNestedDoesNotDeadlock(t *testing.T) {
 	var total atomic.Int64
 	done := make(chan struct{})
 	go func() {
-		parallelFor(8, func(i int) {
-			parallelFor(8, func(j int) {
+		ParallelFor(8, func(i int) {
+			ParallelFor(8, func(j int) {
 				total.Add(1)
 			})
 		})
@@ -97,10 +97,10 @@ func TestParallelForNestedDoesNotDeadlock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("nested parallelFor deadlocked")
+		t.Fatal("nested ParallelFor deadlocked")
 	}
 	if got := total.Load(); got != 64 {
-		t.Fatalf("nested parallelFor ran %d inner bodies, want 64", got)
+		t.Fatalf("nested ParallelFor ran %d inner bodies, want 64", got)
 	}
 }
 

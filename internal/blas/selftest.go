@@ -56,7 +56,7 @@ func FTSelfTest() FTSelfTestResult {
 
 	var res FTSelfTestResult
 
-	ftTestCorruptPacked = func(bufA, bufB []float64) {
+	ftTestCorruptPacked = func(bufA, bufB []float64, pc int) {
 		bufA[7] = math.Float64frombits(math.Float64bits(bufA[7]) ^ (1 << 30))
 	}
 	rep, err := DgemmFT(NoTrans, NoTrans, n, n, n, 1, a, n, b, n, 1, c, n)
@@ -64,8 +64,10 @@ func FTSelfTest() FTSelfTestResult {
 	res.GemmPacked = err != nil && rep.Detections > 0
 	res.GemmChecks = rep.Checks
 
-	ftTestCorruptTile = func(ct []float64, ldc, mc, nc int) {
-		ct[3*ldc+5] = math.Float64frombits(math.Float64bits(ct[3*ldc+5]) ^ (1 << 55))
+	ftTestCorruptTile = func(ct []float64, ldc, mc, j0, j1 int) {
+		if j0 <= 3 && 3 < j1 {
+			ct[3*ldc+5] = math.Float64frombits(math.Float64bits(ct[3*ldc+5]) ^ (1 << 55))
+		}
 	}
 	rep, err = DgemmFT(NoTrans, NoTrans, n, n, n, 1, a, n, b, n, 1, c, n)
 	ftTestCorruptTile = nil

@@ -114,7 +114,7 @@ func Dsyr2k(uplo Uplo, trans Transpose, n, k int, alpha float64, a []float64, ld
 		// More chunks than workers: dynamic distribution evens out the
 		// triangular column costs.
 		chunks := min(4*p, n)
-		parallelFor(chunks, func(w int) {
+		ParallelFor(chunks, func(w int) {
 			syr2kCols(uplo, n, k, alpha, a, lda, b, ldb, beta, c, ldc, w*n/chunks, (w+1)*n/chunks)
 		})
 		return

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/matrix"
 )
 
@@ -19,6 +20,12 @@ import (
 // the scalar Level-1/2 loops the vectorised kernels replaced. They are
 // amd64 values: on targets such as arm64 the Go compiler fuses x*y+z in
 // the portable loops into one FMA, which rounds differently.
+//
+// The injected rows pin corrected runs of the fused pool: a fault is
+// repaired by the exact residual of its row and column checksums, so the
+// corrected element's bits depend on the order every halo producer and
+// consumer sums in. A faithful correction of the panel flip leaves the
+// clean digest.
 func TestPinnedResultDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned digests are amd64 values")
@@ -37,6 +44,18 @@ func TestPinnedResultDigests(t *testing.T) {
 		{"ft-fused-K2", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused"},
 			"66e53715d09722cd4bc561784eb8e359b68e49d02aae00cf262d2f8debe14ca3",
 			"dc753a8c1f15593adfdc12715aecae8f4c425dbcd1b337baaa4b9956d6c996b0"},
+		{"ft-fused-K2-area2-delta", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused",
+			Hook: fault.New(fault.Plan{Area: fault.Area2, TargetIter: 5, Seed: 2, Delta: 1.7})},
+			"6540633aed180d1f93c0d295b945e94e1e25a02719472007515f84b25d016e9b",
+			"7c545925bf3ec891cd03513ecca5db4ea25f5da89668ef2909e9538f257d2592"},
+		{"ft-fused-K2-area1-flip", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused",
+			Hook: fault.New(fault.Plan{Area: fault.Area1, TargetIter: 5, Seed: 2, BitFlip: true, Bit: 47})},
+			"28ef632b1a3de926b08263b1d7594c21c0ea83b6df5fdba7d5c8edc4b37748ef",
+			"dc753a8c1f15593adfdc12715aecae8f4c425dbcd1b337baaa4b9956d6c996b0"},
+		{"ft-fused-K2-panel-flip", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused",
+			Hook: fault.New(fault.Plan{Area: fault.AreaPanel, TargetIter: 7, Seed: 3, BitFlip: true, Bit: 47})},
+			"66e53715d09722cd4bc561784eb8e359b68e49d02aae00cf262d2f8debe14ca3",
+			"dc753a8c1f15593adfdc12715aecae8f4c425dbcd1b337baaa4b9956d6c996b0"},
 		{"baseline-K0", Options{Algorithm: Baseline, NB: nb},
 			"047c71fbdc37fa619fe488fb57fb5546d65ce8bcb947ced899b284f6c03d8721",
 			"285f3a20a357eca5f2b55d6860f449ee4d8ec849ca7dac33ac0e61e8ef05a86b"},
@@ -48,6 +67,13 @@ func TestPinnedResultDigests(t *testing.T) {
 		res, err := Reduce(a, c.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := 0
+		if c.opt.Hook != nil {
+			want = 1
+		}
+		if res.Recoveries != want {
+			t.Errorf("%s: %d recoveries, want %d", c.name, res.Recoveries, want)
 		}
 		if got := res.Digest(); got != c.digest {
 			t.Errorf("%s: result digest %s, pinned %s", c.name, got, c.digest)

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/blas"
 	"repro/internal/devpool"
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
@@ -53,9 +54,12 @@ type multiReducer struct {
 	// Per-device detection staging: dChk[d] collects one column per
 	// owned slab — fresh data total, maintained checksum-column total,
 	// maintained checksum-row total — and chkHost[d] receives it in a
-	// single transfer per device.
+	// single transfer per device. colSums is the totals' column-sum
+	// scratch (Real mode only): slab s owns the Cols+1 entries from
+	// Start+s, so concurrent slabs never share one.
 	dChk    []*gpu.Matrix
 	chkHost []*matrix.Matrix
+	colSums []float64
 
 	lastGap float64
 
@@ -193,6 +197,9 @@ func (r *multiReducer) sweepSetup() func() {
 		}
 		r.dChk[d] = dev.Alloc(3, maxSlabs)
 		r.chkHost[d] = pool.Mode.HostMatrix(3, maxSlabs)
+	}
+	if pool.Mode == gpu.Real {
+		r.colSums = make([]float64, r.n+len(sh.Part.Slabs))
 	}
 	return func() {
 		for d, dev := range pool.Devices {
@@ -362,19 +369,27 @@ func (r *multiReducer) refreshPanelSlab(p, ib int) {
 	sh.Last[s] = dev.Custom(cost, func() {
 		chk := m.Data[cols*m.Stride : cols*m.Stride+n]
 		copy(chk, fin.Data[:n])
+		// Each changed column's sum adds left to right, the order encode
+		// and location use, so a clean column leaves no residual; the
+		// prefix update rides the same pass.
 		for j := lp0; j < cols; j++ {
 			col := m.Data[j*m.Stride : j*m.Stride+n]
+			chk := chk[:len(col)]
 			cs := 0.0
-			for i, v := range col {
-				cs += v
-				chk[i] += v
-			}
-			m.Data[j*m.Stride+n] = cs
 			if j < lp0+ib {
+				fin := fin.Data[:len(col)]
 				for i, v := range col {
-					fin.Data[i] += v
+					cs += v
+					chk[i] += v
+					fin[i] += v
+				}
+			} else {
+				for i, v := range col {
+					cs += v
+					chk[i] += v
 				}
 			}
+			m.Data[j*m.Stride+n] = cs
 		}
 		corner := 0.0
 		for _, v := range chk {
@@ -386,31 +401,31 @@ func (r *multiReducer) refreshPanelSlab(p, ib int) {
 
 // slabTotals computes slab s's detection totals on device memory — the
 // fresh grand total of the data region and the totals of the maintained
-// halo — into column pos of the staging block dchk (a kernel body).
+// halo — into column pos of the staging block dchk (a kernel body). The
+// data columns and the checksum column are summed by blas.ColSums into
+// the slab's own stretch of colSums, so slabs may run concurrently.
 func (r *multiReducer) slabTotals(s, pos int, dchk *gpu.Matrix) {
 	m := r.sh.SlabM[s]
 	n := r.n
-	cols := r.sh.Part.Slabs[s].Cols
-	td, sre, sce := 0.0, 0.0, 0.0
-	for j := 0; j < cols; j++ {
-		col := m.Data[j*m.Stride : j*m.Stride+n]
-		for _, v := range col {
-			td += v
-		}
+	sl := r.sh.Part.Slabs[s]
+	sums := r.colSums[sl.Start+s : sl.End()+s+1]
+	blas.ColSums(n, sl.Cols+1, m.Data, m.Stride, sums)
+	td, sce := 0.0, 0.0
+	for j := 0; j < sl.Cols; j++ {
+		td += sums[j]
 		sce += m.Data[j*m.Stride+n]
 	}
-	chk := m.Data[cols*m.Stride : cols*m.Stride+n]
-	for _, v := range chk {
-		sre += v
-	}
 	dchk.Data[pos*dchk.Stride+0] = td
-	dchk.Data[pos*dchk.Stride+1] = sre
+	dchk.Data[pos*dchk.Stride+1] = sums[sl.Cols]
 	dchk.Data[pos*dchk.Stride+2] = sce
 }
 
 // totalsKernel issues one detection kernel on device d over the given
 // owned slabs, their totals landing in that order in the device's
-// staging block: a segmented sweep, one launch however many slabs.
+// staging block: a segmented sweep, one launch however many slabs. The
+// slabs' totals are sharded over the BLAS worker pool; each writes only
+// its own staging column, so the totals are the same at any
+// blas.SetMaxProcs.
 func (r *multiReducer) totalsKernel(d int, slabs []int) sim.Event {
 	sh := r.sh
 	dev := r.pool.Devices[d]
@@ -424,9 +439,7 @@ func (r *multiReducer) totalsKernel(d int, slabs []int) sim.Event {
 		}
 	}
 	kg := dev.Custom(r.pool.Params.GemvDevice(r.n, cols), func() {
-		for pos, s := range slabs {
-			r.slabTotals(s, pos, dchk)
-		}
+		blas.ParallelFor(len(slabs), func(pos int) { r.slabTotals(slabs[pos], pos, dchk) })
 	}, dep)
 	for _, s := range slabs {
 		sh.Last[s] = kg

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/devpool"
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
@@ -259,5 +260,104 @@ func TestDetectSweepOneLaunchPerDevice(t *testing.T) {
 			free()
 			r.sh.Free()
 		}
+	}
+}
+
+// newSweepReducer builds a Real-mode pool reducer at N=512, nb=32 (eight
+// slabs) over K devices, with a's slabs uploaded and their halos encoded:
+// the state a boundary detection sweep reads. The returned func frees it.
+func newSweepReducer(t *testing.T, a *matrix.Matrix, k int) (*multiReducer, func()) {
+	t.Helper()
+	const nb = 32
+	pool := devpool.New(k, sim.K40c(), gpu.Real)
+	r := &multiReducer{
+		run:     newRun(a, Options{NB: nb}, hybrid.PoolLane(pool), pool.Params, true),
+		pool:    pool,
+		finSlab: -1,
+	}
+	r.emit = r.journal
+	r.threshold(a)
+	r.sh = devpool.NewShard(pool, r.n, nb, 1)
+	if len(r.sh.Part.Slabs) != 8 {
+		t.Fatalf("N=%d nb=%d: %d slabs, want 8", r.n, nb, len(r.sh.Part.Slabs))
+	}
+	free := r.sweepSetup()
+	r.sh.Upload(r.hostA)
+	for s := range r.sh.Part.Slabs {
+		r.encodeSlab(s)
+	}
+	return r, func() {
+		free()
+		r.sh.Free()
+	}
+}
+
+// TestDetectSweepFlagsOnlyTheFlippedSlab: the vectorised, pool-sharded
+// detection totals flag a single flip on exactly its own slab, wherever
+// in the slab's storage it lands — a frozen column left of the panel, the
+// halo's checksum column or checksum row, or the last slab of the last
+// device — at K ∈ {1, 2, 4}, and a clean sweep flags nothing.
+func TestDetectSweepFlagsOnlyTheFlippedSlab(t *testing.T) {
+	const n, p = 512, 96 // the panel of iteration 3: columns left of it are frozen
+	a := matrix.Random(n, n, 41)
+	for _, k := range []int{1, 2, 4} {
+		r, free := newSweepReducer(t, a, k)
+		if bad := r.detectSweep(3, p); len(bad) != 0 {
+			t.Fatalf("K=%d: clean sweep flagged slabs %v", k, bad)
+		}
+		sh := r.sh
+		lastDev := sh.DevSlabs[k-1]
+		last := lastDev[len(lastDev)-1]
+		frozen := sh.Part.SlabOf(p - 7)
+		mid := sh.Part.SlabOf(n / 2)
+		for _, c := range []struct {
+			name     string
+			s        int
+			row, col int // in the slab's storage: col == Cols is the checksum column, row == n the checksum row
+		}{
+			{"frozen column", frozen, 300, p - 7 - sh.Part.Slabs[frozen].Start},
+			{"checksum column", mid, 17, sh.Part.Slabs[mid].Cols},
+			{"checksum row", mid, n, 3},
+			{"last slab of the last device", last, n - 1, sh.Part.Slabs[last].Cols - 1},
+		} {
+			m := sh.SlabM[c.s]
+			e := c.col*m.Stride + c.row
+			old := m.Data[e]
+			m.Data[e] = math.Float64frombits(math.Float64bits(old) ^ 1<<50)
+			bad := r.detectSweep(3, p)
+			m.Data[e] = old
+			if len(bad) != 1 || bad[0] != c.s {
+				t.Errorf("K=%d %s: flip in slab %d flagged slabs %v, want exactly [%d]", k, c.name, c.s, bad, c.s)
+			}
+		}
+		free()
+	}
+}
+
+// TestDetectTotalsSameAtAnyMaxProcs: the staged detection totals are
+// bitwise the same whether the slabs' sums run serially or sharded over
+// the BLAS worker pool.
+func TestDetectTotalsSameAtAnyMaxProcs(t *testing.T) {
+	a := matrix.Random(512, 512, 43)
+	defer blas.SetMaxProcs(blas.SetMaxProcs(1))
+	for _, k := range []int{1, 2, 4} {
+		r, free := newSweepReducer(t, a, k)
+		var staged [2][][]float64
+		for i, procs := range []int{1, 4} {
+			blas.SetMaxProcs(procs)
+			r.detectSweep(3, 96)
+			for d := range r.chkHost {
+				staged[i] = append(staged[i], append([]float64(nil), r.chkHost[d].Data...))
+			}
+		}
+		for d := range staged[0] {
+			for j, v := range staged[0][d] {
+				if math.Float64bits(v) != math.Float64bits(staged[1][d][j]) {
+					t.Fatalf("K=%d device %d: staged total %d is %v at SetMaxProcs(1), %v at SetMaxProcs(4)",
+						k, d, j, v, staged[1][d][j])
+				}
+			}
+		}
+		free()
 	}
 }

@@ -63,14 +63,14 @@ func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, hostA *matrix
 				q.lastRowContrib[i] = 0
 			}
 		}
-		for j := 0; j < ib; j++ {
-			c := p + j
+		for c := p; c < p+ib; c++ {
+			lo := min(c+2, n)
+			rowChk, contrib := q.rowChk[lo:n], q.lastRowContrib[lo:n]
 			s := 0.0
-			for i := c + 2; i < n; i++ {
-				v := hostA.At(i, c)
+			for i, v := range hostA.Col(c)[lo:n] {
 				s += v
-				q.rowChk[i] += v
-				q.lastRowContrib[i] += v
+				rowChk[i] += v
+				contrib[i] += v
 			}
 			q.colChk[c] = s
 		}
@@ -96,11 +96,14 @@ func (q *qChecksums) verifyAndCorrect(h hybrid.HostLane, pp sim.Params, hostA *m
 		freshRow := make([]float64, n)
 		freshCol := make([]float64, n)
 		for c := 0; c < limit; c++ {
-			for i := c + 2; i < n; i++ {
-				v := hostA.At(i, c)
-				freshRow[i] += v
-				freshCol[c] += v
+			lo := min(c+2, n)
+			fresh := freshRow[lo:n]
+			s := 0.0
+			for i, v := range hostA.Col(c)[lo:n] {
+				fresh[i] += v
+				s += v
 			}
+			freshCol[c] = s
 		}
 		rRes := make([]float64, n)
 		cRes := make([]float64, limit)
