@@ -206,12 +206,7 @@ func itoa(v int) string {
 // --- Extensions beyond the paper (future work & evaluation tooling) ---
 
 func BenchmarkHybridSytrd128(b *testing.B) {
-	a := matrix.Random(128, 128, 1)
-	for j := 0; j < 128; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(128, 1)
 	for i := 0; i < b.N; i++ {
 		if _, err := hybrid.ReduceSym(a, hybrid.Options{NB: 32, Device: gpu.New(sim.K40c(), gpu.Real)}, nil); err != nil {
 			b.Fatal(err)
@@ -220,12 +215,7 @@ func BenchmarkHybridSytrd128(b *testing.B) {
 }
 
 func BenchmarkFTSytrd128(b *testing.B) {
-	a := matrix.Random(128, 128, 1)
-	for j := 0; j < 128; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(128, 1)
 	for i := 0; i < b.N; i++ {
 		if _, err := ftsym.Reduce(a, ftsym.Options{NB: 32}); err != nil {
 			b.Fatal(err)
@@ -251,12 +241,7 @@ func BenchmarkDsterf512(b *testing.B) {
 }
 
 func BenchmarkEigen64(b *testing.B) {
-	a := matrix.Random(64, 64, 3)
-	for j := 0; j < 64; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(64, 3)
 	for i := 0; i < b.N; i++ {
 		if _, err := lapack.Eigen(a, 16); err != nil {
 			b.Fatal(err)

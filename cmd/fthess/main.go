@@ -81,12 +81,7 @@ func (h *symHook) BeforeIteration(iter, panel int, w *matrix.Matrix) {
 func runSymmetric(n int, opt core.SymOptions, seed uint64, inject string, iter int, metricsPath, eventsPath string) {
 	a := matrix.Shape(n, n)
 	if !opt.CostOnly {
-		a = matrix.Random(n, n, seed)
-		for j := 0; j < n; j++ {
-			for i := 0; i < j; i++ {
-				a.Set(i, j, a.At(j, i))
-			}
-		}
+		a = matrix.RandomSymmetric(n, seed)
 	}
 	if metricsPath != "" {
 		opt.Obs = obs.NewRegistry()

@@ -107,12 +107,7 @@ func (h *symCancelHook) BeforeIteration(iter, panel int, w *matrix.Matrix) {
 // the resilient tridiagonalization.
 func TestReduceSymCancelMidIteration(t *testing.T) {
 	n, nb := 96, 8
-	a := matrix.Random(n, n, 5)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(n, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hook := &symCancelHook{cancel: cancel, at: 1}

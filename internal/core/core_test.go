@@ -156,12 +156,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestReduceSymBothPaths(t *testing.T) {
 	n := 100
-	a := matrix.Random(n, n, 6)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(n, 6)
 	hyb, err := ReduceSym(a, SymOptions{NB: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -233,12 +228,7 @@ func TestSymMultiDeviceUnsupported(t *testing.T) {
 
 func TestRealEigenvectorsFacade(t *testing.T) {
 	n := 20
-	a := matrix.Random(n, n, 7)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(n, 7)
 	// A symmetric matrix's eigenvectors are all real: Eigen's VR columns.
 	e, err := Eigen(a, 0)
 	if err != nil {

@@ -106,7 +106,7 @@ func TestPinnedResultDigests(t *testing.T) {
 	// The symmetric path: both algorithms must produce the same bits, the
 	// fault-tolerant one only adding checksums beside the data path.
 	const symN, symNB = 200, 16
-	sa := randomSymmetric(symN, seed)
+	sa := matrix.RandomSymmetric(symN, seed)
 	const symDigestPin = "8c0c4cd0e21dc96b27181b4f2d6edd86f2676ed534e44af92c42d30baf0aa387"
 	for _, ftOn := range []bool{false, true} {
 		res, err := ReduceSym(sa, SymOptions{NB: symNB, FaultTolerant: ftOn})
@@ -117,17 +117,6 @@ func TestPinnedResultDigests(t *testing.T) {
 			t.Errorf("sym ft=%v: digest %s, pinned %s", ftOn, got, symDigestPin)
 		}
 	}
-}
-
-// randomSymmetric returns a seeded random symmetric matrix.
-func randomSymmetric(n int, seed uint64) *matrix.Matrix {
-	a := matrix.Random(n, n, seed)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
-	return a
 }
 
 // symDigest fingerprints a tridiagonalization: D, E and Tau, then the

@@ -12,16 +12,6 @@ import (
 	"repro/internal/sim"
 )
 
-func randomSymmetric(n int, seed uint64) *matrix.Matrix {
-	a := matrix.Random(n, n, seed)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
-	return a
-}
-
 // residual returns ‖A − Q·T·Qᵀ‖₁/(N‖A‖₁).
 func residual(a *matrix.Matrix, r *Result) float64 {
 	return lapack.FactorizationResidual(a, r.Q(), r.T())
@@ -29,7 +19,7 @@ func residual(a *matrix.Matrix, r *Result) float64 {
 
 func TestFaultFreeMatchesDsytrd(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{{64, 8}, {100, 16}, {150, 32}} {
-		a := randomSymmetric(tc.n, uint64(tc.n))
+		a := matrix.RandomSymmetric(tc.n, uint64(tc.n))
 		res, err := Reduce(a, Options{NB: tc.nb})
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +67,7 @@ func (h *symPokeHook) BeforeIteration(iter, panel int, w *matrix.Matrix) {
 
 func TestRecoversOffDiagonalError(t *testing.T) {
 	n, nb := 150, 32
-	a := randomSymmetric(n, 3)
+	a := matrix.RandomSymmetric(n, 3)
 	hook := &symPokeHook{iter: 1, row: 100, col: 60, delta: 2.0}
 	res, err := Reduce(a, Options{NB: nb, Hook: hook})
 	if err != nil {
@@ -99,7 +89,7 @@ func TestRecoversDiagonalError(t *testing.T) {
 	// improvement over the Hessenberg Sre/Sce comparison, which is blind
 	// to them.
 	n, nb := 100, 16
-	a := randomSymmetric(n, 5)
+	a := matrix.RandomSymmetric(n, 5)
 	hook := &symPokeHook{iter: 2, row: 70, col: 70, delta: 1.5}
 	res, err := Reduce(a, Options{NB: nb, Hook: hook})
 	if err != nil {
@@ -118,7 +108,7 @@ func TestRecoversDiagonalError(t *testing.T) {
 
 func TestRecoveredMatchesCleanRun(t *testing.T) {
 	n, nb := 100, 16
-	a := randomSymmetric(n, 7)
+	a := matrix.RandomSymmetric(n, 7)
 	clean, err := Reduce(a, Options{NB: nb})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +129,7 @@ func TestPanelErrorRecovered(t *testing.T) {
 	// Error inside the about-to-be-factored panel: the checkpoint is
 	// taken after injection, so location must patch the restored state.
 	n, nb := 150, 32
-	a := randomSymmetric(n, 9)
+	a := matrix.RandomSymmetric(n, 9)
 	hook := &symPokeHook{iter: 1, row: 90, col: 40, delta: 2.5} // col 40 ∈ panel [32,64)
 	res, err := Reduce(a, Options{NB: nb, Hook: hook})
 	if err != nil {
@@ -155,7 +145,7 @@ func TestPanelErrorRecovered(t *testing.T) {
 
 func TestEigenvaluesSurviveFault(t *testing.T) {
 	n, nb := 126, 16
-	a := randomSymmetric(n, 11)
+	a := matrix.RandomSymmetric(n, 11)
 	clean, err := lapack.SymEigenvalues(a.Data, n, a.Stride, nb)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +172,7 @@ func TestRecoversFaultsInTwoIterations(t *testing.T) {
 	// windows no longer cover: location must read only the rows of its own
 	// window, or those left-over residuals flag rows outside it.
 	n, nb := 100, 16
-	a := randomSymmetric(n, 17)
+	a := matrix.RandomSymmetric(n, 17)
 	clean, err := Reduce(a, Options{NB: nb})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +212,7 @@ func TestTransfersWaitForTheirKernels(t *testing.T) {
 	dev := gpu.New(sim.K40c(), gpu.Real)
 	dev.EnableTrace()
 	hook := &symPokeHook{iter: 1, row: 50, col: 30, delta: 3}
-	res, err := Reduce(randomSymmetric(100, 7), Options{NB: 16, Hook: hook, Device: dev})
+	res, err := Reduce(matrix.RandomSymmetric(100, 7), Options{NB: 16, Hook: hook, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +240,7 @@ func TestAmbiguousSymErrors(t *testing.T) {
 	// Two off-diagonal errors with equal deltas flag four rows with equal
 	// residuals — pairing is ambiguous and must be refused.
 	n, nb := 100, 16
-	a := randomSymmetric(n, 13)
+	a := matrix.RandomSymmetric(n, 13)
 	hookA := &symPokeHook{iter: 1, row: 60, col: 40, delta: 2}
 	hookB := &symPokeHook{iter: 1, row: 80, col: 50, delta: 2}
 	_, err := Reduce(a, Options{NB: nb, Hook: multiHook{hookA, hookB}})
@@ -272,7 +262,7 @@ func TestValidation(t *testing.T) {
 		t.Fatal("non-square accepted")
 	}
 	for n := 0; n <= 2; n++ {
-		if _, err := Reduce(randomSymmetric(n, 1), Options{NB: 4}); err != nil {
+		if _, err := Reduce(matrix.RandomSymmetric(n, 1), Options{NB: 4}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -286,7 +276,7 @@ func TestValidation(t *testing.T) {
 func TestPropSingleSymErrorRecovered(t *testing.T) {
 	f := func(seed uint64) bool {
 		n, nb := 100, 16
-		a := randomSymmetric(n, seed)
+		a := matrix.RandomSymmetric(n, seed)
 		rng := matrix.NewRNG(seed)
 		iter := rng.Intn(3)
 		p := iter * nb

@@ -10,19 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-func randomSymmetric(n int, seed uint64) *matrix.Matrix {
-	a := matrix.Random(n, n, seed)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
-	return a
-}
-
 func TestReduceSymMatchesCPU(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{{64, 8}, {100, 16}, {150, 32}, {97, 16}} {
-		a := randomSymmetric(tc.n, uint64(tc.n))
+		a := matrix.RandomSymmetric(tc.n, uint64(tc.n))
 		res, err := ReduceSym(a, Options{NB: tc.nb, Device: newDev()}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +40,7 @@ func TestReduceSymMatchesCPU(t *testing.T) {
 
 func TestReduceSymResidual(t *testing.T) {
 	n := 120
-	a := randomSymmetric(n, 3)
+	a := matrix.RandomSymmetric(n, 3)
 	res, err := ReduceSym(a, Options{NB: 16, Device: newDev()}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +54,7 @@ func TestReduceSymResidual(t *testing.T) {
 }
 
 func TestReduceSymInputUnchangedAndTiny(t *testing.T) {
-	a := randomSymmetric(50, 4)
+	a := matrix.RandomSymmetric(50, 4)
 	orig := a.Clone()
 	if _, err := ReduceSym(a, Options{NB: 8, Device: newDev()}, nil); err != nil {
 		t.Fatal(err)
@@ -73,7 +63,7 @@ func TestReduceSymInputUnchangedAndTiny(t *testing.T) {
 		t.Fatal("input modified")
 	}
 	for n := 0; n <= 3; n++ {
-		if _, err := ReduceSym(randomSymmetric(n, 1), Options{NB: 4, Device: newDev()}, nil); err != nil {
+		if _, err := ReduceSym(matrix.RandomSymmetric(n, 1), Options{NB: 4, Device: newDev()}, nil); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -126,7 +116,7 @@ func TestReduceSymEigenvalues(t *testing.T) {
 
 func TestReduceSymCostOnlyParity(t *testing.T) {
 	n := 120
-	a := randomSymmetric(n, 5)
+	a := matrix.RandomSymmetric(n, 5)
 	r1, err := ReduceSym(a, Options{NB: 16, Device: gpu.New(sim.K40c(), gpu.Real)}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -281,12 +281,7 @@ func TestDhseqrSchurModeBitIdentical(t *testing.T) {
 			case "normal":
 				a = matrix.RandomNormal(n, n, seed)
 			default:
-				a = matrix.Random(n, n, seed)
-				for j := 0; j < n; j++ {
-					for i := 0; i < j; i++ {
-						a.Set(i, j, a.At(j, i))
-					}
-				}
+				a = matrix.RandomSymmetric(n, seed)
 			}
 			tau := make([]float64, max(n-1, 1))
 			Dgehrd(n, 8, a.Data, a.Stride, tau)

@@ -75,12 +75,7 @@ func TestEigenResidualsGeneral(t *testing.T) {
 
 func TestEigenSymmetric(t *testing.T) {
 	n := 20
-	a := matrix.Random(n, n, 9)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(n, 9)
 	e, err := Eigen(a, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -261,12 +256,7 @@ func TestEigenvectorKnownTriangular(t *testing.T) {
 func TestRealEigenvectorsSymmetric(t *testing.T) {
 	// Symmetric matrices have a full set of real eigenpairs.
 	n := 30
-	a := matrix.Random(n, n, 8)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
+	a := matrix.RandomSymmetric(n, 8)
 	vals, vecs, complexCount := realEigenvectors(t, a, 8)
 	if complexCount != 0 {
 		t.Fatalf("symmetric matrix produced %d complex eigenvalues", complexCount)

@@ -10,17 +10,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// randomSymmetric returns a dense symmetric matrix.
-func randomSymmetric(n int, seed uint64) *matrix.Matrix {
-	a := matrix.Random(n, n, seed)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a.Set(i, j, a.At(j, i))
-		}
-	}
-	return a
-}
-
 // tridiagReduce runs Dsytd2 or Dsytrd on a copy and returns (d, e, Q).
 func tridiagReduce(a *matrix.Matrix, nb int, blocked bool) ([]float64, []float64, *matrix.Matrix) {
 	n := a.Rows
@@ -55,7 +44,7 @@ func tridiagResidual(a *matrix.Matrix, d, e []float64, q *matrix.Matrix) float64
 
 func TestDsytd2Reduces(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 25} {
-		a := randomSymmetric(n, uint64(n))
+		a := matrix.RandomSymmetric(n, uint64(n))
 		d, e, q := tridiagReduce(a, 0, false)
 		if r := tridiagResidual(a, d, e, q); r > 1e-14 {
 			t.Fatalf("n=%d: residual %v", n, r)
@@ -68,7 +57,7 @@ func TestDsytd2Reduces(t *testing.T) {
 
 func TestDsytd2PreservesTrace(t *testing.T) {
 	n := 30
-	a := randomSymmetric(n, 3)
+	a := matrix.RandomSymmetric(n, 3)
 	d, _, _ := tridiagReduce(a, 0, false)
 	sum := 0.0
 	for _, v := range d {
@@ -83,7 +72,7 @@ func TestDsytrdMatchesUnblocked(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{
 		{20, 4}, {33, 8}, {64, 16}, {65, 16}, {50, 32},
 	} {
-		a := randomSymmetric(tc.n, uint64(tc.n*7))
+		a := matrix.RandomSymmetric(tc.n, uint64(tc.n*7))
 		d1, e1, _ := tridiagReduce(a, 0, false)
 		d2, e2, _ := tridiagReduce(a, tc.nb, true)
 		for i := 0; i < tc.n; i++ {
@@ -101,7 +90,7 @@ func TestDsytrdMatchesUnblocked(t *testing.T) {
 
 func TestDsytrdResidual(t *testing.T) {
 	n := 100
-	a := randomSymmetric(n, 9)
+	a := matrix.RandomSymmetric(n, 9)
 	d, e, q := tridiagReduce(a, 16, true)
 	if r := tridiagResidual(a, d, e, q); r > 1e-14 {
 		t.Fatalf("residual %v", r)
@@ -195,7 +184,7 @@ func TestSymVsGeneralEigensolverAgree(t *testing.T) {
 	// The symmetric path (Dsytrd+Dsterf) and the general path
 	// (Dgehrd+Dhseqr) must agree on a symmetric matrix.
 	n := 30
-	a := randomSymmetric(n, 5)
+	a := matrix.RandomSymmetric(n, 5)
 	sym, err := SymEigenvalues(a.Data, n, a.Stride, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +209,7 @@ func TestPropDsytrdStable(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 6 + int(seed%30)
 		nb := 2 + int((seed>>8)%8)
-		a := randomSymmetric(n, seed)
+		a := matrix.RandomSymmetric(n, seed)
 		d, e, q := tridiagReduce(a, nb, true)
 		if tridiagResidual(a, d, e, q) > 1e-13 {
 			return false

@@ -336,6 +336,19 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
+// RandomSymmetric is Random's lower triangle mirrored into the upper one.
+func TestRandomSymmetric(t *testing.T) {
+	const n = 9
+	s, r := RandomSymmetric(n, 5), Random(n, n, 5)
+	for j := 0; j < n; j++ {
+		for i := j; i < n; i++ {
+			if s.At(i, j) != r.At(i, j) || s.At(j, i) != r.At(i, j) {
+				t.Fatalf("(%d,%d): got %v/%v, want %v", i, j, s.At(i, j), s.At(j, i), r.At(i, j))
+			}
+		}
+	}
+}
+
 func TestRandomRange(t *testing.T) {
 	m := Random(50, 50, 3)
 	for j := 0; j < 50; j++ {

@@ -61,6 +61,19 @@ func Random(r, c int, seed uint64) *Matrix {
 	return m
 }
 
+// RandomSymmetric returns Random(n, n, seed) with its lower triangle
+// mirrored into the upper one: the seeded input of the symmetric
+// (tridiagonal) reduction.
+func RandomSymmetric(n int, seed uint64) *Matrix {
+	m := Random(n, n, seed)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			m.Set(i, j, m.At(j, i))
+		}
+	}
+	return m
+}
+
 // RandomNormal returns an r×c matrix with approximately N(0,1) entries.
 func RandomNormal(r, c int, seed uint64) *Matrix {
 	rng := NewRNG(seed)

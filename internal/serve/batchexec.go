@@ -7,7 +7,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -35,7 +34,7 @@ func (s *Server) executeBatch(j *Job) (*JobResult, error) {
 	trace := j.traceContext()
 
 	runner := func(ctx context.Context, it batch.Item, lane batch.Lane) (any, *gpu.Device, error) {
-		a := matrix.Random(it.N, it.N, it.Seed)
+		a := req.generate(it.N, it.Seed)
 		opt := runOptions(req, it.NB)
 		opt.Ctx, opt.Obs, opt.Journal, opt.Trace = ctx, s.reg, j.journal, trace
 

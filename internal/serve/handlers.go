@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ft"
 	"repro/internal/ftsym"
+	"repro/internal/matrix"
 )
 
 // errorBody is the JSON shape of every non-2xx response. Code is the
@@ -150,10 +151,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	a, err := req.Matrix(s.cfg.MaxN)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	// An upload is parsed now, so a bad document is a 400, and only the
+	// parsed matrix is kept. A generated input waits for the worker.
+	var a *matrix.Matrix
+	if req.MatrixMarket != "" {
+		if a, err = req.Matrix(s.cfg.MaxN); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		req.MatrixMarket = ""
 	}
 	st, err := s.Submit(req, a)
 	switch {

@@ -28,7 +28,9 @@ const (
 type Job struct {
 	ID  string
 	req *JobRequest
-	a   *matrix.Matrix
+	// a is the parsed upload, dropped when the job turns terminal; nil
+	// for a generated input, which the worker materializes at start.
+	a *matrix.Matrix
 
 	ctx    context.Context
 	cancel context.CancelFunc

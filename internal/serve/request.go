@@ -330,40 +330,60 @@ func (r *JobRequest) class() string {
 
 // Matrix materializes the job's input: the uploaded Matrix Market
 // document if present (bounded by maxN×maxN elements before any
-// allocation), otherwise the deterministic generator at order N.
+// allocation), otherwise the deterministic generator at order N. The
+// server parses uploads at submit, so a bad document is a 400, and
+// generates the rest on the worker when the job starts, so a queued or
+// rejected job holds no generated matrix.
 func (r *JobRequest) Matrix(maxN int) (*matrix.Matrix, error) {
 	if len(r.Batch) > 0 {
 		// Batched jobs materialize per item on the engine lanes.
 		return nil, nil
 	}
-	if r.MatrixMarket != "" {
-		a, err := matrix.ReadMatrixMarketLimit(strings.NewReader(r.MatrixMarket), int64(maxN)*int64(maxN))
-		if err != nil {
-			return nil, err
-		}
-		if a.Rows != a.Cols {
-			return nil, fmt.Errorf("uploaded matrix is %dx%d, not square", a.Rows, a.Cols)
-		}
-		if a.Rows < 1 {
-			return nil, errors.New("uploaded matrix is empty")
-		}
-		if a.Rows > maxN {
-			return nil, fmt.Errorf("uploaded matrix order %d exceeds this server's limit of %d", a.Rows, maxN)
-		}
-		if r.N != 0 && r.N != a.Rows {
-			return nil, fmt.Errorf("n=%d does not match the uploaded %dx%d matrix", r.N, a.Rows, a.Cols)
-		}
-		return a, nil
+	if r.MatrixMarket == "" {
+		return r.generate(r.N, r.Seed), nil
 	}
-	a := matrix.Random(r.N, r.N, r.Seed)
-	if r.Symmetric {
-		for j := 0; j < r.N; j++ {
-			for i := 0; i < j; i++ {
-				a.Set(i, j, a.At(j, i))
-			}
-		}
+	a, err := matrix.ReadMatrixMarketLimit(strings.NewReader(r.MatrixMarket), int64(maxN)*int64(maxN))
+	if err != nil {
+		return nil, err
+	}
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("uploaded matrix is %dx%d, not square", a.Rows, a.Cols)
+	}
+	if a.Rows < 1 {
+		return nil, errors.New("uploaded matrix is empty")
+	}
+	if a.Rows > maxN {
+		return nil, fmt.Errorf("uploaded matrix order %d exceeds this server's limit of %d", a.Rows, maxN)
+	}
+	if r.N != 0 && r.N != a.Rows {
+		return nil, fmt.Errorf("n=%d does not match the uploaded %dx%d matrix", r.N, a.Rows, a.Cols)
+	}
+	if r.modelOnly() {
+		return matrix.Shape(a.Rows, a.Cols), nil
 	}
 	return a, nil
+}
+
+// generate builds the seeded input of order n: uniform entries in
+// [-1, 1), mirrored for the symmetric path, or only the shape when the
+// run never reads values.
+func (r *JobRequest) generate(n int, seed uint64) *matrix.Matrix {
+	switch {
+	case r.modelOnly():
+		return matrix.Shape(n, n)
+	case r.Symmetric:
+		return matrix.RandomSymmetric(n, seed)
+	}
+	return matrix.Random(n, n, seed)
+}
+
+// modelOnly reports whether the job's reduction models time without
+// reading its input: a cost-only run on a device schedule. The host-only
+// algorithm ignores cost_only and computes, so it still needs values.
+// Such a run has no cache key either: core.ResultKey refuses cost-only
+// runs before it digests anything.
+func (r *JobRequest) modelOnly() bool {
+	return r.CostOnly && (r.Symmetric || r.algorithm() != AlgCPU)
 }
 
 func (r *JobRequest) algorithm() string {

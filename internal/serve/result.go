@@ -139,7 +139,7 @@ func (c *cachedRun) itemResult(idx int, seed uint64, cached bool) BatchItemResul
 }
 
 // symResult builds the response for the tridiagonalization path.
-func symResult(j *Job, res *core.SymResult) *JobResult {
+func symResult(j *Job, a *matrix.Matrix, res *core.SymResult) *JobResult {
 	out := &JobResult{
 		ID:        j.ID,
 		Algorithm: j.req.algorithm(),
@@ -159,7 +159,7 @@ func symResult(j *Job, res *core.SymResult) *JobResult {
 	}
 	if !j.req.CostOnly {
 		q := res.Q()
-		out.Residual = obs.Float(lapack.FactorizationResidual(j.a, q, res.T()))
+		out.Residual = obs.Float(lapack.FactorizationResidual(a, q, res.T()))
 		out.Orthogonality = obs.Float(lapack.OrthogonalityResidual(q))
 	}
 	return out

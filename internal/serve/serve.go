@@ -255,8 +255,10 @@ func New(cfg Config) *Server {
 // Registry exposes the server's metrics registry (for /metrics and tests).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Submit enqueues a validated request with its materialized input. It
-// never blocks: the job is accepted into the FIFO queue or rejected with
+// Submit enqueues a validated request. a is its parsed upload, or nil
+// for an input the worker materializes (req.Matrix) when the job starts;
+// either way the job drops its input once it is terminal. Submit never
+// blocks: the job is accepted into the FIFO queue or rejected with
 // ErrQueueFull / ErrDraining. The returned status is snapshotted under
 // the same lock that enqueues the job, so it always reads queued: a worker
 // cannot lease the job before the caller sees it.
@@ -424,6 +426,7 @@ func (s *Server) run(j *Job) {
 		return
 	}
 	j.state = StateRunning
+	a := j.a
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.created)
 	s.gQueue.Add(-1)
@@ -438,7 +441,7 @@ func (s *Server) run(j *Job) {
 	if s.testBeforeRun != nil {
 		s.testBeforeRun(j)
 	}
-	res, err := s.execute(j)
+	res, err := s.execute(j, a)
 
 	j.tracer.End(j.spanRun)
 	s.mu.Lock()
@@ -453,9 +456,11 @@ func (s *Server) run(j *Job) {
 	}
 }
 
-// finishLocked moves a job to its terminal state; the caller holds s.mu.
+// finishLocked moves a job to its terminal state and drops its input;
+// the caller holds s.mu.
 func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
 	j.result, j.err = res, err
+	j.a = nil
 	j.finished = time.Now()
 	switch {
 	case err == nil:
@@ -658,11 +663,19 @@ func (s *Server) reduceCached(ctx context.Context, req *JobRequest, a *matrix.Ma
 	return run, false, err
 }
 
-// execute runs the reduction for one job on the worker goroutine.
-func (s *Server) execute(j *Job) (*JobResult, error) {
+// execute runs the reduction for one job on the worker goroutine. a is
+// the job's upload; a generated input is materialized here, so it lives
+// only while the job runs.
+func (s *Server) execute(j *Job, a *matrix.Matrix) (*JobResult, error) {
 	req := j.req
 	if len(req.Batch) > 0 {
 		return s.executeBatch(j)
+	}
+	if a == nil {
+		var err error
+		if a, err = req.Matrix(s.cfg.MaxN); err != nil {
+			return nil, err
+		}
 	}
 	trace := j.traceContext()
 	mode := gpu.Real
@@ -690,17 +703,17 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 			}
 			symOpt.Devices = devs
 		}
-		res, err := core.ReduceSym(j.a, symOpt)
+		res, err := core.ReduceSym(a, symOpt)
 		if err != nil {
 			return nil, err
 		}
-		return symResult(j, res), nil
+		return symResult(j, a, res), nil
 	}
 
 	opt := runOptions(req, req.NB)
 	opt.Ctx, opt.Obs, opt.Journal, opt.Trace = j.ctx, s.reg, j.journal, trace
-	run, hit, err := s.reduceCached(j.ctx, req, j.a, opt, func() (*core.Result, error) {
-		return s.reduceOnDevices(j, opt, mode)
+	run, hit, err := s.reduceCached(j.ctx, req, a, opt, func() (*core.Result, error) {
+		return s.reduceOnDevices(j, a, opt, mode)
 	})
 	if err != nil {
 		return nil, err
@@ -710,7 +723,7 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 
 // reduceOnDevices runs a single job's reduction on its own device, or on
 // whole devices leased from the farm when the job asked for a pool.
-func (s *Server) reduceOnDevices(j *Job, opt core.Options, mode gpu.Mode) (*core.Result, error) {
+func (s *Server) reduceOnDevices(j *Job, a *matrix.Matrix, opt core.Options, mode gpu.Mode) (*core.Result, error) {
 	req := j.req
 	trace := opt.Trace
 	if opt.Algorithm != core.CPUOnly {
@@ -798,5 +811,5 @@ func (s *Server) reduceOnDevices(j *Job, opt core.Options, mode gpu.Mode) (*core
 	if s.testMutateOptions != nil {
 		s.testMutateOptions(j, &opt)
 	}
-	return core.Reduce(j.a, opt)
+	return core.Reduce(a, opt)
 }

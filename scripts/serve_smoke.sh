@@ -16,6 +16,10 @@
 #   * batched jobs         a 3-matrix batch runs on fractional lanes and
 #                          an identical resubmission is served entirely
 #                          from the result cache
+#   * footprint            a second daemon at -obs slo serves four
+#                          n=4096 cost-only jobs and its peak RSS
+#                          (VmHWM) stays below 100 MB: finished jobs keep
+#                          no input, and cost-only inputs carry no values
 #
 # Needs only bash + curl (no jq): JSON fields are pulled with grep.
 set -euo pipefail
@@ -31,13 +35,18 @@ go build -o "$BIN" ./cmd/fthessd
 
 "$BIN" -addr "127.0.0.1:${PORT}" -capacity 2 -devices 2 -lanes 2 -cache 16 &
 DPID=$!
-trap 'kill "$DPID" 2>/dev/null || true; wait "$DPID" 2>/dev/null || true' EXIT
+SPID=""
+trap 'kill $DPID $SPID 2>/dev/null || true; wait $DPID $SPID 2>/dev/null || true' EXIT
 
-for i in $(seq 1 50); do
-  curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
-  [ "$i" = 50 ] && { echo "fthessd never became healthy" >&2; exit 1; }
-  sleep 0.2
-done
+wait_healthy() {
+  for i in $(seq 1 50); do
+    curl -fsS "$1/healthz" >/dev/null 2>&1 && return 0
+    sleep 0.2
+  done
+  echo "fthessd at $1 never became healthy" >&2
+  return 1
+}
+wait_healthy "$BASE"
 
 echo "== submit"
 SUB=$(curl -fsS -X POST "$BASE/v1/jobs" \
@@ -125,17 +134,17 @@ echo "$VER" | grep -q '"go_version"' || { echo "version has no go_version" >&2; 
 echo "== batched job (3 matrices on fractional lanes)"
 BATCH_BODY='{"priority":"batch","nb":8,"batch":[{"n":32,"seed":1},{"n":48,"seed":2},{"n":32,"seed":3}]}'
 poll_done() {
-  local id=$1 st=""
+  local id=$1 base=${2:-$BASE} st=""
   for i in $(seq 1 150); do
-    st=$(curl -fsS "$BASE/v1/jobs/$id")
+    st=$(curl -fsS "$base/v1/jobs/$id")
     case "$st" in
       *'"state": "done"'*) echo "$st"; return 0 ;;
       *'"state": "failed"'*|*'"state": "cancelled"'*)
-        echo "batched job ended badly: $st" >&2; return 1 ;;
+        echo "job $id ended badly: $st" >&2; return 1 ;;
     esac
     sleep 0.2
   done
-  echo "timeout waiting for batched job: $st" >&2
+  echo "timeout waiting for job $id: $st" >&2
   return 1
 }
 BSUB=$(curl -fsS -X POST "$BASE/v1/jobs" -d "$BATCH_BODY")
@@ -160,5 +169,27 @@ METRICS2=$(curl -fsS "$BASE/metrics")
 echo "$METRICS2" | grep '^serve_cache_hits_total [1-9]' >/dev/null \
   || { echo "/metrics missing cache hits" >&2; exit 1; }
 echo "cache: all 3 items served from the result cache"
+
+echo "== footprint: four n=4096 cost-only jobs at -obs slo (VmHWM < 100 MB)"
+# Each job would hold 128 MiB of input if finished jobs kept it or if a
+# cost-only input carried values.
+SPORT=$((PORT + 1))
+SBASE="http://127.0.0.1:${SPORT}"
+"$BIN" -addr "127.0.0.1:${SPORT}" -obs slo &
+SPID=$!
+wait_healthy "$SBASE"
+SIDS=""
+for i in 1 2 3 4; do
+  SSUB=$(curl -fsS -X POST "$SBASE/v1/jobs" -d '{"n":4096,"cost_only":true}')
+  SID=$(echo "$SSUB" | grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"id": *"\([^"]*\)".*/\1/')
+  [ -n "$SID" ] || { echo "no job id in cost-only submit response: $SSUB" >&2; exit 1; }
+  SIDS="$SIDS $SID"
+done
+for SID in $SIDS; do
+  poll_done "$SID" "$SBASE" >/dev/null
+done
+HWM=$(awk '/^VmHWM:/ {print $2}' "/proc/$SPID/status")
+echo "fthessd -obs slo after 4 n=4096 cost-only jobs: ${HWM} kB peak RSS"
+[ "$HWM" -lt 100000 ] || { echo "peak RSS ${HWM} kB exceeds 100 MB" >&2; exit 1; }
 
 echo "serve smoke: OK"
