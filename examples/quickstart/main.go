@@ -24,8 +24,9 @@ func main() {
 	h := res.H()
 	fmt.Printf("reduced %dx%d matrix with %s (nb=%d)\n", n, n, res.Algorithm, res.NB)
 	fmt.Printf("H is upper Hessenberg: %v\n", h.IsUpperHessenberg(0))
-	fmt.Printf("residual  ‖A−QHQᵀ‖₁/(N‖A‖₁) = %.3e\n", res.Residual(a))
-	fmt.Printf("orthogonality ‖QQᵀ−I‖₁/N    = %.3e\n", res.Orthogonality())
+	residual, orthogonality := res.Checks(a)
+	fmt.Printf("residual  ‖A−QHQᵀ‖₁/(N‖A‖₁) = %.3e\n", residual)
+	fmt.Printf("orthogonality ‖QQᵀ−I‖₁/N    = %.3e\n", orthogonality)
 	fmt.Printf("simulated hybrid time: %.4fs (%.1f model GFLOPS)\n", res.SimSeconds, res.ModelGFLOPS)
 	fmt.Printf("soft errors detected: %d (none injected)\n", res.Detections)
 }

@@ -59,8 +59,9 @@ func main() {
 				verdict = fmt.Sprintf("DIFFERS by %.2e", diff)
 			}
 			detected := res.Detections > 0 || res.QCorrections > 0
+			residual, orthogonality := res.Checks(a)
 			fmt.Printf("%-20s | %-12d %-15.2e | %-9v %-12.2e %-12.2e %s\n",
-				scenario, polluted, baseResidual, detected, res.Residual(a), res.Orthogonality(), verdict)
+				scenario, polluted, baseResidual, detected, residual, orthogonality, verdict)
 		}
 	}
 }

@@ -167,14 +167,12 @@ func (r *Result) Q() *matrix.Matrix {
 	return lapack.Dorghr(r.N, r.Packed.Data, r.Packed.Stride, r.Tau)
 }
 
-// Residual returns ‖A−QHQᵀ‖₁/(N‖A‖₁) against the original matrix.
-func (r *Result) Residual(a *matrix.Matrix) float64 {
-	return lapack.FactorizationResidual(a, r.Q(), r.H())
-}
-
-// Orthogonality returns ‖QQᵀ−I‖₁/N.
-func (r *Result) Orthogonality() float64 {
-	return lapack.OrthogonalityResidual(r.Q())
+// Checks returns the paper's two verification metrics (Tables II/III)
+// against the original matrix a: the residual ‖A−QHQᵀ‖₁/(N‖A‖₁) and the
+// orthogonality ‖QQᵀ−I‖₁/N. Q is formed once for both.
+func (r *Result) Checks(a *matrix.Matrix) (residual, orthogonality float64) {
+	q := r.Q()
+	return lapack.FactorizationResidual(a, q, r.H()), lapack.OrthogonalityResidual(q)
 }
 
 func (o *Options) device() *gpu.Device {

@@ -27,11 +27,8 @@ func TestReduceAllAlgorithmsAgree(t *testing.T) {
 		if !res.H().IsUpperHessenberg(0) {
 			t.Fatalf("%v: not Hessenberg", alg)
 		}
-		if r := res.Residual(a); r > 1e-14 {
-			t.Fatalf("%v: residual %v", alg, r)
-		}
-		if r := res.Orthogonality(); r > 1e-13 {
-			t.Fatalf("%v: orthogonality %v", alg, r)
+		if r, o := res.Checks(a); r > 1e-14 || o > 1e-13 {
+			t.Fatalf("%v: residual %v, orthogonality %v", alg, r, o)
 		}
 		packed = append(packed, res.Packed)
 	}
@@ -68,8 +65,8 @@ func TestReduceWithInjection(t *testing.T) {
 	if res.Detections == 0 || res.Recoveries == 0 {
 		t.Fatalf("injection not handled: %+v", res)
 	}
-	if r := res.Residual(a); r > 1e-13 {
-		t.Fatalf("residual %v", r)
+	if r, o := res.Checks(a); r > 1e-13 || o > 1e-13 {
+		t.Fatalf("residual %v, orthogonality %v", r, o)
 	}
 }
 
@@ -280,8 +277,8 @@ func TestDeviceCountRoutesToPool(t *testing.T) {
 		if !pooled.Packed.Equal(one.Packed) {
 			t.Fatalf("%v: K=2 result not bit-identical to one-device pool", alg)
 		}
-		if r := pooled.Residual(a); r > 1e-13 {
-			t.Fatalf("%v: pooled residual %v", alg, r)
+		if r, o := pooled.Checks(a); r > 1e-13 || o > 1e-13 {
+			t.Fatalf("%v: pooled residual %v, orthogonality %v", alg, r, o)
 		}
 		if d := pooled.Packed.Sub(single.Packed).MaxAbs(); d > 1e-10 {
 			t.Fatalf("%v: pooled differs from legacy single-device by %v", alg, d)

@@ -20,36 +20,32 @@ import (
 // little-endian bytes. Bit patterns (not values) make the digest exact —
 // -0.0 and 0.0, or two NaN payloads, hash differently — which is what a
 // bit-identical determinism contract needs.
-func MatrixDigest(m *matrix.Matrix) string {
-	h := sha256.New()
-	var buf [8]byte
-	for j := 0; j < m.Cols; j++ {
-		for i := 0; i < m.Rows; i++ {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(m.At(i, j)))
-			h.Write(buf[:])
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+func MatrixDigest(m *matrix.Matrix) string { return digest(m, nil) }
 
 // Digest fingerprints the factorization: MatrixDigest of Packed followed
 // by the Tau scalars. This is the digest `fthess -checksum` prints and CI
 // compares across the result-invariant options (invariance_test.go).
 // It needs a Real-mode result: a CostOnly run's Packed has no values, and
 // Digest panics on it.
-func (r *Result) Digest() string {
+func (r *Result) Digest() string { return digest(r.Packed, r.Tau) }
+
+// digest hashes m's elements in MatrixDigest's byte order and then tail,
+// encoding each column (and tail) into one reused buffer and writing it
+// to the hash at once.
+func digest(m *matrix.Matrix, tail []float64) string {
 	h := sha256.New()
-	var buf [8]byte
-	for j := 0; j < r.Packed.Cols; j++ {
-		for i := 0; i < r.Packed.Rows; i++ {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r.Packed.At(i, j)))
-			h.Write(buf[:])
+	buf := make([]byte, 0, 8*max(m.Rows, len(tail)))
+	put := func(x []float64) {
+		buf = buf[:0]
+		for _, v := range x {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
+		h.Write(buf)
 	}
-	for _, tv := range r.Tau {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tv))
-		h.Write(buf[:])
+	for j := 0; j < m.Cols; j++ {
+		put(m.Col(j))
 	}
+	put(tail)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

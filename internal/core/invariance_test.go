@@ -136,8 +136,11 @@ func TestInvarianceMatrix(t *testing.T) {
 				case res.DeviceLosses != losses || res.FailStopRecoveries != losses:
 					t.Fatalf("%s: %d device losses, %d reconstructions, want %d", label,
 						res.DeviceLosses, res.FailStopRecoveries, losses)
-				case losses > 0 && res.Residual(a) > 1e-13:
-					t.Fatalf("%s: residual after reconstruction %v", label, res.Residual(a))
+				}
+				if losses > 0 {
+					if r, o := res.Checks(a); r > 1e-13 || o > 1e-13 {
+						t.Fatalf("%s: residual %v, orthogonality %v after reconstruction", label, r, o)
+					}
 				}
 			}
 			var rows []knob

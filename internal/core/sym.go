@@ -60,6 +60,13 @@ type SymResult struct {
 	Detections, Recoveries, Corrections int
 }
 
+// Checks returns ‖A−QTQᵀ‖₁/(N‖A‖₁) and ‖QQᵀ−I‖₁/N against the original
+// matrix a, forming Q once for both.
+func (r *SymResult) Checks(a *matrix.Matrix) (residual, orthogonality float64) {
+	q := r.Q()
+	return lapack.FactorizationResidual(a, q, r.T()), lapack.OrthogonalityResidual(q)
+}
+
 // Eigenvalues runs the QL iteration on the tridiagonal factor.
 func (r *SymResult) Eigenvalues() ([]float64, error) {
 	d := append([]float64(nil), r.D...)

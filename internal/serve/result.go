@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 )
@@ -113,8 +112,8 @@ func newCachedRun(req *JobRequest, a *matrix.Matrix, res *core.Result) *cachedRu
 		Orthogonality: obs.Float(math.NaN()),
 	}}
 	if !req.CostOnly {
-		c.tpl.Residual = obs.Float(res.Residual(a))
-		c.tpl.Orthogonality = obs.Float(res.Orthogonality())
+		residual, orthogonality := res.Checks(a)
+		c.tpl.Residual, c.tpl.Orthogonality = obs.Float(residual), obs.Float(orthogonality)
 		c.tpl.ResultDigest = res.Digest()
 	}
 	return c
@@ -158,9 +157,8 @@ func symResult(j *Job, a *matrix.Matrix, res *core.SymResult) *JobResult {
 		Orthogonality: obs.Float(math.NaN()),
 	}
 	if !j.req.CostOnly {
-		q := res.Q()
-		out.Residual = obs.Float(lapack.FactorizationResidual(a, q, res.T()))
-		out.Orthogonality = obs.Float(lapack.OrthogonalityResidual(q))
+		residual, orthogonality := res.Checks(a)
+		out.Residual, out.Orthogonality = obs.Float(residual), obs.Float(orthogonality)
 	}
 	return out
 }

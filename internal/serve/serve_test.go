@@ -166,7 +166,7 @@ func directResult(t *testing.T, req JobRequest) (residual, orthogonality float64
 	if err != nil {
 		t.Fatalf("direct reduce: %v", err)
 	}
-	return res.Residual(a), res.Orthogonality()
+	return res.Checks(a)
 }
 
 // TestSubmitPollResult drives the happy path end to end and checks the
