@@ -16,8 +16,9 @@ import (
 // reductions. Every number here is produced by the host BLAS kernels, so a
 // kernel change that alters a single rounding anywhere in the reduction or
 // in the formation of Q — a reassociated dot product, a fused multiply-add
-// — changes a digest and fails this test. The values were recorded with
-// the scalar Level-1/2 loops the vectorised kernels replaced. They are
+// — changes a digest and fails this test. The factorization digests were
+// recorded with the scalar Level-1/2 loops the vectorised kernels
+// replaced; the Q digests with the blocked (Level-3) Dorghr. They are
 // amd64 values: on targets such as arm64 the Go compiler fuses x*y+z in
 // the portable loops into one FMA, which rounds differently.
 //
@@ -40,28 +41,28 @@ func TestPinnedResultDigests(t *testing.T) {
 	}{
 		{"ft-swept-K0", Options{Algorithm: FaultTolerant, NB: nb},
 			"047c71fbdc37fa619fe488fb57fb5546d65ce8bcb947ced899b284f6c03d8721",
-			"285f3a20a357eca5f2b55d6860f449ee4d8ec849ca7dac33ac0e61e8ef05a86b"},
+			"1f04bb45f68169ff4fa5d995a3a1f3d0a8dd9d850d60251145be4eeb021492c8"},
 		{"ft-fused-K2", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused"},
 			"66e53715d09722cd4bc561784eb8e359b68e49d02aae00cf262d2f8debe14ca3",
-			"dc753a8c1f15593adfdc12715aecae8f4c425dbcd1b337baaa4b9956d6c996b0"},
+			"fbe0f025b7bee8c3a1f0a9bd13be03958e4d311341e2c1ff14e2e3c1132cc954"},
 		{"ft-fused-K2-area2-delta", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused",
 			Hook: fault.New(fault.Plan{Area: fault.Area2, TargetIter: 5, Seed: 2, Delta: 1.7})},
 			"6540633aed180d1f93c0d295b945e94e1e25a02719472007515f84b25d016e9b",
-			"7c545925bf3ec891cd03513ecca5db4ea25f5da89668ef2909e9538f257d2592"},
+			"78cdee5a9497a62cb2e10193264723929650cff74c8fd22e2182e431950a8efc"},
 		{"ft-fused-K2-area1-flip", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused",
 			Hook: fault.New(fault.Plan{Area: fault.Area1, TargetIter: 5, Seed: 2, BitFlip: true, Bit: 47})},
 			"28ef632b1a3de926b08263b1d7594c21c0ea83b6df5fdba7d5c8edc4b37748ef",
-			"dc753a8c1f15593adfdc12715aecae8f4c425dbcd1b337baaa4b9956d6c996b0"},
+			"fbe0f025b7bee8c3a1f0a9bd13be03958e4d311341e2c1ff14e2e3c1132cc954"},
 		{"ft-fused-K2-panel-flip", Options{Algorithm: FaultTolerant, NB: nb, DeviceCount: 2, Substrate: "fused",
 			Hook: fault.New(fault.Plan{Area: fault.AreaPanel, TargetIter: 7, Seed: 3, BitFlip: true, Bit: 47})},
 			"66e53715d09722cd4bc561784eb8e359b68e49d02aae00cf262d2f8debe14ca3",
-			"dc753a8c1f15593adfdc12715aecae8f4c425dbcd1b337baaa4b9956d6c996b0"},
+			"fbe0f025b7bee8c3a1f0a9bd13be03958e4d311341e2c1ff14e2e3c1132cc954"},
 		{"baseline-K0", Options{Algorithm: Baseline, NB: nb},
 			"047c71fbdc37fa619fe488fb57fb5546d65ce8bcb947ced899b284f6c03d8721",
-			"285f3a20a357eca5f2b55d6860f449ee4d8ec849ca7dac33ac0e61e8ef05a86b"},
+			"1f04bb45f68169ff4fa5d995a3a1f3d0a8dd9d850d60251145be4eeb021492c8"},
 		{"cpu-only", Options{Algorithm: CPUOnly, NB: nb},
 			"f36d96f1726e949ed81c434ac6298da0cacbb09306a086e8d4283c0af6858c81",
-			"cf036ceab4db9d2ea27c052ee699c781a017011c3e1f59dd5ed7959af9c6ffb0"},
+			"5f9f85e04ff3284b7132c52747dd6b4b7c824f32505e53a7539cf31ad9b8c7ff"},
 	}
 	for _, c := range cases {
 		res, err := Reduce(a, c.opt)

@@ -311,9 +311,11 @@ func TestDhseqrSchurModeBitIdentical(t *testing.T) {
 }
 
 // TestPinnedEigenDigests pins the exact bits of the eigensolver's output.
-// The digests were recorded before the eigenvalue-only and Schur-vector
-// iterations were merged into one Dhseqr, so they prove the merge moved
-// no rounding. They are amd64 values (see core's TestPinnedResultDigests).
+// The eigenvalue digests were recorded before the eigenvalue-only and
+// Schur-vector iterations were merged into one Dhseqr, so they prove the
+// merge moved no rounding. VR and VI were recorded from Schur vectors
+// that start at the blocked Dorghr's Q. They are amd64 values (see core's
+// TestPinnedResultDigests).
 func TestPinnedEigenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned digests are amd64 values")
@@ -342,6 +344,6 @@ func TestPinnedEigenDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Eigen values", eigDigest(full.Values), "d3e17e9425d421eab6ccb697b0950561870f495011169f019b97c1d2252d4585")
-	check("Eigen VR", matDigest(full.VR), "90fb0b79e0c556aee0fc9e726362653af742412c4a20977c3fd5c883a7c54523")
-	check("Eigen VI", matDigest(full.VI), "50677f21520a3d531aaada790893d07eae08f12b700fac5b61f476ddcdbd0b60")
+	check("Eigen VR", matDigest(full.VR), "61bdd21db05bed4107751d3b53dd72a250f6532e9fe69eae028f307e994b2893")
+	check("Eigen VI", matDigest(full.VI), "997eb75e93427669ab5aaa27e9bd503cf583195c184524ba2d3f3f01b67b8a95")
 }
