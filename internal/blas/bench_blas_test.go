@@ -44,6 +44,16 @@ func BenchmarkDgemmRankNBTrailing(b *testing.B) {
 	})
 }
 
+// BenchmarkDgemmLeftUpdate is the left update's W = Vᵀ·C: m = nb rows,
+// so the loop nest splits each NC block's strips into work items.
+func BenchmarkDgemmLeftUpdate(b *testing.B) {
+	s := GemmShapes[3]
+	v := matrix.Random(s.K, s.M, 1)
+	benchGemm(b, s.M, s.N, s.K, func(m, n, k int, _, c, w *matrix.Matrix) {
+		Dgemm(Trans, NoTrans, m, n, k, 1, v.Data, v.Stride, c.Data, c.Stride, 0, w.Data, w.Stride)
+	})
+}
+
 // BenchmarkDgemmFTSquare512 is the fused-ABFT variant of the square
 // shape; the gap to BenchmarkDgemmSquare512 is the substrate's wall
 // overhead (its ≤8% bar at 512³ is judged by the paired median of

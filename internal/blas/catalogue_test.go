@@ -8,7 +8,7 @@ import (
 )
 
 // TestBenchBlasJSON byte-compares the shape catalogue with the committed
-// BENCH_blas.json. Every shape splits into at least two output blocks, so
+// BENCH_blas.json. Every shape's rounds hold at least two work items, so
 // the parallel Dgemm can engage more than one core.
 func TestBenchBlasJSON(t *testing.T) {
 	s, ok := bench.Lookup("blas")

@@ -3,6 +3,7 @@ package blas
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -12,22 +13,24 @@ import (
 // C tile ride the macro-kernel's strip sweep, and the predictions are a
 // 4-lane multiply-add over the packed panels.
 //
-// Algebra, per MC×NC tile and KC-deep panel pair:
+// DgemmFT runs Dgemm's loop nest (gemmOp.run, level3.go) and checks per
+// work item: an FT tile is one MC row block × one range of NR strips.
+// Algebra, per tile and KC-deep panel pair:
 //
 //	column check:  Σ_i ΔC[i,j] = alpha · Σ_p (Σ_i A[i,p]) · B[p,j]
 //	row check:     Σ_j ΔC[i,j] = alpha · Σ_p A[i,p] · (Σ_j B[p,j])
 //
-// packAFT/packBFT accumulate the inner parenthesised sums for free while
-// packing; ftPredict multiplies them against every packed micro-panel,
-// one FMA per k step and micro-panel with all four lanes useful. The sums
-// of beta·C come from the micro-kernels' own C loads, and those of the
-// finished tile from one NR-column strip at a time, right after the
-// strip's micro-kernels while it is L1-resident (macroKernelFT). The
-// checks compare them once per tile.
+// packA/packB accumulate the inner parenthesised sums for free while
+// packing (pack.go); ftPredict multiplies them against every packed
+// micro-panel, one FMA per k step and micro-panel with all four lanes
+// useful. The sums of beta·C come from the micro-kernels' own C loads,
+// and those of the finished tile from one NR-column strip at a time,
+// right after the strip's micro-kernels while it is L1-resident
+// (macroKernelFT). The checks compare them once per tile.
 //
-// The data path — per-strip beta scaling, pack stores, micro-kernels — is
-// instruction-for-instruction the plain Dgemm path, so DgemmFT results are
-// bitwise identical to Dgemm at any SetMaxProcs value (property-tested).
+// The data path — the loop nest, the pack stores, the beta scaling and the
+// micro-kernels — is the plain Dgemm path, so DgemmFT results are bitwise
+// identical to Dgemm at any SetMaxProcs value (property-tested).
 
 // ErrFTDetected reports that a fused-ABFT or DMR check observed a
 // mismatch between computed and predicted results. The output buffer
@@ -89,26 +92,30 @@ func FTGemmOverheadFrac(m, n, k int) float64 {
 	return 4/mc + 4/nc + 3/float64(k) + (mc+nc)/(2*mc*nc)
 }
 
-// Test hooks (nil in production), called from inside gemmTileFT to plant
+// Test hooks (nil in production), called from each work item to plant
 // faults at the two places a transient flip can land: the packed panels
 // feeding the micro-kernel, once per KC chunk (pc is the chunk's first k
-// index), and the finished C tile before its verify. The tile hook runs
-// once per NR-column strip, after the strip's columns [j0, j1) of the
-// tile ct are final and before their sums are taken. The hooks are not
-// synchronised: on the parallel path a hook must guard its own state.
+// index), and the finished C tile before its verify. (ic, jc) is the
+// top-left element in C of the item's tile. The packed hook gets the
+// item's A block and a private copy of its strips of the shared B block,
+// so a flip reaches only that item. The tile hook runs once per NR-column
+// strip, after the strip's columns [j0, j1) of the mc-row tile ct are
+// final and before their sums are taken. The hooks are not synchronised:
+// on the parallel path a hook must guard its own state.
 var (
-	ftTestCorruptPacked func(bufA, bufB []float64, pc int)
-	ftTestCorruptTile   func(ct []float64, ldc, mc, j0, j1 int)
+	ftTestCorruptPacked func(bufA, bufB []float64, ic, jc, pc int)
+	ftTestCorruptTile   func(ct []float64, ldc, ic, jc, mc, j0, j1 int)
 )
 
-// ftTileBufs carries the per-tile checksum state: the packed checksum
-// vectors and the expected/observed row/column aggregates. The aggregate
-// arrays are padded to whole micro-panels because the prediction kernel
-// writes MR or NR lanes at a time. Recycled through a pool so
-// steady-state DgemmFT does no allocation beyond the report slots.
+// ftTileBufs carries one work item's checksum state across the KC
+// chunks: the A block's checksum vector and the expected/observed
+// row/column aggregates. The aggregate arrays are padded to whole
+// micro-panels because the prediction kernel writes MR or NR lanes at a
+// time. Recycled through a pool so steady-state DgemmFT does no
+// allocation beyond the report slots.
 type ftTileBufs struct {
-	sumA [gemmKC]float64 // column sums of the packed A block, per k step
-	sumB [gemmKC]float64 // row sums of the packed B block, per k step
+	ic, jc int             // the tile's top-left element in C
+	sumA   [gemmKC]float64 // column sums of the packed A block, per k step
 	// expected final sums: the sums of beta·C plus alpha·(predicted
 	// update sums), accumulated over KC chunks.
 	expRow [gemmMC]float64
@@ -123,8 +130,10 @@ type ftTileBufs struct {
 	colAbs [gemmNC]float64
 }
 
-// reset zeroes the aggregates a tile of mc×nc reads or accumulates into.
-func (fb *ftTileBufs) reset(mc, nc int) {
+// reset zeroes the aggregates the mc×nc tile at (ic, jc) reads or
+// accumulates into.
+func (fb *ftTileBufs) reset(ic, jc, mc, nc int) {
+	fb.ic, fb.jc = ic, jc
 	mc = (mc + gemmMR - 1) / gemmMR * gemmMR
 	nc = (nc + gemmNR - 1) / gemmNR * gemmNR
 	for _, r := range [][]float64{fb.expRow[:mc], fb.preAbsRow[:mc], fb.rowSum[:mc], fb.rowAbs[:mc],
@@ -137,102 +146,104 @@ var ftBufPool = sync.Pool{New: func() any { return new(ftTileBufs) }}
 
 // DgemmFT computes C := alpha*op(A)*op(B) + beta*C exactly like Dgemm —
 // bitwise-identical output at any SetMaxProcs — and additionally verifies
-// every C tile against fused row/column checksums before returning. On a
-// mismatch (or any non-finite checksum total) it returns ErrFTDetected
-// with the counts in FTResult; C holds the primary result either way.
+// every work item's tile of C against fused row/column checksums before
+// returning. On a mismatch (or any non-finite checksum total) it returns
+// ErrFTDetected with the counts in FTResult; C holds the primary result
+// either way.
 func DgemmFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) (FTResult, error) {
-	ar, ac := m, k
-	if tA == Trans {
-		ar, ac = k, m
-	}
-	br, bc := k, n
-	if tB == Trans {
-		br, bc = n, k
-	}
-	checkMatrix("DgemmFT", ar, ac, lda, a)
-	checkMatrix("DgemmFT", br, bc, ldb, b)
-	checkMatrix("DgemmFT", m, n, ldc, c)
-	if m == 0 || n == 0 {
-		return FTResult{}, nil
-	}
-	if alpha == 0 || k == 0 {
-		scaleCols(m, n, beta, c, ldc, 0, n)
+	op := gemmOp{tA, tB, m, n, k, alpha, beta, a, b, c, lda, ldb, ldc}
+	if !op.validate("DgemmFT") {
 		return FTResult{}, nil
 	}
 	flops := 2 * float64(m) * float64(n) * float64(k)
 	if done := opTimer("gemm_ft", flops*(1+FTGemmOverheadFrac(m, n, k))); done != nil {
 		defer done()
 	}
-	mBlocks := (m + gemmMC - 1) / gemmMC
-	nBlocks := (n + gemmNC - 1) / gemmNC
-	tasks := mBlocks * nBlocks
-	reports := make([]FTResult, tasks)
-	tile := func(t int) {
-		ic := (t % mBlocks) * gemmMC
-		jc := (t / mBlocks) * gemmNC
-		gemmTileFT(tA, tB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ic, jc, &reports[t])
+	// The first column block has the most work items.
+	g := newGemmGrid(m, k)
+	nc := min(g.width, n)
+	items := g.items(nc)
+	ft := &ftGemm{fbs: make([]*ftTileBufs, items), reports: make([]FTResult, items), sumB: make([]float64, g.ranges(nc)*min(k, gemmKC))}
+	for i := range ft.fbs {
+		ft.fbs[i] = ftBufPool.Get().(*ftTileBufs)
 	}
-	if procs() > 1 && tasks > 1 && 2*m*n*k >= parallelGemmThreshold {
-		ParallelFor(tasks, tile)
-	} else {
-		for t := 0; t < tasks; t++ {
-			tile(t)
-		}
+	op.run(ft)
+	for _, fb := range ft.fbs {
+		ftBufPool.Put(fb)
 	}
-	var res FTResult
-	for t := range reports {
-		res.merge(reports[t])
+	if ft.res.Detections > 0 {
+		return ft.res, ErrFTDetected
 	}
-	if res.Detections > 0 {
-		return res, ErrFTDetected
-	}
-	return res, nil
+	return ft.res, nil
 }
 
-// gemmTileFT is gemmTile with the fused checksum dataflow threaded
-// through it. The tile writes only its own report slot, so any number of
-// tiles may run concurrently and the final reduction stays deterministic.
-func gemmTileFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc, ic, jc int, rep *FTResult) {
-	mc := min(gemmMC, m-ic)
-	nc := min(gemmNC, n-jc)
-	ct := c[jc*ldc+ic:]
-	fb := ftBufPool.Get().(*ftTileBufs)
-	defer ftBufPool.Put(fb)
-	fb.reset(mc, nc)
+// ftGemm is DgemmFT's checksum state across gemmOp.run's loop nest.
+type ftGemm struct {
+	fbs     []*ftTileBufs // one per work item of a column block, live across its KC chunks
+	reports []FTResult    // the per-item report slots of a column block
+	sumB    []float64     // row sums of each strip range of the packed B block, kc apart
+	res     FTResult      // the merged reports of the finished column blocks
+}
 
-	bufA := packAPool.Get().(*[]float64)
-	bufB := packBPool.Get().(*[]float64)
-	mPanels := (mc + gemmMR - 1) / gemmMR
-	nPanels := (nc + gemmNR - 1) / gemmNR
-	for pc := 0; pc < k; pc += gemmKC {
-		kc := min(gemmKC, k-pc)
-		packBFT(tB, b, ldb, pc, jc, kc, nc, *bufB, fb.sumB[:kc])
-		packAFT(tA, a, lda, ic, pc, mc, kc, *bufA, fb.sumA[:kc])
-		if ftTestCorruptPacked != nil {
-			ftTestCorruptPacked(*bufA, *bufB, pc)
-		}
-		macroKernelFT(mc, nc, kc, alpha, beta, *bufA, *bufB, ct, ldc, fb, pc == 0, pc+kc >= k)
-		// Column predictions: alpha·(Σ_i A[i,p])·B[p,j] against every
-		// packed B micro-panel; row predictions: alpha·A[i,p]·(Σ_j B[p,j])
-		// against every packed A micro-panel.
-		ftPredict(kc, alpha, (*bufB)[:nPanels*kc*gemmNR], fb.sumA[:kc], fb.expCol[:nPanels*gemmNR])
-		ftPredict(kc, alpha, (*bufA)[:mPanels*kc*gemmMR], fb.sumB[:kc], fb.expRow[:mPanels*gemmMR])
+// end merges the reports of a column block's items, in item order, and
+// clears their slots for the next block.
+func (ft *ftGemm) end(items int) {
+	for _, r := range ft.reports[:items] {
+		ft.res.merge(r)
 	}
-	packAPool.Put(bufA)
-	packBPool.Put(bufB)
+	clear(ft.reports)
+}
 
-	scale := FTThresholdFactor * ftMacheps * float64(k+2)
-	for j := 0; j < nc; j++ {
+// rowSums is where packB puts strip range r's row sums for a kc-deep
+// chunk; nil (no sums) for plain Dgemm.
+func (ft *ftGemm) rowSums(r, kc int) []float64 {
+	if ft == nil {
+		return nil
+	}
+	return ft.sumB[r*kc : r*kc+kc]
+}
+
+// item runs one fused work item: Dgemm's item with the checksum dataflow
+// threaded through it. It writes only its own buffers and report slot, so
+// any number of items may run concurrently and the final merge stays
+// deterministic.
+func (ft *ftGemm) item(op *gemmOp, it *gemmItem) {
+	fb := ft.fbs[it.t]
+	if it.pc == 0 {
+		fb.reset(it.ic, it.jc, it.mc, it.nc)
+	}
+	bufA := packAPool.Get().(*[]float64)
+	defer packAPool.Put(bufA)
+	pa, pb := *bufA, it.pb
+	packA(op.tA, op.a, op.lda, it.ic, it.pc, it.mc, it.kc, pa, fb.sumA[:it.kc])
+	if ftTestCorruptPacked != nil {
+		pb = slices.Clone(pb)
+		ftTestCorruptPacked(pa, pb, it.ic, it.jc, it.pc)
+	}
+	last := it.pc+it.kc >= op.k
+	macroKernelFT(it.mc, it.nc, it.kc, op.alpha, op.beta, pa, pb, op.c[it.jc*op.ldc+it.ic:], op.ldc, fb, it.pc == 0, last)
+	// Column predictions: alpha·(Σ_i A[i,p])·B[p,j] against every packed
+	// B micro-panel; row predictions: alpha·A[i,p]·(Σ_j B[p,j]) against
+	// every packed A micro-panel.
+	mPanels := (it.mc + gemmMR - 1) / gemmMR
+	ftPredict(it.kc, op.alpha, pb, fb.sumA[:it.kc], fb.expCol[:len(pb)/it.kc])
+	ftPredict(it.kc, op.alpha, pa[:mPanels*it.kc*gemmMR], ft.rowSums(it.r, it.kc), fb.expRow[:mPanels*gemmMR])
+	if !last {
+		return
+	}
+	rep := &ft.reports[it.t]
+	scale := FTThresholdFactor * ftMacheps * float64(op.k+2)
+	for j := 0; j < it.nc; j++ {
 		ftCheck(rep, fb.colSum[j], fb.expCol[j], scale*(fb.preAbsCol[j]+fb.colAbs[j]+1))
 	}
-	for i := 0; i < mc; i++ {
+	for i := 0; i < it.mc; i++ {
 		ftCheck(rep, fb.rowSum[i], fb.expRow[i], scale*(fb.preAbsRow[i]+fb.rowAbs[i]+1))
 	}
 }
 
-// macroKernelFT is gemmTile's macro-kernel, one NR-column strip at a
-// time, with the tile's checksum sums folded in. On the first KC chunk it
-// applies beta to each strip (per element exactly as gemmTile's
+// macroKernelFT is Dgemm's macro-kernel, one NR-column strip at a time,
+// with the tile's checksum sums folded in. On the first KC chunk it
+// applies beta to each strip (per element exactly as plain Dgemm's
 // scaleBlock) and, unless beta is 0, adds the sums of beta·C into the
 // expectations: inside the AVX2 micro-kernels' C loads for a full strip's
 // whole 4×4 tiles (macroStripPreAVX), so C is first read where plain
@@ -265,7 +276,7 @@ func macroKernelFT(mc, nc, kc int, alpha, beta float64, bufA, bufB, c []float64,
 		}
 		if last {
 			if ftTestCorruptTile != nil {
-				ftTestCorruptTile(c, ldc, mc, jr, jr+nr)
+				ftTestCorruptTile(c, ldc, fb.ic, fb.jc, mc, jr, jr+nr)
 			}
 			stripSums(cs, ldc, nr, fb.rowSum[:mc], fb.rowAbs[:mc], fb.colSum[jr:jr+nr], fb.colAbs[jr:jr+nr])
 		}

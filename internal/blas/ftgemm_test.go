@@ -23,18 +23,37 @@ import (
 // and sign bits; non-finite totals must surface as NonFinite detections,
 // never silence (the PR 3 exponent-bit lesson).
 
-// wantFTChecks is DgemmFT's check count for an m×n product: every MC×NC
-// tile compares its mc row sums and its nc column sums.
-func wantFTChecks(m, n int) int {
-	mBlocks := (m + gemmMC - 1) / gemmMC
-	nBlocks := (n + gemmNC - 1) / gemmNC
-	return nBlocks*m + mBlocks*n
+// wantFTChecks is DgemmFT's check count for an m×n product: every work
+// item compares its row sums and its column sums.
+func wantFTChecks(m, n, k int) int {
+	g := newGemmGrid(m, k)
+	checks := 0
+	for jc := 0; jc < n; jc += g.width {
+		nc := min(g.width, n-jc)
+		checks += g.ranges(nc)*m + g.mBlocks*nc
+	}
+	return checks
+}
+
+// ftItemOrigins lists the top-left element (ic, jc) in C of every work
+// item of an m×n×k product, in the order the serial nest runs them.
+func ftItemOrigins(m, n, k int) [][2]int {
+	g := newGemmGrid(m, k)
+	var origins [][2]int
+	for jc := 0; jc < n; jc += g.width {
+		nc := min(g.width, n-jc)
+		for t := range g.items(nc) {
+			j0, _ := g.span(nc, t%g.ranges(nc))
+			origins = append(origins, [2]int{t / g.ranges(nc) * gemmMC, jc + j0})
+		}
+	}
+	return origins
 }
 
 // checkFusedMatchesPlain runs one (shape, transpose, beta) case through
 // both kernels and requires bitwise-equal C and a clean report with the
-// tile grid's check count.
-func checkFusedMatchesPlain(t *testing.T, tA, tB Transpose, m, n, k int, beta float64) {
+// work-item grid's check count. It returns both results.
+func checkFusedMatchesPlain(t *testing.T, tA, tB Transpose, m, n, k int, beta float64) (plain, fused *matrix.Matrix) {
 	t.Helper()
 	const alpha = 1.3
 	ar, ac := m, k
@@ -57,12 +76,13 @@ func checkFusedMatchesPlain(t *testing.T, tA, tB Transpose, m, n, k int, beta fl
 	if err != nil {
 		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d beta=%v: false positive: %v (res %+v)", tA, tB, m, n, k, beta, err, res)
 	}
-	if res.Checks != wantFTChecks(m, n) {
-		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d beta=%v: %d checks, want %d", tA, tB, m, n, k, beta, res.Checks, wantFTChecks(m, n))
+	if res.Checks != wantFTChecks(m, n, k) {
+		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d beta=%v: %d checks, want %d", tA, tB, m, n, k, beta, res.Checks, wantFTChecks(m, n, k))
 	}
 	if !want.Equal(got) {
 		t.Fatalf("DgemmFT(%v,%v) m=%d n=%d k=%d beta=%v differs bitwise from Dgemm", tA, tB, m, n, k, beta)
 	}
+	return want, got
 }
 
 // fusedBetas are the beta cases of the folded kernel: 0 (no sums of beta·C
@@ -94,10 +114,38 @@ func runFusedProperty(t *testing.T, shapes [][3]int, betas []float64) {
 	}
 }
 
+// fusedNestShapes are the loop nest's grid corners: m ≤ MC (strips split
+// into ranges) with several NC blocks and KC chunks, m > 4·MC (no split)
+// with a single fringe strip, and ragged m and n over a few row blocks.
+var fusedNestShapes = [][3]int{
+	{gemmMC - 96, 2*gemmNC + 9, gemmKC + 3},
+	{4*gemmMC + 9, gemmNR - 1, 37},
+	{2*gemmMC + 3, gemmNC + 6, 45},
+}
+
+// checkFusedAcrossProcs runs one nest-shape case at SetMaxProcs 1, 2, 3
+// and 8 with the pool path forced: plain must equal fused, and each must
+// equal its own serial run, bit for bit.
+func checkFusedAcrossProcs(t *testing.T, tA, tB Transpose, m, n, k int, beta float64) {
+	t.Helper()
+	defer SetMaxProcs(SetMaxProcs(1))
+	defer func(orig int) { parallelGemmThreshold = orig }(parallelGemmThreshold)
+	parallelGemmThreshold = 1
+	plain1, fused1 := checkFusedMatchesPlain(t, tA, tB, m, n, k, beta)
+	for _, p := range []int{2, 3, 8} {
+		SetMaxProcs(p)
+		plain, fused := checkFusedMatchesPlain(t, tA, tB, m, n, k, beta)
+		if !plain.Equal(plain1) || !fused.Equal(fused1) {
+			t.Fatalf("(%v,%v) m=%d n=%d k=%d beta=%v: SetMaxProcs(%d) differs bitwise from the serial run", tA, tB, m, n, k, beta, p)
+		}
+	}
+}
+
 // TestDgemmPropertyFusedBitwise: the fused-ABFT kernel is bitwise-equal
-// to plain Dgemm, with the tile grid's check count, over the odd/prime
-// size grid, the cache-block boundary shapes and the folded kernel's
-// beta × k grid, on the serial and forced-pool paths, under both
+// to plain Dgemm, with the work-item grid's check count, over the
+// odd/prime size grid, the cache-block boundary shapes, the folded
+// kernel's beta × k grid and the loop nest's grid corners (at four worker
+// counts each), on the serial and forced-pool paths, under both
 // micro-kernel implementations.
 func TestDgemmPropertyFusedBitwise(t *testing.T) {
 	var shapes [][3]int
@@ -112,6 +160,15 @@ func TestDgemmPropertyFusedBitwise(t *testing.T) {
 	gemmPropConfigs(t, func(t *testing.T) {
 		runFusedProperty(t, shapes, []float64{-0.7})
 		runFusedProperty(t, fusedGridShapes(), fusedBetas)
+		for _, tA := range []Transpose{NoTrans, Trans} {
+			for _, tB := range []Transpose{NoTrans, Trans} {
+				for _, s := range fusedNestShapes {
+					for _, beta := range []float64{0, 1, 0.5} {
+						checkFusedAcrossProcs(t, tA, tB, s[0], s[1], s[2], beta)
+					}
+				}
+			}
+		}
 	})
 }
 
@@ -214,8 +271,9 @@ func (c injectionCase) lastChunk() int { return (c.k - 1) / gemmKC * gemmKC }
 
 // injectionGrid is the configurations every injection sweep runs: both
 // micro-kernels, serial and forced-parallel, beta ∈ fusedBetas, k ∈
-// {1, 32, KC+1} and m, n not multiples of 4 — the second shape spans two
-// MC blocks, so the parallel path shards it. -short keeps the corners.
+// {1, 32, KC+1} and m, n not multiples of 4. The first shape is one MC
+// row block whose strips split into four work items; the second spans two
+// row blocks of two strip ranges each. -short keeps the corners.
 func injectionGrid() []injectionCase {
 	kernels := []bool{useAVXKernel}
 	if useAVXKernel {
@@ -264,8 +322,8 @@ func runFusedInjection(t *testing.T, c injectionCase, plant func()) FTResult {
 	if err != nil && !errors.Is(err, ErrFTDetected) {
 		t.Fatalf("%v: unexpected error type: %v", c, err)
 	}
-	if res.Checks != wantFTChecks(c.m, c.n) {
-		t.Fatalf("%v: %d checks, want %d", c, res.Checks, wantFTChecks(c.m, c.n))
+	if res.Checks != wantFTChecks(c.m, c.n, c.k) {
+		t.Fatalf("%v: %d checks, want %d", c, res.Checks, wantFTChecks(c.m, c.n, c.k))
 	}
 	if res.NonFinite && res.MaxResidual != math.Inf(1) {
 		t.Fatalf("%v: NonFinite detection must pin MaxResidual to +Inf, got %v", c, res.MaxResidual)
@@ -276,7 +334,8 @@ func runFusedInjection(t *testing.T, c injectionCase, plant func()) FTResult {
 // TestDgemmFTInjectionPackedBitSweep flips each bit position of one
 // packed-A and one packed-B element in turn — mantissa bits down to the
 // detectability floor, every exponent bit, and the sign — in the first KC
-// chunk and in the last one, across the injection grid, and requires the
+// chunk and in the last one, in every work item, across the injection
+// grid, and requires the
 // verify to catch every one. Exponent-bit flips that push totals to
 // ±Inf/NaN must be flagged NonFinite, never silently passed.
 func TestDgemmFTInjectionPackedBitSweep(t *testing.T) {
@@ -294,26 +353,28 @@ func TestDgemmFTInjectionPackedBitSweep(t *testing.T) {
 						// bit 30 of a packed element sits below it at k = KC+1.
 						continue
 					}
-					for _, chunk := range []int{0, c.lastChunk()} {
-						res := runFusedInjection(t, c, func() {
-							fire := injectOnce(func() {})
-							ftTestCorruptPacked = func(bufA, bufB []float64, pc int) {
-								if pc != chunk || !fire() {
-									return
+					for _, o := range ftItemOrigins(c.m, c.n, c.k) {
+						for _, chunk := range []int{0, c.lastChunk()} {
+							res := runFusedInjection(t, c, func() {
+								fire := injectOnce(func() {})
+								ftTestCorruptPacked = func(bufA, bufB []float64, ic, jc, pc int) {
+									if ic != o[0] || jc != o[1] || pc != chunk || !fire() {
+										return
+									}
+									buf := bufA
+									if target == "packedB" {
+										buf = bufB
+									}
+									// element (2, k step 1 — or 0 in a one-step
+									// chunk) of the item's first micro-panel
+									e := min(1, c.k-pc-1)*4 + 2
+									buf[e] = math.Float64frombits(math.Float64bits(buf[e]) ^ (1 << bit))
 								}
-								buf := bufA
-								if target == "packedB" {
-									buf = bufB
-								}
-								// element (2, k step 1 — or 0 in a one-step
-								// chunk) of the first micro-panel
-								e := min(1, c.k-pc-1)*4 + 2
-								buf[e] = math.Float64frombits(math.Float64bits(buf[e]) ^ (1 << bit))
+							})
+							if res.Detections == 0 {
+								t.Fatalf("%v: bit %d flip in %s of item %v in the chunk at k=%d not detected (maxResidual %.3g)",
+									c, bit, target, o, chunk, res.MaxResidual)
 							}
-						})
-						if res.Detections == 0 {
-							t.Fatalf("%v: bit %d flip in %s of the chunk at k=%d not detected (maxResidual %.3g)",
-								c, bit, target, chunk, res.MaxResidual)
 						}
 					}
 				}
@@ -324,24 +385,26 @@ func TestDgemmFTInjectionPackedBitSweep(t *testing.T) {
 
 // TestDgemmFTInjectionTileBitSweep plants the flip in a finished strip of
 // the C tile after its last micro-kernel store but before its sums are
-// taken — the "fault in the output while hot in cache" case — across the
-// injection grid.
+// taken — the "fault in the output while hot in cache" case — in every
+// work item, across the injection grid.
 func TestDgemmFTInjectionTileBitSweep(t *testing.T) {
 	grid := injectionGrid()
 	for bit := uint(30); bit < 64; bit++ {
 		t.Run(fmt.Sprintf("bit%d", bit), func(t *testing.T) {
 			for _, c := range grid {
-				res := runFusedInjection(t, c, func() {
-					fire := injectOnce(func() {})
-					ftTestCorruptTile = func(ct []float64, ldc, mc, j0, j1 int) {
-						if j0 > 3 || 3 >= j1 || !fire() {
-							return
+				for _, o := range ftItemOrigins(c.m, c.n, c.k) {
+					res := runFusedInjection(t, c, func() {
+						fire := injectOnce(func() {})
+						ftTestCorruptTile = func(ct []float64, ldc, ic, jc, mc, j0, j1 int) {
+							if ic != o[0] || jc != o[1] || j0 > 3 || 3 >= j1 || !fire() {
+								return
+							}
+							ct[3*ldc+5] = math.Float64frombits(math.Float64bits(ct[3*ldc+5]) ^ (1 << bit))
 						}
-						ct[3*ldc+5] = math.Float64frombits(math.Float64bits(ct[3*ldc+5]) ^ (1 << bit))
+					})
+					if res.Detections == 0 {
+						t.Fatalf("%v: bit %d tile flip in item %v not detected (maxResidual %.3g)", c, bit, o, res.MaxResidual)
 					}
-				})
-				if res.Detections == 0 {
-					t.Fatalf("%v: bit %d tile flip not detected (maxResidual %.3g)", c, bit, res.MaxResidual)
 				}
 			}
 		})
@@ -359,7 +422,7 @@ func TestDgemmFTNonFiniteNeverSilent(t *testing.T) {
 	b := matrix.Random(k, n, 82)
 	c := matrix.Random(m, n, 83)
 	fire := injectOnce(func() {})
-	ftTestCorruptTile = func(ct []float64, ldc, mc, j0, j1 int) {
+	ftTestCorruptTile = func(ct []float64, ldc, ic, jc, mc, j0, j1 int) {
 		if !fire() {
 			return
 		}

@@ -1,11 +1,14 @@
 package blas
 
+import "sync"
+
 // Level-3 BLAS. Dgemm is a BLIS-style cache-blocked kernel: MC/KC/NC
 // blocking over packed panels of op(A) and op(B) (pack.go), a
-// register-blocked MR×NR micro-kernel (microkernel.go), and a 2-D shard of
-// the tile grid across the shared worker pool (pool.go) for large
-// problems. Dtrmm dispatches onto the same pool — by columns when the
-// triangular factor is on the left, by rows when it is on the right.
+// register-blocked MR×NR micro-kernel (microkernel.go), and rounds of
+// work items on the shared worker pool (pool.go) for large problems.
+// DgemmFT (ftgemm.go) runs the same loop nest. Dtrmm dispatches onto the
+// same pool — by columns when the triangular factor is on the left, by
+// rows when it is on the right.
 
 // Parallelism thresholds in flops (2mnk for Dgemm). Below them the shard
 // bookkeeping dominates and the routines stay on their serial path. They
@@ -19,70 +22,165 @@ var (
 // Dgemm computes C := alpha*op(A)*op(B) + beta*C where op(A) is m×k and
 // op(B) is k×n.
 //
-// The computation is tiled over an ⌈m/MC⌉ × ⌈n/NC⌉ grid of C blocks; each
-// tile packs its own A/B panels (recycled through pools) and runs the
-// micro-kernel over them. Above parallelGemmThreshold the tile grid is
-// sharded across the worker pool in both dimensions, so tall-skinny panel
-// updates (m large, n small) parallelize as well as square products.
-// Results are bitwise identical for every SetMaxProcs value.
+// It runs the blocked loop nest gemmOp.run: each KC-deep chunk of a
+// column block of op(B) is packed once and shared by that round's work
+// items, each of which packs its own MC-row block of op(A) and runs the
+// micro-kernel over them. Above
+// parallelGemmThreshold a round's items run on the worker pool, so
+// tall-skinny panel updates (m large, n small) and short-and-wide ones
+// (m ≤ MC) parallelize as well as square products. Results are bitwise
+// identical for every SetMaxProcs value.
 func Dgemm(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	ar, ac := m, k
-	if tA == Trans {
-		ar, ac = k, m
-	}
-	br, bc := k, n
-	if tB == Trans {
-		br, bc = n, k
-	}
-	checkMatrix("Dgemm", ar, ac, lda, a)
-	checkMatrix("Dgemm", br, bc, ldb, b)
-	checkMatrix("Dgemm", m, n, ldc, c)
-	if m == 0 || n == 0 {
-		return
-	}
-	if alpha == 0 || k == 0 {
-		scaleCols(m, n, beta, c, ldc, 0, n)
+	op := gemmOp{tA, tB, m, n, k, alpha, beta, a, b, c, lda, ldb, ldc}
+	if !op.validate("Dgemm") {
 		return
 	}
 	if done := opTimer("gemm", 2*float64(m)*float64(n)*float64(k)); done != nil {
 		defer done()
 	}
-	mBlocks := (m + gemmMC - 1) / gemmMC
-	nBlocks := (n + gemmNC - 1) / gemmNC
-	tile := func(t int) {
-		ic := (t % mBlocks) * gemmMC
-		jc := (t / mBlocks) * gemmNC
-		gemmTile(tA, tB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ic, jc)
+	op.run(nil)
+}
+
+// gemmRefWorkers is the worker count the work-item grid is cut for. A
+// round has at least one item per MC row block; when there are fewer row
+// blocks than this, the column block's NR strips are split into ranges
+// as well, so a short product such as the left update's W = Vᵀ·C
+// (m = nb = 32) still shards. The grid must not depend on SetMaxProcs:
+// DgemmFT checks per item, and its report is the same at any worker
+// count.
+const gemmRefWorkers = 4
+
+// gemmGrid is the work-item grid of an m×n×k product: column blocks of
+// width columns, each cut into strip ranges, times mBlocks MC row blocks.
+// A column block is NC wide, or as many NC as the KC×NC pack buffer
+// holds when k < KC, so a shallow product such as the rank-nb trailing
+// update runs in one round.
+type gemmGrid struct{ mBlocks, splits, width int }
+
+func newGemmGrid(m, k int) gemmGrid {
+	mb := (m + gemmMC - 1) / gemmMC
+	return gemmGrid{mb, (gemmRefWorkers + mb - 1) / mb, gemmNC * max(1, gemmKC/k)}
+}
+
+// ranges is the number of strip ranges of a column block nc wide: up to
+// splits, and enough that none is wider than NC.
+func (g gemmGrid) ranges(nc int) int {
+	return max(min(g.splits, (nc+gemmNR-1)/gemmNR), (nc+gemmNC-1)/gemmNC)
+}
+
+// items is the number of work items in a round over a column block nc
+// wide.
+func (g gemmGrid) items(nc int) int { return g.mBlocks * g.ranges(nc) }
+
+// span returns the columns [j0, j1) of strip range r of a column block nc
+// wide: whole strips, shared out as evenly as they go.
+func (g gemmGrid) span(nc, r int) (j0, j1 int) {
+	strips, parts := (nc+gemmNR-1)/gemmNR, g.ranges(nc)
+	return r * strips / parts * gemmNR, min(nc, (r+1)*strips/parts*gemmNR)
+}
+
+// gemmOp is one Dgemm or DgemmFT call.
+type gemmOp struct {
+	tA, tB        Transpose
+	m, n, k       int
+	alpha, beta   float64
+	a, b, c       []float64
+	lda, ldb, ldc int
+}
+
+// validate checks the operands, panicking with the caller's name, and
+// finishes the calls that multiply nothing (only beta·C is left). It
+// reports whether the product still has to run.
+func (op *gemmOp) validate(name string) bool {
+	ar, ac := op.m, op.k
+	if op.tA == Trans {
+		ar, ac = op.k, op.m
 	}
-	tasks := mBlocks * nBlocks
-	if procs() > 1 && tasks > 1 && 2*m*n*k >= parallelGemmThreshold {
-		ParallelFor(tasks, tile)
-		return
+	br, bc := op.k, op.n
+	if op.tB == Trans {
+		br, bc = op.n, op.k
 	}
-	for t := 0; t < tasks; t++ {
-		tile(t)
+	checkMatrix(name, ar, ac, op.lda, op.a)
+	checkMatrix(name, br, bc, op.ldb, op.b)
+	checkMatrix(name, op.m, op.n, op.ldc, op.c)
+	if op.m == 0 || op.n == 0 {
+		return false
+	}
+	if op.alpha == 0 || op.k == 0 {
+		scaleBlock(op.m, op.n, op.beta, op.c, op.ldc)
+		return false
+	}
+	return true
+}
+
+// gemmItem is one work item of a round: the mc×nc block of C with
+// top-left element (ic, jc), for the KC chunk [pc, pc+kc). t is its index
+// in the round, r its strip range, and pb its strips of the shared packed
+// B block.
+type gemmItem struct {
+	t, r, ic, jc, mc, nc, pc, kc int
+	pb                           []float64
+}
+
+// run is the one BLIS loop nest of Dgemm and, with ft != nil, DgemmFT.
+// For each column block and each KC chunk of it, it runs a round of work
+// items — one MC row block × one range of NR strips each — on the worker
+// pool. op(B)'s kc×nc block is packed once per round, into one buffer
+// every item of the round reads: each strip range by the first item that
+// needs it, so the pack itself runs in parallel. An item packs its own A
+// block, applies beta on the first chunk and runs the macro-kernel over
+// its strips. Items write disjoint blocks of C, and every C element gets
+// beta and then the KC chunks in ascending order whatever the grid and
+// the worker count.
+func (op *gemmOp) run(ft *ftGemm) {
+	g := newGemmGrid(op.m, op.k)
+	parallel := procs() > 1 && 2*op.m*op.n*op.k >= parallelGemmThreshold
+	bufB := packBPool.Get().(*[]float64)
+	defer packBPool.Put(bufB)
+	packed := make([]sync.Once, g.ranges(min(g.width, op.n)))
+	for jc := 0; jc < op.n; jc += g.width {
+		nc := min(g.width, op.n-jc)
+		ranges := g.ranges(nc)
+		items := g.mBlocks * ranges
+		for pc := 0; pc < op.k; pc += gemmKC {
+			kc := min(gemmKC, op.k-pc)
+			clear(packed)
+			item := func(t int) {
+				ic, r := t/ranges*gemmMC, t%ranges
+				j0, j1 := g.span(nc, r)
+				pb := (*bufB)[j0*kc : (j1+gemmNR-1)/gemmNR*gemmNR*kc]
+				packed[r].Do(func() { packB(op.tB, op.b, op.ldb, pc, jc+j0, kc, j1-j0, pb, ft.rowSums(r, kc)) })
+				it := gemmItem{t, r, ic, jc + j0, min(gemmMC, op.m-ic), j1 - j0, pc, kc, pb}
+				if ft != nil {
+					ft.item(op, &it)
+				} else {
+					op.item(&it)
+				}
+			}
+			if parallel && items > 1 {
+				ParallelFor(items, item)
+			} else {
+				for t := range items {
+					item(t)
+				}
+			}
+		}
+		if ft != nil {
+			ft.end(items)
+		}
 	}
 }
 
-// gemmTile computes the MC×NC (or smaller, at the fringe) block of C with
-// top-left element (ic, jc): it applies beta to the block once, then
-// accumulates alpha·op(A)·op(B) over KC-deep packed panel pairs. Tiles are
-// disjoint in C, so any number of them may run concurrently.
-func gemmTile(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc, ic, jc int) {
-	mc := min(gemmMC, m-ic)
-	nc := min(gemmNC, n-jc)
-	ct := c[jc*ldc+ic:]
-	scaleBlock(mc, nc, beta, ct, ldc)
+// item runs one plain work item.
+func (op *gemmOp) item(it *gemmItem) {
 	bufA := packAPool.Get().(*[]float64)
-	bufB := packBPool.Get().(*[]float64)
-	for pc := 0; pc < k; pc += gemmKC {
-		kc := min(gemmKC, k-pc)
-		packB(tB, b, ldb, pc, jc, kc, nc, *bufB)
-		packA(tA, a, lda, ic, pc, mc, kc, *bufA)
-		macroKernel(mc, nc, kc, alpha, *bufA, *bufB, ct, ldc)
+	packA(op.tA, op.a, op.lda, it.ic, it.pc, it.mc, it.kc, *bufA, nil)
+	ct := op.c[it.jc*op.ldc+it.ic:]
+	if it.pc == 0 {
+		scaleBlock(it.mc, it.nc, op.beta, ct, op.ldc)
 	}
+	macroKernel(it.mc, it.nc, it.kc, op.alpha, *bufA, it.pb, ct, op.ldc)
 	packAPool.Put(bufA)
-	packBPool.Put(bufB)
 }
 
 // scaleBlock scales the mc×nc block at c (column stride ldc) by beta,
@@ -113,20 +211,14 @@ func naiveGemm(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda in
 	if m == 0 || n == 0 {
 		return
 	}
+	scaleBlock(m, n, beta, c, ldc)
 	if alpha == 0 || k == 0 {
-		scaleCols(m, n, beta, c, ldc, 0, n)
 		return
 	}
-	naiveGemmCols(tA, tB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, n)
-}
-
-// naiveGemmCols computes columns [j0, j1) of the Dgemm update cache-naively.
-func naiveGemmCols(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, j0, j1 int) {
-	scaleCols(m, n, beta, c, ldc, j0, j1)
 	switch {
 	case tA == NoTrans && tB == NoTrans:
 		// C(:,j) += alpha * Σ_l B(l,j) * A(:,l)
-		for j := j0; j < j1; j++ {
+		for j := 0; j < n; j++ {
 			cc := c[j*ldc : j*ldc+m]
 			for l := 0; l < k; l++ {
 				t := alpha * b[j*ldb+l]
@@ -141,7 +233,7 @@ func naiveGemmCols(tA, tB Transpose, m, n, k int, alpha float64, a []float64, ld
 		}
 	case tA == NoTrans && tB == Trans:
 		// C(:,j) += alpha * Σ_l B(j,l) * A(:,l)
-		for j := j0; j < j1; j++ {
+		for j := 0; j < n; j++ {
 			cc := c[j*ldc : j*ldc+m]
 			for l := 0; l < k; l++ {
 				t := alpha * b[l*ldb+j]
@@ -156,7 +248,7 @@ func naiveGemmCols(tA, tB Transpose, m, n, k int, alpha float64, a []float64, ld
 		}
 	case tA == Trans && tB == NoTrans:
 		// C(i,j) += alpha * dot(A(:,i), B(:,j))
-		for j := j0; j < j1; j++ {
+		for j := 0; j < n; j++ {
 			bc := b[j*ldb : j*ldb+k]
 			cc := c[j*ldc : j*ldc+m]
 			for i := 0; i < m; i++ {
@@ -170,7 +262,7 @@ func naiveGemmCols(tA, tB Transpose, m, n, k int, alpha float64, a []float64, ld
 		}
 	default: // Trans, Trans
 		// C(i,j) += alpha * Σ_l A(l,i) * B(j,l)
-		for j := j0; j < j1; j++ {
+		for j := 0; j < n; j++ {
 			cc := c[j*ldc : j*ldc+m]
 			for i := 0; i < m; i++ {
 				ac := a[i*lda : i*lda+k]
@@ -179,24 +271,6 @@ func naiveGemmCols(tA, tB Transpose, m, n, k int, alpha float64, a []float64, ld
 					sum += ac[l] * b[l*ldb+j]
 				}
 				cc[i] += alpha * sum
-			}
-		}
-	}
-}
-
-func scaleCols(m, n int, beta float64, c []float64, ldc, j0, j1 int) {
-	if beta == 1 {
-		return
-	}
-	for j := j0; j < j1; j++ {
-		cc := c[j*ldc : j*ldc+m]
-		if beta == 0 {
-			for i := range cc {
-				cc[i] = 0
-			}
-		} else {
-			for i := range cc {
-				cc[i] *= beta
 			}
 		}
 	}
@@ -220,7 +294,7 @@ func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 		return
 	}
 	if alpha == 0 {
-		scaleCols(m, n, 0, b, ldb, 0, n)
+		scaleBlock(m, n, 0, b, ldb)
 		return
 	}
 	if done := opTimer("trmm", float64(m)*float64(n)*float64(na)); done != nil {
@@ -409,7 +483,7 @@ func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 		return
 	}
 	if alpha == 0 {
-		scaleCols(m, n, 0, b, ldb, 0, n)
+		scaleBlock(m, n, 0, b, ldb)
 		return
 	}
 	nonUnit := diag == NonUnit

@@ -12,7 +12,8 @@ package blas
 //	MR×NR = 4×4   one 4×4 tile of C per micro-kernel call
 //	MC×KC         the packed A block (256 KiB) targets L2
 //	KC×NR         the packed B micro-panel (8 KiB) stays L1-resident
-//	NC            bounds the packed B block (512 KiB, L3)
+//	NC            bounds the packed B block (512 KiB, L3), packed once
+//	              per KC chunk and shared by all work items of the round
 //
 // MC and NC are multiples of MR and NR so pack buffers never overflow.
 const (

@@ -16,6 +16,11 @@ import "sync"
 //     micro-panel j holds columns [j·NR, j·NR+NR) in k-major order (NR
 //     contiguous column values per k step), zero-padded to NR.
 //
+// MR = NR = 4, so both are the same 4-lane micro-panel and one packer,
+// packPanels, writes them. Only the source layout differs: a panel's four
+// lanes are either adjacent in memory (op(A) NoTrans, op(B) Trans) or
+// four streams along k (op(A) Trans, op(B) NoTrans).
+//
 // Buffers are recycled through sync.Pools sized for the worst case
 // (MC·KC and NC·KC doubles), so steady-state Dgemm does no allocation.
 
@@ -31,190 +36,84 @@ var packBPool = sync.Pool{New: func() any {
 
 // packA packs the mc×kc block of op(A) with top-left element (i0, p0) —
 // indices in op(A) coordinates — into buf. op(A)[i,l] is a[l*lda+i] for
-// NoTrans and a[i*lda+l] for Trans.
-func packA(tA Transpose, a []float64, lda, i0, p0, mc, kc int, buf []float64) {
-	for ir, pi := 0, 0; ir < mc; ir, pi = ir+gemmMR, pi+1 {
-		rows := mc - ir
-		if rows > gemmMR {
-			rows = gemmMR
-		}
-		base := pi * kc * gemmMR
-		if tA == NoTrans {
-			for p := 0; p < kc; p++ {
-				src := a[(p0+p)*lda+i0+ir:]
-				dst := buf[base+p*gemmMR : base+p*gemmMR+gemmMR]
-				for r := 0; r < rows; r++ {
-					dst[r] = src[r]
-				}
-				for r := rows; r < gemmMR; r++ {
-					dst[r] = 0
-				}
-			}
-		} else {
-			for p := 0; p < kc; p++ {
-				dst := buf[base+p*gemmMR : base+p*gemmMR+gemmMR]
-				for r := 0; r < rows; r++ {
-					dst[r] = a[(i0+ir+r)*lda+p0+p]
-				}
-				for r := rows; r < gemmMR; r++ {
-					dst[r] = 0
-				}
-			}
-		}
-	}
-}
-
-// packAFT packs exactly like packA — identical stores in identical order,
-// so the data path of the fused-ABFT Dgemm stays bitwise equal to the
-// plain kernel — while additionally accumulating the column sums of the
-// packed block into sum: after the call, sum[p] holds Σ_i op(A)[i0+i, p0+p]
-// for each k step p < kc, the checksum vector ftPredict runs against the
-// packed B micro-panels (ftgemm.go).
-func packAFT(tA Transpose, a []float64, lda, i0, p0, mc, kc int, buf, sum []float64) {
-	clear(sum[:kc])
-	for ir, pi := 0, 0; ir < mc; ir, pi = ir+gemmMR, pi+1 {
-		rows := mc - ir
-		if rows > gemmMR {
-			rows = gemmMR
-		}
-		base := pi * kc * gemmMR
-		if tA == NoTrans {
-			for p := 0; p < kc; p++ {
-				src := a[(p0+p)*lda+i0+ir:]
-				dst := buf[base+p*gemmMR : base+p*gemmMR+gemmMR]
-				s := 0.0
-				for r := 0; r < rows; r++ {
-					dst[r] = src[r]
-					s += src[r]
-				}
-				for r := rows; r < gemmMR; r++ {
-					dst[r] = 0
-				}
-				sum[p] += s
-			}
-		} else {
-			for p := 0; p < kc; p++ {
-				dst := buf[base+p*gemmMR : base+p*gemmMR+gemmMR]
-				s := 0.0
-				for r := 0; r < rows; r++ {
-					v := a[(i0+ir+r)*lda+p0+p]
-					dst[r] = v
-					s += v
-				}
-				for r := rows; r < gemmMR; r++ {
-					dst[r] = 0
-				}
-				sum[p] += s
-			}
-		}
+// NoTrans and a[i*lda+l] for Trans. A non-nil sum receives the block's
+// column sums (see packPanels), the checksum vector DgemmFT predicts its
+// row sums from (ftgemm.go).
+func packA(tA Transpose, a []float64, lda, i0, p0, mc, kc int, buf, sum []float64) {
+	if tA == NoTrans {
+		packPanels(a, 1, lda, i0, p0, mc, kc, buf, sum)
+	} else {
+		packPanels(a, lda, 1, i0, p0, mc, kc, buf, sum)
 	}
 }
 
 // packB packs the kc×nc block of op(B) with top-left element (p0, j0) —
 // indices in op(B) coordinates — into buf. op(B)[l,j] is b[j*ldb+l] for
-// NoTrans and b[l*ldb+j] for Trans.
-func packB(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf []float64) {
-	for jr, pj := 0, 0; jr < nc; jr, pj = jr+gemmNR, pj+1 {
-		cols := nc - jr
-		if cols > gemmNR {
-			cols = gemmNR
-		}
-		base := pj * kc * gemmNR
-		if tB == NoTrans {
-			for c := 0; c < cols; c++ {
-				src := b[(j0+jr+c)*ldb+p0:]
-				for p := 0; p < kc; p++ {
-					buf[base+p*gemmNR+c] = src[p]
-				}
-			}
-			for c := cols; c < gemmNR; c++ {
-				for p := 0; p < kc; p++ {
-					buf[base+p*gemmNR+c] = 0
-				}
-			}
-		} else {
-			for p := 0; p < kc; p++ {
-				src := b[(p0+p)*ldb+j0+jr:]
-				dst := buf[base+p*gemmNR : base+p*gemmNR+gemmNR]
-				for c := 0; c < cols; c++ {
-					dst[c] = src[c]
-				}
-				for c := cols; c < gemmNR; c++ {
-					dst[c] = 0
-				}
-			}
-		}
+// NoTrans and b[l*ldb+j] for Trans. A non-nil sum receives the block's
+// row sums (see packPanels), the checksum vector DgemmFT predicts its
+// column sums from (ftgemm.go).
+func packB(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf, sum []float64) {
+	if tB == NoTrans {
+		packPanels(b, ldb, 1, j0, p0, nc, kc, buf, sum)
+	} else {
+		packPanels(b, 1, ldb, j0, p0, nc, kc, buf, sum)
 	}
 }
 
-// packBFT packs exactly like packB (identical stores, identical order)
-// while accumulating the row sums of the packed block into sum: after the
-// call, sum[p] holds Σ_j op(B)[p0+p, j0+j] for each k step p < kc, the
-// checksum vector ftPredict runs against the packed A micro-panels
-// (ftgemm.go).
-func packBFT(tB Transpose, b []float64, ldb, p0, j0, kc, nc int, buf, sum []float64) {
-	clear(sum[:kc])
-	for jr, pj := 0, 0; jr < nc; jr, pj = jr+gemmNR, pj+1 {
-		cols := nc - jr
-		if cols > gemmNR {
-			cols = gemmNR
-		}
-		base := pj * kc * gemmNR
-		if tB == NoTrans {
-			// Full micro-panels take a fused single pass: NR sequential
-			// source streams interleaved into one sequential write stream,
-			// with the row sum folded in from values already in registers.
-			// (packB's column-at-a-time scatter walks the 8KB micro-panel
-			// NR times; this walks it once, so the accumulation rides along
-			// at no extra memory traffic.) Stored values and the c-ascending
-			// summation order are identical to the fringe path below.
-			if cols == gemmNR && gemmNR == 4 {
-				s0 := b[(j0+jr)*ldb+p0:]
-				s1 := b[(j0+jr+1)*ldb+p0:]
-				s2 := b[(j0+jr+2)*ldb+p0:]
-				s3 := b[(j0+jr+3)*ldb+p0:]
-				for p := 0; p < kc; p++ {
-					v0, v1, v2, v3 := s0[p], s1[p], s2[p], s3[p]
-					o := base + p*4
-					buf[o] = v0
-					buf[o+1] = v1
-					buf[o+2] = v2
-					buf[o+3] = v3
-					sum[p] += v0 + v1 + v2 + v3
-				}
-				continue
-			}
-			for c := 0; c < cols; c++ {
-				src := b[(j0+jr+c)*ldb+p0:]
-				for p := 0; p < kc; p++ {
-					buf[base+p*gemmNR+c] = src[p]
-				}
-			}
-			for c := cols; c < gemmNR; c++ {
-				for p := 0; p < kc; p++ {
-					buf[base+p*gemmNR+c] = 0
-				}
-			}
+// packPanels packs w lanes × kc k steps of x into ⌈w/4⌉ k-major 4-lane
+// micro-panels in buf, where lane q of step p is x[(q0+q)*qs+(p0+p)*ps]:
+// qs == 1 is the adjacent-lanes layout, ps == 1 the four-streams one.
+// A full panel is one pass that reads its source in order and writes buf
+// in order; a fringe panel zero-pads its missing lanes.
+//
+// A non-nil sum (len ≥ kc) is overwritten with the lane sums per k step:
+// sum[p] = Σ over panels, in order, of that panel's lanes added in lane
+// order. DgemmFT's checksum encode rides the copy this way, from values
+// already in registers, at no extra memory traffic.
+func packPanels(x []float64, qs, ps, q0, p0, w, kc int, buf, sum []float64) {
+	if sum != nil {
+		clear(sum[:kc])
+	}
+	for q := 0; q < w; q += 4 {
+		dst := buf[q*kc : q*kc+4*kc]
+		o := (q0+q)*qs + p0*ps
+		switch lanes := w - q; {
+		case lanes < 4: // a fringe panel: the lanes past its edge are zero padding
 			for p := 0; p < kc; p++ {
+				d := dst[4*p : 4*p+4]
 				s := 0.0
-				for _, v := range buf[base+p*gemmNR : base+p*gemmNR+gemmNR] {
+				for r := 0; r < lanes; r++ {
+					v := x[o+r*qs+p*ps]
+					d[r] = v
 					s += v
 				}
-				sum[p] += s
+				clear(d[lanes:])
+				if sum != nil {
+					sum[p] += s
+				}
 			}
-		} else {
+		case qs == 1:
 			for p := 0; p < kc; p++ {
-				src := b[(p0+p)*ldb+j0+jr:]
-				dst := buf[base+p*gemmNR : base+p*gemmNR+gemmNR]
-				s := 0.0
-				for c := 0; c < cols; c++ {
-					dst[c] = src[c]
-					s += src[c]
+				src := x[o+p*ps : o+p*ps+4]
+				v0, v1, v2, v3 := src[0], src[1], src[2], src[3]
+				d := dst[4*p : 4*p+4]
+				d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+				if sum != nil {
+					sum[p] += v0 + v1 + v2 + v3
 				}
-				for c := cols; c < gemmNR; c++ {
-					dst[c] = 0
+			}
+		default:
+			s0 := x[o : o+kc]
+			s1 := x[o+qs : o+qs+kc]
+			s2 := x[o+2*qs : o+2*qs+kc]
+			s3 := x[o+3*qs : o+3*qs+kc]
+			for p := range s0 {
+				v0, v1, v2, v3 := s0[p], s1[p], s2[p], s3[p]
+				d := dst[4*p : 4*p+4]
+				d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+				if sum != nil {
+					sum[p] += v0 + v1 + v2 + v3
 				}
-				sum[p] += s
 			}
 		}
 	}

@@ -108,7 +108,7 @@ func TestParallelForNestedDoesNotDeadlock(t *testing.T) {
 // panel update (m=4096, n=8, k=128) — the shape the blocked Hessenberg
 // reduction hits on every trailing-panel update. The pre-blocking Dgemm
 // sharded only over columns (chunks = min(p, n)), so with p workers and
-// n = 8 columns at most 8 cores could ever engage. The tile grid must now
+// n = 8 columns at most 8 cores could ever engage. The blocked nest must
 // expose parallelism in the m dimension as well.
 func TestDgemmTallSkinnyPanelShards(t *testing.T) {
 	const m, n, k = 4096, 8, 128
@@ -120,16 +120,15 @@ func TestDgemmTallSkinnyPanelShards(t *testing.T) {
 		t.Fatalf("tall-skinny panel flops %d below parallelGemmThreshold %d: shape would stay serial", flops, parallelGemmThreshold)
 	}
 
-	// Structural assertion: the 2-D tile grid must offer at least p tasks
-	// where the pre-blocking column sharding offered only min(p, n) = 8.
-	mBlocks := (m + gemmMC - 1) / gemmMC
-	nBlocks := (n + gemmNC - 1) / gemmNC
-	tasks := mBlocks * nBlocks
+	// Structural assertion: a round of the loop nest must offer at least p
+	// work items where the pre-blocking column sharding offered only
+	// min(p, n) = 8.
+	tasks := newGemmGrid(m, k).items(n)
 	if prev := min(p, n); tasks <= prev {
-		t.Fatalf("tile grid exposes %d tasks, no better than the pre-blocking %d column chunks", tasks, prev)
+		t.Fatalf("a round exposes %d work items, no better than the pre-blocking %d column chunks", tasks, prev)
 	}
 	if tasks < p {
-		t.Fatalf("tile grid exposes %d tasks for %d workers: cores would idle", tasks, p)
+		t.Fatalf("a round exposes %d work items for %d workers: cores would idle", tasks, p)
 	}
 
 	// Behavioral assertion: the parallel result is bitwise identical to the

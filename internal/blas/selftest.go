@@ -39,7 +39,7 @@ func (r FTSelfTestResult) Passed() bool {
 // The fault-planting hooks are process-global and unsynchronised, so
 // FTSelfTest must not run concurrently with other FT BLAS calls.
 func FTSelfTest() FTSelfTestResult {
-	const n = 96 // one serial macro-tile: the hooks are not synchronised
+	const n = 96 // below the parallel threshold: the hooks are not synchronised
 	a := make([]float64, n*n)
 	b := make([]float64, n*n)
 	c := make([]float64, n*n)
@@ -56,7 +56,7 @@ func FTSelfTest() FTSelfTestResult {
 
 	var res FTSelfTestResult
 
-	ftTestCorruptPacked = func(bufA, bufB []float64, pc int) {
+	ftTestCorruptPacked = func(bufA, bufB []float64, ic, jc, pc int) {
 		bufA[7] = math.Float64frombits(math.Float64bits(bufA[7]) ^ (1 << 30))
 	}
 	rep, err := DgemmFT(NoTrans, NoTrans, n, n, n, 1, a, n, b, n, 1, c, n)
@@ -64,7 +64,7 @@ func FTSelfTest() FTSelfTestResult {
 	res.GemmPacked = err != nil && rep.Detections > 0
 	res.GemmChecks = rep.Checks
 
-	ftTestCorruptTile = func(ct []float64, ldc, mc, j0, j1 int) {
+	ftTestCorruptTile = func(ct []float64, ldc, ic, jc, mc, j0, j1 int) {
 		if j0 <= 3 && 3 < j1 {
 			ct[3*ldc+5] = math.Float64frombits(math.Float64bits(ct[3*ldc+5]) ^ (1 << 55))
 		}
