@@ -55,7 +55,7 @@ func main() {
 			}
 			diff := clean.Packed.Sub(res.Packed).MaxAbs()
 			verdict := "matches clean ✓"
-			if diff > 1e-9 {
+			if !(diff <= 1e-9) { // a NaN diff is a mismatch too
 				verdict = fmt.Sprintf("DIFFERS by %.2e", diff)
 			}
 			detected := res.Detections > 0 || res.QCorrections > 0

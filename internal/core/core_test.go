@@ -70,6 +70,21 @@ func TestReduceWithInjection(t *testing.T) {
 	}
 }
 
+// TestReduceNaNInputFails: an FT reduction of an input holding one NaN
+// ends in an error, never in a result, on the single-device schedule and
+// on a two-device pool, under both substrates.
+func TestReduceNaNInputFails(t *testing.T) {
+	a := matrix.Random(96, 96, 5)
+	a.Set(40, 17, math.NaN())
+	for _, devices := range []int{0, 2} {
+		for _, substrate := range []string{"swept", "fused"} {
+			if _, err := Reduce(a, Options{NB: 16, DeviceCount: devices, Substrate: substrate}); err == nil {
+				t.Errorf("K=%d, %s substrate: a NaN input reduced without an error", devices, substrate)
+			}
+		}
+	}
+}
+
 func TestEigenvaluesPipeline(t *testing.T) {
 	n := 24
 	a := matrix.New(n, n)

@@ -206,7 +206,8 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Norm1 returns the 1-norm (maximum absolute column sum).
+// Norm1 returns the 1-norm (maximum absolute column sum), NaN if any
+// element is NaN.
 func (m *Matrix) Norm1() float64 {
 	maxSum := 0.0
 	for j := 0; j < m.Cols; j++ {
@@ -214,14 +215,22 @@ func (m *Matrix) Norm1() float64 {
 		for _, v := range m.Col(j) {
 			s += math.Abs(v)
 		}
-		if s > maxSum {
-			maxSum = s
-		}
+		maxSum = maxOrNaN(maxSum, s)
 	}
 	return maxSum
 }
 
-// NormInf returns the infinity-norm (maximum absolute row sum).
+// maxOrNaN is max(a, b) that, unlike a comparison, never passes over a
+// NaN: the NaN wins.
+func maxOrNaN(a, b float64) float64 {
+	if b > a || b != b {
+		return b
+	}
+	return a
+}
+
+// NormInf returns the infinity-norm (maximum absolute row sum), NaN if
+// any element is NaN.
 func (m *Matrix) NormInf() float64 {
 	if m.Rows == 0 {
 		return 0
@@ -234,9 +243,7 @@ func (m *Matrix) NormInf() float64 {
 	}
 	maxSum := 0.0
 	for _, s := range sums {
-		if s > maxSum {
-			maxSum = s
-		}
+		maxSum = maxOrNaN(maxSum, s)
 	}
 	return maxSum
 }
@@ -262,14 +269,13 @@ func (m *Matrix) NormFro() float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// MaxAbs returns the largest absolute element value.
+// MaxAbs returns the largest absolute element value, NaN if any element
+// is NaN.
 func (m *Matrix) MaxAbs() float64 {
 	maxAbs := 0.0
 	for j := 0; j < m.Cols; j++ {
 		for _, v := range m.Col(j) {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
+			maxAbs = maxOrNaN(maxAbs, math.Abs(v))
 		}
 	}
 	return maxAbs

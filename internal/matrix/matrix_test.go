@@ -229,6 +229,27 @@ func TestNorms(t *testing.T) {
 	}
 }
 
+// TestNormsPropagateNaN: a NaN anywhere makes every norm NaN. A
+// comparison-based max passes over it (NaN > x is false), so without care
+// FromRows({{1, NaN}, {2, 0}}) reads as Norm1 3, NormInf 2, MaxAbs 2.
+func TestNormsPropagateNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, rows := range [][][]float64{
+		{{1, nan}, {2, 0}},
+		{{nan, 1}, {2, 0}},
+		{{5, 1}, {2, nan}},
+	} {
+		m := FromRows(rows)
+		for name, got := range map[string]float64{
+			"Norm1": m.Norm1(), "NormInf": m.NormInf(), "NormFro": m.NormFro(), "MaxAbs": m.MaxAbs(),
+		} {
+			if !math.IsNaN(got) {
+				t.Errorf("%v: %s = %v, want NaN", rows, name, got)
+			}
+		}
+	}
+}
+
 func TestNormFroExtremeScale(t *testing.T) {
 	m := New(1, 2)
 	m.Set(0, 0, 1e200)
