@@ -50,7 +50,7 @@ type Catalogue struct {
 func ShapeCatalogue() *Catalogue {
 	c := &Catalogue{BlockMC: gemmMC, BlockNC: gemmNC, BlockKC: gemmKC, RefWorkers: gemmRefWorkers}
 	for _, s := range GemmShapes {
-		g := newGemmGrid(s.M, s.K)
+		g := newGemmGrid(s.M, s.N, s.K)
 		s.ParallelTasks = g.items(min(g.width, s.N))
 		c.Shapes = append(c.Shapes, s)
 	}

@@ -160,7 +160,7 @@ func DgemmFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int,
 		defer done()
 	}
 	// The first column block has the most work items.
-	g := newGemmGrid(m, k)
+	g := newGemmGrid(m, n, k)
 	nc := min(g.width, n)
 	items := g.items(nc)
 	ft := &ftGemm{fbs: make([]*ftTileBufs, items), reports: make([]FTResult, items), sumB: make([]float64, g.ranges(nc)*min(k, gemmKC))}

@@ -26,7 +26,7 @@ import (
 // wantFTChecks is DgemmFT's check count for an m×n product: every work
 // item compares its row sums and its column sums.
 func wantFTChecks(m, n, k int) int {
-	g := newGemmGrid(m, k)
+	g := newGemmGrid(m, n, k)
 	checks := 0
 	for jc := 0; jc < n; jc += g.width {
 		nc := min(g.width, n-jc)
@@ -38,7 +38,7 @@ func wantFTChecks(m, n, k int) int {
 // ftItemOrigins lists the top-left element (ic, jc) in C of every work
 // item of an m×n×k product, in the order the serial nest runs them.
 func ftItemOrigins(m, n, k int) [][2]int {
-	g := newGemmGrid(m, k)
+	g := newGemmGrid(m, n, k)
 	var origins [][2]int
 	for jc := 0; jc < n; jc += g.width {
 		nc := min(g.width, n-jc)
@@ -266,6 +266,14 @@ func (c injectionCase) apply() func() {
 	}
 }
 
+// splitStrips makes every product split its strips for the rest of the
+// test, so the small injection shapes have split-strip work items.
+func splitStrips(t *testing.T) {
+	orig := gemmSplitFlops
+	gemmSplitFlops = 0
+	t.Cleanup(func() { gemmSplitFlops = orig })
+}
+
 // lastChunk is the first k index of the case's last KC chunk.
 func (c injectionCase) lastChunk() int { return (c.k - 1) / gemmKC * gemmKC }
 
@@ -339,6 +347,7 @@ func runFusedInjection(t *testing.T, c injectionCase, plant func()) FTResult {
 // verify to catch every one. Exponent-bit flips that push totals to
 // ±Inf/NaN must be flagged NonFinite, never silently passed.
 func TestDgemmFTInjectionPackedBitSweep(t *testing.T) {
+	splitStrips(t)
 	var bits []uint
 	for b := uint(30); b < 64; b++ { // high mantissa, exponent 52–62, sign 63
 		bits = append(bits, b)
@@ -388,6 +397,7 @@ func TestDgemmFTInjectionPackedBitSweep(t *testing.T) {
 // taken — the "fault in the output while hot in cache" case — in every
 // work item, across the injection grid.
 func TestDgemmFTInjectionTileBitSweep(t *testing.T) {
+	splitStrips(t)
 	grid := injectionGrid()
 	for bit := uint(30); bit < 64; bit++ {
 		t.Run(fmt.Sprintf("bit%d", bit), func(t *testing.T) {

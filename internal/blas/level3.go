@@ -43,12 +43,17 @@ func Dgemm(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b
 
 // gemmRefWorkers is the worker count the work-item grid is cut for. A
 // round has at least one item per MC row block; when there are fewer row
-// blocks than this, the column block's NR strips are split into ranges
-// as well, so a short product such as the left update's W = Vᵀ·C
-// (m = nb = 32) still shards. The grid must not depend on SetMaxProcs:
-// DgemmFT checks per item, and its report is the same at any worker
-// count.
+// blocks than this and 2mnk ≥ gemmSplitFlops, the column block's NR
+// strips are split into ranges as well, so a short product such as the
+// left update's W = Vᵀ·C (m = nb = 32) still shards. The grid must not
+// depend on SetMaxProcs: DgemmFT checks per item, and its report is the
+// same at any worker count.
 const gemmRefWorkers = 4
+
+// gemmSplitFlops is the default parallelGemmThreshold: a smaller product
+// runs on one worker, where split strips would only repack A. A variable
+// so tests can split small products.
+var gemmSplitFlops = 1 << 21
 
 // gemmGrid is the work-item grid of an m×n×k product: column blocks of
 // width columns, each cut into strip ranges, times mBlocks MC row blocks.
@@ -57,9 +62,12 @@ const gemmRefWorkers = 4
 // update runs in one round.
 type gemmGrid struct{ mBlocks, splits, width int }
 
-func newGemmGrid(m, k int) gemmGrid {
-	mb := (m + gemmMC - 1) / gemmMC
-	return gemmGrid{mb, (gemmRefWorkers + mb - 1) / mb, gemmNC * max(1, gemmKC/k)}
+func newGemmGrid(m, n, k int) gemmGrid {
+	mb, splits := (m+gemmMC-1)/gemmMC, 1
+	if 2*m*n*k >= gemmSplitFlops {
+		splits = (gemmRefWorkers + mb - 1) / mb
+	}
+	return gemmGrid{mb, splits, gemmNC * max(1, gemmKC/k)}
 }
 
 // ranges is the number of strip ranges of a column block nc wide: up to
@@ -133,7 +141,7 @@ type gemmItem struct {
 // beta and then the KC chunks in ascending order whatever the grid and
 // the worker count.
 func (op *gemmOp) run(ft *ftGemm) {
-	g := newGemmGrid(op.m, op.k)
+	g := newGemmGrid(op.m, op.n, op.k)
 	parallel := procs() > 1 && 2*op.m*op.n*op.k >= parallelGemmThreshold
 	bufB := packBPool.Get().(*[]float64)
 	defer packBPool.Put(bufB)
