@@ -51,7 +51,7 @@ func ShapeCatalogue() *Catalogue {
 	c := &Catalogue{BlockMC: gemmMC, BlockNC: gemmNC, BlockKC: gemmKC, RefWorkers: gemmRefWorkers}
 	for _, s := range GemmShapes {
 		g := newGemmGrid(s.M, s.N, s.K)
-		s.ParallelTasks = g.items(min(g.width, s.N))
+		s.ParallelTasks = g.mBlocks * g.ranges(min(g.width, s.N))
 		c.Shapes = append(c.Shapes, s)
 	}
 	return c

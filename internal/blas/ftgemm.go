@@ -162,7 +162,7 @@ func DgemmFT(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int,
 	// The first column block has the most work items.
 	g := newGemmGrid(m, n, k)
 	nc := min(g.width, n)
-	items := g.items(nc)
+	items := g.mBlocks * g.ranges(nc)
 	ft := &ftGemm{fbs: make([]*ftTileBufs, items), reports: make([]FTResult, items), sumB: make([]float64, g.ranges(nc)*min(k, gemmKC))}
 	for i := range ft.fbs {
 		ft.fbs[i] = ftBufPool.Get().(*ftTileBufs)

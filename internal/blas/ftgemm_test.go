@@ -42,7 +42,7 @@ func ftItemOrigins(m, n, k int) [][2]int {
 	var origins [][2]int
 	for jc := 0; jc < n; jc += g.width {
 		nc := min(g.width, n-jc)
-		for t := range g.items(nc) {
+		for t := range g.mBlocks * g.ranges(nc) {
 			j0, _ := g.span(nc, t%g.ranges(nc))
 			origins = append(origins, [2]int{t / g.ranges(nc) * gemmMC, jc + j0})
 		}

@@ -22,14 +22,11 @@ var (
 // Dgemm computes C := alpha*op(A)*op(B) + beta*C where op(A) is m×k and
 // op(B) is k×n.
 //
-// It runs the blocked loop nest gemmOp.run: each KC-deep chunk of a
-// column block of op(B) is packed once and shared by that round's work
-// items, each of which packs its own MC-row block of op(A) and runs the
-// micro-kernel over them. Above
-// parallelGemmThreshold a round's items run on the worker pool, so
-// tall-skinny panel updates (m large, n small) and short-and-wide ones
-// (m ≤ MC) parallelize as well as square products. Results are bitwise
-// identical for every SetMaxProcs value.
+// It runs the blocked loop nest gemmOp.run. Above parallelGemmThreshold
+// each round's work items run on the worker pool, so tall-skinny panel
+// updates (m large, n small) and short-and-wide ones (m ≤ MC) parallelize
+// as well as square products. Results are bitwise identical for every
+// SetMaxProcs value.
 func Dgemm(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	op := gemmOp{tA, tB, m, n, k, alpha, beta, a, b, c, lda, ldb, ldc}
 	if !op.validate("Dgemm") {
@@ -75,10 +72,6 @@ func newGemmGrid(m, n, k int) gemmGrid {
 func (g gemmGrid) ranges(nc int) int {
 	return max(min(g.splits, (nc+gemmNR-1)/gemmNR), (nc+gemmNC-1)/gemmNC)
 }
-
-// items is the number of work items in a round over a column block nc
-// wide.
-func (g gemmGrid) items(nc int) int { return g.mBlocks * g.ranges(nc) }
 
 // span returns the columns [j0, j1) of strip range r of a column block nc
 // wide: whole strips, shared out as evenly as they go.
@@ -165,7 +158,7 @@ func (op *gemmOp) run(ft *ftGemm) {
 					op.item(&it)
 				}
 			}
-			if parallel && items > 1 {
+			if parallel {
 				ParallelFor(items, item)
 			} else {
 				for t := range items {

@@ -123,7 +123,8 @@ func TestDgemmTallSkinnyPanelShards(t *testing.T) {
 	// Structural assertion: a round of the loop nest must offer at least p
 	// work items where the pre-blocking column sharding offered only
 	// min(p, n) = 8.
-	tasks := newGemmGrid(m, n, k).items(n)
+	g := newGemmGrid(m, n, k)
+	tasks := g.mBlocks * g.ranges(n)
 	if prev := min(p, n); tasks <= prev {
 		t.Fatalf("a round exposes %d work items, no better than the pre-blocking %d column chunks", tasks, prev)
 	}
