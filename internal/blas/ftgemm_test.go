@@ -115,12 +115,14 @@ func runFusedProperty(t *testing.T, shapes [][3]int, betas []float64) {
 }
 
 // fusedNestShapes are the loop nest's grid corners: m ≤ MC (strips split
-// into ranges) with several NC blocks and KC chunks, m > 4·MC (no split)
-// with a single fringe strip, and ragged m and n over a few row blocks.
+// into four ranges) with several NC blocks and KC chunks, m > 4·MC (no
+// split) with a single fringe strip, and ragged m and n over three row
+// blocks (strips split into two ranges). The split shapes are above
+// gemmSplitFlops.
 var fusedNestShapes = [][3]int{
-	{gemmMC - 96, 2*gemmNC + 9, gemmKC + 3},
+	{gemmMC - 96, 2*gemmNC + 9, gemmKC + 37},
 	{4*gemmMC + 9, gemmNR - 1, 37},
-	{2*gemmMC + 3, gemmNC + 6, 45},
+	{2*gemmMC + 3, gemmNC + 6, 70},
 }
 
 // checkFusedAcrossProcs runs one nest-shape case at SetMaxProcs 1, 2, 3

@@ -10,10 +10,10 @@ import "sync"
 // same pool — by columns when the triangular factor is on the left, by
 // rows when it is on the right.
 
-// Parallelism thresholds in flops (2mnk for Dgemm). Below them the shard
-// bookkeeping dominates and the routines stay on their serial path. They
-// are variables so the property tests can force the pool path at tiny
-// sizes.
+// Parallelism thresholds in flops (2mnk; per round of work items for
+// Dgemm). Below them the shard bookkeeping dominates and the routines
+// stay on their serial path. They are variables so the property tests can
+// force the pool path at tiny sizes.
 var (
 	parallelGemmThreshold = 1 << 21
 	parallelTrmmThreshold = 1 << 21
@@ -22,8 +22,8 @@ var (
 // Dgemm computes C := alpha*op(A)*op(B) + beta*C where op(A) is m×k and
 // op(B) is k×n.
 //
-// It runs the blocked loop nest gemmOp.run. Above parallelGemmThreshold
-// each round's work items run on the worker pool, so tall-skinny panel
+// It runs the blocked loop nest gemmOp.run. A round of work items worth
+// parallelGemmThreshold runs on the worker pool, so tall-skinny panel
 // updates (m large, n small) and short-and-wide ones (m ≤ MC) parallelize
 // as well as square products. Results are bitwise identical for every
 // SetMaxProcs value.
@@ -47,10 +47,11 @@ func Dgemm(tA, tB Transpose, m, n, k int, alpha float64, a []float64, lda int, b
 // same at any worker count.
 const gemmRefWorkers = 4
 
-// gemmSplitFlops is the default parallelGemmThreshold: a smaller product
-// runs on one worker, where split strips would only repack A. A variable
-// so tests can split small products.
-var gemmSplitFlops = 1 << 21
+// gemmSplitFlops is gemmRefWorkers times the default
+// parallelGemmThreshold: a split must leave each item enough work to pay
+// for its hand-off to a worker, and a smaller product's extra items would
+// only repack A. A variable so tests can split small products.
+var gemmSplitFlops = gemmRefWorkers << 21
 
 // gemmGrid is the work-item grid of an m×n×k product: column blocks of
 // width columns, each cut into strip ranges, times mBlocks MC row blocks.
@@ -126,16 +127,18 @@ type gemmItem struct {
 // run is the one BLIS loop nest of Dgemm and, with ft != nil, DgemmFT.
 // For each column block and each KC chunk of it, it runs a round of work
 // items — one MC row block × one range of NR strips each — on the worker
-// pool. op(B)'s kc×nc block is packed once per round, into one buffer
-// every item of the round reads: each strip range by the first item that
-// needs it, so the pack itself runs in parallel. An item packs its own A
+// pool if the round is worth parallelGemmThreshold flops (2·m·nc·kc), so
+// a thin fringe chunk or column block stays on the caller. op(B)'s kc×nc
+// block is packed once per round, into one buffer every item of the
+// round reads: each strip range by the first item that needs it, so the
+// pack itself runs in parallel. An item packs its own A
 // block, applies beta on the first chunk and runs the macro-kernel over
 // its strips. Items write disjoint blocks of C, and every C element gets
 // beta and then the KC chunks in ascending order whatever the grid and
 // the worker count.
 func (op *gemmOp) run(ft *ftGemm) {
 	g := newGemmGrid(op.m, op.n, op.k)
-	parallel := procs() > 1 && 2*op.m*op.n*op.k >= parallelGemmThreshold
+	pool := procs() > 1
 	bufB := packBPool.Get().(*[]float64)
 	defer packBPool.Put(bufB)
 	packed := make([]sync.Once, g.ranges(min(g.width, op.n)))
@@ -158,7 +161,7 @@ func (op *gemmOp) run(ft *ftGemm) {
 					op.item(&it)
 				}
 			}
-			if parallel {
+			if pool && 2*op.m*nc*kc >= parallelGemmThreshold {
 				ParallelFor(items, item)
 			} else {
 				for t := range items {
