@@ -23,7 +23,7 @@ import (
 // and sign bits; non-finite totals must surface as NonFinite detections,
 // never silence (the PR 3 exponent-bit lesson).
 
-// wantFTChecks is DgemmFT's check count for an m×n product: every work
+// wantFTChecks is DgemmFT's check count for an m×n×k product: every work
 // item compares its row sums and its column sums.
 func wantFTChecks(m, n, k int) int {
 	g := newGemmGrid(m, n, k)
