@@ -1,8 +1,60 @@
 #include "textflag.h"
+#include "kernels_amd64.h"
 
 // AVX2 kernels of the fused-ABFT routines (dmr.go, ftgemm.go, colsums.go).
 // Only used when cpuSupportsAVX2FMA() reports true. Go assembler operand
-// order is (src2, src1, dst).
+// order is (src2, src1, dst). macroStripPreAVX builds its tiles from the
+// macros of kernels_amd64.h that microKernelAVX is built from.
+
+// COL_PTRS points R9, R10 and R11 at the three columns after the one at SI,
+// R8 holding the column stride in elements; it leaves the stride in bytes.
+#define COL_PTRS \
+	SHLQ $3, R8 \
+	LEAQ (SI)(R8*1), R9 \
+	LEAQ (R9)(R8*1), R10 \
+	LEAQ (R10)(R8*1), R11
+
+// ADVANCE6 moves the four column pointers and the two output pointers DI
+// and DX on by n bytes.
+#define ADVANCE6(n) \
+	ADDQ $n, SI \
+	ADDQ $n, R9 \
+	ADDQ $n, R10 \
+	ADDQ $n, R11 \
+	ADDQ $n, DI \
+	ADDQ $n, DX
+
+// The DMR column steps at 8, 4 and 1 rows: the column at p times t (the
+// column's Y0..Y3 or X0..X3) into the primary and into the shadow chain,
+// one multiply and one add each, the product the add's first source.
+// y0/s0 (and y1/s1, rows 4-7) are the values the products are added to:
+// y and s in memory for the first column, the running sums after it.
+// Y4/Y6 hold primary rows 0-3/4-7, Y5/Y7 shadow rows 0-3/4-7.
+#define DMR_COL8(p, t, y0, s0, y1, s1) \
+	VMOVUPD (p), Y8 \
+	VMOVUPD 32(p), Y9 \
+	VMULPD  t, Y8, Y10 \
+	VMULPD  t, Y8, Y8 \
+	VMULPD  t, Y9, Y11 \
+	VMULPD  t, Y9, Y9 \
+	VADDPD  y0, Y10, Y4 \
+	VADDPD  s0, Y8, Y5 \
+	VADDPD  y1, Y11, Y6 \
+	VADDPD  s1, Y9, Y7
+
+#define DMR_COL4(p, t, y0, s0) \
+	VMOVUPD (p), Y8 \
+	VMULPD  t, Y8, Y10 \
+	VMULPD  t, Y8, Y8 \
+	VADDPD  y0, Y10, Y4 \
+	VADDPD  s0, Y8, Y5
+
+#define DMR_COL1(p, t, y0, s0) \
+	VMOVSD (p), X8 \
+	VMULSD t, X8, X10 \
+	VMULSD t, X8, X8 \
+	VADDSD y0, X10, X4 \
+	VADDSD s0, X8, X5
 
 // func gemvDMR4AVX(t *[4]float64, a []float64, lda int, y, s []float64)
 //
@@ -25,10 +77,7 @@ TEXT ·gemvDMR4AVX(SB), NOSPLIT, $0-88
 	VBROADCASTSD 24(AX), Y3
 	MOVQ         a_base+8(FP), SI
 	MOVQ         lda+32(FP), R8
-	SHLQ         $3, R8
-	LEAQ         (SI)(R8*1), R9
-	LEAQ         (R9)(R8*1), R10
-	LEAQ         (R10)(R8*1), R11
+	COL_PTRS
 	MOVQ         y_base+40(FP), DI
 	MOVQ         y_len+48(FP), CX
 	MOVQ         s_base+64(FP), DX
@@ -38,136 +87,75 @@ TEXT ·gemvDMR4AVX(SB), NOSPLIT, $0-88
 	JZ   dmr4
 
 dmr8:
-	// Y4/Y6: primary rows 0-3/4-7; Y5/Y7: shadow rows 0-3/4-7.
-	VMOVUPD (SI), Y8
-	VMOVUPD 32(SI), Y9
-	VMULPD  Y0, Y8, Y10
-	VMULPD  Y0, Y8, Y8
-	VMULPD  Y0, Y9, Y11
-	VMULPD  Y0, Y9, Y9
-	VADDPD  (DI), Y10, Y4
-	VADDPD  (DX), Y8, Y5
-	VADDPD  32(DI), Y11, Y6
-	VADDPD  32(DX), Y9, Y7
-
-	VMOVUPD (R9), Y8
-	VMOVUPD 32(R9), Y9
-	VMULPD  Y1, Y8, Y10
-	VMULPD  Y1, Y8, Y8
-	VMULPD  Y1, Y9, Y11
-	VMULPD  Y1, Y9, Y9
-	VADDPD  Y4, Y10, Y4
-	VADDPD  Y5, Y8, Y5
-	VADDPD  Y6, Y11, Y6
-	VADDPD  Y7, Y9, Y7
-
-	VMOVUPD (R10), Y8
-	VMOVUPD 32(R10), Y9
-	VMULPD  Y2, Y8, Y10
-	VMULPD  Y2, Y8, Y8
-	VMULPD  Y2, Y9, Y11
-	VMULPD  Y2, Y9, Y9
-	VADDPD  Y4, Y10, Y4
-	VADDPD  Y5, Y8, Y5
-	VADDPD  Y6, Y11, Y6
-	VADDPD  Y7, Y9, Y7
-
-	VMOVUPD (R11), Y8
-	VMOVUPD 32(R11), Y9
-	VMULPD  Y3, Y8, Y10
-	VMULPD  Y3, Y8, Y8
-	VMULPD  Y3, Y9, Y11
-	VMULPD  Y3, Y9, Y9
-	VADDPD  Y4, Y10, Y4
-	VADDPD  Y5, Y8, Y5
-	VADDPD  Y6, Y11, Y6
-	VADDPD  Y7, Y9, Y7
-
+	DMR_COL8(SI, Y0, (DI), (DX), 32(DI), 32(DX))
+	DMR_COL8(R9, Y1, Y4, Y5, Y6, Y7)
+	DMR_COL8(R10, Y2, Y4, Y5, Y6, Y7)
+	DMR_COL8(R11, Y3, Y4, Y5, Y6, Y7)
 	VMOVUPD Y4, (DI)
 	VMOVUPD Y6, 32(DI)
 	VMOVUPD Y5, (DX)
 	VMOVUPD Y7, 32(DX)
-	ADDQ    $64, SI
-	ADDQ    $64, R9
-	ADDQ    $64, R10
-	ADDQ    $64, R11
-	ADDQ    $64, DI
-	ADDQ    $64, DX
-	DECQ    BX
-	JNZ     dmr8
+	ADVANCE6(64)
+	DECQ BX
+	JNZ  dmr8
 
 dmr4:
 	TESTQ $4, CX
 	JZ    dmr1
-
-	VMOVUPD (SI), Y8
-	VMULPD  Y0, Y8, Y10
-	VMULPD  Y0, Y8, Y8
-	VADDPD  (DI), Y10, Y4
-	VADDPD  (DX), Y8, Y5
-	VMOVUPD (R9), Y8
-	VMULPD  Y1, Y8, Y10
-	VMULPD  Y1, Y8, Y8
-	VADDPD  Y4, Y10, Y4
-	VADDPD  Y5, Y8, Y5
-	VMOVUPD (R10), Y8
-	VMULPD  Y2, Y8, Y10
-	VMULPD  Y2, Y8, Y8
-	VADDPD  Y4, Y10, Y4
-	VADDPD  Y5, Y8, Y5
-	VMOVUPD (R11), Y8
-	VMULPD  Y3, Y8, Y10
-	VMULPD  Y3, Y8, Y8
-	VADDPD  Y4, Y10, Y4
-	VADDPD  Y5, Y8, Y5
+	DMR_COL4(SI, Y0, (DI), (DX))
+	DMR_COL4(R9, Y1, Y4, Y5)
+	DMR_COL4(R10, Y2, Y4, Y5)
+	DMR_COL4(R11, Y3, Y4, Y5)
 	VMOVUPD Y4, (DI)
 	VMOVUPD Y5, (DX)
-	ADDQ    $32, SI
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	ADDQ    $32, R11
-	ADDQ    $32, DI
-	ADDQ    $32, DX
+	ADVANCE6(32)
 
 dmr1:
 	ANDQ $3, CX
 	JZ   dmrdone
 
 dmr1loop:
-	VMOVSD (SI), X8
-	VMULSD X0, X8, X10
-	VMULSD X0, X8, X8
-	VADDSD (DI), X10, X4
-	VADDSD (DX), X8, X5
-	VMOVSD (R9), X8
-	VMULSD X1, X8, X10
-	VMULSD X1, X8, X8
-	VADDSD X4, X10, X4
-	VADDSD X5, X8, X5
-	VMOVSD (R10), X8
-	VMULSD X2, X8, X10
-	VMULSD X2, X8, X8
-	VADDSD X4, X10, X4
-	VADDSD X5, X8, X5
-	VMOVSD (R11), X8
-	VMULSD X3, X8, X10
-	VMULSD X3, X8, X8
-	VADDSD X4, X10, X4
-	VADDSD X5, X8, X5
+	DMR_COL1(SI, X0, (DI), (DX))
+	DMR_COL1(R9, X1, X4, X5)
+	DMR_COL1(R10, X2, X4, X5)
+	DMR_COL1(R11, X3, X4, X5)
 	VMOVSD X4, (DI)
 	VMOVSD X5, (DX)
-	ADDQ   $8, SI
-	ADDQ   $8, R9
-	ADDQ   $8, R10
-	ADDQ   $8, R11
-	ADDQ   $8, DI
-	ADDQ   $8, DX
-	DECQ   CX
-	JNZ    dmr1loop
+	ADVANCE6(8)
+	DECQ CX
+	JNZ  dmr1loop
 
 dmrdone:
 	VZEROUPPER
 	RET
+
+// ABS_MASK sets r to the |·| mask: every bit but the sign.
+#define ABS_MASK(r) \
+	VPCMPEQQ r, r, r \
+	VPSRLQ   $1, r, r
+
+// LANE_SUMS leaves in t2 the lane sums of a, b, c and d: t0 = [a.l0+a.l1,
+// b.l0+b.l1, a.l2+a.l3, b.l2+b.l3], t1 the same for c and d, and the lane
+// swap into t2/t3 and one add give [Σa, Σb, Σc, Σd].
+#define LANE_SUMS(a, b, c, d, t0, t1, t2, t3) \
+	VHADDPD    b, a, t0 \
+	VHADDPD    d, c, t1 \
+	VPERM2F128 $0x20, t1, t0, t2 \
+	VPERM2F128 $0x31, t1, t0, t3 \
+	VADDPD     t3, t2, t2
+
+// SUMS4 adds the four columns Y8..Y11 into the column partials a0..a3 and
+// their row sum ((v0+v1)+v2)+v3, through t, into the vector at dst.
+#define SUMS4(a0, a1, a2, a3, t, dst) \
+	VADDPD  Y8, a0, a0 \
+	VADDPD  Y9, a1, a1 \
+	VADDPD  Y10, a2, a2 \
+	VADDPD  Y11, a3, a3 \
+	VADDPD  Y9, Y8, t \
+	VADDPD  Y10, t, t \
+	VADDPD  Y11, t, t \
+	VADDPD  (dst), t, t \
+	VMOVUPD t, (dst)
 
 // func ftSums4AVX(c []float64, ldc int, row, rowAbs []float64, sums *[8]float64)
 //
@@ -179,80 +167,38 @@ dmrdone:
 // mod 4) and are combined pairwise at the end — a regrouping of checksum
 // additions only, which the comparison tolerance absorbs.
 TEXT ·ftSums4AVX(SB), NOSPLIT, $0-88
-	VPCMPEQQ Y15, Y15, Y15
-	VPSRLQ   $1, Y15, Y15 // |·| mask: every bit but the sign
-	VXORPD   Y0, Y0, Y0
-	VXORPD   Y1, Y1, Y1
-	VXORPD   Y2, Y2, Y2
-	VXORPD   Y3, Y3, Y3
-	VXORPD   Y4, Y4, Y4
-	VXORPD   Y5, Y5, Y5
-	VXORPD   Y6, Y6, Y6
-	VXORPD   Y7, Y7, Y7
-	MOVQ     c_base+0(FP), SI
-	MOVQ     ldc+24(FP), R8
-	SHLQ     $3, R8
-	LEAQ     (SI)(R8*1), R9
-	LEAQ     (R9)(R8*1), R10
-	LEAQ     (R10)(R8*1), R11
-	MOVQ     row_base+32(FP), DI
-	MOVQ     row_len+40(FP), CX
-	MOVQ     rowAbs_base+56(FP), DX
-	SHRQ     $2, CX
-	JZ       sumsreduce
+	ABS_MASK(Y15)
+	TILE_CLEAR
+	MOVQ c_base+0(FP), SI
+	MOVQ ldc+24(FP), R8
+	COL_PTRS
+	MOVQ row_base+32(FP), DI
+	MOVQ row_len+40(FP), CX
+	MOVQ rowAbs_base+56(FP), DX
+	SHRQ $2, CX
+	JZ   sumsreduce
 
 sumsloop:
 	VMOVUPD (SI), Y8
 	VMOVUPD (R9), Y9
 	VMOVUPD (R10), Y10
 	VMOVUPD (R11), Y11
-	VADDPD  Y8, Y0, Y0
-	VADDPD  Y9, Y1, Y1
-	VADDPD  Y10, Y2, Y2
-	VADDPD  Y11, Y3, Y3
-	VADDPD  Y9, Y8, Y12
-	VADDPD  Y10, Y12, Y12
-	VADDPD  Y11, Y12, Y12
-	VADDPD  (DI), Y12, Y12
-	VMOVUPD Y12, (DI)
+	SUMS4(Y0, Y1, Y2, Y3, Y12, DI)
 	VANDPD  Y15, Y8, Y8
 	VANDPD  Y15, Y9, Y9
 	VANDPD  Y15, Y10, Y10
 	VANDPD  Y15, Y11, Y11
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VADDPD  Y10, Y6, Y6
-	VADDPD  Y11, Y7, Y7
-	VADDPD  Y9, Y8, Y13
-	VADDPD  Y10, Y13, Y13
-	VADDPD  Y11, Y13, Y13
-	VADDPD  (DX), Y13, Y13
-	VMOVUPD Y13, (DX)
-	ADDQ    $32, SI
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	ADDQ    $32, R11
-	ADDQ    $32, DI
-	ADDQ    $32, DX
-	DECQ    CX
-	JNZ     sumsloop
+	SUMS4(Y4, Y5, Y6, Y7, Y13, DX)
+	ADVANCE6(32)
+	DECQ CX
+	JNZ  sumsloop
 
 sumsreduce:
-	// Y8 = [s0.l0+s0.l1, s1.l0+s1.l1, s0.l2+s0.l3, s1.l2+s1.l3], Y9 the
-	// same for s2, s3; the lane swap and one add give [s0, s1, s2, s3].
-	MOVQ       sums+80(FP), AX
-	VHADDPD    Y1, Y0, Y8
-	VHADDPD    Y3, Y2, Y9
-	VPERM2F128 $0x20, Y9, Y8, Y10
-	VPERM2F128 $0x31, Y9, Y8, Y11
-	VADDPD     Y11, Y10, Y10
-	VMOVUPD    Y10, (AX)
-	VHADDPD    Y5, Y4, Y8
-	VHADDPD    Y7, Y6, Y9
-	VPERM2F128 $0x20, Y9, Y8, Y10
-	VPERM2F128 $0x31, Y9, Y8, Y11
-	VADDPD     Y11, Y10, Y10
-	VMOVUPD    Y10, 32(AX)
+	MOVQ    sums+80(FP), AX
+	LANE_SUMS(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	VMOVUPD Y10, (AX)
+	LANE_SUMS(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VMOVUPD Y10, 32(AX)
 	VZEROUPPER
 	RET
 
@@ -384,6 +330,17 @@ sumdone:
 	VZEROUPPER
 	RET
 
+// TILE_SUMS adds the row sums ((v0+v1)+(v2+v3)) of the tile columns
+// Y10..Y13 into the vector at dst and their column sums into colacc.
+#define TILE_SUMS(dst, colacc) \
+	VADDPD  Y11, Y10, Y0 \
+	VADDPD  Y13, Y12, Y1 \
+	VADDPD  Y1, Y0, Y0 \
+	VADDPD  (dst), Y0, Y0 \
+	VMOVUPD Y0, (dst) \
+	LANE_SUMS(Y10, Y11, Y12, Y13, Y0, Y1, Y2, Y3) \
+	VADDPD  Y2, colacc, colacc
+
 // func macroStripPreAVX(kc int, alpha float64, pa, pb, c []float64, ldc int, row, rowAbs, col, colAbs []float64)
 //
 // The micro-kernels of one 4-column strip of the fused Dgemm's first KC
@@ -396,7 +353,8 @@ sumdone:
 // sums and |·| column sums accumulate in Y14/Y15 across the tiles, each
 // tile adding ((r0+r1)+(r2+r3)) over its four rows, and are added into
 // col[0:4] and colAbs[0:4] at the end. Each tile's update is bitwise
-// microKernelAVX's.
+// microKernelAVX's: the same TILE_CLEAR, TILE_KLOOP and TILE_FOLD, and the
+// same write-back FMA.
 TEXT ·macroStripPreAVX(SB), NOSPLIT, $0-192
 	MOVQ   kc+0(FP), CX
 	MOVQ   pa_base+16(FP), SI
@@ -413,67 +371,14 @@ TEXT ·macroStripPreAVX(SB), NOSPLIT, $0-192
 	JZ     stripdone
 
 striptile:
-	MOVQ   pb_base+40(FP), DI
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-	MOVQ CX, R9
-	SHRQ $1, R9
-	JZ   striptail
-
-striploop:
-	VMOVUPD      (SI), Y8
-	VBROADCASTSD (DI), Y9
-	VFMADD231PD  Y8, Y9, Y0
-	VBROADCASTSD 8(DI), Y10
-	VFMADD231PD  Y8, Y10, Y1
-	VBROADCASTSD 16(DI), Y11
-	VFMADD231PD  Y8, Y11, Y2
-	VBROADCASTSD 24(DI), Y12
-	VFMADD231PD  Y8, Y12, Y3
-
-	VMOVUPD      32(SI), Y13
-	VBROADCASTSD 32(DI), Y9
-	VFMADD231PD  Y13, Y9, Y4
-	VBROADCASTSD 40(DI), Y10
-	VFMADD231PD  Y13, Y10, Y5
-	VBROADCASTSD 48(DI), Y11
-	VFMADD231PD  Y13, Y11, Y6
-	VBROADCASTSD 56(DI), Y12
-	VFMADD231PD  Y13, Y12, Y7
-
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ R9
-	JNZ  striploop
-
-striptail:
-	TESTQ $1, CX
-	JZ    stripstore
-
-	VMOVUPD      (SI), Y8
-	VBROADCASTSD (DI), Y9
-	VFMADD231PD  Y8, Y9, Y0
-	VBROADCASTSD 8(DI), Y10
-	VFMADD231PD  Y8, Y10, Y1
-	VBROADCASTSD 16(DI), Y11
-	VFMADD231PD  Y8, Y11, Y2
-	VBROADCASTSD 24(DI), Y12
-	VFMADD231PD  Y8, Y12, Y3
-	ADDQ         $32, SI
+	MOVQ pb_base+40(FP), DI
+	TILE_CLEAR
+	TILE_KLOOP(stripstore)
+	ADDQ $32, SI
 
 stripstore:
 	// SI now points at the next tile's packed A micro-panel.
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
+	TILE_FOLD
 
 	// Y10..Y13: the tile's columns before the update; write back
 	// C(:,j) = alpha*acc_j + C(:,j) exactly as microKernelAVX does.
@@ -496,39 +401,14 @@ stripstore:
 	VFMADD231PD  Y3, Y9, Y7
 	VMOVUPD      Y7, (R10)(R8*1)
 
-	// Sums of the old values, then of their magnitudes. The column sums:
-	// [c0.r0+c0.r1, c1.r0+c1.r1, c0.r2+c0.r3, c1.r2+c1.r3] and the same for
-	// c2, c3; the lane swap and one add give the four column sums.
-	VADDPD     Y11, Y10, Y0
-	VADDPD     Y13, Y12, Y1
-	VADDPD     Y1, Y0, Y0
-	VADDPD     (AX), Y0, Y0
-	VMOVUPD    Y0, (AX)
-	VHADDPD    Y11, Y10, Y0
-	VHADDPD    Y13, Y12, Y1
-	VPERM2F128 $0x20, Y1, Y0, Y2
-	VPERM2F128 $0x31, Y1, Y0, Y3
-	VADDPD     Y3, Y2, Y2
-	VADDPD     Y2, Y14, Y14
-
-	VPCMPEQQ Y9, Y9, Y9
-	VPSRLQ   $1, Y9, Y9 // |·| mask: every bit but the sign
-	VANDPD   Y9, Y10, Y10
-	VANDPD   Y9, Y11, Y11
-	VANDPD   Y9, Y12, Y12
-	VANDPD   Y9, Y13, Y13
-
-	VADDPD     Y11, Y10, Y0
-	VADDPD     Y13, Y12, Y1
-	VADDPD     Y1, Y0, Y0
-	VADDPD     (BX), Y0, Y0
-	VMOVUPD    Y0, (BX)
-	VHADDPD    Y11, Y10, Y0
-	VHADDPD    Y13, Y12, Y1
-	VPERM2F128 $0x20, Y1, Y0, Y2
-	VPERM2F128 $0x31, Y1, Y0, Y3
-	VADDPD     Y3, Y2, Y2
-	VADDPD     Y2, Y15, Y15
+	// Sums of the old values, then of their magnitudes.
+	TILE_SUMS(AX, Y14)
+	ABS_MASK(Y9)
+	VANDPD Y9, Y10, Y10
+	VANDPD Y9, Y11, Y11
+	VANDPD Y9, Y12, Y12
+	VANDPD Y9, Y13, Y13
+	TILE_SUMS(BX, Y15)
 
 	ADDQ $32, DX
 	ADDQ $32, AX

@@ -43,8 +43,12 @@ func cpuSupportsAVX2FMA() bool {
 }
 
 // microKernelAVX computes the full MR×NR tile update C += alpha·op(A)·op(B)
-// over kc packed steps, exactly like microKernelGo but vectorized.
-// Implemented in microkernel_amd64.s.
+// over kc packed steps, as microKernelGo does but not bitwise like it: each
+// k step is one FMA, and the ×2 unroll sums even and odd k steps in two
+// accumulator sets that are added at the end. The property suite therefore
+// checks both kernels against naiveGemm within a tolerance. The fused
+// Dgemm's macroStripPreAVX is bitwise like it. Implemented in
+// microkernel_amd64.s from the tile macros of kernels_amd64.h.
 //
 //go:noescape
 func microKernelAVX(kc int, alpha float64, pa, pb, c []float64, ldc int)

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "kernels_amd64.h"
 
 // AVX2+FMA micro-kernel for the packed Dgemm (see microkernel.go for the
 // packing contract). Only used when cpuSupportsAVX2FMA() reports true.
@@ -7,9 +8,8 @@
 //
 // The 4×4 tile lives in Y0..Y3, one YMM register (4 rows) per column of C.
 // Each k step loads one packed A vector and broadcasts the four packed B
-// values against it. The k loop is unrolled ×2 with a second accumulator
-// set Y4..Y7 so eight FMA chains are in flight, hiding the 4-5 cycle FMA
-// latency on two FMA ports.
+// values against it; the k loop is unrolled ×2 into a second accumulator
+// set Y4..Y7 (TILE_KLOOP in kernels_amd64.h, shared with macroStripPreAVX).
 TEXT ·microKernelAVX(SB), NOSPLIT, $0-96
 	MOVQ kc+0(FP), CX
 	MOVQ pa_base+16(FP), SI
@@ -18,66 +18,12 @@ TEXT ·microKernelAVX(SB), NOSPLIT, $0-96
 	MOVQ ldc+88(FP), R8
 	SHLQ $3, R8               // column stride of C in bytes
 
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-	MOVQ CX, R9
-	SHRQ $1, R9               // kc/2 double steps
-	JZ   tail
-
-loop:
-	VMOVUPD (SI), Y8
-	VBROADCASTSD (DI), Y9
-	VFMADD231PD Y8, Y9, Y0
-	VBROADCASTSD 8(DI), Y10
-	VFMADD231PD Y8, Y10, Y1
-	VBROADCASTSD 16(DI), Y11
-	VFMADD231PD Y8, Y11, Y2
-	VBROADCASTSD 24(DI), Y12
-	VFMADD231PD Y8, Y12, Y3
-
-	VMOVUPD 32(SI), Y13
-	VBROADCASTSD 32(DI), Y9
-	VFMADD231PD Y13, Y9, Y4
-	VBROADCASTSD 40(DI), Y10
-	VFMADD231PD Y13, Y10, Y5
-	VBROADCASTSD 48(DI), Y11
-	VFMADD231PD Y13, Y11, Y6
-	VBROADCASTSD 56(DI), Y12
-	VFMADD231PD Y13, Y12, Y7
-
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ R9
-	JNZ  loop
-
-tail:
-	TESTQ $1, CX
-	JZ    store
-
-	VMOVUPD (SI), Y8
-	VBROADCASTSD (DI), Y9
-	VFMADD231PD Y8, Y9, Y0
-	VBROADCASTSD 8(DI), Y10
-	VFMADD231PD Y8, Y10, Y1
-	VBROADCASTSD 16(DI), Y11
-	VFMADD231PD Y8, Y11, Y2
-	VBROADCASTSD 24(DI), Y12
-	VFMADD231PD Y8, Y12, Y3
+	TILE_CLEAR
+	TILE_KLOOP(store)
 
 store:
 	// Fold the two accumulator sets, then C(:,j) += alpha * acc_j.
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-
+	TILE_FOLD
 	VBROADCASTSD alpha+8(FP), Y9
 
 	VMOVUPD (DX), Y10
