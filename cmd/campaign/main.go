@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bits := fs.String("bits", "20..62", "flipped-bit range(s) min..max, comma-separated sweep grid")
 	devices := fs.String("devices", "0", "device-pool size(s), comma-separated sweep grid (0 = single device)")
 	schedules := fs.String("schedule", campaign.ScheduleLookahead, "update schedule(s): lookahead|serial, comma-separated sweep grid")
-	killRates := fs.String("killrate", "0", "fail-stop device-loss probability per trial, comma-separated sweep grid (>0 on a pool enables parity recovery)")
+	killRates := fs.String("killrate", "0", "fail-stop device-loss probability per trial, comma-separated sweep grid (a pool survives a loss by restarting on the survivors; a single device fails uncorrectable)")
 	substrates := fs.String("substrate", "swept", "BLAS FT substrate(s): swept|fused, comma-separated sweep grid (fused verifies every device BLAS call in-kernel)")
 	trials := fs.Int("trials", 50, "trials per sweep cell")
 	seed := fs.Uint64("seed", 1, "campaign seed (fixes every trial at any worker count)")

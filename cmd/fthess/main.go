@@ -10,10 +10,12 @@
 //	fthess -n 4030 -costonly               # model-only timing at paper scale
 //	fthess -n 2048 -devices 4 -costonly    # 4-GPU pool, sharded trailing update
 //	fthess -n 256 -devices 2 -checksum     # pool run + result digest (CI probe)
-//	fthess -n 256 -devices 3 -failstop \
+//	fthess -n 256 -devices 3 \
 //	       -kill-device 1 -kill-iter 2 -kill-point update -checksum
-//	                                       # kill a device mid-run; the digest
-//	                                       # matches the fault-free line
+//	                                       # kill a device mid-run: the run
+//	                                       # restarts on the two survivors and
+//	                                       # the digest matches the fault-free
+//	                                       # line
 //	fthess -n 256 -eig                     # full eigenvalue pipeline
 //	fthess -n 256 -sym -inject area2       # FT-DSYTRD, one error recovered
 //	fthess -n 4030 -sym -costonly          # modeled FT-DSYTRD time
@@ -145,9 +147,8 @@ func main() {
 	count := flag.Int("count", 1, "number of simultaneous errors")
 	iter := flag.Int("iter", 1, "iteration at whose start to inject")
 	bitflip := flag.Bool("bitflip", false, "flip a mantissa bit instead of adding a delta")
-	failStop := flag.Bool("failstop", false, "maintain a parity device for fail-stop device-loss recovery (needs -devices > 0)")
 	substrate := flag.String("substrate", "", "BLAS FT substrate: swept (default) or fused (in-kernel ABFT Dgemm + DMR level-2, incremental halo maintenance; ft only)")
-	killPoint := flag.String("kill-point", "", "kill a pool device at this sync point: boundary|panel|update|recovery")
+	killPoint := flag.String("kill-point", "", "kill a device at this point: boundary|panel|update|recovery (a pool restarts on the survivors; a single device fails)")
 	killDevice := flag.Int("kill-device", 0, "pool slot of the device to kill (with -kill-point)")
 	killIter := flag.Int("kill-iter", 1, "blocked iteration at which the kill strikes (with -kill-point)")
 	eig := flag.Bool("eig", false, "continue to eigenvalues (Francis QR)")
@@ -183,12 +184,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-devices %d must be >= 0\n", *devices)
 		os.Exit(2)
 	}
-	if *failStop && *devices == 0 {
-		fmt.Fprintln(os.Stderr, "-failstop needs a device pool (-devices > 0)")
-		os.Exit(2)
-	}
-	if *killPoint != "" && (*killDevice < 0 || (*devices > 0 && *killDevice >= *devices)) {
-		fmt.Fprintf(os.Stderr, "-kill-device %d outside the pool [0,%d)\n", *killDevice, *devices)
+	if slots := max(*devices, 1); *killPoint != "" && (*killDevice < 0 || *killDevice >= slots) {
+		fmt.Fprintf(os.Stderr, "-kill-device %d outside the pool [0,%d)\n", *killDevice, slots)
 		os.Exit(2)
 	}
 	if *substrate != "" && *substrate != ft.SubstrateSwept && *substrate != ft.SubstrateFused {
@@ -208,7 +205,7 @@ func main() {
 	opt := core.Options{
 		NB: *nb, CostOnly: *costOnly, DeviceCount: *devices,
 		DisableLookahead: !*lookahead, DisableOverlap: *noOverlap,
-		FailStop: *failStop, Substrate: *substrate,
+		Substrate: *substrate,
 	}
 	if *metricsPath != "" {
 		opt.Obs = obs.NewRegistry()
@@ -333,8 +330,8 @@ func main() {
 	if res.Algorithm == core.FaultTolerant {
 		fmt.Printf("resilience: %d detection(s), %d recovery(ies), %d H correction(s), %d Q correction(s)\n",
 			res.Detections, res.Recoveries, len(res.CorrectedH), res.QCorrections)
-		if *failStop || res.DeviceLosses > 0 {
-			fmt.Printf("fail-stop: %d device loss(es), %d reconstruction(s)\n",
+		if res.DeviceLosses > 0 {
+			fmt.Printf("fail-stop: %d device loss(es), %d restart(s)\n",
 				res.DeviceLosses, res.FailStopRecoveries)
 		}
 		if *substrate == ft.SubstrateFused {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,18 +117,22 @@ var studyChecks = map[string]func(t *testing.T, art Artifact){
 			}
 		}
 	},
-	// Fail-stop: parity upkeep costs time over a clean run, the killed run
-	// adds its reconstruction on top, and a restart costs more than the
-	// clean run it repeats.
+	// Fail-stop: a restart costs more than the clean run it repeats, and
+	// its makespan is exactly the time lost plus a clean run on the
+	// survivors.
 	"failstop": func(t *testing.T, art Artifact) {
 		a := art.(*FailStopArtifact)
 		if len(a.Cells) != 9 {
 			t.Fatalf("expected 9 cells (3 sizes × 3 pools), got %d", len(a.Cells))
 		}
 		for _, c := range a.Cells {
-			if !(c.CleanSeconds < c.ParitySeconds && c.ParitySeconds <= c.RecoverySeconds && c.CleanSeconds < c.RestartSeconds) {
-				t.Errorf("N=%d K=%d: want clean < parity <= recovery and clean < restart, got %.4f, %.4f, %.4f, %.4f",
-					c.N, c.Devices, c.CleanSeconds, c.ParitySeconds, c.RecoverySeconds, c.RestartSeconds)
+			if !(c.CleanSeconds < c.RestartSeconds) {
+				t.Errorf("N=%d K=%d: want clean < restart, got %.6f, %.6f", c.N, c.Devices, c.CleanSeconds, c.RestartSeconds)
+			}
+			want := c.LossSeconds + c.SurvivorsSeconds
+			if d := math.Abs(c.RestartSeconds-want) / want; !(d <= 1e-9) {
+				t.Errorf("N=%d K=%d: restart %.12g != loss %.12g + survivors %.12g (rel. error %g)",
+					c.N, c.Devices, c.RestartSeconds, c.LossSeconds, c.SurvivorsSeconds, d)
 			}
 		}
 	},

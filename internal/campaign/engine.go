@@ -150,9 +150,6 @@ func (s *Sweep) runTrial(cell Cell, trial int, a *matrix.Matrix, journal *obs.Jo
 		Journal:          journal,
 		DisableLookahead: cell.NoLookahead,
 		Substrate:        cell.Substrate,
-		// Kill-rate cells on a pool run with fail-stop recovery, so the
-		// cell measures loss survival (and its parity upkeep cost).
-		FailStop: cell.KillRate > 0 && cell.Devices > 0,
 	}
 	s.applyDevices(&opt, cell.Devices)
 	res, err := ft.Reduce(a, opt)

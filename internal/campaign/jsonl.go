@@ -67,7 +67,7 @@ type TrialRecord struct {
 	Reexecutions int `json:"reexecutions"`
 	QCorrections int `json:"q_corrections"`
 	// The trial's sampled fail-stop kill (kill-rate cells with a loss
-	// drawn): where the device died and whether parity recovered it.
+	// drawn): where the device died and whether the restart recovered it.
 	KillIter           int    `json:"kill_iter,omitempty"`
 	KillPoint          string `json:"kill_point,omitempty"`
 	KillDevice         int    `json:"kill_device,omitempty"`

@@ -41,9 +41,9 @@ type Cell struct {
 	// split checksum algebra must keep unchanged.
 	NoLookahead bool `json:"no_lookahead,omitempty"`
 	// KillRate is the per-trial probability of one fail-stop device loss
-	// (uniform iteration, device, and kill window). A non-zero rate on a
-	// device-pool cell also enables parity-based fail-stop recovery
-	// (DESIGN.md §13), so its trials measure loss survival; on a
+	// (uniform iteration, device, and kill window). On a device-pool cell
+	// the reduction survives a loss by restarting on the surviving
+	// devices (DESIGN.md §13), so its trials measure loss survival; on a
 	// single-device cell a sampled kill is always fatal (uncorrectable).
 	KillRate float64 `json:"kill_rate,omitempty"`
 	// Substrate selects the BLAS fault-tolerance substrate: "" (the
@@ -161,7 +161,8 @@ type CellReport struct {
 	Reexecutions int `json:"reexecutions"`
 	QCorrections int `json:"q_corrections"`
 	// Fail-stop tallies (kill-rate cells): permanent device deaths across
-	// the cell's trials and the parity reconstructions that survived them.
+	// the cell's trials and the restarts on the survivors that outlived
+	// them.
 	DeviceLosses       int `json:"device_losses,omitempty"`
 	FailStopRecoveries int `json:"failstop_recoveries,omitempty"`
 	// Fused-substrate tallies (substrate "fused" cells): per-call

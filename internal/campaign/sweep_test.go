@@ -351,8 +351,8 @@ func TestSweepDeviceAxis(t *testing.T) {
 
 func TestSweepKillRateAxis(t *testing.T) {
 	// The kill-rate axis: at rate 1 every trial loses a device. On a
-	// 3-device pool fail-stop recovery must turn each loss into a
-	// Recovered trial (never silent corruption); on the single-device
+	// 3-device pool the restart on the survivors must turn each loss into
+	// a Recovered trial (never silent corruption); on the single-device
 	// substrate the same loss is always fatal and must be reported
 	// uncorrectable. The sampled kill coordinates ride the JSONL records.
 	var sink bytes.Buffer
@@ -389,14 +389,13 @@ func TestSweepKillRateAxis(t *testing.T) {
 				t.Fatalf("devices=0 kill_rate=1: %d/%d uncorrectable", c.Outcome(Uncorrectable), c.Trials)
 			}
 		default:
-			// Pool with fail-stop: every loss reconstructed, every trial
-			// correct.
+			// Pool: every loss restarted, every trial recovered.
 			if c.DeviceLosses != c.Trials || c.FailStopRecoveries != c.Trials {
-				t.Fatalf("devices=3 kill_rate=1: losses=%d recoveries=%d over %d trials",
+				t.Fatalf("devices=3 kill_rate=1: losses=%d restarts=%d over %d trials",
 					c.DeviceLosses, c.FailStopRecoveries, c.Trials)
 			}
-			if c.Outcome(Uncorrectable) > 0 {
-				t.Fatalf("devices=3 kill_rate=1: uncorrectable despite fail-stop recovery")
+			if c.Outcome(Recovered) != c.Trials {
+				t.Fatalf("devices=3 kill_rate=1: %d/%d trials recovered", c.Outcome(Recovered), c.Trials)
 			}
 			if c.Coverage != 1 {
 				t.Fatalf("devices=3 kill_rate=1: coverage %.2f, want 1", c.Coverage)

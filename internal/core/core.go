@@ -90,13 +90,6 @@ type Options struct {
 	// DisableLookahead turns off the depth-1 lookahead schedule (panel
 	// k+1 factored under trailing update k) in both hybrid algorithms.
 	DisableLookahead bool
-	// FailStop enables fail-stop device-loss recovery on the multi-device
-	// path (DESIGN.md §13): a parity slab on a checksum device lets a run
-	// survive one permanently dead device. SpareDevice, when set, supplies
-	// replacement (and parity) devices; otherwise they are fabricated from
-	// Params/CostOnly. Both pass through to ft.
-	FailStop    bool
-	SpareDevice func() *gpu.Device
 	// Substrate selects the BLAS fault-tolerance substrate for the
 	// fault-tolerant algorithm: "" or "swept" (default) keeps the
 	// iteration-boundary sweeps only; "fused" additionally verifies every
@@ -148,7 +141,8 @@ type Result struct {
 	CorrectedH   []ft.Injection
 	QCorrections int
 	// Fail-stop statistics (FaultTolerant on a device pool, DESIGN.md §13):
-	// permanent device deaths and parity reconstructions that survived them.
+	// permanent device deaths and the restarts on the survivors that
+	// outlived them.
 	DeviceLosses       int
 	FailStopRecoveries int
 	// Fused-substrate statistics (Options.Substrate = "fused"): per-call
@@ -271,8 +265,6 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			DisableQProtection: opt.DisableQProtection,
 			DisableOverlap:     opt.DisableOverlap,
 			DisableLookahead:   opt.DisableLookahead,
-			FailStop:           opt.FailStop,
-			SpareDevice:        opt.SpareDevice,
 			Substrate:          opt.Substrate,
 			Hook:               opt.Hook,
 			Obs:                opt.Obs,

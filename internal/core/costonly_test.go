@@ -26,7 +26,7 @@ var costOnlyCases = []struct {
 	{"ft K=0 fused", func() Options { return Options{Substrate: "fused"} }},
 	{"ft K=2 fused", func() Options { return Options{DeviceCount: 2, Substrate: "fused"} }},
 	{"ft K=3 fail-stop kill", func() Options {
-		return Options{DeviceCount: 3, FailStop: true, Hook: fault.NewSchedule(fault.Plan{
+		return Options{DeviceCount: 3, Hook: fault.NewSchedule(fault.Plan{
 			TargetIter: 2, KillPoint: fault.KillUpdate, KillDevice: 1,
 		})}
 	}},

@@ -56,7 +56,7 @@ func digest(m *matrix.Matrix, tail []float64) string {
 // so ResultKey leaves them out.
 var plumbing = map[string]bool{
 	"Ctx": true, "Hook": true, "Obs": true, "Journal": true, "Trace": true,
-	"Device": true, "Devices": true, "SpareDevice": true,
+	"Device": true, "Devices": true,
 }
 
 // ResultKey derives the result-cache key of Reduce(a, opt): the input's

@@ -17,15 +17,14 @@ type knob struct {
 	name  string
 	field string // the Options field the row sets
 	// ftOnly rows are read by the fault-tolerant algorithm alone; poolOnly
-	// rows need the multi-device family; kill rows lose one device and
-	// must reconstruct it exactly once.
+	// rows need the multi-device family; kill rows lose one device, must
+	// restart exactly once, and set only the Hook, so they are not knobs.
 	ftOnly, poolOnly, kill bool
 	set                    func(o *Options)
 }
 
 func killAt(point fault.KillPoint) func(*Options) {
 	return func(o *Options) {
-		o.FailStop = true
 		o.Hook = fault.NewSchedule(fault.Plan{TargetIter: 2, KillPoint: point, KillDevice: o.DeviceCount - 1})
 	}
 }
@@ -40,10 +39,9 @@ var invariants = []knob{
 	{name: "fused", field: "Substrate", ftOnly: true, set: func(o *Options) { o.Substrate = "fused" }},
 	{name: "no Q protection", field: "DisableQProtection", ftOnly: true, set: func(o *Options) { o.DisableQProtection = true }},
 	{name: "final H check", field: "FinalHCheck", ftOnly: true, set: func(o *Options) { o.FinalHCheck = true }},
-	{name: "fail-stop", field: "FailStop", ftOnly: true, poolOnly: true, set: func(o *Options) { o.FailStop = true }},
-	{name: "kill at boundary", field: "FailStop", ftOnly: true, poolOnly: true, kill: true, set: killAt(fault.KillBoundary)},
-	{name: "kill at panel", field: "FailStop", ftOnly: true, poolOnly: true, kill: true, set: killAt(fault.KillPanel)},
-	{name: "kill at update", field: "FailStop", ftOnly: true, poolOnly: true, kill: true, set: killAt(fault.KillUpdate)},
+	{name: "kill at boundary", field: "Hook", ftOnly: true, poolOnly: true, kill: true, set: killAt(fault.KillBoundary)},
+	{name: "kill at panel", field: "Hook", ftOnly: true, poolOnly: true, kill: true, set: killAt(fault.KillPanel)},
+	{name: "kill at update", field: "Hook", ftOnly: true, poolOnly: true, kill: true, set: killAt(fault.KillUpdate)},
 	{name: "baseline", field: "Algorithm", set: func(o *Options) { o.Algorithm = Baseline }},
 }
 
@@ -57,7 +55,9 @@ var keyFields = []string{"NB", "Params", "CostOnly", "ThresholdFactor"}
 func TestOptionsClassified(t *testing.T) {
 	class := map[string]int{}
 	for _, k := range invariants {
-		class[k.field] |= 1
+		if !k.kill {
+			class[k.field] |= 1
+		}
 	}
 	for _, f := range keyFields {
 		class[f] |= 2
@@ -86,8 +86,7 @@ func TestOptionsClassified(t *testing.T) {
 // with no detection, recovery or Q correction — a drifted checksum
 // update would fire a phantom mismatch. Fused runs must check and never
 // detect, swept runs touch neither substrate counter, and killed runs
-// report exactly one loss and one reconstruction and keep the residual
-// bound.
+// report exactly one loss and one restart and keep the residual bound.
 func TestInvarianceMatrix(t *testing.T) {
 	const n, samples = 128, 8
 	a := matrix.Random(n, n, 41)
@@ -134,12 +133,12 @@ func TestInvarianceMatrix(t *testing.T) {
 				case (opt.Substrate == "fused") != (res.SubstrateChecks > 0) || res.SubstrateDetections != 0:
 					t.Fatalf("%s: substrate checks %d, detections %d", label, res.SubstrateChecks, res.SubstrateDetections)
 				case res.DeviceLosses != losses || res.FailStopRecoveries != losses:
-					t.Fatalf("%s: %d device losses, %d reconstructions, want %d", label,
+					t.Fatalf("%s: %d device losses, %d restarts, want %d", label,
 						res.DeviceLosses, res.FailStopRecoveries, losses)
 				}
 				if losses > 0 {
 					if r, o := res.Checks(a); r > 1e-13 || o > 1e-13 {
-						t.Fatalf("%s: residual %v, orthogonality %v after reconstruction", label, r, o)
+						t.Fatalf("%s: residual %v, orthogonality %v after the restart", label, r, o)
 					}
 				}
 			}

@@ -26,17 +26,10 @@
 // # Fail-stop device loss (beyond-paper, DESIGN.md §13)
 //
 // A pool device can die permanently mid-run (gpu.Device.Kill), taking
-// its resident slabs with it. The pool supports surviving such a loss:
-// a Parity holds the bitwise XOR of each snake-round's slabs on a
-// dedicated K+1th checksum device (1/K memory overhead), refreshed at
-// parity-consistent sync points of each blocked iteration; on a loss,
-// Parity.Reconstruct rebuilds the dead device's slabs bit-exactly from
-// parity ⊕ survivors, Pool.ReplaceDevice substitutes a spare into the
-// dead slot (ownership bookkeeping is by pool index, so nothing else
-// moves), and Shard.Reattach reallocates the working buffers there.
-// This layer extends the paper's transient-error model per the
-// DESIGN.md §2 convention; the reduction's digests are bit-identical
-// with it on or off.
+// its resident slabs with it. The pool keeps no redundant copy of them:
+// because the result does not depend on K, the fault-tolerant reduction
+// survives the loss by running again from its input on the surviving
+// devices, a new pool that StartAt places at the loss instant.
 package devpool
 
 import (
@@ -191,28 +184,16 @@ func Wrap(devs []*gpu.Device) *Pool {
 // K reports the device count.
 func (pl *Pool) K() int { return len(pl.Devices) }
 
-// ReplaceDevice substitutes dev into pool slot i (fail-stop recovery:
-// the dead device is dropped, the spare inherits its pool position so
-// slab ownership, snake order, and every index-keyed structure remain
-// valid). The replacement inherits the pool's registry, job, phase,
-// cancellation context and tracing; its clocks are advanced to the main
-// host's now, modeling a spare attached at the recovery instant.
-func (pl *Pool) ReplaceDevice(i int, dev *gpu.Device) {
-	if i < 0 || i >= len(pl.Devices) {
-		panic(fmt.Sprintf("devpool: ReplaceDevice(%d) of %d", i, len(pl.Devices)))
+// StartAt advances every timeline of the pool (the main host and each
+// lane of each device) to instant t, so work issued from now on starts
+// no earlier: a run restarted after a device loss begins at the loss.
+func (pl *Pool) StartAt(t float64) {
+	pl.Host.AdvanceTo(t)
+	for _, d := range pl.Devices {
+		for _, l := range []*sim.Timeline{d.Host, d.Compute, d.Copy, d.Lookahead} {
+			l.AdvanceTo(t)
+		}
 	}
-	tracing := pl.Devices[i].Tracing()
-	pl.Devices[i] = dev
-	if pl.reg != nil {
-		dev.SetObs(pl.reg)
-	}
-	dev.SetJob(pl.job)
-	dev.SetPhase(pl.phase)
-	dev.SetContext(pl.ctx)
-	if tracing {
-		dev.EnableTrace()
-	}
-	dev.Host.AdvanceTo(pl.Host.Tail())
 }
 
 // SetObs attaches a metrics registry to the pool and every device.

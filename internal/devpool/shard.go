@@ -22,8 +22,8 @@ import (
 // per slab): the right and left updates are single GEMM/TRMM chains over
 // the device's whole range, while the panel GEMV, the Y-top product and
 // the FT detection sweep are segmented kernels that still write one
-// partial per slab. SlabM[s] is a view into the allocation, so recovery,
-// parity, encoding and fail-stop keep the slab as their unit.
+// partial per slab. SlabM[s] is a view into the allocation, so encoding,
+// detection and recovery keep the slab as their unit.
 //
 // With Pad == 1 every slab carries an ABFT halo — checksum column
 // Cols (row sums of the slab's data columns, stored right after them)
@@ -143,11 +143,32 @@ func NewShard(pool *Pool, n, nb, pad int) *Shard {
 	sh.stageCol = make([]*matrix.Matrix, k)
 	sh.stageWide = make([]*matrix.Matrix, k)
 	maxSlabs := pt.MaxSlabsPerOwner(k)
-	for d := range pool.Devices {
+	for d, dev := range pool.Devices {
 		if len(sh.DevSlabs[d]) == 0 {
 			continue
 		}
-		sh.attach(d)
+		// The device's slabs side by side, each followed by its halo
+		// column, then its workspaces.
+		w := 0
+		for _, s := range sh.DevSlabs[d] {
+			sh.off[s] = w
+			w += pt.Slabs[s].Cols + pad
+		}
+		sh.store[d] = dev.Alloc(n+pad, w)
+		for _, s := range sh.DevSlabs[d] {
+			sh.SlabM[s] = sh.store[d].View(0, sh.off[s], n+pad, pt.Slabs[s].Cols+pad)
+		}
+		sh.dVexp[d] = dev.Alloc(n, nb)
+		sh.dYb[d] = dev.Alloc(n+pad, nb)
+		sh.dTb[d] = dev.Alloc(nb, nb)
+		sh.dVcol[d] = dev.Alloc(n, 1)
+		sh.dYpart[d] = dev.Alloc(n, maxSlabs)
+		sh.dWide[d] = dev.Alloc(n+pad, maxSlabs*nb)
+		sh.dBg[d] = dev.Alloc(w, nb)
+		sh.dSbuf[d] = dev.Alloc(nb, w)
+		if pad > 0 {
+			sh.dVsumRow[d] = dev.Alloc(1, nb)
+		}
 		sh.segs[d] = make([]gpu.Seg, 0, len(sh.DevSlabs[d]))
 		sh.stageCol[d] = pool.Mode.HostMatrix(n, maxSlabs)
 		sh.stageWide[d] = pool.Mode.HostMatrix(n+pad, maxSlabs*nb)
@@ -155,69 +176,6 @@ func NewShard(pool *Pool, n, nb, pad int) *Shard {
 	sh.vexpHost = pool.Mode.HostMatrix(n, nb)
 	sh.ysum = pool.Mode.HostMatrix(n+pad, nb)
 	return sh
-}
-
-// attach allocates pool slot d's slab storage (empty), the slab views
-// into it, and the device's workspaces.
-func (sh *Shard) attach(d int) {
-	dev := sh.Pool.Devices[d]
-	n, nb, pad := sh.N, sh.NB, sh.Pad
-	w := 0
-	for _, s := range sh.DevSlabs[d] {
-		sh.off[s] = w
-		w += sh.Part.Slabs[s].Cols + pad
-	}
-	sh.store[d] = dev.Alloc(n+pad, w)
-	for _, s := range sh.DevSlabs[d] {
-		sh.SlabM[s] = sh.store[d].View(0, sh.off[s], n+pad, sh.Part.Slabs[s].Cols+pad)
-	}
-	maxSlabs := sh.Part.MaxSlabsPerOwner(sh.Pool.K())
-	sh.dVexp[d] = dev.Alloc(n, nb)
-	sh.dYb[d] = dev.Alloc(n+pad, nb)
-	sh.dTb[d] = dev.Alloc(nb, nb)
-	sh.dVcol[d] = dev.Alloc(n, 1)
-	sh.dYpart[d] = dev.Alloc(n, maxSlabs)
-	sh.dWide[d] = dev.Alloc(n+pad, maxSlabs*nb)
-	sh.dBg[d] = dev.Alloc(w, nb)
-	sh.dSbuf[d] = dev.Alloc(nb, w)
-	if pad > 0 {
-		sh.dVsumRow[d] = dev.Alloc(1, nb)
-	}
-}
-
-// Reattach reallocates the device-resident state of pool slot d on the
-// device now occupying it — fail-stop recovery, after Pool.ReplaceDevice
-// swapped a spare into a dead device's slot. Slab storage is allocated
-// empty (Parity.Reconstruct fills it); workspaces mirror NewShard. All
-// of the slot's completion events reset to time zero — the spare starts
-// with drained streams — and the cached V column sums are invalidated
-// so the left update recomputes them from the rebroadcast V (bitwise
-// identical: same input, same kernel).
-func (sh *Shard) Reattach(d int) {
-	for _, s := range sh.DevSlabs[d] {
-		sh.Last[s] = sim.Event{}
-	}
-	sh.evVexp[d], sh.evT[d], sh.evY[d] = sim.Event{}, sim.Event{}, sim.Event{}
-	sh.lastGemv[d] = sim.Event{}
-	sh.vsumReady[d] = sim.Event{}
-	sh.vsumHave[d] = false
-	if len(sh.DevSlabs[d]) > 0 {
-		sh.attach(d)
-	}
-}
-
-// Rebroadcast re-uploads the current iteration's host-resident operands
-// (dense expanded V, T, and the assembled Y) to pool slot d. Used when
-// a device is replaced mid-iteration: the broadcast values its
-// predecessor held are gone, but the host still has every one of them,
-// so the remaining update kernels read identical bits from the spare.
-func (sh *Shard) Rebroadcast(d int, tHost, yHost *matrix.Matrix, k, ib int) {
-	dev := sh.Pool.Devices[d]
-	sh.Pool.Issue(dev)
-	sh.evVexp[d] = dev.H2DAsync(sh.dVexp[d], 0, 0, sh.vexpHost.View(0, 0, sh.N-k, ib))
-	sh.evT[d] = dev.H2DAsync(sh.dTb[d], 0, 0, tHost.View(0, 0, ib, ib))
-	sh.evY[d] = dev.H2DAsync(sh.dYb[d], 0, 0, yHost.View(0, 0, sh.N+sh.Pad, ib))
-	sh.vsumHave[d] = false
 }
 
 // Free releases all device allocations of the shard.

@@ -20,11 +20,11 @@
 // Plan.KillDevice), taking every slab it owns with it. Unlike a
 // transient flip — corrupted values in memory that still responds — a
 // killed device never answers again: reads return poison, writes are
-// dropped, and the only way forward is the parity-based reconstruction
-// in internal/ft. The KillPoint names where inside the blocked
-// iteration the loss strikes (boundary, panel offload, mid trailing
-// update, or during a recovery already in flight), so tests and the
-// campaign can stress each window of the recovery protocol.
+// dropped, and internal/ft survives the loss by restarting the
+// reduction from its input on the surviving devices. The KillPoint
+// names where inside the blocked iteration the loss strikes (boundary,
+// panel offload, mid trailing update, or as the restart begins), so
+// tests and the campaign can stress each window.
 //
 // The Injector type implements ft.Hook for the fault-tolerant reduction
 // and also adapts to the baseline hybrid reduction's BeforeIteration hook
@@ -212,9 +212,8 @@ type Pos struct {
 
 // KillPoint names the program point within a blocked iteration at which
 // a fail-stop device loss strikes (beyond-paper, DESIGN.md §13). Kills
-// fire only at parity-consistent sync points, mirroring real detection:
-// a lost device is noticed when the host next touches it, and the parity
-// slab is refreshed at exactly these points.
+// fire where the host next touches the pool, mirroring real detection:
+// a lost device is noticed there, and the attempt ends.
 type KillPoint string
 
 const (
@@ -226,13 +225,13 @@ const (
 	// KillPanel kills as the panel offload begins — after the boundary
 	// checksum sweep, before PanelD2H reads the panel slab.
 	KillPanel KillPoint = "panel"
-	// KillUpdate kills mid-iteration, after the right update (and its
-	// parity refresh) but before the left update — the lookahead-split
-	// window where priority and remainder state coexist.
+	// KillUpdate kills mid-iteration, after the right update but before
+	// the left update — the lookahead-split window where priority and
+	// remainder state coexist.
 	KillUpdate KillPoint = "update"
-	// KillRecovery arms a second loss that fires the moment fail-stop
-	// reconstruction begins: the double-fault case, which must surface
-	// as ErrUncorrectable, never silently.
+	// KillRecovery arms a second loss that fires the moment the restart
+	// after a first loss begins: the double-fault case, which must
+	// surface as ErrUncorrectable, never silently.
 	KillRecovery KillPoint = "recovery"
 )
 

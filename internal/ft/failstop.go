@@ -1,54 +1,40 @@
 package ft
 
-// Fail-stop device-loss recovery for the multi-device path (beyond-
-// paper, DESIGN.md §13). The transient-error machinery of the paper
-// assumes memory that still answers; this layer survives a device that
-// never answers again. A devpool.Parity on a dedicated checksum device
-// holds the bitwise XOR of every snake round's slabs, refreshed at two
-// parity-consistent sync points per blocked iteration:
+// Fail-stop device loss on the multi-device path (beyond-paper,
+// DESIGN.md §13). The transient-error machinery of the paper assumes
+// memory that still answers; a device that dies (gpu.Device.Kill) never
+// answers again and takes its slabs with it. The reduction survives the
+// loss by restarting: the attempt ends where the loss is noticed, and
+// the whole factorization runs again from its input on the surviving
+// pool devices, or on one fresh device when the pool had only one.
+// Within the pool family the result does not depend on the device count,
+// so the restart returns exactly the bits of a clean run, and a clean
+// run pays nothing for the ability.
 //
-//   - after the right update — the mid-iteration point where the
-//     lookahead split leaves priority columns ahead of the remainder;
-//     whatever bits the slabs hold there are captured as-is;
-//   - at the end of the iteration, after the panel slab's re-encode —
-//     the boundary-consistent state.
+// Kills (fault.KillPoint) fire where the host next touches the pool: at
+// an iteration boundary, as the panel offload begins, or between the
+// right and the left update. The restarted pool starts every timeline at
+// the loss instant, so a killed run's modeled time is the time lost plus
+// a clean run on the survivors.
 //
-// Kills (fault.KillPoint) fire only at these consistent points, so
-// reconstruction — parity ⊕ survivors, an exact GF(2) identity —
-// reproduces the precise bits of the last refresh with no replay, and
-// the resumed schedule computes values identical to a fault-free run.
-// A kill mid trailing update additionally needs the iteration's
-// broadcast operands (dense V, T, Y) re-uploaded to the spare; all
-// three still live in host memory, so Shard.Rebroadcast restores the
-// exact bits and the cached V column sums are recomputed from them.
-//
-// A second loss while recovery is in flight (or any loss with FailStop
-// off) exceeds the single-loss budget of the encoding and surfaces as
-// ErrUncorrectable — never silently.
+// One loss per run: a second loss, armed at the recovery point, fires
+// as the restart begins and ends the run with ErrUncorrectable, never
+// silently.
 
 import (
+	"errors"
 	"fmt"
 
-	"repro/internal/devpool"
 	"repro/internal/gpu"
+	"repro/internal/matrix"
 	"repro/internal/obs"
 )
 
-// failStop is the per-run state of the fail-stop layer.
-type failStop struct {
-	parity *devpool.Parity
-	// spare supplies replacement devices (Options.SpareDevice or the
-	// fabricated default).
-	spare func() *gpu.Device
-	// kills maps an armed kill point to the device index that dies
-	// there (IterCtx.KillDevice); cleared as each kill fires.
-	kills map[string]int
-}
+// errDeviceLost ends an attempt at a device loss; reduceMulti restarts.
+var errDeviceLost = errors.New("ft: device lost")
 
 // fsArm registers a device kill for the current iteration at the given
-// point. Out-of-range devices are ignored. Arming works regardless of
-// Options.FailStop: a loss with recovery disabled must still fire so it
-// can fail loudly instead of being silently dropped.
+// point. Out-of-range devices are ignored.
 func (r *multiReducer) fsArm(d int, point string) {
 	if d < 0 || d >= r.pool.K() {
 		return
@@ -57,53 +43,6 @@ func (r *multiReducer) fsArm(d int, point string) {
 		r.fsKills = map[string]int{}
 	}
 	r.fsKills[point] = d
-}
-
-// fsSetup initializes the fail-stop layer after the slabs hold their
-// encoded initial content: allocates the parity device, computes the
-// initial encoding, and returns a cleanup func.
-func (r *multiReducer) fsSetup() func() {
-	if !r.opt.FailStop {
-		return func() {}
-	}
-	spare := r.opt.SpareDevice
-	if spare == nil {
-		next := r.pool.K()
-		spare = func() *gpu.Device {
-			dev := gpu.NewIndexed(r.pool.Params, r.pool.Mode, next)
-			next++
-			return dev
-		}
-	}
-	prev := r.pool.SetPhase("parity")
-	fs := &failStop{parity: devpool.NewParity(r.sh, spare()), spare: spare}
-	fs.parity.RefreshAll()
-	r.pool.SetPhase(prev)
-	r.fs = fs
-	return func() { fs.parity.Free() }
-}
-
-// fsRefresh brings the parity up to date with the slabs at a sync point
-// of the iteration at panel p. No-op with FailStop off.
-func (r *multiReducer) fsRefresh(p int) {
-	if r.fs == nil {
-		return
-	}
-	prev := r.pool.SetPhase("parity")
-	r.fs.parity.Refresh(p)
-	r.pool.SetPhase(prev)
-}
-
-// fsRefreshRoundOf re-encodes the parity round containing slab s after
-// a transient correction rewrote slab content already folded into
-// parity. No-op with FailStop off.
-func (r *multiReducer) fsRefreshRoundOf(s int) {
-	if r.fs == nil {
-		return
-	}
-	prev := r.pool.SetPhase("parity")
-	r.fs.parity.RefreshRoundOf(s)
-	r.pool.SetPhase(prev)
 }
 
 // fsKill marks device d dead and journals the loss.
@@ -119,76 +58,56 @@ func (r *multiReducer) fsKill(d int, point string, iter int) {
 	r.journal(ev)
 }
 
-// fsKillAt fires an armed kill at the named point of iteration iter
-// (panel p, k = p+1, panel width ib) and drives recovery. Returns nil
-// when no kill is armed for the point or recovery succeeded.
-func (r *multiReducer) fsKillAt(point string, iter, p, k, ib int) error {
+// fsKillAt fires an armed kill at the named point of iteration iter: the
+// device dies, the loss instant is recorded, and the attempt ends with
+// errDeviceLost. Returns nil when no kill is armed for the point.
+func (r *multiReducer) fsKillAt(point string, iter int) error {
 	d, ok := r.fsKills[point]
 	if !ok {
 		return nil
 	}
 	delete(r.fsKills, point)
 	r.fsKill(d, point, iter)
-	return r.fsRecover(d, point, iter, p, k, ib)
+	r.lossAt, r.lossIter = r.pool.Elapsed(), iter
+	return errDeviceLost
 }
 
-// fsRecover reconstructs dead device d's slabs onto a spare and resumes
-// the schedule in place: replace the pool slot, reallocate the shard's
-// device-resident state there, rebuild the slabs from parity ⊕
-// survivors, and — for a mid-update loss — re-upload the iteration's
-// broadcast operands from host memory.
-func (r *multiReducer) fsRecover(d int, point string, iter, p, k, ib int) error {
-	pool := r.pool
-	lost := pool.Devices[d].Name()
-	// An armed recovery-point kill models the double fault: the second
-	// device dies the moment reconstruction begins.
-	if d2, ok := r.fsKills[killRecovery]; ok {
+// restart runs the reduction again from its input a after a device
+// loss, on the surviving devices (one fresh device when none survives),
+// with every timeline starting at the loss instant. An armed
+// recovery-point kill fires first: a second loss exceeds the single-loss
+// budget.
+func (r *multiReducer) restart(a *matrix.Matrix) (*Result, error) {
+	if d, ok := r.fsKills[killRecovery]; ok {
 		delete(r.fsKills, killRecovery)
-		r.fsKill(d2, killRecovery, iter)
+		r.fsKill(d, killRecovery, r.lossIter)
+		return r.res, fmt.Errorf("%w: device %s lost as the restart began (a restart covers one loss)",
+			ErrUncorrectable, r.pool.Devices[d].Name())
 	}
-	if r.fs == nil {
-		return fmt.Errorf("%w: device %s lost at iteration %d with fail-stop recovery disabled", ErrUncorrectable, lost, iter)
-	}
-	prev := pool.SetPhase("failstop_recovery")
-	defer pool.SetPhase(prev)
-	// Single-loss budget: every surviving peer and the parity device
-	// must be alive. (Parity.Reconstruct re-checks per slab; this scan
-	// reports the double fault before any partial work.)
-	for i, dev := range pool.Devices {
-		if i != d && dev.Dead() {
-			return fmt.Errorf("%w: devices %s and %s lost concurrently (fail-stop parity covers a single loss)", ErrUncorrectable, lost, dev.Name())
+	var survivors []*gpu.Device
+	for _, dev := range r.pool.Devices {
+		if !dev.Dead() {
+			survivors = append(survivors, dev)
 		}
 	}
-	if r.fs.parity.Dev.Dead() {
-		return fmt.Errorf("%w: parity device lost with device %s (fail-stop parity covers a single loss)", ErrUncorrectable, lost)
-	}
-	if r.finDev == pool.Devices[d] {
-		// The lost device carried the panel slab's frozen-prefix
-		// accumulator, which is not parity-protected; drop it so the next
-		// maintenance rebuilds the prefix from the reconstructed slab.
-		r.finCol, r.finDev, r.finSlab = nil, nil, -1
-	}
-	pool.ReplaceDevice(d, r.fs.spare())
-	if r.fused {
-		pool.Devices[d].SetSubstrateFused(true)
-	}
-	r.sh.Reattach(d)
-	if err := r.fs.parity.Reconstruct(d); err != nil {
-		return fmt.Errorf("%w: %v", ErrUncorrectable, err)
-	}
-	if point == killUpdate {
-		// Mid-iteration loss: the spare needs this iteration's broadcast
-		// V/T/Y (host-resident, exact bits) for the pending left update.
-		r.sh.Rebroadcast(d, r.tHost, r.yHost, k, ib)
+	if len(survivors) == 0 {
+		dev := gpu.NewIndexed(r.pool.Params, r.pool.Mode, r.pool.K())
+		if r.pool.Devices[0].Tracing() {
+			dev.EnableTrace()
+		}
+		survivors = []*gpu.Device{dev}
 	}
 	r.res.FailStopRecoveries++
 	r.count("ft_failstop_reconstructions_total")
-	ev := obs.Ev(obs.KindReconstruction, iter)
+	ev := obs.Ev(obs.KindReconstruction, r.lossIter)
 	ev.Target = obs.TargetH
-	ev.Outcome = fmt.Sprintf("%s: %s -> %s", point, lost, pool.Devices[d].Name())
-	ev.Device = pool.Devices[d].Name()
+	ev.Outcome = fmt.Sprintf("restart on %d device(s)", len(survivors))
+	ev.Device = survivors[0].Name()
 	r.journal(ev)
-	return nil
+	opt := r.opt
+	opt.Devices = survivors
+	opt.startAt = r.lossAt
+	return r.rerun(a, opt)
 }
 
 // Kill-point names, mirrored from fault.KillPoint (ft cannot import

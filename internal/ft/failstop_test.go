@@ -2,11 +2,14 @@ package ft
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -57,29 +60,9 @@ func checkBitIdentical(t *testing.T, res, ref *Result, label string) {
 	}
 }
 
-// The parity layer must never leak into the data path: a clean run with
-// fail-stop on is bit-identical to one with it off, with no phantom
-// loss or reconstruction events.
-func TestFailStopCleanBitIdentical(t *testing.T) {
-	n, nb := 192, 16
-	a := matrix.Random(n, n, 41)
-	for _, k := range []int{1, 2, 3} {
-		ref := mustReduceClean(t, a, nb, k)
-		res, err := Reduce(a, Options{NB: nb, Devices: newDevs(k, gpu.Real), FailStop: true})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if res.DeviceLosses != 0 || res.FailStopRecoveries != 0 {
-			t.Fatalf("k=%d: phantom fail-stop events: %+v", k, res)
-		}
-		checkBitIdentical(t, res, ref, "clean failstop")
-	}
-}
-
-// A device killed at each recovery window — iteration boundary, panel
-// offload, and mid trailing update (the lookahead-split window) — is
-// reconstructed onto a spare and the result stays bit-identical to the
-// fault-free run.
+// A device killed at each kill point (iteration boundary, panel
+// offload, mid trailing update) ends the attempt, and the restart on the
+// survivors returns bits identical to the fault-free run.
 func TestFailStopKillPointsBitIdentical(t *testing.T) {
 	n, nb, k := 192, 16, 3
 	a := matrix.Random(n, n, 42)
@@ -87,55 +70,25 @@ func TestFailStopKillPointsBitIdentical(t *testing.T) {
 	for _, point := range []string{"boundary", "panel", "update"} {
 		for dev := 0; dev < k; dev++ {
 			hook := &killHook{kills: []killSpec{{iter: 2, dev: dev, point: point}}}
-			res, err := Reduce(a, Options{
-				NB: nb, Devices: newDevs(k, gpu.Real), FailStop: true, Hook: hook,
-			})
+			res, err := Reduce(a, Options{NB: nb, Devices: newDevs(k, gpu.Real), Hook: hook})
 			if err != nil {
 				t.Fatalf("%s d%d: %v", point, dev, err)
 			}
 			if res.DeviceLosses != 1 || res.FailStopRecoveries != 1 {
-				t.Fatalf("%s d%d: losses=%d recoveries=%d", point, dev,
+				t.Fatalf("%s d%d: losses=%d restarts=%d", point, dev,
 					res.DeviceLosses, res.FailStopRecoveries)
 			}
 			checkBitIdentical(t, res, ref, point+" kill")
 			h, q := res.H(), res.Q()
 			if r := lapack.FactorizationResidual(a, q, h); r > 1e-13 {
-				t.Fatalf("%s d%d: residual after recovery %v", point, dev, r)
+				t.Fatalf("%s d%d: residual after restart %v", point, dev, r)
 			}
 		}
 	}
 }
 
-// Killing the panel slab's owner as the offload begins exercises the
-// sharpest window: the reconstructed slab immediately feeds the host
-// factorization. Run with lookahead disabled too — the recovery must
-// not depend on the schedule.
-func TestFailStopNoLookaheadKill(t *testing.T) {
-	n, nb, k := 192, 16, 2
-	a := matrix.Random(n, n, 43)
-	ref, err := Reduce(a, Options{NB: nb, Devices: newDevs(k, gpu.Real), DisableLookahead: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, point := range []string{"panel", "update"} {
-		hook := &killHook{kills: []killSpec{{iter: 1, dev: 1, point: point}}}
-		res, err := Reduce(a, Options{
-			NB: nb, Devices: newDevs(k, gpu.Real), FailStop: true,
-			DisableLookahead: true, Hook: hook,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", point, err)
-		}
-		if res.FailStopRecoveries != 1 {
-			t.Fatalf("%s: recoveries=%d", point, res.FailStopRecoveries)
-		}
-		checkBitIdentical(t, res, ref, "no-lookahead "+point)
-	}
-}
-
-// A second device lost while reconstruction is in flight exceeds the
-// parity's single-loss budget: the run must fail with ErrUncorrectable,
-// never silently.
+// A second device lost as the restart begins exceeds the single-loss
+// budget: the run must fail with ErrUncorrectable, never silently.
 func TestFailStopDoubleFaultUncorrectable(t *testing.T) {
 	n, nb, k := 192, 16, 3
 	a := matrix.Random(n, n, 44)
@@ -143,9 +96,7 @@ func TestFailStopDoubleFaultUncorrectable(t *testing.T) {
 		{iter: 2, dev: 0, point: "update"},
 		{iter: 2, dev: 1, point: "recovery"},
 	}}
-	res, err := Reduce(a, Options{
-		NB: nb, Devices: newDevs(k, gpu.Real), FailStop: true, Hook: hook,
-	})
+	res, err := Reduce(a, Options{NB: nb, Devices: newDevs(k, gpu.Real), Hook: hook})
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("double fault: err = %v, want ErrUncorrectable", err)
 	}
@@ -153,26 +104,12 @@ func TestFailStopDoubleFaultUncorrectable(t *testing.T) {
 		t.Fatalf("double fault: losses=%d, want 2", res.DeviceLosses)
 	}
 	if res.FailStopRecoveries != 0 {
-		t.Fatalf("double fault: phantom recovery")
+		t.Fatalf("double fault: phantom restart")
 	}
 }
 
-// A device loss with fail-stop recovery disabled must fail loudly.
-func TestFailStopDisabledKillUncorrectable(t *testing.T) {
-	n, nb, k := 192, 16, 2
-	a := matrix.Random(n, n, 45)
-	hook := &killHook{kills: []killSpec{{iter: 1, dev: 0, point: "boundary"}}}
-	res, err := Reduce(a, Options{NB: nb, Devices: newDevs(k, gpu.Real), Hook: hook})
-	if !errors.Is(err, ErrUncorrectable) {
-		t.Fatalf("failstop off: err = %v, want ErrUncorrectable", err)
-	}
-	if res.DeviceLosses != 1 {
-		t.Fatalf("failstop off: losses=%d, want 1", res.DeviceLosses)
-	}
-}
-
-// The single-device path has no peers to reconstruct from: a kill there
-// is always fatal, with or without FailStop.
+// The single-device path has no survivors to restart on: a kill there is
+// always fatal.
 func TestFailStopSingleDeviceKillUncorrectable(t *testing.T) {
 	n, nb := 96, 16
 	a := matrix.Random(n, n, 46)
@@ -183,28 +120,43 @@ func TestFailStopSingleDeviceKillUncorrectable(t *testing.T) {
 	}
 }
 
-// Cost-only mode carries the fail-stop machinery too (the bench sweeps
-// run there): kills, reconstruction charges, and counters all behave,
-// and the modeled makespan with a recovery exceeds the clean one.
+// A restart's modeled time is exact: the killed run's makespan is the
+// loss instant (the journaled device_loss time) plus a clean run on the
+// K−1 survivors, or on one fresh device when K=1. Cost-only, at every
+// kill point.
 func TestFailStopCostOnlyRecovery(t *testing.T) {
-	n, nb, k := 384, 32, 3
-	a := matrix.Random(n, n, 47)
-	clean, err := Reduce(a, Options{NB: nb, Devices: newDevs(k, gpu.CostOnly), FailStop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook := &killHook{kills: []killSpec{{iter: 2, dev: 1, point: "update"}}}
-	res, err := Reduce(a, Options{
-		NB: nb, Devices: newDevs(k, gpu.CostOnly), FailStop: true, Hook: hook,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FailStopRecoveries != 1 || res.DeviceLosses != 1 {
-		t.Fatalf("cost-only: losses=%d recoveries=%d", res.DeviceLosses, res.FailStopRecoveries)
-	}
-	if res.SimSeconds <= clean.SimSeconds {
-		t.Fatalf("reconstruction charged no time: killed %v <= clean %v",
-			res.SimSeconds, clean.SimSeconds)
+	n, nb := 384, 32
+	a := matrix.Shape(n, n)
+	for _, k := range []int{1, 2, 3, 4} {
+		survivors, err := Reduce(a, Options{NB: nb, Devices: newDevs(max(k-1, 1), gpu.CostOnly)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, point := range []string{"boundary", "panel", "update"} {
+			label := fmt.Sprintf("K=%d %s", k, point)
+			j := obs.NewJournal()
+			hook := &killHook{kills: []killSpec{{iter: 2, dev: k - 1, point: point}}}
+			res, err := Reduce(a, Options{NB: nb, Devices: newDevs(k, gpu.CostOnly), Hook: hook, Journal: j})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.FailStopRecoveries != 1 || res.DeviceLosses != 1 {
+				t.Fatalf("%s: losses=%d restarts=%d", label, res.DeviceLosses, res.FailStopRecoveries)
+			}
+			loss := math.NaN()
+			for _, ev := range j.Events() {
+				if ev.Kind == obs.KindDeviceLoss {
+					loss = ev.SimTime
+				}
+			}
+			if !(loss > 0) {
+				t.Fatalf("%s: no device_loss event with a positive time (got %v)", label, loss)
+			}
+			want := loss + survivors.SimSeconds
+			if d := math.Abs(res.SimSeconds-want) / want; !(d <= 1e-9) {
+				t.Fatalf("%s: killed run %.12gs, want loss %.12gs + survivors %.12gs (rel. error %g)",
+					label, res.SimSeconds, loss, survivors.SimSeconds, d)
+			}
+		}
 	}
 }

@@ -137,11 +137,10 @@ func (c *IterCtx) FlipBitH(row, col int, bit uint) float64 {
 // KillDevice arms a fail-stop device loss for the upcoming iteration:
 // pool device d dies permanently at the named program point ("boundary",
 // "panel", "update", or "recovery" — see fault.KillPoint). On the
-// multi-device path the loss fires at that sync point and, with
-// Options.FailStop, is recovered by parity reconstruction; without it
-// the run fails with ErrUncorrectable. On the single-device path a lost
-// device is always fatal (there are no peers to reconstruct from).
-// Out-of-range device indices are ignored.
+// multi-device path the loss ends the attempt at that point and the
+// reduction restarts from its input on the surviving devices
+// (failstop.go). On the single-device path a lost device is always
+// fatal. Out-of-range device indices are ignored.
 func (c *IterCtx) KillDevice(d int, point string) {
 	if c.multi != nil {
 		c.multi.fsArm(d, point)
@@ -218,21 +217,6 @@ type Options struct {
 	// after the last blocked iteration, catching errors that struck
 	// already-finished H data (an extension beyond the paper).
 	FinalHCheck bool
-	// FailStop enables the fail-stop device-loss layer on the multi-device
-	// path (beyond-paper, DESIGN.md §13): a parity copy of every snake
-	// round's slabs — the bitwise XOR, so reconstruction is exact — lives
-	// on a dedicated checksum device and is refreshed at two sync points
-	// per iteration; when a pool device dies (gpu.Device.Kill), its slabs
-	// are rebuilt from parity ⊕ survivors onto a spare and the reduction
-	// resumes in place, bit-identical to a fault-free run. Ignored on the
-	// single-device path.
-	FailStop bool
-	// SpareDevice supplies replacement devices for the fail-stop layer:
-	// called once at setup for the parity device and once per device
-	// loss. When nil, spares are fabricated with the pool's params and
-	// mode (indices above the pool). The serving layer passes a farm
-	// lease here so recovery draws on real capacity when available.
-	SpareDevice func() *gpu.Device
 	// PostProcess switches to the post-processing detection scheme of the
 	// prior work the paper compares against (Du et al.): checksums are
 	// still maintained, but the Sre/Sce comparison runs only once, after
@@ -268,6 +252,10 @@ type Options struct {
 	// shrinking the checksum_maintenance phase. H and tau are
 	// bit-identical across substrates.
 	Substrate string
+
+	// startAt is the modeled instant a multi-device run starts at: a
+	// restart after a device loss starts its pool at the loss.
+	startAt float64
 }
 
 // Substrate values for Options.Substrate.
@@ -318,8 +306,8 @@ type Result struct {
 	// DeviceLosses counts fail-stop device deaths observed during the run
 	// (equals the ft_device_losses_total counter).
 	DeviceLosses int
-	// FailStopRecoveries counts successful parity reconstructions onto a
-	// spare (equals the ft_failstop_reconstructions_total counter).
+	// FailStopRecoveries counts restarts on the surviving devices after a
+	// loss (equals the ft_failstop_reconstructions_total counter).
 	FailStopRecoveries int
 	// SubstrateChecks and SubstrateDetections count the fused-ABFT
 	// substrate's per-call checksum verifications and detections across
@@ -373,8 +361,8 @@ type reducer struct {
 	// lastDetectGap is |Sre−Sce| from the most recent detect() (Real mode).
 	lastDetectGap float64
 	// deviceLost marks a fail-stop kill request (IterCtx.KillDevice):
-	// with a single device there are no peers to reconstruct from, so
-	// the reduction fails immediately rather than computing on poison.
+	// with a single device there are no survivors to restart on, so the
+	// reduction fails immediately rather than computing on poison.
 	deviceLost bool
 }
 
@@ -420,7 +408,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	if n <= 1 {
 		return r.res, nil
 	}
-	defer r.fuse(func() []*gpu.Device { return []*gpu.Device{dev} })()
+	defer r.fuse([]*gpu.Device{dev})()
 	r.threshold(a)
 
 	// Allocate the extended device matrix and workspaces.
@@ -471,7 +459,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			ev := obs.Ev(obs.KindDeviceLoss, iter)
 			ev.Target = obs.TargetH
 			r.journal(ev)
-			return r.res, fmt.Errorf("%w: device lost at iteration %d (fail-stop recovery requires the multi-device path)", ErrUncorrectable, iter)
+			return r.res, fmt.Errorf("%w: device lost at iteration %d (a restart needs the multi-device path)", ErrUncorrectable, iter)
 		}
 
 		recovered := 0
@@ -505,7 +493,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	r.res.BlockedIters = iter
 
 	if r.opt.PostProcess && iter > 0 && r.detectAt(iter, prevLeft) {
-		return r.rerun(a, r.lastDetectGap)
+		return r.rerunPostProcess(a, r.lastDetectGap)
 	}
 	if err := dev.CtxErr(); err != nil {
 		return r.res, err

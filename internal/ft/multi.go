@@ -64,23 +64,22 @@ type multiReducer struct {
 	lastGap float64
 
 	// Under the fused substrate the panel slab's halo is refreshed
-	// incrementally: finCol (n×1, on the slab's owner) accumulates the
-	// row sums of the slab's frozen-column prefix — columns left of the
-	// current panel, which no later iteration touches — so maintenance
-	// only re-reads the columns the iteration actually changed.
-	// finSlab/finDev identify the slab and device the accumulator
-	// belongs to (finSlab = -1: invalid, rebuilt on next touch, e.g.
-	// after a fail-stop device loss).
+	// incrementally: finCol (n×1, on the slab's owner finDev)
+	// accumulates the row sums of the slab's frozen-column prefix —
+	// columns left of the current panel, which no later iteration
+	// touches — so maintenance only re-reads the columns the iteration
+	// actually changed. finSlab is the slab the accumulator belongs to
+	// (-1: none yet).
 	finCol  *gpu.Matrix
 	finDev  *gpu.Device
 	finSlab int
 
-	// fs is the fail-stop recovery state (failstop.go), nil with
-	// Options.FailStop off. fsKills holds armed device kills keyed by
-	// kill point — populated via IterCtx.KillDevice regardless of
-	// FailStop, so a loss with recovery disabled still fails loudly.
-	fs      *failStop
-	fsKills map[string]int
+	// fsKills holds the armed device kills (failstop.go), keyed by kill
+	// point; lossAt and lossIter are the modeled instant and iteration of
+	// the loss that ended the attempt.
+	fsKills  map[string]int
+	lossAt   float64
+	lossIter int
 
 	// Detection-sweep scratch, reused at every boundary so a sweep
 	// allocates nothing: the per-device verdict transfers and the flagged
@@ -123,7 +122,9 @@ func (r *multiReducer) flipBitH(row, col int, bit uint) float64 {
 
 // reduceMulti is the multi-device body of Reduce, selected when
 // Options.Devices is non-empty: hybrid's pool schedule with this
-// reducer as its guard.
+// reducer as its guard. An attempt that ends in a post-processing
+// detection or a device loss releases its device state, then runs the
+// reduction again from a.
 func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 	pool := devpool.Wrap(opt.Devices)
 	if opt.Obs != nil {
@@ -133,6 +134,7 @@ func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 	sp := opt.Trace.Span("ft.reduce_multi", opt.Trace.ParentSpan())
 	defer opt.Trace.EndSpan(sp)
 	pool.SetContext(opt.Ctx)
+	pool.StartAt(opt.startAt)
 
 	r := &multiReducer{
 		run:     newRun(a, opt, hybrid.PoolLane(pool), pool.Params, fused),
@@ -140,11 +142,27 @@ func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 		finSlab: -1,
 	}
 	r.emit = r.journal
+	err := r.attempt(a)
+	switch {
+	case errors.Is(err, errPostProcessDetected):
+		return r.rerunPostProcess(a, r.lastGap)
+	case errors.Is(err, errDeviceLost):
+		return r.restart(a)
+	case err != nil:
+		return r.res, err
+	}
+	return r.res, nil
+}
+
+// attempt runs the reduction once on the pool, freeing every device
+// allocation before it returns.
+func (r *multiReducer) attempt(a *matrix.Matrix) error {
+	pool := r.pool
 	n, nb := r.n, r.nb
 	if n <= 1 {
-		return r.res, nil
+		return nil
 	}
-	defer r.fuse(func() []*gpu.Device { return pool.Devices })()
+	defer r.fuse(pool.Devices)()
 	defer func() {
 		if r.finCol != nil {
 			r.finDev.Free(r.finCol)
@@ -162,25 +180,20 @@ func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 	for s := range sh.Part.Slabs {
 		r.encodeSlab(s)
 	}
-	defer r.fsSetup()()
 	r.yHost = pool.Mode.HostMatrix(n+1, nb)
 	r.tHost = pool.Mode.HostMatrix(nb, nb)
 
-	_, err := hybrid.PoolRun{
+	if _, err := (hybrid.PoolRun{
 		Shard: sh, HostA: r.hostA, Y: r.yHost, T: r.tHost, Tau: r.tau,
 		NB: nb, Lookahead: r.la, Guard: r,
-	}.Run()
-	if errors.Is(err, errPostProcessDetected) {
-		return r.rerun(a, r.lastGap)
-	}
-	if err != nil {
-		return r.res, err
+	}).Run(); err != nil {
+		return err
 	}
 	if err := r.checkFused(pool.Devices); err != nil {
-		return r.res, err
+		return err
 	}
 	r.res.setTiming(pool.Elapsed())
-	return r.res, nil
+	return nil
 }
 
 // sweepSetup allocates the per-device detection staging (dChk on each
@@ -224,10 +237,8 @@ func (r *multiReducer) Boundary(iter, p, k, ib int) error {
 			multi: r,
 		})
 	}
-	// A boundary-point device loss strikes here: the dead device holds
-	// only completed iterations, all captured by the last parity
-	// refresh, so reconstruction restores the boundary state exactly.
-	if err := r.fsKillAt(killBoundary, iter, p, k, ib); err != nil {
+	// A boundary-point device loss strikes here, before the check.
+	if err := r.fsKillAt(killBoundary, iter); err != nil {
 		return err
 	}
 	// Boundary check: a fault injected between iterations is caught
@@ -237,27 +248,21 @@ func (r *multiReducer) Boundary(iter, p, k, ib int) error {
 			return err
 		}
 	}
-	// A panel-point loss strikes as the panel offload begins — after
-	// the boundary sweep, before PanelD2H reads the panel slab. No
-	// kernel has written any slab since the boundary refresh, so the
-	// reconstruction is again exact; PanelD2H then reads the spare.
-	return r.fsKillAt(killPanel, iter, p, k, ib)
+	// A panel-point loss strikes as the panel offload begins: after the
+	// boundary sweep, before PanelD2H reads the panel slab.
+	return r.fsKillAt(killPanel, iter)
 }
 
 // AfterPanel maintains the Q checksums on the otherwise idle CPU.
 func (r *multiReducer) AfterPanel(p, ib int) { r.absorbQ(p, ib) }
 
-// AfterRight is the mid-iteration parity sync point: it captures the
-// post-right-update state (priority columns ahead of the remainder
-// included, exactly as the lookahead split left them) so an update-point
-// loss reconstructs to precisely this state and the left update resumes
-// on the spare with the rebroadcast V/T/Y.
+// AfterRight is where an update-point loss strikes: mid trailing
+// update, between the right and the left update.
 func (r *multiReducer) AfterRight(iter, p, k, ib int) error {
-	r.fsRefresh(p)
-	return r.fsKillAt(killUpdate, iter, p, k, ib)
+	return r.fsKillAt(killUpdate, iter)
 }
 
-// AfterLeft maintains the panel slab's halo and refreshes the parity.
+// AfterLeft maintains the panel slab's halo.
 // The panel slab was updated data-only (its columns were being
 // rewritten by the host factorization); its halo is refreshed from the
 // final data so the next boundary check sees it consistent. The fused
@@ -271,8 +276,6 @@ func (r *multiReducer) AfterLeft(p, ib int) {
 	} else {
 		r.encodeSlab(r.sh.Part.SlabOf(p))
 	}
-	// Boundary parity sync point: the iteration's writes are complete.
-	r.fsRefresh(p)
 }
 
 // Finish runs the final boundary check, which covers the last
@@ -319,12 +322,11 @@ func (r *multiReducer) encodeSlab(s int) {
 // data), their row sums merge with the prefix into the checksum column,
 // the grand total lands in the corner, and the newly finished panel
 // columns fold into the prefix for the next iteration. The prefix
-// accumulates column-by-column in ascending order — exactly the order a
-// from-scratch rebuild uses — so a post-loss rebuild from parity-
-// reconstructed data is bit-identical to the incremental value. The
-// accumulator only ever feeds the halo, never a data element, so H and
-// tau stay bit-identical to the swept substrate; the halo's rounding
-// drift against a full re-encode is O(ε·‖A‖), far below τ.
+// accumulates column-by-column in ascending order, exactly the order a
+// from-scratch rebuild uses. The accumulator only ever feeds the halo,
+// never a data element, so H and tau stay bit-identical to the swept
+// substrate; the halo's rounding drift against a full re-encode is
+// O(ε·‖A‖), far below τ.
 func (r *multiReducer) refreshPanelSlab(p, ib int) {
 	sh := r.sh
 	s := sh.Part.SlabOf(p)
@@ -337,11 +339,9 @@ func (r *multiReducer) refreshPanelSlab(p, ib int) {
 	pp := r.pool.Params
 	r.pool.Issue(dev)
 
-	if r.finDev != dev || r.finSlab != s {
-		// First panel of this slab, or the previous carrier was lost to a
-		// fail-stop kill: (re)build the accumulator on the owning device.
-		// Frozen columns never change, so the prefix recomputes exactly
-		// from the (possibly parity-reconstructed) data.
+	if r.finSlab != s {
+		// First panel of this slab: build the accumulator on the owning
+		// device from the slab's frozen columns.
 		if r.finCol != nil {
 			r.finDev.Free(r.finCol)
 		}
@@ -580,10 +580,6 @@ func (r *multiReducer) checkAll(iter, p int) error {
 				return fmt.Errorf("%w (iteration %d, slab %d)", ErrDetectionStorm, iter, s)
 			}
 		}
-		// The correction rewrote slab content already folded into the
-		// fail-stop parity; re-encode its round so a later loss does not
-		// resurrect the corrupted bits.
-		r.fsRefreshRoundOf(s)
 	}
 	return nil
 }

@@ -91,19 +91,18 @@ func (s *run) threshold(a *matrix.Matrix) {
 // fuse switches the run's devices onto the fused-ABFT substrate (no-op
 // under the swept substrate) and returns the collector to defer: it
 // folds each device's per-call statistics into the result and switches
-// the device back. devs is re-read at collection, so fail-stop spares
-// are swept at their final state; running from a defer, the counts
-// survive early error returns.
-func (s *run) fuse(devs func() []*gpu.Device) func() {
+// the device back. Running from a defer, the counts survive early error
+// returns.
+func (s *run) fuse(devs []*gpu.Device) func() {
 	if !s.fused {
 		return func() {}
 	}
-	for _, dev := range devs() {
+	for _, dev := range devs {
 		dev.SetSubstrateFused(true)
 		dev.ResetFTStats()
 	}
 	return func() {
-		for _, dev := range devs() {
+		for _, dev := range devs {
 			checks, det, _ := dev.FTStats()
 			s.res.SubstrateChecks += int(checks)
 			s.res.SubstrateDetections += int(det)
@@ -167,22 +166,39 @@ func (s *run) verifyQ(p int) error {
 	return nil
 }
 
-// rerun is the post-processing comparator's recovery: its single
-// end-of-run detection fired with gap |Sre−Sce|, and an error that has
-// propagated through every later update cannot be located anymore, so
-// the whole factorization re-executes with per-iteration checks.
-func (s *run) rerun(a *matrix.Matrix, gap float64) (*Result, error) {
-	s.detected(s.res.BlockedIters, gap, "post-process", "")
-	retryOpt := s.opt
-	retryOpt.PostProcess = false
-	retryOpt.Hook = nil // transient errors do not re-occur on redo
-	retry, err := Reduce(a, retryOpt)
+// rerun re-executes the whole factorization from its input a with opt
+// and adds this attempt's counters to the retry's. The hook is dropped:
+// neither a transient error nor a device loss re-occurs on redo. Two
+// recoveries use it: the post-processing comparator's (rerunPostProcess)
+// and the restart after a device loss (failstop.go).
+func (s *run) rerun(a *matrix.Matrix, opt Options) (*Result, error) {
+	opt.Hook = nil
+	retry, err := Reduce(a, opt)
 	if err != nil {
 		return s.res, err
 	}
 	retry.Detections += s.res.Detections
-	retry.Recoveries = s.res.Recoveries + 1
+	retry.Recoveries += s.res.Recoveries
+	retry.CorrectedH = append(s.res.CorrectedH, retry.CorrectedH...)
+	retry.QCorrections += s.res.QCorrections
+	retry.DeviceLosses += s.res.DeviceLosses
+	retry.FailStopRecoveries += s.res.FailStopRecoveries
+	retry.SubstrateChecks += s.res.SubstrateChecks
+	retry.SubstrateDetections += s.res.SubstrateDetections
 	return retry, nil
+}
+
+// rerunPostProcess is the post-processing comparator's recovery: its
+// single end-of-run detection fired with gap |Sre−Sce|, and an error
+// that has propagated through every later update cannot be located
+// anymore, so the whole factorization re-executes with per-iteration
+// checks.
+func (s *run) rerunPostProcess(a *matrix.Matrix, gap float64) (*Result, error) {
+	s.detected(s.res.BlockedIters, gap, "post-process", "")
+	s.res.Recoveries++
+	opt := s.opt
+	opt.PostProcess = false
+	return s.rerun(a, opt)
 }
 
 // checked counts one checksum comparison of H in iteration iter and

@@ -97,9 +97,9 @@ func TestSubstrateFusedFaultStillSweptAndCorrected(t *testing.T) {
 }
 
 // Fail-stop device loss under the fused substrate: the lost device may
-// carry the frozen-prefix accumulator, which is not parity-protected and
-// must be rebuilt from the reconstructed slab — the run still finishes
-// bit-identical to a fault-free one.
+// carry the frozen-prefix accumulator, and the restart on the survivor
+// must run fused again (checking every call, detecting nothing) and
+// finish bit-identical to a fault-free fused run.
 func TestSubstrateFusedSurvivesDeviceLoss(t *testing.T) {
 	n, nb := 192, 16
 	a := matrix.Random(n, n, 33)
@@ -107,18 +107,25 @@ func TestSubstrateFusedSurvivesDeviceLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The restart's own checks are a clean fused run's on the survivor.
+	survivor, err := Reduce(a, Options{NB: nb, Devices: newDevs(1, gpu.Real), Substrate: SubstrateFused})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, point := range []string{"boundary", "update"} {
 		hook := &killHook{kills: []killSpec{{iter: 2, dev: 0, point: point}}}
-		res, err := Reduce(a, Options{NB: nb, Devices: newDevs(2, gpu.Real), FailStop: true, Hook: hook, Substrate: SubstrateFused})
+		res, err := Reduce(a, Options{NB: nb, Devices: newDevs(2, gpu.Real), Hook: hook, Substrate: SubstrateFused})
 		if err != nil {
 			t.Fatalf("point %s: %v", point, err)
 		}
-		if res.FailStopRecoveries != 1 {
-			t.Fatalf("point %s: %d reconstructions, want 1", point, res.FailStopRecoveries)
+		if res.DeviceLosses != 1 || res.FailStopRecoveries != 1 {
+			t.Fatalf("point %s: %d losses, %d restarts, want 1 and 1", point, res.DeviceLosses, res.FailStopRecoveries)
 		}
-		if !res.Packed.Equal(clean.Packed) {
-			t.Fatalf("point %s: post-recovery result differs from fault-free fused run", point)
+		if res.SubstrateChecks <= survivor.SubstrateChecks || res.SubstrateDetections != 0 {
+			t.Fatalf("point %s: substrate checks %d (clean on the survivor %d), detections %d", point,
+				res.SubstrateChecks, survivor.SubstrateChecks, res.SubstrateDetections)
 		}
+		checkBitIdentical(t, res, clean, "fused "+point+" kill")
 	}
 }
 

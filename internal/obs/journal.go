@@ -51,8 +51,8 @@ const (
 	// KindDeviceLoss is a fail-stop device death (permanent, unlike the
 	// transient corruptions above); Outcome names the kill point.
 	KindDeviceLoss Kind = "device_loss"
-	// KindReconstruction is a parity rebuild of a dead device's slabs
-	// onto a spare (fail-stop recovery).
+	// KindReconstruction is a fail-stop recovery: the restart of the
+	// reduction from its input on the devices that survived a loss.
 	KindReconstruction Kind = "reconstruction"
 )
 

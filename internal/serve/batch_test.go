@@ -145,7 +145,7 @@ func TestBatchRequestValidation(t *testing.T) {
 		`{"batch":[{"n":16}],"symmetric":true}`,               // no symmetric batches
 		`{"batch":[{"n":16}],"devices":2}`,                    // whole-device lease conflicts
 		`{"batch":[{"n":16}],"algorithm":"cpu"}`,              // host path has no lanes
-		`{"batch":[{"n":16}],"fail_stop":true}`,               // no fail-stop batches
+		`{"batch":[{"n":16}],"fail_stop":true}`,               // retired field
 		`{"batch":[{"n":16}],"faults":[{"area":1,"iter":0}]}`, // no injection batches
 		`{"batch":[{"n":16}],"matrix_market":"%%MatrixMarket matrix array real general\n1 1\n1\n"}`,
 	}

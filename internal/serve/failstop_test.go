@@ -10,9 +10,9 @@ import (
 )
 
 // TestFailStopJobRecovers: a multi-device job whose device dies mid
-// trailing update completes anyway — the server re-leases a spare,
-// reconstructs from parity, reports the recovered_failstop outcome, and
-// returns every leased device (originals and spares) to the farm.
+// trailing update completes anyway — the reduction restarts on the two
+// surviving devices, the job reports the recovered_failstop outcome, and
+// every leased device goes back to the farm.
 func TestFailStopJobRecovers(t *testing.T) {
 	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{Capacity: 1, Devices: 5})
@@ -21,18 +21,18 @@ func TestFailStopJobRecovers(t *testing.T) {
 	waitState(t, ts, clean, StateDone)
 	cleanRes := getResult(t, ts, clean)
 
-	id := submit(t, ts, `{"n":96,"nb":8,"seed":3,"devices":3,"fail_stop":true,
+	id := submit(t, ts, `{"n":96,"nb":8,"seed":3,"devices":3,
 		"faults":[{"iter":2,"kill_point":"update","kill_device":1}]}`)
 	st := waitState(t, ts, id, StateDone)
 	res := getResult(t, ts, id)
 	if res.DeviceLosses != 1 || res.FailStopRecoveries != 1 {
-		t.Fatalf("fail-stop job: losses=%d recoveries=%d", res.DeviceLosses, res.FailStopRecoveries)
+		t.Fatalf("fail-stop job: losses=%d restarts=%d", res.DeviceLosses, res.FailStopRecoveries)
 	}
-	// The recovered run is bit-identical to the fault-free one, so the
+	// The restarted run is bit-identical to the fault-free one, so the
 	// residuals — computed from the same packed factorization — must
 	// match to the last bit, not just to a tolerance.
 	if math.Float64bits(float64(res.Residual)) != math.Float64bits(float64(cleanRes.Residual)) {
-		t.Fatalf("recovered residual %v != clean %v (recovery not bit-identical)",
+		t.Fatalf("restarted residual %v != clean %v (restart not bit-identical)",
 			float64(res.Residual), float64(cleanRes.Residual))
 	}
 	if st.Reliability == nil || st.Reliability.DeviceLosses != 1 || st.Reliability.Reconstructions != 1 {
@@ -57,13 +57,14 @@ func TestFailStopJobRecovers(t *testing.T) {
 	}
 }
 
-// TestFailStopDoubleFaultJob: losing a second device during recovery
-// exceeds the parity budget; the job fails with the uncorrectable code
-// rather than returning silently wrong bits, and the farm is restored.
+// TestFailStopDoubleFaultJob: losing a second device as the restart
+// begins exceeds the single-loss budget; the job fails with the
+// uncorrectable code rather than returning silently wrong bits, and the
+// farm is restored.
 func TestFailStopDoubleFaultJob(t *testing.T) {
 	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{Capacity: 1, Devices: 4})
-	id := submit(t, ts, `{"n":96,"nb":8,"seed":4,"devices":3,"fail_stop":true,
+	id := submit(t, ts, `{"n":96,"nb":8,"seed":4,"devices":3,
 		"faults":[{"iter":1,"kill_point":"update","kill_device":0},
 		          {"iter":1,"kill_point":"recovery","kill_device":2}]}`)
 	st := waitState(t, ts, id, StateFailed)
@@ -76,18 +77,21 @@ func TestFailStopDoubleFaultJob(t *testing.T) {
 	}
 }
 
-// TestFailStopValidation: fail_stop and kill specs are strictly checked
-// at submit time.
+// TestFailStopValidation: kill specs are strictly checked at submit
+// time, and the retired fail_stop field is an unknown field like any
+// other.
 func TestFailStopValidation(t *testing.T) {
 	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{Capacity: 1, Devices: 2})
 	for _, body := range []string{
-		`{"n":64,"fail_stop":true}`,                                                         // no devices
-		`{"n":64,"devices":2,"algorithm":"baseline","fail_stop":true}`,                      // wrong algorithm
+		`{"n":64,"devices":2,"fail_stop":true}`,                                             // retired field
 		`{"n":64,"devices":2,"faults":[{"iter":1,"kill_point":"nowhere"}]}`,                 // bad point
 		`{"n":64,"devices":2,"faults":[{"iter":1,"kill_device":1}]}`,                        // device sans point
 		`{"n":64,"devices":2,"faults":[{"iter":1}]}`,                                        // area 0 sans kill
 		`{"n":64,"devices":2,"faults":[{"iter":1,"kill_point":"update","kill_device":-1}]}`, // bad device
+		`{"n":64,"devices":2,"faults":[{"iter":1,"kill_point":"update","kill_device":2}]}`,  // outside the pool
+		`{"n":64,"devices":2,"faults":[{"iter":1,"kill_point":"update","kill_device":5}]}`,  // far outside the pool
+		`{"n":64,"faults":[{"iter":1,"kill_point":"update","kill_device":1}]}`,              // single device: only 0
 	} {
 		resp, b := doReq(t, ts, http.MethodPost, "/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {

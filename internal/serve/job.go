@@ -107,8 +107,8 @@ type Reliability struct {
 	Detections     int `json:"detections"`
 	Corrections    int `json:"corrections"`
 	Reexecutions   int `json:"reexecutions"`
-	// Fail-stop events (multi-device jobs with fail_stop on): permanent
-	// device deaths and the parity reconstructions that survived them.
+	// Fail-stop events (multi-device "ft" jobs): permanent device deaths
+	// and the restarts on the surviving devices that outlived them.
 	DeviceLosses    int `json:"device_losses,omitempty"`
 	Reconstructions int `json:"reconstructions,omitempty"`
 	// Uncorrectable is true when the job failed because the FT machinery

@@ -62,9 +62,10 @@ type FaultSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// KillPoint, when set, kills KillDevice permanently at this
 	// iteration's named window ("boundary", "panel", "update",
-	// "recovery") — a fail-stop loss, not a transient flip. The job
-	// survives it only with fail_stop recovery on (and a pool large
-	// enough); otherwise it fails uncorrectable.
+	// "recovery") — a fail-stop loss, not a transient flip. KillDevice
+	// is a slot of the job's pool, [0, devices), or 0 for a
+	// single-device job. A pool job survives one loss by restarting on
+	// the surviving devices; a single-device job fails uncorrectable.
 	KillPoint  string `json:"kill_point,omitempty"`
 	KillDevice int    `json:"kill_device,omitempty"`
 }
@@ -114,13 +115,6 @@ type JobRequest struct {
 	// typed unsupported error, which the result endpoint reports as a
 	// structured 400-class body (code "unsupported").
 	Devices int `json:"devices,omitempty"`
-	// FailStop enables fail-stop device-loss recovery (DESIGN.md §13) on
-	// a multi-device job: the run carries an extra parity device —
-	// leased from the farm when one is free, fabricated off-farm
-	// otherwise — and survives one kill_point death bit-identically,
-	// finishing with the recovered_failstop outcome instead of failing.
-	// Requires algorithm "ft" and devices > 0.
-	FailStop bool `json:"fail_stop,omitempty"`
 	// Substrate selects the BLAS fault-tolerance substrate on algorithm
 	// "ft": "" or "swept" (default) keeps the iteration-boundary sweeps
 	// only; "fused" additionally verifies every device BLAS call
@@ -143,8 +137,7 @@ type JobRequest struct {
 	// generated reduction, items sharing (n, nb) run back-to-back on one
 	// fractional device lane, distinct shapes run concurrently. A batched
 	// request must not set n, matrix_market, symmetric, devices,
-	// fail_stop, faults, or algorithm "cpu"; nb is the items' default
-	// block size.
+	// faults, or algorithm "cpu"; nb is the items' default block size.
 	Batch []BatchItemSpec `json:"batch,omitempty"`
 }
 
@@ -222,17 +215,6 @@ func (r *JobRequest) validate(maxN int) error {
 			return errors.New("fault injection requires algorithm \"ft\"")
 		}
 	}
-	if r.FailStop {
-		if r.Symmetric {
-			return errors.New("fail_stop is not supported on the symmetric path")
-		}
-		if r.Algorithm == AlgBaseline || r.Algorithm == AlgCPU {
-			return errors.New("fail_stop requires algorithm \"ft\"")
-		}
-		if r.Devices == 0 {
-			return errors.New("fail_stop requires a multi-device job (devices > 0)")
-		}
-	}
 	switch r.Substrate {
 	case "", "swept", "fused":
 	default:
@@ -251,8 +233,8 @@ func (r *JobRequest) validate(maxN int) error {
 			if _, err := fault.ParseKillPoint(f.KillPoint); err != nil {
 				return fmt.Errorf("faults[%d]: %v", i, err)
 			}
-			if f.KillDevice < 0 || f.KillDevice >= maxDevices {
-				return fmt.Errorf("faults[%d]: kill_device=%d out of range [0,%d)", i, f.KillDevice, maxDevices)
+			if slots := max(r.Devices, 1); f.KillDevice < 0 || f.KillDevice >= slots {
+				return fmt.Errorf("faults[%d]: kill_device=%d out of range [0,%d)", i, f.KillDevice, slots)
 			}
 		} else if f.KillDevice != 0 {
 			return fmt.Errorf("faults[%d]: kill_device requires kill_point", i)
@@ -280,7 +262,7 @@ func (r *JobRequest) validate(maxN int) error {
 // validateBatch checks the batched-job shape: items bounded and well
 // formed, and none of the single-job features that have no batched
 // equivalent (uploads, whole-device leases, the symmetric path, fault
-// injection, fail-stop, the host-only algorithm).
+// injection, the host-only algorithm).
 func (r *JobRequest) validateBatch(maxN int) error {
 	if len(r.Batch) > maxBatchItems {
 		return fmt.Errorf("%d batch items exceed the limit of %d", len(r.Batch), maxBatchItems)
@@ -296,9 +278,6 @@ func (r *JobRequest) validateBatch(maxN int) error {
 	}
 	if r.Devices > 0 {
 		return errors.New("devices (whole-device leases) cannot combine with batch (fractional lanes)")
-	}
-	if r.FailStop {
-		return errors.New("fail_stop is not supported on batched jobs")
 	}
 	if len(r.Faults) > 0 {
 		return errors.New("fault injection is not supported on batched jobs")

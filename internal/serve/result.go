@@ -29,9 +29,9 @@ type JobResult struct {
 	Recoveries   int `json:"recoveries"`
 	Corrections  int `json:"corrections"`
 	QCorrections int `json:"q_corrections"`
-	// Fail-stop statistics (multi-device "ft" jobs with fail_stop on):
-	// permanent device deaths and the parity reconstructions that
-	// survived them.
+	// Fail-stop statistics (multi-device "ft" jobs): permanent device
+	// deaths and the restarts on the surviving devices that outlived
+	// them.
 	DeviceLosses       int `json:"device_losses,omitempty"`
 	FailStopRecoveries int `json:"failstop_recoveries,omitempty"`
 

@@ -474,8 +474,8 @@ func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
 	close(j.done)
 	j.tracer.End(j.spanRoot)
 	// SLO outcome label: a job that lost a device and finished anyway is
-	// its own class — "done" would hide the reconstruction cost in the
-	// healthy latency distribution, "failed" would be a lie.
+	// its own class — "done" would hide the restart cost in the healthy
+	// latency distribution, "failed" would be a lie.
 	outcome := j.state
 	if err == nil && res != nil && res.FailStopRecoveries > 0 {
 		outcome = "recovered_failstop"
@@ -577,7 +577,6 @@ func runOptions(req *JobRequest, nb int) core.Options {
 		DisableLookahead:   req.Lookahead != nil && !*req.Lookahead,
 		Substrate:          req.Substrate,
 		DeviceCount:        req.Devices,
-		FailStop:           req.FailStop,
 	}
 	switch req.algorithm() {
 	case AlgBaseline:
@@ -760,42 +759,6 @@ func (s *Server) reduceOnDevices(j *Job, a *matrix.Matrix, opt core.Options, mod
 			opt.Devices = devs
 			j.setDevice(devs[0])
 			defer j.captureSimSpans(devs)
-			if req.FailStop {
-				// The parity device and any post-loss replacement re-lease
-				// from the farm when a device is free right now, and fall
-				// back to a fabricated off-farm device otherwise — recovery
-				// must never block on the lease while the job's peers hold
-				// their own devices (classic lease deadlock).
-				var spares []int
-				offFarm := s.cfg.Devices
-				opt.SpareDevice = func() *gpu.Device {
-					var ix int
-					select {
-					case i := <-s.devCh:
-						s.gLeased.Add(1)
-						s.gFree.Add(-1)
-						spares = append(spares, i)
-						ix = i
-						s.recorder.Record(obs.FlightEvent{Kind: "job:spare_leased",
-							Job: j.ID, Detail: fmt.Sprintf("device %d", i)})
-					default:
-						ix = offFarm
-						offFarm++
-					}
-					dev := gpu.NewIndexed(sim.K40c(), mode, ix)
-					if j.tracer != nil {
-						dev.EnableTrace()
-					}
-					return dev
-				}
-				defer func() {
-					if len(spares) > 0 {
-						s.gLeased.Add(-float64(len(spares)))
-						s.gFree.Add(float64(len(spares)))
-						s.releaseDevices(spares)
-					}
-				}()
-			}
 		} else {
 			// A per-job device: its Phase() feeds the status endpoint while
 			// the reduction runs.
