@@ -140,7 +140,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	costOnly := flag.Bool("costonly", false, "model time only (no arithmetic)")
 	lookahead := flag.Bool("lookahead", true, "factor panel k+1 under trailing update k (bit-identical; modeled time only)")
-	noOverlap := flag.Bool("no-overlap", false, "disable the overlapped detection/update schedule (ft only)")
+	noOverlap := flag.Bool("no-overlap", false, "serialize the finished-block D2H after the trailing update (both algorithms; a device pool ignores it)")
 	devices := flag.Int("devices", 0, "simulated GPU pool size (0 = single device; ft/baseline only)")
 	checksum := flag.Bool("checksum", false, "print a SHA-256 over the packed result and tau (bit-identical across -devices)")
 	inject := flag.String("inject", "", "inject one error: area1|area2|area3")

@@ -31,7 +31,6 @@ func (h *cancelHook) BeforeIteration(ic *ft.IterCtx) {
 }
 
 func (h *cancelHook) ConsumePendingH() int { return 0 }
-func (h *cancelHook) PendingQ() int        { return 0 }
 
 // TestReduceCancelMidIteration is the contract test for Options.Ctx: a
 // cancel that lands between iterations surfaces as context.Canceled

@@ -7,6 +7,8 @@
 // Downstream users pick an Algorithm, optionally attach a fault-injection
 // hook, and get back the factorization (packed, H, Q), eigenvalues if
 // requested, the simulated performance, and the resilience statistics.
+// Each layer's result embeds the one below: Result embeds ft.Result,
+// which embeds hybrid.Result, as SymResult embeds hybrid.SymResult.
 //
 //	res, err := core.Reduce(a, core.Options{Algorithm: core.FaultTolerant})
 //	H, Q := res.H(), res.Q()
@@ -123,42 +125,17 @@ type Options struct {
 	Devices     []*gpu.Device
 }
 
-// Result is the unified outcome of any algorithm choice.
+// Result is the unified outcome of any algorithm choice: the
+// fault-tolerant result, whose hybrid.Result carries the factorization
+// (Packed in LAPACK layout, Tau, H(), Q()) and the simulated
+// performance. After a CostOnly run Packed has a shape but no values.
+// SimSeconds and ModelGFLOPS are zero for CPUOnly, which has no device
+// timeline, and the resilience, fail-stop (DESIGN.md §13) and
+// fused-substrate statistics are zero for every algorithm but
+// FaultTolerant.
 type Result struct {
 	Algorithm Algorithm
-	N, NB     int
-	// Packed is the factorization in LAPACK layout; Tau the reflector
-	// scalars. After a CostOnly run Packed has a shape but no values.
-	Packed *matrix.Matrix
-	Tau    []float64
-	// SimSeconds / ModelGFLOPS report simulated performance (zero for
-	// CPUOnly, which has no device timeline).
-	SimSeconds  float64
-	ModelGFLOPS float64
-	// Resilience statistics (FaultTolerant only).
-	Detections   int
-	Recoveries   int
-	CorrectedH   []ft.Injection
-	QCorrections int
-	// Fail-stop statistics (FaultTolerant on a device pool, DESIGN.md §13):
-	// permanent device deaths and the restarts on the survivors that
-	// outlived them.
-	DeviceLosses       int
-	FailStopRecoveries int
-	// Fused-substrate statistics (Options.Substrate = "fused"): per-call
-	// in-kernel checksum verifications and detections.
-	SubstrateChecks     int
-	SubstrateDetections int
-}
-
-// H extracts the upper Hessenberg factor.
-func (r *Result) H() *matrix.Matrix {
-	return lapack.HessFromPacked(r.N, r.Packed.Data, r.Packed.Stride)
-}
-
-// Q forms the orthogonal factor explicitly.
-func (r *Result) Q() *matrix.Matrix {
-	return lapack.Dorghr(r.N, r.Packed.Data, r.Packed.Stride, r.Tau)
+	ft.Result
 }
 
 // Checks returns the paper's two verification metrics (Tables II/III)
@@ -169,19 +146,24 @@ func (r *Result) Checks(a *matrix.Matrix) (residual, orthogonality float64) {
 	return lapack.FactorizationResidual(a, q, r.H()), lapack.OrthogonalityResidual(q)
 }
 
-func (o *Options) device() *gpu.Device {
-	if o.Device != nil {
-		return o.Device
-	}
+// platform resolves the simulated platform: Params (sim.K40c() if zero)
+// and the execution mode.
+func (o *Options) platform() (sim.Params, gpu.Mode) {
 	p := o.Params
 	if p == (sim.Params{}) {
 		p = sim.K40c()
 	}
-	mode := gpu.Real
 	if o.CostOnly {
-		mode = gpu.CostOnly
+		return p, gpu.CostOnly
 	}
-	return gpu.New(p, mode)
+	return p, gpu.Real
+}
+
+func (o *Options) device() *gpu.Device {
+	if o.Device != nil {
+		return o.Device
+	}
+	return gpu.New(o.platform())
 }
 
 // pool resolves the multi-device option: the explicit Devices slice, or
@@ -193,14 +175,7 @@ func (o *Options) pool() []*gpu.Device {
 	if o.DeviceCount <= 0 {
 		return nil
 	}
-	p := o.Params
-	if p == (sim.Params{}) {
-		p = sim.K40c()
-	}
-	mode := gpu.Real
-	if o.CostOnly {
-		mode = gpu.CostOnly
-	}
+	p, mode := o.platform()
 	devs := make([]*gpu.Device, o.DeviceCount)
 	for i := range devs {
 		devs[i] = gpu.NewIndexed(p, mode, i)
@@ -233,7 +208,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		packed := a.Clone()
 		tau := make([]float64, max(n-1, 1))
 		lapack.Dgehrd(n, nb, packed.Data, packed.Stride, tau)
-		return &Result{Algorithm: CPUOnly, N: n, NB: nb, Packed: packed, Tau: tau}, nil
+		return &Result{Algorithm: CPUOnly, Result: ft.Result{Result: hybrid.Result{N: n, NB: nb, Packed: packed, Tau: tau}}}, nil
 	case Baseline:
 		hopt := hybrid.Options{
 			Ctx: opt.Ctx,
@@ -251,11 +226,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Algorithm: Baseline, N: res.N, NB: res.NB,
-			Packed: res.Packed, Tau: res.Tau,
-			SimSeconds: res.SimSeconds, ModelGFLOPS: res.ModelGFLOPS,
-		}, nil
+		return &Result{Algorithm: Baseline, Result: ft.Result{Result: *res}}, nil
 	default:
 		fopt := ft.Options{
 			Ctx:                opt.Ctx,
@@ -280,17 +251,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Algorithm: FaultTolerant, N: res.N, NB: res.NB,
-			Packed: res.Packed, Tau: res.Tau,
-			SimSeconds: res.SimSeconds, ModelGFLOPS: res.ModelGFLOPS,
-			Detections: res.Detections, Recoveries: res.Recoveries,
-			CorrectedH: res.CorrectedH, QCorrections: res.QCorrections,
-			DeviceLosses:        res.DeviceLosses,
-			FailStopRecoveries:  res.FailStopRecoveries,
-			SubstrateChecks:     res.SubstrateChecks,
-			SubstrateDetections: res.SubstrateDetections,
-		}, nil
+		return &Result{Algorithm: FaultTolerant, Result: *res}, nil
 	}
 }
 

@@ -83,10 +83,11 @@ func TestOptionsClassified(t *testing.T) {
 // pair of rows on different fields (so each knob also runs under
 // Baseline and at every K), and a seeded sample of deeper combinations.
 // Every run must reproduce the reference's packed and tau byte for byte
-// with no detection, recovery or Q correction — a drifted checksum
-// update would fire a phantom mismatch. Fused runs must check and never
-// detect, swept runs touch neither substrate counter, and killed runs
-// report exactly one loss and one restart and keep the residual bound.
+// in as many blocked iterations, with no detection, recovery or Q
+// correction — a drifted checksum update would fire a phantom mismatch.
+// Fused runs must check and never detect, swept runs touch neither
+// substrate counter, and killed runs report exactly one loss and one
+// restart and keep the residual bound.
 func TestInvarianceMatrix(t *testing.T) {
 	const n, samples = 128, 8
 	a := matrix.Random(n, n, 41)
@@ -128,6 +129,8 @@ func TestInvarianceMatrix(t *testing.T) {
 				case !res.Packed.Equal(ref.Packed) || !reflect.DeepEqual(res.Tau, ref.Tau):
 					t.Fatalf("%s: packed/tau differ from the family reference (max |Δ| = %g)",
 						label, res.Packed.Sub(ref.Packed).MaxAbs())
+				case res.BlockedIters != ref.BlockedIters:
+					t.Fatalf("%s: %d blocked iterations, the reference ran %d", label, res.BlockedIters, ref.BlockedIters)
 				case res.Detections != 0 || res.Recoveries != 0 || len(res.CorrectedH) != 0 || res.QCorrections != 0:
 					t.Fatalf("%s: phantom resilience events %+v", label, res)
 				case (opt.Substrate == "fused") != (res.SubstrateChecks > 0) || res.SubstrateDetections != 0:

@@ -282,7 +282,6 @@ type Plan struct {
 type Injector struct {
 	plans    []Plan
 	pendingH int
-	pendingQ int
 	// Log records every injection actually performed.
 	Log []ft.Injection
 	// Journal, when set, receives one obs.KindInjection event per
@@ -420,7 +419,6 @@ func (in *Injector) inject(ctx *ft.IterCtx, plan Plan, pos Pos, iter, idx int) {
 		if ctx.Mode() == gpu.Real {
 			ctx.Host.Add(pos.Row, pos.Col, delta)
 		}
-		in.pendingQ++
 	case plan.BitFlip:
 		if d := ctx.FlipBitH(pos.Row, pos.Col, plan.Bit); ctx.Mode() == gpu.Real {
 			delta = d
@@ -447,8 +445,5 @@ func (in *Injector) ConsumePendingH() int {
 	in.pendingH = 0
 	return c
 }
-
-// PendingQ implements ft.Hook.
-func (in *Injector) PendingQ() int { return in.pendingQ }
 
 var _ ft.Hook = (*Injector)(nil)

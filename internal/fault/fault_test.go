@@ -17,14 +17,13 @@ func newDev() *gpu.Device { return gpu.New(sim.K40c(), gpu.Real) }
 func TestBlockedIterations(t *testing.T) {
 	// Mirrors the hybrid loop: count via an actual run.
 	for _, tc := range []struct{ n, nb int }{{100, 16}, {158, 32}, {64, 16}, {40, 8}} {
-		var got int
 		a := matrix.Random(tc.n, tc.n, 1)
-		_, err := hybrid.Reduce(a, hybrid.Options{NB: tc.nb, Device: newDev(), AfterIteration: func(hybrid.IterInfo) { got++ }})
+		res, err := hybrid.Reduce(a, hybrid.Options{NB: tc.nb, Device: newDev()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := BlockedIterations(tc.n, tc.nb); want != got {
-			t.Fatalf("n=%d nb=%d: BlockedIterations=%d, actual=%d", tc.n, tc.nb, want, got)
+		if want := BlockedIterations(tc.n, tc.nb); want != res.BlockedIters {
+			t.Fatalf("n=%d nb=%d: BlockedIterations=%d, actual=%d", tc.n, tc.nb, want, res.BlockedIters)
 		}
 	}
 }

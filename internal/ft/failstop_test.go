@@ -34,7 +34,6 @@ func (h *killHook) BeforeIteration(ctx *IterCtx) {
 	}
 }
 func (h *killHook) ConsumePendingH() int { return 0 }
-func (h *killHook) PendingQ() int        { return 0 }
 
 // mustReduceClean runs a fault-free reduction as the bit-identical
 // reference.

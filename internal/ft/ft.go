@@ -28,6 +28,9 @@
 // protected separately with host-side row/column checksums generated on
 // the otherwise idle CPU and verified once after the last iteration
 // (the paper's Section IV-E/F).
+//
+// Result embeds hybrid.Result, so the factorization, H(), Q() and the
+// modeled time have one definition for both algorithms.
 package ft
 
 import (
@@ -54,6 +57,14 @@ var ErrUncorrectable = errors.New("ft: detected errors are not correctable")
 // ErrDetectionStorm reports that detection kept firing after the maximum
 // number of recovery attempts for one iteration.
 var ErrDetectionStorm = errors.New("ft: recovery retries exhausted")
+
+// maxRecoveries bounds the recovery attempts per iteration (per slab on
+// the multi-device path) before the run fails with ErrDetectionStorm.
+const maxRecoveries = 3
+
+// errPostProcessDetected ends an attempt of the post-processing
+// comparator when its end-of-run check fires; Reduce re-executes.
+var errPostProcessDetected = errors.New("ft: post-processing detection")
 
 // Target identifies which memory a fault was injected into.
 type Target int
@@ -163,8 +174,6 @@ type Hook interface {
 	// data-driven detector is authoritative and this is used only to keep
 	// the hook's state consistent.
 	ConsumePendingH() int
-	// PendingQ returns the count of Q-target injections not yet repaired.
-	PendingQ() int
 }
 
 // Options configures the fault-tolerant reduction.
@@ -197,8 +206,6 @@ type Options struct {
 	// τ = ThresholdFactor·ε·N·‖A‖₁ (paper: "2 to 3 orders of magnitude
 	// above machine epsilon"). Default 200.
 	ThresholdFactor float64
-	// MaxRecoveries bounds recovery attempts per iteration (default 3).
-	MaxRecoveries int
 	// DisableOverlap serializes the finished-block transfer with the
 	// trailing update (ablation).
 	DisableOverlap bool
@@ -222,7 +229,9 @@ type Options struct {
 	// still maintained, but the Sre/Sce comparison runs only once, after
 	// the last iteration. By then the error has propagated through every
 	// subsequent update, so the only recovery is re-executing the whole
-	// factorization. Implemented as a comparator for the ablation studies.
+	// factorization, on the same device. Implemented as a comparator for
+	// the ablation studies, on the single-device schedule only: Reduce
+	// rejects it together with Devices.
 	PostProcess bool
 	// Hook receives iteration-boundary callbacks for fault injection.
 	Hook Hook
@@ -281,14 +290,9 @@ func substrateFused(opt Options) (bool, error) {
 }
 
 // Result extends the hybrid result with resilience statistics.
+// BlockedIters excludes re-executions.
 type Result struct {
-	N  int
-	NB int
-	// Packed, Tau: the factorization in LAPACK layout, as in hybrid.
-	Packed *matrix.Matrix
-	Tau    []float64
-	// BlockedIters counts blocked iterations (excluding re-executions).
-	BlockedIters int
+	hybrid.Result
 	// Detections counts iteration-end checksum mismatches.
 	Detections int
 	// Recoveries counts successful reverse+correct+re-execute cycles.
@@ -311,26 +315,13 @@ type Result struct {
 	FailStopRecoveries int
 	// SubstrateChecks and SubstrateDetections count the fused-ABFT
 	// substrate's per-call checksum verifications and detections across
-	// all devices (Options.Substrate = "fused"; zero under the swept
-	// substrate). Substrate detection is report-only — the boundary
-	// sweeps remain the corrector — except a non-finite checksum total,
-	// which fails the run with ErrUncorrectable rather than risking
-	// silent NaN propagation.
+	// all devices and attempts (Options.Substrate = "fused"; zero under
+	// the swept substrate). Substrate detection is report-only — the
+	// boundary sweeps remain the corrector — except a non-finite checksum
+	// total, which fails the run with ErrUncorrectable rather than
+	// risking silent NaN propagation.
 	SubstrateChecks     int
 	SubstrateDetections int
-	// SimSeconds and ModelGFLOPS report the simulated performance.
-	SimSeconds  float64
-	ModelGFLOPS float64
-}
-
-// H extracts the upper Hessenberg factor.
-func (r *Result) H() *matrix.Matrix {
-	return lapack.HessFromPacked(r.N, r.Packed.Data, r.Packed.Stride)
-}
-
-// Q forms the orthogonal factor explicitly.
-func (r *Result) Q() *matrix.Matrix {
-	return lapack.Dorghr(r.N, r.Packed.Data, r.Packed.Stride, r.Tau)
 }
 
 // reducer is the single-device fault-tolerant reduction: the run shell
@@ -388,6 +379,9 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		return nil, err
 	}
 	if len(opt.Devices) > 0 {
+		if opt.PostProcess {
+			return nil, errors.New("ft: PostProcess runs on the single-device schedule only (Options.Devices is set)")
+		}
 		return reduceMulti(a, opt, fused)
 	}
 	if opt.Device == nil {
@@ -404,9 +398,29 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 
 	r := &reducer{run: newRun(a, opt, hybrid.DeviceLane(dev), dev.Params, fused), dev: dev}
 	r.emit = r.journal
+	err = r.attempt(a)
+	if errors.Is(err, errPostProcessDetected) {
+		// The comparator's one end-of-run detection fired. An error that
+		// has propagated through every later update cannot be located
+		// anymore, so the whole factorization re-executes with
+		// per-iteration checks, on the same device: the retry's modeled
+		// time includes the lost attempt.
+		r.detected(r.res.BlockedIters, r.lastDetectGap, "post-process", "")
+		r.res.Recoveries++
+		opt.PostProcess = false
+		return r.rerun(a, opt)
+	}
+	return r.res, err
+}
+
+// attempt runs the reduction once on the device, freeing every device
+// allocation and collecting the fused-substrate statistics before it
+// returns.
+func (r *reducer) attempt(a *matrix.Matrix) error {
+	dev := r.dev
 	n, nb := r.n, r.nb
 	if n <= 1 {
-		return r.res, nil
+		return nil
 	}
 	defer r.fuse([]*gpu.Device{dev})()
 	r.threshold(a)
@@ -442,7 +456,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	iter := 0
 	for ; n-1-p > nx; p += nb {
 		if err := dev.CtxErr(); err != nil {
-			return r.res, err
+			return err
 		}
 		ib := min(nb, n-1-p)
 
@@ -459,7 +473,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			ev := obs.Ev(obs.KindDeviceLoss, iter)
 			ev.Target = obs.TargetH
 			r.journal(ev)
-			return r.res, fmt.Errorf("%w: device lost at iteration %d (a restart needs the multi-device path)", ErrUncorrectable, iter)
+			return fmt.Errorf("%w: device lost at iteration %d (a restart needs the multi-device path)", ErrUncorrectable, iter)
 		}
 
 		recovered := 0
@@ -467,7 +481,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			var err error
 			prevLeft, err = r.iteration(iter, p, ib, prevLeft, attempt > 0)
 			if err != nil {
-				return r.res, err
+				return err
 			}
 			if r.opt.PostProcess {
 				// Comparator mode: no per-iteration check; errors keep
@@ -478,11 +492,11 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 				break
 			}
 			r.detected(iter, r.lastDetectGap, "", "")
-			if attempt >= r.opt.MaxRecoveries {
-				return r.res, fmt.Errorf("%w (iteration %d)", ErrDetectionStorm, iter)
+			if attempt >= maxRecoveries {
+				return fmt.Errorf("%w (iteration %d)", ErrDetectionStorm, iter)
 			}
 			if err := r.recover(iter, p, ib); err != nil {
-				return r.res, err
+				return err
 			}
 			recovered++
 			r.count("ft_recoveries_total")
@@ -493,16 +507,16 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	r.res.BlockedIters = iter
 
 	if r.opt.PostProcess && iter > 0 && r.detectAt(iter, prevLeft) {
-		return r.rerunPostProcess(a, r.lastDetectGap)
+		return errPostProcessDetected
 	}
 	if err := dev.CtxErr(); err != nil {
-		return r.res, err
+		return err
 	}
 	// Optional whole-matrix verification of the device-resident H data.
 	if r.opt.FinalHCheck {
 		dev.SetPhase("final_check")
 		if err := r.finalHCheck(p); err != nil {
-			return r.res, err
+			return err
 		}
 	}
 
@@ -516,16 +530,16 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
 	})
 	if err := r.verifyQ(p); err != nil {
-		return r.res, err
+		return err
 	}
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
 	dev.FinishRun()
 	if err := r.checkFused([]*gpu.Device{dev}); err != nil {
-		return r.res, err
+		return err
 	}
-	r.res.setTiming(dev.Elapsed())
-	return r.res, nil
+	r.res.SetTiming(dev.Elapsed())
+	return nil
 }
 
 // encode computes the initial checksum column and row on the device
@@ -664,38 +678,32 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 	dev.SetPhase("right_update")
 	ei := dev.Mode.HostElem(r.hostA, p+ib, p+ib-1)
 	e1 := dev.Set(r.dA, p+ib, p+ib-1, 1, ytopDone, ychkDone)
-	var left sim.Event
-	if ib2 := min(ib, n-1-(p+ib)); r.la && n-1-(p+ib) > max(r.nb, 2) {
+	ib2 := 0
+	if r.la && n-1-(p+ib) > max(r.nb, 2) {
 		// Priority: next panel's columns, top rows then rows k..n.
+		ib2 = min(ib, n-1-(p+ib))
 		eMp := dev.Gemm(blas.NoTrans, blas.Trans, k, ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e1)
 		eGp := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, ib2, ib, -1, r.dY, k, 0, r.dA, p+ib, p, 1, r.dA, k, p+ib, eMp, chkSegDone)
 		dev.SetPhase("left_update")
 		r.panelReady = r.leftUpdate(p, ib, 0, ib2, eGp)
-		// Remainder: every other trailing column plus the checksum column.
 		dev.SetPhase("right_update")
-		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib-ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib+ib2, p, 1, r.dA, 0, p+ib+ib2, e1)
-		eG := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib-ib2, ib, -1, r.dY, k, 0, r.dA, p+ib+ib2, p, 1, r.dA, k, p+ib+ib2, eM, chkSegDone)
-		dev.SetPhase("checksum_maintenance")
-		eCk := dev.Gemv(blas.NoTrans, n, ib, -1, r.dY, 0, 0, r.dVsum, 0, 0, 1, r.dA, 0, n, eG)
-		dev.SetPhase("right_update")
-		eC := dev.Set(r.dA, p+ib, p+ib-1, ei, eCk)
-		dev.SetPhase("left_update")
-		left = r.leftUpdate(p, ib, ib2, n-p-ib+1, eC)
-	} else {
-		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e1)
-		// G rows k..n-1 plus the checksum row n in one GEMM (dY row n = Yce).
-		eG := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib, ib, -1, r.dY, k, 0, r.dA, p+ib, p, 1, r.dA, k, p+ib, eM, chkSegDone)
-		// Checksum column under the right update: Ace −= Y·(Vᵀe).
-		dev.SetPhase("checksum_maintenance")
-		eCk := dev.Gemv(blas.NoTrans, n, ib, -1, r.dY, 0, 0, r.dVsum, 0, 0, 1, r.dA, 0, n, eG)
-		dev.SetPhase("right_update")
-		eC := dev.Set(r.dA, p+ib, p+ib-1, ei, eCk)
-
-		// Line 11: left update of trail(A)fe — data columns p+ib..n-1 plus
-		// the checksum column (col n), with the checksum row updated
-		// through the retained intermediate S.
-		dev.SetPhase("left_update")
-		left = r.leftUpdate(p, ib, 0, n-p-ib+1, eC)
+	}
+	// Remainder (everything without lookahead): every trailing column past
+	// the priority part. G rows k..n-1 plus the checksum row n go in one
+	// GEMM (dY row n = Yce).
+	eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib-ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib+ib2, p, 1, r.dA, 0, p+ib+ib2, e1)
+	eG := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib-ib2, ib, -1, r.dY, k, 0, r.dA, p+ib+ib2, p, 1, r.dA, k, p+ib+ib2, eM, chkSegDone)
+	// Checksum column under the right update: Ace −= Y·(Vᵀe).
+	dev.SetPhase("checksum_maintenance")
+	eCk := dev.Gemv(blas.NoTrans, n, ib, -1, r.dY, 0, 0, r.dVsum, 0, 0, 1, r.dA, 0, n, eG)
+	dev.SetPhase("right_update")
+	eC := dev.Set(r.dA, p+ib, p+ib-1, ei, eCk)
+	// Line 11: left update of trail(A)fe — the remainder's data columns
+	// plus the checksum column (col n), with the checksum row updated
+	// through the retained intermediate S.
+	dev.SetPhase("left_update")
+	left := r.leftUpdate(p, ib, ib2, n-p-ib+1, eC)
+	if ib2 == 0 {
 		r.panelReady = left
 	}
 	if r.opt.DisableOverlap {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -132,7 +133,6 @@ func (h *checksumAuditHook) BeforeIteration(ctx *IterCtx) {
 }
 
 func (h *checksumAuditHook) ConsumePendingH() int { return 0 }
-func (h *checksumAuditHook) PendingQ() int        { return 0 }
 
 func TestTheorem1ChecksumInvariant(t *testing.T) {
 	// The paper's Theorem 1: the checksum column and row are valid at the
@@ -170,7 +170,6 @@ func (h *pokeHook) BeforeIteration(ctx *IterCtx) {
 	}
 }
 func (h *pokeHook) ConsumePendingH() int { c := h.pending; h.pending = 0; return c }
-func (h *pokeHook) PendingQ() int        { return 0 }
 
 func TestCorrectedPositionsReported(t *testing.T) {
 	n := 126
@@ -279,11 +278,10 @@ type stormHook struct{}
 
 func (stormHook) BeforeIteration(*IterCtx) {}
 func (stormHook) ConsumePendingH() int     { return 1 }
-func (stormHook) PendingQ() int            { return 0 }
 
 func TestDetectionStormBails(t *testing.T) {
 	a := matrix.New(126, 126)
-	_, err := Reduce(a, Options{NB: 16, Device: gpu.New(sim.K40c(), gpu.CostOnly), Hook: stormHook{}, MaxRecoveries: 2})
+	_, err := Reduce(a, Options{NB: 16, Device: gpu.New(sim.K40c(), gpu.CostOnly), Hook: stormHook{}})
 	if !errors.Is(err, ErrDetectionStorm) {
 		t.Fatalf("expected ErrDetectionStorm, got %v", err)
 	}
@@ -399,7 +397,6 @@ func (f funcHook) BeforeIteration(ctx *IterCtx) {
 	}
 }
 func (funcHook) ConsumePendingH() int { return 0 }
-func (funcHook) PendingQ() int        { return 0 }
 
 // Property: for random sizes and block sizes, the fault-free FT reduction
 // is numerically indistinguishable from the plain LAPACK reduction.
@@ -509,6 +506,46 @@ func TestPostProcessCostsMore(t *testing.T) {
 	}
 }
 
+// The comparator's retry re-executes on the same device after the first
+// attempt has collected its fused-substrate checks, so each attempt's
+// checks count once: the Result and the ft_substrate_checks_total
+// counter agree, and both exceed a clean run's count.
+func TestPostProcessRetryCountsSubstrateChecksOnce(t *testing.T) {
+	n, nb := 128, 16
+	a := matrix.Random(n, n, 5)
+	clean, err := Reduce(a, Options{NB: nb, Device: newDev(), Substrate: SubstrateFused})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	hook := &pokeHook{iter: 2, pokes: []Injection{{Row: 90, Col: 70, Delta: 2}}}
+	res, err := Reduce(a, Options{NB: nb, Device: newDev(), Hook: hook, PostProcess: true, Substrate: SubstrateFused, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("%d recoveries, want the one re-execution", res.Recoveries)
+	}
+	counted := reg.CounterValue("ft_substrate_checks_total")
+	if int(counted) != res.SubstrateChecks {
+		t.Fatalf("ft_substrate_checks_total = %v, Result.SubstrateChecks = %d", counted, res.SubstrateChecks)
+	}
+	if res.SubstrateChecks <= clean.SubstrateChecks {
+		t.Fatalf("%d substrate checks over two attempts, a clean run alone makes %d", res.SubstrateChecks, clean.SubstrateChecks)
+	}
+	if r := lapack.FactorizationResidual(a, res.Q(), res.H()); r > 1e-13 {
+		t.Fatalf("residual %v", r)
+	}
+}
+
+// The comparator runs on the single-device schedule only.
+func TestPostProcessRejectsDevices(t *testing.T) {
+	a := matrix.Random(64, 64, 3)
+	if _, err := Reduce(a, Options{NB: 16, Devices: newDevs(2, gpu.Real), PostProcess: true}); err == nil {
+		t.Fatal("PostProcess with Devices must be rejected")
+	}
+}
+
 // stormOnceHook reports exactly one pending H error (cost-only driver).
 type stormOnceHook struct{ consumed bool }
 
@@ -520,4 +557,3 @@ func (h *stormOnceHook) ConsumePendingH() int {
 	h.consumed = true
 	return 1
 }
-func (h *stormOnceHook) PendingQ() int { return 0 }

@@ -102,7 +102,6 @@ func (h *cancelHook) BeforeIteration(ctx *IterCtx) {
 	}
 }
 func (h *cancelHook) ConsumePendingH() int { return 0 }
-func (h *cancelHook) PendingQ() int        { return 0 }
 
 // Cancelling mid-lookahead must unwind within one blocked iteration,
 // leak nothing (run under -race), and leave the pool reusable: the same

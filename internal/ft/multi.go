@@ -122,9 +122,9 @@ func (r *multiReducer) flipBitH(row, col int, bit uint) float64 {
 
 // reduceMulti is the multi-device body of Reduce, selected when
 // Options.Devices is non-empty: hybrid's pool schedule with this
-// reducer as its guard. An attempt that ends in a post-processing
-// detection or a device loss releases its device state, then runs the
-// reduction again from a.
+// reducer as its guard. An attempt that ends in a device loss releases
+// its device state, then the reduction runs again from a on the
+// survivors.
 func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 	pool := devpool.Wrap(opt.Devices)
 	if opt.Obs != nil {
@@ -143,15 +143,10 @@ func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 	}
 	r.emit = r.journal
 	err := r.attempt(a)
-	switch {
-	case errors.Is(err, errPostProcessDetected):
-		return r.rerunPostProcess(a, r.lastGap)
-	case errors.Is(err, errDeviceLost):
+	if errors.Is(err, errDeviceLost) {
 		return r.restart(a)
-	case err != nil:
-		return r.res, err
 	}
-	return r.res, nil
+	return r.res, err
 }
 
 // attempt runs the reduction once on the pool, freeing every device
@@ -192,7 +187,7 @@ func (r *multiReducer) attempt(a *matrix.Matrix) error {
 	if err := r.checkFused(pool.Devices); err != nil {
 		return err
 	}
-	r.res.setTiming(pool.Elapsed())
+	r.res.SetTiming(pool.Elapsed())
 	return nil
 }
 
@@ -223,10 +218,6 @@ func (r *multiReducer) sweepSetup() func() {
 	}
 }
 
-// errPostProcessDetected aborts the pool schedule before its gather when
-// the post-processing comparator's end-of-run check fires.
-var errPostProcessDetected = errors.New("ft: post-processing detection")
-
 // Boundary is the guard's iteration-boundary point: the injection hook,
 // the boundary- and panel-point device losses, and the boundary check.
 func (r *multiReducer) Boundary(iter, p, k, ib int) error {
@@ -243,10 +234,8 @@ func (r *multiReducer) Boundary(iter, p, k, ib int) error {
 	}
 	// Boundary check: a fault injected between iterations is caught
 	// here, before this iteration's updates consume the data.
-	if !r.opt.PostProcess {
-		if err := r.checkAll(iter, p); err != nil {
-			return err
-		}
+	if err := r.checkAll(iter, p); err != nil {
+		return err
 	}
 	// A panel-point loss strikes as the panel offload begins: after the
 	// boundary sweep, before PanelD2H reads the panel slab.
@@ -279,18 +268,13 @@ func (r *multiReducer) AfterLeft(p, ib int) {
 }
 
 // Finish runs the final boundary check, which covers the last
-// iteration's updates (or, for the post-processing comparator, its one
-// end-of-run detection), then verifies and repairs the host-side
+// iteration's updates, then verifies and repairs the host-side
 // Householder storage before the gather: the gather overwrites it with
 // the halo-protected device slabs, so this pass is what reports
 // host-only (Area 3) hits.
 func (r *multiReducer) Finish(iters, p int) error {
 	r.res.BlockedIters = iters
-	if r.opt.PostProcess {
-		if iters > 0 && len(r.detectSweep(iters, p)) > 0 {
-			return errPostProcessDetected
-		}
-	} else if err := r.checkAll(iters, p); err != nil {
+	if err := r.checkAll(iters, p); err != nil {
 		return err
 	}
 	return r.verifyQ(p)
@@ -557,7 +541,7 @@ func (r *multiReducer) recheckSlab(iter, s int) bool {
 }
 
 // checkAll runs one boundary check and drives slab-local recovery for
-// every flagged slab, bounded by MaxRecoveries attempts per slab.
+// every flagged slab, bounded by maxRecoveries attempts per slab.
 func (r *multiReducer) checkAll(iter, p int) error {
 	pool := r.pool
 	prev := pool.SetPhase("detect")
@@ -576,7 +560,7 @@ func (r *multiReducer) checkAll(iter, p int) error {
 			}
 			r.res.Detections++
 			r.count("ft_detections_total")
-			if attempt+1 >= r.opt.MaxRecoveries {
+			if attempt+1 >= maxRecoveries {
 				return fmt.Errorf("%w (iteration %d, slab %d)", ErrDetectionStorm, iter, s)
 			}
 		}

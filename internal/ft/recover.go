@@ -231,7 +231,7 @@ func (r *reducer) locateAndCorrect(iter, split, panel int, patchPanel bool) erro
 // subtracting it cancels the element's true value, and only a second
 // location pass — against the same maintained checksums — restores it.
 // A re-check that still mismatches counts as a detection; after
-// MaxRecoveries of them the run fails with ErrDetectionStorm. Only
+// maxRecoveries of them the run fails with ErrDetectionStorm. Only
 // verified values reach the host copy of the finished columns.
 func (r *reducer) finalHCheck(split int) error {
 	iter := r.res.BlockedIters
@@ -245,7 +245,7 @@ func (r *reducer) finalHCheck(split int) error {
 			break
 		}
 		r.detected(iter, r.lastDetectGap, "final re-check", "")
-		if attempt+1 >= r.opt.MaxRecoveries {
+		if attempt+1 >= maxRecoveries {
 			return fmt.Errorf("%w (final H check)", ErrDetectionStorm)
 		}
 	}

@@ -51,9 +51,6 @@ func newRun(a *matrix.Matrix, opt Options, lane hybrid.HostLane, pp sim.Params, 
 	if opt.ThresholdFactor <= 0 {
 		opt.ThresholdFactor = 200
 	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
-	}
 	if opt.Obs != nil {
 		// A clean run still exposes every counter, at zero.
 		for _, name := range ftCounterNames {
@@ -69,7 +66,7 @@ func newRun(a *matrix.Matrix, opt Options, lane hybrid.HostLane, pp sim.Params, 
 		hostA: hostA, tau: tau,
 		la: !opt.DisableLookahead, fused: fused,
 		qprot: newQChecksums(mode, n),
-		res:   &Result{N: n, NB: nb, Packed: hostA, Tau: tau},
+		res:   &Result{Result: hybrid.Result{N: n, NB: nb, Packed: hostA, Tau: tau}},
 	}
 }
 
@@ -169,8 +166,8 @@ func (s *run) verifyQ(p int) error {
 // rerun re-executes the whole factorization from its input a with opt
 // and adds this attempt's counters to the retry's. The hook is dropped:
 // neither a transient error nor a device loss re-occurs on redo. Two
-// recoveries use it: the post-processing comparator's (rerunPostProcess)
-// and the restart after a device loss (failstop.go).
+// recoveries use it: the post-processing comparator's (Reduce) and the
+// restart after a device loss (failstop.go).
 func (s *run) rerun(a *matrix.Matrix, opt Options) (*Result, error) {
 	opt.Hook = nil
 	retry, err := Reduce(a, opt)
@@ -186,19 +183,6 @@ func (s *run) rerun(a *matrix.Matrix, opt Options) (*Result, error) {
 	retry.SubstrateChecks += s.res.SubstrateChecks
 	retry.SubstrateDetections += s.res.SubstrateDetections
 	return retry, nil
-}
-
-// rerunPostProcess is the post-processing comparator's recovery: its
-// single end-of-run detection fired with gap |Sre−Sce|, and an error
-// that has propagated through every later update cannot be located
-// anymore, so the whole factorization re-executes with per-iteration
-// checks.
-func (s *run) rerunPostProcess(a *matrix.Matrix, gap float64) (*Result, error) {
-	s.detected(s.res.BlockedIters, gap, "post-process", "")
-	s.res.Recoveries++
-	opt := s.opt
-	opt.PostProcess = false
-	return s.rerun(a, opt)
 }
 
 // checked counts one checksum comparison of H in iteration iter and
@@ -251,14 +235,6 @@ func (s *run) correctedCostOnly(iter int, device string) {
 		s.emit(ev)
 	}
 	s.count("ft_corrections_total")
-}
-
-// setTiming records the simulated makespan and the modeled rate.
-func (r *Result) setTiming(elapsed float64) {
-	r.SimSeconds = elapsed
-	if elapsed > 0 {
-		r.ModelGFLOPS = sim.HessenbergFlops(r.N) / elapsed / 1e9
-	}
 }
 
 // ftLabels returns the job label set for the run's FT counters (empty

@@ -53,7 +53,14 @@ import (
 	"repro/internal/sim"
 )
 
-const macheps = 2.220446049250313e-16
+const (
+	macheps = 2.220446049250313e-16
+	// thresholdFactor scales the detection threshold
+	// τ = thresholdFactor·ε·N·‖A‖₁, as ft's default does.
+	thresholdFactor = 200
+	// maxRecoveries bounds the recovery attempts per iteration.
+	maxRecoveries = 3
+)
 
 // ErrUncorrectable mirrors ft.ErrUncorrectable for the symmetric path.
 var ErrUncorrectable = errors.New("ftsym: detected errors are not correctable")
@@ -78,10 +85,6 @@ type Options struct {
 	Ctx context.Context
 	// NB is the block size (32 if zero).
 	NB int
-	// ThresholdFactor scales τ = ThresholdFactor·ε·N·‖A‖₁ (default 200).
-	ThresholdFactor float64
-	// MaxRecoveries bounds recovery attempts per iteration (default 3).
-	MaxRecoveries int
 	// Hook receives iteration-boundary callbacks. Injection needs data,
 	// so a cost-only Device rejects it.
 	Hook Hook
@@ -122,12 +125,6 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	if opt.Hook != nil && dev.Mode != gpu.Real {
 		return nil, errors.New("ftsym: a fault Hook needs a Real-mode device")
-	}
-	if opt.ThresholdFactor <= 0 {
-		opt.ThresholdFactor = 200
-	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
 	}
 	if opt.Obs != nil {
 		for _, name := range []string{
@@ -216,7 +213,7 @@ func (g *guard) Start(s hybrid.SymState) {
 		norm = symNorm1(g.a)
 		ones.Fill(1)
 	})
-	g.tauDet = g.opt.ThresholdFactor * macheps * float64(n) * math.Max(norm, 1)
+	g.tauDet = thresholdFactor * macheps * float64(n) * math.Max(norm, 1)
 	dev.H2D(g.ones, 0, 0, ones)
 	dev.Symv(blas.Lower, n, 1, s.A, 0, 0, g.ones, 0, 0, 0, g.chk, 0, 0)
 }
@@ -300,7 +297,7 @@ func (g *guard) AfterUpdate(iter, p int) (bool, error) {
 	g.res.Detections++
 	g.count("ftsym_detections_total")
 	g.journal(obs.Ev(obs.KindDetection, iter))
-	if g.attempt >= g.opt.MaxRecoveries {
+	if g.attempt >= maxRecoveries {
 		return false, fmt.Errorf("%w (iteration %d)", ErrRetriesExhausted, iter)
 	}
 	g.attempt++

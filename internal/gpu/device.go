@@ -242,19 +242,12 @@ func (d *Device) Kill() { d.dead = true }
 func (d *Device) Dead() bool { return d.dead }
 
 // SetSubstrateFused switches the device's GEMM/GEMV kernels onto (or off)
-// the fused-ABFT substrate and returns the previous setting. While on,
-// Real-mode matrix kernels verify their own output in the macro-kernel
-// epilogue (DgemmFT) or by dual modular redundancy (DgemvFT) and the cost
-// model charges the modeled premium; detections accumulate in FTStats.
-// CostOnly mode only changes the charged costs.
-func (d *Device) SetSubstrateFused(on bool) bool {
-	prev := d.fusedFT
-	d.fusedFT = on
-	return prev
-}
-
-// SubstrateFused reports whether the fused-ABFT substrate is active.
-func (d *Device) SubstrateFused() bool { return d.fusedFT }
+// the fused-ABFT substrate. While on, Real-mode matrix kernels verify
+// their own output in the macro-kernel epilogue (DgemmFT) or by dual
+// modular redundancy (DgemvFT) and the cost model charges the modeled
+// premium; detections accumulate in FTStats. CostOnly mode only changes
+// the charged costs.
+func (d *Device) SetSubstrateFused(on bool) { d.fusedFT = on }
 
 // FTStats reports the fused-substrate verdicts accumulated since the last
 // ResetFTStats: total checksum/DMR comparisons, threshold exceedances,
@@ -641,12 +634,4 @@ func (d *Device) HostOp(cost float64, f func()) {
 // Elapsed returns the simulated makespan so far.
 func (d *Device) Elapsed() float64 {
 	return sim.Makespan(d.Host, d.Compute, d.Copy, d.Lookahead)
-}
-
-// ResetClocks zeroes all timelines (buffers are preserved).
-func (d *Device) ResetClocks() {
-	d.Host.Reset()
-	d.Compute.Reset()
-	d.Copy.Reset()
-	d.Lookahead.Reset()
 }

@@ -66,8 +66,8 @@ func TestAsyncCopyOverlapsCompute(t *testing.T) {
 func TestKernelFIFOOrdering(t *testing.T) {
 	d := newReal()
 	a := d.Alloc(10, 10)
-	e1 := d.Scal(10, 2, a, 0, 0)
-	e2 := d.Scal(10, 2, a, 0, 1)
+	e1 := d.CopyBlock(a, 0, 1, a, 0, 0, 10, 1)
+	e2 := d.CopyBlock(a, 0, 2, a, 0, 0, 10, 1)
 	if e2.At <= e1.At {
 		t.Fatal("compute stream must be FIFO")
 	}
@@ -79,7 +79,7 @@ func TestDependencyAcrossStreams(t *testing.T) {
 	h := matrix.Random(200, 200, 3)
 	cp := d.H2DAsync(a, 0, 0, h)
 	// Kernel depending on the copy cannot start before it completes.
-	k := d.Scal(200, 1, a, 0, 0, cp)
+	k := d.CopyBlock(a, 0, 1, a, 0, 0, 200, 1, cp)
 	if k.At < cp.At {
 		t.Fatalf("kernel (%.6g) started before its dependency (%.6g)", k.At, cp.At)
 	}
@@ -184,7 +184,7 @@ func TestTrmmAxpyCopyBlockKernels(t *testing.T) {
 		t.Fatal("device Trmm wrong")
 	}
 
-	d.Axpy(2, 10, b, 0, 0, b, 0, 1)
+	d.SubBlock(b, 0, 1, b, 0, 0, 2, 1)
 	d.CopyBlock(b, 0, 2, b, 0, 0, 2, 1)
 	got2 := matrix.New(2, 3)
 	d.D2H(got2, b, 0, 0)
@@ -192,8 +192,8 @@ func TestTrmmAxpyCopyBlockKernels(t *testing.T) {
 		if got2.At(i, 2) != got2.At(i, 0) {
 			t.Fatal("CopyBlock did not copy")
 		}
-		if math.Abs(got2.At(i, 1)-(want.At(i, 1)+10*want.At(i, 0))) > 1e-12 {
-			t.Fatal("Axpy wrong")
+		if math.Abs(got2.At(i, 1)-(want.At(i, 1)-want.At(i, 0))) > 1e-12 {
+			t.Fatal("SubBlock wrong")
 		}
 	}
 }
@@ -233,22 +233,6 @@ func TestLarfbKernelMatchesHost(t *testing.T) {
 	d.D2H(got, c, 0, 0)
 	if md := got.Sub(want).MaxAbs(); md > 1e-12 {
 		t.Fatalf("device Larfb differs from host by %v", md)
-	}
-}
-
-func TestSetZero(t *testing.T) {
-	d := newReal()
-	a := d.Alloc(4, 4)
-	h := matrix.Random(4, 4, 6)
-	d.H2D(a, 0, 0, h)
-	d.SetZero(a, 1, 1, 2, 2)
-	got := matrix.New(4, 4)
-	d.D2H(got, a, 0, 0)
-	if got.At(1, 1) != 0 || got.At(2, 2) != 0 {
-		t.Fatal("SetZero did not zero")
-	}
-	if got.At(0, 0) != h.At(0, 0) || got.At(3, 3) != h.At(3, 3) {
-		t.Fatal("SetZero zeroed outside the block")
 	}
 }
 
@@ -453,7 +437,7 @@ func TestTraceRecordsSpans(t *testing.T) {
 func TestTraceDisabledByDefault(t *testing.T) {
 	d := newReal()
 	a := d.Alloc(4, 4)
-	d.Scal(4, 1, a, 0, 0)
+	d.CopyBlock(a, 0, 1, a, 0, 0, 4, 1)
 	if len(d.Trace()) != 0 {
 		t.Fatal("tracing must be opt-in")
 	}

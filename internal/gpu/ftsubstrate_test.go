@@ -21,9 +21,10 @@ func TestSubstrateFusedGemmBitwiseAndCounted(t *testing.T) {
 
 	run := func(fused bool) (*matrix.Matrix, *Device) {
 		d := New(sim.K40c(), Real)
-		if prev := d.SetSubstrateFused(fused); prev {
+		if d.fusedFT {
 			t.Fatal("substrate defaulted to fused")
 		}
+		d.SetSubstrateFused(fused)
 		da := d.Alloc(m, k)
 		db := d.Alloc(k, n)
 		dc := d.Alloc(m, n)

@@ -228,26 +228,6 @@ func (d *Device) CopyBlock(dst *Matrix, di, dj int, src *Matrix, si, sj, r, c in
 	})
 }
 
-// Axpy enqueues y := alpha·x + y over length-n column segments.
-func (d *Device) Axpy(n int, alpha float64, xm *Matrix, xi, xj int, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
-	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
-		if n == 0 {
-			return
-		}
-		blas.Daxpy(n, alpha, xm.ptr(xi, xj), 1, ym.ptr(yi, yj), 1)
-	})
-}
-
-// Scal enqueues x := alpha·x over a length-n column segment.
-func (d *Device) Scal(n int, alpha float64, xm *Matrix, xi, xj int, deps ...sim.Event) sim.Event {
-	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
-		if n == 0 {
-			return
-		}
-		blas.Dscal(n, alpha, xm.ptr(xi, xj), 1)
-	})
-}
-
 // Symv enqueues y := alpha·A·x + beta·y for an n×n symmetric matrix
 // (uplo triangle stored) at (ai, aj). Bandwidth-bound like GEMV but reads
 // only half the matrix.
@@ -307,19 +287,6 @@ func (d *Device) SubBlock(c *Matrix, ci, cj int, b *Matrix, bi, bj, r, cols int,
 			src := b.ptr(bi, bj+j)[:r]
 			for i := range dst {
 				dst[i] -= src[i]
-			}
-		}
-	})
-}
-
-// SetZero enqueues zeroing of an r×c block.
-func (d *Device) SetZero(m *Matrix, i, j, r, c int, deps ...sim.Event) sim.Event {
-	cost := d.Params.KernelLaunchSec + 8*float64(r)*float64(c)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch(kindVec, cost, deps, func() {
-		for jj := 0; jj < c; jj++ {
-			col := m.ptr(i, j+jj)[:r]
-			for ii := range col {
-				col[ii] = 0
 			}
 		}
 	})
@@ -389,23 +356,16 @@ func (d *Device) SumRow(m *Matrix, i, j, n int, out *float64, deps ...sim.Event)
 }
 
 // ReadScalar models the host reading one device scalar (a latency-bound
-// D2H transfer); the value must already have been produced by a kernel.
+// D2H transfer on the copy engine) and waiting for it; the value must
+// already have been produced by a kernel.
 func (d *Device) ReadScalar(deps ...sim.Event) {
-	d.Sync(d.ReadScalarAsync(deps...))
-}
-
-// ReadScalarAsync enqueues the scalar D2H without blocking the host and
-// returns its event. The lookahead schedule's optimistic detection uses
-// this: the read is charged, but the host only waits for it (Sync) when
-// the verdict actually demands a recovery.
-func (d *Device) ReadScalarAsync(deps ...sim.Event) sim.Event {
 	d.transfers++
 	d.bytesMoved += 8
 	cost := d.Params.Transfer(8)
 	d.charge(kindD2H, cost)
 	e := d.Copy.Schedule(cost, sim.Latest(d.Host.Tail(), deps))
 	d.record(d.Copy.Name(), kindD2H, e.At, cost)
-	return e
+	d.Sync(e)
 }
 
 // ReadScalarTail models fetching a scalar produced at the tail of the

@@ -42,7 +42,7 @@ import (
 // DefaultNB is the paper's block size.
 const DefaultNB = 32
 
-// IterInfo describes one blocked iteration, passed to the AfterIteration
+// IterInfo describes one blocked iteration, passed to the BeforeIteration
 // hook (which fault campaigns use to inject errors at iteration
 // boundaries, the paper's failure model).
 type IterInfo struct {
@@ -89,8 +89,6 @@ type Options struct {
 	// concurrently with the remainder; results are bit-identical either
 	// way.
 	DisableLookahead bool
-	// AfterIteration, if set, runs at the end of every blocked iteration.
-	AfterIteration func(info IterInfo)
 	// BeforeIteration, if set, runs before every blocked iteration with
 	// access to the device-resident matrix and the host-side packed
 	// result under assembly; fault campaigns use it to inject soft
@@ -108,6 +106,8 @@ type Options struct {
 }
 
 // Result carries the factorization output and the simulated performance.
+// It is the one Hessenberg result type: ft.Result embeds it and adds the
+// resilience statistics, and core.Result embeds ft.Result.
 type Result struct {
 	N  int
 	NB int
@@ -189,10 +189,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	tHost := dev.Mode.HostMatrix(nb, nb)
 	yHost := dev.Mode.HostMatrix(n, nb)
 
-	nx := nb
-	if nx < 2 {
-		nx = 2
-	}
+	nx := max(nb, 2)
 	lookahead := !opt.DisableLookahead
 	var prevLeft sim.Event
 	// panelReady gates the next panel's device-to-host transfer: under
@@ -280,7 +277,8 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		// for the V-bottom right updates.
 		ei := dev.Mode.HostElem(hostA, p+ib, p+ib-1)
 		e1 := dev.Set(dA, p+ib, p+ib-1, 1, ytopDone)
-		if ib2 := min(nb, n-1-(p+nb)); lookahead && n-1-(p+nb) > nx {
+		ib2 := 0
+		if lookahead && n-1-(p+nb) > nx {
 			// Lookahead split: finish the next panel's ib2 columns first
 			// (priority right update + priority DLARFB), so the next
 			// iteration's panel transfer and host factorization can start
@@ -289,26 +287,21 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			// every output element sees the same inputs in the same
 			// accumulation order, so the digests match the serialized
 			// schedule bit for bit.
+			ib2 = min(nb, n-1-(p+nb))
 			eGp := dev.Gemm(blas.NoTrans, blas.Trans, n-k, ib2, ib, -1, dY, k, 0, dA, p+ib, p, 1, dA, k, p+ib, e1)
 			dev.SetPhase("left_update")
 			panelReady = dev.Larfb(blas.Trans, n-k, ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib, dW, eGp)
 			dev.SetPhase("right_update")
-			// Remainder: M's top rows (all trailing columns) and the
-			// right/left updates of the columns past the next panel.
-			eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, dY, 0, 0, dA, p+ib, p, 1, dA, 0, p+ib, e1)
-			eG := dev.Gemm(blas.NoTrans, blas.Trans, n-k, n-p-ib-ib2, ib, -1, dY, k, 0, dA, p+ib+ib2, p, 1, dA, k, p+ib+ib2, eM)
-			eC := dev.Set(dA, p+ib, p+ib-1, ei, eG)
-			dev.SetPhase("left_update")
-			prevLeft = dev.Larfb(blas.Trans, n-k, n-p-ib-ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib+ib2, dW, eC)
-		} else {
-			// Right update to M's trailing columns (line 5).
-			eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, dY, 0, 0, dA, p+ib, p, 1, dA, 0, p+ib, e1)
-			// Line 7: right update to G.
-			eG := dev.Gemm(blas.NoTrans, blas.Trans, n-k, n-p-ib, ib, -1, dY, k, 0, dA, p+ib, p, 1, dA, k, p+ib, eM)
-			eC := dev.Set(dA, p+ib, p+ib-1, ei, eG)
-			// Line 8: DLARFB left update of the trailing matrix.
-			dev.SetPhase("left_update")
-			prevLeft = dev.Larfb(blas.Trans, n-k, n-p-ib, ib, dA, k, p, dT, 0, 0, dA, k, p+ib, dW, eC)
+		}
+		// Right update to M's trailing columns (line 5), then to G's
+		// columns past the priority part (line 7).
+		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, dY, 0, 0, dA, p+ib, p, 1, dA, 0, p+ib, e1)
+		eG := dev.Gemm(blas.NoTrans, blas.Trans, n-k, n-p-ib-ib2, ib, -1, dY, k, 0, dA, p+ib+ib2, p, 1, dA, k, p+ib+ib2, eM)
+		eC := dev.Set(dA, p+ib, p+ib-1, ei, eG)
+		// Line 8: DLARFB left update of the same columns.
+		dev.SetPhase("left_update")
+		prevLeft = dev.Larfb(blas.Trans, n-k, n-p-ib-ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib+ib2, dW, eC)
+		if ib2 == 0 {
 			panelReady = prevLeft
 		}
 		if opt.DisableOverlap {
@@ -318,9 +311,6 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			dev.Sync(dev.D2HAsync(finished, dA, 0, p, aDone, prevLeft))
 		}
 
-		if opt.AfterIteration != nil {
-			opt.AfterIteration(IterInfo{Iter: iter, Panel: p, NB: ib, N: n})
-		}
 		iter++
 	}
 	res.BlockedIters = iter
@@ -341,12 +331,12 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
 	dev.FinishRun()
-	res.setTiming(dev.Elapsed())
+	res.SetTiming(dev.Elapsed())
 	return res, nil
 }
 
-// setTiming records the simulated makespan and the modeled rate.
-func (r *Result) setTiming(elapsed float64) {
+// SetTiming records the simulated makespan and the modeled rate.
+func (r *Result) SetTiming(elapsed float64) {
 	r.SimSeconds = elapsed
 	if elapsed > 0 {
 		r.ModelGFLOPS = sim.HessenbergFlops(r.N) / elapsed / 1e9

@@ -101,18 +101,20 @@ func TestReduceErrors(t *testing.T) {
 	}
 }
 
+// The iteration hook sees every blocked iteration's info in order, and
+// Result counts the same iterations.
 func TestAfterIterationHook(t *testing.T) {
 	n, nb := 100, 16
 	a := matrix.Random(n, n, 4)
 	var iters []IterInfo
-	_, err := Reduce(a, Options{NB: nb, Device: newDev(), AfterIteration: func(it IterInfo) {
+	res, err := Reduce(a, Options{NB: nb, Device: newDev(), BeforeIteration: func(it IterInfo, _ *gpu.Matrix, _ *matrix.Matrix) {
 		iters = append(iters, it)
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(iters) == 0 {
-		t.Fatal("hook never called")
+	if len(iters) == 0 || res.BlockedIters != len(iters) {
+		t.Fatalf("hook called %d times, %d blocked iterations", len(iters), res.BlockedIters)
 	}
 	for i, it := range iters {
 		if it.Iter != i || it.Panel != i*nb || it.NB != nb || it.N != n {

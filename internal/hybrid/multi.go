@@ -73,8 +73,6 @@ type PoolRun struct {
 	Lookahead bool
 	// Guard, if set, is the protection layer (nil for the baseline).
 	Guard PoolGuard
-	// AfterIteration, if set, runs at the end of every blocked iteration.
-	AfterIteration func(IterInfo)
 }
 
 // Run executes the blocked iterations, gathers the slabs and finishes on
@@ -144,10 +142,6 @@ func (r PoolRun) Run() (int, error) {
 		if g != nil {
 			g.AfterLeft(p, ib)
 		}
-
-		if r.AfterIteration != nil {
-			r.AfterIteration(IterInfo{Iter: iter, Panel: p, NB: ib, N: n})
-		}
 		iter++
 	}
 
@@ -208,15 +202,14 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 
 	iters, err := PoolRun{
 		Shard: sh, HostA: hostA, Tau: tau, NB: nb,
-		Y:              pool.Mode.HostMatrix(n, nb),
-		T:              pool.Mode.HostMatrix(nb, nb),
-		Lookahead:      !opt.DisableLookahead,
-		AfterIteration: opt.AfterIteration,
+		Y:         pool.Mode.HostMatrix(n, nb),
+		T:         pool.Mode.HostMatrix(nb, nb),
+		Lookahead: !opt.DisableLookahead,
 	}.Run()
 	if err != nil {
 		return nil, err
 	}
 	res.BlockedIters = iters
-	res.setTiming(pool.Elapsed())
+	res.SetTiming(pool.Elapsed())
 	return res, nil
 }

@@ -43,7 +43,6 @@ func (h *gateHook) BeforeIteration(ic *ft.IterCtx) {
 }
 
 func (h *gateHook) ConsumePendingH() int { return 0 }
-func (h *gateHook) PendingQ() int        { return 0 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()

@@ -134,15 +134,6 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	h := NewTimeline("host")
-	h.Schedule(4)
-	h.Reset()
-	if h.Tail() != 0 || h.Busy() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 // Property: scheduling never moves time backwards and durations accumulate.
 func TestPropScheduleMonotonic(t *testing.T) {
 	f := func(durs []float64) bool {

@@ -83,13 +83,6 @@ func (t *Timeline) AdvanceTo(instant float64) {
 	}
 }
 
-// Reset clears the timeline back to t = 0.
-func (t *Timeline) Reset() {
-	t.tail = 0
-	t.busy = 0
-	t.ops = 0
-}
-
 // Makespan returns the maximum tail across the given timelines — the
 // simulated wall-clock of the whole run.
 func Makespan(lanes ...*Timeline) float64 {
