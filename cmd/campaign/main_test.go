@@ -143,3 +143,29 @@ func TestParseBitRanges(t *testing.T) {
 		}
 	}
 }
+
+// benchCampaignSweep is the recorded sweep of BENCH_campaign.json
+// (scripts/regen_experiments.sh); its bytes are the same at any -workers.
+const benchCampaignSweep = "-n 96,126,158 -nb 16 -lambda 0.5,1,2 -trials 200 -seed 1"
+
+// TestBenchCampaignJSON reruns the recorded reliability sweep and
+// byte-compares the committed BENCH_campaign.json.
+func TestBenchCampaignJSON(t *testing.T) {
+	bench := filepath.Join(t.TempDir(), "BENCH_campaign.json")
+	args := append(strings.Fields(benchCampaignSweep), "-workers", "1", "-progress=false", "-bench", bench)
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code == exitRunFailure {
+		t.Fatalf("sweep failed:\n%s", stderr.String())
+	}
+	got, err := os.ReadFile(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../BENCH_campaign.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("BENCH_campaign.json differs from a fresh run of its sweep; regenerate with: go run ./cmd/campaign %s -workers 8 -bench BENCH_campaign.json", benchCampaignSweep)
+	}
+}

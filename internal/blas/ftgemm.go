@@ -38,10 +38,10 @@ import (
 // caller's job — see DESIGN.md §14.
 var ErrFTDetected = errors.New("blas: fault detected by fused ABFT check")
 
-// FTThresholdFactor scales the fused checksum comparison threshold, in
+// ftThresholdFactor scales the fused checksum comparison threshold, in
 // units of the accumulated roundoff bound (same 200× convention as the
-// ft package's sweep detector). A variable so tests can tighten it.
-var FTThresholdFactor = 200.0
+// ft package's sweep detector).
+const ftThresholdFactor = 200.0
 
 // ftMacheps is the double-precision unit roundoff.
 const ftMacheps = 2.220446049250313e-16
@@ -232,7 +232,7 @@ func (ft *ftGemm) item(op *gemmOp, it *gemmItem) {
 		return
 	}
 	rep := &ft.reports[it.t]
-	scale := FTThresholdFactor * ftMacheps * float64(op.k+2)
+	scale := ftThresholdFactor * ftMacheps * float64(op.k+2)
 	for j := 0; j < it.nc; j++ {
 		ftCheck(rep, fb.colSum[j], fb.expCol[j], scale*(fb.preAbsCol[j]+fb.colAbs[j]+1))
 	}

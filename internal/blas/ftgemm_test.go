@@ -646,7 +646,7 @@ func TestChecksumPassKernelMatchesGo(t *testing.T) {
 						}
 					}
 				}
-				tolScale := FTThresholdFactor * ftMacheps * 2
+				tolScale := ftThresholdFactor * ftMacheps * 2
 				for j := 0; j < nc; j++ {
 					for s := 2; s < 4; s++ {
 						gap := math.Abs(got[s][j] - want[s][j])

@@ -79,17 +79,6 @@ func ParseOutcome(s string) (Outcome, error) {
 	return CleanPass, fmt.Errorf("campaign: unknown outcome %q", s)
 }
 
-// Trial records one run's outcome.
-type Trial struct {
-	Outcome    Outcome
-	Seed       uint64
-	Injections []InjectionSummary
-	Detections int
-	Recoveries int
-	Residual   float64
-	Err        error
-}
-
 // samplePlans draws a Poisson number of single-error plans, each at a
 // uniform iteration, an area weighted by its footprint within the region,
 // and a random bit. The rng is the trial's private stream, so the draw is

@@ -112,8 +112,8 @@ func TestRunCampaignSmall(t *testing.T) {
 	}
 	// The scheme's purpose: no silent corruption.
 	for _, res := range rep.results[0] {
-		if tr := res.trial; tr.Outcome == SilentCorrupt {
-			t.Fatalf("silent corruption: injections %+v residual %v", tr.Injections, tr.Residual)
+		if r := res.record; r.outcome() == SilentCorrupt {
+			t.Fatalf("silent corruption: injections %+v residual %v", r.Plans, r.Residual)
 		}
 	}
 	// With λ=1 over 12 trials, some errors must have been injected and

@@ -22,10 +22,9 @@ import (
 // -workers 1 and a -workers 64 run of the same sweep therefore produce
 // identical bytes everywhere but the wall clock.
 
-// trialResult pairs the machine-readable record with the in-memory trial.
+// trialResult is one trial's record and whether it was resumed.
 type trialResult struct {
 	record  TrialRecord
-	trial   Trial
 	resumed bool
 	err     error
 }
@@ -106,13 +105,7 @@ func (s *Sweep) runTrial(cell Cell, trial int, a *matrix.Matrix, journal *obs.Jo
 		plans = samplePlans(rng, cell, iters)
 	}
 
-	rec := TrialRecord{
-		Cell: cell.Index, N: cell.N, NB: cell.NB, Lambda: cell.Lambda,
-		Region: cell.Region, MinBit: cell.MinBit, MaxBit: cell.MaxBit,
-		Devices: cell.Devices, NoLookahead: cell.NoLookahead,
-		KillRate: cell.KillRate, Substrate: cell.Substrate,
-		Trial: trial, Seed: seed,
-	}
+	rec := TrialRecord{Cell: cell, Trial: trial, Seed: seed}
 	for _, p := range plans {
 		rec.Plans = append(rec.Plans, InjectionSummary{
 			Iter: p.TargetIter, Area: p.Area.String(), Bit: p.Bit,
@@ -154,26 +147,22 @@ func (s *Sweep) runTrial(cell Cell, trial int, a *matrix.Matrix, journal *obs.Jo
 	s.applyDevices(&opt, cell.Devices)
 	res, err := ft.Reduce(a, opt)
 
-	t := Trial{Seed: seed, Injections: rec.Plans, Err: err}
 	if in != nil {
 		rec.Injections = len(in.Log)
 	}
+	var o Outcome
 	if err != nil {
-		if errors.Is(err, ft.ErrUncorrectable) || errors.Is(err, ft.ErrDetectionStorm) {
-			t.Outcome = Uncorrectable
-			rec.Detections = res.Detections
-			rec.Recoveries = res.Recoveries
-			rec.Reexecutions = res.Reexecutions
-			rec.DeviceLosses = res.DeviceLosses
-			t.Err = nil
-		} else {
+		if !errors.Is(err, ft.ErrUncorrectable) && !errors.Is(err, ft.ErrDetectionStorm) {
 			rec.Err = err.Error()
 			rec.Outcome = "error"
-			return trialResult{record: rec, trial: t, err: fmt.Errorf("campaign cell %d trial %d: %w", cell.Index, trial, err)}
+			return trialResult{record: rec, err: fmt.Errorf("campaign cell %d trial %d: %w", cell.Index, trial, err)}
 		}
+		o = Uncorrectable
+		rec.Detections = res.Detections
+		rec.Recoveries = res.Recoveries
+		rec.Reexecutions = res.Reexecutions
+		rec.DeviceLosses = res.DeviceLosses
 	} else {
-		t.Detections = res.Detections
-		t.Recoveries = res.Recoveries
 		rec.Detections = res.Detections
 		rec.Recoveries = res.Recoveries
 		rec.Reexecutions = res.Reexecutions
@@ -181,24 +170,24 @@ func (s *Sweep) runTrial(cell Cell, trial int, a *matrix.Matrix, journal *obs.Jo
 		rec.DeviceLosses = res.DeviceLosses
 		rec.FailStopRecoveries = res.FailStopRecoveries
 		rec.SimSeconds = res.SimSeconds
-		t.Residual = lapack.FactorizationResidual(a, res.Q(), res.H())
-		rec.Residual = JSONFloat(t.Residual)
-		correct := t.Residual <= s.ResidualTol
+		residual := lapack.FactorizationResidual(a, res.Q(), res.H())
+		rec.Residual = JSONFloat(residual)
+		correct := residual <= s.ResidualTol
 		handled := res.Detections > 0 || res.QCorrections > 0 || res.FailStopRecoveries > 0
 		switch {
 		case rec.Injections == 0 && res.DeviceLosses == 0:
-			t.Outcome = CleanPass
+			o = CleanPass
 		case handled && correct:
-			t.Outcome = Recovered
+			o = Recovered
 		case correct:
-			t.Outcome = SilentBenign
+			o = SilentBenign
 		default:
-			t.Outcome = SilentCorrupt
+			o = SilentCorrupt
 		}
 	}
-	rec.Outcome = t.Outcome.String()
-	rec.out = t.Outcome
-	return trialResult{record: rec, trial: t}
+	rec.Outcome = o.String()
+	rec.out = o
+	return trialResult{record: rec}
 }
 
 // runTrials fans the sweep's trials out over the worker pool and streams
@@ -220,16 +209,11 @@ func (s *Sweep) runTrials(cells []Cell) ([][]trialResult, error) {
 		for t := 0; t < nTrials; t++ {
 			rec, ok := s.Resume[TrialKey{Cell: ci, Trial: t}]
 			if ok && rec.Err == "" {
-				if rec.N != cell.N || rec.NB != cell.NB || rec.Lambda != cell.Lambda ||
-					rec.Region != cell.Region || rec.MinBit != cell.MinBit || rec.MaxBit != cell.MaxBit ||
-					rec.Devices != cell.Devices || rec.NoLookahead != cell.NoLookahead ||
-					rec.KillRate != cell.KillRate {
-					return nil, fmt.Errorf("campaign: resume record for cell %d trial %d does not match the sweep grid (have N=%d nb=%d λ=%g %s bits %d..%d devices=%d schedule=%s kill_rate=%g substrate=%s)",
-						ci, t, rec.N, rec.NB, rec.Lambda, rec.Region, rec.MinBit, rec.MaxBit, rec.Devices,
-						Cell{NoLookahead: rec.NoLookahead}.Schedule(), rec.KillRate,
-						Cell{Substrate: rec.Substrate}.SubstrateName())
+				if rec.Cell != cell {
+					return nil, fmt.Errorf("campaign: resume record for cell %d trial %d does not match the sweep grid (have %+v, want %+v)",
+						ci, t, rec.Cell, cell)
 				}
-				results[ci][t] = trialResult{record: rec, trial: rec.toTrial(), resumed: true}
+				results[ci][t] = trialResult{record: rec, resumed: true}
 				completed[ci*nTrials+t] = true
 			} else {
 				pending = append(pending, item{ci, t})

@@ -3,10 +3,8 @@ package campaign
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"io"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -29,33 +27,15 @@ type InjectionSummary struct {
 	Bit  uint   `json:"bit"`
 }
 
-// TrialRecord is one JSONL line: the cell coordinates, the trial's derived
-// seed, and everything measured.
+// TrialRecord is one JSONL line: the trial's cell (its fields serialize
+// first, in order), the trial's derived seed, and everything measured.
+// The cell axes added over time (devices, no_lookahead, kill_rate,
+// substrate) are omitted at their defaults, so an old record reads back
+// as, and resume-matches only, a default cell.
 type TrialRecord struct {
-	Cell   int          `json:"cell"`
-	N      int          `json:"n"`
-	NB     int          `json:"nb"`
-	Lambda float64      `json:"lambda"`
-	Region fault.Region `json:"region"`
-	MinBit uint         `json:"min_bit"`
-	MaxBit uint         `json:"max_bit"`
-	// Devices is the cell's device-pool size (0 = the legacy
-	// single-device schedule); omitted from old records, which therefore
-	// resume-match only single-device cells.
-	Devices int `json:"devices,omitempty"`
-	// NoLookahead marks a trial run with the depth-1 lookahead schedule
-	// disabled; omitted from old records and from default-schedule
-	// trials, which therefore resume-match only lookahead cells.
-	NoLookahead bool `json:"no_lookahead,omitempty"`
-	// KillRate is the cell's fail-stop device-loss probability; omitted
-	// from old records, which therefore resume-match only no-kill cells.
-	KillRate float64 `json:"kill_rate,omitempty"`
-	// Substrate is the cell's BLAS FT substrate ("" = sweeps-only);
-	// omitted from old records, which therefore resume-match only
-	// default-substrate cells.
-	Substrate string `json:"substrate,omitempty"`
-	Trial     int    `json:"trial"`
-	Seed      uint64 `json:"seed"`
+	Cell
+	Trial int    `json:"trial"`
+	Seed  uint64 `json:"seed"`
 
 	Outcome string             `json:"outcome"`
 	Plans   []InjectionSummary `json:"plans,omitempty"`
@@ -86,22 +66,6 @@ type TrialRecord struct {
 
 // outcome returns the parsed Outcome (set at creation or load time).
 func (r TrialRecord) outcome() Outcome { return r.out }
-
-// toTrial reconstructs the in-memory Trial view of a resumed record.
-func (r TrialRecord) toTrial() Trial {
-	t := Trial{
-		Outcome:    r.out,
-		Seed:       r.Seed,
-		Injections: r.Plans,
-		Detections: r.Detections,
-		Recoveries: r.Recoveries,
-		Residual:   float64(r.Residual),
-	}
-	if r.Err != "" {
-		t.Err = errors.New(r.Err)
-	}
-	return t
-}
 
 // writeTrialRecord emits one JSONL line.
 func writeTrialRecord(w io.Writer, rec TrialRecord) error {
@@ -139,7 +103,7 @@ func LoadTrialJSONL(r io.Reader) (map[TrialKey]TrialRecord, error) {
 			continue
 		}
 		rec.out = o
-		out[TrialKey{Cell: rec.Cell, Trial: rec.Trial}] = rec
+		out[TrialKey{Cell: rec.Index, Trial: rec.Trial}] = rec
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -422,3 +422,30 @@ func TestSweepKillRateAxis(t *testing.T) {
 		t.Fatalf("JSONL kill records: %d, want 3", killed)
 	}
 }
+
+// The substrate is part of a cell: records of a fused sweep must not
+// resume a swept one.
+func TestSweepResumeSubstrateMismatch(t *testing.T) {
+	sweep := func(substrate string, sink *bytes.Buffer) *Sweep {
+		s := &Sweep{
+			Ns: []int{96}, NBs: []int{16}, Lambdas: []float64{1},
+			DeviceCounts: []int{2}, Substrates: []string{substrate},
+			TrialsPerCell: 2, Seed: 9, Workers: 1,
+		}
+		if sink != nil {
+			s.TrialSink = sink
+		}
+		return s
+	}
+	var fused bytes.Buffer
+	runSweepOrFatal(t, sweep("fused", &fused))
+	resume, err := LoadTrialJSONL(strings.NewReader(fused.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sweep("swept", nil)
+	s.Resume = resume
+	if _, err := RunSweep(s); err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("fused records resumed a swept sweep: %v", err)
+	}
+}

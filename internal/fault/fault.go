@@ -34,6 +34,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/ft"
 	"repro/internal/gpu"
@@ -416,7 +417,14 @@ func (in *Injector) inject(ctx *ft.IterCtx, plan Plan, pos Pos, iter, idx int) {
 	delta := plan.Delta * float64(1+idx)
 	switch {
 	case target == ft.TargetQ:
-		if ctx.Mode() == gpu.Real {
+		if ctx.Mode() != gpu.Real {
+			break
+		}
+		if plan.BitFlip {
+			old := ctx.Host.At(pos.Row, pos.Col)
+			ctx.Host.Set(pos.Row, pos.Col, math.Float64frombits(math.Float64bits(old)^(1<<plan.Bit)))
+			delta = ctx.Host.At(pos.Row, pos.Col) - old
+		} else {
 			ctx.Host.Add(pos.Row, pos.Col, delta)
 		}
 	case plan.BitFlip:

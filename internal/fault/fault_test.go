@@ -9,6 +9,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -402,5 +403,48 @@ func TestMultiDeviceFTRecoversBitFlip(t *testing.T) {
 	}
 	if r := lapack.FactorizationResidual(a, res.Q(), res.H()); r > 1e-13 {
 		t.Fatalf("residual after bit-flip recovery %v", r)
+	}
+}
+
+// An Area-3 bit flip flips the bit in the host Householder store, and
+// the logged delta is the change it made.
+func TestArea3BitFlipChangesHost(t *testing.T) {
+	n, nb := 96, 16
+	host := matrix.Random(n, n, 5)
+	before := host.Clone()
+	in := New(Plan{Area: Area3, TargetIter: 2, Seed: 11, BitFlip: true, Bit: 40})
+	in.BeforeIteration(&ft.IterCtx{Dev: newDev(), Host: host, Iter: 2, Panel: 2 * nb, NB: nb, N: n})
+	if len(in.Log) != 1 || in.Log[0].Target != ft.TargetQ {
+		t.Fatalf("log %+v, want one Q injection", in.Log)
+	}
+	c := in.Log[0]
+	was, got := before.At(c.Row, c.Col), host.At(c.Row, c.Col)
+	if math.Float64bits(was)^math.Float64bits(got) != 1<<40 {
+		t.Fatalf("element (%d,%d): %v -> %v, want bit 40 flipped", c.Row, c.Col, was, got)
+	}
+	if c.Delta == 0 || c.Delta != got-was {
+		t.Fatalf("logged delta %v, applied %v", c.Delta, got-was)
+	}
+	host.Set(c.Row, c.Col, was)
+	if !host.Equal(before) {
+		t.Fatal("the flip touched more than its element")
+	}
+}
+
+// A pool slab's failed re-check is a detection like any other: the
+// journal holds one detection event per counted detection.
+func TestPoolRedetectionJournaled(t *testing.T) {
+	a := matrix.Random(96, 96, 5)
+	for _, seed := range []uint64{1, 3, 4} {
+		j := obs.NewJournal()
+		in := New(Plan{Area: Area2, TargetIter: 3, BitFlip: true, Bit: 62, Seed: seed})
+		devs := []*gpu.Device{gpu.NewIndexed(sim.K40c(), gpu.Real, 0), gpu.NewIndexed(sim.K40c(), gpu.Real, 1)}
+		res, _ := ft.Reduce(a, ft.Options{NB: 16, Devices: devs, Hook: in, Journal: j})
+		if res.Detections < 2 {
+			t.Fatalf("seed %d: %d detections, want a failed re-check", seed, res.Detections)
+		}
+		if got := j.Counts()[obs.KindDetection]; got != res.Detections {
+			t.Fatalf("seed %d: journal holds %d detection events, Result.Detections = %d", seed, got, res.Detections)
+		}
 	}
 }

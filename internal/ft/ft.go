@@ -349,8 +349,6 @@ type reducer struct {
 	// the next panel's columns (checksum-row segment included) are final
 	// on the device.
 	panelReady sim.Event
-	// lastDetectGap is |Sre−Sce| from the most recent detect() (Real mode).
-	lastDetectGap float64
 	// deviceLost marks a fail-stop kill request (IterCtx.KillDevice):
 	// with a single device there are no survivors to restart on, so the
 	// reduction fails immediately rather than computing on poison.
@@ -405,7 +403,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		// anymore, so the whole factorization re-executes with
 		// per-iteration checks, on the same device: the retry's modeled
 		// time includes the lost attempt.
-		r.detected(r.res.BlockedIters, r.lastDetectGap, "post-process", "")
+		r.detected(r.res.BlockedIters, r.gap, "post-process", "")
 		r.res.Recoveries++
 		opt.PostProcess = false
 		return r.rerun(a, opt)
@@ -491,7 +489,7 @@ func (r *reducer) attempt(a *matrix.Matrix) error {
 			if !r.detectAt(iter, prevLeft) {
 				break
 			}
-			r.detected(iter, r.lastDetectGap, "", "")
+			r.detected(iter, r.gap, "", "")
 			if attempt >= maxRecoveries {
 				return fmt.Errorf("%w (iteration %d)", ErrDetectionStorm, iter)
 			}

@@ -272,6 +272,23 @@ func TestNonFiniteCorruptionNeverSilent(t *testing.T) {
 	}
 }
 
+// A non-finite residual is uncorrectable at once: no residual arithmetic
+// recovers a value an exponent hit drove to ±Inf or NaN, so re-executing
+// the iteration cannot help.
+func TestNonFiniteResidualUncorrectableWithoutReexecution(t *testing.T) {
+	a := matrix.Random(126, 126, 12)
+	for _, delta := range []float64{math.Inf(1), math.NaN()} {
+		hook := &pokeHook{iter: 1, pokes: []Injection{{Row: 80, Col: 70, Delta: delta}}}
+		res, err := Reduce(a, Options{NB: 16, Device: newDev(), Hook: hook})
+		if !errors.Is(err, ErrUncorrectable) {
+			t.Fatalf("delta %v: err %v, want ErrUncorrectable", delta, err)
+		}
+		if res.Reexecutions != 0 {
+			t.Fatalf("delta %v: %d re-executions after a non-finite residual", delta, res.Reexecutions)
+		}
+	}
+}
+
 // stormHook always reports a pending error (cost-only), forcing endless
 // detection.
 type stormHook struct{}

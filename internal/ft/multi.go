@@ -29,7 +29,6 @@ package ft
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/blas"
 	"repro/internal/devpool"
@@ -60,8 +59,6 @@ type multiReducer struct {
 	dChk    []*gpu.Matrix
 	chkHost []*matrix.Matrix
 	colSums []float64
-
-	lastGap float64
 
 	// Under the fused substrate the panel slab's halo is refreshed
 	// incrementally: finCol (n×1, on the slab's owner finDev)
@@ -431,21 +428,13 @@ func (r *multiReducer) totalsKernel(d int, slabs []int) sim.Event {
 	return kg
 }
 
-// slabMismatch applies the detection criterion to one staged totals
-// column, updating lastGap. A non-finite total is itself proof of
-// corruption (Inf−Inf = NaN compares false against every threshold).
+// slabMismatch applies the detection rule to one staged totals column,
+// folding its gap into the run's.
 func (r *multiReducer) slabMismatch(st *matrix.Matrix, pos int) bool {
-	td, sre, sce := st.At(0, pos), st.At(1, pos), st.At(2, pos)
-	g1 := math.Abs(td - sre)
-	g2 := math.Abs(td - sce)
-	gap := math.Max(g1, g2)
-	if gap > r.lastGap || math.IsNaN(gap) {
-		r.lastGap = gap
-	}
-	if math.IsNaN(gap) || math.IsInf(td, 0) || math.IsInf(sre, 0) || math.IsInf(sce, 0) {
-		return true
-	}
-	return gap > r.tauDet
+	td := st.At(0, pos)
+	gap := worst(0, td-st.At(1, pos), td-st.At(2, pos))
+	r.gap = worst(r.gap, gap)
+	return exceeds(gap, r.tauDet)
 }
 
 // detectSweep runs one pool-wide boundary check: every device computes
@@ -488,7 +477,7 @@ func (r *multiReducer) detectSweep(iter, p int) []int {
 		}
 	}
 
-	r.lastGap = 0
+	r.gap = 0
 	bad := r.bad[:0]
 	if pool.Mode == gpu.CostOnly {
 		if r.opt.Hook != nil && r.opt.Hook.ConsumePendingH() > 0 {
@@ -517,7 +506,7 @@ func (r *multiReducer) detectSweep(iter, p int) []int {
 			pool.Wait(b.ev)
 		}
 	}
-	r.checked(iter, r.lastGap, len(bad) > 0)
+	r.checked(iter, r.gap, len(bad) > 0)
 	return bad
 }
 
@@ -535,134 +524,42 @@ func (r *multiReducer) recheckSlab(iter, s int) bool {
 	pool.Issue(dev)
 	kg := r.totalsKernel(d, []int{s})
 	pool.Wait(dev.D2HAsync(r.chkHost[d].View(0, 0, 3, 1), r.dChk[d], 0, 0, kg))
-	r.lastGap = 0
+	r.gap = 0
 	mismatch := r.slabMismatch(r.chkHost[d], 0)
-	return r.checked(iter, r.lastGap, mismatch)
+	return r.checked(iter, r.gap, mismatch)
 }
 
-// checkAll runs one boundary check and drives slab-local recovery for
-// every flagged slab, bounded by maxRecoveries attempts per slab.
+// checkAll runs one boundary check and heals every flagged slab in
+// place on its owner (the shared recovery path, repair.go), re-checking
+// it with the one-kernel totals check after each repair.
 func (r *multiReducer) checkAll(iter, p int) error {
 	pool := r.pool
 	prev := pool.SetPhase("detect")
 	defer pool.SetPhase(prev)
 	for _, s := range r.detectSweep(iter, p) {
-		dev := r.sh.Owner(s).Name()
-		r.detected(iter, r.lastGap, fmt.Sprintf("slab %d on %s", s, dev), dev)
-		for attempt := 0; ; attempt++ {
-			if err := r.locateAndCorrectSlab(iter, s); err != nil {
-				return err
-			}
+		// The comparison is plain — no Hessenberg-aware split: finished
+		// columns keep whole-column sums, their reflector rows included,
+		// because they stay device-resident until the final gather.
+		sl := r.sh.Part.Slabs[s]
+		b := &bordered{
+			dev: r.sh.Owner(s), m: r.sh.SlabM[s], n: r.n, cols: sl.Cols, col0: sl.Start,
+			last: &r.sh.Last[s], where: fmt.Sprintf("slab %d: ", s),
+		}
+		dev := b.dev.Name()
+		r.detected(iter, r.gap, fmt.Sprintf("slab %d on %s", s, dev), dev)
+		err := r.heal(iter, b, "recovery", func(int) bool {
+			// A slab repair is the pool's recovery: no reversal and no
+			// re-execution follow it.
 			r.res.Recoveries++
 			r.count("ft_recoveries_total")
 			if !r.recheckSlab(iter, s) {
-				break
+				return false
 			}
-			r.res.Detections++
-			r.count("ft_detections_total")
-			if attempt+1 >= maxRecoveries {
-				return fmt.Errorf("%w (iteration %d, slab %d)", ErrDetectionStorm, iter, s)
-			}
-		}
-	}
-	return nil
-}
-
-// locateAndCorrectSlab recomputes slab s's fresh row and column sums on
-// its owner, compares them with the maintained halo on the host, and
-// corrects the flagged elements in place — all without touching any
-// other device. The location step is the single-device one (locate),
-// but the comparison is plain (no Hessenberg-aware split: finished columns keep
-// whole-column sums, their reflector rows included, because they stay
-// device-resident until the final gather).
-func (r *multiReducer) locateAndCorrectSlab(iter, s int) error {
-	pool := r.pool
-	sh := r.sh
-	sl := sh.Part.Slabs[s]
-	dev := sh.Owner(s)
-	n := r.n
-	cols := sl.Cols
-	pp := pool.Params
-	prevPhase := pool.SetPhase("recovery")
-	defer pool.SetPhase(prevPhase)
-
-	m := sh.SlabM[s]
-	dFresh := dev.Alloc(n, 2)
-	defer dev.Free(dFresh)
-	pool.Issue(dev)
-	eR := dev.Custom(pp.GemvDevice(n, cols), func() {
-		for i := 0; i < n; i++ {
-			dFresh.Data[i] = 0
-		}
-		for j := 0; j < cols; j++ {
-			col := m.Data[j*m.Stride : j*m.Stride+n]
-			for i, v := range col {
-				dFresh.Data[i] += v
-			}
-		}
-	}, sh.Last[s])
-	eC := dev.Custom(pp.GemvDevice(n, cols), func() {
-		for j := 0; j < cols; j++ {
-			s := 0.0
-			for _, v := range m.Data[j*m.Stride : j*m.Stride+n] {
-				s += v
-			}
-			dFresh.Data[dFresh.Stride+j] = s
-		}
-	}, eR)
-
-	freshHost := pool.Mode.HostMatrix(n, 2)
-	chkColHost := pool.Mode.HostMatrix(n, 1)
-	chkRowHost := pool.Mode.HostMatrix(1, cols)
-	e := dev.D2HAsync(freshHost, dFresh, 0, 0, eR, eC)
-	e = dev.D2HAsync(chkColHost, m, 0, cols, e)
-	e = dev.D2HAsync(chkRowHost, m, n, 0, e)
-	sh.Last[s] = e
-	pool.Wait(e)
-
-	if pool.Mode == gpu.CostOnly {
-		// Charge a representative correction kernel; the hook already
-		// consumed the injection, so the re-check runs clean.
-		sh.Last[s] = dev.Add(m, 0, 0, 0, sh.Last[s])
-		r.correctedCostOnly(iter, dev.Name())
-		return nil
-	}
-
-	rRes := make([]float64, n)
-	cRes := make([]float64, cols)
-	nonFinite := false
-	for i := range rRes {
-		rRes[i] = freshHost.At(i, 0) - chkColHost.At(i, 0)
-		nonFinite = nonFinite || math.IsNaN(rRes[i]) || math.IsInf(rRes[i], 0)
-	}
-	for j := range cRes {
-		cRes[j] = freshHost.At(j, 1) - chkRowHost.At(0, j)
-		nonFinite = nonFinite || math.IsNaN(cRes[j]) || math.IsInf(cRes[j], 0)
-	}
-	if nonFinite {
-		// An exponent hit drove a value to ±Inf/NaN; the residual
-		// arithmetic cannot recover the original value.
-		return fmt.Errorf("%w: non-finite residual in slab %d", ErrUncorrectable, s)
-	}
-
-	found, err := locate(rRes, cRes, r.tauDet)
-	loc := obs.Ev(obs.KindLocation, iter)
-	loc.Target = obs.TargetH
-	loc.Outcome = fmt.Sprintf("slab %d: %d rows, %d cols flagged", s, len(found.rows), len(found.cols))
-	loc.Device = dev.Name()
-	r.journal(loc)
-	if err != nil {
-		return fmt.Errorf("slab %d: %w", s, err)
-	}
-	for _, f := range found.repairs {
-		switch f.kind {
-		case repairChkRow:
-			sh.Last[s] = dev.Set(m, n, f.col, freshHost.At(f.col, 1), sh.Last[s])
-		case repairChkCol:
-			sh.Last[s] = dev.Set(m, f.row, cols, freshHost.At(f.row, 0), sh.Last[s])
-		default:
-			sh.Last[s] = dev.Add(m, f.row, f.col, -f.delta, sh.Last[s])
-			r.corrected(iter, f.row, sl.Start+f.col, f.delta, dev.Name())
+			r.detected(iter, r.gap, fmt.Sprintf("slab %d re-check on %s", s, dev), dev)
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("slab %d: %w", s, err)
 		}
 	}
 	return nil

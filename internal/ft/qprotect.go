@@ -1,8 +1,6 @@
 package ft
 
 import (
-	"fmt"
-
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
 	"repro/internal/matrix"
@@ -29,6 +27,10 @@ type qChecksums struct {
 	lastPanel      int
 	lastRowContrib []float64
 	absorbedCols   int // first column not yet covered
+	// limit bounds the verified columns; freshRow and freshCol hold the
+	// last residuals call's fresh sums.
+	limit              int
+	freshRow, freshCol []float64
 }
 
 // newQChecksums returns the Q protection state for an order-n run. A
@@ -78,73 +80,65 @@ func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, hostA *matrix
 	})
 }
 
-// verifyAndCorrect recomputes fresh checksums over the protected region
-// (columns 0..limit-1) and repairs any mismatching element in hostA,
-// returning the number of corrections. Ambiguous patterns (rectangles)
-// return ErrUncorrectable. Run once at the end of the factorization, as
-// the paper prescribes — an error in Q never propagates, so per-iteration
-// checks are unnecessary. journal (optional) receives the records for
-// the check and each repaired element, tagged with iteration iter.
-func (q *qChecksums) verifyAndCorrect(h hybrid.HostLane, pp sim.Params, hostA *matrix.Matrix, limit int, tol float64, journal func(obs.Event), iter int) (int, error) {
-	if limit > q.absorbedCols {
-		limit = q.absorbedCols
-	}
-	n := q.n
-	fixes := 0
-	var vErr error
-	h.HostOp(pp.GemvHost(n, max(limit, 1)), func() {
-		freshRow := make([]float64, n)
-		freshCol := make([]float64, n)
+// The Q store is a region of the shared recovery path (repair.go) over
+// columns 0..limit-1. Its sums stay on the host; the check runs once, at
+// the end of the factorization, as the paper prescribes — an error in Q
+// never propagates, so per-iteration checks are unnecessary.
+
+// residuals recomputes the fresh sums over the protected region on the
+// host lane; a cost-only run holds no Householder values to compare.
+func (q *qChecksums) residuals(s *run, _ int) (rRes, cRes []float64) {
+	n, limit := q.n, q.limit
+	s.lane.HostOp(s.pp.GemvHost(n, max(limit, 1)), func() {
+		q.freshRow = make([]float64, n)
+		q.freshCol = make([]float64, n)
 		for c := 0; c < limit; c++ {
 			lo := min(c+2, n)
-			fresh := freshRow[lo:n]
-			s := 0.0
-			for i, v := range hostA.Col(c)[lo:n] {
+			fresh := q.freshRow[lo:n]
+			sum := 0.0
+			for i, v := range s.hostA.Col(c)[lo:n] {
 				fresh[i] += v
-				s += v
+				sum += v
 			}
-			freshCol[c] = s
+			q.freshCol[c] = sum
 		}
-		rRes := make([]float64, n)
-		cRes := make([]float64, limit)
+		rRes = make([]float64, n)
+		cRes = make([]float64, limit)
 		for i := range rRes {
-			rRes[i] = freshRow[i] - q.rowChk[i]
+			rRes[i] = q.freshRow[i] - q.rowChk[i]
 		}
 		for c := range cRes {
-			cRes[c] = freshCol[c] - q.colChk[c]
-		}
-		found, err := locate(rRes, cRes, tol)
-		if journal != nil {
-			ev := obs.Ev(obs.KindChecksumCheck, iter)
-			ev.Target = obs.TargetQ
-			ev.Outcome = "clean"
-			if len(found.rows) > 0 || len(found.cols) > 0 {
-				ev.Outcome = "mismatch"
-			}
-			journal(ev)
-		}
-		if err != nil {
-			vErr = fmt.Errorf("Q check: %w", err)
-			return
-		}
-		for _, f := range found.repairs {
-			switch f.kind {
-			case repairChkRow:
-				// The checksum vectors themselves took the hit; refresh them.
-				q.colChk[f.col] = freshCol[f.col]
-			case repairChkCol:
-				q.rowChk[f.row] = freshRow[f.row]
-			default:
-				hostA.Add(f.row, f.col, -f.delta)
-				fixes++
-				if journal != nil {
-					ev := obs.Ev(obs.KindCorrection, iter)
-					ev.Target = obs.TargetQ
-					ev.Row, ev.Col, ev.Value = f.row, f.col, obs.Float(f.delta)
-					journal(ev)
-				}
-			}
+			cRes[c] = q.freshCol[c] - q.colChk[c]
 		}
 	})
-	return fixes, vErr
+	return rRes, cRes
+}
+
+// located journals the pass as one check of Q.
+func (q *qChecksums) located(s *run, iter int, loc location) {
+	ev := obs.Ev(obs.KindChecksumCheck, iter)
+	ev.Target = obs.TargetQ
+	ev.Outcome = "clean"
+	if len(loc.rows) > 0 || len(loc.cols) > 0 {
+		ev.Outcome = "mismatch"
+	}
+	s.emit(ev)
+}
+
+func (q *qChecksums) fix(s *run, iter int, f repair) {
+	switch f.kind {
+	case repairChkRow:
+		// The checksum vectors themselves took the hit; refresh them.
+		q.colChk[f.col] = q.freshCol[f.col]
+	case repairChkCol:
+		q.rowChk[f.row] = q.freshRow[f.row]
+	default:
+		s.hostA.Add(f.row, f.col, -f.delta)
+		s.res.QCorrections++
+		s.count("ft_q_corrections_total")
+		ev := obs.Ev(obs.KindCorrection, iter)
+		ev.Target = obs.TargetQ
+		ev.Row, ev.Col, ev.Value = f.row, f.col, obs.Float(f.delta)
+		s.emit(ev)
+	}
 }

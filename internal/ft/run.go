@@ -35,6 +35,9 @@ type run struct {
 
 	normA1 float64
 	tauDet float64
+	// gap is the checksum gap of the latest check, journaled with its
+	// verdict and with a detection.
+	gap float64
 
 	qprot *qChecksums
 	res   *Result
@@ -148,18 +151,18 @@ func (s *run) absorbQ(p, ib int) {
 }
 
 // verifyQ verifies and repairs the Householder storage of columns
-// 0..p-1 once, at the end of the factorization (Section IV-E/F).
+// 0..p-1 once, at the end of the factorization (Section IV-E/F), through
+// the shared recovery path. A pass that rewrote data is re-checked by
+// the next pass, which also repairs what the first one left.
 func (s *run) verifyQ(p int) error {
 	if s.opt.DisableQProtection {
 		return nil
 	}
 	s.lane.SetPhase("q_protect")
-	fixes, err := s.qprot.verifyAndCorrect(s.lane, s.pp, s.hostA, p, s.tauDet, s.emit, s.res.BlockedIters)
-	if err != nil {
-		return err
+	s.qprot.limit = min(p, s.qprot.absorbedCols)
+	if err := s.heal(s.res.BlockedIters, s.qprot, "q_protect", func(fixed int) bool { return fixed > 0 }); err != nil {
+		return fmt.Errorf("Q check: %w", err)
 	}
-	s.res.QCorrections += fixes
-	s.opt.Obs.Counter("ft_q_corrections_total", ftLabels(s.opt)...).Add(float64(fixes))
 	return nil
 }
 
@@ -221,20 +224,6 @@ func (s *run) corrected(iter, row, col int, delta float64, device string) {
 	corr.Row, corr.Col, corr.Value = row, col, obs.Float(delta)
 	corr.Device = device
 	s.emit(corr)
-}
-
-// correctedCostOnly journals a location and correction in cost-only
-// mode, where no data exists to locate: the hook already consumed the
-// injection, so the run continues clean.
-func (s *run) correctedCostOnly(iter int, device string) {
-	for _, kind := range []obs.Kind{obs.KindLocation, obs.KindCorrection} {
-		ev := obs.Ev(kind, iter)
-		ev.Target = obs.TargetH
-		ev.Outcome = "cost-only"
-		ev.Device = device
-		s.emit(ev)
-	}
-	s.count("ft_corrections_total")
 }
 
 // ftLabels returns the job label set for the run's FT counters (empty

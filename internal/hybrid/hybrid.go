@@ -447,6 +447,23 @@ func (h HostLane) SetPhase(name string) string {
 	return h.dev.SetPhase(name)
 }
 
+// Issue hands the commands that follow to dev's driver
+// (devpool.Pool.Issue); a single device takes them in program order.
+func (h HostLane) Issue(dev *gpu.Device) {
+	if h.pool != nil {
+		h.pool.Issue(dev)
+	}
+}
+
+// Wait blocks the lane's host until e completes.
+func (h HostLane) Wait(e sim.Event) {
+	if h.pool != nil {
+		h.pool.Wait(e)
+		return
+	}
+	h.dev.Sync(e)
+}
+
 // Mode reports the execution mode of the lane's device(s).
 func (h HostLane) Mode() gpu.Mode {
 	if h.pool != nil {
