@@ -16,7 +16,6 @@ import (
 	"repro/internal/blas"
 	"repro/internal/fault"
 	"repro/internal/ft"
-	"repro/internal/ftsym"
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
 	"repro/internal/lapack"
@@ -217,7 +216,7 @@ func BenchmarkHybridSytrd128(b *testing.B) {
 func BenchmarkFTSytrd128(b *testing.B) {
 	a := matrix.RandomSymmetric(128, 1)
 	for i := 0; i < b.N; i++ {
-		if _, err := ftsym.Reduce(a, ftsym.Options{NB: 32}); err != nil {
+		if _, err := ft.ReduceSym(a, ft.SymOptions{NB: 32}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -111,7 +111,7 @@ func runSymmetric(n int, opt core.SymOptions, seed uint64, inject string, iter i
 	}
 	if opt.FaultTolerant {
 		fmt.Printf("resilience: %d detection(s), %d recovery(ies), %d correction(s)\n",
-			res.Detections, res.Recoveries, res.Corrections)
+			res.Detections, res.Recoveries, len(res.Corrected))
 	}
 	if !opt.CostOnly {
 		residual, orthogonality := res.Checks(a)

@@ -15,7 +15,7 @@ import (
 	"math"
 
 	"repro/internal/blas"
-	"repro/internal/ftsym"
+	"repro/internal/ft"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
 )
@@ -51,7 +51,7 @@ func main() {
 	blas.Dgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, g.Data, g.Stride, t.Data, t.Stride, 0, tmp.Data, tmp.Stride)
 	blas.Dgemm(blas.NoTrans, blas.Trans, n, n, n, 1, tmp.Data, tmp.Stride, g.Data, g.Stride, 0, a.Data, a.Stride)
 
-	res, err := ftsym.Reduce(a, ftsym.Options{NB: 16, Hook: &pokeHook{}})
+	res, err := ft.ReduceSym(a, ft.SymOptions{NB: 16, Hook: &pokeHook{}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,8 @@
 // hook, and get back the factorization (packed, H, Q), eigenvalues if
 // requested, the simulated performance, and the resilience statistics.
 // Each layer's result embeds the one below: Result embeds ft.Result,
-// which embeds hybrid.Result, as SymResult embeds hybrid.SymResult.
+// which embeds hybrid.Result, as SymResult embeds ft.SymResult, which
+// embeds hybrid.SymResult.
 //
 //	res, err := core.Reduce(a, core.Options{Algorithm: core.FaultTolerant})
 //	H, Q := res.H(), res.Q()

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/ftsym"
+	"repro/internal/ft"
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
 	"repro/internal/lapack"
@@ -26,14 +26,14 @@ type SymOptions struct {
 	// NB is the block size (32 if zero).
 	NB int
 	// FaultTolerant guards the hybrid device schedule with the
-	// symmetric checksums (internal/ftsym); otherwise the bare schedule
+	// symmetric checksums (ft.ReduceSym); otherwise the bare schedule
 	// runs (internal/hybrid). Both produce the same bits.
 	FaultTolerant bool
 	// CostOnly models time only.
 	CostOnly bool
 	// Hook passes through to the fault-tolerant algorithm; it needs
 	// data, so CostOnly rejects it.
-	Hook ftsym.Hook
+	Hook ft.SymHook
 	// Obs, when set, receives the run's metric series: device phase/op
 	// timers, plus ftsym_* counters on the fault-tolerant path. Journal
 	// receives typed FT event records (fault-tolerant path only).
@@ -52,12 +52,11 @@ type SymOptions struct {
 	Devices []*gpu.Device
 }
 
-// SymResult carries the tridiagonal factorization T = QᵀAQ and its
-// simulated performance.
+// SymResult carries the tridiagonal factorization T = QᵀAQ, its
+// simulated performance and (fault-tolerant path) its resilience
+// statistics.
 type SymResult struct {
-	hybrid.SymResult
-	// Resilience statistics (fault-tolerant path).
-	Detections, Recoveries, Corrections int
+	ft.SymResult
 }
 
 // Checks returns ‖A−QTQᵀ‖₁/(N‖A‖₁) and ‖QQᵀ−I‖₁/N against the original
@@ -91,20 +90,16 @@ func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SymResult{SymResult: *res}, nil
+		return &SymResult{ft.SymResult{SymResult: *res}}, nil
 	}
-	res, err := ftsym.Reduce(a, ftsym.Options{
+	res, err := ft.ReduceSym(a, ft.SymOptions{
 		Ctx: opt.Ctx, NB: opt.NB, Device: dev, Hook: opt.Hook,
 		Obs: opt.Obs, Journal: opt.Journal, Trace: opt.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &SymResult{
-		SymResult:  res.SymResult,
-		Detections: res.Detections, Recoveries: res.Recoveries,
-		Corrections: len(res.Corrected),
-	}, nil
+	return &SymResult{*res}, nil
 }
 
 // Eigen computes the complete eigendecomposition (all eigenvalues with

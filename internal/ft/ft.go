@@ -50,6 +50,10 @@ import (
 // macheps is the double-precision unit roundoff.
 const macheps = 2.220446049250313e-16
 
+// defaultThresholdFactor scales the default detection threshold
+// τ = 200·ε·N·‖A‖₁ (Options.ThresholdFactor; the symmetric path's τ).
+const defaultThresholdFactor = 200
+
 // ErrUncorrectable reports an error pattern the checksums cannot resolve
 // (e.g. positions forming a rectangle, the case the paper excludes).
 var ErrUncorrectable = errors.New("ft: detected errors are not correctable")

@@ -329,6 +329,25 @@ func TestFinalHCheckCatchesLateError(t *testing.T) {
 	}
 }
 
+// A cost-only run has no data to locate with, so the final H check
+// compares nothing: with nothing injected it must model no repair.
+func TestCostOnlyFinalHCheckRecordsNoCorrection(t *testing.T) {
+	j, reg := &obs.Journal{}, obs.NewRegistry()
+	_, err := Reduce(matrix.Shape(256, 256), Options{
+		NB: 32, Device: gpu.New(sim.K40c(), gpu.CostOnly), FinalHCheck: true, Journal: j, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := j.Counts()
+	if counts[obs.KindCorrection] != 0 || counts[obs.KindLocation] != 0 {
+		t.Fatalf("clean cost-only run journals %d corrections, %d locations", counts[obs.KindCorrection], counts[obs.KindLocation])
+	}
+	if v := reg.CounterValue("ft_corrections_total"); v != 0 {
+		t.Fatalf("ft_corrections_total = %v on a clean cost-only run", v)
+	}
+}
+
 // An exponent flip in finished H leaves a delta so large that
 // subtracting it cancels the element's true value: the final H check
 // must re-check its correction, locate the cancellation, and restore

@@ -58,17 +58,7 @@ type location struct {
 //
 // On error the flags are still reported and no repair is returned.
 func locate(rRes, cRes []float64, tol float64) (location, error) {
-	var loc location
-	for i, v := range rRes {
-		if math.Abs(v) > tol {
-			loc.rows = append(loc.rows, i)
-		}
-	}
-	for j, v := range cRes {
-		if math.Abs(v) > tol {
-			loc.cols = append(loc.cols, j)
-		}
-	}
+	loc := location{rows: flagged(rRes, tol), cols: flagged(cRes, tol)}
 	rows, cols := loc.rows, loc.cols
 	fix := func(kind repairKind, i, j int, delta float64) {
 		loc.repairs = append(loc.repairs, repair{kind: kind, row: i, col: j, delta: delta})
@@ -114,4 +104,15 @@ func locate(rRes, cRes []float64, tol float64) (location, error) {
 		}
 	}
 	return loc, nil
+}
+
+// flagged returns the indices of the residuals above tol.
+func flagged(res []float64, tol float64) []int {
+	var idx []int
+	for i, v := range res {
+		if math.Abs(v) > tol {
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }

@@ -543,7 +543,7 @@ func (r *multiReducer) checkAll(iter, p int) error {
 		sl := r.sh.Part.Slabs[s]
 		b := &bordered{
 			dev: r.sh.Owner(s), m: r.sh.SlabM[s], n: r.n, cols: sl.Cols, col0: sl.Start,
-			last: &r.sh.Last[s], where: fmt.Sprintf("slab %d: ", s),
+			last: &r.sh.Last[s], where: fmt.Sprintf("slab %d: ", s), flagged: true,
 		}
 		dev := b.dev.Name()
 		r.detected(iter, r.gap, fmt.Sprintf("slab %d on %s", s, dev), dev)

@@ -19,7 +19,10 @@ import (
 // The protected region is the strictly-below-first-subdiagonal storage of
 // the packed factorization (rows ≥ c+2 of column c).
 type qChecksums struct {
-	n      int
+	n int
+	// host is the packed host matrix whose Householder storage is
+	// protected.
+	host   *matrix.Matrix
 	rowChk []float64 // Qr_chk: per-row sums over all absorbed panels
 	colChk []float64 // Qc_chk: per-column sums, one segment per panel
 	// lastPanel and lastRowContrib allow a panel's contribution to be
@@ -33,11 +36,12 @@ type qChecksums struct {
 	freshRow, freshCol []float64
 }
 
-// newQChecksums returns the Q protection state for an order-n run. A
-// cost-only run holds no Householder values to protect, so its checksum
-// vectors stay nil (only their modeled cost is charged).
-func newQChecksums(mode gpu.Mode, n int) *qChecksums {
-	q := &qChecksums{n: n, lastPanel: -1}
+// newQChecksums returns the Q protection state for the packed host
+// matrix host. A cost-only run holds no Householder values to protect,
+// so its checksum vectors stay nil (only their modeled cost is charged).
+func newQChecksums(mode gpu.Mode, host *matrix.Matrix) *qChecksums {
+	n := host.Rows
+	q := &qChecksums{n: n, host: host, lastPanel: -1}
 	if mode == gpu.Real {
 		q.rowChk = make([]float64, n)
 		q.colChk = make([]float64, n)
@@ -49,7 +53,7 @@ func newQChecksums(mode gpu.Mode, n int) *qChecksums {
 // absorbPanel folds the Householder vectors of panel columns p..p+ib-1
 // into the checksums. Calling it again for the same panel (after a
 // recovery re-execution) first retracts the previous contribution.
-func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, hostA *matrix.Matrix, p, ib int) {
+func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, p, ib int) {
 	n := q.n
 	cost := pp.GemvHost(n-p, ib)
 	h.HostOp(cost, func() {
@@ -69,7 +73,7 @@ func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, hostA *matrix
 			lo := min(c+2, n)
 			rowChk, contrib := q.rowChk[lo:n], q.lastRowContrib[lo:n]
 			s := 0.0
-			for i, v := range hostA.Col(c)[lo:n] {
+			for i, v := range q.host.Col(c)[lo:n] {
 				s += v
 				rowChk[i] += v
 				contrib[i] += v
@@ -87,7 +91,7 @@ func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, hostA *matrix
 
 // residuals recomputes the fresh sums over the protected region on the
 // host lane; a cost-only run holds no Householder values to compare.
-func (q *qChecksums) residuals(s *run, _ int) (rRes, cRes []float64) {
+func (q *qChecksums) residuals(s *recovery, _ int) (rRes, cRes []float64) {
 	n, limit := q.n, q.limit
 	s.lane.HostOp(s.pp.GemvHost(n, max(limit, 1)), func() {
 		q.freshRow = make([]float64, n)
@@ -96,7 +100,7 @@ func (q *qChecksums) residuals(s *run, _ int) (rRes, cRes []float64) {
 			lo := min(c+2, n)
 			fresh := q.freshRow[lo:n]
 			sum := 0.0
-			for i, v := range s.hostA.Col(c)[lo:n] {
+			for i, v := range q.host.Col(c)[lo:n] {
 				fresh[i] += v
 				sum += v
 			}
@@ -114,8 +118,12 @@ func (q *qChecksums) residuals(s *run, _ int) (rRes, cRes []float64) {
 	return rRes, cRes
 }
 
+func (q *qChecksums) locate(rRes, cRes []float64, tol float64) (location, error) {
+	return locate(rRes, cRes, tol)
+}
+
 // located journals the pass as one check of Q.
-func (q *qChecksums) located(s *run, iter int, loc location) {
+func (q *qChecksums) located(s *recovery, iter int, loc location) {
 	ev := obs.Ev(obs.KindChecksumCheck, iter)
 	ev.Target = obs.TargetQ
 	ev.Outcome = "clean"
@@ -125,7 +133,7 @@ func (q *qChecksums) located(s *run, iter int, loc location) {
 	s.emit(ev)
 }
 
-func (q *qChecksums) fix(s *run, iter int, f repair) {
+func (q *qChecksums) fix(s *recovery, iter int, f repair) {
 	switch f.kind {
 	case repairChkRow:
 		// The checksum vectors themselves took the hit; refresh them.
@@ -133,8 +141,7 @@ func (q *qChecksums) fix(s *run, iter int, f repair) {
 	case repairChkCol:
 		q.rowChk[f.row] = q.freshRow[f.row]
 	default:
-		s.hostA.Add(f.row, f.col, -f.delta)
-		s.res.QCorrections++
+		q.host.Add(f.row, f.col, -f.delta)
 		s.count("ft_q_corrections_total")
 		ev := obs.Ev(obs.KindCorrection, iter)
 		ev.Target = obs.TargetQ

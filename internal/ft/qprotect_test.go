@@ -18,9 +18,9 @@ import (
 func qFixture(n, nb, panels int) (*gpu.Device, *matrix.Matrix, *qChecksums) {
 	dev := gpu.New(sim.K40c(), gpu.Real)
 	host := matrix.Random(n, n, 77)
-	q := newQChecksums(gpu.Real, n)
+	q := newQChecksums(gpu.Real, host)
 	for p := 0; p < panels*nb; p += nb {
-		q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, host, p, nb)
+		q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, p, nb)
 	}
 	return dev, host, q
 }
@@ -29,8 +29,8 @@ func qFixture(n, nb, panels int) (*gpu.Device, *matrix.Matrix, *qChecksums) {
 // 0..limit-1 (τ = 1e-9) and returns the number of repaired elements.
 func verifyQ(dev *gpu.Device, host *matrix.Matrix, q *qChecksums, limit int) (int, error) {
 	s := &run{
-		lane: hybrid.DeviceLane(dev), pp: dev.Params, emit: func(obs.Event) {},
-		hostA: host, tauDet: 1e-9, qprot: q, res: &Result{},
+		recovery: recovery{lane: hybrid.DeviceLane(dev), pp: dev.Params, emit: func(obs.Event) {}, tauDet: 1e-9},
+		hostA:    host, qprot: q, res: &Result{},
 	}
 	err := s.verifyQ(limit)
 	return s.res.QCorrections, err
@@ -113,7 +113,7 @@ func TestQChecksumsReabsorption(t *testing.T) {
 	// Re-absorbing the same panel (the recovery re-execution path) must
 	// retract the previous contribution, not double it.
 	dev, host, q := qFixture(64, 8, 3)
-	q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, host, 16, 8) // re-absorb the most recent panel
+	q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, 16, 8) // re-absorb the most recent panel
 	fixes, err := verifyQ(dev, host, q, 24)
 	if err != nil || fixes != 0 {
 		t.Fatalf("after re-absorption: fixes=%d err=%v", fixes, err)
@@ -124,7 +124,7 @@ func TestQChecksumsReabsorbChangedPanel(t *testing.T) {
 	dev, host, q := qFixture(64, 8, 3)
 	// The panel data changed between absorptions (a corrected error).
 	host.Add(30, 18, 4.0)
-	q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, host, 16, 8)
+	q.absorbPanel(hybrid.DeviceLane(dev), dev.Params, 16, 8)
 	fixes, err := verifyQ(dev, host, q, 24)
 	if err != nil || fixes != 0 {
 		t.Fatalf("checksums must track the re-absorbed data: fixes=%d err=%v", fixes, err)

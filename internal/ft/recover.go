@@ -107,6 +107,7 @@ func (r *reducer) recover(iter, p, ib int) error {
 	// Locate and correct (line 15). A correction inside the current
 	// panel also patches the checkpoint, so the re-execution is clean.
 	b := r.whole(p)
+	b.flagged = true
 	b.patch = func(i, j int, delta float64) {
 		if j >= p && j < p+r.nb {
 			r.ckPanel.Add(i, j-p, -delta)
@@ -143,7 +144,7 @@ func (r *reducer) finalHCheck(split int) error {
 		if fixed == 0 {
 			return false
 		}
-		rRes, cRes := b.residuals(&r.run, iter)
+		rRes, cRes := b.residuals(&r.recovery, iter)
 		r.gap = worst(worst(0, rRes...), cRes...)
 		if !r.checked(iter, r.gap, exceeds(r.gap, r.tauDet)) {
 			return false

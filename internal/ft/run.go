@@ -2,7 +2,6 @@ package ft
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
@@ -11,33 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// run is the shell both reducers share around their schedules: the
-// options with their defaults, the host-side result under assembly, the
-// detection threshold, the Q checksums, and the steps before and after
-// the blocked iterations. The single-device reducer and the pool guard
-// each embed one; what stays theirs is the device-side state and the
-// journal (the single-device reducer stamps its device's name).
+// run is the shell both Hessenberg reducers share around their
+// schedules: the options with their defaults, the host-side result under
+// assembly, the recovery core (its lane is the device's host lane or the
+// pool's main-host timeline), the Q checksums, and the steps before and
+// after the blocked iterations. The single-device reducer and the pool
+// guard each embed one; what stays theirs is the device-side state and
+// the journal (the single-device reducer stamps its device's name).
 type run struct {
+	recovery
 	opt   Options
 	n, nb int
-	// lane is where serial CPU work is charged: the device's host lane
-	// or the pool's main-host timeline.
-	lane hybrid.HostLane
-	pp   sim.Params
-	// emit is the reducer's journal.
-	emit func(obs.Event)
 
 	hostA *matrix.Matrix
 	tau   []float64
 	// la mirrors !Options.DisableLookahead, fused Options.Substrate ==
 	// SubstrateFused.
 	la, fused bool
-
-	normA1 float64
-	tauDet float64
-	// gap is the checksum gap of the latest check, journaled with its
-	// verdict and with a detection.
-	gap float64
 
 	qprot *qChecksums
 	res   *Result
@@ -52,40 +41,28 @@ func newRun(a *matrix.Matrix, opt Options, lane hybrid.HostLane, pp sim.Params, 
 		nb = hybrid.DefaultNB
 	}
 	if opt.ThresholdFactor <= 0 {
-		opt.ThresholdFactor = 200
-	}
-	if opt.Obs != nil {
-		// A clean run still exposes every counter, at zero.
-		for _, name := range ftCounterNames {
-			opt.Obs.Counter(name, ftLabels(opt)...)
-		}
+		opt.ThresholdFactor = defaultThresholdFactor
 	}
 	n := a.Rows
 	mode := lane.Mode()
 	hostA := mode.HostCopy(a)
 	tau := make([]float64, max(n-1, 1))
-	return run{
-		opt: opt, n: n, nb: nb, lane: lane, pp: pp,
+	s := run{
+		recovery: newRecovery(lane, pp, opt.Obs, opt.Trace, "ft", ftCounters...),
+		opt:      opt, n: n, nb: nb,
 		hostA: hostA, tau: tau,
 		la: !opt.DisableLookahead, fused: fused,
-		qprot: newQChecksums(mode, n),
+		qprot: newQChecksums(mode, hostA),
 		res:   &Result{Result: hybrid.Result{N: n, NB: nb, Packed: hostA, Tau: tau}},
 	}
+	s.detections, s.fixes = &s.res.Detections, &s.res.CorrectedH
+	return s
 }
 
-// count increments an FT counter (no-op without a registry).
-func (s *run) count(name string) {
-	s.opt.Obs.Counter(name, ftLabels(s.opt)...).Inc()
-}
-
-// threshold charges the one host pass over A whose ‖A‖₁ anchors the
-// detection threshold τ = ThresholdFactor·ε·N·‖A‖₁.
+// threshold sets τ from the input a in the setup phase.
 func (s *run) threshold(a *matrix.Matrix) {
 	s.lane.SetPhase("setup")
-	s.lane.HostOp(s.pp.GemvHost(s.n, s.n), func() {
-		s.normA1 = a.Norm1()
-	})
-	s.tauDet = s.opt.ThresholdFactor * macheps * float64(s.n) * math.Max(s.normA1, 1)
+	s.setThreshold(s.opt.ThresholdFactor, s.n, a.Norm1)
 }
 
 // fuse switches the run's devices onto the fused-ABFT substrate (no-op
@@ -106,8 +83,8 @@ func (s *run) fuse(devs []*gpu.Device) func() {
 			checks, det, _ := dev.FTStats()
 			s.res.SubstrateChecks += int(checks)
 			s.res.SubstrateDetections += int(det)
-			s.opt.Obs.Counter("ft_substrate_checks_total", ftLabels(s.opt)...).Add(float64(checks))
-			s.opt.Obs.Counter("ft_substrate_detections_total", ftLabels(s.opt)...).Add(float64(det))
+			s.reg.Counter("ft_substrate_checks_total", s.labels...).Add(float64(checks))
+			s.reg.Counter("ft_substrate_detections_total", s.labels...).Add(float64(det))
 			if det > 0 {
 				ev := obs.Ev(obs.KindDetection, s.res.BlockedIters)
 				ev.Target = obs.TargetH
@@ -147,7 +124,7 @@ func (s *run) absorbQ(p, ib int) {
 		return
 	}
 	s.lane.SetPhase("q_protect")
-	s.qprot.absorbPanel(s.lane, s.pp, s.hostA, p, ib)
+	s.qprot.absorbPanel(s.lane, s.pp, p, ib)
 }
 
 // verifyQ verifies and repairs the Householder storage of columns
@@ -160,7 +137,11 @@ func (s *run) verifyQ(p int) error {
 	}
 	s.lane.SetPhase("q_protect")
 	s.qprot.limit = min(p, s.qprot.absorbedCols)
-	if err := s.heal(s.res.BlockedIters, s.qprot, "q_protect", func(fixed int) bool { return fixed > 0 }); err != nil {
+	err := s.heal(s.res.BlockedIters, s.qprot, "q_protect", func(fixed int) bool {
+		s.res.QCorrections += fixed
+		return fixed > 0
+	})
+	if err != nil {
 		return fmt.Errorf("Q check: %w", err)
 	}
 	return nil
@@ -188,65 +169,11 @@ func (s *run) rerun(a *matrix.Matrix, opt Options) (*Result, error) {
 	return retry, nil
 }
 
-// checked counts one checksum comparison of H in iteration iter and
-// journals its verdict with the gap that decided it.
-func (s *run) checked(iter int, gap float64, mismatch bool) bool {
-	s.count("ft_checksum_checks_total")
-	ev := obs.Ev(obs.KindChecksumCheck, iter)
-	ev.Target = obs.TargetH
-	ev.Value = obs.Float(gap)
-	ev.Outcome = "clean"
-	if mismatch {
-		ev.Outcome = "mismatch"
-	}
-	s.emit(ev)
-	return mismatch
-}
-
-// detected counts and journals one detection in H.
-func (s *run) detected(iter int, gap float64, outcome, device string) {
-	s.res.Detections++
-	s.count("ft_detections_total")
-	det := obs.Ev(obs.KindDetection, iter)
-	det.Target = obs.TargetH
-	det.Value = obs.Float(gap)
-	det.Outcome = outcome
-	det.Device = device
-	s.emit(det)
-}
-
-// corrected records the repair of H element (row, col), off by delta.
-func (s *run) corrected(iter, row, col int, delta float64, device string) {
-	s.res.CorrectedH = append(s.res.CorrectedH, Injection{Row: row, Col: col, Delta: delta, Target: TargetH, Iter: iter})
-	s.count("ft_corrections_total")
-	corr := obs.Ev(obs.KindCorrection, iter)
-	corr.Target = obs.TargetH
-	corr.Row, corr.Col, corr.Value = row, col, obs.Float(delta)
-	corr.Device = device
-	s.emit(corr)
-}
-
-// ftLabels returns the job label set for the run's FT counters (empty
-// for offline runs without a trace context).
-func ftLabels(opt Options) []obs.Label {
-	if job := opt.Trace.JobID(); job != "" {
-		return []obs.Label{obs.L("job", job)}
-	}
-	return nil
-}
-
-// ftCounterNames lists every counter the reduction can emit; they are
-// pre-touched at run start so a clean run still exposes them at zero.
-var ftCounterNames = []string{
-	"ft_checksum_checks_total",
-	"ft_detections_total",
-	"ft_corrections_total",
-	"ft_recoveries_total",
-	"ft_reexecutions_total",
-	"ft_checkpoints_total",
-	"ft_q_corrections_total",
-	"ft_device_losses_total",
-	"ft_failstop_reconstructions_total",
-	"ft_substrate_checks_total",
-	"ft_substrate_detections_total",
+// ftCounters name every counter a Hessenberg run can emit, as
+// ft_<name>_total; the symmetric run has the first five, as
+// ftsym_<name>_total.
+var ftCounters = []string{
+	"checksum_checks", "detections", "corrections", "recoveries", "reexecutions",
+	"checkpoints", "q_corrections", "device_losses", "failstop_reconstructions",
+	"substrate_checks", "substrate_detections",
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // SymGuard is a protection layer over the symmetric schedule: the
-// fault-tolerant tridiagonalization (internal/ftsym) is ReduceSym with a
+// fault-tolerant tridiagonalization (ft.ReduceSym) is ReduceSym with a
 // guard whose checksums ride the unchanged data path.
 type SymGuard interface {
 	// Start runs once the matrix is on the device, before the first
@@ -51,7 +51,7 @@ type SymState struct {
 // on the device. This is the one blocked DSYTRD schedule of the paper's
 // future-work direction ("the rest of the hybrid two-sided
 // factorizations"): with a nil guard it is the baseline, and
-// internal/ftsym runs it with the checksum guard g.
+// ft.ReduceSym runs it with the checksum guard g.
 func ReduceSym(a *matrix.Matrix, opt Options, g SymGuard) (*SymResult, error) {
 	n := a.Rows
 	if n != a.Cols {

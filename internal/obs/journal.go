@@ -12,8 +12,8 @@ import (
 // the fault-tolerance machinery — checksum checks, detections, locations,
 // corrections, reverse computations, checkpoint saves/restores, and
 // re-executions — each stamped with the blocked iteration, the protected
-// target (H or Q), the simulated time, and an outcome. internal/ft,
-// internal/ftsym and internal/fault append to it; one run exports as JSONL
+// target (H or Q), the simulated time, and an outcome. internal/ft (both
+// reduction families) and internal/fault append to it; one run exports as JSONL
 // for offline analysis alongside the metrics exposition.
 
 // Target identifies which protected memory a record concerns.

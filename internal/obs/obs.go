@@ -10,7 +10,7 @@
 // kernel, transfer, and host operation to an operation family and to the
 // algorithm phase the device is currently in; internal/hybrid and
 // internal/ft mark those phases (panel, right update, left update, D2H
-// overlap, and the FT protection steps); internal/ft, internal/ftsym and
+// overlap, and the FT protection steps); internal/ft and
 // internal/fault append typed records to the event journal. One run then
 // emits a coherent report: a metrics exposition, a JSONL journal, and a
 // Chrome trace, all telling the same story.

@@ -15,7 +15,7 @@ import (
 // (see internal/serve) rather than pretending the two are alignable.
 //
 // TraceContext is the handle threaded through the whole stack
-// (serve → core → hybrid → ft/ftsym → devpool → gpu): it names the job
+// (serve → core → hybrid → ft → devpool → gpu): it names the job
 // every metric series, journal record, and flight-recorder event should
 // be attributed to. All of it is nil-safe, so instrumented code needs no
 // conditionals and the instrumentation-off serving mode simply passes

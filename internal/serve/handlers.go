@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ft"
-	"repro/internal/ftsym"
 	"repro/internal/matrix"
 )
 
@@ -51,9 +50,9 @@ func classify(err error) errClass {
 		return errClass{http.StatusOK, ""}
 	case errors.Is(err, core.ErrMultiDeviceUnsupported):
 		return errClass{http.StatusBadRequest, "unsupported"}
-	case errors.Is(err, ft.ErrUncorrectable) || errors.Is(err, ftsym.ErrUncorrectable):
+	case errors.Is(err, ft.ErrUncorrectable):
 		return errClass{http.StatusInternalServerError, "uncorrectable"}
-	case errors.Is(err, ft.ErrDetectionStorm) || errors.Is(err, ftsym.ErrRetriesExhausted):
+	case errors.Is(err, ft.ErrDetectionStorm):
 		return errClass{http.StatusInternalServerError, "detection_storm"}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return errClass{http.StatusGone, "cancelled"}

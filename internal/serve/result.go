@@ -151,7 +151,7 @@ func symResult(j *Job, a *matrix.Matrix, res *core.SymResult) *JobResult {
 
 		Detections:  res.Detections,
 		Recoveries:  res.Recoveries,
-		Corrections: res.Corrections,
+		Corrections: len(res.Corrected),
 
 		Residual:      obs.Float(math.NaN()),
 		Orthogonality: obs.Float(math.NaN()),

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ft"
-	"repro/internal/ftsym"
 	"repro/internal/gpu"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -541,7 +540,7 @@ func (s *Server) releaseDevices(idx []int) {
 // isUncorrectable reports whether the job died because the FT machinery
 // could not repair a detected error (either reduction family).
 func isUncorrectable(err error) bool {
-	return errors.Is(err, ft.ErrUncorrectable) || errors.Is(err, ftsym.ErrUncorrectable)
+	return errors.Is(err, ft.ErrUncorrectable)
 }
 
 // pruneJob retires every job-labeled metric series a forgotten job left
