@@ -19,6 +19,7 @@
 //	fthess -n 256 -eig                     # full eigenvalue pipeline
 //	fthess -n 256 -sym -inject area2       # FT-DSYTRD, one error recovered
 //	fthess -n 4030 -sym -costonly          # modeled FT-DSYTRD time
+//	fthess -sym -mm a.mtx                  # FT-DSYTRD of a file's lower triangle
 package main
 
 import (
@@ -79,11 +80,8 @@ func (h *symHook) BeforeIteration(iter, panel int, w *matrix.Matrix) {
 
 // runSymmetric runs the future-work path, the symmetric tridiagonal
 // reduction (FT-DSYTRD under -alg ft), and its QL eigenvalues.
-func runSymmetric(n int, opt core.SymOptions, seed uint64, inject string, iter int, metricsPath, eventsPath string) {
-	a := matrix.Shape(n, n)
-	if !opt.CostOnly {
-		a = matrix.RandomSymmetric(n, seed)
-	}
+func runSymmetric(a *matrix.Matrix, opt core.SymOptions, inject string, iter int, metricsPath, eventsPath string) {
+	n := a.Rows
 	if metricsPath != "" {
 		opt.Obs = obs.NewRegistry()
 		// Fold achieved host BLAS throughput (blas_flops_total,
@@ -132,6 +130,46 @@ func runSymmetric(n int, opt core.SymOptions, seed uint64, inject string, iter i
 	}
 }
 
+// usedFlag names a flag setting and whether the command line made it.
+type usedFlag struct {
+	name string
+	set  bool
+}
+
+// refuse exits 2 on the first set flag: a combination the chosen path
+// would otherwise ignore silently (fthessd rejects the same requests with
+// a 400).
+func refuse(why string, flags ...usedFlag) {
+	for _, f := range flags {
+		if f.set {
+			fmt.Fprintf(os.Stderr, "%s %s\n", f.name, why)
+			os.Exit(2)
+		}
+	}
+}
+
+// readMatrixMarket loads a square input from a MatrixMarket file,
+// exiting on failure.
+func readMatrixMarket(path string) *matrix.Matrix {
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "open %s: %v\n", path, err)
+		os.Exit(1)
+	}
+	a, err := matrix.ReadMatrixMarket(f)
+	f.Close()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "parse %s: %v\n", path, err)
+		os.Exit(1)
+	}
+	if a.Rows != a.Cols {
+		fmt.Fprintf(os.Stderr, "%s: matrix is %dx%d, need square\n", path, a.Rows, a.Cols)
+		os.Exit(1)
+	}
+	fmt.Printf("loaded %dx%d matrix from %s\n", a.Rows, a.Cols, path)
+	return a
+}
+
 func main() {
 	n := flag.Int("n", 512, "matrix order (ignored with -mm)")
 	mmPath := flag.String("mm", "", "load the input from a MatrixMarket file instead of generating it")
@@ -158,38 +196,52 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event timeline to this file (Perfetto-loadable)")
 	flag.Parse()
 
-	if *sym {
-		if *tracePath != "" {
-			fmt.Fprintln(os.Stderr, "-trace is not available on the -sym path")
-			os.Exit(2)
-		}
-		if *devices > 0 {
-			fmt.Fprintln(os.Stderr, "-devices is not available on the -sym path (no multi-device symmetric schedule)")
-			os.Exit(2)
-		}
-		if *alg != "ft" && *alg != "baseline" {
-			fmt.Fprintf(os.Stderr, "-alg %s is not available on the -sym path (want ft or baseline)\n", *alg)
-			os.Exit(2)
-		}
-		if *inject != "" && *alg != "ft" {
-			fmt.Fprintln(os.Stderr, "-inject on the -sym path needs -alg ft (the baseline has no fault hook)")
-			os.Exit(2)
-		}
-		opt := core.SymOptions{NB: *nb, FaultTolerant: *alg == "ft", CostOnly: *costOnly}
-		runSymmetric(*n, opt, *seed, *inject, *iter, *metricsPath, *eventsPath)
-		return
+	algorithms := map[string]core.Algorithm{"ft": core.FaultTolerant, "baseline": core.Baseline, "cpu": core.CPUOnly}
+	algorithm, ok := algorithms[*alg]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *alg)
+		os.Exit(2)
 	}
-
 	if *devices < 0 {
 		fmt.Fprintf(os.Stderr, "-devices %d must be >= 0\n", *devices)
 		os.Exit(2)
 	}
-	if slots := max(*devices, 1); *killPoint != "" && (*killDevice < 0 || *killDevice >= slots) {
-		fmt.Fprintf(os.Stderr, "-kill-device %d outside the pool [0,%d)\n", *killDevice, slots)
-		os.Exit(2)
-	}
 	if *substrate != "" && *substrate != ft.SubstrateSwept && *substrate != ft.SubstrateFused {
 		fmt.Fprintf(os.Stderr, "unknown -substrate %q (want swept or fused)\n", *substrate)
+		os.Exit(2)
+	}
+	var area fault.Area
+	switch *inject {
+	case "":
+	case "area1":
+		area = fault.Area1
+	case "area2":
+		area = fault.Area2
+	case "area3":
+		area = fault.Area3
+	default:
+		fmt.Fprintf(os.Stderr, "unknown injection area %q\n", *inject)
+		os.Exit(2)
+	}
+	if algorithm != core.FaultTolerant {
+		refuse("needs -alg ft", usedFlag{"-inject", *inject != ""}, usedFlag{"-kill-point", *killPoint != ""},
+			usedFlag{"-substrate fused", *substrate == ft.SubstrateFused})
+	}
+	if *sym {
+		refuse("is not available on the -sym path", usedFlag{"-trace", *tracePath != ""},
+			usedFlag{"-devices", *devices > 0}, usedFlag{"-substrate fused", *substrate == ft.SubstrateFused},
+			usedFlag{"-checksum", *checksum}, usedFlag{"-kill-point", *killPoint != ""},
+			usedFlag{"-lookahead=false", !*lookahead}, usedFlag{"-no-overlap", *noOverlap},
+			usedFlag{"-bitflip", *bitflip}, usedFlag{"-count > 1", *count > 1},
+			usedFlag{"-alg cpu", algorithm == core.CPUOnly})
+	}
+	kp, err := fault.ParseKillPoint(*killPoint)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if slots := max(*devices, 1); *killPoint != "" && (*killDevice < 0 || *killDevice >= slots) {
+		fmt.Fprintf(os.Stderr, "-kill-device %d outside the pool [0,%d)\n", *killDevice, slots)
 		os.Exit(2)
 	}
 	// A cost-only reduction holds no values: there is no result to digest
@@ -202,8 +254,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-eig requires real execution")
 		os.Exit(2)
 	}
+
+	var a *matrix.Matrix
+	switch {
+	case *mmPath != "":
+		a = readMatrixMarket(*mmPath)
+	case *costOnly:
+		// Cost-only mode never reads the input: pass its shape only.
+		a = matrix.Shape(*n, *n)
+	case *sym:
+		a = matrix.RandomSymmetric(*n, *seed)
+	default:
+		a = matrix.Random(*n, *n, *seed)
+	}
+	if *sym {
+		opt := core.SymOptions{NB: *nb, FaultTolerant: algorithm == core.FaultTolerant, CostOnly: *costOnly}
+		runSymmetric(a, opt, *inject, *iter, *metricsPath, *eventsPath)
+		return
+	}
+
 	opt := core.Options{
-		NB: *nb, CostOnly: *costOnly, DeviceCount: *devices,
+		Algorithm: algorithm, NB: *nb, CostOnly: *costOnly, DeviceCount: *devices,
 		DisableLookahead: !*lookahead, DisableOverlap: *noOverlap,
 		Substrate: *substrate,
 	}
@@ -239,40 +310,11 @@ func main() {
 			opt.Device = dev
 		}
 	}
-	switch *alg {
-	case "ft":
-		opt.Algorithm = core.FaultTolerant
-	case "baseline":
-		opt.Algorithm = core.Baseline
-	case "cpu":
-		opt.Algorithm = core.CPUOnly
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *alg)
-		os.Exit(2)
-	}
-
 	var plans []fault.Plan
 	if *inject != "" {
-		var area fault.Area
-		switch *inject {
-		case "area1":
-			area = fault.Area1
-		case "area2":
-			area = fault.Area2
-		case "area3":
-			area = fault.Area3
-		default:
-			fmt.Fprintf(os.Stderr, "unknown injection area %q\n", *inject)
-			os.Exit(2)
-		}
 		plans = append(plans, fault.Plan{Area: area, TargetIter: *iter, Count: *count, Seed: *seed, BitFlip: *bitflip, Bit: 60})
 	}
 	if *killPoint != "" {
-		kp, err := fault.ParseKillPoint(*killPoint)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		plans = append(plans, fault.Plan{TargetIter: *killIter, KillPoint: kp, KillDevice: *killDevice})
 	}
 	var in *fault.Injector
@@ -282,30 +324,6 @@ func main() {
 		opt.Hook = in
 	}
 
-	var a *matrix.Matrix
-	if *mmPath != "" {
-		f, err := os.Open(*mmPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "open %s: %v\n", *mmPath, err)
-			os.Exit(1)
-		}
-		a, err = matrix.ReadMatrixMarket(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parse %s: %v\n", *mmPath, err)
-			os.Exit(1)
-		}
-		if a.Rows != a.Cols {
-			fmt.Fprintf(os.Stderr, "%s: matrix is %dx%d, need square\n", *mmPath, a.Rows, a.Cols)
-			os.Exit(1)
-		}
-		fmt.Printf("loaded %dx%d matrix from %s\n", a.Rows, a.Cols, *mmPath)
-	} else if *costOnly {
-		// Cost-only mode never reads the input: pass its shape only.
-		a = matrix.Shape(*n, *n)
-	} else {
-		a = matrix.Random(*n, *n, *seed)
-	}
 	res, err := core.Reduce(a, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "reduction failed: %v\n", err)

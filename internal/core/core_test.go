@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -225,16 +224,6 @@ func TestReduceSymCostOnlyRules(t *testing.T) {
 	// Injection needs data: a hook on a cost-only run is rejected.
 	if _, err := ReduceSym(a, SymOptions{NB: 8, CostOnly: true, FaultTolerant: true, Hook: &symCancelHook{}}); err == nil {
 		t.Fatal("FT+CostOnly+Hook must be rejected")
-	}
-}
-
-func TestSymMultiDeviceUnsupported(t *testing.T) {
-	a := matrix.Random(32, 32, 1)
-	for _, ftOn := range []bool{false, true} {
-		_, err := ReduceSym(a, SymOptions{NB: 8, FaultTolerant: ftOn, Devices: []*gpu.Device{gpu.New(sim.K40c(), gpu.Real)}})
-		if !errors.Is(err, ErrMultiDeviceUnsupported) {
-			t.Fatalf("ft=%v: expected ErrMultiDeviceUnsupported, got %v", ftOn, err)
-		}
 	}
 }
 

@@ -2,19 +2,13 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/ft"
-	"repro/internal/gpu"
 	"repro/internal/hybrid"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 )
-
-// ErrMultiDeviceUnsupported reports a symmetric reduction asked to run on
-// a device pool (see SymOptions.Devices).
-var ErrMultiDeviceUnsupported = errors.New("core: multi-device pools are not supported for the symmetric reduction")
 
 // SymOptions configures the symmetric (tridiagonalization) path — the
 // paper's future-work factorization family.
@@ -41,15 +35,6 @@ type SymOptions struct {
 	Journal *obs.Journal
 	// Trace scopes the run to a served request (see Options.Trace).
 	Trace *obs.TraceContext
-	// Devices requests a multi-device pool, which the symmetric
-	// reduction does not have: the lower-triangle storage makes 1-D
-	// block-column slabs ragged (slab s owns n−s·W.. rows), which breaks
-	// the equal-work partitioning and the per-slab checksum shapes the
-	// Hessenberg pool relies on; a triangular/2-D partitioning is tracked
-	// in ROADMAP.md. Setting this returns ErrMultiDeviceUnsupported so
-	// the serving layer can map the request shape to a structured client
-	// error.
-	Devices []*gpu.Device
 }
 
 // SymResult carries the tridiagonal factorization T = QᵀAQ, its
@@ -77,11 +62,12 @@ func (r *SymResult) Eigenvalues() ([]float64, error) {
 }
 
 // ReduceSym tridiagonalizes a symmetric matrix (lower triangle referenced,
-// not modified) on one device.
+// not modified) on one device. There is no multi-device symmetric
+// schedule: the lower-triangle storage makes 1-D block-column slabs
+// ragged, which breaks the equal-work partitioning and the per-slab
+// checksum shapes the Hessenberg pool relies on (ROADMAP.md tracks a
+// triangular/2-D partitioning).
 func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
-	if len(opt.Devices) > 0 {
-		return nil, ErrMultiDeviceUnsupported
-	}
 	dev := (&Options{CostOnly: opt.CostOnly}).device()
 	if !opt.FaultTolerant {
 		res, err := hybrid.ReduceSym(a, hybrid.Options{

@@ -41,7 +41,6 @@ import (
 	"repro/internal/blas"
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
-	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -523,14 +522,7 @@ func (r *reducer) attempt(a *matrix.Matrix) error {
 	}
 
 	// Bring the remaining trailing columns home and finish on the host.
-	dev.SetPhase("cleanup")
-	if p < n {
-		rem := r.hostA.View(0, p, n, n-p)
-		dev.Sync(dev.D2HAsync(rem, r.dA, 0, p, prevLeft))
-	}
-	dev.HostOp(hybrid.CleanupCost(r.pp, n, p), func() {
-		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, make([]float64, n))
-	})
+	hybrid.Cleanup(dev, r.hostA, r.dA, r.tau, n, p, prevLeft)
 	if err := r.verifyQ(p); err != nil {
 		return err
 	}
@@ -623,14 +615,8 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 	// Figure 5) — overlapped with the device work below.
 	r.absorbQ(p, ib)
 
-	// Upload the factored panel, Y's lower rows, and T. The panel columns
-	// belong to the previous priority part, so that copy is free to land;
-	// dY/dT are still read by the in-flight remainder kernels and must
-	// wait for them (prevLeft) — a no-op when nothing overlaps.
-	dev.SetPhase("right_update")
-	dev.H2D(r.dA, k, p, r.hostA.View(k, p, n-k, ib))
-	dev.Sync(dev.H2DAsync(r.dY, k, 0, r.yHost.View(k, 0, n-k, ib), prevLeft))
-	dev.Sync(dev.H2DAsync(r.dT, 0, 0, r.tHost.View(0, 0, ib, ib), prevLeft))
+	// Upload V, Y and T, as in the baseline.
+	hybrid.UploadPanel(dev, r.hostA, r.yHost, r.tHost, r.dA, r.dY, r.dT, n, p, ib, prevLeft)
 
 	// Line 7: column sums of V (unit-diagonal aware), Vce's extension row.
 	dev.SetPhase("checksum_maintenance")
@@ -639,34 +625,17 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 	// row (must read the checksum row before it is refreshed below).
 	ychkDone := r.kernYce(p, ib, vsumDone)
 
-	// Y's top rows on the device, as in the baseline.
-	dev.SetPhase("right_update")
-	e := dev.CopyBlock(r.dY, 0, 0, r.dA, 0, p+1, k, ib)
-	e = dev.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, k, ib, 1, r.dA, k, p, r.dY, 0, 0, e)
-	if n > k+ib {
-		e = dev.Gemm(blas.NoTrans, blas.NoTrans, k, ib, n-k-ib, 1, r.dA, 0, p+ib+1, r.dA, k+ib, p, 1, r.dY, 0, 0, e)
-	}
-	ytopDone := dev.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, k, ib, 1, r.dT, 0, 0, r.dY, 0, 0, e)
-
-	// Right update of the panel columns' top rows.
-	aDone := ytopDone
-	if ib > 1 {
-		aDone = dev.CopyBlock(r.dW, 0, 0, r.dY, 0, 0, k, ib-1, ytopDone)
-		aDone = dev.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, k, ib-1, 1, r.dA, k, p, r.dW, 0, 0, aDone)
-		aDone = dev.SubBlock(r.dA, 0, p+1, r.dW, 0, 0, k, ib-1, aDone)
-	}
+	// Y's top rows and the panel columns' top rows, as in the baseline.
+	ytopDone, aDone := hybrid.UpdateTop(dev, r.dA, r.dY, r.dT, r.dW, n, p, ib)
 	// Refresh the checksum-row entries of the now-final panel columns
 	// directly from the Hessenberg data (their mathematical column sums).
 	dev.SetPhase("checksum_maintenance")
 	chkSegDone := r.kernPanelColSums(p, ib, aDone, ychkDone)
 
-	// Line 9: asynchronous transfer of the finished block, overlapped with
-	// the remaining device updates (or serialized after them under the
-	// DisableOverlap ablation).
-	finished := r.hostA.View(0, p, k, ib)
+	// Line 9: the finished block travels home under the remaining
+	// updates (after them under DisableOverlap).
 	if !r.opt.DisableOverlap {
-		dev.SetPhase("d2h_overlap")
-		dev.D2HAsync(finished, r.dA, 0, p, aDone)
+		hybrid.SendFinished(dev, r.hostA, r.dA, p, ib, false, aDone)
 	}
 
 	// Lines 8 and 10: right update of Mre (top rows + checksum handling)
@@ -709,8 +678,7 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 		r.panelReady = left
 	}
 	if r.opt.DisableOverlap {
-		dev.SetPhase("d2h_overlap")
-		dev.Sync(dev.D2HAsync(finished, r.dA, 0, p, aDone, left))
+		hybrid.SendFinished(dev, r.hostA, r.dA, p, ib, true, aDone, left)
 	}
 	return left, nil
 }
@@ -781,68 +749,25 @@ func (r *reducer) kernPanelColSums(p, ib int, deps ...sim.Event) sim.Event {
 }
 
 // leftUpdate applies trail(A)fe := trail(A)fe − Vce·Tᵀ·Vᵀ·trail(A)fe
-// over trailing columns [lo, hi): the data columns and checksum column
-// get the orthogonal left update, the checksum row gets the Vce
-// extension. Column c here means global column p+ib+c, with c = n-p-ib
-// addressing the checksum column (hi = n-p-ib+1 covers them all). The
-// intermediate S = (CᵀV)·T is retained in dS for reverse computation;
-// each part builds its own rows of S, so S's row c always holds column
-// c's intermediate regardless of how the update was split, and the
-// recovery reversal (a full-range call) reads the exact values the
-// forward pass retained.
+// over trailing columns [lo, hi) (Algorithm 3, line 11): the data columns
+// and the checksum column take the baseline's DLARFB, the checksum row
+// the Vce extension. Column c here means global column p+ib+c, with
+// c = n-p-ib addressing the checksum column (hi = n-p-ib+1 covers them
+// all). DLARFB's intermediate S = (CᵀV)·T is formed into dS rows
+// [lo, hi) and applied through dW so it survives for the reverse
+// computation; each part builds its own rows of S, so S's row c always
+// holds column c's intermediate regardless of how the update was split,
+// and the recovery reversal (a full-range call) reads the exact values
+// the forward pass retained.
 func (r *reducer) leftUpdate(p, ib, lo, hi int, dep sim.Event) sim.Event {
 	dev := r.dev
 	n, k := r.n, p+1
-	cnt := hi - lo
-
-	// S[lo:hi] := C1ᵀ·V1 + C2ᵀ·V2  (cnt×ib), C = dA(k:n-1, p+ib+lo..p+ib+hi).
-	e := dev.Custom(dev.Params.KernelLaunchSec+16*float64(cnt)*float64(ib)/(dev.Params.GPUBandwidthGBps*1e9), func() {
-		for j := 0; j < ib; j++ {
-			blas.Dcopy(cnt, r.dA.Data[(p+ib+lo)*r.dA.Stride+k+j:], r.dA.Stride, r.dS.Data[j*r.dS.Stride+lo:], 1)
-		}
-	}, dep)
-	e = dev.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, cnt, ib, 1, r.dA, k, p, r.dS, lo, 0, e)
-	if n-k > ib {
-		e = dev.Gemm(blas.Trans, blas.NoTrans, cnt, ib, n-k-ib, 1, r.dA, k+ib, p+ib+lo, r.dA, k+ib, p, 1, r.dS, lo, 0, e)
-	}
-	// S := S·T  (Hᵀ uses T here; see lapack.Dlarfb's TRANST convention).
-	e = dev.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, cnt, ib, 1, r.dT, 0, 0, r.dS, lo, 0, e)
-	// C := C sign·V·Sᵀ, split as in DLARFB because V's stored upper
-	// triangle holds H data, not zeros.
-	e = r.applyVS(p, ib, lo, hi, -1, e)
-	// Checksum row: chkrow(j) −= S[j,:]·vsum for the data columns.
+	e := dev.LarfbForm(n-k, hi-lo, ib, r.dA, k, p, r.dT, 0, 0, r.dA, k, p+ib+lo, r.dS, lo, dep)
+	e = dev.LarfbApply(-1, n-k, hi-lo, ib, r.dA, k, p, r.dA, k, p+ib+lo, r.dS, lo, r.dW, e)
 	prevPhase := dev.SetPhase("checksum_maintenance")
 	e = r.kernChkRowLeft(p, ib, lo, hi, -1, e)
 	dev.SetPhase(prevPhase)
 	return e
-}
-
-// applyVS computes C := C + sign·V·Sᵀ over the trailing columns [lo, hi)
-// of C = dA(k:n-1, p+ib..n) using S rows [lo, hi) and the matching rows
-// of the W workspace, honoring V's implicit unit lower-triangular
-// leading block. sign=-1 is the forward left update; sign=+1 reverses
-// it.
-func (r *reducer) applyVS(p, ib, lo, hi int, sign float64, dep sim.Event) sim.Event {
-	dev := r.dev
-	n, k := r.n, p+1
-	cnt := hi - lo
-	// C2 (rows ib..) gets the dense part: C2 += sign·V2·Sᵀ.
-	e := dep
-	if n-k > ib {
-		e = dev.Gemm(blas.NoTrans, blas.Trans, n-k-ib, cnt, ib, sign, r.dA, k+ib, p, r.dS, lo, 0, 1, r.dA, k+ib, p+ib+lo, e)
-	}
-	// C1 (rows 0..ib-1): W := S·V1ᵀ (unit lower), then C1 += sign·Wᵀ.
-	e = dev.CopyBlock(r.dW, lo, 0, r.dS, lo, 0, cnt, ib, e)
-	e = dev.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, cnt, ib, 1, r.dA, k, p, r.dW, lo, 0, e)
-	cost := dev.Params.KernelLaunchSec + 24*float64(cnt)*float64(ib)/(dev.Params.GPUBandwidthGBps*1e9)
-	dA, dW := r.dA, r.dW
-	return dev.Custom(cost, func() {
-		for j := 0; j < ib; j++ {
-			for i := lo; i < hi; i++ {
-				dA.Data[(p+ib+i)*dA.Stride+k+j] += sign * dW.Data[j*dW.Stride+i]
-			}
-		}
-	}, e)
 }
 
 // kernChkRowLeft applies sign·(eᵀV)·Tᵀ·Vᵀ·C to the checksum-row entries

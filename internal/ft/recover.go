@@ -81,7 +81,7 @@ func (r *reducer) recover(iter, p, ib int) error {
 	// Reverse the left update: C += V·Sᵀ and the checksum row gets the
 	// opposite Vce correction; the checksum column rides along as an
 	// extra column of C exactly as in the forward direction.
-	e := r.applyVS(p, ib, 0, n-p-ib+1, +1, sim.Event{})
+	e := dev.LarfbApply(+1, n-k, n-p-ib+1, ib, r.dA, k, p, r.dA, k, p+ib, r.dS, 0, r.dW)
 	e = r.kernChkRowLeft(p, ib, 0, n-p-ib+1, +1, e)
 
 	// Reverse the right update with the retained Y (sign-flipped GEMMs).

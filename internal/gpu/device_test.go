@@ -228,11 +228,61 @@ func TestLarfbKernelMatchesHost(t *testing.T) {
 	d.H2D(v, 0, 0, vh)
 	d.H2D(tm, 0, 0, th)
 	d.H2D(c, 0, 0, ch)
-	d.Larfb(blas.Trans, n, nc, k, v, 0, 0, tm, 0, 0, c, 0, 0, w)
+	d.Larfb(n, nc, k, v, 0, 0, tm, 0, 0, c, 0, 0, w)
 	got := matrix.New(n, nc)
 	d.D2H(got, c, 0, 0)
 	if md := got.Sub(want).MaxAbs(); md > 1e-12 {
 		t.Fatalf("device Larfb differs from host by %v", md)
+	}
+}
+
+// Larfb is LarfbForm then LarfbApply at −1. The fault-tolerant left
+// update runs the halves separately, forming W into a retained workspace
+// and applying it through a second one, so a reversal can replay W at +1.
+func TestLarfbHalves(t *testing.T) {
+	d := newReal()
+	n, k, nc, wi := 12, 4, 7, 2
+	vh := matrix.Random(n, k, 3)
+	th := matrix.Random(k, k, 4)
+	ch := matrix.Random(n, nc, 8)
+	v, tm := d.Alloc(n, k), d.Alloc(k, k)
+	d.H2D(v, 0, 0, vh)
+	d.H2D(tm, 0, 0, th)
+	load := func() *Matrix {
+		c := d.Alloc(n, nc)
+		d.H2D(c, 0, 0, ch)
+		return c
+	}
+	read := func(m *Matrix) *matrix.Matrix {
+		h := matrix.New(m.Rows, m.Cols)
+		d.D2H(h, m, 0, 0)
+		return h
+	}
+
+	whole := load()
+	d.Larfb(n, nc, k, v, 0, 0, tm, 0, 0, whole, 0, 0, d.Alloc(nc, k))
+	halves := load()
+	w := d.Alloc(wi+nc, k)
+	d.LarfbForm(n, nc, k, v, 0, 0, tm, 0, 0, halves, 0, 0, w, wi)
+	d.LarfbApply(-1, n, nc, k, v, 0, 0, halves, 0, 0, w, wi, nil)
+	if !read(halves).Equal(read(whole)) {
+		t.Fatal("LarfbForm + LarfbApply(-1) differs from Larfb")
+	}
+
+	c := load()
+	d.LarfbForm(n, nc, k, v, 0, 0, tm, 0, 0, c, 0, 0, w, wi)
+	formed := read(w)
+	w2 := d.Alloc(wi+nc, k)
+	d.LarfbApply(-1, n, nc, k, v, 0, 0, c, 0, 0, w, wi, w2)
+	if !read(w).Equal(formed) {
+		t.Fatal("LarfbApply through a second workspace overwrote W")
+	}
+	if !read(c).Equal(read(whole)) {
+		t.Fatal("LarfbApply through a second workspace changed the result")
+	}
+	d.LarfbApply(+1, n, nc, k, v, 0, 0, c, 0, 0, w, wi, w2)
+	if md := read(c).Sub(ch).MaxAbs(); md > 1e-12 {
+		t.Fatalf("LarfbApply(+1) after (-1) leaves C off by %v", md)
 	}
 }
 

@@ -384,49 +384,67 @@ func (d *Device) ReadScalarTail(deps ...sim.Event) sim.Event {
 	return e
 }
 
-// Larfb enqueues the block-reflector application
-// C := (I − V·T·Vᵀ)ᵒᵖ · C on the compute stream as its constituent
-// GEMM/TRMM kernels (forward column-wise storage, left side), matching
-// LAPACK DLARFB's kernel decomposition so the cost model sees the same
-// kernel mix as CUBLAS would. C is m×n at (ci, cj) of cm; V is m×k at
-// (vi, vj) of vm; T is k×k at (ti, tj) of tm; w is a k×n (ldw ≥ n)
+// Larfb enqueues the block-reflector application C := (I − V·T·Vᵀ)ᵀ·C
+// (LAPACK DLARFB: left side, transposed, forward column-wise storage) on
+// the compute stream as its constituent copy/TRMM/GEMM kernels, so the
+// cost model sees the same kernel mix as CUBLAS would. It is LarfbForm
+// followed by LarfbApply at sign −1. C is m×n at (ci, cj) of cm; V is m×k
+// at (vi, vj) of vm; T is k×k at (ti, tj) of tm; w is an n×k (ldw ≥ n)
 // device workspace.
-func (d *Device) Larfb(trans blas.Transpose, m, n, k int, vm *Matrix, vi, vj int, tm *Matrix, ti, tj int, cm *Matrix, ci, cj int, w *Matrix, deps ...sim.Event) sim.Event {
+func (d *Device) Larfb(m, n, k int, vm *Matrix, vi, vj int, tm *Matrix, ti, tj int, cm *Matrix, ci, cj int, w *Matrix, deps ...sim.Event) sim.Event {
+	e := d.LarfbForm(m, n, k, vm, vi, vj, tm, ti, tj, cm, ci, cj, w, 0, deps...)
+	return d.LarfbApply(-1, m, n, k, vm, vi, vj, cm, ci, cj, w, 0, nil, e)
+}
+
+// LarfbForm enqueues Larfb's first half, W := Cᵀ·V·T, into rows
+// [wi, wi+n) of the workspace w. V's leading k×k block is read as unit
+// lower triangular: its stored upper triangle may hold other data.
+func (d *Device) LarfbForm(m, n, k int, vm *Matrix, vi, vj int, tm *Matrix, ti, tj int, cm *Matrix, ci, cj int, w *Matrix, wi int, deps ...sim.Event) sim.Event {
 	if m == 0 || n == 0 || k == 0 {
 		return sim.Event{At: d.Compute.Tail()}
-	}
-	transT := blas.Trans
-	if trans == blas.Trans {
-		transT = blas.NoTrans
 	}
 	// W := C1ᵀ (n×k)
 	cost := d.Params.KernelLaunchSec + 16*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
 	e := d.launch(kindCopy, cost, deps, func() {
 		for j := 0; j < k; j++ {
-			blas.Dcopy(n, cm.ptr(ci+j, cj), cm.Stride, w.ptr(0, j), 1)
+			blas.Dcopy(n, cm.ptr(ci+j, cj), cm.Stride, w.ptr(wi, j), 1)
 		}
 	})
 	// W := W · V1
-	e = d.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, n, k, 1, vm, vi, vj, w, 0, 0, e)
+	e = d.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, n, k, 1, vm, vi, vj, w, wi, 0, e)
 	if m > k {
 		// W += C2ᵀ · V2
-		e = d.Gemm(blas.Trans, blas.NoTrans, n, k, m-k, 1, cm, ci+k, cj, vm, vi+k, vj, 1, w, 0, 0, e)
+		e = d.Gemm(blas.Trans, blas.NoTrans, n, k, m-k, 1, cm, ci+k, cj, vm, vi+k, vj, 1, w, wi, 0, e)
 	}
-	// W := W · Tᵀ (or T)
-	e = d.Trmm(blas.Right, blas.Upper, transT, blas.NonUnit, n, k, 1, tm, ti, tj, w, 0, 0, e)
+	// W := W · T
+	return d.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, n, k, 1, tm, ti, tj, w, wi, 0, e)
+}
+
+// LarfbApply enqueues Larfb's second half, C += sign·V·Wᵀ, with W the
+// n×k block at rows [wi, wi+n) of w. C1 takes W·V1ᵀ through a TRMM
+// (V1 unit lower triangular), which overwrites W in place when w2 is nil.
+// A second workspace w2 receives a copy of W at the same rows first and
+// the TRMM runs there, so W survives: applying the same W again at the
+// opposite sign undoes the call up to rounding.
+func (d *Device) LarfbApply(sign float64, m, n, k int, vm *Matrix, vi, vj int, cm *Matrix, ci, cj int, w *Matrix, wi int, w2 *Matrix, deps ...sim.Event) sim.Event {
+	if m == 0 || n == 0 || k == 0 {
+		return sim.Event{At: d.Compute.Tail()}
+	}
 	if m > k {
-		// C2 −= V2 · Wᵀ
-		e = d.Gemm(blas.NoTrans, blas.Trans, m-k, n, k, -1, vm, vi+k, vj, w, 0, 0, 1, cm, ci+k, cj, e)
+		// C2 += sign · V2 · Wᵀ
+		deps = []sim.Event{d.Gemm(blas.NoTrans, blas.Trans, m-k, n, k, sign, vm, vi+k, vj, w, wi, 0, 1, cm, ci+k, cj, deps...)}
+	}
+	if w2 != nil {
+		deps = []sim.Event{d.CopyBlock(w2, wi, 0, w, wi, 0, n, k, deps...)}
+		w = w2
 	}
 	// W := W · V1ᵀ
-	e = d.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, n, k, 1, vm, vi, vj, w, 0, 0, e)
-	// C1 −= Wᵀ
-	cost = d.Params.KernelLaunchSec + 24*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
+	e := d.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, n, k, 1, vm, vi, vj, w, wi, 0, deps...)
+	// C1 += sign · Wᵀ
+	cost := d.Params.KernelLaunchSec + 24*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
 	return d.launch(kindVec, cost, []sim.Event{e}, func() {
 		for j := 0; j < k; j++ {
-			for i := 0; i < n; i++ {
-				cm.ptr(ci+j, cj+i)[0] -= w.ptr(i, j)[0]
-			}
+			blas.Daxpy(n, sign, w.ptr(wi, j), 1, cm.ptr(ci+j, cj), cm.Stride)
 		}
 	})
 }

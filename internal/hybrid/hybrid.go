@@ -151,7 +151,6 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		nb = DefaultNB
 	}
 	dev := opt.Device
-	pp := dev.Params
 	if opt.Obs != nil {
 		dev.SetObs(opt.Obs)
 	}
@@ -233,44 +232,13 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			return nil, err
 		}
 
-		// Upload V and the factored panel, Y's lower rows, and T. The
-		// panel columns are disjoint from everything still in flight, but
-		// dY and dT are read by the previous iteration's remainder update,
-		// so under lookahead their uploads must wait for it (prevLeft is
-		// already in the past on the serialized schedule).
-		dev.SetPhase("right_update")
-		dev.H2D(dA, k, p, hostA.View(k, p, n-k, ib))
-		dev.Sync(dev.H2DAsync(dY, k, 0, yHost.View(k, 0, n-k, ib), prevLeft))
-		dev.Sync(dev.H2DAsync(dT, 0, 0, tHost.View(0, 0, ib, ib), prevLeft))
-
-		// Compute Y's top rows on the device:
-		// Y(0:k-1,:) = A(0:k-1, p+1:n-1)·V·T.
-		e := dev.CopyBlock(dY, 0, 0, dA, 0, p+1, k, ib)
-		e = dev.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, k, ib, 1, dA, k, p, dY, 0, 0, e)
-		if n > k+ib {
-			e = dev.Gemm(blas.NoTrans, blas.NoTrans, k, ib, n-k-ib, 1, dA, 0, p+ib+1, dA, k+ib, p, 1, dY, 0, 0, e)
-		}
-		ytopDone := dev.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, k, ib, 1, dT, 0, 0, dY, 0, 0, e)
-
-		// Line 5, panel-column part of the right update to M:
-		// A(0:k-1, p+1:p+ib-1) −= Y(0:k-1, 0:ib-2)·V1ᵀ.
-		aDone := ytopDone
-		if ib > 1 {
-			aDone = dev.CopyBlock(dW, 0, 0, dY, 0, 0, k, ib-1, ytopDone)
-			aDone = dev.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, k, ib-1, 1, dA, k, p, dW, 0, 0, aDone)
-			aDone = dev.SubBlock(dA, 0, p+1, dW, 0, 0, k, ib-1, aDone)
-		}
-
-		// Lines 6+9: asynchronously send the finished leading block
-		// (rows 0..k-1 of the panel columns — the last piece of H the
-		// host is missing) while the device keeps updating G. The
-		// DisableOverlap ablation instead performs the transfer
-		// synchronously after the updates (below).
-		finished := hostA.View(0, p, k, ib)
+		// Upload V, Y and T; Y's top rows and line 5's panel-column part.
+		UploadPanel(dev, hostA, yHost, tHost, dA, dY, dT, n, p, ib, prevLeft)
+		ytopDone, aDone := UpdateTop(dev, dA, dY, dT, dW, n, p, ib)
+		// Lines 6+9: the finished block travels home while the device
+		// keeps updating G (after the updates under DisableOverlap).
 		if !opt.DisableOverlap {
-			dev.SetPhase("d2h_overlap")
-			dev.D2HAsync(finished, dA, 0, p, aDone)
-			dev.SetPhase("right_update")
+			SendFinished(dev, hostA, dA, p, ib, false, aDone)
 		}
 
 		// EI corner trick: V's stored diagonal corner must read as 1
@@ -290,7 +258,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			ib2 = min(nb, n-1-(p+nb))
 			eGp := dev.Gemm(blas.NoTrans, blas.Trans, n-k, ib2, ib, -1, dY, k, 0, dA, p+ib, p, 1, dA, k, p+ib, e1)
 			dev.SetPhase("left_update")
-			panelReady = dev.Larfb(blas.Trans, n-k, ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib, dW, eGp)
+			panelReady = dev.Larfb(n-k, ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib, dW, eGp)
 			dev.SetPhase("right_update")
 		}
 		// Right update to M's trailing columns (line 5), then to G's
@@ -300,15 +268,12 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		eC := dev.Set(dA, p+ib, p+ib-1, ei, eG)
 		// Line 8: DLARFB left update of the same columns.
 		dev.SetPhase("left_update")
-		prevLeft = dev.Larfb(blas.Trans, n-k, n-p-ib-ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib+ib2, dW, eC)
+		prevLeft = dev.Larfb(n-k, n-p-ib-ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib+ib2, dW, eC)
 		if ib2 == 0 {
 			panelReady = prevLeft
 		}
 		if opt.DisableOverlap {
-			// Ablation: transfer the finished block synchronously after
-			// the trailing update instead of overlapping with it.
-			dev.SetPhase("d2h_overlap")
-			dev.Sync(dev.D2HAsync(finished, dA, 0, p, aDone, prevLeft))
+			SendFinished(dev, hostA, dA, p, ib, true, aDone, prevLeft)
 		}
 
 		iter++
@@ -318,16 +283,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	if err := dev.CtxErr(); err != nil {
 		return nil, err
 	}
-	// Bring the remaining trailing columns home and finish with the
-	// unblocked reduction on the host.
-	dev.SetPhase("cleanup")
-	if p < n {
-		rem := hostA.View(0, p, n, n-p)
-		dev.Sync(dev.D2HAsync(rem, dA, 0, p, prevLeft))
-	}
-	dev.HostOp(CleanupCost(pp, n, p), func() {
-		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, make([]float64, n))
-	})
+	Cleanup(dev, hostA, dA, tau, n, p, prevLeft)
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
 	dev.FinishRun()
@@ -343,9 +299,77 @@ func (r *Result) SetTiming(elapsed float64) {
 	}
 }
 
-// CleanupCost is the modeled CPU time of the trailing unblocked reduction
+// UploadPanel sends the panel products to the device under the
+// right_update phase: V with the factored panel (rows k..n-1 of the
+// panel columns), Y's lower rows and T. The panel columns are disjoint
+// from everything still in flight, but dY and dT are read by the
+// previous iteration's remainder update, so under lookahead their
+// uploads wait for it (prevLeft is already in the past on the
+// serialized schedule).
+func UploadPanel(dev *gpu.Device, hostA, y, t *matrix.Matrix, dA, dY, dT *gpu.Matrix, n, p, ib int, prevLeft sim.Event) {
+	k := p + 1
+	dev.SetPhase("right_update")
+	dev.H2D(dA, k, p, hostA.View(k, p, n-k, ib))
+	dev.Sync(dev.H2DAsync(dY, k, 0, y.View(k, 0, n-k, ib), prevLeft))
+	dev.Sync(dev.H2DAsync(dT, 0, 0, t.View(0, 0, ib, ib), prevLeft))
+}
+
+// UpdateTop computes Y's top rows on the device,
+// Y(0:k-1,:) = A(0:k-1, p+1:n-1)·V·T, and applies the panel-column part
+// of the right update to M (Algorithm 2, line 5),
+// A(0:k-1, p+1:p+ib-1) −= Y(0:k-1, 0:ib-2)·V1ᵀ, through the workspace
+// dW, under the right_update phase. It returns the completion of Y's top
+// rows, which the trailing right update reads, and of the top-row
+// update, after which the panel columns are final.
+func UpdateTop(dev *gpu.Device, dA, dY, dT, dW *gpu.Matrix, n, p, ib int) (ytop, top sim.Event) {
+	k := p + 1
+	dev.SetPhase("right_update")
+	e := dev.CopyBlock(dY, 0, 0, dA, 0, p+1, k, ib)
+	e = dev.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, k, ib, 1, dA, k, p, dY, 0, 0, e)
+	if n > k+ib {
+		e = dev.Gemm(blas.NoTrans, blas.NoTrans, k, ib, n-k-ib, 1, dA, 0, p+ib+1, dA, k+ib, p, 1, dY, 0, 0, e)
+	}
+	ytop = dev.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, k, ib, 1, dT, 0, 0, dY, 0, 0, e)
+	top = ytop
+	if ib > 1 {
+		top = dev.CopyBlock(dW, 0, 0, dY, 0, 0, k, ib-1, ytop)
+		top = dev.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, k, ib-1, 1, dA, k, p, dW, 0, 0, top)
+		top = dev.SubBlock(dA, 0, p+1, dW, 0, 0, k, ib-1, top)
+	}
+	return ytop, top
+}
+
+// SendFinished transfers the finished leading block — rows 0..p of the
+// panel columns, the last piece of H the host is missing — once deps
+// complete, under the d2h_overlap phase. By default the copy stays in
+// flight while the device updates G (Algorithm 2, lines 6+9); the
+// DisableOverlap ablation issues it after the trailing update with wait
+// set, and the host blocks on it.
+func SendFinished(dev *gpu.Device, hostA *matrix.Matrix, dA *gpu.Matrix, p, ib int, wait bool, deps ...sim.Event) {
+	prev := dev.SetPhase("d2h_overlap")
+	e := dev.D2HAsync(hostA.View(0, p, p+1, ib), dA, 0, p, deps...)
+	if wait {
+		dev.Sync(e)
+	}
+	dev.SetPhase(prev)
+}
+
+// Cleanup brings the trailing columns p..n-1 home once last completes
+// and finishes with the unblocked reduction on the host (DGEHD2), under
+// the cleanup phase.
+func Cleanup(dev *gpu.Device, hostA *matrix.Matrix, dA *gpu.Matrix, tau []float64, n, p int, last sim.Event) {
+	dev.SetPhase("cleanup")
+	if p < n {
+		dev.Sync(dev.D2HAsync(hostA.View(0, p, n, n-p), dA, 0, p, last))
+	}
+	dev.HostOp(cleanupCost(dev.Params, n, p), func() {
+		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, make([]float64, n))
+	})
+}
+
+// cleanupCost is the modeled CPU time of the trailing unblocked reduction
 // starting at column p.
-func CleanupCost(pp sim.Params, n, p int) float64 {
+func cleanupCost(pp sim.Params, n, p int) float64 {
 	cost := 0.0
 	for c := p; c < n-1; c++ {
 		m1 := n - 1 - c

@@ -159,7 +159,7 @@ func (r PoolRun) Run() (int, error) {
 	// finished block columns in a single sweep.
 	pool.SetPhase("cleanup")
 	sh.Gather(hostA)
-	pool.HostOp(CleanupCost(pool.Params, n, p), func() {
+	pool.HostOp(cleanupCost(pool.Params, n, p), func() {
 		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, r.Tau, make([]float64, n))
 	})
 	pool.WaitAll()

@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/ft"
 	"repro/internal/matrix"
 )
@@ -40,16 +39,13 @@ type errClass struct {
 	code   string
 }
 
-// classify sorts a terminal job error into its failure class. Request-
-// shape errors the reduction stack rejects deterministically (the
-// symmetric path on a device pool) are client errors — resubmitting the
-// same request can never succeed — so they surface as 400, not 500.
+// classify sorts a terminal job error into its failure class. A request
+// whose shape no reduction accepts is a 400 at submit (JobRequest.validate),
+// so a job that ran fails only on the server side or by cancellation.
 func classify(err error) errClass {
 	switch {
 	case err == nil:
 		return errClass{http.StatusOK, ""}
-	case errors.Is(err, core.ErrMultiDeviceUnsupported):
-		return errClass{http.StatusBadRequest, "unsupported"}
 	case errors.Is(err, ft.ErrUncorrectable):
 		return errClass{http.StatusInternalServerError, "uncorrectable"}
 	case errors.Is(err, ft.ErrDetectionStorm):

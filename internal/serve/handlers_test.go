@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ft"
 )
 
@@ -22,7 +21,6 @@ func TestClassify(t *testing.T) {
 		{nil, http.StatusOK, ""},
 		{fmt.Errorf("slab 1: %w: non-finite residual", ft.ErrUncorrectable), http.StatusInternalServerError, "uncorrectable"},
 		{fmt.Errorf("%w (iteration 2)", ft.ErrDetectionStorm), http.StatusInternalServerError, "detection_storm"},
-		{core.ErrMultiDeviceUnsupported, http.StatusBadRequest, "unsupported"},
 		{fmt.Errorf("job: %w", context.Canceled), http.StatusGone, "cancelled"},
 		{context.DeadlineExceeded, http.StatusGone, "cancelled"},
 		{errors.New("boom"), http.StatusInternalServerError, "internal"},

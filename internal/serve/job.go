@@ -125,7 +125,7 @@ type JobStatus struct {
 	Phase string `json:"phase,omitempty"`
 	Error string `json:"error,omitempty"`
 	// ErrorCode classifies terminal failures (see classify): e.g.
-	// "unsupported", "uncorrectable", "cancelled".
+	// "uncorrectable", "detection_storm", "cancelled".
 	ErrorCode string `json:"error_code,omitempty"`
 	// TraceID names the job's trace (ObserveFull only); the full trace is
 	// at GET /v1/jobs/{id}/trace once the job is terminal.

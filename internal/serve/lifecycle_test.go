@@ -83,8 +83,6 @@ func TestJobInputLifecycle(t *testing.T) {
 		}
 		return a
 	}()
-	// The symmetric path references the lower triangle only.
-	symUpload := matrix.Random(12, 12, 4)
 
 	cases := []struct {
 		name   string
@@ -150,10 +148,10 @@ func TestJobInputLifecycle(t *testing.T) {
 			state: StateCancelled, code: http.StatusGone},
 		{name: "cancelled while running", body: fmt.Sprintf(`{"n":64,"nb":8,"seed":%d}`, gateSeed), cancel: StateRunning,
 			state: StateCancelled, code: http.StatusGone},
-		// The symmetric path has no device pool: the job fails with the
-		// typed unsupported error once it runs.
-		{name: "failed", body: uploadBody(t, JobRequest{NB: 4, Symmetric: true, Devices: 2}, symUpload),
-			state: StateFailed, code: http.StatusBadRequest},
+		// A single device that dies has no survivors to restart on: the
+		// job fails uncorrectable once it runs.
+		{name: "failed", body: uploadBody(t, JobRequest{NB: 4, Faults: []FaultSpec{{Iter: 0, KillPoint: "boundary"}}}, upload),
+			state: StateFailed, code: http.StatusInternalServerError},
 	}
 	for _, c := range cases {
 		gate = make(chan struct{})

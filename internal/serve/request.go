@@ -110,10 +110,9 @@ type JobRequest struct {
 	// Devices, when > 0, leases that many whole devices from the server's
 	// farm (Config.Devices) and runs the multi-device pool path; the job
 	// waits until its subset is free. Requires a device algorithm
-	// ("ft"/"baseline"). More devices than the farm holds is a 400 at
-	// submit; a symmetric multi-device job is accepted but fails with the
-	// typed unsupported error, which the result endpoint reports as a
-	// structured 400-class body (code "unsupported").
+	// ("ft"/"baseline") on the Hessenberg path: the symmetric reduction
+	// has no multi-device schedule. Either violation, or more devices
+	// than the farm holds, is a 400 at submit.
 	Devices int `json:"devices,omitempty"`
 	// Substrate selects the BLAS fault-tolerance substrate on algorithm
 	// "ft": "" or "swept" (default) keeps the iteration-boundary sweeps
@@ -203,6 +202,9 @@ func (r *JobRequest) validate(maxN int) error {
 	}
 	if r.Devices > 0 && r.Algorithm == AlgCPU {
 		return errors.New("algorithm \"cpu\" cannot lease devices")
+	}
+	if r.Devices > 0 && r.Symmetric {
+		return errors.New("devices is not supported on the symmetric path (no multi-device symmetric schedule)")
 	}
 	if len(r.Faults) > maxFaults {
 		return fmt.Errorf("%d faults exceed the limit of %d", len(r.Faults), maxFaults)

@@ -689,18 +689,6 @@ func (s *Server) execute(j *Job, a *matrix.Matrix) (*JobResult, error) {
 			Journal:       j.journal,
 			Trace:         trace,
 		}
-		if req.Devices > 0 {
-			// The symmetric reduction has no multi-device path; build the
-			// requested pool without leasing and let the core layer return
-			// its typed unsupported error (mapped to a structured 400 at
-			// the result endpoint). Leasing first would hold real devices
-			// for a request that can never use them.
-			devs := make([]*gpu.Device, req.Devices)
-			for i := range devs {
-				devs[i] = gpu.NewIndexed(sim.K40c(), mode, i)
-			}
-			symOpt.Devices = devs
-		}
 		res, err := core.ReduceSym(a, symOpt)
 		if err != nil {
 			return nil, err

@@ -632,38 +632,16 @@ func TestDeviceRequestRejections(t *testing.T) {
 		{"more than farm", `{"n":32,"devices":3}`},
 		{"negative", `{"n":32,"devices":-1}`},
 		{"cpu", `{"n":32,"algorithm":"cpu","devices":1}`},
+		{"symmetric", `{"n":32,"symmetric":true,"devices":1}`},
 	} {
 		resp, b := doReq(t, ts, http.MethodPost, "/v1/jobs", tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, body %s", tc.name, resp.StatusCode, b)
 		}
 	}
-	// A symmetric multi-device request is accepted (the shape check lives
-	// in the reduction stack) but fails with the typed unsupported error,
-	// which the result endpoint maps to a structured 400.
-	resp, b := doReq(t, ts, http.MethodPost, "/v1/jobs", `{"n":32,"symmetric":true,"devices":1}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("symmetric submit: status %d, body %s", resp.StatusCode, b)
-	}
-	var st JobStatus
-	if err := json.Unmarshal(b, &st); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, ts, st.ID, StateFailed)
-	resp, b = doReq(t, ts, http.MethodGet, "/v1/jobs/"+st.ID+"/result", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("symmetric result: status %d, body %s", resp.StatusCode, b)
-	}
-	var eb struct{ Error, Code string }
-	if err := json.Unmarshal(b, &eb); err != nil {
-		t.Fatal(err)
-	}
-	if eb.Code != "unsupported" {
-		t.Fatalf("symmetric result code = %q, body %s", eb.Code, b)
-	}
 	// A farm-less server rejects any lease request.
 	_, ts2 := newTestServer(t, Config{Capacity: 1})
-	resp, b = doReq(t, ts2, http.MethodPost, "/v1/jobs", `{"n":32,"devices":1}`)
+	resp, b := doReq(t, ts2, http.MethodPost, "/v1/jobs", `{"n":32,"devices":1}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no farm: status %d, body %s", resp.StatusCode, b)
 	}
