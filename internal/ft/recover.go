@@ -3,7 +3,6 @@ package ft
 import (
 	"math"
 
-	"repro/internal/blas"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -36,14 +35,14 @@ func (r *reducer) detectAt(iter int, dataReady sim.Event) bool {
 		// order puts them right after the remainder update they verify),
 		// and the verdict rides back through device-mapped reads on the
 		// same stream — the copy engine stays free for the next panel.
-		e1 := dev.Sum(r.dA, 0, n, n, &sre, dataReady)
+		e1 := dev.Sum(r.d.A, 0, n, n, &sre, dataReady)
 		r1 := dev.ReadScalarTail(e1)
-		e2 := dev.SumRow(r.dA, n, 0, n, &sce, dataReady)
+		e2 := dev.SumRow(r.d.A, n, 0, n, &sce, dataReady)
 		verdict = dev.ReadScalarTail(e2, r1)
 	} else {
-		e1 := dev.Sum(r.dA, 0, n, n, &sre)
+		e1 := dev.Sum(r.d.A, 0, n, n, &sre)
 		dev.ReadScalar(e1)
-		e2 := dev.SumRow(r.dA, n, 0, n, &sce)
+		e2 := dev.SumRow(r.d.A, n, 0, n, &sce)
 		dev.ReadScalar(e2)
 	}
 
@@ -81,28 +80,25 @@ func (r *reducer) recover(iter, p, ib int) error {
 	// Reverse the left update: C += V·Sᵀ and the checksum row gets the
 	// opposite Vce correction; the checksum column rides along as an
 	// extra column of C exactly as in the forward direction.
-	e := dev.LarfbApply(+1, n-k, n-p-ib+1, ib, r.dA, k, p, r.dA, k, p+ib, r.dS, 0, r.dW)
+	d := &r.d
+	e := dev.LarfbApply(+1, n-k, n-p-ib+1, ib, d.A, k, p, d.A, k, p+ib, d.S, 0, d.W)
 	e = r.kernChkRowLeft(p, ib, 0, n-p-ib+1, +1, e)
 
-	// Reverse the right update with the retained Y (sign-flipped GEMMs).
+	// Reverse the right update with the retained Y: the forward step at
+	// the opposite sign, the checksum column included.
 	ei := dev.Mode.HostElem(r.hostA, p+ib, p+ib-1)
-	e = dev.Set(r.dA, p+ib, p+ib-1, 1, e)
-	e = dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, +1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e)
-	e = dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib, ib, +1, r.dY, k, 0, r.dA, p+ib, p, 1, r.dA, k, p+ib, e)
-	e = dev.Gemv(blas.NoTrans, n, ib, +1, r.dY, 0, 0, r.dVsum, 0, 0, 1, r.dA, 0, n, e)
-	e = dev.Set(r.dA, p+ib, p+ib-1, ei, e)
-	rev := obs.Ev(obs.KindReverse, iter)
-	rev.Target = obs.TargetH
-	r.journal(rev)
+	e = dev.Set(d.A, p+ib, p+ib-1, 1, e)
+	e = d.RightUpdate(p, ib, 0, 0, n-p-ib, +1, e, sim.Event{})
+	e = r.chkColRight(ib, +1, e)
+	e = dev.Set(d.A, p+ib, p+ib-1, ei, e)
+	r.journal(obs.Ev(obs.KindReverse, iter))
 
 	// Restore the panel columns and their checksum-row segment from the
 	// diskless checkpoint (host memory → device).
-	up := dev.H2DAsync(r.dA, 0, p, r.ckPanel.View(0, 0, n, ib), e)
-	up = dev.H2DAsync(r.dA, n, p, r.ckChkRow.View(0, 0, 1, ib), up)
+	up := dev.H2DAsync(d.A, 0, p, r.ckPanel.View(0, 0, n, ib), e)
+	up = dev.H2DAsync(d.A, n, p, r.ckChkRow.View(0, 0, 1, ib), up)
 	dev.Sync(up)
-	ck := obs.Ev(obs.KindCheckpointRestore, iter)
-	ck.Target = obs.TargetH
-	r.journal(ck)
+	r.journal(obs.Ev(obs.KindCheckpointRestore, iter))
 
 	// Locate and correct (line 15). A correction inside the current
 	// panel also patches the checkpoint, so the re-execution is clean.
@@ -120,7 +116,7 @@ func (r *reducer) recover(iter, p, ib int) error {
 // whole is the single-device extended matrix as a bordered block,
 // Hessenberg-aware left of split.
 func (r *reducer) whole(split int) *bordered {
-	return &bordered{dev: r.dev, m: r.dA, n: r.n, cols: r.n, split: split, last: new(sim.Event), dFresh: r.dFresh}
+	return &bordered{dev: r.dev, m: r.d.A, n: r.n, cols: r.n, split: split, last: new(sim.Event), dFresh: r.dFresh}
 }
 
 // finalHCheck verifies the whole device-resident matrix (finished columns
@@ -137,7 +133,7 @@ func (r *reducer) finalHCheck(split int) error {
 			// mirror the device value (the host copy may predate or
 			// postdate the corruption, the device value is authoritative
 			// either way).
-			r.hostA.Set(i, j, r.dA.At(i, j))
+			r.hostA.Set(i, j, r.d.A.At(i, j))
 		}
 	}
 	return r.heal(iter, b, "final_check", func(fixed int) bool {

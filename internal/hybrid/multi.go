@@ -5,12 +5,6 @@
 // per-column panel GEMV partials and the Y-top AllReduce — the paper's
 // hybrid schedule with the trailing update fanned out over K devices.
 //
-// The schedule lives in one place, PoolRun.Run. The fault-tolerant
-// reduction (internal/ft) runs the same loop with a PoolGuard — its
-// checksum detection, location, correction and halo maintenance hook in
-// at iteration boundaries and between the updates — rather than keeping
-// a second copy of the schedule.
-//
 // Determinism: the slab grid depends only on (n, nb) and every
 // cross-slab contraction is combined on the host in ascending slab
 // order, so H, Q and tau are bit-identical at every device count.
@@ -27,7 +21,7 @@ import (
 // panelFactorMulti runs the hybrid DLAHR2 panel factorization with the
 // per-column trailing-matrix GEMV sharded across the pool: each owner
 // computes its slabs' partials and the host combines them in ascending
-// slab order (see PanelFactor for the single-device variant and the
+// slab order (see panelFactor for the single-device variant and the
 // meaning of the arguments). With la each device's segmented GEMV runs
 // on its lookahead stream, overlapping the previous iteration's
 // remainder update (see Shard.PanelGemvIssue).
@@ -170,14 +164,10 @@ func (r PoolRun) Run() (int, error) {
 
 // reduceMulti is the multi-device body of Reduce, selected when
 // Options.Devices is non-empty.
-func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
+func reduceMulti(a *matrix.Matrix, opt Options, nb int) (*Result, error) {
 	n := a.Rows
 	if opt.BeforeIteration != nil {
 		return nil, errors.New("hybrid: BeforeIteration is not supported on the multi-device path (use the ft package's Hook)")
-	}
-	nb := opt.NB
-	if nb <= 0 {
-		nb = DefaultNB
 	}
 	pool := devpool.Wrap(opt.Devices)
 	if opt.Obs != nil {

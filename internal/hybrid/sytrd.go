@@ -229,7 +229,7 @@ func symCleanupCost(pp sim.Params, m int) float64 {
 // symPanel runs the hybrid DLATRD for the panel at p: all level-1/2 panel
 // arithmetic on the host (charged to the host timeline), with the large
 // symmetric matrix-vector product per column dispatched to the device —
-// the same CPU/GPU split as PanelFactor uses for DLAHR2.
+// the same CPU/GPU split as panelFactor uses for DLAHR2.
 func symPanel(dev *gpu.Device, hostA, w *matrix.Matrix, e, tau []float64, dA *gpu.Matrix, dVcol, dYcol *gpu.Matrix, n, p, nb int) {
 	pp := dev.Params
 	a := hostA.Data
