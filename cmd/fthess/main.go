@@ -178,7 +178,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	costOnly := flag.Bool("costonly", false, "model time only (no arithmetic)")
 	lookahead := flag.Bool("lookahead", true, "factor panel k+1 under trailing update k (bit-identical; modeled time only)")
-	noOverlap := flag.Bool("no-overlap", false, "serialize the finished-block D2H after the trailing update (both algorithms; a device pool ignores it)")
+	noOverlap := flag.Bool("no-overlap", false, "serialize the finished-block D2H after the trailing update (ft/baseline on one device)")
 	devices := flag.Int("devices", 0, "simulated GPU pool size (0 = single device; ft/baseline only)")
 	checksum := flag.Bool("checksum", false, "print a SHA-256 over the packed result and tau (bit-identical across -devices)")
 	inject := flag.String("inject", "", "inject one error: area1|area2|area3")
@@ -226,6 +226,25 @@ func main() {
 	if algorithm != core.FaultTolerant {
 		refuse("needs -alg ft", usedFlag{"-inject", *inject != ""}, usedFlag{"-kill-point", *killPoint != ""},
 			usedFlag{"-substrate fused", *substrate == ft.SubstrateFused})
+	}
+	if algorithm == core.CPUOnly {
+		refuse("needs a simulated device (-alg ft|baseline)", usedFlag{"-trace", *tracePath != ""},
+			usedFlag{"-devices", *devices > 0}, usedFlag{"-lookahead=false", !*lookahead},
+			usedFlag{"-no-overlap", *noOverlap})
+	}
+	if *devices > 0 {
+		refuse("is ignored by a device pool (-devices > 0)", usedFlag{"-no-overlap", *noOverlap})
+	}
+	// These flags have non-zero defaults, so only an explicit setting
+	// tells that they were asked for.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *killPoint == "" {
+		refuse("needs -kill-point", usedFlag{"-kill-device", set["kill-device"]}, usedFlag{"-kill-iter", set["kill-iter"]})
+	}
+	if *inject == "" {
+		refuse("needs -inject", usedFlag{"-iter", set["iter"]}, usedFlag{"-count", set["count"]},
+			usedFlag{"-bitflip", set["bitflip"]})
 	}
 	if *sym {
 		refuse("is not available on the -sym path", usedFlag{"-trace", *tracePath != ""},
