@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -202,7 +203,13 @@ func TestBackpressureAndCancel(t *testing.T) {
 	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{Capacity: 2, QueueDepth: 2})
 
+	// The gate parks every job at iteration 1. Closing it through a
+	// cleanup lets a failing test's jobs finish before the server shuts
+	// down, instead of timing out the shutdown.
 	gate := make(chan struct{})
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	t.Cleanup(openGate)
 	var inflight, maxInflight atomic.Int32
 	s.testBeforeRun = func(*Job) {
 		c := inflight.Add(1)
@@ -218,13 +225,17 @@ func TestBackpressureAndCancel(t *testing.T) {
 		opt.Hook = &gateHook{ctx: j.ctx, gate: gate, at: 1}
 	}
 
-	// 2 running (parked at iteration 1) + 2 queued.
+	// 2 running (parked at iteration 1) + 2 queued. The queue holds
+	// two, so the last two go in only once the workers have taken the
+	// first two off it.
 	ids := make([]string, 4)
 	for i := range ids {
 		ids[i] = submit(t, ts, fmt.Sprintf(`{"n":48,"nb":8,"seed":%d}`, i+1))
+		if i == 1 {
+			waitState(t, ts, ids[0], StateRunning)
+			waitState(t, ts, ids[1], StateRunning)
+		}
 	}
-	waitState(t, ts, ids[0], StateRunning)
-	waitState(t, ts, ids[1], StateRunning)
 
 	// 4 more: the queue is full, every one must bounce with Retry-After.
 	for i := 0; i < 4; i++ {
@@ -245,7 +256,7 @@ func TestBackpressureAndCancel(t *testing.T) {
 	waitState(t, ts, ids[0], StateCancelled)
 	waitState(t, ts, ids[2], StateRunning) // reclaimed slot
 
-	close(gate)
+	openGate()
 	for _, id := range ids[1:] {
 		waitState(t, ts, id, StateDone)
 	}
