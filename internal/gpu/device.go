@@ -159,8 +159,8 @@ type Device struct {
 	phasePub   atomic.Pointer[string]
 	phaseNames map[string]*string
 	// ctx, when set, is the cancellation signal the iteration loops of
-	// hybrid/ft poll at their boundaries (and PanelFactor per panel
-	// column). The simulated device executes eagerly — no goroutines,
+	// hybrid/ft poll at their boundaries (and the panel factorization
+	// per panel column). The simulated device executes eagerly — no goroutines,
 	// no in-flight work between operations — so honoring ctx at those
 	// points drains both streams by construction.
 	ctx context.Context
