@@ -336,6 +336,14 @@ func main() {
 	if *killPoint != "" {
 		plans = append(plans, fault.Plan{TargetIter: *killIter, KillPoint: kp, KillDevice: *killDevice})
 	}
+	// A plan that cannot strike as stated is refused, not run: a count
+	// above its area's capacity would never finish drawing.
+	for _, p := range plans {
+		if err := p.Check(a.Rows, *nb, fault.BlockedIterations(a.Rows, *nb)); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 	var in *fault.Injector
 	if len(plans) > 0 {
 		in = fault.NewSchedule(plans...)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -113,5 +114,33 @@ func TestCostOnlyAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if total := after.TotalAlloc - before.TotalAlloc; total > 2<<20 {
 		t.Errorf("FT cost-only N=4030 allocated %d bytes, budget 2 MiB", total)
+	}
+}
+
+// TestCostOnlyModelsRealTime checks that the two execution modes model
+// one schedule: a clean single-device run of either algorithm, lookahead
+// on and off, models bit-for-bit the same seconds in Real mode on a
+// random input as in cost-only mode on a storage-less one. A modeled
+// cost decided inside a HostOp or kernel body, which only Real mode
+// runs, splits the two.
+func TestCostOnlyModelsRealTime(t *testing.T) {
+	for _, n := range []int{254, 1024} {
+		for _, alg := range []Algorithm{FaultTolerant, Baseline} {
+			for _, noLA := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/n=%d/no-lookahead=%v", alg, n, noLA), func(t *testing.T) {
+					run := func(a *matrix.Matrix, costOnly bool) float64 {
+						res, err := Reduce(a, Options{Algorithm: alg, DisableLookahead: noLA, CostOnly: costOnly})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res.SimSeconds
+					}
+					real, model := run(matrix.Random(n, n, 11), false), run(matrix.Shape(n, n), true)
+					if real != model {
+						t.Fatalf("Real mode models %vs, cost-only %vs", real, model)
+					}
+				})
+			}
+		}
 	}
 }

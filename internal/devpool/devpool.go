@@ -282,7 +282,7 @@ func (pl *Pool) HostOp(cost float64, f func()) {
 		}
 		h.Observe(cost)
 	}
-	pl.Devices[0].RecordSpan(gpu.Span{Lane: pl.Host.Name(), Kind: "host", Start: e.At - cost, End: e.At})
+	pl.Devices[0].RecordSpan(gpu.Span{Lane: pl.Host.Name(), Kind: "host", Phase: pl.phase, Start: e.At - cost, End: e.At})
 	if pl.Mode == gpu.Real && f != nil {
 		f()
 	}

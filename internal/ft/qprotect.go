@@ -80,8 +80,8 @@ func (q *qChecksums) absorbPanel(h hybrid.HostLane, pp sim.Params, p, ib int) {
 			}
 			q.colChk[c] = s
 		}
-		q.absorbedCols = p + ib
 	})
+	q.absorbedCols = p + ib
 }
 
 // The Q store is a region of the shared recovery path (repair.go) over

@@ -15,12 +15,15 @@ import (
 // ids linking each copy to the host operation that consumes its data, so
 // the panel-offload arrows of Algorithm 2/3 render as flow arrows.
 
-// Span is one traced operation on a simulated lane. FlowOut/FlowIn are
-// non-zero when the span is the source/destination of a data-flow arrow
-// (an async D2H copy and the host op consuming it).
+// Span is one traced operation on a simulated lane. Phase is the
+// algorithm phase its cost was charged under (Device.SetPhase; "" when
+// none was set). FlowOut/FlowIn are non-zero when the span is the
+// source/destination of a data-flow arrow (an async D2H copy and the
+// host op consuming it).
 type Span struct {
 	Lane    string  `json:"lane"`
 	Kind    string  `json:"kind"`
+	Phase   string  `json:"phase,omitempty"`
 	Start   float64 `json:"start"` // seconds
 	End     float64 `json:"end"`
 	FlowOut int     `json:"flow_out,omitempty"`
@@ -47,7 +50,7 @@ func (d *Device) record(lane string, kind opKind, end, cost float64) {
 	if !d.tracing {
 		return
 	}
-	d.trace = append(d.trace, Span{Lane: lane, Kind: kindNames[kind], Start: end - cost, End: end})
+	d.trace = append(d.trace, Span{Lane: lane, Kind: kindNames[kind], Phase: d.phase, Start: end - cost, End: end})
 }
 
 // tagFlowOut marks the most recently recorded span as the source of a new
@@ -133,7 +136,7 @@ type ChromeEvent struct {
 // one thread per lane — lanes first, in that order, then any other lane
 // in first-appearance order — ph:"X" slices for the spans, and
 // ph:"s"/"f" flow events for each async D2H copy → consuming host op
-// pair. Flow ids are per device, so spans merged from several devices
+// pair. A slice carries its span's phase as args.phase. Flow ids are per device, so spans merged from several devices
 // must not both carry flows (pool host work runs on the main-host lane,
 // which consumes none).
 func ChromeEvents(pid int, process string, spans []Span, lanes []string) []ChromeEvent {
@@ -166,8 +169,12 @@ func ChromeEvents(pid int, process string, spans []Span, lanes []string) []Chrom
 	}
 	for _, s := range spans {
 		tid := tids[s.Lane]
-		events = append(events, ChromeEvent{Name: s.Kind, Ph: "X",
-			Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6, Pid: pid, Tid: tid})
+		x := ChromeEvent{Name: s.Kind, Ph: "X",
+			Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6, Pid: pid, Tid: tid}
+		if s.Phase != "" {
+			x.Args = map[string]any{"phase": s.Phase}
+		}
+		events = append(events, x)
 		mid := (s.Start + s.End) / 2 * 1e6
 		if s.FlowOut != 0 && claimed[s.FlowOut] {
 			events = append(events, ChromeEvent{Name: "d2h", Ph: "s", Cat: "dataflow",

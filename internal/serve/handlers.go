@@ -154,6 +154,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		if err = req.checkFaults(a.Rows); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 		req.MatrixMarket = ""
 	}
 	st, err := s.Submit(req, a)

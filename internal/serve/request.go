@@ -258,6 +258,24 @@ func (r *JobRequest) validate(maxN int) error {
 			return fmt.Errorf("faults[%d]: bit=%d out of range [0,63]", i, f.Bit)
 		}
 	}
+	if r.N > 0 {
+		return r.checkFaults(r.N)
+	}
+	return nil
+}
+
+// checkFaults refuses a fault spec that cannot strike an order-n input
+// as stated (fault.Plan.Check): an iteration the reduction never runs,
+// an empty area, or a count above the area's capacity, which would
+// never finish drawing its positions. An upload's order is known only
+// once it is parsed, so handleSubmit checks it then.
+func (r *JobRequest) checkFaults(n int) error {
+	iters := fault.BlockedIterations(n, r.NB)
+	for i, f := range r.Faults {
+		if err := f.plan().Check(n, r.NB, iters); err != nil {
+			return fmt.Errorf("faults[%d]: %v", i, err)
+		}
+	}
 	return nil
 }
 

@@ -657,3 +657,27 @@ func TestDeviceRequestRejections(t *testing.T) {
 		t.Fatalf("no farm: status %d, body %s", resp.StatusCode, b)
 	}
 }
+
+// TestFaultPlanRefusals: a fault spec that cannot strike the job's input
+// as stated is a 400 naming why, not an accepted job that spins drawing
+// positions (area 1 at iteration 0 offers one row) or ends clean having
+// injected nothing. An upload's order is checked once it is parsed.
+func TestFaultPlanRefusals(t *testing.T) {
+	leakcheck.Check(t)
+	_, ts := newTestServer(t, Config{Capacity: 1, MaxN: 256})
+	upload := `"matrix_market":"%%MatrixMarket matrix array real general\n64 64\n` + strings.Repeat(`1\n`, 64*64) + `"`
+	for _, tc := range []struct{ name, body, want string }{
+		{"area1 count above capacity", `{"algorithm":"ft","n":128,"faults":[{"area":1,"iter":0,"count":2}]}`, "capacity of Area1 at iteration 0: 1 position"},
+		{"panel count above capacity", `{"algorithm":"ft","n":128,"nb":8,"faults":[{"area":4,"iter":1,"count":9}]}`, "capacity of Panel at iteration 1: 8 position"},
+		{"area3 at iteration 0", `{"algorithm":"ft","n":128,"faults":[{"area":3,"iter":0}]}`, "Area3 holds no position at iteration 0 (capacity 0)"},
+		{"area2 past the last iteration", `{"algorithm":"ft","n":128,"faults":[{"area":2,"iter":99}]}`, "iteration 99 never runs"},
+		{"upload area1 count above capacity", `{"algorithm":"ft",` + upload + `,"faults":[{"area":1,"iter":0,"count":2}]}`, "capacity of Area1 at iteration 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, b := doReq(t, ts, http.MethodPost, "/v1/jobs", tc.body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), tc.want) {
+				t.Fatalf("status %d (%s), want 400 naming %q", resp.StatusCode, b, tc.want)
+			}
+		})
+	}
+}
