@@ -117,7 +117,7 @@ PTRACE=$(curl -fsS "$BASE/v1/jobs/$PID_/trace")
 HTID=$(echo "$PTRACE" | grep -o '"pid":2,"tid":[0-9]*,"args":{"name":"main-host"}' \
   | head -1 | sed 's/.*"tid":\([0-9]*\).*/\1/') || true
 [ -n "$HTID" ] || { echo "pool trace declares no main-host thread" >&2; exit 1; }
-HOSTX=$(echo "$PTRACE" | grep -o "\"ph\":\"X\",[^}]*\"pid\":2,\"tid\":$HTID}" | wc -l)
+HOSTX=$(echo "$PTRACE" | grep -o "\"ph\":\"X\",[^}]*\"pid\":2,\"tid\":$HTID[,}]" | wc -l)
 [ "$HOSTX" -ge 1 ] || { echo "pool trace has no main-host slices" >&2; exit 1; }
 echo "pool trace: $HOSTX main-host slices"
 
