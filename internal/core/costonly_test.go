@@ -118,29 +118,58 @@ func TestCostOnlyAllocationBudget(t *testing.T) {
 }
 
 // TestCostOnlyModelsRealTime checks that the two execution modes model
-// one schedule: a clean single-device run of either algorithm, lookahead
-// on and off, models bit-for-bit the same seconds in Real mode on a
-// random input as in cost-only mode on a storage-less one. A modeled
+// one schedule: a clean run models bit-for-bit the same seconds in Real
+// mode on a random input as in cost-only mode on a storage-less one. The
+// rows cover either algorithm on one device, lookahead on and off, and
+// on pools of 1, 2 and 4 devices under both FT substrates. A modeled
 // cost decided inside a HostOp or kernel body, which only Real mode
-// runs, splits the two.
+// runs, splits the two; so does a folded launch charged differently in
+// the two modes.
 func TestCostOnlyModelsRealTime(t *testing.T) {
+	type row struct {
+		n   int
+		opt Options
+	}
+	var rows []row
 	for _, n := range []int{254, 1024} {
 		for _, alg := range []Algorithm{FaultTolerant, Baseline} {
-			for _, noLA := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%v/n=%d/no-lookahead=%v", alg, n, noLA), func(t *testing.T) {
-					run := func(a *matrix.Matrix, costOnly bool) float64 {
-						res, err := Reduce(a, Options{Algorithm: alg, DisableLookahead: noLA, CostOnly: costOnly})
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res.SimSeconds
-					}
-					real, model := run(matrix.Random(n, n, 11), false), run(matrix.Shape(n, n), true)
-					if real != model {
-						t.Fatalf("Real mode models %vs, cost-only %vs", real, model)
-					}
-				})
+			rows = append(rows, row{n, Options{Algorithm: alg}})
+		}
+	}
+	for _, k := range []int{1, 2, 4} {
+		rows = append(rows, row{254, Options{Algorithm: Baseline, DeviceCount: k}})
+		for _, sub := range []string{"swept", "fused"} {
+			rows = append(rows, row{254, Options{DeviceCount: k, Substrate: sub}})
+		}
+	}
+	rows = append(rows, row{512, Options{DeviceCount: 2, Substrate: "fused"}})
+	for _, r := range rows {
+		for _, noLA := range []bool{false, true} {
+			opt := r.opt
+			opt.DisableLookahead = noLA
+			name := fmt.Sprintf("%v/n=%d", opt.Algorithm, r.n)
+			if opt.DeviceCount > 0 {
+				name += fmt.Sprintf("/k=%d", opt.DeviceCount)
 			}
+			if opt.Substrate != "" {
+				name += "/" + opt.Substrate
+			}
+			name += fmt.Sprintf("/no-lookahead=%v", noLA)
+			t.Run(name, func(t *testing.T) {
+				run := func(a *matrix.Matrix, costOnly bool) float64 {
+					o := opt
+					o.CostOnly = costOnly
+					res, err := Reduce(a, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res.SimSeconds
+				}
+				real, model := run(matrix.Random(r.n, r.n, 11), false), run(matrix.Shape(r.n, r.n), true)
+				if real != model {
+					t.Fatalf("Real mode models %vs, cost-only %vs", real, model)
+				}
+			})
 		}
 	}
 }
