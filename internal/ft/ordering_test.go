@@ -92,3 +92,96 @@ func checkOrdering(t *testing.T, spans []gpu.Span, wantCk int) {
 		t.Errorf("saw %d checkpoint groups, the run took %d checkpoints", groups, wantCk)
 	}
 }
+
+// TestPoolChecksumOrdering checks the pool guard's waits the same way,
+// per device, from the spans the device pool tags with the slabs they
+// touch (gpu.Span.Slabs):
+//
+//   - a detection kernel reads every slab of its device, so it starts
+//     after every slab writer issued before it on the device has ended:
+//     the tagged data writers and the encode and maintenance kernels;
+//   - each gather copy starts after every data writer of its slab has
+//     ended;
+//   - the V upload into the panel slab starts after every detection and
+//     maintenance kernel issued before it on the device has ended: they
+//     read the columns it overwrites.
+//
+// The runs are repeated with every device's compute stream stretched,
+// so a copy that does not wait for a kernel it must follow starts
+// before that kernel ends.
+func TestPoolChecksumOrdering(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		for _, noLA := range []bool{false, true} {
+			for _, stretch := range []float64{1, 50} {
+				t.Run(fmt.Sprintf("k=%d/no-lookahead=%v/stretch=%v", k, noLA, stretch), func(t *testing.T) {
+					devs := make([]*gpu.Device, k)
+					for i := range devs {
+						devs[i] = gpu.NewIndexed(sim.K40c(), gpu.Real, i)
+						devs[i].EnableTrace()
+						devs[i].Stretch(devs[i].Compute, stretch)
+					}
+					res, err := ft.Reduce(matrix.Random(256, 256, 7), ft.Options{NB: 16, Devices: devs, DisableLookahead: noLA})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Detections != 0 {
+						t.Fatalf("clean run raised %d detection(s)", res.Detections)
+					}
+					for _, dev := range devs {
+						checkPoolOrdering(t, dev.Name(), dev.Trace())
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkPoolOrdering applies TestPoolChecksumOrdering's rules to one
+// device's spans in issue order. A span's start is recorded as its end
+// less its cost, so it may sit an ulp before the end of the span it
+// waited on.
+func checkPoolOrdering(t *testing.T, name string, spans []gpu.Span) {
+	t.Helper()
+	before := func(start, end float64) bool { return start < end-1e-15 }
+	var writers, checks float64 // latest end of any slab writer / of the checksum kernels so far
+	data := map[int]float64{}   // latest end of each slab's data writers so far
+	var detects, gathers, uploads int
+	for i, s := range spans {
+		if s.Lane == "main-host" || s.Lane == name+"-host" {
+			continue
+		}
+		tagged := s.Slabs[1] > 0
+		switch {
+		case s.Phase == "detect" && s.Kind == "custom":
+			detects++
+			if before(s.Start, writers) {
+				t.Errorf("%s span %d: detection kernel starts at %.9g, before a slab writer ends at %.9g", name, i, s.Start, writers)
+			}
+		case s.Phase == "cleanup" && s.Kind == "d2h" && tagged:
+			gathers++
+			if end := data[s.Slabs[0]]; before(s.Start, end) {
+				t.Errorf("%s span %d: gather of slab %d starts at %.9g, before its data writer ends at %.9g", name, i, s.Slabs[0], s.Start, end)
+			}
+		case s.Phase == "right_update" && s.Kind == "h2d" && tagged:
+			uploads++
+			if before(s.Start, checks) {
+				t.Errorf("%s span %d: V upload into slab %d starts at %.9g, before a checksum kernel ends at %.9g", name, i, s.Slabs[0], s.Start, checks)
+			}
+		}
+		switch {
+		case tagged && s.Kind != "d2h":
+			writers = max(writers, s.End)
+			for sl := s.Slabs[0]; sl < s.Slabs[1]; sl++ {
+				data[sl] = max(data[sl], s.End)
+			}
+		case s.Phase == "encode" || s.Phase == "checksum_maintenance":
+			writers = max(writers, s.End)
+			checks = max(checks, s.End)
+		case s.Phase == "detect" && s.Kind == "custom":
+			checks = max(checks, s.End)
+		}
+	}
+	if detects == 0 || gathers == 0 || uploads == 0 {
+		t.Errorf("%s: saw %d detection kernels, %d gather copies, %d V uploads", name, detects, gathers, uploads)
+	}
+}

@@ -217,8 +217,9 @@ type bordered struct {
 	m                    *gpu.Matrix
 	n, cols, split, col0 int
 	// last is the block's last writer: the location and repair kernels
-	// queue behind it and advance it.
-	last *sim.Event
+	// queue behind it and advance it. data, if set, is its last data
+	// writer, which the data repairs advance too.
+	last, data *sim.Event
 	// where prefixes the block's location records ("" for the whole
 	// matrix).
 	where string
@@ -282,7 +283,7 @@ func (b *bordered) residuals(s *recovery, iter int) (rRes, cRes []float64) {
 		if b.flagged {
 			// The hook already consumed the injection, so the run
 			// continues clean after one representative correction kernel.
-			*b.last = dev.Add(m, 0, 0, 0, *b.last)
+			b.wroteData(dev.Add(m, 0, 0, 0, *b.last))
 			for _, kind := range []obs.Kind{obs.KindLocation, obs.KindCorrection} {
 				ev := obs.Ev(kind, iter)
 				ev.Target = obs.TargetH
@@ -318,6 +319,14 @@ func (b *bordered) located(s *recovery, iter int, loc location) {
 	s.emit(ev)
 }
 
+// wroteData records e, a data repair, as the block's last writer.
+func (b *bordered) wroteData(e sim.Event) {
+	*b.last = e
+	if b.data != nil {
+		*b.data = e
+	}
+}
+
 func (b *bordered) fix(s *recovery, iter int, f repair) {
 	switch f.kind {
 	case repairChkRow:
@@ -325,7 +334,7 @@ func (b *bordered) fix(s *recovery, iter int, f repair) {
 	case repairChkCol:
 		*b.last = b.dev.Set(b.m, f.row, b.cols, b.fresh.At(f.row, 0), *b.last)
 	default:
-		*b.last = b.dev.Add(b.m, f.row, f.col, -f.delta, *b.last)
+		b.wroteData(b.dev.Add(b.m, f.row, f.col, -f.delta, *b.last))
 		if b.patch != nil {
 			b.patch(f.row, f.col, f.delta)
 		}

@@ -136,6 +136,8 @@ type Device struct {
 	// export (see trace.go).
 	tracing bool
 	trace   []Span
+	// slabs is the tag of the next recorded span (TagSlabs).
+	slabs [2]int
 
 	// name distinguishes pool members ("d0", "d1", …); it is empty for the
 	// classic single device, whose metric series stay unlabeled so every

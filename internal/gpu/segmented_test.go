@@ -85,32 +85,89 @@ func TestSegmentedKernelsMatchPerSegmentKernels(t *testing.T) {
 	}
 }
 
-// GemmRow computes one-row products with x and y strided along rows, as
-// the GEMV kernel, and is charged as one.
-func TestGemmRowIsStridedGemv(t *testing.T) {
+// A checksum row riding a GEMM launch (GemmSegRow, GemmChkRow) is
+// computed as the strided GEMV it is, beside a data product bit-equal to
+// the plain kernel's, and the launch is charged as the kernels it folds
+// less their launches.
+func TestChecksumRowIsStridedGemv(t *testing.T) {
 	const w, n = 10, 4
-	d := newReal()
-	// x is row 2 of a 3×w matrix, y row 1 of a 2×(2n) output.
+	launch := sim.K40c().KernelLaunchSec
+	gemv := func(m, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
+		blas.Dgemv(blas.Trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
+	}
+
+	// GemmSegRow: rows 0..1 of a 3×w A are the data, row 2 its checksum
+	// row, which lands in row 2 of the output.
+	d, one := newReal(), newReal()
 	ah := matrix.Random(3, w, 31)
 	bh := matrix.Random(w, n, 32)
-	a, b, c := d.Alloc(3, w), d.Alloc(w, n), d.Alloc(2, 2*n)
+	segs := []Seg{{A: 1, B: 1, N: 3, C: 0}, {A: 4, B: 4, N: 6, C: n}}
+	a, b, c := d.Alloc(3, w), d.Alloc(w, n), d.Alloc(3, 2*n)
 	d.H2D(a, 0, 0, ah)
 	d.H2D(b, 0, 0, bh)
-	segs := []Seg{{A: 1, B: 1, N: 3, C: 0}, {A: 4, B: 4, N: 6, C: n}}
-	d.GemmRow(n, 2, a, 2, b, 0, 0, c, 1, segs)
+	a1, b1, c1 := one.Alloc(3, w), one.Alloc(w, n), one.Alloc(3, 2*n)
+	one.H2D(a1, 0, 0, ah)
+	one.H2D(b1, 0, 0, bh)
+	d.GemmSegRow(2, n, 2, a, 0, 2, b, 0, 0, c, 0, segs)
+	one.GemmSeg(2, n, 2, a1, 0, b1, 0, 0, c1, 0, segs)
 	for _, s := range segs {
 		want := make([]float64, n)
-		blas.Dgemv(blas.Trans, s.N, n, 2, bh.Data[s.B:], bh.Stride, ah.Data[s.A*ah.Stride+2:], ah.Stride, 0, want, 1)
+		gemv(s.N, n, 2, bh.Data[s.B:], bh.Stride, ah.Data[s.A*ah.Stride+2:], ah.Stride, 0, want, 1)
 		for j, v := range want {
-			if got := c.At(1, s.C+j); got != v {
-				t.Fatalf("segment %+v column %d: %v, want %v", s, j, got, v)
+			if got := c.At(2, s.C+j); got != v {
+				t.Fatalf("GemmSegRow segment %+v column %d: %v, want %v", s, j, got, v)
+			}
+			for i := 0; i < 2; i++ {
+				if c.At(i, s.C+j) != c1.At(i, s.C+j) {
+					t.Fatalf("GemmSegRow data (%d,%d) differs from GemmSeg's", i, s.C+j)
+				}
 			}
 		}
 	}
-	if c.At(0, 0) != 0 {
-		t.Fatal("GemmRow wrote outside its output row")
+	if got, want := d.TimeBreakdown()["gemm"], d.Params.GemmDevice(2, n, 9)+d.Params.GemvDevice(9, n)-launch; got != want {
+		t.Fatalf("GemmSegRow charged %v, want %v", got, want)
 	}
-	if got, want := d.TimeBreakdown()["gemv"], d.Params.GemvDevice(9, n); got != want {
-		t.Fatalf("GemmRow charged %v, want one GEMV over 9×%d: %v", got, n, want)
+
+	// GemmChkRow: C(1:6, 1:1+n) −= A·B with A 5×3, its checksum row in
+	// row 0; the column sums of A land in sums when fresh.
+	const m, k = 5, 3
+	ah = matrix.Random(m, k, 33)
+	bh = matrix.Random(k, n, 34)
+	for _, fresh := range []bool{true, false} {
+		d := newReal()
+		a, b, c, sums := d.Alloc(m, k), d.Alloc(k, n), d.Alloc(m+1, n+1), d.Alloc(1, k)
+		d.H2D(a, 0, 0, ah)
+		d.H2D(b, 0, 0, bh)
+		x := []float64{0.5, -1, 2} // what an earlier launch left
+		if fresh {
+			x = ah.ColSums()
+		} else {
+			d.H2D(sums, 0, 0, matrix.FromColMajor(1, k, 1, x))
+		}
+		d.GemmChkRow(m, n, k, -1, a, 0, 0, b, 0, 0, 1, c, 1, 1, 0, sums, fresh)
+		want := make([]float64, n)
+		gemv(k, n, -1, bh.Data, bh.Stride, x, 1, 1, want, 1)
+		data := make([]float64, m*n)
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, -1, ah.Data, ah.Stride, bh.Data, bh.Stride, 1, data, m)
+		for j := 0; j < n; j++ {
+			if got := c.At(0, 1+j); got != want[j] {
+				t.Fatalf("fresh=%v: checksum row column %d: %v, want %v", fresh, j, got, want[j])
+			}
+			for i := 0; i < m; i++ {
+				if got := c.At(1+i, 1+j); got != data[j*m+i] {
+					t.Fatalf("fresh=%v: data (%d,%d): %v, want %v", fresh, i, j, got, data[j*m+i])
+				}
+			}
+		}
+		cost := d.Params.GemmDevice(m, n, k) + d.Params.GemvDevice(k, n) - launch
+		if fresh {
+			cost += d.Params.GemvDevice(m, k) - launch
+		}
+		if got := d.TimeBreakdown()["gemm"]; got != cost {
+			t.Fatalf("fresh=%v: GemmChkRow charged %v, want %v", fresh, got, cost)
+		}
+		if d.KernelCount() != 1 {
+			t.Fatalf("fresh=%v: %d launches, want 1", fresh, d.KernelCount())
+		}
 	}
 }

@@ -19,7 +19,9 @@ import (
 // algorithm phase its cost was charged under (Device.SetPhase; "" when
 // none was set). FlowOut/FlowIn are non-zero when the span is the
 // source/destination of a data-flow arrow (an async D2H copy and the
-// host op consuming it).
+// host op consuming it). Slabs, when its issuer tagged the operation
+// (TagSlabs), is the range [Slabs[0], Slabs[1]) of the pool slabs the
+// operation touches; it is zero otherwise and stays out of the exports.
 type Span struct {
 	Lane    string  `json:"lane"`
 	Kind    string  `json:"kind"`
@@ -28,6 +30,7 @@ type Span struct {
 	End     float64 `json:"end"`
 	FlowOut int     `json:"flow_out,omitempty"`
 	FlowIn  int     `json:"flow_in,omitempty"`
+	Slabs   [2]int  `json:"-"`
 }
 
 // EnableTrace starts span recording (call before running an algorithm).
@@ -43,14 +46,22 @@ func (d *Device) Trace() []Span {
 	return d.trace
 }
 
+// TagSlabs tags the span of the device's next operation with the slab
+// range [lo, hi) it touches (see Span.Slabs). Schedule tests read the
+// tags to pair an operation with the slabs whose ordering it must keep.
+func (d *Device) TagSlabs(lo, hi int) { d.slabs = [2]int{lo, hi} }
+
 // record accounts one charged operation to the metrics registry (always)
-// and appends its span to the trace (when tracing).
+// and appends its span to the trace (when tracing), consuming the slab
+// tag.
 func (d *Device) record(lane string, kind opKind, end, cost float64) {
 	d.account(kind, cost)
+	slabs := d.slabs
+	d.slabs = [2]int{}
 	if !d.tracing {
 		return
 	}
-	d.trace = append(d.trace, Span{Lane: lane, Kind: kindNames[kind], Phase: d.phase, Start: end - cost, End: end})
+	d.trace = append(d.trace, Span{Lane: lane, Kind: kindNames[kind], Phase: d.phase, Start: end - cost, End: end, Slabs: slabs})
 }
 
 // tagFlowOut marks the most recently recorded span as the source of a new

@@ -40,8 +40,6 @@ type PoolGuard interface {
 	// Boundary runs at the start of blocked iteration iter (panel p,
 	// k = p+1, width ib), before the panel offload reads any slab.
 	Boundary(iter, p, k, ib int) error
-	// AfterPanel runs once the host has factorized the panel.
-	AfterPanel(p, ib int)
 	// AfterRight runs between the right and the left update.
 	AfterRight(iter, p, k, ib int) error
 	// AfterLeft runs once the iteration's left update is issued.
@@ -105,9 +103,6 @@ func (r PoolRun) Run() (int, error) {
 		sh.PanelD2H(hostA, p, k, ib)
 		if err := panelFactorMulti(sh, hostA, r.Y, r.T, r.Tau, n, p, k, ib, la); err != nil {
 			return iter, err
-		}
-		if g != nil {
-			g.AfterPanel(p, ib)
 		}
 
 		// Broadcast the panel products, assemble Y's top rows on the
