@@ -34,6 +34,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ft"
 	"repro/internal/gpu"
+	"repro/internal/hybrid"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -287,6 +288,22 @@ func main() {
 		a = matrix.Random(*n, *n, *seed)
 	}
 	if *sym {
+		// The symmetric path strikes one element of the trailing block
+		// (Area 2) at a blocked-iteration boundary; a plan it would not
+		// place as stated is refused, as fault.Plan.Check does for the
+		// Hessenberg path.
+		if *inject != "" && area != fault.Area2 {
+			fmt.Fprintf(os.Stderr, "-sym -inject supports area2 only (the trailing symmetric block), not %s\n", *inject)
+			os.Exit(2)
+		}
+		if iters := hybrid.SymBlockedIterations(a.Rows, *nb); *inject != "" && (*iter < 0 || *iter >= iters) {
+			runs := fmt.Sprintf("blocked iterations 0..%d", iters-1)
+			if iters == 0 {
+				runs = "no blocked iteration"
+			}
+			fmt.Fprintf(os.Stderr, "-sym -inject: iteration %d never runs: an n=%d, nb=%d symmetric reduction runs %s\n", *iter, a.Rows, *nb, runs)
+			os.Exit(2)
+		}
 		opt := core.SymOptions{NB: *nb, FaultTolerant: algorithm == core.FaultTolerant, CostOnly: *costOnly}
 		runSymmetric(a, opt, *inject, *iter, *metricsPath, *eventsPath)
 		return

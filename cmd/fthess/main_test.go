@@ -50,6 +50,9 @@ func TestRefusedFaultPlans(t *testing.T) {
 		{"area3 at iteration 0", []string{"-n", "128", "-inject", "area3", "-iter", "0"}, "Area3 holds no position at iteration 0"},
 		{"area2 past the last iteration", []string{"-n", "128", "-inject", "area2", "-iter", "99"}, "iteration 99 never runs"},
 		{"kill past the last iteration", []string{"-n", "128", "-devices", "2", "-kill-point", "update", "-kill-iter", "9", "-costonly"}, "iteration 9 never runs"},
+		{"sym past the last iteration", []string{"-sym", "-n", "128", "-inject", "area2", "-iter", "99"}, "iteration 99 never runs: an n=128, nb=32 symmetric reduction runs blocked iterations 0..1"},
+		{"sym area1", []string{"-sym", "-n", "128", "-inject", "area1"}, "supports area2 only"},
+		{"sym area3", []string{"-sym", "-n", "128", "-inject", "area3"}, "supports area2 only"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stderr := fthess(t, tc.args...)

@@ -43,6 +43,25 @@ type SymState struct {
 	N, NB int
 }
 
+// symBlocked reports whether ReduceSym runs a blocked iteration at
+// panel p; the unblocked tail takes over at the first p where it does
+// not.
+func symBlocked(n, p, nb int) bool { return n-p > max(nb, 2)+nb }
+
+// SymBlockedIterations reports how many blocked iterations ReduceSym
+// runs on an n×n matrix at block size nb (DefaultNB when nb ≤ 0); a
+// fault hook's iterations are numbered 0 up to that count.
+func SymBlockedIterations(n, nb int) int {
+	if nb <= 0 {
+		nb = DefaultNB
+	}
+	iters := 0
+	for p := 0; symBlocked(n, p, nb); p += nb {
+		iters++
+	}
+	return iters
+}
+
 // ReduceSym runs the hybrid symmetric tridiagonal reduction (the DSYTRD
 // sibling of Reduce, MAGMA's magma_dsytrd work split): the symmetric
 // matrix lives on the device (lower triangle referenced), each panel is
@@ -110,10 +129,9 @@ func ReduceSym(a *matrix.Matrix, opt Options, g SymGuard) (*SymResult, error) {
 	if g != nil {
 		g.Start(SymState{Dev: dev, A: dA, W: dW, HostA: hostA, N: n, NB: nb})
 	}
-	nx := max(nb, 2)
 	var prevUpd sim.Event
 	p := 0
-	for ; n-p > nx+nb; p += nb {
+	for ; symBlocked(n, p, nb); p += nb {
 		iter, np := p/nb, n-p
 		if g != nil {
 			g.Boundary(iter, p)
