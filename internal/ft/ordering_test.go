@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/ft"
 	"repro/internal/gpu"
+	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/sim"
 )
@@ -22,7 +24,12 @@ import (
 //     writes the panel or its checksum row (the encode, the updates and
 //     the checksum kernels: ready and the side stream's kernels) has
 //     ended, and ends before the iteration's top-row update, the first
-//     right_update kernel after it, starts.
+//     right_update kernel after it, starts;
+//   - each iteration makes exactly one checkpoint read, one detection
+//     launch and one detection read;
+//   - τ's ‖A‖₁ pass on the host lies inside the setup upload;
+//   - the final Q verify is issued after the cleanup transfer home, and
+//     the cleanup DGEHD2 starts once both have ended.
 //
 // The side stream's operations are short and usually finish early
 // anyway, so the run is repeated with that stream stretched: then a
@@ -50,22 +57,39 @@ func TestChecksumOrdering(t *testing.T) {
 }
 
 // checkOrdering applies TestChecksumOrdering's rules to spans in issue
-// order, and checks it saw wantCk checkpoint groups.
+// order, and checks it saw wantCk checkpoint groups. A span's start is
+// recorded as its end less its cost, so it may sit an ulp before the
+// end of the span it waited on.
 func checkOrdering(t *testing.T, spans []gpu.Span, wantCk int) {
 	t.Helper()
+	before := func(start, end float64) bool { return start < end-1e-15 }
 	var maint, writers float64 // latest end of the spans of each class so far
 	groups := 0
 	var open []gpu.Span // the latest group of checkpoint reads, until the top-row update
+	// Per iteration (a checkpoint group opens one): checkpoint reads,
+	// detection launches and detection reads.
+	var perIter [][3]int
+	var upload, home *gpu.Span // the setup upload, the cleanup transfer home
+	var verify []gpu.Span      // the Q verify: q_protect spans issued after home
 	for i, s := range spans {
 		switch s.Phase {
 		case "detect":
 			if s.Start < maint {
 				t.Errorf("span %d: detect %s on %s starts at %.9g, before the checksum kernels end at %.9g", i, s.Kind, s.Lane, s.Start, maint)
 			}
+			if len(perIter) == 0 {
+				t.Errorf("span %d: detect %s before the first checkpoint", i, s.Kind)
+			} else if s.Kind == "d2h" {
+				perIter[len(perIter)-1][2]++
+			} else {
+				perIter[len(perIter)-1][1]++
+			}
 		case "checkpoint":
 			if len(open) == 0 {
 				groups++
+				perIter = append(perIter, [3]int{})
 			}
+			perIter[len(perIter)-1][0]++
 			if s.Start < writers {
 				t.Errorf("span %d: checkpoint read on %s starts at %.9g, before the panel's writers end at %.9g", i, s.Lane, s.Start, writers)
 			}
@@ -79,6 +103,37 @@ func checkOrdering(t *testing.T, spans []gpu.Span, wantCk int) {
 				}
 				open = nil
 			}
+		case "setup":
+			switch {
+			case s.Kind == "h2d" && upload == nil:
+				upload = &spans[i]
+			case s.Kind == "host":
+				if upload == nil || before(s.Start, upload.Start) || before(upload.End, s.End) {
+					t.Errorf("span %d: τ's host pass [%.9g, %.9g] is not inside the setup upload %v", i, s.Start, s.End, upload)
+				}
+			}
+		case "q_protect":
+			if home != nil {
+				verify = append(verify, s)
+			}
+		case "cleanup":
+			switch {
+			case s.Kind == "d2h":
+				home = &spans[i]
+			case s.Kind == "host":
+				if home == nil || len(verify) == 0 {
+					t.Errorf("span %d: DGEHD2 issued before the transfer home (%v) and the Q verify (%d spans)", i, home, len(verify))
+					break
+				}
+				if before(s.Start, home.End) {
+					t.Errorf("span %d: DGEHD2 starts at %.9g, before the transfer home ends at %.9g", i, s.Start, home.End)
+				}
+				for _, v := range verify {
+					if before(s.Start, v.End) {
+						t.Errorf("span %d: DGEHD2 starts at %.9g, before the Q verify ends at %.9g", i, s.Start, v.End)
+					}
+				}
+			}
 		}
 		switch s.Phase {
 		case "checksum_maintenance":
@@ -90,6 +145,50 @@ func checkOrdering(t *testing.T, spans []gpu.Span, wantCk int) {
 	}
 	if groups != wantCk || wantCk == 0 {
 		t.Errorf("saw %d checkpoint groups, the run took %d checkpoints", groups, wantCk)
+	}
+	for it, c := range perIter {
+		if c != [3]int{1, 1, 1} {
+			t.Errorf("iteration %d: %d checkpoint read(s), %d detection launch(es), %d detection read(s); want one each", it, c[0], c[1], c[2])
+		}
+	}
+	if upload == nil || home == nil || len(verify) == 0 {
+		t.Errorf("saw setup upload %v, transfer home %v, %d Q-verify spans", upload, home, len(verify))
+	}
+}
+
+// TestQVerifyCatchesLastBoundaryHit strikes the host's Householder
+// storage (Area 3) at the last blocked iteration's boundary, the latest
+// injection point: the Q verify, which runs while the trailing columns
+// travel home, must still find and correct it, with lookahead on and
+// off.
+func TestQVerifyCatchesLastBoundaryHit(t *testing.T) {
+	const n, nb = 256, 16
+	a := matrix.Random(n, n, 7)
+	for _, noLA := range []bool{false, true} {
+		t.Run(fmt.Sprintf("no-lookahead=%v", noLA), func(t *testing.T) {
+			opt := ft.Options{NB: nb, DisableLookahead: noLA}
+			opt.Device = gpu.New(sim.K40c(), gpu.Real)
+			clean, err := ft.Reduce(a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := clean.BlockedIters - 1
+			opt.Device = gpu.New(sim.K40c(), gpu.Real)
+			opt.Hook = fault.New(fault.Plan{Area: fault.Area3, TargetIter: last, Seed: 3})
+			res, err := ft.Reduce(a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.QCorrections != 1 || res.Detections != 0 {
+				t.Fatalf("Area 3 hit at iteration %d: %d Q correction(s), %d H detection(s); want 1 and 0", last, res.QCorrections, res.Detections)
+			}
+			if d := res.Packed.Sub(clean.Packed).MaxAbs(); d > 1e-12 {
+				t.Fatalf("corrected result differs from the clean one by %.3g", d)
+			}
+			if r := lapack.FactorizationResidual(a, res.Q(), res.H()); r > 1e-13 {
+				t.Fatalf("residual after the Q repair %v", r)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // maintained checksums and the totals diverge. iter identifies the blocked
 // iteration for the event journal. dataReady is the iteration's
 // left-update completion event; the totals also wait for the side
-// stream's checksum kernels, the other writers of the checksum row.
+// stream's checksum kernels, the other writers of the checksum row. One
+// launch computes both totals and one read brings them home.
 //
 // Under the lookahead schedule the check is optimistic: the totals run at
 // the tail of the compute queue and the host charges the verdict's
@@ -31,20 +32,15 @@ func (r *reducer) detectAt(iter int, dataReady sim.Event) bool {
 	defer dev.SetPhase(prevPhase)
 	var sre, sce float64
 	var verdict sim.Event
+	totals := dev.Totals(r.d.A, 0, n, n, 0, n, &sre, &sce, dataReady, r.chk)
 	if r.la {
 		// The totals stay on the compute queue (they are its tail: FIFO
 		// order puts them right after the remainder update they verify),
-		// and the verdict rides back through device-mapped reads on the
+		// and the verdict rides back through a device-mapped read on the
 		// same stream — the copy engine stays free for the next panel.
-		e1 := dev.Sum(r.d.A, 0, n, n, &sre, dataReady, r.chk)
-		r1 := dev.ReadScalarTail(e1)
-		e2 := dev.SumRow(r.d.A, n, 0, n, &sce, dataReady, r.chk)
-		verdict = dev.ReadScalarTail(e2, r1)
+		verdict = dev.ReadScalarsTail(2, totals)
 	} else {
-		e1 := dev.Sum(r.d.A, 0, n, n, &sre, r.chk)
-		dev.ReadScalar(e1)
-		e2 := dev.SumRow(r.d.A, n, 0, n, &sce, r.chk)
-		dev.ReadScalar(e2)
+		dev.ReadScalars(2, totals)
 	}
 
 	var mismatch bool
@@ -95,10 +91,8 @@ func (r *reducer) recover(iter, p, ib int) error {
 	r.journal(obs.Ev(obs.KindReverse, iter))
 
 	// Restore the panel columns and their checksum-row segment from the
-	// diskless checkpoint (host memory → device).
-	up := dev.H2DAsync(d.A, 0, p, r.ckPanel.View(0, 0, n, ib), e)
-	up = dev.H2DAsync(d.A, n, p, r.ckChkRow.View(0, 0, 1, ib), up)
-	dev.Sync(up)
+	// diskless checkpoint (host memory → device), in one transfer.
+	dev.Sync(dev.H2DAsync(d.A, 0, p, r.ckPanel.View(0, 0, n+1, ib), e))
 	r.journal(obs.Ev(obs.KindCheckpointRestore, iter))
 
 	// Locate and correct (line 15). A correction inside the current

@@ -374,59 +374,54 @@ func colSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int) {
 	}
 }
 
-// Sum enqueues a reduction of the length-n column segment at (i, j) of m,
-// returning the result through out (written in Real mode when the kernel
-// executes). On real hardware the scalar result would live in device
-// memory; callers needing it host-side must account for a small D2H,
-// which ReadScalar models.
-func (d *Device) Sum(m *Matrix, i, j, n int, out *float64, deps ...sim.Event) sim.Event {
-	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
+// Totals enqueues one launch reducing the length-n column segment at
+// (ci, cj) of m into *col and the length-n row segment (stride m.Stride)
+// at (ri, rj) into *row, each summed in index order; the results are
+// written in Real mode when the kernel executes. It is charged as the
+// two vector reductions less one launch. On real hardware the totals
+// would live in device memory; a caller needing them host-side accounts
+// for the small D2H that ReadScalars models.
+func (d *Device) Totals(m *Matrix, ci, cj, ri, rj, n int, col, row *float64, deps ...sim.Event) sim.Event {
+	cost := 2*d.Params.VecDevice(n) - d.Params.KernelLaunchSec
+	return d.launch(kindVec, cost, deps, func() {
 		s := 0.0
 		if n > 0 {
-			col := m.ptr(i, j)[:n]
-			for _, v := range col {
+			for _, v := range m.ptr(ci, cj)[:n] {
 				s += v
 			}
 		}
-		*out = s
-	})
-}
-
-// SumRow enqueues a reduction over a length-n row segment (stride =
-// m.Stride) starting at (i, j).
-func (d *Device) SumRow(m *Matrix, i, j, n int, out *float64, deps ...sim.Event) sim.Event {
-	return d.launch(kindVec, d.Params.VecDevice(n), deps, func() {
-		s := 0.0
+		*col = s
+		s = 0
 		for jj := 0; jj < n; jj++ {
-			s += m.ptr(i, j+jj)[0]
+			s += m.ptr(ri, rj+jj)[0]
 		}
-		*out = s
+		*row = s
 	})
 }
 
-// ReadScalar models the host reading one device scalar (a latency-bound
-// D2H transfer on the copy engine) and waiting for it; the value must
+// ReadScalars models the host reading k device scalars (a latency-bound
+// D2H transfer on the copy engine) and waiting for them; the values must
 // already have been produced by a kernel.
-func (d *Device) ReadScalar(deps ...sim.Event) {
+func (d *Device) ReadScalars(k int, deps ...sim.Event) {
 	d.transfers++
-	d.bytesMoved += 8
-	cost := d.Params.Transfer(8)
+	d.bytesMoved += int64(8 * k)
+	cost := d.Params.Transfer(8 * k)
 	d.charge(kindD2H, cost)
 	e := d.Copy.Schedule(cost, sim.Latest(d.Host.Tail(), deps))
 	d.record(d.Copy.Name(), kindD2H, e.At, cost)
 	d.Sync(e)
 }
 
-// ReadScalarTail models fetching a scalar produced at the tail of the
+// ReadScalarsTail models fetching k scalars produced at the tail of the
 // compute queue through device-mapped memory: the read is charged on the
 // compute stream, not the copy engine. The optimistic detection path
 // needs this — its verdict waits for the whole trailing update, and a
 // copy-engine read would make every later offload (the next panel's)
 // queue behind that wait.
-func (d *Device) ReadScalarTail(deps ...sim.Event) sim.Event {
+func (d *Device) ReadScalarsTail(k int, deps ...sim.Event) sim.Event {
 	d.transfers++
-	d.bytesMoved += 8
-	cost := d.Params.Transfer(8)
+	d.bytesMoved += int64(8 * k)
+	cost := d.Params.Transfer(8 * k)
 	d.charge(kindD2H, cost)
 	e := d.Compute.Schedule(cost, sim.Latest(d.Host.Tail(), deps))
 	d.record(d.Compute.Name(), kindD2H, e.At, cost)

@@ -179,7 +179,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		DisableOverlap:  opt.DisableOverlap,
 		BeforeIteration: opt.BeforeIteration,
 	}
-	r.Setup(0)
+	dev.Sync(r.Setup(0))
 	defer r.Free()
 	iters, err := r.Run()
 	if err != nil {
@@ -232,8 +232,11 @@ type Guard interface {
 	// Finish runs after the last of iters blocked iterations, before
 	// the cleanup at column p.
 	Finish(iters, p int, last sim.Event) error
-	// AfterCleanup runs once the host has finished the reduction.
-	AfterCleanup(p int) error
+	// BeforeCleanup runs once the transfer home of the trailing columns
+	// p..n-1 is issued, before the host waits for it and reduces them
+	// with the unblocked DGEHD2; neither touches the columns left of p,
+	// the only ones it may read or repair.
+	BeforeCleanup(p int) error
 }
 
 // DeviceRun is one reduction on the single-device schedule: Algorithm
@@ -268,17 +271,20 @@ type DeviceRun struct {
 }
 
 // Setup allocates the device matrix with pad guard rows and columns,
-// the workspaces and the host panel products, and uploads HostA, in the
-// setup phase.
-func (r *DeviceRun) Setup(pad int) {
+// the workspaces and the host panel products, and issues the upload of
+// HostA, in the setup phase. It returns the upload's completion, which
+// the caller syncs on before Run; host work in between hides under the
+// transfer.
+func (r *DeviceRun) Setup(pad int) sim.Event {
 	dev := r.Dev
 	n, nb := r.HostA.Rows, r.NB
 	dev.SetPhase("setup")
 	r.A = dev.Alloc(n+pad, n+pad)
-	dev.H2D(r.A, 0, 0, r.HostA)
+	up := dev.H2DAsync(r.A, 0, 0, r.HostA)
 	r.T, r.Y, r.W = dev.Alloc(nb, nb), dev.Alloc(n+pad, nb), dev.Alloc(n+pad, nb)
 	r.vcol, r.ycol = dev.Alloc(n, 1), dev.Alloc(n, 1)
 	r.hostT, r.hostY = dev.Mode.HostMatrix(nb, nb), dev.Mode.HostMatrix(n, nb)
+	return up
 }
 
 // Free releases Setup's device memory.
@@ -331,16 +337,18 @@ func (r *DeviceRun) Run() (int, error) {
 		}
 	}
 	// The trailing columns home, then the unblocked DGEHD2 on the host.
+	// The guard's last hook runs while they travel.
 	dev.SetPhase("cleanup")
-	dev.Sync(dev.D2HAsync(r.HostA.View(0, p, n, n-p), r.A, 0, p, r.prevLeft))
-	dev.HostOp(cleanupCost(dev.Params, n, p), func() {
-		lapack.Dgehd2(n, p, r.HostA.Data, r.HostA.Stride, r.Tau, make([]float64, n))
-	})
+	home := dev.D2HAsync(r.HostA.View(0, p, n, n-p), r.A, 0, p, r.prevLeft)
 	if g != nil {
-		if err := g.AfterCleanup(p); err != nil {
+		if err := g.BeforeCleanup(p); err != nil {
 			return iter, err
 		}
 	}
+	dev.Sync(home)
+	dev.HostOp(cleanupCost(dev.Params, n, p), func() {
+		lapack.Dgehd2(n, p, r.HostA.Data, r.HostA.Stride, r.Tau, make([]float64, n))
+	})
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
 	dev.FinishRun()
