@@ -63,22 +63,22 @@ func TestSingleDeviceSchedulePinned(t *testing.T) {
 	}
 	detected := func(r *ft.Result) bool { return r.Detections > 0 && r.Reexecutions > 0 }
 	rows := []row{
-		{name: "ft", n: 256, want: "4423:5199bc97deab731c"},
-		{name: "ft/no-lookahead", n: 256, opt: ft.Options{DisableLookahead: true}, want: "4297:dbc89d049a2f83d9"},
-		{name: "ft/no-overlap", n: 256, opt: ft.Options{DisableOverlap: true}, want: "4423:55c7ad38adf7bef0"},
-		{name: "ft/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, want: "4297:33c1e174c5f002dc"},
+		{name: "ft", n: 256, want: "4363:6c3ee2736312f49c"},
+		{name: "ft/no-lookahead", n: 256, opt: ft.Options{DisableLookahead: true}, want: "4237:fd671cb4474091ea"},
+		{name: "ft/no-overlap", n: 256, opt: ft.Options{DisableOverlap: true}, want: "4363:c2d7be54bf91db3c"},
+		{name: "ft/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, want: "4237:bc01481213a6c35e"},
 		{name: "baseline", baseline: true, n: 256, want: "4225:0ccb2c3421bc18de"},
 		{name: "baseline/no-lookahead", baseline: true, n: 256, opt: ft.Options{DisableLookahead: true}, want: "4113:ddc1fe38d700fbd4"},
 		{name: "baseline/no-overlap", baseline: true, n: 256, opt: ft.Options{DisableOverlap: true}, want: "4225:04bc4e9f76d78ca3"},
 		{name: "baseline/no-lookahead/no-overlap", baseline: true, n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, want: "4113:dfe0b4dd5aa8e16e"},
 		{name: "baseline/area2@2", baseline: true, n: 256, hook: inject(fault.Area2, 2), want: "4225:2d529fe22b1622c4"},
-		{name: "ft/area2@2", n: 256, hook: inject(fault.Area2, 2), want: "4733:3df95ab3e37ae7a7", fired: detected},
-		{name: "ft/area2@2/fused", n: 256, opt: ft.Options{Substrate: ft.SubstrateFused}, hook: inject(fault.Area2, 2), want: "4733:9fcb956747cc76b7", fired: detected},
-		{name: "ft/area1@3/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, hook: inject(fault.Area1, 3), want: "4598:44906664f308af38", fired: detected},
-		{name: "ft/area3@2", n: 256, hook: inject(fault.Area3, 2), want: "4424:2781b3ea0df82ab3", fired: func(r *ft.Result) bool { return r.QCorrections > 0 }},
-		{name: "ft/postprocess/area2@2", n: 256, opt: ft.Options{PostProcess: true}, hook: inject(fault.Area2, 2), want: "8787:2e2bdd5c8df8e789", fired: func(r *ft.Result) bool { return r.Detections > 0 && r.Recoveries > 0 }},
-		{name: "ft/final-h-check", n: 256, opt: ft.Options{FinalHCheck: true}, want: "4428:49bc28055b8511df"},
-		{name: "ft/costonly/n1022", n: 1022, costOnly: true, want: "18583:97af2a37ff589270"},
+		{name: "ft/area2@2", n: 256, hook: inject(fault.Area2, 2), want: "4669:5221598175f63e98", fired: detected},
+		{name: "ft/area2@2/fused", n: 256, opt: ft.Options{Substrate: ft.SubstrateFused}, hook: inject(fault.Area2, 2), want: "4669:d1d4805972d3a4d8", fired: detected},
+		{name: "ft/area1@3/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, hook: inject(fault.Area1, 3), want: "4534:0c45c4b28ea975f2", fired: detected},
+		{name: "ft/area3@2", n: 256, hook: inject(fault.Area3, 2), want: "4364:0c2ef46209f875ee", fired: func(r *ft.Result) bool { return r.QCorrections > 0 }},
+		{name: "ft/postprocess/area2@2", n: 256, opt: ft.Options{PostProcess: true}, hook: inject(fault.Area2, 2), want: "8695:291529f17feaa5aa", fired: func(r *ft.Result) bool { return r.Detections > 0 && r.Recoveries > 0 }},
+		{name: "ft/final-h-check", n: 256, opt: ft.Options{FinalHCheck: true}, want: "4368:6122421b709f5054"},
+		{name: "ft/costonly/n1022", n: 1022, costOnly: true, want: "18331:4906dd0754482c9d"},
 		{name: "baseline/costonly/n1022", baseline: true, n: 1022, costOnly: true, want: "17761:615a1229af9a5e1a"},
 	}
 	for _, tc := range rows {
