@@ -121,3 +121,85 @@ func TestSingleDeviceSchedulePinned(t *testing.T) {
 		})
 	}
 }
+
+// TestPoolSchedulePinned pins the pool schedule of both Hessenberg
+// algorithms span for span, hashing every device's trace in slot order:
+// baseline and FT at K ∈ {1, 2, 4}, lookahead on and off, N=256, nb=16,
+// plus FT runs that repair an Area 2 hit in place (swept and fused
+// substrates) and one that loses a device mid-update at K=2 and restarts
+// on the survivor. A dependency the pool schedule drops lets an op start
+// early, which moves its row's digest. After a deliberate schedule
+// change, regenerate the pins with
+//
+//	go test ./internal/ft -run TestPoolSchedulePinned -v
+//
+// and copy the logged digests into the table.
+func TestPoolSchedulePinned(t *testing.T) {
+	type row struct {
+		name     string
+		baseline bool
+		k        int
+		opt      ft.Options
+		plan     *fault.Plan
+		want     string
+		// fired checks the run exercised the path the row is about.
+		fired func(*ft.Result) bool
+	}
+	area2 := &fault.Plan{Area: fault.Area2, TargetIter: 2, Seed: 3}
+	repaired := func(r *ft.Result) bool { return r.Detections > 0 && r.Recoveries > 0 }
+	rows := []row{
+		{name: "baseline/k1", baseline: true, k: 1, want: "4063:9947059f4ca6967e"},
+		{name: "baseline/k1/no-lookahead", baseline: true, k: 1, opt: ft.Options{DisableLookahead: true}, want: "4007:d2eadedad1630480"},
+		{name: "baseline/k2", baseline: true, k: 2, want: "4820:1dcee6979de13ea7"},
+		{name: "baseline/k2/no-lookahead", baseline: true, k: 2, opt: ft.Options{DisableLookahead: true}, want: "4769:788158bf098a850e"},
+		{name: "baseline/k4", baseline: true, k: 4, want: "6004:8cf55f0a6db2a619"},
+		{name: "baseline/k4/no-lookahead", baseline: true, k: 4, opt: ft.Options{DisableLookahead: true}, want: "5963:18742dd1cf0a351a"},
+		{name: "ft/k1", k: 1, want: "4158:ce78877533938176"},
+		{name: "ft/k1/no-lookahead", k: 1, opt: ft.Options{DisableLookahead: true}, want: "4102:164e3a6cf92025fd"},
+		{name: "ft/k2", k: 2, want: "4947:98370e03044793e9"},
+		{name: "ft/k2/no-lookahead", k: 2, opt: ft.Options{DisableLookahead: true}, want: "4896:9dd454a106ec9fcb"},
+		{name: "ft/k4", k: 4, want: "6195:9844fe105a9509c8"},
+		{name: "ft/k4/no-lookahead", k: 4, opt: ft.Options{DisableLookahead: true}, want: "6154:c2b81c8ae01fbb1e"},
+		{name: "ft/k2/area2@2", k: 2, plan: area2, want: "4955:09b5ebb5d3d831c5", fired: repaired},
+		{name: "ft/k2/area2@2/fused", k: 2, opt: ft.Options{Substrate: ft.SubstrateFused}, plan: area2, want: "4948:a7ca5ac922765003", fired: repaired},
+		{name: "ft/k2/kill-d1-update@2", k: 2, plan: &fault.Plan{TargetIter: 2, KillPoint: fault.KillUpdate, KillDevice: 1}, want: "5179:73d7f3b7b235e1f4",
+			fired: func(r *ft.Result) bool { return r.DeviceLosses == 1 && r.FailStopRecoveries == 1 }},
+	}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			a := matrix.Random(256, 256, 7)
+			devs := make([]*gpu.Device, tc.k)
+			for i := range devs {
+				devs[i] = gpu.NewIndexed(sim.K40c(), gpu.Real, i)
+				devs[i].EnableTrace()
+			}
+			if tc.baseline {
+				if _, err := hybrid.Reduce(a, hybrid.Options{NB: 16, Devices: devs, DisableLookahead: tc.opt.DisableLookahead}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				opt := tc.opt
+				opt.NB, opt.Devices = 16, devs
+				if tc.plan != nil {
+					opt.Hook = fault.New(*tc.plan)
+				}
+				res, err := ft.Reduce(a, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.fired != nil && !tc.fired(res) {
+					t.Fatalf("the run did not exercise the path: %d detection(s), %d recovery(ies), %d device loss(es)", res.Detections, res.Recoveries, res.DeviceLosses)
+				}
+			}
+			var spans []gpu.Span
+			for _, dev := range devs {
+				spans = append(spans, dev.Trace()...)
+			}
+			got := spanDigest(spans)
+			t.Logf("digest %s", got)
+			if got != tc.want {
+				t.Errorf("schedule digest %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}
