@@ -110,7 +110,7 @@ func runSymmetric(a *matrix.Matrix, opt core.SymOptions, inject string, iter int
 	}
 	if opt.FaultTolerant {
 		fmt.Printf("resilience: %d detection(s), %d recovery(ies), %d correction(s)\n",
-			res.Detections, res.Recoveries, len(res.Corrected))
+			res.Detections, res.Recoveries, len(res.CorrectedH))
 	}
 	if !opt.CostOnly {
 		residual, orthogonality := res.Checks(a)

@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("FT-DSYTRD on a dense symmetric %dx%d operator\n", n, n)
-	fmt.Printf("detections=%d recoveries=%d corrected=%v\n", res.Detections, res.Recoveries, res.Corrected)
+	fmt.Printf("detections=%d recoveries=%d corrected=%v\n", res.Detections, res.Recoveries, res.CorrectedH)
 	fmt.Printf("residual ‖A−QTQᵀ‖₁/(N‖A‖₁) = %.3e\n",
 		lapack.FactorizationResidual(a, res.Q(), res.T()))
 

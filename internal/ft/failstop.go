@@ -49,13 +49,7 @@ func (r *multiReducer) fsArm(d int, point string) {
 func (r *multiReducer) fsKill(d int, point string, iter int) {
 	dev := r.pool.Devices[d]
 	dev.Kill()
-	r.res.DeviceLosses++
-	r.count("ft_device_losses_total")
-	ev := obs.Ev(obs.KindDeviceLoss, iter)
-	ev.Target = obs.TargetH
-	ev.Outcome = point
-	ev.Device = dev.Name()
-	r.journal(ev)
+	r.record(obs.KindDeviceLoss, iter, 0, point, dev.Name())
 }
 
 // fsKillAt fires an armed kill at the named point of iteration iter: the
@@ -97,13 +91,7 @@ func (r *multiReducer) restart(a *matrix.Matrix) (*Result, error) {
 		}
 		survivors = []*gpu.Device{dev}
 	}
-	r.res.FailStopRecoveries++
-	r.count("ft_failstop_reconstructions_total")
-	ev := obs.Ev(obs.KindReconstruction, r.lossIter)
-	ev.Target = obs.TargetH
-	ev.Outcome = fmt.Sprintf("restart on %d device(s)", len(survivors))
-	ev.Device = survivors[0].Name()
-	r.journal(ev)
+	r.record(obs.KindReconstruction, r.lossIter, 0, fmt.Sprintf("restart on %d device(s)", len(survivors)), survivors[0].Name())
 	opt := r.opt
 	opt.Devices = survivors
 	opt.startAt = r.lossAt

@@ -271,6 +271,8 @@ type Options struct {
 	// startAt is the modeled instant a multi-device run starts at: a
 	// restart after a device loss starts its pool at the loss.
 	startAt float64
+	// tally, if set, is the tally a rerun keeps counting into.
+	tally *Tally
 }
 
 // Substrate values for Options.Substrate.
@@ -295,41 +297,11 @@ func substrateFused(opt Options) (bool, error) {
 	return false, fmt.Errorf("ft: unknown Substrate %q (want %q or %q)", opt.Substrate, SubstrateSwept, SubstrateFused)
 }
 
-// Result extends the hybrid result with resilience statistics.
+// Result extends the hybrid result with the run's resilience tally.
 // BlockedIters excludes re-executions.
 type Result struct {
 	hybrid.Result
-	// Detections counts iteration-end checksum mismatches.
-	Detections int
-	// Recoveries counts recovery cycles — reverse, correct and
-	// re-execute on one device, an in-place slab repair on a pool — as
-	// ft_recoveries_total does, those of a run that then fails included.
-	Recoveries int
-	// Reexecutions counts blocked iterations repeated after recovery
-	// (equals the ft_reexecutions_total counter).
-	Reexecutions int
-	// Checkpoints counts diskless panel-checkpoint captures (equals the
-	// ft_checkpoints_total counter).
-	Checkpoints int
-	// CorrectedH lists the corrected device-matrix positions.
-	CorrectedH []Injection
-	// QCorrections counts elements repaired by the Q checksum check.
-	QCorrections int
-	// DeviceLosses counts fail-stop device deaths observed during the run
-	// (equals the ft_device_losses_total counter).
-	DeviceLosses int
-	// FailStopRecoveries counts restarts on the surviving devices after a
-	// loss (equals the ft_failstop_reconstructions_total counter).
-	FailStopRecoveries int
-	// SubstrateChecks and SubstrateDetections count the fused-ABFT
-	// substrate's per-call checksum verifications and detections across
-	// all devices and attempts (Options.Substrate = "fused"; zero under
-	// the swept substrate). Substrate detection is report-only — the
-	// boundary sweeps remain the corrector — except a non-finite checksum
-	// total, which fails the run with ErrUncorrectable rather than
-	// risking silent NaN propagation.
-	SubstrateChecks     int
-	SubstrateDetections int
+	Tally
 }
 
 // reducer is the single-device fault-tolerant reduction: the run shell
@@ -353,27 +325,12 @@ type reducer struct {
 	// stream (the device's Lookahead stream, FIFO): every later reader
 	// of the checksum row or column waits on it.
 	chk sim.Event
-	// recovered counts the current iteration's recoveries.
-	recovered int
+	// attempts counts the current iteration's recoveries.
+	attempts int
 	// deviceLost marks a fail-stop kill request (IterCtx.KillDevice):
 	// with a single device there are no survivors to restart on, so the
 	// reduction fails immediately rather than computing on poison.
 	deviceLost bool
-}
-
-// journal appends one FT event stamped with the current simulated time
-// and the device it concerns (pool members only; the classic unnamed
-// single device leaves the field empty); an event without a target
-// concerns H.
-func (r *reducer) journal(e obs.Event) {
-	e.SimTime = r.dev.Elapsed()
-	if e.Device == "" {
-		e.Device = r.dev.Name()
-	}
-	if e.Target == "" {
-		e.Target = obs.TargetH
-	}
-	r.opt.Journal.Append(e)
 }
 
 // Reduce runs the fault-tolerant hybrid Hessenberg reduction of a
@@ -405,7 +362,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	dev.SetContext(opt.Ctx)
 
 	r := &reducer{run: newRun(a, opt, hybrid.DeviceLane(dev), dev.Params, fused), dev: dev}
-	r.emit = r.journal
+	r.device = dev.Name()
 	err = r.attempt(a)
 	if errors.Is(err, errPostProcessDetected) {
 		// The comparator's one end-of-run detection fired. An error that
@@ -413,9 +370,8 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		// anymore, so the whole factorization re-executes with
 		// per-iteration checks, on the same device: the retry's modeled
 		// time includes the lost attempt.
-		r.detected(r.res.BlockedIters, r.gap, "post-process", "")
-		r.res.Recoveries++
-		r.count("ft_recoveries_total")
+		r.record(obs.KindDetection, r.res.BlockedIters, r.gap, "post-process", "")
+		r.record(obs.KindRecovery, r.res.BlockedIters, 0, "post-process rerun", "")
 		opt.PostProcess = false
 		return r.rerun(a, opt)
 	}
@@ -473,7 +429,7 @@ func (r *reducer) attempt(a *matrix.Matrix) error {
 // Boundary is the iteration boundary: the injection hook, then the
 // single-device loss.
 func (r *reducer) Boundary(iter, p, ib int) error {
-	r.recovered = 0
+	r.attempts = 0
 	if r.opt.Hook != nil {
 		r.opt.Hook.BeforeIteration(&IterCtx{
 			Dev: r.dev, DA: r.d.A, Host: r.hostA,
@@ -484,9 +440,7 @@ func (r *reducer) Boundary(iter, p, ib int) error {
 	if !r.deviceLost {
 		return nil
 	}
-	r.res.DeviceLosses++
-	r.count("ft_device_losses_total")
-	r.journal(obs.Ev(obs.KindDeviceLoss, iter))
+	r.emit(obs.Ev(obs.KindDeviceLoss, iter))
 	return fmt.Errorf("%w: device lost at iteration %d (a restart needs the multi-device path)", ErrUncorrectable, iter)
 }
 
@@ -513,16 +467,12 @@ func (r *reducer) Offload(iter, p, ib int, redo bool, ready sim.Event) sim.Event
 		dev.HostOp(r.pp.VecHost((n-k)*ib), func() {
 			r.hostA.View(k, p, n-k, ib).CopyFrom(r.ckPanel.View(k, 0, n-k, ib))
 		})
-		r.count("ft_reexecutions_total")
-		r.res.Reexecutions++
 		ev.Kind = obs.KindReexecution
 	} else {
 		ready = sim.Latest(ready.At, []sim.Event{r.chk})
 		ck = dev.D2HTail(r.ckPanel.View(0, 0, n+1, ib), r.d.A, 0, p, ready)
-		r.count("ft_checkpoints_total")
-		r.res.Checkpoints++
 	}
-	r.journal(ev)
+	r.emit(ev)
 	return ck
 }
 
@@ -615,24 +565,20 @@ func (r *reducer) AfterLeft(p, ib, lo, hi int, left sim.Event) sim.Event {
 // AfterIteration checks the iteration (lines 12-13) and, on a mismatch,
 // reverses it, locates and corrects the error(s) (lines 14-15) and asks
 // for the re-execution. The post-processing comparator skips the check:
-// errors keep propagating until its single end-of-run detection. A
-// recovery is tallied in the Result where ft_recoveries_total counts
-// it, so the two agree even when a later check of the iteration ends
-// the run.
+// errors keep propagating until its single end-of-run detection.
 func (r *reducer) AfterIteration(iter, p, ib int, left sim.Event) (bool, error) {
 	if r.opt.PostProcess || !r.detectAt(iter, left) {
 		return false, nil
 	}
-	r.detected(iter, r.gap, "", "")
-	if r.recovered >= maxRecoveries {
+	r.record(obs.KindDetection, iter, r.gap, "", "")
+	if r.attempts >= maxRecoveries {
 		return false, fmt.Errorf("%w (iteration %d)", ErrDetectionStorm, iter)
 	}
 	if err := r.recover(iter, p, ib); err != nil {
 		return false, err
 	}
-	r.recovered++
-	r.res.Recoveries++
-	r.count("ft_recoveries_total")
+	r.attempts++
+	r.record(obs.KindRecovery, iter, 0, "reexecution", "")
 	return true, nil
 }
 

@@ -91,12 +91,6 @@ type sweepBatch struct {
 	d  int
 }
 
-// journal appends one FT event stamped with the pool's simulated time.
-func (r *multiReducer) journal(e obs.Event) {
-	e.SimTime = r.pool.Elapsed()
-	r.opt.Journal.Append(e)
-}
-
 // pokeH adds delta to the trailing-matrix element at global (row, col),
 // routed to the owning slab (IterCtx.PokeH on the multi path).
 func (r *multiReducer) pokeH(row, col int, delta float64) {
@@ -138,7 +132,6 @@ func reduceMulti(a *matrix.Matrix, opt Options, fused bool) (*Result, error) {
 		pool:    pool,
 		finSlab: -1,
 	}
-	r.emit = r.journal
 	err := r.attempt(a)
 	if errors.Is(err, errDeviceLost) {
 		return r.restart(a)
@@ -550,16 +543,15 @@ func (r *multiReducer) checkAll(iter, p int) error {
 			where: fmt.Sprintf("slab %d: ", s), flagged: true,
 		}
 		dev := b.dev.Name()
-		r.detected(iter, r.gap, fmt.Sprintf("slab %d on %s", s, dev), dev)
+		r.record(obs.KindDetection, iter, r.gap, fmt.Sprintf("slab %d on %s", s, dev), dev)
 		err := r.heal(iter, b, "recovery", func(int) bool {
 			// A slab repair is the pool's recovery: no reversal and no
 			// re-execution follow it.
-			r.res.Recoveries++
-			r.count("ft_recoveries_total")
+			r.record(obs.KindRecovery, iter, 0, "slab repair", dev)
 			if !r.recheckSlab(iter, s) {
 				return false
 			}
-			r.detected(iter, r.gap, fmt.Sprintf("slab %d re-check on %s", s, dev), dev)
+			r.record(obs.KindDetection, iter, r.gap, fmt.Sprintf("slab %d re-check on %s", s, dev), dev)
 			return true
 		})
 		if err != nil {

@@ -209,7 +209,6 @@ func TestDetectSweepOneLaunchPerDevice(t *testing.T) {
 				pool:    pool,
 				finSlab: -1,
 			}
-			r.emit = r.journal
 			r.sh = devpool.NewShard(pool, n, nb, 1)
 			if len(r.sh.Part.Slabs) != 8 {
 				t.Fatalf("N=%d nb=%d: %d slabs, want 8", n, nb, len(r.sh.Part.Slabs))
@@ -244,7 +243,6 @@ func newSweepReducer(t *testing.T, a *matrix.Matrix, k int) (*multiReducer, func
 		pool:    pool,
 		finSlab: -1,
 	}
-	r.emit = r.journal
 	r.threshold(a)
 	r.sh = devpool.NewShard(pool, r.n, nb, 1)
 	if len(r.sh.Part.Slabs) != 8 {

@@ -142,7 +142,6 @@ func (q *qChecksums) fix(s *recovery, iter int, f repair) {
 		q.rowChk[f.row] = q.freshRow[f.row]
 	default:
 		q.host.Add(f.row, f.col, -f.delta)
-		s.count("ft_q_corrections_total")
 		ev := obs.Ev(obs.KindCorrection, iter)
 		ev.Target = obs.TargetQ
 		ev.Row, ev.Col, ev.Value = f.row, f.col, obs.Float(f.delta)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -28,9 +27,10 @@ func qFixture(n, nb, panels int) (*gpu.Device, *matrix.Matrix, *qChecksums) {
 // verifyQ runs the end-of-factorization Q check over columns
 // 0..limit-1 (τ = 1e-9) and returns the number of repaired elements.
 func verifyQ(dev *gpu.Device, host *matrix.Matrix, q *qChecksums, limit int) (int, error) {
+	res := &Result{}
 	s := &run{
-		recovery: recovery{lane: hybrid.DeviceLane(dev), pp: dev.Params, emit: func(obs.Event) {}, tauDet: 1e-9},
-		hostA:    host, qprot: q, res: &Result{},
+		recovery: recovery{lane: hybrid.DeviceLane(dev), pp: dev.Params, ledger: ledger{now: dev.Elapsed, t: &res.Tally}, tauDet: 1e-9},
+		hostA:    host, qprot: q, res: res,
 	}
 	err := s.verifyQ(limit)
 	return s.res.QCorrections, err

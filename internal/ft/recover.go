@@ -88,12 +88,12 @@ func (r *reducer) recover(iter, p, ib int) error {
 	e = d.RightUpdate(p, ib, 0, 0, n-p-ib, +1, e, sim.Event{})
 	e = r.chkColRight(ib, +1, e)
 	e = dev.Set(d.A, p+ib, p+ib-1, ei, e)
-	r.journal(obs.Ev(obs.KindReverse, iter))
+	r.emit(obs.Ev(obs.KindReverse, iter))
 
 	// Restore the panel columns and their checksum-row segment from the
 	// diskless checkpoint (host memory → device), in one transfer.
 	dev.Sync(dev.H2DAsync(d.A, 0, p, r.ckPanel.View(0, 0, n+1, ib), e))
-	r.journal(obs.Ev(obs.KindCheckpointRestore, iter))
+	r.emit(obs.Ev(obs.KindCheckpointRestore, iter))
 
 	// Locate and correct (line 15). A correction inside the current
 	// panel also patches the checkpoint, so the re-execution is clean.
@@ -142,7 +142,7 @@ func (r *reducer) finalHCheck(split int) error {
 		if !r.checked(iter, r.gap, exceeds(r.gap, r.tauDet)) {
 			return false
 		}
-		r.detected(iter, r.gap, "final re-check", "")
+		r.record(obs.KindDetection, iter, r.gap, "final re-check", "")
 		return true
 	})
 }

@@ -38,43 +38,19 @@ type region interface {
 }
 
 // recovery is the core every region is repaired under: where its host
-// work is charged, the detection threshold τ, and the check, detection
-// and correction records with their counters and journal. The
-// Hessenberg run and the symmetric guard each embed one.
+// work is charged, the detection threshold τ, and the ledger its check,
+// detection and correction records go through. The Hessenberg run and
+// the symmetric guard each embed one.
 type recovery struct {
 	// lane and pp charge the host work.
 	lane hybrid.HostLane
 	pp   sim.Params
-	// emit is the reducer's journal.
-	emit func(obs.Event)
-	// reg and labels back the counters; prefix names the ones the
-	// shared path counts ("ft" or "ftsym").
-	reg    *obs.Registry
-	labels []obs.Label
-	prefix string
+	ledger
 
 	tauDet float64
 	// gap is the checksum gap of the latest check, journaled with its
 	// verdict and with a detection.
 	gap float64
-	// detections and fixes are the result's tallies.
-	detections *int
-	fixes      *[]Injection
-}
-
-// newRecovery returns the recovery core of a run charged on lane with
-// cost parameters pp, counting into reg (labeled with tr's job). It
-// pre-touches the named counters, prefix_<name>_total, so a clean run
-// still exposes them at zero.
-func newRecovery(lane hybrid.HostLane, pp sim.Params, reg *obs.Registry, tr *obs.TraceContext, prefix string, counters ...string) recovery {
-	var labels []obs.Label
-	if job := tr.JobID(); job != "" {
-		labels = []obs.Label{obs.L("job", job)}
-	}
-	for _, name := range counters {
-		reg.Counter(prefix+"_"+name+"_total", labels...)
-	}
-	return recovery{lane: lane, pp: pp, reg: reg, labels: labels, prefix: prefix}
 }
 
 // setThreshold charges the one host pass over the order-n input whose
@@ -86,51 +62,20 @@ func (c *recovery) setThreshold(factor float64, n int, norm1 func() float64) {
 	c.tauDet = factor * macheps * float64(n) * math.Max(norm, 1)
 }
 
-// count increments a counter (no-op without a registry).
-func (c *recovery) count(name string) {
-	c.reg.Counter(name, c.labels...).Inc()
-}
-
-// tally increments the run's prefix_<name>_total counter.
-func (c *recovery) tally(name string) {
-	if c.reg != nil {
-		c.count(c.prefix + "_" + name + "_total")
-	}
-}
-
-// checked counts one checksum comparison of H in iteration iter and
-// journals its verdict with the gap that decided it.
+// checked journals one checksum comparison of H in iteration iter with
+// the gap that decided its verdict.
 func (c *recovery) checked(iter int, gap float64, mismatch bool) bool {
-	c.tally("checksum_checks")
-	ev := obs.Ev(obs.KindChecksumCheck, iter)
-	ev.Target = obs.TargetH
-	ev.Value = obs.Float(gap)
-	ev.Outcome = "clean"
+	verdict := "clean"
 	if mismatch {
-		ev.Outcome = "mismatch"
+		verdict = "mismatch"
 	}
-	c.emit(ev)
+	c.record(obs.KindChecksumCheck, iter, gap, verdict, "")
 	return mismatch
 }
 
-// detected counts and journals one detection in H.
-func (c *recovery) detected(iter int, gap float64, outcome, device string) {
-	*c.detections++
-	c.tally("detections")
-	det := obs.Ev(obs.KindDetection, iter)
-	det.Target = obs.TargetH
-	det.Value = obs.Float(gap)
-	det.Outcome = outcome
-	det.Device = device
-	c.emit(det)
-}
-
-// corrected records the repair of H element (row, col), off by delta.
+// corrected journals the repair of H element (row, col), off by delta.
 func (c *recovery) corrected(iter, row, col int, delta float64, device string) {
-	*c.fixes = append(*c.fixes, Injection{Row: row, Col: col, Delta: delta, Target: TargetH, Iter: iter})
-	c.tally("corrections")
 	corr := obs.Ev(obs.KindCorrection, iter)
-	corr.Target = obs.TargetH
 	corr.Row, corr.Col, corr.Value = row, col, obs.Float(delta)
 	corr.Device = device
 	c.emit(corr)
@@ -285,13 +230,8 @@ func (b *bordered) residuals(s *recovery, iter int) (rRes, cRes []float64) {
 			// continues clean after one representative correction kernel.
 			b.wroteData(dev.Add(m, 0, 0, 0, *b.last))
 			for _, kind := range []obs.Kind{obs.KindLocation, obs.KindCorrection} {
-				ev := obs.Ev(kind, iter)
-				ev.Target = obs.TargetH
-				ev.Outcome = "cost-only"
-				ev.Device = dev.Name()
-				s.emit(ev)
+				s.record(kind, iter, 0, "cost-only", dev.Name())
 			}
-			s.count("ft_corrections_total")
 		}
 		return nil, nil
 	}
@@ -312,11 +252,7 @@ func (b *bordered) locate(rRes, cRes []float64, tol float64) (location, error) {
 }
 
 func (b *bordered) located(s *recovery, iter int, loc location) {
-	ev := obs.Ev(obs.KindLocation, iter)
-	ev.Target = obs.TargetH
-	ev.Outcome = fmt.Sprintf("%s%d rows, %d cols flagged", b.where, len(loc.rows), len(loc.cols))
-	ev.Device = b.dev.Name()
-	s.emit(ev)
+	s.record(obs.KindLocation, iter, 0, fmt.Sprintf("%s%d rows, %d cols flagged", b.where, len(loc.rows), len(loc.cols)), b.dev.Name())
 }
 
 // wroteData records e, a data repair, as the block's last writer.

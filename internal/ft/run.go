@@ -6,7 +6,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -15,8 +14,7 @@ import (
 // assembly, the recovery core (its lane is the device's host lane or the
 // pool's main-host timeline), the Q checksums, and the steps before and
 // after the blocked iterations. The single-device reducer and the pool
-// guard each embed one; what stays theirs is the device-side state and
-// the journal (the single-device reducer stamps its device's name).
+// guard each embed one; what stays theirs is the device-side state.
 type run struct {
 	recovery
 	opt   Options
@@ -32,9 +30,10 @@ type run struct {
 	res   *Result
 }
 
-// newRun applies the option defaults, pre-touches the FT counters and
-// allocates the host-side result for a reduction of a charged on lane
-// with cost parameters pp.
+// newRun applies the option defaults, allocates the host-side result
+// for a reduction of a charged on lane with cost parameters pp, and opens
+// its ledger, which pre-touches the FT counters. A rerun's result starts
+// from its parent's tally.
 func newRun(a *matrix.Matrix, opt Options, lane hybrid.HostLane, pp sim.Params, fused bool) run {
 	nb := opt.NB
 	if nb <= 0 {
@@ -47,16 +46,19 @@ func newRun(a *matrix.Matrix, opt Options, lane hybrid.HostLane, pp sim.Params, 
 	mode := lane.Mode()
 	hostA := mode.HostCopy(a)
 	tau := make([]float64, max(n-1, 1))
-	s := run{
-		recovery: newRecovery(lane, pp, opt.Obs, opt.Trace, "ft", ftCounters...),
-		opt:      opt, n: n, nb: nb,
+	res := &Result{Result: hybrid.Result{N: n, NB: nb, Packed: hostA, Tau: tau}}
+	if opt.tally != nil {
+		res.Tally = *opt.tally
+	}
+	return run{
+		recovery: recovery{lane: lane, pp: pp,
+			ledger: newLedger(lane.Elapsed, &res.Tally, opt.Journal, opt.Obs, opt.Trace, "ft", ftCounters)},
+		opt: opt, n: n, nb: nb,
 		hostA: hostA, tau: tau,
 		la: !opt.DisableLookahead, fused: fused,
 		qprot: newQChecksums(mode, hostA),
-		res:   &Result{Result: hybrid.Result{N: n, NB: nb, Packed: hostA, Tau: tau}},
+		res:   res,
 	}
-	s.detections, s.fixes = &s.res.Detections, &s.res.CorrectedH
-	return s
 }
 
 // threshold sets τ from the input a in the setup phase.
@@ -67,7 +69,7 @@ func (s *run) threshold(a *matrix.Matrix) {
 
 // fuse switches the run's devices onto the fused-ABFT substrate (no-op
 // under the swept substrate) and returns the collector to defer: it
-// folds each device's per-call statistics into the result and switches
+// hands each device's per-call statistics to the ledger and switches
 // the device back. Running from a defer, the counts survive early error
 // returns.
 func (s *run) fuse(devs []*gpu.Device) func() {
@@ -81,18 +83,7 @@ func (s *run) fuse(devs []*gpu.Device) func() {
 	return func() {
 		for _, dev := range devs {
 			checks, det, _ := dev.FTStats()
-			s.res.SubstrateChecks += int(checks)
-			s.res.SubstrateDetections += int(det)
-			s.reg.Counter("ft_substrate_checks_total", s.labels...).Add(float64(checks))
-			s.reg.Counter("ft_substrate_detections_total", s.labels...).Add(float64(det))
-			if det > 0 {
-				ev := obs.Ev(obs.KindDetection, s.res.BlockedIters)
-				ev.Target = obs.TargetH
-				ev.Outcome = "substrate"
-				ev.Value = obs.Float(float64(det))
-				ev.Device = dev.Name()
-				s.emit(ev)
-			}
+			s.substrate(checks, det, s.res.BlockedIters, dev.Name())
 			dev.SetSubstrateFused(false)
 		}
 	}
@@ -137,43 +128,20 @@ func (s *run) verifyQ(p int) error {
 	}
 	s.lane.SetPhase("q_protect")
 	s.qprot.limit = min(p, s.qprot.absorbedCols)
-	err := s.heal(s.res.BlockedIters, s.qprot, "q_protect", func(fixed int) bool {
-		s.res.QCorrections += fixed
-		return fixed > 0
-	})
+	err := s.heal(s.res.BlockedIters, s.qprot, "q_protect", func(fixed int) bool { return fixed > 0 })
 	if err != nil {
 		return fmt.Errorf("Q check: %w", err)
 	}
 	return nil
 }
 
-// rerun re-executes the whole factorization from its input a with opt
-// and adds this attempt's counters to the retry's. The hook is dropped:
-// neither a transient error nor a device loss re-occurs on redo. Two
-// recoveries use it: the post-processing comparator's (Reduce) and the
-// restart after a device loss (failstop.go).
+// rerun re-executes the whole factorization from its input a with opt,
+// counting into this attempt's tally. The hook is dropped: neither a
+// transient error nor a device loss re-occurs on redo. Two recoveries
+// use it: the post-processing comparator's (Reduce) and the restart
+// after a device loss (failstop.go).
 func (s *run) rerun(a *matrix.Matrix, opt Options) (*Result, error) {
 	opt.Hook = nil
-	retry, err := Reduce(a, opt)
-	if err != nil {
-		return s.res, err
-	}
-	retry.Detections += s.res.Detections
-	retry.Recoveries += s.res.Recoveries
-	retry.CorrectedH = append(s.res.CorrectedH, retry.CorrectedH...)
-	retry.QCorrections += s.res.QCorrections
-	retry.DeviceLosses += s.res.DeviceLosses
-	retry.FailStopRecoveries += s.res.FailStopRecoveries
-	retry.SubstrateChecks += s.res.SubstrateChecks
-	retry.SubstrateDetections += s.res.SubstrateDetections
-	return retry, nil
-}
-
-// ftCounters name every counter a Hessenberg run can emit, as
-// ft_<name>_total; the symmetric run has the first five, as
-// ftsym_<name>_total.
-var ftCounters = []string{
-	"checksum_checks", "detections", "corrections", "recoveries", "reexecutions",
-	"checkpoints", "q_corrections", "device_losses", "failstop_reconstructions",
-	"substrate_checks", "substrate_detections",
+	opt.tally = &s.res.Tally
+	return Reduce(a, opt)
 }

@@ -71,17 +71,12 @@ type SymOptions struct {
 	Device *gpu.Device
 }
 
-// SymResult carries the tridiagonal factorization and resilience
-// statistics.
+// SymResult carries the tridiagonal factorization and the run's
+// resilience tally (the fields a Hessenberg pool, Q store or substrate
+// counts stay zero).
 type SymResult struct {
 	hybrid.SymResult
-	// Detections, Recoveries, Corrected report resilience events.
-	Detections int
-	Recoveries int
-	Corrected  []Injection
-	// Reexecutions counts blocked iterations repeated after recovery
-	// (equals the ftsym_reexecutions_total counter).
-	Reexecutions int
+	Tally
 }
 
 // ReduceSym tridiagonalizes the symmetric matrix a (lower triangle
@@ -94,12 +89,13 @@ func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
 	if opt.Hook != nil && dev.Mode != gpu.Real {
 		return nil, errors.New("ft: a symmetric fault hook needs a Real-mode device")
 	}
+	res := &SymResult{}
+	lane := hybrid.DeviceLane(dev)
 	g := &symGuard{
-		recovery: newRecovery(hybrid.DeviceLane(dev), dev.Params, opt.Obs, opt.Trace, "ftsym", ftCounters[:5]...),
-		opt:      &opt, a: a, res: &SymResult{},
+		recovery: recovery{lane: lane, pp: dev.Params,
+			ledger: newLedger(lane.Elapsed, &res.Tally, opt.Journal, opt.Obs, opt.Trace, "ftsym", ftCounters[:6])},
+		opt: &opt, a: a,
 	}
-	g.emit = g.journal
-	g.detections, g.fixes = &g.res.Detections, &g.res.Corrected
 	sp := opt.Trace.Span("ftsym.reduce", opt.Trace.ParentSpan())
 	defer opt.Trace.EndSpan(sp)
 
@@ -110,8 +106,8 @@ func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.res.SymResult = *hres
-	return g.res, nil
+	res.SymResult = *hres
+	return res, nil
 }
 
 // symGuard is the checksum layer over hybrid.ReduceSym.
@@ -119,7 +115,6 @@ type symGuard struct {
 	recovery
 	opt *SymOptions
 	a   *matrix.Matrix
-	res *SymResult
 	st  hybrid.SymState
 	// Device vectors: chk is the maintained checksum (indexed globally),
 	// ones the all-ones vector, fresh the residual scratch, and sums
@@ -130,14 +125,6 @@ type symGuard struct {
 	ckPanel, resid *matrix.Matrix
 	// attempt counts recoveries of the current iteration.
 	attempt int
-}
-
-// journal appends one event stamped with the simulated time. Every
-// event concerns the device matrix, the symmetric path's one target.
-func (g *symGuard) journal(e obs.Event) {
-	e.SimTime = g.st.Dev.Elapsed()
-	e.Target = obs.TargetH
-	g.opt.Journal.Append(e)
 }
 
 // free releases the guard's device vectors (if Start ran).
@@ -187,7 +174,7 @@ func (g *symGuard) AfterOffload(iter, p int) {
 	dev.HostOp(dev.Params.VecHost(np*nb), func() {
 		ck.CopyFrom(s.HostA.View(p, p, np, nb))
 	})
-	g.journal(obs.Ev(obs.KindCheckpointSave, iter))
+	g.emit(obs.Ev(obs.KindCheckpointSave, iter))
 	dev.SetPhase("checksum_maintenance")
 	g.panelSums(p, -1)
 }
@@ -226,7 +213,7 @@ func (g *symGuard) AfterUpdate(iter, p int) (bool, error) {
 	if !g.checked(iter, g.gap, exceeds(g.gap, g.tauDet)) {
 		return false, nil
 	}
-	g.detected(iter, g.gap, "", "")
+	g.record(obs.KindDetection, iter, g.gap, "", "")
 	if g.attempt >= maxRecoveries {
 		return false, fmt.Errorf("%w (iteration %d)", ErrDetectionStorm, iter)
 	}
@@ -237,11 +224,11 @@ func (g *symGuard) AfterUpdate(iter, p int) (bool, error) {
 	dev.SetPhase("recovery")
 	g.rankSums(p, +1)
 	rev := dev.Syr2k(blas.Lower, m, nb, 1, s.A, p+nb, p, s.W, nb, 0, 1, s.A, p+nb, p+nb)
-	g.journal(obs.Ev(obs.KindReverse, iter))
+	g.emit(obs.Ev(obs.KindReverse, iter))
 	// The restore overwrites the V the reversal reads.
 	dev.Sync(dev.H2DAsync(s.A, p, p, g.ckPanel.View(0, 0, s.N-p, nb), rev))
 	g.panelSums(p, +1)
-	g.journal(obs.Ev(obs.KindCheckpointRestore, iter))
+	g.emit(obs.Ev(obs.KindCheckpointRestore, iter))
 	// The re-execution offloads the repaired panel and checkpoints it
 	// anew, once the host has waited for the last correction.
 	b := &symBlock{g: g, p: p}
@@ -252,11 +239,8 @@ func (g *symGuard) AfterUpdate(iter, p int) (bool, error) {
 	if fixed > 0 {
 		dev.Sync(b.last)
 	}
-	g.res.Recoveries++
-	g.count("ftsym_recoveries_total")
-	g.res.Reexecutions++
-	g.count("ftsym_reexecutions_total")
-	g.journal(obs.Ev(obs.KindReexecution, iter))
+	g.record(obs.KindRecovery, iter, 0, "reexecution", "")
+	g.emit(obs.Ev(obs.KindReexecution, iter))
 	return true, nil
 }
 
@@ -328,9 +312,7 @@ func (b *symBlock) locate(rv, _ []float64, tol float64) (location, error) {
 }
 
 func (b *symBlock) located(c *recovery, iter int, loc location) {
-	ev := obs.Ev(obs.KindLocation, iter)
-	ev.Outcome = fmt.Sprintf("%d rows flagged", len(loc.rows))
-	c.emit(ev)
+	c.record(obs.KindLocation, iter, 0, fmt.Sprintf("%d rows flagged", len(loc.rows)), "")
 }
 
 func (b *symBlock) fix(c *recovery, iter int, f repair) {

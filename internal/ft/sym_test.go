@@ -77,8 +77,8 @@ func TestRecoversOffDiagonalError(t *testing.T) {
 	if res.Detections == 0 || res.Recoveries == 0 {
 		t.Fatalf("fault not handled: %+v", res)
 	}
-	if len(res.Corrected) != 1 || res.Corrected[0].Row != 100 || res.Corrected[0].Col != 60 {
-		t.Fatalf("correction log %+v", res.Corrected)
+	if len(res.CorrectedH) != 1 || res.CorrectedH[0].Row != 100 || res.CorrectedH[0].Col != 60 {
+		t.Fatalf("correction log %+v", res.CorrectedH)
 	}
 	if r := symResidual(a, res); r > 1e-13 {
 		t.Fatalf("residual after recovery %v", r)
@@ -99,8 +99,8 @@ func TestRecoversDiagonalError(t *testing.T) {
 	if res.Recoveries == 0 {
 		t.Fatal("diagonal error not recovered")
 	}
-	if len(res.Corrected) != 1 || res.Corrected[0].Row != 70 || res.Corrected[0].Col != 70 {
-		t.Fatalf("correction log %+v", res.Corrected)
+	if len(res.CorrectedH) != 1 || res.CorrectedH[0].Row != 70 || res.CorrectedH[0].Col != 70 {
+		t.Fatalf("correction log %+v", res.CorrectedH)
 	}
 	if r := symResidual(a, res); r > 1e-13 {
 		t.Fatalf("residual %v", r)
@@ -187,11 +187,11 @@ func TestRecoversFaultsInTwoIterations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("second delta %v: %v", delta2, err)
 		}
-		if res.Recoveries != 2 || len(res.Corrected) != 2 {
-			t.Fatalf("second delta %v: %d recoveries, corrections %+v", delta2, res.Recoveries, res.Corrected)
+		if res.Recoveries != 2 || len(res.CorrectedH) != 2 {
+			t.Fatalf("second delta %v: %d recoveries, corrections %+v", delta2, res.Recoveries, res.CorrectedH)
 		}
 		for i, want := range [][2]int{{99, 90}, {70, 50}} {
-			if c := res.Corrected[i]; c.Row != want[0] || c.Col != want[1] {
+			if c := res.CorrectedH[i]; c.Row != want[0] || c.Col != want[1] {
 				t.Fatalf("second delta %v: correction %d at (%d,%d), want %v", delta2, i, c.Row, c.Col, want)
 			}
 		}

@@ -613,6 +613,14 @@ func (h HostLane) HostOp(cost float64, f func()) {
 	h.dev.HostOp(cost, f)
 }
 
+// Elapsed is the lane's simulated clock: its device's, or its pool's.
+func (h HostLane) Elapsed() float64 {
+	if h.pool != nil {
+		return h.pool.Elapsed()
+	}
+	return h.dev.Elapsed()
+}
+
 // CtxErr reports the attached cancellation context's error, if any.
 func (h HostLane) CtxErr() error {
 	if h.pool != nil {

@@ -10,11 +10,12 @@ import (
 
 // The FT event journal: an append-only sequence of typed records tracing
 // the fault-tolerance machinery — checksum checks, detections, locations,
-// corrections, reverse computations, checkpoint saves/restores, and
-// re-executions — each stamped with the blocked iteration, the protected
-// target (H or Q), the simulated time, and an outcome. internal/ft (both
-// reduction families) and internal/fault append to it; one run exports as JSONL
-// for offline analysis alongside the metrics exposition.
+// corrections, reverse computations, checkpoint saves/restores,
+// re-executions and recoveries — each stamped with the blocked
+// iteration, the protected target (H or Q), the simulated time, and an
+// outcome. internal/ft (both reduction families) and internal/fault
+// append to it; one run exports as JSONL for offline analysis alongside
+// the metrics exposition.
 
 // Target identifies which protected memory a record concerns.
 type Target string
@@ -46,6 +47,9 @@ const (
 	KindCheckpointRestore Kind = "checkpoint_restore"
 	// KindReexecution is a repeated blocked iteration after recovery.
 	KindReexecution Kind = "reexecution"
+	// KindRecovery is one recovery cycle; Outcome names the mechanism:
+	// "reexecution", "slab repair" or "post-process rerun".
+	KindRecovery Kind = "recovery"
 	// KindInjection is a fault planted by the campaign driver.
 	KindInjection Kind = "injection"
 	// KindDeviceLoss is a fail-stop device death (permanent, unlike the

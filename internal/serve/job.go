@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ft"
 	"repro/internal/gpu"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -98,15 +99,18 @@ func (j *Job) captureSimSpans(devs []*gpu.Device) {
 	j.simSpans = all
 }
 
-// Reliability is the per-job FT summary in the status response: how often
-// the run checked its checksums, what it detected, and what it repaired.
-// Derived from the job's journal, so it is only present in ObserveFull
-// mode and only non-zero on the fault-tolerant algorithms.
+// Reliability is the per-job FT summary in the status response, present
+// only in ObserveFull mode: the fold of the job's journal through the FT
+// ledger (ft.Fold), so each field means what the FT counter and result
+// field of its name mean. Checks, detections and corrections concern H.
 type Reliability struct {
-	ChecksumChecks int `json:"checksum_checks"`
-	Detections     int `json:"detections"`
-	Corrections    int `json:"corrections"`
-	Reexecutions   int `json:"reexecutions"`
+	ChecksumChecks      int `json:"checksum_checks"`
+	Detections          int `json:"detections"`
+	Corrections         int `json:"corrections"`
+	QCorrections        int `json:"q_corrections"`
+	Recoveries          int `json:"recoveries"`
+	Reexecutions        int `json:"reexecutions"`
+	SubstrateDetections int `json:"substrate_detections,omitempty"`
 	// Fail-stop events (multi-device "ft" jobs): permanent device deaths
 	// and the restarts on the surviving devices that outlived them.
 	DeviceLosses    int `json:"device_losses,omitempty"`
@@ -145,30 +149,22 @@ type JobStatus struct {
 	Build *BuildInfo `json:"build,omitempty"`
 }
 
-// reliability tallies the job's journal (live-safe: Events copies under
-// the journal lock). Nil without a journal.
-func (j *Job) reliability() *Reliability {
-	if j.journal == nil {
-		return nil
+// reliabilityOf is the summary of a job that journaled events and ended
+// with err: the fold of its journal through the FT ledger.
+func reliabilityOf(events []obs.Event, err error) *Reliability {
+	t := ft.Fold(events)
+	return &Reliability{
+		ChecksumChecks:      t.ChecksumChecks,
+		Detections:          t.Detections,
+		Corrections:         len(t.CorrectedH),
+		QCorrections:        t.QCorrections,
+		Recoveries:          t.Recoveries,
+		Reexecutions:        t.Reexecutions,
+		SubstrateDetections: t.SubstrateDetections,
+		DeviceLosses:        t.DeviceLosses,
+		Reconstructions:     t.FailStopRecoveries,
+		Uncorrectable:       isUncorrectable(err),
 	}
-	r := &Reliability{Uncorrectable: isUncorrectable(j.err)}
-	for _, e := range j.journal.Events() {
-		switch e.Kind {
-		case obs.KindChecksumCheck:
-			r.ChecksumChecks++
-		case obs.KindDetection:
-			r.Detections++
-		case obs.KindCorrection:
-			r.Corrections++
-		case obs.KindReexecution:
-			r.Reexecutions++
-		case obs.KindDeviceLoss:
-			r.DeviceLosses++
-		case obs.KindReconstruction:
-			r.Reconstructions++
-		}
-	}
-	return r
 }
 
 // statusLocked snapshots the job; the caller holds Server.mu.
@@ -194,7 +190,10 @@ func (j *Job) statusLocked() JobStatus {
 	if !j.finished.IsZero() {
 		st.Finished = j.finished.UTC().Format(time.RFC3339Nano)
 	}
-	st.Reliability = j.reliability()
+	if j.journal != nil {
+		// Events copies under the journal lock: safe while the job runs.
+		st.Reliability = reliabilityOf(j.journal.Events(), j.err)
+	}
 	build := Build()
 	st.Build = &build
 	return st

@@ -151,7 +151,7 @@ func symResult(j *Job, a *matrix.Matrix, res *core.SymResult) *JobResult {
 
 		Detections:  res.Detections,
 		Recoveries:  res.Recoveries,
-		Corrections: len(res.Corrected),
+		Corrections: len(res.CorrectedH),
 
 		Residual:      obs.Float(math.NaN()),
 		Orthogonality: obs.Float(math.NaN()),
