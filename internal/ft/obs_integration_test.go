@@ -111,3 +111,73 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestCostOnlyRepairTallied: a cost-only run has no data to locate a
+// flagged block's error with, so it models one representative repair.
+// The Result lists that repair at (−1, −1), where the corrections counter
+// and the journal's correction record count it, on one device and on a
+// pool.
+func TestCostOnlyRepairTallied(t *testing.T) {
+	for _, k := range []int{0, 2} {
+		reg, jr := obs.NewRegistry(), obs.NewJournal()
+		opt := ft.Options{NB: 32, Obs: reg, Journal: jr, Hook: fault.New(fault.Plan{Area: fault.Area1, TargetIter: 3})}
+		if k == 0 {
+			opt.Device = gpu.New(sim.K40c(), gpu.CostOnly)
+		}
+		for d := 0; d < k; d++ {
+			opt.Devices = append(opt.Devices, gpu.NewIndexed(sim.K40c(), gpu.CostOnly, d))
+		}
+		res, err := ft.Reduce(matrix.Shape(256, 256), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.CorrectedH) != 1 || res.CorrectedH[0].Row != -1 || res.CorrectedH[0].Col != -1 {
+			t.Errorf("K=%d: cost-only corrections %+v, want one at (-1, -1)", k, res.CorrectedH)
+		}
+		if got := reg.CounterValue("ft_corrections_total"); got != 1 {
+			t.Errorf("K=%d: ft_corrections_total = %v, want 1", k, got)
+		}
+		if got := jr.Counts()[obs.KindCorrection]; got != 1 {
+			t.Errorf("K=%d: %d correction record(s), want 1", k, got)
+		}
+	}
+}
+
+// TestSymCheckpointsTallied: every checkpoint the symmetric path
+// journals counts in SymResult.Checkpoints and ftsym_checkpoints_total,
+// a re-executed iteration's included.
+func TestSymCheckpointsTallied(t *testing.T) {
+	a := matrix.RandomSymmetric(150, 3)
+	clean, err := ft.ReduceSym(a, ft.SymOptions{NB: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, jr := obs.NewRegistry(), obs.NewJournal()
+	hook := symPoke{iter: 1, row: 100, col: 60, delta: 2}
+	res, err := ft.ReduceSym(a, ft.SymOptions{NB: 32, Hook: hook, Obs: reg, Journal: jr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saves := jr.Counts()[obs.KindCheckpointSave]
+	if res.Reexecutions != 1 || clean.Checkpoints == 0 || saves != clean.Checkpoints+1 {
+		t.Fatalf("%d re-execution(s), %d checkpoint record(s), %d in a clean run: want the redone panel checkpointed anew",
+			res.Reexecutions, saves, clean.Checkpoints)
+	}
+	if res.Checkpoints != saves || reg.CounterValue("ftsym_checkpoints_total") != float64(saves) {
+		t.Errorf("checkpoints: result %d, ftsym_checkpoints_total %v, journal %d",
+			res.Checkpoints, reg.CounterValue("ftsym_checkpoints_total"), saves)
+	}
+}
+
+// symPoke corrupts one stored element of the symmetric reduction at an
+// iteration boundary.
+type symPoke struct {
+	iter, row, col int
+	delta          float64
+}
+
+func (h symPoke) BeforeIteration(iter, _ int, w *matrix.Matrix) {
+	if iter == h.iter {
+		w.Add(h.row, h.col, h.delta)
+	}
+}

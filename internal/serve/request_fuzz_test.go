@@ -2,13 +2,23 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"testing"
+	"time"
+
+	"repro/internal/matrix"
 )
 
 // FuzzJobRequest hammers the job-request decoder: whatever the body, the
 // only outcomes are a validated request or an error — never a panic, and
 // never an accepted request that escapes the server's size limits (the
-// properties the 400-only contract of POST /v1/jobs rests on).
+// properties the 400-only contract of POST /v1/jobs rests on). A request
+// the decoder accepts then runs on a server with a device farm and lanes,
+// as POST /v1/jobs would submit it, and must reach a terminal state
+// within a short deadline: a fault plan that can never strike as stated
+// would hold its worker for good. The committed corpus carries such a
+// plan, the n=128 hang of fthess -inject area1 -iter 0 -count 2 scaled
+// to n=64, which validation now refuses.
 func FuzzJobRequest(f *testing.F) {
 	seeds := []string{
 		`{"n":8}`,
@@ -38,12 +48,34 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if a.Rows != a.Cols || a.Rows < 1 || a.Rows > maxN {
+		if a != nil && (a.Rows != a.Cols || a.Rows < 1 || a.Rows > maxN) {
 			t.Fatalf("accepted request materialized a %dx%d matrix (maxN %d): %q",
 				a.Rows, a.Cols, maxN, data)
 		}
 		if req.NB < 0 || req.NB > maxNB {
 			t.Fatalf("accepted request with nb=%d: %q", req.NB, data)
+		}
+		// Submit as handleSubmit does: an upload is parsed and its fault
+		// plan checked against its order first.
+		var upload *matrix.Matrix
+		if req.MatrixMarket != "" {
+			if req.checkFaults(a.Rows) != nil {
+				return
+			}
+			upload, req.MatrixMarket = a, ""
+		}
+		s := New(Config{Capacity: 1, MaxN: maxN, Devices: 4, DeviceLanes: 2})
+		if st, err := s.Submit(req, upload); err == nil { // else a farm refusal: more devices than it has
+			j, _ := s.Job(st.ID)
+			select {
+			case <-j.Done():
+			case <-time.After(10 * time.Second):
+				// No shutdown: it would wait for the stuck worker.
+				t.Fatalf("accepted request did not finish within 10s: %q", data)
+			}
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
