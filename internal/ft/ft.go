@@ -325,8 +325,8 @@ type reducer struct {
 	// stream (the device's Lookahead stream, FIFO): every later reader
 	// of the checksum row or column waits on it.
 	chk sim.Event
-	// attempts counts the current iteration's recoveries.
-	attempts int
+	// recovered counts the current iteration's recoveries.
+	recovered int
 	// deviceLost marks a fail-stop kill request (IterCtx.KillDevice):
 	// with a single device there are no survivors to restart on, so the
 	// reduction fails immediately rather than computing on poison.
@@ -429,7 +429,7 @@ func (r *reducer) attempt(a *matrix.Matrix) error {
 // Boundary is the iteration boundary: the injection hook, then the
 // single-device loss.
 func (r *reducer) Boundary(iter, p, ib int) error {
-	r.attempts = 0
+	r.recovered = 0
 	if r.opt.Hook != nil {
 		r.opt.Hook.BeforeIteration(&IterCtx{
 			Dev: r.dev, DA: r.d.A, Host: r.hostA,
@@ -571,13 +571,13 @@ func (r *reducer) AfterIteration(iter, p, ib int, left sim.Event) (bool, error) 
 		return false, nil
 	}
 	r.record(obs.KindDetection, iter, r.gap, "", "")
-	if r.attempts >= maxRecoveries {
+	if r.recovered >= maxRecoveries {
 		return false, fmt.Errorf("%w (iteration %d)", ErrDetectionStorm, iter)
 	}
 	if err := r.recover(iter, p, ib); err != nil {
 		return false, err
 	}
-	r.attempts++
+	r.recovered++
 	r.record(obs.KindRecovery, iter, 0, "reexecution", "")
 	return true, nil
 }
