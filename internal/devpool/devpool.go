@@ -138,21 +138,18 @@ func (pt Partition) MaxSlabsPerOwner(k int) int {
 	return m
 }
 
-// Pool owns K simulated devices and the main-host timeline.
+// Pool owns K simulated devices and the main host.
 type Pool struct {
 	Devices []*gpu.Device
-	// Host is the algorithm's serial CPU timeline (the main thread);
-	// per-device launch overhead lives on each device's own driver lane.
+	// Host is the algorithm's serial CPU timeline (the main thread), the
+	// host lane of main (gpu.MainHost); per-device launch overhead lives
+	// on each device's own driver lane.
 	Host   *sim.Timeline
 	Params sim.Params
 	Mode   gpu.Mode
 
-	reg        *obs.Registry
-	phase      string
-	job        string
-	opHost     *obs.Counter
-	phaseHists map[string]*obs.Histogram
-	ctx        context.Context
+	main *gpu.Device
+	ctx  context.Context
 }
 
 // New builds a pool of k freshly allocated indexed devices.
@@ -173,11 +170,13 @@ func Wrap(devs []*gpu.Device) *Pool {
 	if len(devs) == 0 {
 		panic("devpool: Wrap with no devices")
 	}
+	main := gpu.MainHost(devs)
 	return &Pool{
 		Devices: devs,
-		Host:    sim.NewTimeline("main-host"),
+		Host:    main.Host,
 		Params:  devs[0].Params,
 		Mode:    devs[0].Mode,
+		main:    main,
 	}
 }
 
@@ -198,26 +197,20 @@ func (pl *Pool) StartAt(t float64) {
 
 // SetObs attaches a metrics registry to the pool and every device.
 func (pl *Pool) SetObs(r *obs.Registry) {
-	pl.reg = r
-	pl.opHost = nil
-	pl.phaseHists = make(map[string]*obs.Histogram)
+	pl.main.SetObs(r)
 	for _, d := range pl.Devices {
 		d.SetObs(r)
 	}
 }
 
 // Obs returns the attached registry (nil when detached).
-func (pl *Pool) Obs() *obs.Registry { return pl.reg }
+func (pl *Pool) Obs() *obs.Registry { return pl.main.Obs() }
 
 // SetJob sets (or clears, with "") the job identifier labeled onto every
 // subsequently emitted pool and device series, so a shared serving
 // registry attributes each cost to the request that caused it.
 func (pl *Pool) SetJob(job string) {
-	if pl.job != job {
-		pl.job = job
-		pl.opHost = nil
-		pl.phaseHists = make(map[string]*obs.Histogram)
-	}
+	pl.main.SetJob(job)
 	for _, d := range pl.Devices {
 		d.SetJob(job)
 	}
@@ -225,8 +218,8 @@ func (pl *Pool) SetJob(job string) {
 
 // label appends the job label to the pool's own series when set.
 func (pl *Pool) label(ls ...obs.Label) []obs.Label {
-	if pl.job != "" {
-		ls = append(ls, obs.L("job", pl.job))
+	if job := pl.main.Job(); job != "" {
+		ls = append(ls, obs.L("job", job))
 	}
 	return ls
 }
@@ -250,71 +243,33 @@ func (pl *Pool) CtxErr() error {
 // SetPhase names the phase subsequent costs are attributed to, on the
 // main host and on every device, returning the previous phase.
 func (pl *Pool) SetPhase(name string) string {
-	prev := pl.phase
-	pl.phase = name
 	for _, d := range pl.Devices {
 		d.SetPhase(name)
 	}
-	return prev
+	return pl.main.SetPhase(name)
 }
 
 // HostOp charges cost seconds of serial CPU work on the main-host lane
-// and, in Real mode, runs f. When the pool's devices trace, the span is
-// recorded in the first device's trace, so every consumer of the device
-// traces sees the main-host lane.
-func (pl *Pool) HostOp(cost float64, f func()) {
-	e := pl.Host.Schedule(cost)
-	if pl.reg != nil {
-		if pl.opHost == nil {
-			pl.opHost = pl.reg.Counter("op_seconds_total",
-				pl.label(obs.L("kind", "host"), obs.L("device", "main"))...)
-		}
-		pl.opHost.Add(cost)
-		phase := pl.phase
-		if phase == "" {
-			phase = "other"
-		}
-		h := pl.phaseHists[phase]
-		if h == nil {
-			h = pl.reg.Histogram("phase_seconds", obs.DefaultDurationBuckets,
-				pl.label(obs.L("phase", phase), obs.L("device", "main"))...)
-			pl.phaseHists[phase] = h
-		}
-		h.Observe(cost)
-	}
-	pl.Devices[0].RecordSpan(gpu.Span{Lane: pl.Host.Name(), Kind: "host", Phase: pl.phase, Start: e.At - cost, End: e.At})
-	if pl.Mode == gpu.Real && f != nil {
-		f()
-	}
-}
-
-// Now returns the current instant of the main host thread; pass it as a
-// dependency to device operations issued from the algorithm.
-func (pl *Pool) Now() sim.Event { return sim.Event{At: pl.Host.Tail()} }
+// and, in Real mode, runs f. Its costs are metered under device="main",
+// and its span is recorded in the first device's trace, so every
+// consumer of the device traces sees the main-host lane.
+func (pl *Pool) HostOp(cost float64, f func()) { pl.main.HostOp(cost, f) }
 
 // Issue models the main thread handing commands to a device's driver:
 // the driver cannot process a command before the main thread issued it,
 // so its lane is advanced (idle) to the main thread's current instant.
 // Call it before a batch of operations on one device.
-func (pl *Pool) Issue(d *gpu.Device) {
-	d.Host.AdvanceTo(pl.Host.Tail())
-}
+func (pl *Pool) Issue(d *gpu.Device) { d.Follow(pl.main) }
 
 // Wait blocks the main host thread until the event completes
 // (cudaEventSynchronize from the algorithm thread).
-func (pl *Pool) Wait(e sim.Event) {
-	pl.Host.AdvanceTo(e.At)
-}
+func (pl *Pool) Wait(e sim.Event) { pl.main.Sync(e) }
 
 // WaitAll blocks the main host until every lane of every device drains.
 func (pl *Pool) WaitAll() {
-	t := 0.0
 	for _, d := range pl.Devices {
-		if e := d.Elapsed(); e > t {
-			t = e
-		}
+		pl.main.WaitFor(d)
 	}
-	pl.Host.AdvanceTo(t)
 }
 
 // Elapsed returns the pool makespan: the maximum over the main host and
@@ -336,15 +291,16 @@ func (pl *Pool) FinishRun() {
 	for _, d := range pl.Devices {
 		d.FinishRun()
 	}
-	if pl.reg == nil {
+	reg := pl.main.Obs()
+	if reg == nil {
 		return
 	}
-	pl.reg.Gauge("sim_makespan_seconds", pl.label()...).Set(pl.Elapsed())
-	pl.reg.Gauge("pool_devices", pl.label()...).Set(float64(pl.K()))
+	reg.Gauge("sim_makespan_seconds", pl.label()...).Set(pl.Elapsed())
+	reg.Gauge("pool_devices", pl.label()...).Set(float64(pl.K()))
 	l := pl.label(obs.L("lane", pl.Host.Name()))
-	pl.reg.Gauge("lane_busy_seconds", l...).Set(pl.Host.Busy())
-	pl.reg.Gauge("lane_ops", l...).Set(float64(pl.Host.Ops()))
-	pl.reg.Gauge("lane_utilization", l...).Set(pl.Host.Utilization(pl.Elapsed()))
+	reg.Gauge("lane_busy_seconds", l...).Set(pl.Host.Busy())
+	reg.Gauge("lane_ops", l...).Set(float64(pl.Host.Ops()))
+	reg.Gauge("lane_utilization", l...).Set(pl.Host.Utilization(pl.Elapsed()))
 }
 
 // EnableTrace starts span recording on every device; the main-host

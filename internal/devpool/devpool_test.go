@@ -3,6 +3,7 @@ package devpool
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,9 +121,9 @@ func TestCrossDeviceEventOrdering(t *testing.T) {
 	if copySpan == nil {
 		t.Fatal("no d2h span recorded on device A's copy lane")
 	}
-	const eps = 1e-12
-	if copySpan.Start+eps < kB.At {
-		t.Fatalf("d2h span starts at %.9fs, before cross-device dependency end %.9fs", copySpan.Start, kB.At)
+	if copySpan.Start < kB.At || !slices.Contains(copySpan.Deps, kB.Op) {
+		t.Fatalf("d2h span starts at %.9fs with deps %v, before or without the cross-device dependency %d ending at %.9fs",
+			copySpan.Start, copySpan.Deps, kB.Op, kB.At)
 	}
 	pool.Wait(eA)
 	if got := pool.Host.Tail(); got < eA.At {

@@ -206,7 +206,6 @@ func (sh *Shard) Upload(hostA *matrix.Matrix) {
 	for _, s := range sh.Part.Slabs {
 		dev := sh.Owner(s.Index)
 		sh.Pool.Issue(dev)
-		dev.TagSlabs(s.Index, s.Index+1)
 		sh.wrote(s.Index, dev.H2DAsync(sh.SlabM[s.Index], 0, 0, hostA.View(0, s.Start, sh.N, s.Cols)))
 	}
 }
@@ -215,15 +214,6 @@ func (sh *Shard) Upload(hostA *matrix.Matrix) {
 func (sh *Shard) wrote(s int, e sim.Event) {
 	sh.Last[s] = e
 	sh.Data[s] = e
-}
-
-// later merges two completion times: in the timeline model an event is
-// purely an instant, so waiting on the later of two events waits on both.
-func later(a, b sim.Event) sim.Event {
-	if b.At > a.At {
-		return b
-	}
-	return a
 }
 
 // PanelD2H copies the lower part of the panel (rows k..n-1 of columns
@@ -244,7 +234,7 @@ func (sh *Shard) PanelD2H(hostA *matrix.Matrix, p, k, ib int) {
 		sh.nextPanelSlab = -1
 	}
 	e := dev.D2HAsync(hostA.View(k, p, sh.N-k, ib), sh.SlabM[ps], k, p-sh.Part.Slabs[ps].Start, dep)
-	sh.Last[ps] = later(sh.Last[ps], e)
+	sh.Last[ps] = dev.Join(sh.Last[ps], e)
 	sh.Pool.Wait(e)
 }
 
@@ -280,7 +270,7 @@ func (sh *Shard) roundSegs(d, from, stride int) ([]gpu.Seg, sim.Event) {
 		}
 		sh.pos[s] = len(segs)
 		segs = append(segs, gpu.Seg{A: sh.off[s] + lo, B: g - from, N: cnt, C: len(segs) * stride})
-		dep = later(dep, sh.Last[s])
+		dep = sh.Pool.Devices[d].Join(dep, sh.Last[s])
 	}
 	sh.segs[d] = segs
 	return segs, dep
@@ -339,7 +329,7 @@ func (sh *Shard) PanelGemvIssue(hostA *matrix.Matrix, yCol, p, k, ib int, la boo
 				// The corrected read is an anti-dependency for this
 				// iteration's updates of the slab, not a serialization
 				// behind the previous remainder.
-				sh.Last[s] = later(sh.Last[s], kg)
+				sh.Last[s] = dev.Join(sh.Last[s], kg)
 			} else {
 				sh.Last[s] = kg
 			}
@@ -416,7 +406,6 @@ func (sh *Shard) Broadcast(hostA, tHost *matrix.Matrix, p, k, ib int) {
 	ps := sh.Part.SlabOf(p)
 	pdev := sh.Owner(ps)
 	pool.Issue(pdev)
-	pdev.TagSlabs(ps, ps+1)
 	sh.wrote(ps, pdev.H2DAsync(sh.SlabM[ps], k, p-sh.Part.Slabs[ps].Start,
 		hostA.View(k, p, n-k, ib), sh.Last[ps]))
 
@@ -576,7 +565,6 @@ func (sh *Shard) PriorityUpdate(p, k, ib, ib2 int) {
 	if chk {
 		rows = n + 1 // checksum row rides as row n (Y's row n is Yce)
 	}
-	dev.TagSlabs(ns, ns+1)
 	e := dev.Gemm(blas.NoTrans, blas.Trans, rows, ib2, ib, -1,
 		sh.dYb[d], 0, 0, sh.dVexp[d], nextP-k, 0, 1, sh.SlabM[ns], 0, lo,
 		sh.evVexp[d], sh.evY[d], sh.Last[ns])
@@ -587,7 +575,6 @@ func (sh *Shard) PriorityUpdate(p, k, ib, ib2 int) {
 		sh.evVexp[d], e)
 	e = dev.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, ib, ib2, 1,
 		sh.dTb[d], 0, 0, sh.dSbuf[d], 0, 0, sh.evT[d], e)
-	dev.TagSlabs(ns, ns+1)
 	e = sh.leftApply(d, dev, sh.SlabM[ns], lo, ib2, k, ib, chk, e)
 	sh.wrote(ns, e)
 	sh.priSlab, sh.priEnd = ns, nextP+ib2
@@ -626,7 +613,7 @@ func (sh *Shard) spanDep(d, lo int) sim.Event {
 	var e sim.Event
 	for _, s := range sh.DevSlabs[d] {
 		if sh.off[s]+sh.Part.Slabs[s].Cols+sh.Pad > lo {
-			e = later(e, sh.Last[s])
+			e = sh.Pool.Devices[d].Join(e, sh.Last[s])
 		}
 	}
 	return e
@@ -638,18 +625,6 @@ func (sh *Shard) spanDone(d, lo int, e sim.Event) {
 	for _, s := range sh.DevSlabs[d] {
 		if sh.off[s]+sh.Part.Slabs[s].Cols+sh.Pad > lo {
 			sh.wrote(s, e)
-		}
-	}
-}
-
-// tagSpan tags device d's next operation with its slabs that have
-// storage columns at or right of lo (see gpu.Device.TagSlabs).
-func (sh *Shard) tagSpan(d int, dev *gpu.Device, lo int) {
-	slabs := sh.DevSlabs[d]
-	for _, s := range slabs {
-		if sh.off[s]+sh.Part.Slabs[s].Cols+sh.Pad > lo {
-			dev.TagSlabs(s, slabs[len(slabs)-1]+1)
-			return
 		}
 	}
 }
@@ -718,7 +693,6 @@ func (sh *Shard) RightUpdate(p, k, ib int) {
 		pool.Issue(dev)
 		var e sim.Event
 		if top {
-			dev.TagSlabs(ps, ps+1)
 			e = dev.Gemm(blas.NoTrans, blas.Trans, k, ib-1, ib, -1,
 				sh.dYb[d], 0, 0, sh.dVexp[d], 0, 0, 1, sh.SlabM[ps], 0, k-sh.Part.Slabs[ps].Start,
 				sh.evVexp[d], sh.evY[d], sh.Last[ps])
@@ -728,7 +702,6 @@ func (sh *Shard) RightUpdate(p, k, ib int) {
 			continue
 		}
 		g := sh.gather(d, dev, lo, hi, k, ib)
-		sh.tagSpan(d, dev, lo)
 		e = dev.Gemm(blas.NoTrans, blas.Trans, n+sh.Pad, hi-lo, ib, -1,
 			sh.dYb[d], 0, 0, sh.dBg[d], 0, 0, 1, sh.store[d], 0, lo,
 			g, sh.evY[d], sh.spanDep(d, lo), e)
@@ -762,7 +735,6 @@ func (sh *Shard) LeftUpdate(p, k, ib int) {
 		e = dev.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, ib, w, 1,
 			sh.dTb[d], 0, 0, sh.dSbuf[d], 0, 0, sh.evT[d], e)
 		// The checksum row covers the halo columns' corners too.
-		sh.tagSpan(d, dev, lo)
 		e = sh.leftApply(d, dev, sh.store[d], lo, w, k, ib, sh.Pad > 0, e)
 		sh.spanDone(d, lo, e)
 	}
@@ -780,7 +752,6 @@ func (sh *Shard) Gather(hostA *matrix.Matrix) {
 	for _, s := range sh.Part.Slabs {
 		dev := sh.Owner(s.Index)
 		sh.Pool.Issue(dev)
-		dev.TagSlabs(s.Index, s.Index+1)
 		e := dev.D2HAsync(hostA.View(0, s.Start, sh.N, s.Cols), sh.SlabM[s.Index], 0, 0, sh.Data[s.Index])
 		sh.Last[s.Index] = e
 		evs = append(evs, e)

@@ -469,8 +469,7 @@ func (r *reducer) Offload(iter, p, ib int, redo bool, ready sim.Event) sim.Event
 		})
 		ev.Kind = obs.KindReexecution
 	} else {
-		ready = sim.Latest(ready.At, []sim.Event{r.chk})
-		ck = dev.D2HTail(r.ckPanel.View(0, 0, n+1, ib), r.d.A, 0, p, ready)
+		ck = dev.D2HTail(r.ckPanel.View(0, 0, n+1, ib), r.d.A, 0, p, ready, r.chk)
 	}
 	r.emit(ev)
 	return ck

@@ -411,9 +411,7 @@ func (r *multiReducer) totalsKernel(d int, slabs []int) sim.Event {
 	var dep sim.Event
 	for _, s := range slabs {
 		cols += sh.Part.Slabs[s].Cols
-		if sh.Last[s].At > dep.At {
-			dep = sh.Last[s]
-		}
+		dep = dev.Join(dep, sh.Last[s])
 	}
 	kg := dev.Custom(r.pool.Params.GemvDevice(r.n, cols), func() {
 		blas.ParallelFor(len(slabs), func(pos int) { r.slabTotals(slabs[pos], pos, dchk) })

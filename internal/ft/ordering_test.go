@@ -2,83 +2,84 @@ package ft_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/ft"
 	"repro/internal/gpu"
+	"repro/internal/hybrid"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
 	"repro/internal/sim"
 )
 
 // TestChecksumOrdering checks the cross-stream waits of the
-// single-device FT schedule from its trace. Real mode executes every op
-// eagerly in issue order, so a dropped dependency moves no result bit;
-// it only lets the model start an op early. The test therefore reads the
-// modeled spans, each tagged with its phase:
+// single-device FT schedule from its op records. Real mode executes
+// every op eagerly in issue order, so a dropped dependency moves no
+// result bit; it only lets the model start an op early. The test
+// therefore asks which ops order each op's start (ft.OpGraph: its deps,
+// its host's sync edges and its lane predecessor, transitively), with
+// the ops named by their phases:
 //
-//   - no detect span starts before every checksum_maintenance span
-//     issued before it has ended: detection reads both checksums;
-//   - each checkpoint read starts after every span issued before it that
-//     writes the panel or its checksum row (the encode, the updates and
-//     the checksum kernels: ready and the side stream's kernels) has
-//     ended, and ends before the iteration's top-row update, the first
-//     right_update kernel after it, starts;
+//   - every checksum_maintenance op issued before a detect op orders
+//     it: detection reads both checksums;
+//   - every op issued before a checkpoint read that writes the panel or
+//     its checksum row (the encode, the updates and the checksum
+//     kernels) orders it, and the read orders the iteration's top-row
+//     update, the first right_update kernel after it;
 //   - each iteration makes exactly one checkpoint read, one detection
 //     launch and one detection read;
 //   - τ's ‖A‖₁ pass on the host lies inside the setup upload;
 //   - the final Q verify is issued after the cleanup transfer home, and
-//     the cleanup DGEHD2 starts once both have ended.
-//
-// The side stream's operations are short and usually finish early
-// anyway, so the run is repeated with that stream stretched: then a
-// reader that does not wait for its checksum kernels starts before they
-// end, and an upload that does not wait for the checkpoint reads riding
-// it (iteration 0, or no lookahead) lets the top-row update start first.
+//     both order the cleanup DGEHD2.
 func TestChecksumOrdering(t *testing.T) {
 	for _, noLA := range []bool{false, true} {
-		for _, stretch := range []float64{1, 50} {
-			t.Run(fmt.Sprintf("no-lookahead=%v/stretch=%v", noLA, stretch), func(t *testing.T) {
-				dev := gpu.New(sim.K40c(), gpu.Real)
-				dev.EnableTrace()
-				dev.Stretch(dev.Lookahead, stretch)
-				res, err := ft.Reduce(matrix.Random(256, 256, 7), ft.Options{NB: 16, Device: dev, DisableLookahead: noLA})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Detections != 0 {
-					t.Fatalf("clean run raised %d detection(s)", res.Detections)
-				}
-				checkOrdering(t, dev.Trace(), res.Checkpoints)
-			})
-		}
+		t.Run(fmt.Sprintf("no-lookahead=%v", noLA), func(t *testing.T) {
+			dev := gpu.New(sim.K40c(), gpu.Real)
+			dev.EnableTrace()
+			res, err := ft.Reduce(matrix.Random(256, 256, 7), ft.Options{NB: 16, Device: dev, DisableLookahead: noLA})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Detections != 0 {
+				t.Fatalf("clean run raised %d detection(s)", res.Detections)
+			}
+			checkOrdering(t, ft.NewOpGraph(dev.Trace()), res.Checkpoints)
+		})
 	}
 }
 
-// checkOrdering applies TestChecksumOrdering's rules to spans in issue
-// order, and checks it saw wantCk checkpoint groups. A span's start is
-// recorded as its end less its cost, so it may sit an ulp before the
-// end of the span it waited on.
-func checkOrdering(t *testing.T, spans []gpu.Span, wantCk int) {
+// checkOrdering applies TestChecksumOrdering's rules to g's ops in issue
+// order, and checks it saw wantCk checkpoint groups.
+func checkOrdering(t *testing.T, g *ft.OpGraph, wantCk int) {
 	t.Helper()
-	before := func(start, end float64) bool { return start < end-1e-15 }
-	var maint, writers float64 // latest end of the spans of each class so far
+	spans := g.Spans
+	// requireBefore reports every op of ops that does not order span i.
+	requireBefore := func(i int, ops []int, what string) {
+		t.Helper()
+		c := g.Closure(i)
+		for _, j := range ops {
+			if !c[j] {
+				t.Errorf("op %d (%s %s on %s) is not ordered after %s op %d (%s on %s)",
+					spans[i].ID, spans[i].Phase, spans[i].Kind, spans[i].Lane, what, spans[j].ID, spans[j].Kind, spans[j].Lane)
+			}
+		}
+	}
+	var maint, writers []int // the ops of each class so far
 	groups := 0
-	var open []gpu.Span // the latest group of checkpoint reads, until the top-row update
+	var open []int // the latest group of checkpoint reads, until the top-row update
 	// Per iteration (a checkpoint group opens one): checkpoint reads,
 	// detection launches and detection reads.
 	var perIter [][3]int
-	var upload, home *gpu.Span // the setup upload, the cleanup transfer home
-	var verify []gpu.Span      // the Q verify: q_protect spans issued after home
+	upload, home := -1, -1 // the setup upload, the cleanup transfer home
+	var verify []int       // the Q verify: q_protect ops issued after home
 	for i, s := range spans {
 		switch s.Phase {
 		case "detect":
-			if s.Start < maint {
-				t.Errorf("span %d: detect %s on %s starts at %.9g, before the checksum kernels end at %.9g", i, s.Kind, s.Lane, s.Start, maint)
-			}
+			requireBefore(i, maint, "checksum_maintenance")
 			if len(perIter) == 0 {
-				t.Errorf("span %d: detect %s before the first checkpoint", i, s.Kind)
+				t.Errorf("op %d: detect %s before the first checkpoint", s.ID, s.Kind)
 			} else if s.Kind == "d2h" {
 				perIter[len(perIter)-1][2]++
 			} else {
@@ -90,57 +91,44 @@ func checkOrdering(t *testing.T, spans []gpu.Span, wantCk int) {
 				perIter = append(perIter, [3]int{})
 			}
 			perIter[len(perIter)-1][0]++
-			if s.Start < writers {
-				t.Errorf("span %d: checkpoint read on %s starts at %.9g, before the panel's writers end at %.9g", i, s.Lane, s.Start, writers)
-			}
-			open = append(open, s)
+			requireBefore(i, writers, "panel-writing")
+			open = append(open, i)
 		case "right_update":
 			if s.Lane == "gpu-compute" && len(open) > 0 {
-				for _, ck := range open {
-					if ck.End > s.Start {
-						t.Errorf("span %d: top-row update starts at %.9g, before a checkpoint read ends at %.9g", i, s.Start, ck.End)
-					}
-				}
+				requireBefore(i, open, "checkpoint")
 				open = nil
 			}
 		case "setup":
 			switch {
-			case s.Kind == "h2d" && upload == nil:
-				upload = &spans[i]
+			case s.Kind == "h2d" && upload < 0:
+				upload = i
 			case s.Kind == "host":
-				if upload == nil || before(s.Start, upload.Start) || before(upload.End, s.End) {
-					t.Errorf("span %d: τ's host pass [%.9g, %.9g] is not inside the setup upload %v", i, s.Start, s.End, upload)
+				if upload < 0 || s.Start < spans[upload].Start || spans[upload].End < s.End {
+					t.Errorf("op %d: τ's host pass [%.9g, %.9g] is not inside the setup upload (op index %d)", s.ID, s.Start, s.End, upload)
 				}
 			}
 		case "q_protect":
-			if home != nil {
-				verify = append(verify, s)
+			if home >= 0 {
+				verify = append(verify, i)
 			}
 		case "cleanup":
 			switch {
 			case s.Kind == "d2h":
-				home = &spans[i]
+				home = i
 			case s.Kind == "host":
-				if home == nil || len(verify) == 0 {
-					t.Errorf("span %d: DGEHD2 issued before the transfer home (%v) and the Q verify (%d spans)", i, home, len(verify))
+				if home < 0 || len(verify) == 0 {
+					t.Errorf("op %d: DGEHD2 issued before the transfer home (index %d) and the Q verify (%d ops)", s.ID, home, len(verify))
 					break
 				}
-				if before(s.Start, home.End) {
-					t.Errorf("span %d: DGEHD2 starts at %.9g, before the transfer home ends at %.9g", i, s.Start, home.End)
-				}
-				for _, v := range verify {
-					if before(s.Start, v.End) {
-						t.Errorf("span %d: DGEHD2 starts at %.9g, before the Q verify ends at %.9g", i, s.Start, v.End)
-					}
-				}
+				requireBefore(i, append([]int{home}, verify...), "transfer-home or Q-verify")
 			}
 		}
 		switch s.Phase {
 		case "checksum_maintenance":
-			maint = max(maint, s.End)
-			writers = max(writers, s.End)
+			maint = append(maint, i)
+			writers = append(writers, i)
 		case "encode", "left_update", "right_update":
-			writers = max(writers, s.End)
+			writers = append(writers, i)
 		}
 	}
 	if groups != wantCk || wantCk == 0 {
@@ -151,8 +139,8 @@ func checkOrdering(t *testing.T, spans []gpu.Span, wantCk int) {
 			t.Errorf("iteration %d: %d checkpoint read(s), %d detection launch(es), %d detection read(s); want one each", it, c[0], c[1], c[2])
 		}
 	}
-	if upload == nil || home == nil || len(verify) == 0 {
-		t.Errorf("saw setup upload %v, transfer home %v, %d Q-verify spans", upload, home, len(verify))
+	if upload < 0 || home < 0 || len(verify) == 0 {
+		t.Errorf("saw setup upload %d, transfer home %d, %d Q-verify ops", upload, home, len(verify))
 	}
 }
 
@@ -192,42 +180,54 @@ func TestQVerifyCatchesLastBoundaryHit(t *testing.T) {
 	}
 }
 
-// TestPoolChecksumOrdering checks the pool guard's waits the same way,
-// per device, from the spans the device pool tags with the slabs they
-// touch (gpu.Span.Slabs):
+// TestPoolChecksumOrdering checks the pool schedule's waits the same
+// way, per device, from the op records of the whole pool. A gather copy
+// home reads one slab's data, so the regions those copies read name the
+// device's slabs; an op writes a slab when its region overlaps one:
 //
-//   - a detection kernel reads every slab of its device, so it starts
-//     after every slab writer issued before it on the device has ended:
-//     the tagged data writers and the encode and maintenance kernels;
-//   - each gather copy starts after every data writer of its slab has
-//     ended;
-//   - the V upload into the panel slab starts after every detection and
-//     maintenance kernel issued before it on the device has ended: they
-//     read the columns it overwrites.
+//   - every copy home of slab data (the panel offload, the gather) is
+//     ordered after every op issued before it that writes a block it
+//     reads;
+//   - a detection kernel reads every slab of its device, so it is
+//     ordered after every slab writer issued before it on the device,
+//     and after the encode and maintenance kernels;
+//   - an upload into a slab (the V upload into the panel slab) is
+//     ordered after every detection and maintenance kernel issued before
+//     it on the device: they read the columns it overwrites.
 //
-// The runs are repeated with every device's compute stream stretched,
-// so a copy that does not wait for a kernel it must follow starts
-// before that kernel ends.
+// The rules run on the FT reduction and on the pool baseline
+// (hybrid.Reduce), at K ∈ {1, 2}, with lookahead on and off.
 func TestPoolChecksumOrdering(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		for _, noLA := range []bool{false, true} {
-			for _, stretch := range []float64{1, 50} {
-				t.Run(fmt.Sprintf("k=%d/no-lookahead=%v/stretch=%v", k, noLA, stretch), func(t *testing.T) {
+	for _, alg := range []string{"ft", "baseline"} {
+		for _, k := range []int{1, 2} {
+			for _, noLA := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/k=%d/no-lookahead=%v", alg, k, noLA), func(t *testing.T) {
 					devs := make([]*gpu.Device, k)
+					traces := make([][]gpu.Span, k)
 					for i := range devs {
 						devs[i] = gpu.NewIndexed(sim.K40c(), gpu.Real, i)
 						devs[i].EnableTrace()
-						devs[i].Stretch(devs[i].Compute, stretch)
 					}
-					res, err := ft.Reduce(matrix.Random(256, 256, 7), ft.Options{NB: 16, Devices: devs, DisableLookahead: noLA})
-					if err != nil {
-						t.Fatal(err)
+					a := matrix.Random(256, 256, 7)
+					if alg == "baseline" {
+						if _, err := hybrid.Reduce(a, hybrid.Options{NB: 16, Devices: devs, DisableLookahead: noLA}); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						res, err := ft.Reduce(a, ft.Options{NB: 16, Devices: devs, DisableLookahead: noLA})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Detections != 0 {
+							t.Fatalf("clean run raised %d detection(s)", res.Detections)
+						}
 					}
-					if res.Detections != 0 {
-						t.Fatalf("clean run raised %d detection(s)", res.Detections)
+					for i, dev := range devs {
+						traces[i] = dev.Trace()
 					}
+					g := ft.NewOpGraph(traces...)
 					for _, dev := range devs {
-						checkPoolOrdering(t, dev.Name(), dev.Trace())
+						checkPoolOrdering(t, g, dev.Name(), alg == "ft")
 					}
 				})
 			}
@@ -235,52 +235,64 @@ func TestPoolChecksumOrdering(t *testing.T) {
 	}
 }
 
-// checkPoolOrdering applies TestPoolChecksumOrdering's rules to one
-// device's spans in issue order. A span's start is recorded as its end
-// less its cost, so it may sit an ulp before the end of the span it
-// waited on.
-func checkPoolOrdering(t *testing.T, name string, spans []gpu.Span) {
+// checkPoolOrdering applies TestPoolChecksumOrdering's rules to device
+// name's ops in g.
+func checkPoolOrdering(t *testing.T, g *ft.OpGraph, name string, guarded bool) {
 	t.Helper()
-	before := func(start, end float64) bool { return start < end-1e-15 }
-	var writers, checks float64 // latest end of any slab writer / of the checksum kernels so far
-	data := map[int]float64{}   // latest end of each slab's data writers so far
-	var detects, gathers, uploads int
+	spans := g.Spans
+	var ops []int          // the device's stream ops, in issue order
+	var slabs []gpu.Region // the blocks the gather copies read
 	for i, s := range spans {
-		if s.Lane == "main-host" || s.Lane == name+"-host" {
-			continue
-		}
-		tagged := s.Slabs[1] > 0
-		switch {
-		case s.Phase == "detect" && s.Kind == "custom":
-			detects++
-			if before(s.Start, writers) {
-				t.Errorf("%s span %d: detection kernel starts at %.9g, before a slab writer ends at %.9g", name, i, s.Start, writers)
+		if strings.HasPrefix(s.Lane, name+"-") && s.Lane != name+"-host" {
+			ops = append(ops, i)
+			if s.Phase == "cleanup" && s.Kind == "d2h" {
+				slabs = append(slabs, s.Region)
 			}
-		case s.Phase == "cleanup" && s.Kind == "d2h" && tagged:
-			gathers++
-			if end := data[s.Slabs[0]]; before(s.Start, end) {
-				t.Errorf("%s span %d: gather of slab %d starts at %.9g, before its data writer ends at %.9g", name, i, s.Slabs[0], s.Start, end)
-			}
-		case s.Phase == "right_update" && s.Kind == "h2d" && tagged:
-			uploads++
-			if before(s.Start, checks) {
-				t.Errorf("%s span %d: V upload into slab %d starts at %.9g, before a checksum kernel ends at %.9g", name, i, s.Slabs[0], s.Start, checks)
-			}
-		}
-		switch {
-		case tagged && s.Kind != "d2h":
-			writers = max(writers, s.End)
-			for sl := s.Slabs[0]; sl < s.Slabs[1]; sl++ {
-				data[sl] = max(data[sl], s.End)
-			}
-		case s.Phase == "encode" || s.Phase == "checksum_maintenance":
-			writers = max(writers, s.End)
-			checks = max(checks, s.End)
-		case s.Phase == "detect" && s.Kind == "custom":
-			checks = max(checks, s.End)
 		}
 	}
-	if detects == 0 || gathers == 0 || uploads == 0 {
-		t.Errorf("%s: saw %d detection kernels, %d gather copies, %d V uploads", name, detects, gathers, uploads)
+	writes := func(s gpu.Span) bool {
+		if s.Kind == "d2h" {
+			return false
+		}
+		for _, sl := range slabs {
+			if s.Region.Overlaps(sl) {
+				return true
+			}
+		}
+		return false
+	}
+	checks := func(s gpu.Span) bool {
+		return s.Phase == "encode" || s.Phase == "checksum_maintenance" || s.Phase == "detect" && s.Kind == "custom"
+	}
+	describe := func(i int) string {
+		s := spans[i]
+		return fmt.Sprintf("op %d (%s %s on %s, region %+v)", s.ID, s.Phase, s.Kind, s.Lane, s.Region)
+	}
+	var copies, detects, uploads int
+	for n, i := range ops {
+		s := spans[i]
+		var must func(gpu.Span) bool
+		switch {
+		case s.Kind == "d2h" && writes(gpu.Span{Region: s.Region}):
+			copies++
+			must = func(w gpu.Span) bool { return w.Kind != "d2h" && w.Region.Overlaps(s.Region) }
+		case s.Phase == "detect" && s.Kind == "custom":
+			detects++
+			must = func(w gpu.Span) bool { return writes(w) || w.Phase == "encode" || w.Phase == "checksum_maintenance" }
+		case s.Kind == "h2d" && writes(s) && s.Phase != "setup":
+			uploads++
+			must = checks
+		default:
+			continue
+		}
+		c := g.Closure(i)
+		for _, j := range ops[:n] {
+			if must(spans[j]) && !c[j] {
+				t.Errorf("%s: %s is not ordered after %s", name, describe(i), describe(j))
+			}
+		}
+	}
+	if len(slabs) == 0 || copies == 0 || uploads == 0 || guarded && detects == 0 {
+		t.Errorf("%s: saw %d slab(s), %d slab copies home, %d detection kernels, %d slab uploads", name, len(slabs), copies, detects, uploads)
 	}
 }

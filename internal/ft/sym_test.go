@@ -204,12 +204,12 @@ func TestRecoversFaultsInTwoIterations(t *testing.T) {
 }
 
 func TestTransfersWaitForTheirKernels(t *testing.T) {
-	// On the modeled streams, a copy runs only after the kernels it
-	// depends on: once the first SYR2K is issued, every D2H (residuals,
-	// panel offloads, the redo's panel after the correction) starts after
-	// all earlier compute work ends, and every H2D after the last SYR2K
-	// (the panel restore overwrites the V the reversal reads). The first
-	// panel offload may overlap the encoding SYMV: both only read A.
+	// A copy waits for the kernels it depends on: once the first SYR2K is
+	// issued, every earlier compute op orders every D2H (residuals, panel
+	// offloads, the redo's panel after the correction), and the last
+	// earlier SYR2K orders every H2D (the panel restore overwrites the V
+	// the reversal reads). The first panel offload may overlap the
+	// encoding SYMV: both only read A.
 	dev := gpu.New(sim.K40c(), gpu.Real)
 	dev.EnableTrace()
 	hook := &symPokeHook{iter: 1, row: 50, col: 30, delta: 3}
@@ -220,19 +220,27 @@ func TestTransfersWaitForTheirKernels(t *testing.T) {
 	if res.Recoveries != 1 {
 		t.Fatalf("%d recoveries, want 1", res.Recoveries)
 	}
-	const eps = 1e-12
-	computeEnd, syr2kEnd := 0.0, 0.0
-	for i, sp := range dev.Trace() {
+	g := NewOpGraph(dev.Trace())
+	var compute []int // compute ops so far
+	syr2k := -1       // the last SYR2K so far
+	for i, sp := range g.Spans {
+		var must []int
 		switch {
 		case sp.Lane == dev.Compute.Name():
-			computeEnd = math.Max(computeEnd, sp.End)
+			compute = append(compute, i)
 			if sp.Kind == "gemm" {
-				syr2kEnd = sp.End
+				syr2k = i
 			}
-		case sp.Kind == "d2h" && syr2kEnd > 0 && sp.Start < computeEnd-eps:
-			t.Fatalf("span %d: D2H starts at %g before compute work ending at %g", i, sp.Start, computeEnd)
-		case sp.Kind == "h2d" && sp.Start < syr2kEnd-eps:
-			t.Fatalf("span %d: H2D starts at %g before the SYR2K ending at %g", i, sp.Start, syr2kEnd)
+		case sp.Kind == "d2h" && syr2k >= 0:
+			must = compute
+		case sp.Kind == "h2d" && syr2k >= 0:
+			must = []int{syr2k}
+		}
+		c := g.Closure(i)
+		for _, j := range must {
+			if !c[j] {
+				t.Errorf("op %d (%s) is not ordered after compute op %d (%s)", sp.ID, sp.Kind, g.Spans[j].ID, g.Spans[j].Kind)
+			}
 		}
 	}
 }

@@ -119,9 +119,6 @@ type Device struct {
 
 	// stream is where kernels launch (SetStream; nil: Compute).
 	stream *sim.Timeline
-	// stretched and stretch scale the kernels of one lane (Stretch).
-	stretched *sim.Timeline
-	stretch   float64
 
 	allocBytes int64
 	kernels    int64
@@ -132,12 +129,17 @@ type Device struct {
 	// charged at least once (the keys TimeBreakdown reports).
 	busy    [numKinds]float64
 	charged [numKinds]bool
-	// tracing/trace record per-operation spans for the Chrome-trace
-	// export (see trace.go).
+	// tracing/trace record one span per operation (see trace.go). log
+	// numbers the ops and allocations, and sink is the device whose trace
+	// they go to: the device itself, or a pool's first member for the
+	// pool's main host (MainHost). front is the host's frontier: its last
+	// op and the ops it waited on since, which every op it issues next
+	// depends on.
 	tracing bool
 	trace   []Span
-	// slabs is the tag of the next recorded span (TagSlabs).
-	slabs [2]int
+	log     *opLog
+	sink    *Device
+	front   []int
 
 	// name distinguishes pool members ("d0", "d1", …); it is empty for the
 	// classic single device, whose metric series stay unlabeled so every
@@ -173,12 +175,6 @@ type Device struct {
 	// points drains both streams by construction.
 	ctx context.Context
 
-	// Flow tracking links each async D2H copy span to the host-op span
-	// that consumes it (rendered as flow arrows in the Chrome trace).
-	flowSeq       int
-	flowByEvent   map[float64]int
-	pendingFlowIn []int
-
 	// dead marks a device that suffered a fail-stop loss (Kill). A dead
 	// device's memory is gone: reads return garbage (NaN fill) and writes
 	// are dropped, modeling a detached accelerator whose mappings fault.
@@ -198,14 +194,7 @@ type Device struct {
 
 // New creates a device with the given cost parameters and mode.
 func New(p sim.Params, mode Mode) *Device {
-	return &Device{
-		Params:    p,
-		Mode:      mode,
-		Host:      sim.NewTimeline("host"),
-		Compute:   sim.NewTimeline("gpu-compute"),
-		Copy:      sim.NewTimeline("gpu-copy"),
-		Lookahead: sim.NewTimeline("gpu-lookahead"),
-	}
+	return newDevice(p, mode, "", "host", "gpu-compute", "gpu-copy", "gpu-lookahead")
 }
 
 // NewIndexed creates pool member k: a device whose lanes are prefixed with
@@ -225,15 +214,36 @@ func NewIndexed(p sim.Params, mode Mode, k int) *Device {
 // so per-lane metric series and Chrome-trace rows identify the lane, not
 // just the physical device.
 func NewNamed(p sim.Params, mode Mode, name string) *Device {
-	return &Device{
+	return newDevice(p, mode, name, name+"-host", name+"-compute", name+"-copy", name+"-lookahead")
+}
+
+func newDevice(p sim.Params, mode Mode, name, host, compute, copy, look string) *Device {
+	d := &Device{
 		Params:    p,
 		Mode:      mode,
 		name:      name,
-		Host:      sim.NewTimeline(name + "-host"),
-		Compute:   sim.NewTimeline(name + "-compute"),
-		Copy:      sim.NewTimeline(name + "-copy"),
-		Lookahead: sim.NewTimeline(name + "-lookahead"),
+		Host:      sim.NewTimeline(host),
+		Compute:   sim.NewTimeline(compute),
+		Copy:      sim.NewTimeline(copy),
+		Lookahead: sim.NewTimeline(look),
+		log:       &opLog{},
 	}
+	d.sink = d
+	return d
+}
+
+// MainHost returns the main host of a pool of devs: a device named
+// "main" whose Host lane ("main-host") runs the pool's serial CPU work,
+// its costs metered under device="main". It joins devs into one op log,
+// so ids are unique across the pool, and its ops are recorded in the
+// first member's trace.
+func MainHost(devs []*Device) *Device {
+	m := NewNamed(devs[0].Params, devs[0].Mode, "main")
+	m.sink = devs[0]
+	for _, d := range append(devs, m) {
+		d.log = devs[0].log
+	}
+	return m
 }
 
 // Name reports the pool name of the device ("d0", "d1", …), or "" for a
@@ -284,13 +294,37 @@ type Matrix struct {
 	Cols   int
 	Stride int
 	Data   []float64
+	// alloc is the id of the allocation holding the matrix, and (i0, j0)
+	// the matrix's origin in it.
+	alloc, i0, j0 int
+}
+
+// Region is the block of one device allocation that an op writes (a
+// kernel's output, an H2D's destination) or reads (a D2H's source):
+// rows [Row, Row+Rows) and columns [Col, Col+Cols) of allocation Alloc.
+// Alloc is zero when the op touches no allocation (a host op, a Custom
+// kernel, a read of device scalars).
+type Region struct {
+	Alloc, Row, Col, Rows, Cols int
+}
+
+// Overlaps reports whether r and o share an element of one allocation.
+func (r Region) Overlaps(o Region) bool {
+	return r.Alloc != 0 && r.Alloc == o.Alloc &&
+		r.Row < o.Row+o.Rows && o.Row < r.Row+r.Rows &&
+		r.Col < o.Col+o.Cols && o.Col < r.Col+r.Cols
+}
+
+// region is the r×c block of m at (i, j) in m's allocation.
+func (m *Matrix) region(i, j, r, c int) Region {
+	return Region{Alloc: m.alloc, Row: m.i0 + i, Col: m.j0 + j, Rows: r, Cols: c}
 }
 
 // View returns the r×c block of m at (i, j) as a device matrix sharing
 // m's storage. A view is not an allocation: free m, never a view.
 func (m *Matrix) View(i, j, r, c int) *Matrix {
 	m.dev.checkRange("View", m, i, j, r, c)
-	v := &Matrix{dev: m.dev, Rows: r, Cols: c, Stride: m.Stride}
+	v := &Matrix{dev: m.dev, Rows: r, Cols: c, Stride: m.Stride, alloc: m.alloc, i0: m.i0 + i, j0: m.j0 + j}
 	if m.Data != nil && r > 0 && c > 0 {
 		v.Data = m.Data[j*m.Stride+i : (j+c-1)*m.Stride+i+r]
 	}
@@ -302,7 +336,8 @@ func (d *Device) Alloc(r, c int) *Matrix {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("gpu: Alloc(%d,%d)", r, c))
 	}
-	m := &Matrix{dev: d, Rows: r, Cols: c, Stride: max(r, 1)}
+	d.log.last++
+	m := &Matrix{dev: d, Rows: r, Cols: c, Stride: max(r, 1), alloc: d.log.last}
 	if d.Mode == Real {
 		m.Data = make([]float64, r*c)
 	}
@@ -423,15 +458,6 @@ func (d *Device) current() *sim.Timeline {
 	return d.stream
 }
 
-// Stretch multiplies the modeled duration of every later kernel and
-// mapped read (D2HTail) on lane t by f (f = 1, or a nil t, stops it). It
-// is a probe for schedule tests: on a stretched lane every operation
-// completes late, so an operation on another lane that depends on one
-// without waiting for it starts too early.
-func (d *Device) Stretch(t *sim.Timeline, f float64) {
-	d.stretched, d.stretch = t, f
-}
-
 // SetContext attaches a cancellation context to the device. The hybrid
 // and fault-tolerant reductions install their context here on entry so
 // that every layer holding a *Device — down to the per-column device
@@ -532,81 +558,72 @@ func (m *Matrix) At(i, j int) float64 {
 	return m.ptr(i, j)[0]
 }
 
-// enqueue charges the host the kernel-launch overhead for issuing a
-// command and returns the earliest instant the command may start: after
-// its launch and every dependency.
-func (d *Device) enqueue(deps []sim.Event) sim.Event {
-	d.Host.Schedule(d.Params.KernelLaunchSec)
-	return sim.Latest(d.Host.Tail(), deps)
+// op issues one modeled operation of family kind and cost seconds on
+// lane t; every kernel, transfer and host op goes through it. A launched
+// op first charges the host the launch overhead, and it starts once its
+// lane, the host and every dep allow. op counts the op (a kernel, or a
+// transfer of reg's bytes), charges its cost to the busy breakdown and
+// the metrics registry, and when tracing records its span: its exact
+// start, its deps (the declared ones, then the host's frontier) and reg.
+// The returned event carries the record's id.
+func (d *Device) op(t *sim.Timeline, kind opKind, cost float64, launch bool, reg Region, deps []sim.Event) sim.Event {
+	switch kind {
+	case kindH2D, kindD2H:
+		d.transfers++
+		d.bytesMoved += 8 * int64(reg.Rows) * int64(reg.Cols)
+	case kindHost:
+	default:
+		d.kernels++
+	}
+	if launch {
+		d.Host.Schedule(d.Params.KernelLaunchSec)
+	}
+	ready := d.Host.Tail()
+	for _, e := range deps {
+		if e.At > ready {
+			ready = e.At
+		}
+	}
+	d.charge(kind, cost)
+	d.account(kind, cost)
+	start, e := t.Schedule(cost, sim.Event{At: ready})
+	if d.sink.tracing {
+		e.Op = d.record(t.Name(), kind, start, e.At, reg, deps)
+		if t == d.Host {
+			d.front = append(d.front[:0], e.Op)
+		}
+	}
+	return e
 }
 
 // H2D synchronously copies the host matrix src into the device matrix dst
 // at origin (di, dj). The host blocks until the transfer completes.
 func (d *Device) H2D(dst *Matrix, di, dj int, src *matrix.Matrix) {
-	e := d.H2DAsync(dst, di, dj, src)
-	d.Sync(e)
+	d.Sync(d.H2DAsync(dst, di, dj, src))
 }
 
 // H2DAsync enqueues the copy on the copy stream and returns its event.
 func (d *Device) H2DAsync(dst *Matrix, di, dj int, src *matrix.Matrix, deps ...sim.Event) sim.Event {
 	d.checkRange("H2D", dst, di, dj, src.Rows, src.Cols)
-	bytes := src.Rows * src.Cols * 8
-	d.transfers++
-	d.bytesMoved += int64(bytes)
 	if d.Mode == Real && !d.dead && src.Rows > 0 && src.Cols > 0 {
 		for j := 0; j < src.Cols; j++ {
 			copy(dst.ptr(di, dj+j)[:src.Rows], src.Col(j))
 		}
 	}
-	cost := d.Params.Transfer(bytes)
-	d.charge(kindH2D, cost)
-	e := d.Copy.Schedule(cost, d.enqueue(deps))
-	d.record(d.Copy.Name(), kindH2D, e.At, cost)
-	return e
+	return d.op(d.Copy, kindH2D, d.Params.Transfer(src.Rows*src.Cols*8), true, dst.region(di, dj, src.Rows, src.Cols), deps)
 }
 
 // D2H synchronously copies an r×c block at (si, sj) of the device matrix
 // src into the host matrix dst.
 func (d *Device) D2H(dst *matrix.Matrix, src *Matrix, si, sj int) {
-	e := d.D2HAsync(dst, src, si, sj)
-	d.Sync(e)
+	d.Sync(d.D2HAsync(dst, src, si, sj))
 }
 
 // D2HAsync enqueues the device→host copy on the copy stream. This is the
 // transfer the paper overlaps with the trailing-matrix update (the two red
 // lines of Algorithm 2/3).
 func (d *Device) D2HAsync(dst *matrix.Matrix, src *Matrix, si, sj int, deps ...sim.Event) sim.Event {
-	d.checkRange("D2H", src, si, sj, dst.Rows, dst.Cols)
-	bytes := dst.Rows * dst.Cols * 8
-	d.transfers++
-	d.bytesMoved += int64(bytes)
-	if d.Mode == Real && dst.Rows > 0 && dst.Cols > 0 {
-		if d.dead {
-			d.fillNaN(dst)
-		} else {
-			for j := 0; j < dst.Cols; j++ {
-				copy(dst.Col(j), src.ptr(si, sj+j)[:dst.Rows])
-			}
-		}
-	}
-	cost := d.Params.Transfer(bytes)
-	d.charge(kindD2H, cost)
-	e := d.Copy.Schedule(cost, d.enqueue(deps))
-	d.record(d.Copy.Name(), kindD2H, e.At, cost)
-	d.tagFlowOut(e.At)
-	return e
-}
-
-// fillNaN poisons a host destination buffer, modeling a read from a dead
-// device's unmapped memory.
-func (d *Device) fillNaN(dst *matrix.Matrix) {
-	nan := math.NaN()
-	for j := 0; j < dst.Cols; j++ {
-		col := dst.Col(j)
-		for i := range col {
-			col[i] = nan
-		}
-	}
+	return d.read(d.Copy, dst, src, si, sj, deps)
 }
 
 // D2HTail copies a device block to the host through device-mapped memory
@@ -622,28 +639,28 @@ func (d *Device) fillNaN(dst *matrix.Matrix) {
 // PCIe bandwidth: a transfer on the copy stream at the same time is
 // charged in full as well.
 func (d *Device) D2HTail(dst *matrix.Matrix, src *Matrix, si, sj int, deps ...sim.Event) sim.Event {
-	d.checkRange("D2H", src, si, sj, dst.Rows, dst.Cols)
-	bytes := dst.Rows * dst.Cols * 8
-	d.transfers++
-	d.bytesMoved += int64(bytes)
-	if d.Mode == Real && dst.Rows > 0 && dst.Cols > 0 {
-		if d.dead {
-			d.fillNaN(dst)
-		} else {
-			for j := 0; j < dst.Cols; j++ {
-				copy(dst.Col(j), src.ptr(si, sj+j)[:dst.Rows])
+	return d.read(d.current(), dst, src, si, sj, deps)
+}
+
+// read issues a D2H of the block of src at (si, sj) shaped like dst on
+// lane t. In Real mode it copies the block into dst, or NaN from a dead
+// device: a read of its unmapped memory.
+func (d *Device) read(t *sim.Timeline, dst *matrix.Matrix, src *Matrix, si, sj int, deps []sim.Event) sim.Event {
+	r, c := dst.Rows, dst.Cols
+	d.checkRange("D2H", src, si, sj, r, c)
+	if d.Mode == Real && r > 0 && c > 0 {
+		for j := 0; j < c; j++ {
+			col := dst.Col(j)
+			if d.dead {
+				for i := range col {
+					col[i] = math.NaN()
+				}
+			} else {
+				copy(col, src.ptr(si, sj+j)[:r])
 			}
 		}
 	}
-	cost := d.Params.Transfer(bytes)
-	t := d.current()
-	if t == d.stretched {
-		cost *= d.stretch
-	}
-	d.charge(kindD2H, cost)
-	e := t.Schedule(cost, d.enqueue(deps))
-	d.record(t.Name(), kindD2H, e.At, cost)
-	return e
+	return d.op(t, kindD2H, d.Params.Transfer(r*c*8), true, src.region(si, sj, r, c), deps)
 }
 
 func (d *Device) checkRange(op string, m *Matrix, i, j, r, c int) {
@@ -653,24 +670,42 @@ func (d *Device) checkRange(op string, m *Matrix, i, j, r, c int) {
 }
 
 // Sync blocks the host until the event completes (cudaEventSynchronize).
+// The wait is a sync edge: the host's next ops depend on e's op.
 func (d *Device) Sync(e sim.Event) {
 	d.Host.AdvanceTo(e.At)
-	d.noteSync(e.At)
+	d.front = d.log.appendOps(d.front, e)
 }
 
 // DeviceSynchronize blocks the host until all device streams drain.
-func (d *Device) DeviceSynchronize() {
-	d.Host.AdvanceTo(sim.Makespan(d.Compute, d.Copy, d.Lookahead))
+func (d *Device) DeviceSynchronize() { d.WaitFor(d) }
+
+// WaitFor blocks d's host until every lane of dev has drained, with a
+// sync edge to the last recorded op of each of dev's streams.
+func (d *Device) WaitFor(dev *Device) {
+	d.Host.AdvanceTo(dev.Elapsed())
+	for _, t := range [...]*sim.Timeline{dev.Compute, dev.Copy, dev.Lookahead} {
+		for i := len(dev.trace) - 1; i >= 0; i-- {
+			if dev.trace[i].Lane == t.Name() {
+				d.front = append(d.front, dev.trace[i].ID)
+				break
+			}
+		}
+	}
+}
+
+// Follow hands the commands that follow to d's host from the host of h
+// (a device pool's main host): d's host waits for h's current instant
+// and takes h's frontier as its own.
+func (d *Device) Follow(h *Device) {
+	d.Host.AdvanceTo(h.Host.Tail())
+	d.front = append(d.front[:0], h.front...)
 }
 
 // HostOp charges cost seconds of CPU work and, in Real mode, runs f.
 // The hybrid algorithms route every host-side BLAS call through this so
 // that one code path serves both execution modes.
 func (d *Device) HostOp(cost float64, f func()) {
-	d.charge(kindHost, cost)
-	e := d.Host.Schedule(cost)
-	d.record(d.Host.Name(), kindHost, e.At, cost)
-	d.claimFlowIn()
+	d.op(d.Host, kindHost, cost, false, Region{}, nil)
 	if d.Mode == Real && f != nil {
 		f()
 	}

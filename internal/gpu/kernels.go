@@ -19,23 +19,17 @@ import (
 // pure wall-clock accelerator for Real-mode runs, and results stay
 // bitwise identical at every SetMaxProcs setting.
 
-// launch enqueues a kernel of the given duration on the current stream
-// (SetStream; the compute stream by default), accounting its cost under
-// the given operation family.
-func (d *Device) launch(kind opKind, cost float64, deps []sim.Event, f func()) sim.Event {
-	return d.launchOn(d.current(), kind, cost, deps, f)
+// launch enqueues a kernel of the given duration writing out on the
+// current stream (SetStream; the compute stream by default), accounting
+// its cost under the given operation family.
+func (d *Device) launch(kind opKind, cost float64, out Region, deps []sim.Event, f func()) sim.Event {
+	return d.launchOn(d.current(), kind, cost, out, deps, f)
 }
 
 // launchOn enqueues a kernel on an explicit stream (Compute for the main
 // FIFO, Lookahead for the priority stream of the lookahead schedule).
-func (d *Device) launchOn(t *sim.Timeline, kind opKind, cost float64, deps []sim.Event, f func()) sim.Event {
-	if t == d.stretched {
-		cost *= d.stretch
-	}
-	d.kernels++
-	d.charge(kind, cost)
-	e := t.Schedule(cost, d.enqueue(deps))
-	d.record(t.Name(), kind, e.At, cost)
+func (d *Device) launchOn(t *sim.Timeline, kind opKind, cost float64, out Region, deps []sim.Event, f func()) sim.Event {
+	e := d.op(t, kind, cost, true, out, deps)
 	if d.Mode == Real && f != nil {
 		f()
 	}
@@ -62,7 +56,7 @@ const ftGemvCostFactor = 1.10
 // FTStats, never silently dropped. The substrate only detects — GEMM is
 // not idempotent, so correction stays with the FT layer's sweep.
 func (d *Device) Gemm(tA, tB blas.Transpose, m, n, k int, alpha float64, a *Matrix, ai, aj int, b *Matrix, bi, bj int, beta float64, c *Matrix, ci, cj int, deps ...sim.Event) sim.Event {
-	return d.launch(kindGemm, d.gemmCost(m, n, k), deps, func() {
+	return d.launch(kindGemm, d.gemmCost(m, n, k), c.region(ci, cj, m, n), deps, func() {
 		d.gemm(tA, tB, m, n, k, alpha, a, ai, aj, b, bi, bj, beta, c, ci, cj)
 	})
 }
@@ -96,7 +90,11 @@ func (d *Device) gemm(tA, tB blas.Transpose, m, n, k int, alpha float64, a *Matr
 // fused substrate on, the kernel runs under dual modular redundancy
 // (blas.DgemvFT) at the modeled ~10% premium.
 func (d *Device) Gemv(trans blas.Transpose, m, n int, alpha float64, a *Matrix, ai, aj int, xm *Matrix, xi, xj int, beta float64, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
-	return d.launch(kindGemv, d.gemvCost(m, n), deps, func() {
+	ny := m
+	if trans == blas.Trans {
+		ny = n
+	}
+	return d.launch(kindGemv, d.gemvCost(m, n), ym.region(yi, yj, ny, 1), deps, func() {
 		d.gemvCols(trans, m, n, alpha, a, ai, aj, xm, xi, xj, beta, ym, yi, yj)
 	})
 }
@@ -140,6 +138,16 @@ func (d *Device) gemv(trans blas.Transpose, m, n int, alpha float64, a []float64
 // slab that way while paying one launch per device.
 type Seg struct{ A, B, N, C int }
 
+// segRegion is the block of c that segmented outputs of r×n at row ci
+// span: columns from the first segment's C to the last one's C+n.
+func segRegion(c *Matrix, ci, r, n int, segs []Seg) Region {
+	if len(segs) == 0 {
+		return c.region(ci, 0, r, 0)
+	}
+	lo, hi := segs[0].C, segs[len(segs)-1].C+n
+	return c.region(ci, lo, r, hi-lo)
+}
+
 // segCols returns the segments' total length along the shared dimension.
 func segCols(segs []Seg) int {
 	t := 0
@@ -166,7 +174,7 @@ func segCols(segs []Seg) int {
 // kernels execute eagerly in program order, and the program still issues
 // the remainder update before the next panel factorization runs.
 func (d *Device) GemvSeg(t *sim.Timeline, extraCost float64, m int, alpha float64, a *Matrix, ai int, x *Matrix, xj int, beta float64, y *Matrix, yi int, segs []Seg, deps ...sim.Event) sim.Event {
-	return d.launchOn(t, kindGemv, d.gemvCost(m, segCols(segs))+extraCost, deps, func() {
+	return d.launchOn(t, kindGemv, d.gemvCost(m, segCols(segs))+extraCost, segRegion(y, yi, m, 1, segs), deps, func() {
 		for _, s := range segs {
 			d.gemvCols(blas.NoTrans, m, s.N, alpha, a, ai, s.A, x, s.B, xj, beta, y, yi, s.C)
 		}
@@ -181,7 +189,7 @@ func (d *Device) GemvSeg(t *sim.Timeline, extraCost float64, m int, alpha float6
 // dimension. It is charged as one m×n GEMM over the segments' total
 // inner dimension.
 func (d *Device) GemmSeg(m, n int, alpha float64, a *Matrix, ai int, b *Matrix, bj int, beta float64, c *Matrix, ci int, segs []Seg, deps ...sim.Event) sim.Event {
-	return d.launch(kindGemm, d.gemmCost(m, n, segCols(segs)), deps, func() {
+	return d.launch(kindGemm, d.gemmCost(m, n, segCols(segs)), segRegion(c, ci, m, n, segs), deps, func() {
 		d.gemmSeg(m, n, alpha, a, ai, b, bj, beta, c, ci, segs)
 	})
 }
@@ -200,7 +208,7 @@ func (d *Device) gemmSeg(m, n int, alpha float64, a *Matrix, ai int, b *Matrix, 
 func (d *Device) GemmSegRow(m, n int, alpha float64, a *Matrix, ai, ar int, b *Matrix, bj int, beta float64, c *Matrix, ci int, segs []Seg, deps ...sim.Event) sim.Event {
 	k := segCols(segs)
 	cost := d.gemmCost(m, n, k) + d.gemvCost(k, n) - d.Params.KernelLaunchSec
-	return d.launch(kindGemm, cost, deps, func() {
+	return d.launch(kindGemm, cost, segRegion(c, ci, m+1, n, segs), deps, func() {
 		d.gemmSeg(m, n, alpha, a, ai, b, bj, beta, c, ci, segs)
 		d.gemmRow(n, alpha, a, ar, b, bj, beta, c, ci+m, segs)
 	})
@@ -221,7 +229,8 @@ func (d *Device) GemmChkRow(m, n, k int, alpha float64, a *Matrix, ai, aj int, b
 	if fresh {
 		cost += d.Params.GemvDevice(m, k) - d.Params.KernelLaunchSec
 	}
-	return d.launch(kindGemm, cost, deps, func() {
+	lo, hi := min(ci, cr), max(ci+m, cr+1)
+	return d.launch(kindGemm, cost, c.region(lo, cj, hi-lo, n), deps, func() {
 		d.gemm(blas.NoTrans, blas.NoTrans, m, n, k, alpha, a, ai, aj, b, bi, bj, beta, c, ci, cj)
 		if fresh {
 			colSums(a, ai, aj, m, k, sums, 0, 0)
@@ -254,7 +263,7 @@ func (d *Device) Trmm(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag
 	if side == blas.Right {
 		t = n
 	}
-	return d.launch(kindTrmm, d.Params.TrmmDevice(m, n, t), deps, func() {
+	return d.launch(kindTrmm, d.Params.TrmmDevice(m, n, t), b.region(bi, bj, m, n), deps, func() {
 		if m == 0 || n == 0 {
 			return
 		}
@@ -265,7 +274,7 @@ func (d *Device) Trmm(side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag
 // CopyBlock enqueues a device-to-device copy of an r×c block.
 func (d *Device) CopyBlock(dst *Matrix, di, dj int, src *Matrix, si, sj, r, c int, deps ...sim.Event) sim.Event {
 	cost := d.Params.KernelLaunchSec + 16*float64(r)*float64(c)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch(kindCopy, cost, deps, func() {
+	return d.launch(kindCopy, cost, dst.region(di, dj, r, c), deps, func() {
 		for j := 0; j < c; j++ {
 			copy(dst.ptr(di, dj+j)[:r], src.ptr(si, sj+j)[:r])
 		}
@@ -277,7 +286,7 @@ func (d *Device) CopyBlock(dst *Matrix, di, dj int, src *Matrix, si, sj, r, c in
 // only half the matrix.
 func (d *Device) Symv(uplo blas.Uplo, n int, alpha float64, a *Matrix, ai, aj int, xm *Matrix, xi, xj int, beta float64, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
 	cost := d.Params.KernelLaunchSec + 8*float64(n)*float64(n)/2/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch(kindGemv, cost, deps, func() {
+	return d.launch(kindGemv, cost, ym.region(yi, yj, n, 1), deps, func() {
 		if n == 0 {
 			return
 		}
@@ -290,7 +299,7 @@ func (d *Device) Symv(uplo blas.Uplo, n int, alpha float64, a *Matrix, ai, aj in
 // n×k at (ai, aj) and (bi, bj). This is the trailing update of the blocked
 // tridiagonal reduction.
 func (d *Device) Syr2k(uplo blas.Uplo, n, k int, alpha float64, a *Matrix, ai, aj int, b *Matrix, bi, bj int, beta float64, c *Matrix, ci, cj int, deps ...sim.Event) sim.Event {
-	return d.launch(kindGemm, d.Params.GemmDevice(n, n, k), deps, func() {
+	return d.launch(kindGemm, d.Params.GemmDevice(n, n, k), c.region(ci, cj, n, n), deps, func() {
 		if n == 0 {
 			return
 		}
@@ -303,12 +312,12 @@ func (d *Device) Syr2k(uplo blas.Uplo, n, k int, alpha float64, a *Matrix, ai, a
 // kernels (trapezoidal Hessenberg-aware sums) that have no BLAS
 // counterpart; on real hardware these would be small custom CUDA kernels.
 func (d *Device) Custom(cost float64, f func(), deps ...sim.Event) sim.Event {
-	return d.launch(kindCustom, cost, deps, f)
+	return d.launch(kindCustom, cost, Region{}, deps, f)
 }
 
 // Add enqueues adding v to a single device element.
 func (d *Device) Add(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Event {
-	return d.launch(kindVec, d.Params.KernelLaunchSec, deps, func() {
+	return d.launch(kindVec, d.Params.KernelLaunchSec, m.region(i, j, 1, 1), deps, func() {
 		m.ptr(i, j)[0] += v
 	})
 }
@@ -317,7 +326,7 @@ func (d *Device) Add(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Even
 // trick of DGEHRD's right update, where the stored subdiagonal element is
 // temporarily replaced by the implicit unit diagonal of V).
 func (d *Device) Set(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Event {
-	return d.launch(kindVec, d.Params.KernelLaunchSec, deps, func() {
+	return d.launch(kindVec, d.Params.KernelLaunchSec, m.region(i, j, 1, 1), deps, func() {
 		m.ptr(i, j)[0] = v
 	})
 }
@@ -325,7 +334,7 @@ func (d *Device) Set(m *Matrix, i, j int, v float64, deps ...sim.Event) sim.Even
 // SubBlock enqueues C := C − B over r×c blocks (element-wise subtract).
 func (d *Device) SubBlock(c *Matrix, ci, cj int, b *Matrix, bi, bj, r, cols int, deps ...sim.Event) sim.Event {
 	cost := d.Params.KernelLaunchSec + 24*float64(r)*float64(cols)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch(kindVec, cost, deps, func() {
+	return d.launch(kindVec, cost, c.region(ci, cj, r, cols), deps, func() {
 		for j := 0; j < cols; j++ {
 			dst := c.ptr(ci, cj+j)[:r]
 			src := b.ptr(bi, bj+j)[:r]
@@ -339,7 +348,7 @@ func (d *Device) SubBlock(c *Matrix, ci, cj int, b *Matrix, bi, bj, r, cols int,
 // RowSums enqueues y := A·e over the r×c block at (i, j): the paper's
 // row-checksum generation (one GEMV against the all-ones vector).
 func (d *Device) RowSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
-	return d.launch(kindGemv, d.Params.GemvDevice(r, c), deps, func() {
+	return d.launch(kindGemv, d.Params.GemvDevice(r, c), ym.region(yi, yj, r, 1), deps, func() {
 		y := ym.ptr(yi, yj)[:r]
 		for ii := range y {
 			y[ii] = 0
@@ -357,7 +366,7 @@ func (d *Device) RowSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int, deps
 // results into a row segment of ym starting at (yi, yj) with stride
 // ym.Stride (i.e. along a row).
 func (d *Device) ColSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int, deps ...sim.Event) sim.Event {
-	return d.launch(kindGemv, d.Params.GemvDevice(r, c), deps, func() {
+	return d.launch(kindGemv, d.Params.GemvDevice(r, c), ym.region(yi, yj, 1, c), deps, func() {
 		colSums(a, i, j, r, c, ym, yi, yj)
 	})
 }
@@ -383,7 +392,7 @@ func colSums(a *Matrix, i, j, r, c int, ym *Matrix, yi, yj int) {
 // for the small D2H that ReadScalars models.
 func (d *Device) Totals(m *Matrix, ci, cj, ri, rj, n int, col, row *float64, deps ...sim.Event) sim.Event {
 	cost := 2*d.Params.VecDevice(n) - d.Params.KernelLaunchSec
-	return d.launch(kindVec, cost, deps, func() {
+	return d.launch(kindVec, cost, Region{}, deps, func() {
 		s := 0.0
 		if n > 0 {
 			for _, v := range m.ptr(ci, cj)[:n] {
@@ -403,13 +412,7 @@ func (d *Device) Totals(m *Matrix, ci, cj, ri, rj, n int, col, row *float64, dep
 // D2H transfer on the copy engine) and waiting for them; the values must
 // already have been produced by a kernel.
 func (d *Device) ReadScalars(k int, deps ...sim.Event) {
-	d.transfers++
-	d.bytesMoved += int64(8 * k)
-	cost := d.Params.Transfer(8 * k)
-	d.charge(kindD2H, cost)
-	e := d.Copy.Schedule(cost, sim.Latest(d.Host.Tail(), deps))
-	d.record(d.Copy.Name(), kindD2H, e.At, cost)
-	d.Sync(e)
+	d.Sync(d.op(d.Copy, kindD2H, d.Params.Transfer(8*k), false, Region{Rows: k, Cols: 1}, deps))
 }
 
 // ReadScalarsTail models fetching k scalars produced at the tail of the
@@ -419,13 +422,7 @@ func (d *Device) ReadScalars(k int, deps ...sim.Event) {
 // copy-engine read would make every later offload (the next panel's)
 // queue behind that wait.
 func (d *Device) ReadScalarsTail(k int, deps ...sim.Event) sim.Event {
-	d.transfers++
-	d.bytesMoved += int64(8 * k)
-	cost := d.Params.Transfer(8 * k)
-	d.charge(kindD2H, cost)
-	e := d.Compute.Schedule(cost, sim.Latest(d.Host.Tail(), deps))
-	d.record(d.Compute.Name(), kindD2H, e.At, cost)
-	return e
+	return d.op(d.Compute, kindD2H, d.Params.Transfer(8*k), false, Region{Rows: k, Cols: 1}, deps)
 }
 
 // Larfb enqueues the block-reflector application C := (I − V·T·Vᵀ)ᵀ·C
@@ -449,7 +446,7 @@ func (d *Device) LarfbForm(m, n, k int, vm *Matrix, vi, vj int, tm *Matrix, ti, 
 	}
 	// W := C1ᵀ (n×k)
 	cost := d.Params.KernelLaunchSec + 16*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
-	e := d.launch(kindCopy, cost, deps, func() {
+	e := d.launch(kindCopy, cost, w.region(wi, 0, n, k), deps, func() {
 		for j := 0; j < k; j++ {
 			blas.Dcopy(n, cm.ptr(ci+j, cj), cm.Stride, w.ptr(wi, j), 1)
 		}
@@ -485,7 +482,7 @@ func (d *Device) LarfbApply(sign float64, m, n, k int, vm *Matrix, vi, vj int, c
 		src := w
 		w = w2
 		cost := d.Params.TrmmDevice(n, k, k) + 16*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
-		e = d.launch(kindTrmm, cost, deps, func() {
+		e = d.launch(kindTrmm, cost, w.region(wi, 0, n, k), deps, func() {
 			for j := 0; j < k; j++ {
 				copy(w.ptr(wi, j)[:n], src.ptr(wi, j)[:n])
 			}
@@ -496,7 +493,7 @@ func (d *Device) LarfbApply(sign float64, m, n, k int, vm *Matrix, vi, vj int, c
 	}
 	// C1 += sign · Wᵀ
 	cost := d.Params.KernelLaunchSec + 24*float64(n)*float64(k)/(d.Params.GPUBandwidthGBps*1e9)
-	return d.launch(kindVec, cost, []sim.Event{e}, func() {
+	return d.launch(kindVec, cost, cm.region(ci, cj, k, n), []sim.Event{e}, func() {
 		for j := 0; j < k; j++ {
 			blas.Daxpy(n, sign, w.ptr(wi, j), 1, cm.ptr(ci+j, cj), cm.Stride)
 		}

@@ -5,32 +5,80 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/sim"
 )
 
-// Execution tracing: when enabled, every kernel, transfer, and host
-// operation records its simulated (lane, kind, start, end) span, and the
-// whole run can be exported in the Chrome trace-event format
-// (chrome://tracing, Perfetto) — the visual counterpart of the paper's
-// Figure 1/4 iteration diagrams. Async D2H copies additionally carry flow
-// ids linking each copy to the host operation that consumes its data, so
-// the panel-offload arrows of Algorithm 2/3 render as flow arrows.
+// Execution tracing: when enabled, every kernel, transfer and host
+// operation records one span (see Device.op), and the whole run can be
+// exported in the Chrome trace-event format (chrome://tracing, Perfetto)
+// — the visual counterpart of the paper's Figure 1/4 iteration diagrams.
+// A copy home that the host waited for is drawn as a flow arrow into the
+// host op that consumed it, so the panel-offload arrows of Algorithm 2/3
+// render as flow arrows.
 
-// Span is one traced operation on a simulated lane. Phase is the
+// Span is the record of one modeled operation. ID is unique across the
+// devices sharing an op log (one device, or a pool). Phase is the
 // algorithm phase its cost was charged under (Device.SetPhase; "" when
-// none was set). FlowOut/FlowIn are non-zero when the span is the
-// source/destination of a data-flow arrow (an async D2H copy and the
-// host op consuming it). Slabs, when its issuer tagged the operation
-// (TagSlabs), is the range [Slabs[0], Slabs[1]) of the pool slabs the
-// operation touches; it is zero otherwise and stays out of the exports.
+// none was set). Start is the instant its lane's timeline started it and
+// End = Start + cost. Deps lists the ids it waited on: its declared
+// dependencies, then its issuing host's frontier — the host's last op
+// and the ops the host waited on since (sync edges). With its lane
+// predecessor, they are every op that orders its start. Region is the
+// block it writes, or reads for a D2H.
 type Span struct {
-	Lane    string  `json:"lane"`
-	Kind    string  `json:"kind"`
-	Phase   string  `json:"phase,omitempty"`
-	Start   float64 `json:"start"` // seconds
-	End     float64 `json:"end"`
-	FlowOut int     `json:"flow_out,omitempty"`
-	FlowIn  int     `json:"flow_in,omitempty"`
-	Slabs   [2]int  `json:"-"`
+	ID     int     `json:"id"`
+	Lane   string  `json:"lane"`
+	Kind   string  `json:"kind"`
+	Phase  string  `json:"phase,omitempty"`
+	Start  float64 `json:"start"` // seconds
+	End    float64 `json:"end"`
+	Deps   []int   `json:"deps,omitempty"`
+	Region Region  `json:"region"`
+}
+
+// opLog numbers the ops and allocations of the devices sharing it, and
+// holds every record's Deps, and the members of every join, back to back
+// in one arena, so recording an op allocates nothing once the arena and
+// the trace have grown. joins[j] is the arena range of the join that
+// events name by Op = −(j+1).
+type opLog struct {
+	last  int
+	deps  []int
+	joins [][2]int
+}
+
+// appendOps appends the ids of the ops e waits on to ids: its op, or the
+// members of its join.
+func (lg *opLog) appendOps(ids []int, e sim.Event) []int {
+	switch {
+	case e.Op > 0:
+		ids = append(ids, e.Op)
+	case e.Op < 0:
+		j := lg.joins[-e.Op-1]
+		ids = append(ids, lg.deps[j[0]:j[1]]...)
+	}
+	return ids
+}
+
+// Join returns the event of waiting on both a and b: the later instant
+// and, when tracing, a join of both events' ops, which a record or a
+// sync on it lists in full. Joining keeps every op an event stands for,
+// where keeping only the later event's would lose the earlier one.
+func (d *Device) Join(a, b sim.Event) sim.Event {
+	e := sim.Event{At: max(a.At, b.At), Op: a.Op}
+	switch {
+	case b.Op == 0 || b.Op == a.Op:
+	case a.Op == 0:
+		e.Op = b.Op
+	default:
+		lg := d.log
+		lo := len(lg.deps)
+		lg.deps = lg.appendOps(lg.appendOps(lg.deps, a), b)
+		lg.joins = append(lg.joins, [2]int{lo, len(lg.deps)})
+		e.Op = -len(lg.joins)
+	}
+	return e
 }
 
 // EnableTrace starts span recording (call before running an algorithm).
@@ -46,67 +94,19 @@ func (d *Device) Trace() []Span {
 	return d.trace
 }
 
-// TagSlabs tags the span of the device's next operation with the slab
-// range [lo, hi) it touches (see Span.Slabs). Schedule tests read the
-// tags to pair an operation with the slabs whose ordering it must keep.
-func (d *Device) TagSlabs(lo, hi int) { d.slabs = [2]int{lo, hi} }
-
-// record accounts one charged operation to the metrics registry (always)
-// and appends its span to the trace (when tracing), consuming the slab
-// tag.
-func (d *Device) record(lane string, kind opKind, end, cost float64) {
-	d.account(kind, cost)
-	slabs := d.slabs
-	d.slabs = [2]int{}
-	if !d.tracing {
-		return
+// record appends one op's span to the sink's trace and returns its id.
+func (d *Device) record(lane string, kind opKind, start, end float64, reg Region, deps []sim.Event) int {
+	lg := d.log
+	lg.last++
+	lo := len(lg.deps)
+	for _, e := range deps {
+		lg.deps = lg.appendOps(lg.deps, e)
 	}
-	d.trace = append(d.trace, Span{Lane: lane, Kind: kindNames[kind], Phase: d.phase, Start: end - cost, End: end, Slabs: slabs})
-}
-
-// tagFlowOut marks the most recently recorded span as the source of a new
-// data flow completing at instant at; the host op issued after the
-// matching Sync becomes the flow's destination.
-func (d *Device) tagFlowOut(at float64) {
-	if !d.tracing || len(d.trace) == 0 {
-		return
-	}
-	d.flowSeq++
-	d.trace[len(d.trace)-1].FlowOut = d.flowSeq
-	if d.flowByEvent == nil {
-		d.flowByEvent = make(map[float64]int)
-	}
-	d.flowByEvent[at] = d.flowSeq
-}
-
-// noteSync moves a flow whose copy the host just waited on into the
-// pending set; the next host op claims it as its FlowIn.
-func (d *Device) noteSync(at float64) {
-	if !d.tracing || d.flowByEvent == nil {
-		return
-	}
-	if id, ok := d.flowByEvent[at]; ok {
-		delete(d.flowByEvent, at)
-		d.pendingFlowIn = append(d.pendingFlowIn, id)
-	}
-}
-
-// claimFlowIn attaches the oldest pending flow to the most recently
-// recorded span (a host op that just consumed synced data).
-func (d *Device) claimFlowIn() {
-	if !d.tracing || len(d.pendingFlowIn) == 0 || len(d.trace) == 0 {
-		return
-	}
-	d.trace[len(d.trace)-1].FlowIn = d.pendingFlowIn[0]
-	d.pendingFlowIn = d.pendingFlowIn[1:]
-}
-
-// RecordSpan appends a span timed outside the device — a device pool's
-// main-host work — to the trace; a no-op unless tracing is enabled.
-func (d *Device) RecordSpan(s Span) {
-	if d.tracing {
-		d.trace = append(d.trace, s)
-	}
+	lg.deps = append(lg.deps, d.front...)
+	hi := len(lg.deps)
+	d.sink.trace = append(d.sink.trace, Span{ID: lg.last, Lane: lane, Kind: kindNames[kind], Phase: d.phase,
+		Start: start, End: end, Deps: lg.deps[lo:hi:hi], Region: reg})
+	return lg.last
 }
 
 // Tracing reports whether span recording is enabled.
@@ -146,10 +146,9 @@ type ChromeEvent struct {
 // (timestamps in microseconds): ph:"M" metadata naming the process and
 // one thread per lane — lanes first, in that order, then any other lane
 // in first-appearance order — ph:"X" slices for the spans, and
-// ph:"s"/"f" flow events for each async D2H copy → consuming host op
-// pair. A slice carries its span's phase as args.phase. Flow ids are per device, so spans merged from several devices
-// must not both carry flows (pool host work runs on the main-host lane,
-// which consumes none).
+// ph:"s"/"f" flow events, with the copy's id, for each copy home (a d2h
+// span with a region) → host op that lists it among its deps. A slice
+// carries its span's phase as args.phase.
 func ChromeEvents(pid int, process string, spans []Span, lanes []string) []ChromeEvent {
 	tids := make(map[string]int, len(lanes))
 	order := make([]string, 0, len(lanes))
@@ -157,17 +156,21 @@ func ChromeEvents(pid int, process string, spans []Span, lanes []string) []Chrom
 		tids[lane] = len(order)
 		order = append(order, lane)
 	}
-	// Only emit flow starts whose consuming span exists: a copy whose data
-	// no host op ever claimed (e.g. the final cleanup transfer) would
-	// otherwise leave a dangling arrow start.
-	claimed := make(map[int]bool)
+	copies := make(map[int]bool) // copy home id → consumed by a host op
 	for _, s := range spans {
 		if _, ok := tids[s.Lane]; !ok {
 			tids[s.Lane] = len(order)
 			order = append(order, s.Lane)
 		}
-		if s.FlowIn != 0 {
-			claimed[s.FlowIn] = true
+		if s.Kind == "d2h" && s.Region.Alloc != 0 {
+			copies[s.ID] = false
+		}
+	}
+	for _, s := range spans {
+		for _, id := range s.Deps {
+			if _, ok := copies[id]; ok && s.Kind == "host" {
+				copies[id] = true
+			}
 		}
 	}
 
@@ -187,13 +190,15 @@ func ChromeEvents(pid int, process string, spans []Span, lanes []string) []Chrom
 		}
 		events = append(events, x)
 		mid := (s.Start + s.End) / 2 * 1e6
-		if s.FlowOut != 0 && claimed[s.FlowOut] {
+		if copies[s.ID] {
 			events = append(events, ChromeEvent{Name: "d2h", Ph: "s", Cat: "dataflow",
-				Ts: mid, Pid: pid, Tid: tid, ID: s.FlowOut})
+				Ts: mid, Pid: pid, Tid: tid, ID: s.ID})
 		}
-		if s.FlowIn != 0 {
-			events = append(events, ChromeEvent{Name: "d2h", Ph: "f", Cat: "dataflow", Bp: "e",
-				Ts: mid, Pid: pid, Tid: tid, ID: s.FlowIn})
+		for _, id := range s.Deps {
+			if copies[id] && s.Kind == "host" {
+				events = append(events, ChromeEvent{Name: "d2h", Ph: "f", Cat: "dataflow", Bp: "e",
+					Ts: mid, Pid: pid, Tid: tid, ID: id})
+			}
 		}
 	}
 	return events

@@ -111,8 +111,8 @@ func TestTraceSummaryIncludesCustomLane(t *testing.T) {
 	d.HostOp(1e-5, nil)
 	// A custom lane recorded directly, as a future multi-stream device
 	// extension would.
-	d.record("gpu-copy2", kindD2H, 2e-5, 1e-5)
-	d.record("aux", kindCustom, 3e-5, 1e-5)
+	d.record("gpu-copy2", kindD2H, 1e-5, 2e-5, Region{}, nil)
+	d.record("aux", kindCustom, 2e-5, 3e-5, Region{}, nil)
 
 	var buf bytes.Buffer
 	d.TraceSummary(&buf)

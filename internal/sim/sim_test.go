@@ -80,8 +80,8 @@ func TestHostCosts(t *testing.T) {
 
 func TestTimelineFIFO(t *testing.T) {
 	tl := NewTimeline("stream0")
-	e1 := tl.Schedule(1.0)
-	e2 := tl.Schedule(2.0)
+	_, e1 := tl.Schedule(1.0)
+	_, e2 := tl.Schedule(2.0)
 	if e1.At != 1.0 || e2.At != 3.0 {
 		t.Fatalf("FIFO times %v %v", e1.At, e2.At)
 	}
@@ -93,14 +93,14 @@ func TestTimelineFIFO(t *testing.T) {
 func TestTimelineDependencies(t *testing.T) {
 	a := NewTimeline("a")
 	b := NewTimeline("b")
-	ea := a.Schedule(5.0)
+	_, ea := a.Schedule(5.0)
 	// b's op depends on a's: cannot start before t=5.
-	eb := b.Schedule(1.0, ea)
+	_, eb := b.Schedule(1.0, ea)
 	if eb.At != 6.0 {
 		t.Fatalf("dependent op completed at %v, want 6", eb.At)
 	}
 	// Independent op on b starts after the previous b op (FIFO).
-	eb2 := b.Schedule(1.0)
+	_, eb2 := b.Schedule(1.0)
 	if eb2.At != 7.0 {
 		t.Fatalf("FIFO after dependency: %v, want 7", eb2.At)
 	}
@@ -147,7 +147,7 @@ func TestPropScheduleMonotonic(t *testing.T) {
 			if d < 0 {
 				d = -d
 			}
-			e := tl.Schedule(d)
+			_, e := tl.Schedule(d)
 			if e.At < prev {
 				return false
 			}

@@ -10,6 +10,9 @@ package sim
 type Event struct {
 	// At is the simulated completion time in seconds.
 	At float64
+	// Op is the id of the recorded operation that completes at At (see
+	// gpu.Span); zero when none was recorded.
+	Op int
 }
 
 // Timeline is a FIFO execution lane (the host, or one device stream).
@@ -48,8 +51,8 @@ func (t *Timeline) Utilization(makespan float64) float64 {
 
 // Schedule places an operation of the given duration on the timeline,
 // starting no earlier than the timeline's tail and all dependencies.
-// It returns the operation's completion event.
-func (t *Timeline) Schedule(duration float64, deps ...Event) Event {
+// It returns the operation's start and its completion event.
+func (t *Timeline) Schedule(duration float64, deps ...Event) (float64, Event) {
 	start := t.tail
 	for _, d := range deps {
 		if d.At > start {
@@ -60,19 +63,7 @@ func (t *Timeline) Schedule(duration float64, deps ...Event) Event {
 	t.tail = end
 	t.busy += duration
 	t.ops++
-	return Event{At: end}
-}
-
-// Latest returns the later of instant at and every dependency's
-// completion: the earliest start of an operation that waits on all of
-// them.
-func Latest(at float64, deps []Event) Event {
-	for _, d := range deps {
-		if d.At > at {
-			at = d.At
-		}
-	}
-	return Event{At: at}
+	return start, Event{At: end}
 }
 
 // AdvanceTo moves the timeline's tail forward to at least instant;
