@@ -63,23 +63,23 @@ func TestSingleDeviceSchedulePinned(t *testing.T) {
 	}
 	detected := func(r *ft.Result) bool { return r.Detections > 0 && r.Reexecutions > 0 }
 	rows := []row{
-		{name: "ft", n: 256, want: "4363:6c3ee2736312f49c"},
-		{name: "ft/no-lookahead", n: 256, opt: ft.Options{DisableLookahead: true}, want: "4237:fd671cb4474091ea"},
-		{name: "ft/no-overlap", n: 256, opt: ft.Options{DisableOverlap: true}, want: "4363:c2d7be54bf91db3c"},
-		{name: "ft/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, want: "4237:bc01481213a6c35e"},
-		{name: "baseline", baseline: true, n: 256, want: "4225:0ccb2c3421bc18de"},
-		{name: "baseline/no-lookahead", baseline: true, n: 256, opt: ft.Options{DisableLookahead: true}, want: "4113:ddc1fe38d700fbd4"},
-		{name: "baseline/no-overlap", baseline: true, n: 256, opt: ft.Options{DisableOverlap: true}, want: "4225:04bc4e9f76d78ca3"},
-		{name: "baseline/no-lookahead/no-overlap", baseline: true, n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, want: "4113:dfe0b4dd5aa8e16e"},
-		{name: "baseline/area2@2", baseline: true, n: 256, hook: inject(fault.Area2, 2), want: "4225:2d529fe22b1622c4"},
-		{name: "ft/area2@2", n: 256, hook: inject(fault.Area2, 2), want: "4669:5221598175f63e98", fired: detected},
-		{name: "ft/area2@2/fused", n: 256, opt: ft.Options{Substrate: ft.SubstrateFused}, hook: inject(fault.Area2, 2), want: "4669:d1d4805972d3a4d8", fired: detected},
-		{name: "ft/area1@3/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, hook: inject(fault.Area1, 3), want: "4534:0c45c4b28ea975f2", fired: detected},
-		{name: "ft/area3@2", n: 256, hook: inject(fault.Area3, 2), want: "4364:0c2ef46209f875ee", fired: func(r *ft.Result) bool { return r.QCorrections > 0 }},
-		{name: "ft/postprocess/area2@2", n: 256, opt: ft.Options{PostProcess: true}, hook: inject(fault.Area2, 2), want: "8695:291529f17feaa5aa", fired: func(r *ft.Result) bool { return r.Detections > 0 && r.Recoveries > 0 }},
-		{name: "ft/final-h-check", n: 256, opt: ft.Options{FinalHCheck: true}, want: "4368:6122421b709f5054"},
-		{name: "ft/costonly/n1022", n: 1022, costOnly: true, want: "18331:4906dd0754482c9d"},
-		{name: "baseline/costonly/n1022", baseline: true, n: 1022, costOnly: true, want: "17761:615a1229af9a5e1a"},
+		{name: "ft", n: 256, want: "4363:3e7671225c2e8f2a"},
+		{name: "ft/no-lookahead", n: 256, opt: ft.Options{DisableLookahead: true}, want: "4237:4997844cf2d75295"},
+		{name: "ft/no-overlap", n: 256, opt: ft.Options{DisableOverlap: true}, want: "4363:31fc108ec44efefb"},
+		{name: "ft/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, want: "4237:ecdfe71ec18592f6"},
+		{name: "baseline", baseline: true, n: 256, want: "4225:2dae464382022322"},
+		{name: "baseline/no-lookahead", baseline: true, n: 256, opt: ft.Options{DisableLookahead: true}, want: "4113:45f800a79485b8a0"},
+		{name: "baseline/no-overlap", baseline: true, n: 256, opt: ft.Options{DisableOverlap: true}, want: "4225:ffce1a80f828cf19"},
+		{name: "baseline/no-lookahead/no-overlap", baseline: true, n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, want: "4113:44041c00f2cb63f7"},
+		{name: "baseline/area2@2", baseline: true, n: 256, hook: inject(fault.Area2, 2), want: "4225:8d5e14010c91ce4a"},
+		{name: "ft/area2@2", n: 256, hook: inject(fault.Area2, 2), want: "4669:6f8873c21675c97d", fired: detected},
+		{name: "ft/area2@2/fused", n: 256, opt: ft.Options{Substrate: ft.SubstrateFused}, hook: inject(fault.Area2, 2), want: "4669:2ae6e6b9273e7b72", fired: detected},
+		{name: "ft/area1@3/no-lookahead/no-overlap", n: 256, opt: ft.Options{DisableLookahead: true, DisableOverlap: true}, hook: inject(fault.Area1, 3), want: "4534:002b244760b05c9c", fired: detected},
+		{name: "ft/area3@2", n: 256, hook: inject(fault.Area3, 2), want: "4364:7b63e2aaf10bc238", fired: func(r *ft.Result) bool { return r.QCorrections > 0 }},
+		{name: "ft/postprocess/area2@2", n: 256, opt: ft.Options{PostProcess: true}, hook: inject(fault.Area2, 2), want: "8695:2d2180bfb5975ac1", fired: func(r *ft.Result) bool { return r.Detections > 0 && r.Recoveries > 0 }},
+		{name: "ft/final-h-check", n: 256, opt: ft.Options{FinalHCheck: true}, want: "4368:2f9d89fefc56dbda"},
+		{name: "ft/costonly/n1022", n: 1022, costOnly: true, want: "18331:eaa4ff78d2de6013"},
+		{name: "baseline/costonly/n1022", baseline: true, n: 1022, costOnly: true, want: "17761:985949ae9105b88c"},
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,21 +148,21 @@ func TestPoolSchedulePinned(t *testing.T) {
 	area2 := &fault.Plan{Area: fault.Area2, TargetIter: 2, Seed: 3}
 	repaired := func(r *ft.Result) bool { return r.Detections > 0 && r.Recoveries > 0 }
 	rows := []row{
-		{name: "baseline/k1", baseline: true, k: 1, want: "4063:9947059f4ca6967e"},
-		{name: "baseline/k1/no-lookahead", baseline: true, k: 1, opt: ft.Options{DisableLookahead: true}, want: "4007:d2eadedad1630480"},
-		{name: "baseline/k2", baseline: true, k: 2, want: "4820:1dcee6979de13ea7"},
-		{name: "baseline/k2/no-lookahead", baseline: true, k: 2, opt: ft.Options{DisableLookahead: true}, want: "4769:788158bf098a850e"},
-		{name: "baseline/k4", baseline: true, k: 4, want: "6004:8cf55f0a6db2a619"},
-		{name: "baseline/k4/no-lookahead", baseline: true, k: 4, opt: ft.Options{DisableLookahead: true}, want: "5963:18742dd1cf0a351a"},
-		{name: "ft/k1", k: 1, want: "4158:ce78877533938176"},
-		{name: "ft/k1/no-lookahead", k: 1, opt: ft.Options{DisableLookahead: true}, want: "4102:164e3a6cf92025fd"},
-		{name: "ft/k2", k: 2, want: "4947:98370e03044793e9"},
-		{name: "ft/k2/no-lookahead", k: 2, opt: ft.Options{DisableLookahead: true}, want: "4896:9dd454a106ec9fcb"},
-		{name: "ft/k4", k: 4, want: "6195:9844fe105a9509c8"},
-		{name: "ft/k4/no-lookahead", k: 4, opt: ft.Options{DisableLookahead: true}, want: "6154:c2b81c8ae01fbb1e"},
-		{name: "ft/k2/area2@2", k: 2, plan: area2, want: "4955:09b5ebb5d3d831c5", fired: repaired},
-		{name: "ft/k2/area2@2/fused", k: 2, opt: ft.Options{Substrate: ft.SubstrateFused}, plan: area2, want: "4948:a7ca5ac922765003", fired: repaired},
-		{name: "ft/k2/kill-d1-update@2", k: 2, plan: &fault.Plan{TargetIter: 2, KillPoint: fault.KillUpdate, KillDevice: 1}, want: "5179:73d7f3b7b235e1f4",
+		{name: "baseline/k1", baseline: true, k: 1, want: "4063:f3cf09062987c180"},
+		{name: "baseline/k1/no-lookahead", baseline: true, k: 1, opt: ft.Options{DisableLookahead: true}, want: "4007:24d0071d0632fbaa"},
+		{name: "baseline/k2", baseline: true, k: 2, want: "4820:4e493fce71b13683"},
+		{name: "baseline/k2/no-lookahead", baseline: true, k: 2, opt: ft.Options{DisableLookahead: true}, want: "4769:6ab93cb261a62f86"},
+		{name: "baseline/k4", baseline: true, k: 4, want: "6004:a436a845584457f7"},
+		{name: "baseline/k4/no-lookahead", baseline: true, k: 4, opt: ft.Options{DisableLookahead: true}, want: "5963:90b9256a537685a5"},
+		{name: "ft/k1", k: 1, want: "4158:8ad7f160b14fe05e"},
+		{name: "ft/k1/no-lookahead", k: 1, opt: ft.Options{DisableLookahead: true}, want: "4102:045ca2297ebec728"},
+		{name: "ft/k2", k: 2, want: "4947:ba84a914ed06b6be"},
+		{name: "ft/k2/no-lookahead", k: 2, opt: ft.Options{DisableLookahead: true}, want: "4896:f1e99b5f606dbf53"},
+		{name: "ft/k4", k: 4, want: "6195:071b3764dff9f899"},
+		{name: "ft/k4/no-lookahead", k: 4, opt: ft.Options{DisableLookahead: true}, want: "6154:e7dd40bbdbd3bd94"},
+		{name: "ft/k2/area2@2", k: 2, plan: area2, want: "4955:617a332ee2251d80", fired: repaired},
+		{name: "ft/k2/area2@2/fused", k: 2, opt: ft.Options{Substrate: ft.SubstrateFused}, plan: area2, want: "4948:1858609a4b413116", fired: repaired},
+		{name: "ft/k2/kill-d1-update@2", k: 2, plan: &fault.Plan{TargetIter: 2, KillPoint: fault.KillUpdate, KillDevice: 1}, want: "5179:a120e5744f93dd2d",
 			fired: func(r *ft.Result) bool { return r.DeviceLosses == 1 && r.FailStopRecoveries == 1 }},
 	}
 	for _, tc := range rows {
