@@ -82,10 +82,10 @@ func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
 		Ctx: opt.Ctx, NB: opt.NB, Device: dev, Hook: opt.Hook,
 		Obs: opt.Obs, Journal: opt.Journal, Trace: opt.Trace,
 	})
-	if err != nil {
+	if res == nil {
 		return nil, err
 	}
-	return &SymResult{*res}, nil
+	return &SymResult{*res}, err
 }
 
 // Eigen computes the complete eigendecomposition (all eigenvalues with

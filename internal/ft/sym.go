@@ -80,7 +80,9 @@ type SymResult struct {
 }
 
 // ReduceSym tridiagonalizes the symmetric matrix a (lower triangle
-// referenced, not modified) with transient-error resilience.
+// referenced, not modified) with transient-error resilience. A run that
+// fails returns its result, whose tally counts what the run did, with
+// the error.
 func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
 	dev := opt.Device
 	if dev == nil {
@@ -103,11 +105,10 @@ func ReduceSym(a *matrix.Matrix, opt SymOptions) (*SymResult, error) {
 	hres, err := hybrid.ReduceSym(a, hybrid.Options{
 		Ctx: opt.Ctx, NB: opt.NB, Device: dev, Obs: opt.Obs, Trace: opt.Trace,
 	}, g)
-	if err != nil {
-		return nil, err
+	if hres != nil {
+		res.SymResult = *hres
 	}
-	res.SymResult = *hres
-	return res, nil
+	return res, err
 }
 
 // symGuard is the checksum layer over hybrid.ReduceSym.

@@ -252,9 +252,13 @@ func TestAmbiguousSymErrors(t *testing.T) {
 	a := matrix.RandomSymmetric(n, 13)
 	hookA := &symPokeHook{iter: 1, row: 60, col: 40, delta: 2}
 	hookB := &symPokeHook{iter: 1, row: 80, col: 50, delta: 2}
-	_, err := ReduceSym(a, SymOptions{NB: nb, Hook: symMultiHook{hookA, hookB}})
+	res, err := ReduceSym(a, SymOptions{NB: nb, Hook: symMultiHook{hookA, hookB}})
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("expected ErrUncorrectable, got %v", err)
+	}
+	// The failed run still reports what it did.
+	if res == nil || res.Detections < 1 {
+		t.Fatalf("failed run returned result %+v, want one with at least one detection", res)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,17 +95,23 @@ func reduceLedger(t *testing.T, name string, a *matrix.Matrix, k int, mode gpu.M
 }
 
 // symPoke corrupts stored elements of the symmetric reduction's working
-// matrix at one iteration boundary, the i-th by (i+1)·delta.
+// matrix at one iteration boundary, the i-th by (i+1)·delta, or every
+// one by delta when equal is set.
 type symPoke struct {
 	iter  int
 	at    [][2]int
 	delta float64
+	equal bool
 }
 
 func (h symPoke) BeforeIteration(iter, _ int, w *matrix.Matrix) {
 	if iter == h.iter {
 		for i, p := range h.at {
-			w.Add(p[0], p[1], float64(i+1)*h.delta)
+			d := float64(i+1) * h.delta
+			if h.equal {
+				d = h.delta
+			}
+			w.Add(p[0], p[1], d)
 		}
 	}
 }
@@ -171,19 +178,22 @@ func TestLedgerAgrees(t *testing.T) {
 		}
 	}
 
-	// The symmetric path: one or two errors, on and off the diagonal.
+	// The symmetric path: one or two errors, on and off the diagonal,
+	// and two equal errors, whose residuals pair ambiguously, so the run
+	// fails.
 	s := matrix.RandomSymmetric(n, 5)
 	for _, hook := range []symPoke{
 		{iter: 1, at: [][2]int{{100, 60}}, delta: 2},
 		{iter: 1, at: [][2]int{{70, 70}}, delta: 1},
 		{iter: 4, at: [][2]int{{120, 90}, {110, 100}}, delta: 3},
+		{iter: 4, at: [][2]int{{120, 90}, {110, 100}}, delta: 3, equal: true},
 	} {
 		reg, j := obs.NewRegistry(), obs.NewJournal()
 		res, err := ft.ReduceSym(s, ft.SymOptions{NB: nb, Hook: hook, Obs: reg, Journal: j})
-		if err != nil {
-			t.Fatalf("sym %+v: %v", hook, err)
+		if res == nil || hook.equal != (err != nil && strings.Contains(err.Error(), "ambiguous residual pairing")) {
+			t.Fatalf("sym %+v: result %v, error %v", hook, res != nil, err)
 		}
-		r := ledgerRun{name: fmt.Sprintf("sym/%+v", hook), prefix: "ftsym", tally: res.Tally, reg: reg, events: j.Events()}
+		r := ledgerRun{name: fmt.Sprintf("sym/%+v", hook), prefix: "ftsym", tally: res.Tally, err: err, reg: reg, events: j.Events()}
 		if res.Detections == 0 || res.Checkpoints == 0 {
 			t.Errorf("%s: the hook did not exercise the path: %+v", r.name, res.Tally)
 		}
