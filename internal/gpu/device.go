@@ -684,7 +684,7 @@ func (d *Device) DeviceSynchronize() { d.WaitFor(d) }
 func (d *Device) WaitFor(dev *Device) {
 	d.Host.AdvanceTo(dev.Elapsed())
 	for _, t := range [...]*sim.Timeline{dev.Compute, dev.Copy, dev.Lookahead} {
-		for i := len(dev.trace) - 1; i >= 0; i-- {
+		for i := len(dev.trace) - 1; i >= 0 && t.Ops() > 0; i-- {
 			if dev.trace[i].Lane == t.Name() {
 				d.front = append(d.front, dev.trace[i].ID)
 				break
