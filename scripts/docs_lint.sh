@@ -13,6 +13,12 @@
 #    docs and in Go doc comments must resolve to a real `## N.` section
 #    header in DESIGN.md (non-numeric references like `§Host BLAS` are
 #    out of scope).
+# 5. Every backticked `pkg.Name` or `pkg.Type.Member` (a call's argument
+#    list aside) in DESIGN.md and README.md whose pkg is a directory
+#    under internal/ or cmd/ must name a declaration there: a func,
+#    method, type, var or const Name and, for Type.Member, a method of
+#    Type or a field of that name in the package (a deleted name the
+#    prose still cites is drift).
 #
 # Run from the repository root: ./scripts/docs_lint.sh
 set -eu
@@ -94,5 +100,32 @@ for s in $secs; do
     fi
 done
 echo "docs_lint: $(echo "$secs" | wc -w) DESIGN § cross-references resolve"
+
+# --- backticked Go names must resolve to declarations -----------------
+names=$(grep -ho '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*\(\.[A-Za-z_][A-Za-z0-9_]*\)\{0,1\}\((.*)\)\{0,1\}`' DESIGN.md README.md \
+        | tr -d '`' | sed 's/(.*//' | sort -u)
+checked=0
+for ref in $names; do
+    pkg=${ref%%.*}
+    rest=${ref#*.}
+    dir=""
+    for d in internal/$pkg cmd/$pkg; do
+        [ -d "$d" ] && dir=$d
+    done
+    [ -n "$dir" ] || continue
+    checked=$((checked + 1))
+    name=${rest%%.*}
+    member=""
+    [ "$rest" != "$name" ] && member=${rest#*.}
+    decl="^(func|type|var|const) $name\b|^func \([^)]*\) $name\(|^\s+$name(, [A-Za-z_]+)* +[^=]*=|^\s+$name\s*($|=)"
+    if ! grep -Eq "$decl" "$dir"/*.go; then
+        echo "docs_lint: docs name \`$ref\` but $dir declares no $name" >&2
+        fail=1
+    elif [ -n "$member" ] && ! grep -Eq "^func \([a-z]* ?\*?$name\) $member\(|^\s+([A-Za-z_]+, )*$member(,| )" "$dir"/*.go; then
+        echo "docs_lint: docs name \`$ref\` but $dir declares no method or field $member" >&2
+        fail=1
+    fi
+done
+echo "docs_lint: $checked backticked Go names checked"
 
 exit $fail
