@@ -38,6 +38,14 @@ func NewOpGraph(traces ...[]gpu.Span) *OpGraph {
 	return g
 }
 
+// Overlap reports whether regions a and b share an element of one
+// allocation.
+func Overlap(a, b gpu.Region) bool {
+	return a.Alloc != 0 && a.Alloc == b.Alloc &&
+		a.Row < b.Row+b.Rows && b.Row < a.Row+a.Rows &&
+		a.Col < b.Col+b.Cols && b.Col < a.Col+a.Cols
+}
+
 // Closure marks, by span index, every op that orders span i's start.
 func (g *OpGraph) Closure(i int) []bool {
 	seen := make([]bool, len(g.Spans))

@@ -250,17 +250,15 @@ func checkPoolOrdering(t *testing.T, g *ft.OpGraph, name string, guarded bool) {
 			}
 		}
 	}
-	writes := func(s gpu.Span) bool {
-		if s.Kind == "d2h" {
-			return false
-		}
+	inSlab := func(r gpu.Region) bool {
 		for _, sl := range slabs {
-			if s.Region.Overlaps(sl) {
+			if ft.Overlap(r, sl) {
 				return true
 			}
 		}
 		return false
 	}
+	writes := func(s gpu.Span) bool { return s.Kind != "d2h" && inSlab(s.Region) }
 	checks := func(s gpu.Span) bool {
 		return s.Phase == "encode" || s.Phase == "checksum_maintenance" || s.Phase == "detect" && s.Kind == "custom"
 	}
@@ -273,9 +271,9 @@ func checkPoolOrdering(t *testing.T, g *ft.OpGraph, name string, guarded bool) {
 		s := spans[i]
 		var must func(gpu.Span) bool
 		switch {
-		case s.Kind == "d2h" && writes(gpu.Span{Region: s.Region}):
+		case s.Kind == "d2h" && inSlab(s.Region):
 			copies++
-			must = func(w gpu.Span) bool { return w.Kind != "d2h" && w.Region.Overlaps(s.Region) }
+			must = func(w gpu.Span) bool { return w.Kind != "d2h" && ft.Overlap(w.Region, s.Region) }
 		case s.Phase == "detect" && s.Kind == "custom":
 			detects++
 			must = func(w gpu.Span) bool { return writes(w) || w.Phase == "encode" || w.Phase == "checksum_maintenance" }

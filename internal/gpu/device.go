@@ -308,13 +308,6 @@ type Region struct {
 	Alloc, Row, Col, Rows, Cols int
 }
 
-// Overlaps reports whether r and o share an element of one allocation.
-func (r Region) Overlaps(o Region) bool {
-	return r.Alloc != 0 && r.Alloc == o.Alloc &&
-		r.Row < o.Row+o.Rows && o.Row < r.Row+r.Rows &&
-		r.Col < o.Col+o.Cols && o.Col < r.Col+r.Cols
-}
-
 // region is the r×c block of m at (i, j) in m's allocation.
 func (m *Matrix) region(i, j, r, c int) Region {
 	return Region{Alloc: m.alloc, Row: m.i0 + i, Col: m.j0 + j, Rows: r, Cols: c}

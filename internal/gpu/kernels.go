@@ -141,9 +141,6 @@ type Seg struct{ A, B, N, C int }
 // segRegion is the block of c that segmented outputs of r×n at row ci
 // span: columns from the first segment's C to the last one's C+n.
 func segRegion(c *Matrix, ci, r, n int, segs []Seg) Region {
-	if len(segs) == 0 {
-		return c.region(ci, 0, r, 0)
-	}
 	lo, hi := segs[0].C, segs[len(segs)-1].C+n
 	return c.region(ci, lo, r, hi-lo)
 }
