@@ -261,6 +261,7 @@ func (sh *Shard) updRange(s, lo int) (local, cnt, global int, ok bool) {
 // latest completion event over those slabs.
 func (sh *Shard) roundSegs(d, from, stride int) ([]gpu.Seg, sim.Event) {
 	segs := sh.segs[d][:0]
+	dev := sh.Pool.Devices[d]
 	var dep sim.Event
 	for _, s := range sh.DevSlabs[d] {
 		lo, cnt, g, ok := sh.updRange(s, from)
@@ -270,7 +271,7 @@ func (sh *Shard) roundSegs(d, from, stride int) ([]gpu.Seg, sim.Event) {
 		}
 		sh.pos[s] = len(segs)
 		segs = append(segs, gpu.Seg{A: sh.off[s] + lo, B: g - from, N: cnt, C: len(segs) * stride})
-		dep = sh.Pool.Devices[d].Join(dep, sh.Last[s])
+		dep = dev.Join(dep, sh.Last[s])
 	}
 	sh.segs[d] = segs
 	return segs, dep

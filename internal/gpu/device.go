@@ -558,8 +558,9 @@ func (m *Matrix) At(i, j int) float64 {
 // transfer of reg's bytes), charges its cost to the busy breakdown and
 // the metrics registry, and when tracing records its span: its exact
 // start, its deps (the declared ones, then the host's frontier) and reg.
-// The returned event carries the record's id.
-func (d *Device) op(t *sim.Timeline, kind opKind, cost float64, launch bool, reg Region, deps []sim.Event) sim.Event {
+// In Real mode it then runs f, the op's work, if any. The returned event
+// carries the record's id.
+func (d *Device) op(t *sim.Timeline, kind opKind, cost float64, launch bool, reg Region, deps []sim.Event, f func()) sim.Event {
 	switch kind {
 	case kindH2D, kindD2H:
 		d.transfers++
@@ -569,7 +570,7 @@ func (d *Device) op(t *sim.Timeline, kind opKind, cost float64, launch bool, reg
 		d.kernels++
 	}
 	if launch {
-		d.Host.Schedule(d.Params.KernelLaunchSec)
+		d.Host.Schedule(d.Params.KernelLaunchSec, 0)
 	}
 	ready := d.Host.Tail()
 	for _, e := range deps {
@@ -578,13 +579,18 @@ func (d *Device) op(t *sim.Timeline, kind opKind, cost float64, launch bool, reg
 		}
 	}
 	d.charge(kind, cost)
-	d.account(kind, cost)
-	start, e := t.Schedule(cost, sim.Event{At: ready})
+	if d.obs != nil {
+		d.account(kind, cost)
+	}
+	start, e := t.Schedule(cost, ready)
 	if d.sink.tracing {
 		e.Op = d.record(t.Name(), kind, start, e.At, reg, deps)
 		if t == d.Host {
 			d.front = append(d.front[:0], e.Op)
 		}
+	}
+	if d.Mode == Real && f != nil {
+		f()
 	}
 	return e
 }
@@ -603,7 +609,7 @@ func (d *Device) H2DAsync(dst *Matrix, di, dj int, src *matrix.Matrix, deps ...s
 			copy(dst.ptr(di, dj+j)[:src.Rows], src.Col(j))
 		}
 	}
-	return d.op(d.Copy, kindH2D, d.Params.Transfer(src.Rows*src.Cols*8), true, dst.region(di, dj, src.Rows, src.Cols), deps)
+	return d.op(d.Copy, kindH2D, d.Params.Transfer(src.Rows*src.Cols*8), true, dst.region(di, dj, src.Rows, src.Cols), deps, nil)
 }
 
 // D2H synchronously copies an r×c block at (si, sj) of the device matrix
@@ -653,7 +659,7 @@ func (d *Device) read(t *sim.Timeline, dst *matrix.Matrix, src *Matrix, si, sj i
 			}
 		}
 	}
-	return d.op(t, kindD2H, d.Params.Transfer(r*c*8), true, src.region(si, sj, r, c), deps)
+	return d.op(t, kindD2H, d.Params.Transfer(r*c*8), true, src.region(si, sj, r, c), deps, nil)
 }
 
 func (d *Device) checkRange(op string, m *Matrix, i, j, r, c int) {
@@ -666,7 +672,9 @@ func (d *Device) checkRange(op string, m *Matrix, i, j, r, c int) {
 // The wait is a sync edge: the host's next ops depend on e's op.
 func (d *Device) Sync(e sim.Event) {
 	d.Host.AdvanceTo(e.At)
-	d.front = d.log.appendOps(d.front, e)
+	if e.Op != 0 {
+		d.front = d.log.appendOps(d.front, e)
+	}
 }
 
 // DeviceSynchronize blocks the host until all device streams drain.
@@ -698,10 +706,7 @@ func (d *Device) Follow(h *Device) {
 // The hybrid algorithms route every host-side BLAS call through this so
 // that one code path serves both execution modes.
 func (d *Device) HostOp(cost float64, f func()) {
-	d.op(d.Host, kindHost, cost, false, Region{}, nil)
-	if d.Mode == Real && f != nil {
-		f()
-	}
+	d.op(d.Host, kindHost, cost, false, Region{}, nil, f)
 }
 
 // Elapsed returns the simulated makespan so far.

@@ -21,19 +21,9 @@ import (
 
 // launch enqueues a kernel of the given duration writing out on the
 // current stream (SetStream; the compute stream by default), accounting
-// its cost under the given operation family.
+// its cost under the given operation family; f is its arithmetic.
 func (d *Device) launch(kind opKind, cost float64, out Region, deps []sim.Event, f func()) sim.Event {
-	return d.launchOn(d.current(), kind, cost, out, deps, f)
-}
-
-// launchOn enqueues a kernel on an explicit stream (Compute for the main
-// FIFO, Lookahead for the priority stream of the lookahead schedule).
-func (d *Device) launchOn(t *sim.Timeline, kind opKind, cost float64, out Region, deps []sim.Event, f func()) sim.Event {
-	e := d.op(t, kind, cost, true, out, deps)
-	if d.Mode == Real && f != nil {
-		f()
-	}
-	return e
+	return d.op(d.current(), kind, cost, true, out, deps, f)
 }
 
 // ftGemvCostFactor is the modeled device premium of the DMR Level-2
@@ -171,7 +161,7 @@ func segCols(segs []Seg) int {
 // kernels execute eagerly in program order, and the program still issues
 // the remainder update before the next panel factorization runs.
 func (d *Device) GemvSeg(t *sim.Timeline, extraCost float64, m int, alpha float64, a *Matrix, ai int, x *Matrix, xj int, beta float64, y *Matrix, yi int, segs []Seg, deps ...sim.Event) sim.Event {
-	return d.launchOn(t, kindGemv, d.gemvCost(m, segCols(segs))+extraCost, segRegion(y, yi, m, 1, segs), deps, func() {
+	return d.op(t, kindGemv, d.gemvCost(m, segCols(segs))+extraCost, true, segRegion(y, yi, m, 1, segs), deps, func() {
 		for _, s := range segs {
 			d.gemvCols(blas.NoTrans, m, s.N, alpha, a, ai, s.A, x, s.B, xj, beta, y, yi, s.C)
 		}
@@ -409,7 +399,7 @@ func (d *Device) Totals(m *Matrix, ci, cj, ri, rj, n int, col, row *float64, dep
 // D2H transfer on the copy engine) and waiting for them; the values must
 // already have been produced by a kernel.
 func (d *Device) ReadScalars(k int, deps ...sim.Event) {
-	d.Sync(d.op(d.Copy, kindD2H, d.Params.Transfer(8*k), false, Region{Rows: k, Cols: 1}, deps))
+	d.Sync(d.op(d.Copy, kindD2H, d.Params.Transfer(8*k), false, Region{Rows: k, Cols: 1}, deps, nil))
 }
 
 // ReadScalarsTail models fetching k scalars produced at the tail of the
@@ -419,7 +409,7 @@ func (d *Device) ReadScalars(k int, deps ...sim.Event) {
 // copy-engine read would make every later offload (the next panel's)
 // queue behind that wait.
 func (d *Device) ReadScalarsTail(k int, deps ...sim.Event) sim.Event {
-	return d.op(d.Compute, kindD2H, d.Params.Transfer(8*k), false, Region{Rows: k, Cols: 1}, deps)
+	return d.op(d.Compute, kindD2H, d.Params.Transfer(8*k), false, Region{Rows: k, Cols: 1}, deps, nil)
 }
 
 // Larfb enqueues the block-reflector application C := (I − V·T·Vᵀ)ᵀ·C

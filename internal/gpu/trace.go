@@ -66,12 +66,25 @@ func (lg *opLog) appendOps(ids []int, e sim.Event) []int {
 // sync on it lists in full. Joining keeps every op an event stands for,
 // where keeping only the later event's would lose the earlier one.
 func (d *Device) Join(a, b sim.Event) sim.Event {
-	e := sim.Event{At: max(a.At, b.At), Op: a.Op}
+	if a.Op|b.Op != 0 {
+		return d.join(a, b)
+	}
+	if b.At > a.At {
+		return b
+	}
+	return a
+}
+
+// join is Join of events of which one at least stands for an op.
+func (d *Device) join(a, b sim.Event) sim.Event {
+	e := b
+	if a.At > b.At {
+		e.At = a.At
+	}
 	switch {
 	case b.Op == 0 || b.Op == a.Op:
-	case a.Op == 0:
-		e.Op = b.Op
-	default:
+		e.Op = a.Op
+	case a.Op != 0:
 		lg := d.log
 		lo := len(lg.deps)
 		lg.deps = lg.appendOps(lg.appendOps(lg.deps, a), b)

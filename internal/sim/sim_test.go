@@ -80,8 +80,8 @@ func TestHostCosts(t *testing.T) {
 
 func TestTimelineFIFO(t *testing.T) {
 	tl := NewTimeline("stream0")
-	_, e1 := tl.Schedule(1.0)
-	_, e2 := tl.Schedule(2.0)
+	_, e1 := tl.Schedule(1.0, 0)
+	_, e2 := tl.Schedule(2.0, 0)
 	if e1.At != 1.0 || e2.At != 3.0 {
 		t.Fatalf("FIFO times %v %v", e1.At, e2.At)
 	}
@@ -93,14 +93,14 @@ func TestTimelineFIFO(t *testing.T) {
 func TestTimelineDependencies(t *testing.T) {
 	a := NewTimeline("a")
 	b := NewTimeline("b")
-	_, ea := a.Schedule(5.0)
+	_, ea := a.Schedule(5.0, 0)
 	// b's op depends on a's: cannot start before t=5.
-	_, eb := b.Schedule(1.0, ea)
+	_, eb := b.Schedule(1.0, ea.At)
 	if eb.At != 6.0 {
 		t.Fatalf("dependent op completed at %v, want 6", eb.At)
 	}
 	// Independent op on b starts after the previous b op (FIFO).
-	_, eb2 := b.Schedule(1.0)
+	_, eb2 := b.Schedule(1.0, 0)
 	if eb2.At != 7.0 {
 		t.Fatalf("FIFO after dependency: %v, want 7", eb2.At)
 	}
@@ -110,8 +110,8 @@ func TestTimelineOverlapModel(t *testing.T) {
 	// Two independent lanes overlap: makespan is the max, not the sum.
 	c := NewTimeline("compute")
 	x := NewTimeline("copy")
-	c.Schedule(3.0)
-	x.Schedule(2.0)
+	c.Schedule(3.0, 0)
+	x.Schedule(2.0, 0)
 	if Makespan(c, x) != 3.0 {
 		t.Fatalf("makespan %v, want 3", Makespan(c, x))
 	}
@@ -119,7 +119,7 @@ func TestTimelineOverlapModel(t *testing.T) {
 
 func TestAdvanceTo(t *testing.T) {
 	h := NewTimeline("host")
-	h.Schedule(1.0)
+	h.Schedule(1.0, 0)
 	h.AdvanceTo(10)
 	if h.Tail() != 10 {
 		t.Fatalf("AdvanceTo: %v", h.Tail())
@@ -147,7 +147,7 @@ func TestPropScheduleMonotonic(t *testing.T) {
 			if d < 0 {
 				d = -d
 			}
-			_, e := tl.Schedule(d)
+			_, e := tl.Schedule(d, 0)
 			if e.At < prev {
 				return false
 			}

@@ -50,14 +50,13 @@ func (t *Timeline) Utilization(makespan float64) float64 {
 }
 
 // Schedule places an operation of the given duration on the timeline,
-// starting no earlier than the timeline's tail and all dependencies.
-// It returns the operation's start and its completion event.
-func (t *Timeline) Schedule(duration float64, deps ...Event) (float64, Event) {
+// starting no earlier than the timeline's tail and the instant ready,
+// when its dependencies have completed. It returns the operation's start
+// and its completion event.
+func (t *Timeline) Schedule(duration, ready float64) (float64, Event) {
 	start := t.tail
-	for _, d := range deps {
-		if d.At > start {
-			start = d.At
-		}
+	if ready > start {
+		start = ready
 	}
 	end := start + duration
 	t.tail = end
