@@ -80,14 +80,37 @@ func TestBatchedJobEndToEnd(t *testing.T) {
 		t.Fatalf("batched SimSeconds = %v", got.SimSeconds)
 	}
 
-	// The batched job's trace exists and parses.
+	// The batched job's trace exists and parses, and each of its flow
+	// arrows joins one copy to one host op, though every item's device
+	// numbers its ops from 1.
 	resp, b := doReq(t, ts, http.MethodGet, "/v1/jobs/"+id+"/trace", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace: status %d, body %s", resp.StatusCode, b)
 	}
-	var events []json.RawMessage
+	var events []gpu.ChromeEvent
 	if err := json.Unmarshal(b, &events); err != nil || len(events) == 0 {
 		t.Fatalf("trace body: err=%v events=%d", err, len(events))
+	}
+	flows := map[int][2]int{} // flow id → starts, finishes
+	for _, e := range events {
+		f := flows[e.ID]
+		switch e.Ph {
+		case "s":
+			f[0]++
+		case "f":
+			f[1]++
+		default:
+			continue
+		}
+		flows[e.ID] = f
+	}
+	for fid, f := range flows {
+		if f != [2]int{1, 1} {
+			t.Fatalf("flow %d has %d start(s) and %d finish(es), want one each", fid, f[0], f[1])
+		}
+	}
+	if len(flows) == 0 {
+		t.Fatal("batched trace has no flow arrows")
 	}
 
 	// Identical resubmission: every item served from the cache, digests

@@ -81,6 +81,7 @@ func (s *Server) executeBatch(j *Job) (*JobResult, error) {
 	}
 	var spans []gpu.Span
 	var totalSim float64
+	ids := 0 // the largest op id among the spans merged so far
 	for i, r := range runs {
 		c := r.Value.(*cachedRun)
 		item := c.itemResult(r.Item.Index, r.Item.Seed, r.Dev == nil)
@@ -88,10 +89,21 @@ func (s *Server) executeBatch(j *Job) (*JobResult, error) {
 			item.Lane, item.LaneStart, item.LaneEnd = r.Lane, r.Start, r.End
 			if j.tracer != nil {
 				// Shift the item's sim spans by its modeled lane start so the
-				// job trace lays the lanes out on the shared virtual clock.
+				// job trace lays the lanes out on the shared virtual clock,
+				// and its op ids past the earlier items' (each item's device
+				// numbers its ops from 1), so the trace's flow arrows join
+				// only ops of one item.
+				off := ids
 				for _, sp := range r.Dev.Trace() {
 					sp.Start += r.Start
 					sp.End += r.Start
+					sp.ID += off
+					deps := make([]int, len(sp.Deps))
+					for k, d := range sp.Deps {
+						deps[k] = d + off
+					}
+					sp.Deps = deps
+					ids = max(ids, sp.ID)
 					spans = append(spans, sp)
 				}
 			}
