@@ -11,7 +11,8 @@ type Event struct {
 	// At is the simulated completion time in seconds.
 	At float64
 	// Op is the id of the recorded operation that completes at At (see
-	// gpu.Span); zero when none was recorded.
+	// gpu.Span), negative for a join of several (gpu.Device.Join); zero
+	// when none was recorded.
 	Op int
 }
 
